@@ -10,6 +10,12 @@
 //! ranks co-resident on the node, which is what makes full-node runs miss
 //! more than single-core runs on the same input — a relationship the ML
 //! model must be able to learn (Fig. 4's scale ablation).
+//!
+//! A [`CacheSimulator`] keeps one [`SetAssocCache`] and re-shapes it for each
+//! level of each kernel, so a reused simulator allocates nothing in steady
+//! state: a set gets its `ways` tags out of one arena the first time it is
+//! touched, and an epoch stamp per set makes emptying the cache O(1)
+//! (DESIGN.md §19).
 
 use crate::demand::LocalityProfile;
 use crate::machine::{CacheLevelSpec, CpuSpec};
@@ -63,37 +69,73 @@ impl LevelStats {
     }
 }
 
+/// One set's entry in the set table: live only while `epoch` matches the
+/// cache's, in which case the set's tags are arena block `block`.
+#[derive(Debug, Clone, Copy, Default)]
+struct SetSlot {
+    epoch: u32,
+    block: u32,
+}
+
 /// A set-associative cache with true-LRU replacement.
+///
+/// Lines are 32-bit (see [`MemRef`]), so a tag (`line / n_sets`) is too, and
+/// only sets that were touched since the last reset hold storage.
 #[derive(Debug)]
 pub struct SetAssocCache {
-    n_sets: u64,
+    n_sets: u32,
     ways: usize,
-    /// `sets[s]` holds up to `ways` tags, most recently used first.
-    sets: Vec<Vec<u64>>,
+    /// Current epoch; never 0, which stamps set-table entries never touched.
+    epoch: u32,
+    sets: Vec<SetSlot>,
+    /// One block of `1 + ways` words per touched set: how many tags it holds,
+    /// then the tags, most recently used first.
+    arena: Vec<u32>,
     /// Statistics accumulated since construction or [`SetAssocCache::reset`].
     pub stats: LevelStats,
+}
+
+impl Default for SetAssocCache {
+    /// A cache of one line, the smallest [`SetAssocCache::configure`] makes.
+    fn default() -> Self {
+        Self {
+            n_sets: 1,
+            ways: 1,
+            epoch: 1,
+            sets: vec![SetSlot::default()],
+            arena: Vec::new(),
+            stats: LevelStats::default(),
+        }
+    }
 }
 
 impl SetAssocCache {
     /// Build from a level spec with an optional capacity divisor for shared
     /// levels (how many ranks share it).
     pub fn from_spec(spec: &CacheLevelSpec, sharing: u32) -> Self {
-        let sharing = sharing.max(1) as u64;
-        let capacity = (spec.capacity_bytes / sharing).max(spec.line_bytes as u64);
-        let lines = (capacity / spec.line_bytes as u64).max(1);
+        let mut cache = Self::default();
+        cache.configure(spec, sharing);
+        cache
+    }
+
+    /// Re-shape for `spec` and `sharing` and empty the cache, keeping its
+    /// buffers. Set counts beyond `u32::MAX` saturate.
+    pub fn configure(&mut self, spec: &CacheLevelSpec, sharing: u32) {
+        let line_bytes = spec.line_bytes.max(1) as u64;
+        let capacity = (spec.capacity_bytes / sharing.max(1) as u64).max(line_bytes);
+        let lines = (capacity / line_bytes).max(1);
         let ways = (spec.associativity as u64).min(lines).max(1);
-        let n_sets = (lines / ways).max(1);
-        Self {
-            n_sets,
-            ways: ways as usize,
-            sets: vec![Vec::new(); n_sets as usize],
-            stats: LevelStats::default(),
+        self.n_sets = (lines / ways).clamp(1, u32::MAX as u64) as u32;
+        self.ways = ways as usize;
+        if self.sets.len() < self.n_sets as usize {
+            self.sets.resize(self.n_sets as usize, SetSlot::default());
         }
+        self.reset();
     }
 
     /// Number of sets (after sharing adjustment).
     pub fn n_sets(&self) -> u64 {
-        self.n_sets
+        self.n_sets as u64
     }
 
     /// Associativity (after sharing adjustment).
@@ -101,39 +143,62 @@ impl SetAssocCache {
         self.ways
     }
 
+    /// Sets touched since construction or the last reset.
+    pub fn sets_touched(&self) -> usize {
+        self.arena.len() / (self.ways + 1)
+    }
+
     /// Access a line; returns true on hit. Updates LRU order and stats.
-    pub fn access(&mut self, line: u64, is_store: bool) -> bool {
-        let set_idx = (line % self.n_sets) as usize;
-        let set = &mut self.sets[set_idx];
-        let hit = match set.iter().position(|&t| t == line) {
-            Some(pos) => {
-                // Move to MRU position.
-                let tag = set.remove(pos);
-                set.insert(0, tag);
-                true
-            }
-            None => {
-                if set.len() == self.ways {
-                    set.pop();
-                }
-                set.insert(0, line);
-                false
-            }
-        };
-        match (is_store, hit) {
-            (false, true) => self.stats.load_hits += 1,
-            (false, false) => self.stats.load_misses += 1,
-            (true, true) => self.stats.store_hits += 1,
-            (true, false) => self.stats.store_misses += 1,
+    pub fn access(&mut self, line: u32, is_store: bool) -> bool {
+        let tag = line / self.n_sets;
+        let stride = self.ways + 1;
+        let slot = &mut self.sets[(line % self.n_sets) as usize];
+        if slot.epoch != self.epoch {
+            *slot = SetSlot {
+                epoch: self.epoch,
+                block: (self.arena.len() / stride) as u32,
+            };
+            self.arena.resize(self.arena.len() + stride, 0);
         }
+        let base = slot.block as usize * stride;
+        let (len, tags) = self.arena[base..base + stride]
+            .split_first_mut()
+            .expect("a block holds a length and at least one way");
+        // One pass: push `tag` in at the MRU end and carry each resident tag
+        // one way down, until the carried tag is `tag` itself (a hit).
+        let held = *len as usize;
+        let mut carried = tag;
+        let mut hit = false;
+        for way in &mut tags[..held] {
+            carried = std::mem::replace(way, carried);
+            if carried == tag {
+                hit = true;
+                break;
+            }
+        }
+        // On a miss `carried` is the LRU tag: it moves into a free way, or
+        // falls out of a full set.
+        if !hit && held < self.ways {
+            tags[held] = carried;
+            *len += 1;
+        }
+        // Branch-free: `is_store` is a coin flip the predictor cannot learn.
+        self.stats.load_hits += (!is_store & hit) as u64;
+        self.stats.load_misses += (!is_store & !hit) as u64;
+        self.stats.store_hits += (is_store & hit) as u64;
+        self.stats.store_misses += (is_store & !hit) as u64;
         hit
     }
 
     /// Clear contents and statistics.
     pub fn reset(&mut self) {
-        for set in &mut self.sets {
-            set.clear();
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Wrapped: stamps from 2^32 resets ago would look live again.
+            self.sets.fill(SetSlot::default());
+            self.epoch = 1;
         }
+        self.arena.clear();
         self.stats = LevelStats::default();
     }
 }
@@ -184,11 +249,14 @@ pub enum CacheModel {
     Analytic,
 }
 
-/// Reusable cache-hierarchy simulator (owns trace buffers).
+/// Reusable cache-hierarchy simulator (owns the trace buffer and the cache
+/// every level is simulated in, one level after the other).
 #[derive(Debug)]
 pub struct CacheSimulator {
     gen: TraceGenerator,
     buf: Vec<MemRef>,
+    cache: SetAssocCache,
+    sets_touched: u64,
     /// Number of sampled references per kernel.
     pub trace_len: usize,
     /// Selected model.
@@ -207,6 +275,8 @@ impl CacheSimulator {
         Self {
             gen: TraceGenerator::new(),
             buf: Vec::with_capacity(DEFAULT_TRACE_LEN),
+            cache: SetAssocCache::default(),
+            sets_touched: 0,
             trace_len: DEFAULT_TRACE_LEN,
             model: CacheModel::Trace,
         }
@@ -232,10 +302,17 @@ impl CacheSimulator {
         ranks_on_node: u32,
         rng: &mut impl Rng,
     ) -> HierarchyResult {
+        self.sets_touched = 0;
         match self.model {
             CacheModel::Trace => self.run_trace(profile, store_fraction, cpu, ranks_on_node, rng),
             CacheModel::Analytic => self.run_analytic(profile, store_fraction, cpu, ranks_on_node),
         }
+    }
+
+    /// Cache sets touched, summed over levels, by the most recent
+    /// [`CacheSimulator::run`] (0 under the analytic model).
+    pub fn sets_touched(&self) -> u64 {
+        self.sets_touched
     }
 
     fn run_trace(
@@ -255,31 +332,29 @@ impl CacheSimulator {
             rng,
             &mut self.buf,
         );
-        let mut caches: Vec<SetAssocCache> = cpu
-            .cache_levels
-            .iter()
-            .map(|spec| {
-                let sharing = if spec.shared { ranks_on_node } else { 1 };
-                SetAssocCache::from_spec(spec, sharing)
-            })
-            .collect();
-        let mut dram = 0u64;
-        for r in &self.buf {
-            let mut served = false;
-            for cache in caches.iter_mut() {
-                if cache.access(r.line, r.is_store) {
-                    served = true;
-                    break;
-                }
+        // Level by level: each level sees the previous one's misses in trace
+        // order, compacted to the front of the (now spent) trace buffer, so
+        // one cache's storage serves the whole hierarchy.
+        let total_refs = self.buf.len();
+        let mut live = total_refs;
+        let mut levels = Vec::with_capacity(cpu.cache_levels.len());
+        for spec in &cpu.cache_levels {
+            let sharing = if spec.shared { ranks_on_node } else { 1 };
+            self.cache.configure(spec, sharing);
+            let mut missed = 0;
+            for i in 0..live {
+                let r = self.buf[i];
+                self.buf[missed] = r;
+                missed += !self.cache.access(r.line, r.is_store) as usize;
             }
-            if !served {
-                dram += 1;
-            }
+            live = missed;
+            levels.push(self.cache.stats);
+            self.sets_touched += self.cache.sets_touched() as u64;
         }
         HierarchyResult {
-            levels: caches.into_iter().map(|c| c.stats).collect(),
-            dram_accesses: dram,
-            total_refs: self.buf.len() as u64,
+            levels,
+            dram_accesses: live as u64,
+            total_refs: total_refs as u64,
         }
     }
 
@@ -292,7 +367,7 @@ impl CacheSimulator {
     ) -> HierarchyResult {
         // Model each level as fully-associative LRU of its (shared-adjusted)
         // capacity; the level sees only the misses of the previous one.
-        let n = DEFAULT_TRACE_LEN as f64;
+        let n = self.trace_len as f64;
         let loads = n * (1.0 - store_fraction);
         let stores = n * store_fraction;
         let mut levels = Vec::with_capacity(cpu.cache_levels.len());
@@ -372,10 +447,10 @@ mod tests {
             shared: false,
         };
         let mut c = SetAssocCache::from_spec(&spec, 1);
-        for line in 0..8u64 {
+        for line in 0..8u32 {
             assert!(!c.access(line, false), "cold miss expected");
         }
-        for line in 0..8u64 {
+        for line in 0..8u32 {
             assert!(c.access(line, false), "warm hit expected");
         }
         assert_eq!(c.stats.load_hits, 8);
@@ -450,6 +525,24 @@ mod tests {
         let h_a = an.run_analytic(&hostile(), 0.2, &cpu, 1);
         assert!(f_t.dram_accesses < h_t.dram_accesses);
         assert!(f_a.dram_accesses < h_a.dram_accesses);
+    }
+
+    #[test]
+    fn both_models_simulate_trace_len_references() {
+        let cpu = quartz().cpu;
+        for trace_len in [4_096, 32_768] {
+            let (mut tr, mut an) = (CacheSimulator::new(), CacheSimulator::analytic());
+            tr.trace_len = trace_len;
+            an.trace_len = trace_len;
+            let t = tr.run(&hostile(), 0.25, &cpu, 36, &mut rng_for(7, &[]));
+            let a = an.run(&hostile(), 0.25, &cpu, 36, &mut rng_for(7, &[]));
+            assert_eq!(t.total_refs, trace_len as u64);
+            assert_eq!(a.total_refs, t.total_refs);
+            // The first level sees every reference (up to per-counter rounding).
+            assert!(a.levels[0].accesses().abs_diff(t.levels[0].accesses()) <= 2);
+            assert_eq!(an.sets_touched(), 0);
+            assert!(tr.sets_touched() > 0);
+        }
     }
 
     #[test]

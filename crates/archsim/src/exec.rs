@@ -61,6 +61,7 @@ pub fn simulate_run_with(
     seed: u64,
     cache_sim: &mut CacheSimulator,
 ) -> Result<RunResult, String> {
+    machine.validate()?;
     if demands.is_empty() {
         return Err("run has no kernels".to_string());
     }
@@ -81,6 +82,9 @@ pub fn simulate_run_with(
     let mut totals = GroundTruthCounters::default();
     let mut wall = 0.0;
     let mut n_gpu_kernels = 0u64;
+    // Cache-simulation work, accumulated locally and flushed once per run.
+    let telemetry = mphpc_telemetry::enabled();
+    let (mut cache_refs, mut cache_sets_touched) = (0u64, 0u64);
 
     for (ki, d) in demands.iter().enumerate() {
         let offload = config.use_gpu && machine.has_gpu() && d.gpu_offloadable;
@@ -149,6 +153,10 @@ pub fn simulate_run_with(
                 ranks_on_node,
                 &mut rng,
             );
+            if telemetry {
+                cache_refs += hierarchy.total_refs;
+                cache_sets_touched += cache_sim.sets_touched();
+            }
             let out = cpu::run_kernel(d, &machine.cpu, ranks, config.nodes, &hierarchy);
             counters.l1_load_misses = loads * hierarchy.global_load_miss_ratio(0);
             counters.l1_store_misses = stores * hierarchy.global_store_miss_ratio(0);
@@ -173,10 +181,14 @@ pub fn simulate_run_with(
         });
     }
 
-    if mphpc_telemetry::enabled() {
+    if telemetry {
+        let n_cpu_kernels = demands.len() as u64 - n_gpu_kernels;
         mphpc_telemetry::counter_add("archsim.runs", 1);
-        mphpc_telemetry::counter_add("archsim.kernels.cpu", demands.len() as u64 - n_gpu_kernels);
+        mphpc_telemetry::counter_add("archsim.kernels.cpu", n_cpu_kernels);
         mphpc_telemetry::counter_add("archsim.kernels.gpu", n_gpu_kernels);
+        mphpc_telemetry::counter_add("archsim.cache.kernels", n_cpu_kernels);
+        mphpc_telemetry::counter_add("archsim.cache.refs", cache_refs);
+        mphpc_telemetry::counter_add("archsim.cache.sets_touched", cache_sets_touched);
     }
     let used_gpu = kernels.iter().any(|k| k.on_gpu);
     let mut jitter_rng = rng_for(seed, &[0x71773]);
@@ -265,6 +277,21 @@ mod tests {
     #[test]
     fn empty_run_rejected() {
         assert!(simulate_run(&quartz(), &[], RunConfig::one_core(false), 1).is_err());
+    }
+
+    #[test]
+    fn invalid_machine_rejected_not_panicked() {
+        let ks = vec![kernel("a", false, 0.2, 0.3)];
+        let mut no_levels = quartz();
+        no_levels.cpu.cache_levels.clear();
+        let mut zero_line = quartz();
+        zero_line.cpu.cache_levels[1].line_bytes = 0;
+        for machine in [no_levels, zero_line] {
+            let mut sim = CacheSimulator::new();
+            for config in [RunConfig::one_core(false), RunConfig::one_node(36, false)] {
+                assert!(simulate_run_with(&machine, &ks, config, 1, &mut sim).is_err());
+            }
+        }
     }
 
     #[test]

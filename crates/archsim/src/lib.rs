@@ -13,8 +13,9 @@
 //!   [`KernelDemand`]s (instruction mix, locality profile, communication and
 //!   I/O demands) plus a [`RunConfig`] (nodes, ranks, GPU use).
 //! * [`cache`] — a set-associative LRU multi-level cache simulator fed by a
-//!   reuse-distance-driven synthetic address trace ([`trace`]), and a closed
-//!   form analytical fallback. Produces per-level load/store miss ratios.
+//!   reuse-distance-driven synthetic address trace ([`trace`], a
+//!   bitmap-indexed LRU stack), and a closed form analytical fallback.
+//!   Produces per-level load/store miss ratios.
 //! * [`cpu`] / [`gpu`] — execution-time models: cycle accounting (issue,
 //!   branch misprediction, memory stalls, SIMD) bounded by node memory
 //!   bandwidth for CPUs; a roofline-with-divergence model for GPUs.
@@ -28,9 +29,10 @@
 //!   run-to-run variability (machine jitter) and a SplitMix64 sub-seed
 //!   derivation shared across the workspace.
 //!
-//! Everything is deterministic given a seed; the simulator is `Send + Sync`
-//! and allocation-free on the per-kernel hot path except for the trace
-//! buffer, which is reused.
+//! Everything is deterministic given a seed; the simulator is `Send + Sync`,
+//! and a reused [`cache::CacheSimulator`] allocates nothing on the per-kernel
+//! hot path once its buffers have reached their high-water mark, beyond the
+//! small `Vec` of per-level results it returns.
 
 #![warn(missing_docs)]
 
@@ -43,6 +45,8 @@ pub mod gpu;
 pub mod machine;
 pub mod network;
 pub mod noise;
+#[cfg(test)]
+mod oracle;
 pub mod roofline;
 pub mod trace;
 

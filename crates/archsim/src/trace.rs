@@ -10,99 +10,97 @@
 //! exhibiting realistic set-conflict behaviour in the set-associative
 //! simulator.
 //!
-//! The LRU stack is backed by a Fenwick tree over access-time slots
-//! ([`IndexedLru`]), making depth-indexed access O(log n) instead of the
-//! O(n) of a naive `Vec` stack — the trace generator is on the per-kernel
-//! hot path of every simulated run in the dataset.
+//! The LRU stack ([`IndexedLru`]) is an occupancy bitmap over access-time
+//! slots: every touch appends at the top, a re-touch clears the line's old
+//! slot, and "the line at depth `d`" is the `d`-th set bit counted *from the
+//! top*, found through two levels of block counts. For the default trace
+//! length the whole index is 4 KiB, and shallow depths — the common case —
+//! resolve in the top block. The generator keeps the stack's buffers between
+//! kernels: it is on the per-kernel hot path of every simulated run in the
+//! dataset (DESIGN.md §19).
 
 use crate::demand::LocalityProfile;
 use rand::Rng;
-use std::collections::HashMap;
 
 /// A single memory reference in a synthetic trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemRef {
-    /// Line-granular address (already divided by line size).
-    pub line: u64,
+    /// Line-granular address (already divided by line size). Trace line ids
+    /// are a dense counter below the trace length, so 32 bits hold them.
+    pub line: u32,
     /// True for stores, false for loads.
     pub is_store: bool,
 }
 
-/// Fenwick (binary indexed) tree over `1..=n` supporting point add and
-/// prefix-sum select.
-#[derive(Debug)]
-struct Fenwick {
-    tree: Vec<u32>,
-}
+/// Bitmap words per first-level count (512 slots).
+const GROUP_WORDS: usize = 8;
+/// Bitmap words per second-level count (4096 slots).
+const SUPER_WORDS: usize = 64;
 
-impl Fenwick {
-    fn new(n: usize) -> Self {
-        Self {
-            tree: vec![0; n + 1],
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.tree.len() - 1
-    }
-
-    fn add(&mut self, mut i: usize, delta: i32) {
-        debug_assert!(i >= 1 && i <= self.len());
-        while i <= self.len() {
-            self.tree[i] = (self.tree[i] as i64 + delta as i64) as u32;
-            i += i & i.wrapping_neg();
-        }
-    }
-
-    /// Smallest index `i` with `prefix_sum(i) >= rank` (rank >= 1);
-    /// `None` if the total is below `rank`.
-    fn select(&self, rank: u32) -> Option<usize> {
-        if rank == 0 {
-            return None;
-        }
-        let mut pos = 0usize;
-        let mut remaining = rank;
-        let mut mask = self.len().next_power_of_two();
-        while mask > 0 {
-            let next = pos + mask;
-            if next <= self.len() && self.tree[next] < remaining {
-                remaining -= self.tree[next];
-                pos = next;
-            }
-            mask >>= 1;
-        }
-        let idx = pos + 1;
-        if idx <= self.len() {
-            Some(idx)
+/// Position of the `k`-th set bit of `word` counted from the top (`k = 0` is
+/// the highest set bit). `k` must be below `word.count_ones()`.
+fn select_from_top(word: u64, mut k: u32) -> usize {
+    let mut pos = 0u32;
+    let mut half = 32u32;
+    while half > 0 {
+        let upper = ((word >> (pos + half)) & ((1u64 << half) - 1)).count_ones();
+        if k < upper {
+            pos += half;
         } else {
-            None
+            k -= upper;
         }
+        half >>= 1;
     }
+    pos as usize
 }
 
-/// An LRU stack supporting "touch the k-th most recently used item" in
-/// O(log n), for a known bound on total touches.
-#[derive(Debug)]
+/// An LRU stack supporting "touch the k-th most recently used item", for a
+/// known bound on total touches.
+#[derive(Debug, Default)]
 pub struct IndexedLru {
-    bit: Fenwick,
-    slot_line: Vec<u64>,
-    line_slot: HashMap<u64, usize>,
+    /// Bit `s` is set while access-time slot `s` holds a line's latest touch.
+    words: Vec<u64>,
+    /// Live slots per [`GROUP_WORDS`] words.
+    groups: Vec<u16>,
+    /// Live slots per [`SUPER_WORDS`] words.
+    supers: Vec<u16>,
+    slot_line: Vec<u32>,
+    capacity: usize,
     now: usize,
     active: usize,
-    next_line: u64,
+    next_line: u32,
 }
 
 impl IndexedLru {
     /// Create an LRU stack that can absorb at most `capacity` touches.
     pub fn new(capacity: usize) -> Self {
-        Self {
-            bit: Fenwick::new(capacity.max(1)),
-            slot_line: vec![0; capacity.max(1) + 1],
-            line_slot: HashMap::with_capacity(capacity / 4),
-            now: 1,
-            active: 0,
-            next_line: 0,
+        let mut lru = Self::default();
+        lru.reset(capacity);
+        lru
+    }
+
+    /// Empty the stack and size it for `capacity` touches, keeping buffers.
+    /// Panics if `capacity` exceeds `u32::MAX` (line ids are 32-bit).
+    pub fn reset(&mut self, capacity: usize) {
+        let capacity = capacity.max(1);
+        assert!(
+            u32::try_from(capacity).is_ok(),
+            "IndexedLru capacity {capacity} exceeds 32-bit line ids"
+        );
+        let n_words = capacity.div_ceil(64 * SUPER_WORDS) * SUPER_WORDS;
+        self.words.clear();
+        self.words.resize(n_words, 0);
+        self.groups.clear();
+        self.groups.resize(n_words / GROUP_WORDS, 0);
+        self.supers.clear();
+        self.supers.resize(n_words / SUPER_WORDS, 0);
+        if self.slot_line.len() < capacity {
+            self.slot_line.resize(capacity, 0);
         }
+        self.capacity = capacity;
+        self.now = 0;
+        self.active = 0;
+        self.next_line = 0;
     }
 
     /// Number of distinct lines currently on the stack.
@@ -111,51 +109,76 @@ impl IndexedLru {
     }
 
     /// Touch a brand-new line and return its id.
-    pub fn touch_fresh(&mut self) -> u64 {
+    pub fn touch_fresh(&mut self) -> u32 {
         let line = self.next_line;
-        self.next_line += 1;
         self.place(line);
+        self.next_line += 1;
         self.active += 1;
         line
     }
 
     /// Touch the line at LRU depth `depth` (0 = most recent) and return it.
     /// Panics if `depth >= active()`.
-    pub fn touch_depth(&mut self, depth: usize) -> u64 {
+    pub fn touch_depth(&mut self, depth: usize) -> u32 {
         assert!(
             depth < self.active,
             "depth {depth} >= active {}",
             self.active
         );
-        // The k-th most recent active slot has rank (active - depth) in
-        // ascending slot order.
-        let rank = (self.active - depth) as u32;
-        let slot = self.bit.select(rank).expect("rank within active count");
-        let line = self.slot_line[slot];
-        self.bit.add(slot, -1);
-        self.line_slot.remove(&line);
+        // Walk down from the newest slot, skipping whole blocks by their
+        // counts; `depth < active` guarantees every loop stops in range.
+        let top = (self.now - 1) / 64;
+        let mut k = depth as u32;
+        let mut s = top / SUPER_WORDS;
+        while k >= self.supers[s] as u32 {
+            k -= self.supers[s] as u32;
+            s -= 1;
+        }
+        let mut g = ((s + 1) * (SUPER_WORDS / GROUP_WORDS) - 1).min(top / GROUP_WORDS);
+        while k >= self.groups[g] as u32 {
+            k -= self.groups[g] as u32;
+            g -= 1;
+        }
+        let mut w = ((g + 1) * GROUP_WORDS - 1).min(top);
+        loop {
+            let live = self.words[w].count_ones();
+            if k < live {
+                break;
+            }
+            k -= live;
+            w -= 1;
+        }
+        let bit = select_from_top(self.words[w], k);
+        self.words[w] &= !(1u64 << bit);
+        self.groups[w / GROUP_WORDS] -= 1;
+        self.supers[w / SUPER_WORDS] -= 1;
+        let line = self.slot_line[w * 64 + bit];
         self.place(line);
         line
     }
 
-    fn place(&mut self, line: u64) {
+    fn place(&mut self, line: u32) {
         let slot = self.now;
-        assert!(slot <= self.bit.len(), "IndexedLru capacity exhausted");
+        assert!(slot < self.capacity, "IndexedLru capacity exhausted");
         self.now += 1;
-        self.bit.add(slot, 1);
+        self.words[slot / 64] |= 1u64 << (slot % 64);
+        self.groups[slot / (64 * GROUP_WORDS)] += 1;
+        self.supers[slot / (64 * SUPER_WORDS)] += 1;
         self.slot_line[slot] = line;
-        self.line_slot.insert(line, slot);
     }
 }
 
-/// Generates synthetic reference streams; reusable across kernels.
+/// Generates synthetic reference streams; reusable across kernels (the LRU
+/// stack's buffers are allocated on first use and kept).
 #[derive(Debug, Default)]
-pub struct TraceGenerator {}
+pub struct TraceGenerator {
+    lru: IndexedLru,
+}
 
 impl TraceGenerator {
     /// New generator.
     pub fn new() -> Self {
-        Self {}
+        Self::default()
     }
 
     /// Fill `out` with `n` references drawn from `profile`.
@@ -173,9 +196,20 @@ impl TraceGenerator {
     ) {
         out.clear();
         out.reserve(n);
-        let mut lru = IndexedLru::new(n);
+        let lru = &mut self.lru;
+        lru.reset(n);
         let line_bytes = line_bytes.max(1) as f64;
         let ws_lines = (profile.working_set_bytes / line_bytes).max(1.0);
+        let exponent = 1.0 / profile.theta;
+        // A draw `u >= fresh_above` maps to a depth of at least `fresh_bound`
+        // lines, past every line on the stack: the line is fresh whatever the
+        // exact depth, so its `powf` is skipped. The bound runs ahead of
+        // `active()`, so the threshold is recomputed O(log n) times, and its
+        // 1e-9 margin is far outside `powf`'s rounding error for profiles in
+        // their documented ranges; other profiles never skip.
+        let skips = profile.is_valid() && ws_lines.is_finite();
+        let mut fresh_bound = 0;
+        let mut fresh_above = f64::INFINITY;
         for _ in 0..n {
             let is_store = rng.gen::<f64>() < store_fraction;
             let line = if rng.gen::<f64>() < profile.streaming {
@@ -184,8 +218,17 @@ impl TraceGenerator {
                 // Inverse-transform sample of the reuse-distance CDF
                 // F(d) = (d / ws)^theta, in line units.
                 let u: f64 = rng.gen();
-                let depth_lines = ws_lines * u.powf(1.0 / profile.theta);
-                let depth = depth_lines as usize;
+                if skips && lru.active() >= fresh_bound {
+                    fresh_bound = lru.active() + lru.active() / 8 + 64;
+                    fresh_above = (fresh_bound as f64 / ws_lines).powf(profile.theta)
+                        * (1.0 + 1e-9)
+                        + f64::MIN_POSITIVE;
+                }
+                let depth = if u >= fresh_above {
+                    usize::MAX
+                } else {
+                    (ws_lines * u.powf(exponent)) as usize
+                };
                 if depth >= lru.active() {
                     lru.touch_fresh()
                 } else {
@@ -216,19 +259,15 @@ mod tests {
     }
 
     #[test]
-    fn fenwick_select_finds_kth() {
-        let mut f = Fenwick::new(10);
-        for i in [2usize, 5, 7, 10] {
-            f.add(i, 1);
+    fn select_from_top_finds_kth_highest_bit() {
+        let word = (1u64 << 63) | (1 << 40) | (1 << 7) | 1;
+        assert_eq!(select_from_top(word, 0), 63);
+        assert_eq!(select_from_top(word, 1), 40);
+        assert_eq!(select_from_top(word, 2), 7);
+        assert_eq!(select_from_top(word, 3), 0);
+        for k in 0..64 {
+            assert_eq!(select_from_top(u64::MAX, k), 63 - k as usize);
         }
-        assert_eq!(f.select(1), Some(2));
-        assert_eq!(f.select(2), Some(5));
-        assert_eq!(f.select(3), Some(7));
-        assert_eq!(f.select(4), Some(10));
-        assert_eq!(f.select(5), None);
-        assert_eq!(f.select(0), None);
-        f.add(5, -1);
-        assert_eq!(f.select(2), Some(7));
     }
 
     #[test]
@@ -236,7 +275,7 @@ mod tests {
         use rand::Rng;
         let mut rng = rng_for(5, &[]);
         let mut lru = IndexedLru::new(4000);
-        let mut naive: Vec<u64> = Vec::new();
+        let mut naive: Vec<u32> = Vec::new();
         for _ in 0..2000 {
             if naive.is_empty() || rng.gen::<f64>() < 0.3 {
                 let line = lru.touch_fresh();
@@ -276,7 +315,7 @@ mod tests {
             &mut rng,
             &mut out,
         );
-        let distinct: std::collections::HashSet<u64> = out.iter().map(|r| r.line).collect();
+        let distinct: std::collections::HashSet<u32> = out.iter().map(|r| r.line).collect();
         assert!(
             distinct.len() > 9_000,
             "expected mostly unique lines, got {}",
@@ -297,7 +336,7 @@ mod tests {
             &mut rng,
             &mut out,
         );
-        let distinct: std::collections::HashSet<u64> = out.iter().map(|r| r.line).collect();
+        let distinct: std::collections::HashSet<u32> = out.iter().map(|r| r.line).collect();
         assert!(
             distinct.len() < 500,
             "expected heavy reuse, got {} distinct lines",
@@ -325,7 +364,7 @@ mod tests {
             gen.generate_into(&profile(0.8, 0.0, ws), 16_000, 0.0, 64, &mut rng, &mut out);
             out.iter()
                 .map(|r| r.line)
-                .collect::<std::collections::HashSet<u64>>()
+                .collect::<std::collections::HashSet<u32>>()
                 .len()
         };
         assert!(distinct(64.0 * 1e5) > distinct(64.0 * 1e3));

@@ -2,13 +2,14 @@
 //!
 //! * trace-driven vs analytic cache model (the DESIGN.md ablation: the
 //!   analytic model is the fast path for very large sweeps);
-//! * synthetic trace generation (Fenwick-backed LRU stack);
+//! * synthetic trace generation (bitmap-indexed LRU stack), over the locality
+//!   regimes whose costs differ: deep reuse, shallow reuse, streaming;
 //! * profiler run cost (one dataset cell);
 //! * parallel map scaling of the collection driver.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mphpc_archsim::cache::CacheSimulator;
-use mphpc_archsim::machine::quartz;
+use mphpc_archsim::machine::{corona, quartz};
 use mphpc_archsim::noise::rng_for;
 use mphpc_archsim::trace::{TraceGenerator, DEFAULT_TRACE_LEN};
 use mphpc_archsim::LocalityProfile;
@@ -23,16 +24,43 @@ fn profile() -> LocalityProfile {
     }
 }
 
+/// The locality regimes the trace path's costs depend on: `mixed` draws deep
+/// reuse distances, `reuse_heavy` re-touches a small working set (shallow
+/// order-statistic queries, every set warm), `streaming` mostly touches fresh
+/// lines (first-touch set allocation).
+fn locality_regimes() -> [(&'static str, LocalityProfile); 3] {
+    let regime = |working_set_bytes, theta, streaming| LocalityProfile {
+        working_set_bytes,
+        theta,
+        streaming,
+    };
+    [
+        ("mixed", profile()),
+        ("reuse_heavy", regime(256.0 * 1024.0, 0.3, 0.0)),
+        ("streaming", regime(2.0e8, 0.6, 0.5)),
+    ]
+}
+
 fn bench_cache_models(c: &mut Criterion) {
-    let cpu = quartz().cpu;
     let mut group = c.benchmark_group("cache_model_ablation");
     group.throughput(Throughput::Elements(DEFAULT_TRACE_LEN as u64));
-    group.bench_function("trace_driven", |b| {
-        let mut sim = CacheSimulator::new();
-        let mut rng = rng_for(1, &[]);
-        b.iter(|| sim.run(&profile(), 0.25, &cpu, 36, &mut rng))
-    });
+    // Quartz's node-shared L3 at full sharing has few sets; Corona's unshared
+    // L3 on a one-core run has 131 072, the largest set table in Table I.
+    for (machine, cpu, ranks) in [
+        ("quartz_node", quartz().cpu, 36),
+        ("corona_core", corona().cpu, 1),
+    ] {
+        for (regime, locality) in locality_regimes() {
+            let id = BenchmarkId::new("trace_driven", format!("{machine}/{regime}"));
+            group.bench_function(id, |b| {
+                let mut sim = CacheSimulator::new();
+                let mut rng = rng_for(1, &[]);
+                b.iter(|| sim.run(&locality, 0.25, &cpu, ranks, &mut rng))
+            });
+        }
+    }
     group.bench_function("analytic", |b| {
+        let cpu = quartz().cpu;
         let mut sim = CacheSimulator::analytic();
         let mut rng = rng_for(1, &[]);
         b.iter(|| sim.run(&profile(), 0.25, &cpu, 36, &mut rng))
@@ -44,15 +72,17 @@ fn bench_trace_generation(c: &mut Criterion) {
     let mut group = c.benchmark_group("trace_generation");
     for n in [8_192usize, 32_768, 131_072] {
         group.throughput(Throughput::Elements(n as u64));
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
-            let mut gen = TraceGenerator::new();
-            let mut out = Vec::new();
-            let mut rng = rng_for(2, &[]);
-            b.iter(|| {
-                gen.generate_into(&profile(), n, 0.3, 64, &mut rng, &mut out);
-                out.len()
-            })
-        });
+        for (regime, locality) in locality_regimes() {
+            group.bench_with_input(BenchmarkId::new(regime, n), &n, |b, &n| {
+                let mut gen = TraceGenerator::new();
+                let mut out = Vec::new();
+                let mut rng = rng_for(2, &[]);
+                b.iter(|| {
+                    gen.generate_into(&locality, n, 0.3, 64, &mut rng, &mut out);
+                    out.len()
+                })
+            });
+        }
     }
     group.finish();
 }
