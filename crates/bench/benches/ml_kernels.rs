@@ -131,21 +131,17 @@ fn bench_tree_kernels(c: &mut Criterion) {
     group.finish();
 }
 
-/// Inference: the reference per-row enum-tree traversal vs the compiled
-/// f64 flat-ensemble engine vs the quantized bin-indexed engine (what
-/// `predict` routes to), for single-row latency and batched throughput.
-/// Build with `--features simd` to route the quantized entries through
-/// the AVX2 kernels.
+/// Inference: the reference per-row enum-tree traversal vs the quantized
+/// bin-indexed engine (what `predict` routes to), for single-row latency
+/// and batched throughput.
 fn bench_inference(c: &mut Criterion) {
     let train = synthetic(5_000, 21, 4, 5);
     let gbt = GbtRegressor::fit(&train, GbtParams::default()).expect("fit");
     let forest = ForestRegressor::fit(&train, ForestParams::default()).expect("fit");
-    // Build every engine outside the timed region: serving steady-state
+    // Lower both models outside the timed region: serving steady-state
     // is what the scheduler bridge and CV loops see after the first call.
-    gbt.compiled();
-    gbt.quantized();
-    forest.compiled();
-    forest.quantized();
+    gbt.quantized().expect("lower");
+    forest.quantized().expect("lower");
 
     // Per-call latency distribution for the serving path, measured through
     // the telemetry histogram (criterion reports means; tail latency is
@@ -157,17 +153,11 @@ fn bench_inference(c: &mut Criterion) {
     group.bench_function("gbt_reference", |b| {
         b.iter(|| gbt.predict_reference(std::hint::black_box(&one.x)))
     });
-    group.bench_function("gbt_f64_compiled", |b| {
-        b.iter(|| gbt.compiled().predict(std::hint::black_box(&one.x)))
-    });
     group.bench_function("gbt_quantized", |b| {
         b.iter(|| gbt.predict(std::hint::black_box(&one.x)))
     });
     group.bench_function("forest_reference", |b| {
         b.iter(|| forest.predict_reference(std::hint::black_box(&one.x)))
-    });
-    group.bench_function("forest_f64_compiled", |b| {
-        b.iter(|| forest.compiled().predict(std::hint::black_box(&one.x)))
     });
     group.bench_function("forest_quantized", |b| {
         b.iter(|| forest.predict(std::hint::black_box(&one.x)))
@@ -182,17 +172,11 @@ fn bench_inference(c: &mut Criterion) {
         group.bench_function("gbt_reference", |b| {
             b.iter(|| gbt.predict_reference(std::hint::black_box(&batch.x)))
         });
-        group.bench_function("gbt_f64_compiled", |b| {
-            b.iter(|| gbt.compiled().predict(std::hint::black_box(&batch.x)))
-        });
         group.bench_function("gbt_quantized", |b| {
             b.iter(|| gbt.predict(std::hint::black_box(&batch.x)))
         });
         group.bench_function("forest_reference", |b| {
             b.iter(|| forest.predict_reference(std::hint::black_box(&batch.x)))
-        });
-        group.bench_function("forest_f64_compiled", |b| {
-            b.iter(|| forest.compiled().predict(std::hint::black_box(&batch.x)))
         });
         group.bench_function("forest_quantized", |b| {
             b.iter(|| forest.predict(std::hint::black_box(&batch.x)))

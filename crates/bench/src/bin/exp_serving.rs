@@ -5,9 +5,9 @@
 //!
 //! Both servers host the *same* trained model; the only difference is
 //! `BatchConfig::max_batch`. The batched config coalesces the concurrent
-//! single-row `/predict` requests into one compiled-engine batch call,
-//! which amortises the per-request queue hand-off and replaces per-row
-//! reference traversal with the blocked SoA kernel — the win recorded in
+//! single-row `/predict` requests into one inference-engine batch call,
+//! which amortises the per-request queue hand-off and replaces single-row
+//! traversal with the blocked batch kernel — the win recorded in
 //! EXPERIMENTS.md ("Micro-batching prediction server").
 
 use std::sync::Arc;

@@ -122,7 +122,7 @@ pub struct ModelEvaluation {
 /// Phase 2, Fig. 2: train every family on a 90-10 split with 5-fold CV on
 /// the training side, and evaluate MAE / SOS on the held-out test set.
 /// All test-set and CV predictions for the tree families run on the
-/// compiled flat-ensemble engine (`mphpc_ml::compiled`).
+/// inference engine (`mphpc_ml::quantized`).
 pub fn evaluate_models(
     dataset: &MpHpcDataset,
     kinds: &[ModelKind],

@@ -7,9 +7,10 @@
 //!
 //! Tree-ensemble predictors serve from the quantized bin-indexed
 //! inference engine (`mphpc_ml::quantized`): the model lowers itself
-//! into integer struct-of-arrays form on its first prediction —
-//! including right after deserialisation, since the engine is derived
-//! data that is never part of the JSON — and every later
+//! into integer struct-of-arrays form on its first prediction, or in
+//! [`PerfPredictor::from_json`] when it is loaded — the engine is derived
+//! data that is never part of the JSON, and lowering is where
+//! structurally invalid trees are refused — and every later
 //! [`PerfPredictor::predict_rpv`] / [`PerfPredictor::predict_features`]
 //! call reuses it. Single-row calls take the interleaved-pack path;
 //! both are bit-identical to the reference traversal.
@@ -78,8 +79,25 @@ impl PerfPredictor {
     }
 
     /// Load from JSON.
+    ///
+    /// One probe row is predicted before the predictor is handed out:
+    /// that lowers a tree ensemble now, so structurally invalid trees are
+    /// an error here instead of a panic in whichever thread predicts
+    /// first, and it checks the 21-features-in / 4-outputs-out shape that
+    /// [`PerfPredictor::predict_rpv`] and
+    /// [`PerfPredictor::predict_features`] index without looking.
     pub fn from_json(json: &str) -> Result<Self, MphpcError> {
-        serde_json::from_str(json).map_err(MphpcError::serde)
+        let predictor: Self = serde_json::from_str(json).map_err(MphpcError::serde)?;
+        let probe = Matrix::zeros(1, FEATURE_NAMES.len());
+        let outputs = predictor.model.predict(&probe)?.cols();
+        if outputs != 4 {
+            return Err(MphpcError::DimensionMismatch {
+                context: "PerfPredictor::from_json: RPV outputs",
+                expected: 4,
+                found: outputs,
+            });
+        }
+        Ok(predictor)
     }
 }
 
@@ -106,6 +124,35 @@ mod tests {
     }
 
     #[test]
+    fn from_json_rejects_models_of_another_shape() {
+        // Such models would index out of `predict_rpv`'s 21-in / 4-out
+        // contract: too few features, then too few outputs. (Invalid trees
+        // are refused by the same probe: `mphpc-serve`'s robustness test
+        // uploads one through this function.)
+        use mphpc_ml::MlDataset;
+        let d = collect(&CollectionConfig::small(2, 2, 1, 24)).unwrap();
+        let p = train_predictor(&d, ModelKind::Mean, 1).unwrap();
+        let x = Matrix::from_rows(&[vec![0.0, 1.0], vec![1.0, 0.0], vec![2.0, 2.0]]);
+        let names = vec!["a".to_string(), "b".to_string()];
+        let narrow = MlDataset::new(x.clone(), Matrix::zeros(3, 4), names.clone()).unwrap();
+        let short = MlDataset::new(x, Matrix::zeros(3, 2), names).unwrap();
+        for (model, what) in [
+            (
+                ModelKind::Linear(Default::default()).fit(&narrow),
+                "features",
+            ),
+            (ModelKind::Mean.fit(&short), "outputs"),
+        ] {
+            let odd = PerfPredictor::new(model.unwrap(), p.normalizer().clone());
+            let err = PerfPredictor::from_json(&odd.to_json().unwrap()).unwrap_err();
+            assert!(
+                matches!(err.root_cause(), MphpcError::DimensionMismatch { .. }),
+                "{what}: {err}"
+            );
+        }
+    }
+
+    #[test]
     fn batch_and_single_predictions_agree() {
         let d = collect(&CollectionConfig::small(2, 2, 1, 22)).unwrap();
         let p = train_predictor(&d, ModelKind::Gbt(Default::default()), 1).unwrap();
@@ -119,8 +166,8 @@ mod tests {
 
     #[test]
     fn deserialised_predictor_compiles_and_matches_reference() {
-        // The compile-after-deserialise path: a predictor loaded from
-        // JSON has an empty compiled cache, lowers on first use, and
+        // The lower-after-deserialise path: a predictor loaded from
+        // JSON carries no engine, lowers its trees again at load, and
         // must agree bit-for-bit with the reference traversal of the
         // original model — for both tree-ensemble families, at several
         // worker counts.
@@ -162,7 +209,7 @@ mod tests {
                 assert_eq!(
                     back.model().predict(&x).unwrap(),
                     reference,
-                    "{} compiled-after-deserialise vs reference at {threads} threads",
+                    "{} lowered-after-deserialise vs reference at {threads} threads",
                     kind.name()
                 );
                 assert_eq!(

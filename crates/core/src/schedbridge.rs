@@ -37,7 +37,7 @@ pub struct StrategyOutcome {
 /// Build job templates from every dataset row, attaching the model's
 /// prediction computed from that row's (already normalised at training
 /// time) features. The whole dataset is predicted as one batch through
-/// the compiled flat-ensemble engine (`mphpc_ml::compiled`), so template
+/// the inference engine (`mphpc_ml::quantized`), so template
 /// construction scales to large run matrices.
 pub fn templates_from_dataset(
     dataset: &MpHpcDataset,

@@ -70,8 +70,8 @@ pub struct CvReport {
 }
 
 /// Cross-validate a model family on a dataset; folds train in parallel.
-/// Fold evaluation predicts through the compiled flat-ensemble engine
-/// ([`crate::compiled`]) for tree families, so held-out scoring is
+/// Fold evaluation predicts through the inference engine
+/// ([`crate::quantized`]) for tree families, so held-out scoring is
 /// batch traversal rather than per-row pointer chasing.
 pub fn cross_validate(
     kind: ModelKind,

@@ -2,7 +2,6 @@
 //! stand-in for the paper's scikit-learn decision-forest baseline.
 
 use crate::binning::QuantileBinner;
-use crate::compiled::{CompiledEnsemble, LazyCompiled};
 use crate::data::{check_feature_count, validate_training_data, MlDataset};
 use crate::hist::HistLayout;
 use crate::importance::FeatureImportance;
@@ -59,11 +58,8 @@ pub struct ForestRegressor {
     n_outputs: usize,
     stats: SplitStats,
     feature_names: Vec<String>,
-    /// Lazily-built flat f64 inference form (derived; rebuilt after
+    /// Lazily-built inference engine (derived; rebuilt after
     /// deserialisation or cloning on first predict).
-    #[serde(skip)]
-    compiled: LazyCompiled,
-    /// Lazily-built quantized inference form (derived, like `compiled`).
     #[serde(skip)]
     quantized: LazyQuantized,
 }
@@ -94,7 +90,6 @@ impl ForestRegressor {
             n_outputs: dataset.n_outputs(),
             stats,
             feature_names: dataset.feature_names.clone(),
-            compiled: LazyCompiled::default(),
             quantized: LazyQuantized::default(),
         })
     }
@@ -161,7 +156,6 @@ impl ForestRegressor {
             n_outputs: self.n_outputs,
             stats,
             feature_names: self.feature_names.clone(),
-            compiled: LazyCompiled::default(),
             quantized: LazyQuantized::default(),
         })
     }
@@ -170,17 +164,16 @@ impl ForestRegressor {
     ///
     /// Runs on the quantized bin-indexed engine ([`crate::quantized`])
     /// for every batch size: small batches take its interleaved
-    /// single-row path (which beats the reference traversal, replacing
-    /// the old `SMALL_BATCH_ROWS` reference fallback), larger ones the
-    /// blocked lane kernel. Output is bit-identical to
-    /// [`ForestRegressor::predict_reference`] at any thread count.
+    /// single-row path, larger ones the blocked lane kernel. Output is
+    /// bit-identical to [`ForestRegressor::predict_reference`] at any
+    /// thread count.
     pub fn predict(&self, x: &Matrix) -> Result<Matrix, MphpcError> {
         check_feature_count("ForestRegressor::predict", self.feature_names.len(), x)?;
-        Ok(self.quantized().predict(x))
+        Ok(self.quantized()?.predict(x))
     }
 
     /// Reference per-row enum-tree traversal, kept as the oracle the
-    /// compiled engine is tested against.
+    /// engine is tested against.
     pub fn predict_reference(&self, x: &Matrix) -> Result<Matrix, MphpcError> {
         check_feature_count(
             "ForestRegressor::predict_reference",
@@ -204,16 +197,12 @@ impl ForestRegressor {
         Ok(out)
     }
 
-    /// The compiled f64 inference form, building it on first use.
-    pub fn compiled(&self) -> &CompiledEnsemble {
-        self.compiled
-            .get_or_compile(|| CompiledEnsemble::from_forest(&self.trees, self.n_outputs))
-    }
-
-    /// The quantized inference form, building it on first use.
-    pub fn quantized(&self) -> &QuantizedEnsemble {
+    /// The inference engine, lowering the trees on first use. Models
+    /// built by `fit` / `warm_start` always lower; the error is for
+    /// deserialised trees that are structurally invalid.
+    pub fn quantized(&self) -> Result<&QuantizedEnsemble, MphpcError> {
         self.quantized.get_or_build(|| {
-            QuantizedEnsemble::from_compiled(self.compiled(), self.feature_names.len())
+            QuantizedEnsemble::from_forest(&self.trees, self.n_outputs, self.feature_names.len())
         })
     }
 
@@ -335,10 +324,9 @@ mod tests {
 
     #[test]
     fn small_batches_run_quantized_and_stay_bit_identical() {
-        // The old SMALL_BATCH_ROWS=8 reference fallback is gone: every
-        // batch size (including a single row, which takes the quantized
+        // Every batch size (including a single row, which takes the
         // engine's interleaved pack path) must match the reference
-        // oracle and the f64 engine exactly.
+        // oracle exactly.
         let train = synthetic(400, 8);
         let model = ForestRegressor::fit(&train, ForestParams::default()).unwrap();
         let pool = synthetic(16, 9);
@@ -351,8 +339,6 @@ mod tests {
                 model.predict_reference(&sub).unwrap(),
                 "rows={rows}"
             );
-            assert_eq!(routed, model.compiled().predict(&sub), "rows={rows}");
-            assert_eq!(routed, model.quantized().predict(&sub), "rows={rows}");
         }
     }
 

@@ -9,7 +9,6 @@
 //! output").
 
 use crate::binning::QuantileBinner;
-use crate::compiled::{CompiledEnsemble, LazyCompiled};
 use crate::data::{check_feature_count, validate_training_data, MlDataset};
 use crate::hist::HistLayout;
 use crate::importance::FeatureImportance;
@@ -79,11 +78,8 @@ pub struct GbtRegressor {
     /// longer training run would have used — bit-identical importances.
     booster_stats: Vec<SplitStats>,
     feature_names: Vec<String>,
-    /// Lazily-built flat f64 inference form (derived; rebuilt after
+    /// Lazily-built inference engine (derived; rebuilt after
     /// deserialisation or cloning on first predict).
-    #[serde(skip)]
-    compiled: LazyCompiled,
-    /// Lazily-built quantized inference form (derived, like `compiled`).
     #[serde(skip)]
     quantized: LazyQuantized,
 }
@@ -172,7 +168,6 @@ impl GbtRegressor {
             base_scores,
             booster_stats,
             feature_names: dataset.feature_names.clone(),
-            compiled: LazyCompiled::default(),
             quantized: LazyQuantized::default(),
         })
     }
@@ -272,7 +267,6 @@ impl GbtRegressor {
             base_scores: self.base_scores.clone(),
             booster_stats,
             feature_names: self.feature_names.clone(),
-            compiled: LazyCompiled::default(),
             quantized: LazyQuantized::default(),
         })
     }
@@ -281,17 +275,17 @@ impl GbtRegressor {
     ///
     /// Runs on the quantized bin-indexed engine ([`crate::quantized`]):
     /// rows are pre-binned once, node compares are integer tests, the
-    /// learning-rate multiply is hoisted into compile-time leaf
+    /// learning-rate multiply is hoisted into lowering-time leaf
     /// pre-scaling, and `base_scores` is applied once per row. Output is
-    /// bit-identical to [`GbtRegressor::predict_reference`] (and to the
-    /// f64 [`GbtRegressor::compiled`] engine) at any thread count.
+    /// bit-identical to [`GbtRegressor::predict_reference`] at any thread
+    /// count.
     pub fn predict(&self, x: &Matrix) -> Result<Matrix, MphpcError> {
         check_feature_count("GbtRegressor::predict", self.feature_names.len(), x)?;
-        Ok(self.quantized().predict(x))
+        Ok(self.quantized()?.predict(x))
     }
 
     /// Reference per-row enum-tree traversal, kept as the oracle the
-    /// compiled engine is tested against.
+    /// engine is tested against.
     pub fn predict_reference(&self, x: &Matrix) -> Result<Matrix, MphpcError> {
         check_feature_count(
             "GbtRegressor::predict_reference",
@@ -313,17 +307,17 @@ impl GbtRegressor {
         Ok(out)
     }
 
-    /// The compiled f64 inference form, building it on first use.
-    pub fn compiled(&self) -> &CompiledEnsemble {
-        self.compiled.get_or_compile(|| {
-            CompiledEnsemble::from_gbt(&self.boosters, &self.base_scores, self.params.learning_rate)
-        })
-    }
-
-    /// The quantized inference form, building it on first use.
-    pub fn quantized(&self) -> &QuantizedEnsemble {
+    /// The inference engine, lowering the trees on first use. Models
+    /// built by `fit` / `warm_start` always lower; the error is for
+    /// deserialised trees that are structurally invalid.
+    pub fn quantized(&self) -> Result<&QuantizedEnsemble, MphpcError> {
         self.quantized.get_or_build(|| {
-            QuantizedEnsemble::from_compiled(self.compiled(), self.feature_names.len())
+            QuantizedEnsemble::from_gbt(
+                &self.boosters,
+                &self.base_scores,
+                self.params.learning_rate,
+                self.feature_names.len(),
+            )
         })
     }
 

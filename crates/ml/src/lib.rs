@@ -24,13 +24,12 @@
 //! cross-validation, parallelised with `mphpc-par`), [`model`] (a
 //! common [`model::Regressor`] trait plus a serialisable [`model::TrainedModel`]
 //! for export to the scheduler, as §VI-A's "model is exported" step),
-//! [`compiled`] (a flat struct-of-arrays f64 inference engine both tree
-//! ensembles lower into lazily, giving blocked, parallel, bit-identical
-//! batch prediction), and [`quantized`] (the serving engine: node
+//! and [`quantized`] (the one inference engine both tree ensembles lower
+//! into lazily, in a single checked pass: flat struct-of-arrays nodes,
 //! thresholds re-indexed as integer bin ids, rows pre-binned once,
-//! branchless 8-lane traversal, interleaved tree packing for single-row
-//! latency, and an optional AVX2 kernel behind the `simd` feature —
-//! still bit-identical to the reference traversal).
+//! blocked parallel batches with branchless 8-lane traversal, and
+//! interleaved tree packing for single-row latency — bit-identical to
+//! the reference traversal).
 //!
 //! Everything is deterministic given seeds and free of external ML
 //! dependencies.
@@ -38,7 +37,6 @@
 #![warn(missing_docs)]
 
 pub mod binning;
-pub mod compiled;
 pub mod cv;
 pub mod data;
 pub mod forest;
@@ -53,7 +51,6 @@ pub mod model;
 pub mod quantized;
 pub mod tree;
 
-pub use compiled::CompiledEnsemble;
 pub use data::MlDataset;
 pub use forest::{ForestParams, ForestRegressor};
 pub use gbt::{GbtParams, GbtRegressor};

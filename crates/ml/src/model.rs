@@ -102,11 +102,11 @@ impl TrainedModel {
         }
     }
 
-    /// Predict with the reference (uncompiled) traversal where one
-    /// exists. Tree ensembles route to their per-row enum-tree oracle;
-    /// mean/linear models have a single implementation, so this equals
+    /// Predict with the reference traversal where one exists. Tree
+    /// ensembles route to their per-row enum-tree oracle; mean/linear
+    /// models have a single implementation, so this equals
     /// [`Regressor::predict`]. Used by equivalence tests for the
-    /// compiled inference engine ([`crate::compiled`]).
+    /// inference engine ([`crate::quantized`]).
     pub fn predict_reference(&self, x: &Matrix) -> Result<Matrix, MphpcError> {
         match self {
             TrainedModel::Forest(m) => m.predict_reference(x),
@@ -149,10 +149,22 @@ impl TrainedModel {
     }
 
     /// Load a model previously exported with [`TrainedModel::to_json`].
+    ///
+    /// Tree ensembles are lowered to the inference engine here rather
+    /// than on the first prediction, so JSON whose trees are structurally
+    /// invalid (dangling or cyclic child links, out-of-range split
+    /// features, wrong leaf widths, ...) is an error at load time.
     pub fn from_json(json: &str) -> Result<Self, MphpcError> {
-        serde_json::from_str(json)
-            .map_err(MphpcError::serde)
-            .context("loading trained model from JSON")
+        let load = || {
+            let model: Self = serde_json::from_str(json).map_err(MphpcError::serde)?;
+            match &model {
+                TrainedModel::Forest(m) => drop(m.quantized()?),
+                TrainedModel::Gbt(m) => drop(m.quantized()?),
+                TrainedModel::Mean(_) | TrainedModel::Linear(_) => {}
+            }
+            Ok::<_, MphpcError>(model)
+        };
+        load().context("loading trained model from JSON")
     }
 }
 
@@ -340,5 +352,81 @@ mod tests {
             );
         }
         assert!(TrainedModel::from_json("not json").is_err());
+    }
+
+    /// Replace the value after the last `"key":` in compact JSON (a
+    /// scalar, or a whole `[...]` array).
+    fn set_last(json: &str, key: &str, value: &str) -> String {
+        let key = format!("\"{key}\":");
+        let start = json.rfind(&key).expect("key present") + key.len();
+        let rest = &json[start..];
+        let end = if rest.starts_with('[') {
+            let mut depth = 0;
+            let close = |(i, c): (usize, char)| {
+                depth += i32::from(c == '[') - i32::from(c == ']');
+                (depth == 0).then_some(i + 1)
+            };
+            rest.char_indices().find_map(close).expect("balanced array")
+        } else {
+            rest.find([',', '}', ']']).expect("value end")
+        };
+        format!("{}{value}{}", &json[..start], &rest[end..])
+    }
+
+    #[test]
+    fn from_json_rejects_structurally_invalid_trees() {
+        // Stumps only, so every tree is `[Split{left: 1, right: 2}, Leaf,
+        // Leaf]` and each edit hits the model's last tree: tree 3 of the
+        // GBT (2 outputs × 2 rounds), tree 1 of the forest.
+        let train = data(120, 8);
+        let stump = crate::tree::TreeParams {
+            max_depth: 1,
+            ..GbtParams::default().tree
+        };
+        let export = |kind: ModelKind| {
+            let json = kind.fit(&train).unwrap().to_json().unwrap();
+            TrainedModel::from_json(&json).expect("the unedited export loads");
+            json
+        };
+        let gbt = export(ModelKind::Gbt(GbtParams {
+            n_rounds: 2,
+            tree: stump,
+            ..GbtParams::default()
+        }));
+        let forest = export(ModelKind::Forest(ForestParams {
+            n_trees: 2,
+            tree: stump,
+            ..ForestParams::default()
+        }));
+        let refused = |json: &str, key: &str, value: &str, want: &str| {
+            let err = TrainedModel::from_json(&set_last(json, key, value))
+                .expect_err("malformed model must not load")
+                .render_chain();
+            assert!(err.contains(want), "{key}={value}: {err}");
+        };
+        for (json, last) in [(&gbt, 3), (&forest, 1)] {
+            for (key, value, want) in [
+                ("nodes", "[]", "has no nodes"),
+                ("left", "0", "node 0: left child 0 is reached twice"),
+                ("right", "1", "node 0: right child 1 is reached twice"),
+                ("right", "3", "node 0: right child 3 out of range"),
+                ("feature", "2", "node 0: split feature 2 out of range"),
+            ] {
+                refused(json, key, value, &format!("tree {last} {want}"));
+            }
+            // Out of f64 range: the JSON parser or the lowering refuses it.
+            refused(json, "threshold", "1e999", "");
+        }
+        let narrow = "tree 1 node 2: leaf holds 1 values, expected 2";
+        let wide = "tree 3 node 2: leaf holds 2 values, expected 1";
+        refused(&gbt, "Leaf", "[1.0,2.0]", wide);
+        refused(&gbt, "base_scores", "[0.5]", "2 booster chains but 1 base");
+        refused(&forest, "Leaf", "[1.0]", narrow);
+        refused(
+            &forest,
+            "n_outputs",
+            "3",
+            "tree 0 node 1: leaf holds 2 values",
+        );
     }
 }

@@ -77,18 +77,12 @@ impl Tree {
         self.nodes.len()
     }
 
-    /// Leaf value slices in node-storage order. The ensemble compiler
-    /// ([`crate::compiled`]) uses this to size its leaf arena.
-    pub fn leaves(&self) -> impl Iterator<Item = &[f64]> {
-        self.nodes.iter().filter_map(|n| match n {
-            Node::Leaf(values) => Some(values.as_slice()),
-            Node::Split { .. } => None,
-        })
-    }
-
     /// Number of leaves.
     pub fn n_leaves(&self) -> usize {
-        self.leaves().count()
+        self.nodes
+            .iter()
+            .filter(|n| matches!(n, Node::Leaf(_)))
+            .count()
     }
 
     /// Maximum depth (root = 0). Iterative with an explicit stack, so a

@@ -1,6 +1,6 @@
 //! Thread-count invariance: training with the same seed must produce
 //! bit-identical serialized models whether `mphpc_par` runs its drivers
-//! on 1, 2, or 8 worker threads — and the compiled inference engine must
+//! on 1, 2, or 8 worker threads — and the inference engine must
 //! produce bit-identical predictions across the same sweep.
 //!
 //! This holds because every parallel reduction in the training path is
@@ -81,7 +81,7 @@ fn same_seed_models_identical_across_thread_counts() {
         assert_eq!(baseline.2, run.2, "ForestRegressor at {threads} threads");
     }
 
-    // Inference sweep: the compiled engine must match the reference
+    // Inference sweep: the engine must match the reference
     // per-row traversal bit-for-bit at every worker count (the batch is
     // sized to span many row blocks, with a partial tail block).
     let gbt = GbtRegressor::fit(&narrow, gbt_params).unwrap();
@@ -94,12 +94,12 @@ fn same_seed_models_identical_across_thread_counts() {
         assert_eq!(
             gbt.predict(&batch.x).unwrap(),
             gbt_ref,
-            "compiled GBT inference at {threads} threads"
+            "GBT inference at {threads} threads"
         );
         assert_eq!(
             forest.predict(&batch.x).unwrap(),
             forest_ref,
-            "compiled forest inference at {threads} threads"
+            "forest inference at {threads} threads"
         );
     }
     mphpc_par::set_thread_override(None);

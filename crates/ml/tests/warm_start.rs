@@ -256,3 +256,44 @@ fn trained_model_warm_start_covers_all_families() {
         other => panic!("forest continuation changed family: {other:?}"),
     }
 }
+
+#[test]
+fn repeated_warm_starts_on_fresh_data_reach_the_u16_engine_and_stay_exact() {
+    // Each warm start refits a fresh `QuantileBinner`, so the promoted
+    // model of a long `watch` session holds thresholds from many binners:
+    // more than 255 distinct ones on a feature (the u16 bin ids), which
+    // no single binner's ≤ `max_bins` cuts can cover — why the engine
+    // derives its cuts from the thresholds rather than from a binner.
+    let params = gbt_params(6);
+    let mut sets = vec![synthetic(400, 60)];
+    let mut model = GbtRegressor::fit(&sets[0], params).unwrap();
+    while model.quantized().unwrap().bin_bits() == 8 {
+        assert!(sets.len() < 40, "warm starts stopped adding thresholds");
+        sets.push(synthetic(400, 60 + sets.len() as u64));
+        model = model.warm_start(sets.last().unwrap(), 6).unwrap();
+    }
+    let cuts = model.quantized().unwrap().cuts();
+    let f = (0..cuts.len()).max_by_key(|&f| cuts[f].len()).unwrap();
+    assert!(cuts[f].len() > 255, "{} thresholds", cuts[f].len());
+    for set in &sets {
+        let binner = mphpc_ml::binning::QuantileBinner::fit(&set.x, params.max_bins);
+        assert!(
+            cuts[f].iter().any(|t| !binner.cuts[f].contains(t)),
+            "one binner's cuts cover every threshold of feature {f}"
+        );
+    }
+
+    let pool = synthetic(65, 99);
+    for rows in [1usize, 7, 8, 65] {
+        let sub: Vec<Vec<f64>> = (0..rows).map(|i| pool.x.row(i).to_vec()).collect();
+        let x = Matrix::from_rows(&sub);
+        let reference = model.predict_reference(&x).unwrap();
+        for threads in [1usize, 2, 8] {
+            assert_eq!(
+                with_threads(threads, || model.predict(&x).unwrap()),
+                reference,
+                "rows={rows} threads={threads}"
+            );
+        }
+    }
+}

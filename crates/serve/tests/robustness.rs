@@ -1,7 +1,8 @@
 //! Admission-control robustness: a slowloris trickle cannot hold a
 //! connection past the read deadline, idle keep-alive connections are
-//! reaped, and the connection cap answers `503` at accept — all while
-//! the server keeps serving well-behaved clients.
+//! reaped, the connection cap answers `503` at accept, and a structurally
+//! invalid model upload is refused — all while the server keeps serving
+//! well-behaved clients.
 
 mod common;
 
@@ -176,5 +177,65 @@ fn connection_cap_answers_503_at_accept_and_recovers() {
     handle.shutdown();
     let stats = handle.join();
     assert!(stats.rejected >= 1, "the 503 must be counted");
+    assert_eq!(stats.failed, 0);
+}
+
+#[test]
+fn structurally_invalid_model_upload_is_refused_and_the_old_model_keeps_serving() {
+    use mphpc_core::prelude::*;
+    use mphpc_core::serving::{predictor_loader, ServedPredictor};
+
+    let dataset = collect(&CollectionConfig::small(2, 2, 1, 41)).expect("collect");
+    let predictor =
+        train_predictor(&dataset, ModelKind::Gbt(Default::default()), 1).expect("train");
+    let good = predictor.to_json().expect("export");
+    // The first tree's root names itself as its left child: lowering such
+    // a "tree" unchecked never terminates.
+    let cyclic = good.replacen("\"left\":1,", "\"left\":0,", 1);
+    assert_ne!(cyclic, good, "the export has a root split to corrupt");
+
+    let registry = common::registry_with(ServedPredictor::new(predictor), predictor_loader());
+    let handle = serve(ServeConfig::default(), registry).expect("server starts");
+    let addr = handle.addr().to_string();
+    let io_timeout = Duration::from_secs(10);
+    let body = format!("{{\"features\":{:?}}}", [0.5f64; 21]);
+    let predict = || {
+        let resp = request_once(&addr, "POST", "/predict", &body, io_timeout).expect("predict");
+        assert_eq!(resp.status, 200, "{}", resp.text());
+        resp.text()
+    };
+    let before = predict();
+    assert!(before.contains("\"model\":\"default@v1\""), "{before}");
+
+    for name in ["default", "x"] {
+        let resp = request_once(
+            &addr,
+            "POST",
+            &format!("/models/{name}"),
+            &cyclic,
+            io_timeout,
+        )
+        .expect("upload is answered");
+        assert_eq!(resp.status, 400, "{}", resp.text());
+        assert!(
+            resp.text()
+                .contains("tree 0 node 0: left child 0 is reached twice"),
+            "{}",
+            resp.text()
+        );
+    }
+    assert_eq!(
+        predict(),
+        before,
+        "the refused upload must not change serving"
+    );
+
+    // The uncorrupted export still uploads, so it was the cycle that was refused.
+    let resp = request_once(&addr, "POST", "/models/default", &good, io_timeout).expect("upload");
+    assert_eq!(resp.status, 200, "{}", resp.text());
+    assert!(predict().contains("\"model\":\"default@v2\""));
+
+    handle.shutdown();
+    let stats = handle.join();
     assert_eq!(stats.failed, 0);
 }

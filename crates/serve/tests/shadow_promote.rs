@@ -19,7 +19,7 @@ mod common;
 use std::collections::BTreeSet;
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -136,11 +136,13 @@ fn promote_installs_the_shadowed_candidate_without_torn_reads() {
     let addr = handle.addr().to_string();
 
     let stop = AtomicBool::new(false);
+    let newest = AtomicU64::new(0);
     let seen = thread::scope(|scope| {
         let clients: Vec<_> = (0..4)
             .map(|_| {
                 let addr = &addr;
                 let stop = &stop;
+                let newest = &newest;
                 scope.spawn(move || {
                     let mut conn = ClientConn::connect(addr, IO_TIMEOUT).expect("connect");
                     let mut versions = BTreeSet::new();
@@ -169,6 +171,7 @@ fn promote_installs_the_shadowed_candidate_without_torn_reads() {
                             [1.0, 2.0, 3.0].iter().map(|x| x * version as f64).collect();
                         assert_eq!(outputs, want, "torn read at {tag}");
                         versions.insert(version);
+                        newest.fetch_max(version, Ordering::Relaxed);
                     }
                     versions
                 })
@@ -194,6 +197,12 @@ fn promote_installs_the_shadowed_candidate_without_torn_reads() {
             assert!(parsed.get("shadow").and_then(|s| s.get("rows")).is_some());
         }
 
+        // A request enqueued before the last promote is still answered by
+        // v2, so keep the load running until one issued after it returns.
+        let deadline = Instant::now() + IO_TIMEOUT;
+        while newest.load(Ordering::Relaxed) < 3 && Instant::now() < deadline {
+            thread::yield_now();
+        }
         stop.store(true, Ordering::Release);
         let mut seen = BTreeSet::new();
         for client in clients {
