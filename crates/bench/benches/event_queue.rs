@@ -1,6 +1,6 @@
-//! Event-queue micro-benchmarks: `BinaryHeap` (the reference engine's
-//! structure) versus the scale engine's `CalendarQueue` at 10k / 100k /
-//! 1M events.
+//! Event-queue micro-benchmarks: `BinaryHeap` (the test-only oracle
+//! engine's structure) versus the scheduling engine's `CalendarQueue` at
+//! 10k / 100k / 1M events.
 //!
 //! Two access patterns bracket a discrete-event simulation's behaviour:
 //!

@@ -1,20 +1,14 @@
 //! Million-job scheduling at scale (DESIGN.md §18): the Figs. 7–8
-//! experiment at 20× the paper's 50,000-job workload, run through the
-//! calendar-queue + incremental-EASY scale engine with RPVs predicted
+//! experiment at 20× the paper's 50,000-job workload, with RPVs predicted
 //! *inline* — batched lookups at simulation decision points instead of a
 //! precomputed template table.
 //!
-//! Modes:
-//! - `--engine scale` (default): the scale engine with a local in-process
-//!   predictor behind the batched lookup interface.
-//! - `--engine both`: additionally run the reference engine on the same
-//!   workload and assert the schedules are bit-identical (makespan,
-//!   slowdown, placement — the scale engine is a faster replay of the
-//!   same schedule, not an approximation of it).
-//! - `--federate`: answer RPV lookups over live HTTP from an `mphpc
-//!   serve` endpoint (an ephemeral in-process one unless `--addr` points
-//!   elsewhere), with bounded in-flight pipelining, per-lookup latency
-//!   accounting, and graceful degradation to the local predictor.
+//! By default a local in-process predictor sits behind the batched lookup
+//! interface. `--federate` answers RPV lookups over live HTTP from an
+//! `mphpc serve` endpoint instead (an ephemeral in-process one unless
+//! `--addr` points elsewhere), with bounded in-flight pipelining,
+//! per-lookup latency accounting, and graceful degradation to the local
+//! predictor.
 //!
 //! `--jsonl PATH` appends one machine-readable line per strategy run, the
 //! artifact CI uploads.
@@ -26,8 +20,7 @@ use std::time::{Duration, Instant};
 use mphpc_bench::{load_or_build_dataset, print_table, ExpArgs, ExpSize};
 use mphpc_core::pipeline::train_predictor;
 use mphpc_core::schedbridge::{
-    run_scale_comparison, run_strategy_comparison, templates_from_dataset,
-    templates_from_dataset_raw, PredictorRpv, ScaleOutcome,
+    run_scale_comparison, templates_from_dataset_raw, PredictorRpv, ScaleOutcome,
 };
 use mphpc_core::serving::{predictor_loader, ServedPredictor};
 use mphpc_errors::MphpcError;
@@ -35,19 +28,12 @@ use mphpc_ml::ModelKind;
 use mphpc_sched::{FederatedRpv, FederationStats};
 use mphpc_serve::{serve, ModelRegistry, PredictModel, ServeConfig};
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Engine {
-    Scale,
-    Both,
-}
-
 #[derive(Debug, Clone)]
 struct Args {
     jobs: usize,
     rate: f64,
     seed: u64,
     size: ExpSize,
-    engine: Engine,
     federate: bool,
     addr: Option<String>,
     timeout_ms: u64,
@@ -58,15 +44,13 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: exp_sched_scale [--jobs N] [--rate JOBS_PER_SEC] [--seed N]\n\
-         \x20                      [--size small|medium|full] [--engine scale|both]\n\
+         \x20                      [--size small|medium|full]\n\
          \x20                      [--federate] [--addr HOST:PORT] [--timeout-ms N]\n\
          \x20                      [--inflight N] [--jsonl PATH]\n\
          \x20                      [--telemetry off|summary|jsonl|trace]\n\
          \n\
          --jobs      workload size (default 1000000 — Figs. 7–8 @ 20x)\n\
          --rate      Poisson arrival rate; 0 = saturated backlog (default 0)\n\
-         --engine    'both' also runs the reference engine and asserts\n\
-         \x20          bit-identical outcomes (use a smaller --jobs)\n\
          --federate  answer RPV lookups from a live serving endpoint; an\n\
          \x20          ephemeral in-process server is started unless --addr\n\
          --jsonl     append one JSON line per strategy run to PATH"
@@ -80,7 +64,6 @@ fn parse_args() -> Args {
         rate: 0.0,
         seed: 2024,
         size: ExpSize::Medium,
-        engine: Engine::Scale,
         federate: false,
         addr: None,
         timeout_ms: 2_000,
@@ -102,22 +85,20 @@ fn parse_args() -> Args {
             "--rate" => out.rate = next!().parse().unwrap_or_else(|_| usage()),
             "--seed" => out.seed = next!().parse().unwrap_or_else(|_| usage()),
             "--size" => out.size = ExpSize::parse(next!()).unwrap_or_else(|| usage()),
-            "--engine" => {
-                out.engine = match next!().as_str() {
-                    "scale" => Engine::Scale,
-                    "both" => Engine::Both,
-                    _ => usage(),
-                }
-            }
             "--federate" => out.federate = true,
             "--addr" => out.addr = Some(next!().clone()),
             "--timeout-ms" => out.timeout_ms = next!().parse().unwrap_or_else(|_| usage()),
             "--inflight" => {
-                out.inflight = next!().parse().ok().filter(|&n| n >= 1).unwrap_or_else(|| usage())
+                out.inflight = next!()
+                    .parse()
+                    .ok()
+                    .filter(|&n| n >= 1)
+                    .unwrap_or_else(|| usage())
             }
             "--jsonl" => out.jsonl = Some(next!().clone()),
             "--telemetry" => {
-                let mode = mphpc_telemetry::TelemetryMode::parse(next!()).unwrap_or_else(|| usage());
+                let mode =
+                    mphpc_telemetry::TelemetryMode::parse(next!()).unwrap_or_else(|| usage());
                 mphpc_telemetry::set_mode(mode);
             }
             "--help" | "-h" => usage(),
@@ -217,30 +198,6 @@ fn body() -> Result<(), MphpcError> {
         args.jobs
     );
 
-    if args.engine == Engine::Both {
-        eprintln!("[reference] re-running the workload through the reference engine ...");
-        let enriched = templates_from_dataset(&dataset, &predictor)?;
-        let t0 = Instant::now();
-        let reference = run_strategy_comparison(&enriched, args.jobs, args.rate, args.seed)?;
-        let ref_wall = t0.elapsed().as_secs_f64();
-        for (s, r) in outcomes.iter().zip(&reference) {
-            if s.outcome != *r {
-                return Err(MphpcError::Simulation(format!(
-                    "engines diverged on {}: scale {:?} vs reference {:?}",
-                    r.strategy, s.outcome, r
-                )));
-            }
-        }
-        println!(
-            "\nbit-identity: scale engine == reference engine on all 5 strategies \
-             ({} jobs); wall {:.1}s vs {:.1}s ({:.2}x)",
-            args.jobs,
-            scale_wall,
-            ref_wall,
-            ref_wall / scale_wall.max(1e-9)
-        );
-    }
-
     if let Some(path) = &args.jsonl {
         write_jsonl(path, &args, &outcomes, federation.as_ref(), scale_wall)?;
         eprintln!("[jsonl] appended {} records to {path}", outcomes.len());
@@ -262,10 +219,7 @@ fn print_scale_table(outcomes: &[ScaleOutcome], jobs: usize) {
                 format!("{:.2}", o.outcome.avg_bounded_slowdown),
                 format!("{:.1}s", o.wall_secs),
                 format!("{}", o.stats.events_dequeued),
-                format!(
-                    "{}/{}",
-                    o.stats.incremental_updates, o.stats.full_rescans
-                ),
+                format!("{}/{}", o.stats.incremental_updates, o.stats.full_rescans),
                 format!("{}/{}", o.stats.predict_batches, o.stats.predict_rows),
             ]
         })

@@ -11,14 +11,11 @@ use mphpc_dataset::features::FEATURE_NAMES;
 use mphpc_dataset::MpHpcDataset;
 use mphpc_errors::MphpcError;
 use mphpc_sched::dag::{simulate_workflows, Task, Workflow};
-use mphpc_sched::engine::{simulate, SimConfig};
+use mphpc_sched::engine::{simulate_full, InlineRpv, ScaleStats, SimConfig};
 use mphpc_sched::strategy::{
     MachineAssigner, ModelBased, Oracle, RandomAssign, RoundRobin, UserRoundRobin,
 };
-use mphpc_sched::{
-    sample_jobs, sample_jobs_indexed, simulate_scale, InlineRpv, JobTemplate, RpvProvider,
-    ScaleStats,
-};
+use mphpc_sched::{sample_jobs, sample_jobs_indexed, Job, JobTemplate, RpvProvider};
 use serde::{Deserialize, Serialize};
 
 /// Result of one strategy's simulation (one bar of Figs. 7–8).
@@ -54,7 +51,7 @@ pub fn templates_from_dataset(
 /// The un-predicted half of [`templates_from_dataset`]: one template per
 /// dataset row with `predicted_rpv: None`, plus that row's raw feature
 /// vector (un-normalised; predictors apply their own normaliser). This is
-/// the input shape of the scale engine's inline-prediction path — RPVs are
+/// the input shape of the engine's inline-prediction path — RPVs are
 /// looked up in batches at simulation decision points instead of being
 /// precomputed, so the same workload can be driven against a local
 /// predictor or a live serving endpoint ([`PredictorRpv`],
@@ -107,9 +104,9 @@ pub fn templates_from_dataset_raw(
 /// predictor federation, and the fallback a [`mphpc_sched::FederatedRpv`]
 /// degrades to. Produces bit-identical outputs to
 /// [`templates_from_dataset`]'s precomputation (same
-/// `predict_features` call on the same raw rows), which is what lets the
-/// inline-predicted scale engine reproduce the reference engine's
-/// schedule exactly.
+/// `predict_features` call on the same raw rows), which is what makes an
+/// inline-predicted simulation reproduce the precomputed one's schedule
+/// exactly.
 pub struct PredictorRpv<'a> {
     predictor: &'a PerfPredictor,
 }
@@ -156,20 +153,8 @@ pub fn run_strategy_comparison(
     seed: u64,
 ) -> Result<Vec<StrategyOutcome>, MphpcError> {
     let jobs = sample_jobs(templates, n_jobs, arrival_rate, seed)?;
-    let config = SimConfig::default();
-    let mut strategies = paper_strategies(seed ^ 0x5EED);
-    strategies
-        .iter_mut()
-        .map(|s| {
-            let r = simulate(&jobs, s.as_mut(), &config)?;
-            Ok(StrategyOutcome {
-                strategy: r.strategy.to_string(),
-                makespan: r.makespan,
-                avg_bounded_slowdown: r.avg_bounded_slowdown,
-                jobs_per_machine: r.jobs_per_machine,
-            })
-        })
-        .collect()
+    let outcomes = compare_strategies(&jobs, seed, None)?;
+    Ok(outcomes.into_iter().map(|o| o.outcome).collect())
 }
 
 /// The four paper strategies plus the oracle upper bound, in Figs. 7–8
@@ -185,11 +170,11 @@ pub fn paper_strategies(random_seed: u64) -> Vec<Box<dyn MachineAssigner>> {
     ]
 }
 
-/// One strategy's run through the scale engine: the Figs. 7–8 numbers
-/// plus the engine's own counters and the wall-clock the simulation took.
+/// One strategy's simulation: the Figs. 7–8 numbers plus the engine's own
+/// counters and the wall-clock the simulation took.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScaleOutcome {
-    /// The same fields the reference comparison reports.
+    /// The fields [`run_strategy_comparison`] reports.
     pub outcome: StrategyOutcome,
     /// Calendar-queue / incremental-backfill / prediction counters.
     pub stats: ScaleStats,
@@ -197,14 +182,47 @@ pub struct ScaleOutcome {
     pub wall_secs: f64,
 }
 
-/// [`run_strategy_comparison`] on the million-job scale engine
-/// ([`simulate_scale`]), with RPVs looked up inline through `provider` in
-/// one batched call per decision point instead of precomputed per
-/// template.
+/// The per-strategy loop both comparisons share: `jobs` under each of
+/// [`paper_strategies`] on the Table-I cluster, RPVs looked up through
+/// `inline` when given.
+fn compare_strategies(
+    jobs: &[Job],
+    seed: u64,
+    mut inline: Option<InlineRpv<'_>>,
+) -> Result<Vec<ScaleOutcome>, MphpcError> {
+    let config = SimConfig::default();
+    paper_strategies(seed ^ 0x5EED)
+        .iter_mut()
+        .map(|s| {
+            let started = std::time::Instant::now();
+            // Each strategy's run borrows the one provider in turn.
+            let hookup = inline.as_mut().map(|i| InlineRpv {
+                features: i.features,
+                provider: &mut *i.provider,
+            });
+            let (r, stats) = simulate_full(jobs, &[], s.as_mut(), &config, hookup)?;
+            Ok(ScaleOutcome {
+                outcome: StrategyOutcome {
+                    strategy: r.strategy.to_string(),
+                    makespan: r.makespan,
+                    avg_bounded_slowdown: r.avg_bounded_slowdown,
+                    jobs_per_machine: r.jobs_per_machine,
+                },
+                stats,
+                wall_secs: started.elapsed().as_secs_f64(),
+            })
+        })
+        .collect()
+}
+
+/// [`run_strategy_comparison`] with RPVs looked up inline through
+/// `provider`, in one batched call per decision point, instead of
+/// precomputed per template — the shape that scales to millions of jobs
+/// and to a remote predictor.
 ///
 /// `features[t]` is the raw feature row of `templates[t]`
-/// (the [`templates_from_dataset_raw`] pairing); each sampled job carries
-/// its template's row to the provider. Pass templates whose
+/// (the [`templates_from_dataset_raw`] pairing); each sampled job borrows
+/// its template's row for the provider. Pass templates whose
 /// `predicted_rpv` is `None` to exercise the inline path — templates that
 /// already carry a prediction are left untouched, so the provider is only
 /// consulted for the rest. With a [`PredictorRpv`] over the same trained
@@ -226,28 +244,12 @@ pub fn run_scale_comparison(
         });
     }
     let (jobs, indices) = sample_jobs_indexed(templates, n_jobs, arrival_rate, seed)?;
-    let rows: Vec<Vec<f64>> = indices.iter().map(|&t| features[t].to_vec()).collect();
-    let config = SimConfig::default();
-    let mut outcomes = Vec::with_capacity(5);
-    for s in paper_strategies(seed ^ 0x5EED).iter_mut() {
-        let started = std::time::Instant::now();
-        let inline = InlineRpv {
-            features: &rows,
-            provider: &mut *provider,
-        };
-        let (r, stats) = simulate_scale(&jobs, s.as_mut(), &config, Some(inline))?;
-        outcomes.push(ScaleOutcome {
-            outcome: StrategyOutcome {
-                strategy: r.strategy.to_string(),
-                makespan: r.makespan,
-                avg_bounded_slowdown: r.avg_bounded_slowdown,
-                jobs_per_machine: r.jobs_per_machine,
-            },
-            stats,
-            wall_secs: started.elapsed().as_secs_f64(),
-        });
-    }
-    Ok(outcomes)
+    let rows: Vec<&[f64]> = indices.iter().map(|&t| &features[t][..]).collect();
+    let inline = InlineRpv {
+        features: &rows,
+        provider,
+    };
+    compare_strategies(&jobs, seed, Some(inline))
 }
 
 /// Result of one strategy on a workflow workload.
@@ -312,14 +314,7 @@ pub fn workflows_from_templates(
 /// Compare the five strategies on a workflow workload.
 pub fn run_workflow_comparison(workflows: &[Workflow]) -> Result<Vec<WorkflowOutcome>, MphpcError> {
     let config = SimConfig::default();
-    let mut strategies: Vec<Box<dyn MachineAssigner>> = vec![
-        Box::new(RoundRobin::new()),
-        Box::new(RandomAssign::new(0x10F)),
-        Box::new(UserRoundRobin::new()),
-        Box::new(ModelBased::new()),
-        Box::new(Oracle::new()),
-    ];
-    strategies
+    paper_strategies(0x10F)
         .iter_mut()
         .map(|s| {
             let r = simulate_workflows(workflows, s.as_mut(), &config)?;
@@ -395,7 +390,7 @@ mod tests {
     }
 
     #[test]
-    fn scale_engine_with_inline_prediction_matches_reference_bitwise() {
+    fn inline_prediction_matches_precomputed_bitwise() {
         let (d, p) = setup();
         let reference = {
             let templates = templates_from_dataset(&d, &p).unwrap();
@@ -410,10 +405,13 @@ mod tests {
         assert_eq!(scale.len(), reference.len());
         for (s, r) in scale.iter().zip(&reference) {
             // Bit-identical, not approximately equal: the inline provider
-            // runs the very predict_features call the precomputation ran,
-            // and the scale engine replays the reference schedule exactly.
+            // runs the very predict_features call the precomputation ran.
             assert_eq!(s.outcome, *r, "{} diverged", r.strategy);
-            assert_eq!(s.stats.predict_rows, 400, "{}: every job predicted", r.strategy);
+            assert_eq!(
+                s.stats.predict_rows, 400,
+                "{}: every job predicted",
+                r.strategy
+            );
             assert!(s.stats.predict_batches > 0);
         }
     }

@@ -17,10 +17,10 @@
 //!   reservation, backfilled jobs must never delay it past the promised
 //!   shadow time; the head must start at or before the latest shadow
 //!   recorded for it;
-//! * **free-slot-profile consistency** (scale engine) — the incremental
-//!   completion profile that [`crate::backfill`] maintains per machine
-//!   must stay a faithful mirror of the cluster's running set;
-//! * **calendar-queue time ordering** (scale engine) — events leave the
+//! * **free-slot-profile consistency** — the incremental completion
+//!   profile that [`crate::engine`] maintains per machine must stay a
+//!   faithful mirror of the cluster's running set;
+//! * **calendar-queue time ordering** — events leave the
 //!   calendar queue in nondecreasing `(time, seq)` order, i.e. the O(1)
 //!   bucket structure never reorders the schedule.
 //!
@@ -46,7 +46,7 @@ pub struct InvariantAuditor {
     /// job id → (reserved machine, shadow time) for queue heads that
     /// blocked and received an EASY reservation.
     reservations: HashMap<u64, (usize, f64)>,
-    /// Last `(time, seq)` dequeued from the calendar queue (scale engine).
+    /// Last `(time, seq)` dequeued from the calendar queue.
     last_dequeue: Option<(f64, u64)>,
     /// Checks that ran and passed (for the telemetry layer; a failed
     /// check aborts the simulation, so "ran" and "passed" coincide for
@@ -149,7 +149,7 @@ impl InvariantAuditor {
         Ok(())
     }
 
-    /// Free-slot-profile consistency (scale engine): `profile` is machine
+    /// Free-slot-profile consistency: `profile` is machine
     /// `m`'s incremental completion profile as `(end_time, job_id, nodes)`
     /// triples in iteration order. It must (a) be sorted ascending by
     /// `(end_time, job_id)` and (b) hold exactly the cluster's running

@@ -90,12 +90,13 @@ pub struct CalendarQueue<T> {
     len: usize,
     /// Bucket the next dequeue starts scanning from.
     cur: usize,
-    /// Exclusive upper time bound of `cur`'s current day: an entry in
-    /// `cur` belongs to this year iff `time < bucket_top`.
-    bucket_top: f64,
-    /// Start of `cur`'s current day (`bucket_top - width`), kept so
-    /// resize can re-anchor the scan at the present instead of t = 0.
-    day_start: f64,
+    /// Day number (an integer-valued float) the scan stands on; `cur` is
+    /// its bucket. An entry at the front of `cur` is due iff its own day
+    /// number — the same `floor(time / width)` that filed it — is not
+    /// later. Comparing day numbers, not times against a running
+    /// `day_start + width` sum, keeps the scan and the filing in
+    /// agreement for events that sit exactly on a day boundary.
+    cur_day: f64,
 }
 
 impl<T> Default for CalendarQueue<T> {
@@ -113,8 +114,7 @@ impl<T> CalendarQueue<T> {
             width: 1.0,
             len: 0,
             cur: 0,
-            bucket_top: 1.0,
-            day_start: 0.0,
+            cur_day: 0.0,
         };
         q.buckets.resize_with(2, VecDeque::new);
         q
@@ -130,12 +130,18 @@ impl<T> CalendarQueue<T> {
         self.len == 0
     }
 
+    /// Day number of a time under the current geometry. Times are
+    /// simulation clocks: finite and non-negative; the division is safe
+    /// (width >= MIN_WIDTH).
+    fn day_of(&self, time: f64) -> f64 {
+        (time / self.width).floor()
+    }
+
     /// Bucket index for a time under the current geometry.
     fn bucket_of(&self, time: f64) -> usize {
-        // Times are simulation clocks: finite and non-negative. The
-        // division is safe (width >= MIN_WIDTH); the day number can
-        // exceed usize on absurd times, so go through f64 modulo.
-        let day = (time / self.width).floor();
+        // The day number can exceed usize on absurd times, so go through
+        // f64 modulo.
+        let day = self.day_of(time);
         let nb = self.buckets.len() as f64;
         let idx = day - (day / nb).floor() * nb;
         (idx as usize).min(self.buckets.len() - 1)
@@ -158,7 +164,7 @@ impl<T> CalendarQueue<T> {
         self.len += 1;
         // A new event can precede the dequeue scan position; rewind so
         // the scan can't skip the year (and bucket) it lives in.
-        if key.time() < self.day_start {
+        if self.day_of(key.time()) < self.cur_day {
             self.anchor_at(key.time());
         }
         if self.len > 2 * self.buckets.len() {
@@ -175,7 +181,7 @@ impl<T> CalendarQueue<T> {
         // each day only inspects its bucket's front (buckets are sorted).
         for _ in 0..self.buckets.len() {
             if let Some((k, _)) = self.buckets[self.cur].front() {
-                if k.time() < self.bucket_top {
+                if self.day_of(k.time()) <= self.cur_day {
                     let entry = self.buckets[self.cur].pop_front().expect("front checked");
                     self.len -= 1;
                     if self.len < self.buckets.len() / 2 && self.buckets.len() > 2 {
@@ -185,8 +191,7 @@ impl<T> CalendarQueue<T> {
                 }
             }
             self.cur = (self.cur + 1) % self.buckets.len();
-            self.day_start = self.bucket_top;
-            self.bucket_top += self.width;
+            self.cur_day += 1.0;
         }
         // A whole year was empty at the scan position: the remaining
         // events are far in the future (or the width collapsed). Jump
@@ -211,26 +216,27 @@ impl<T> CalendarQueue<T> {
             return None;
         }
         // Mirror `pop`'s scan without mutating the position.
-        let (mut cur, mut top) = (self.cur, self.bucket_top);
+        let (mut cur, mut day) = (self.cur, self.cur_day);
         for _ in 0..self.buckets.len() {
             if let Some((k, _)) = self.buckets[cur].front() {
-                if k.time() < top {
+                if self.day_of(k.time()) <= day {
                     return Some(*k);
                 }
             }
             cur = (cur + 1) % self.buckets.len();
-            top += self.width;
+            day += 1.0;
         }
-        self.buckets.iter().filter_map(|b| b.front()).map(|(k, _)| *k).min()
+        self.buckets
+            .iter()
+            .filter_map(|b| b.front())
+            .map(|(k, _)| *k)
+            .min()
     }
 
-    /// Re-position the dequeue scan so `time` falls inside the current
-    /// day of bucket `cur`.
+    /// Re-position the dequeue scan on `time`'s day.
     fn anchor_at(&mut self, time: f64) {
         self.cur = self.bucket_of(time);
-        let day = (time / self.width).floor();
-        self.day_start = day * self.width;
-        self.bucket_top = self.day_start + self.width;
+        self.cur_day = self.day_of(time);
     }
 
     /// Rebuild with `n_buckets` days, re-estimating the day width from
@@ -397,6 +403,97 @@ mod tests {
             assert_eq!(q.pop().expect("model non-empty"), want);
         }
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn push_at_the_instant_being_drained() {
+        // What a dependent released at `now` does: while the engine drains
+        // every event at `now`, a completion pushes a new arrival at that
+        // very instant. It must come out in the same drain, after the
+        // events already queued for `now` (its seq is larger), and before
+        // anything later — across bucket geometries, hence the filler.
+        for filler in [0u64, 3, 40, 1000] {
+            let mut q = CalendarQueue::new();
+            let mut seq = 0u64;
+            let mut push = |q: &mut CalendarQueue<u64>, t: f64| {
+                q.push(EventKey::new(t, seq), seq);
+                seq += 1;
+            };
+            for i in 0..filler {
+                push(&mut q, 0.5 * i as f64);
+            }
+            let now = 0.5 * (filler / 2) as f64 + 0.25;
+            for _ in 0..3 {
+                push(&mut q, now);
+            }
+            while q.peek_key().is_some_and(|k| k.time() < now) {
+                q.pop();
+            }
+            let mut drained = Vec::new();
+            while q.peek_key().is_some_and(|k| k.time() <= now) {
+                let (k, v) = q.pop().unwrap();
+                assert_eq!(k.time(), now);
+                // The first two events at `now` each release one more.
+                if drained.len() < 2 {
+                    push(&mut q, now);
+                }
+                drained.push(v);
+            }
+            assert_eq!(drained.len(), 5, "filler {filler}");
+            assert!(drained.windows(2).all(|w| w[0] < w[1]), "{drained:?}");
+            let later = (0..filler).filter(|&i| 0.5 * i as f64 > now).count();
+            assert_eq!(q.len(), later, "filler {filler}");
+        }
+    }
+
+    #[test]
+    fn events_on_day_boundaries_are_not_passed_over() {
+        // Twenty pipelines submitted 0.1 s apart, first stage 5 s or 10 s:
+        // the adjacent-gap estimate makes days 0.3 s wide, so completions
+        // such as t = 6.6 sit exactly on a day boundary. A scan bound kept
+        // by repeated addition drifts below `floor(time / width) * width`
+        // there and passes the event over for a whole year.
+        let mut q: CalendarQueue<u64> = CalendarQueue::new();
+        let mut model: BinaryHeap<Reverse<(EventKey, u64)>> = BinaryHeap::new();
+        let mut seq = 0u64;
+        let mut push = |q: &mut CalendarQueue<u64>,
+                        model: &mut BinaryHeap<Reverse<(EventKey, u64)>>,
+                        t: f64| {
+            q.push(EventKey::new(t, seq), seq);
+            model.push(Reverse((EventKey::new(t, seq), seq)));
+            seq += 1;
+        };
+        for i in 0..20 {
+            push(&mut q, &mut model, i as f64 * 0.1);
+        }
+        for i in 0..20 {
+            let (k, _) = q.pop().unwrap();
+            model.pop();
+            push(
+                &mut q,
+                &mut model,
+                k.time() + if i % 4 == 0 { 5.0 } else { 10.0 },
+            );
+        }
+        // Each completion releases two successors at the same instant,
+        // which then start and enqueue their own completions.
+        for _ in 0..40 {
+            let Some(Reverse(want)) = model.pop() else {
+                break;
+            };
+            let got = q.pop().expect("model non-empty");
+            assert_eq!(got, want);
+            let now = got.0.time();
+            push(&mut q, &mut model, now);
+            push(&mut q, &mut model, now);
+            for later in [10.0, 4.0] {
+                assert_eq!(q.pop().unwrap(), model.pop().unwrap().0);
+                push(&mut q, &mut model, now + later);
+            }
+        }
+        while let Some(Reverse(want)) = model.pop() {
+            assert_eq!(q.pop().expect("model non-empty"), want);
+        }
     }
 
     #[test]

@@ -159,41 +159,6 @@ impl Cluster {
     pub fn running(&self, m: usize) -> &[RunningJob] {
         &self.running[m]
     }
-
-    /// EASY reservation for a head job needing `nodes` on machine `m`:
-    /// returns `(shadow_time, extra_nodes)` where `shadow_time` is the
-    /// earliest the head can start and `extra_nodes` is how many nodes
-    /// remain free at that moment after the head starts. Backfilled jobs
-    /// must either finish by `shadow_time` or fit in `extra_nodes`.
-    ///
-    /// Completions are walked in `(end_time, job_id)` order. Equal end
-    /// times free their nodes at the same simulated instant, so only
-    /// `extra_nodes` (which depends on where the walk stops) is sensitive
-    /// to the tie order — the canonical `(end_time, job_id)` key makes it
-    /// a pure function of cluster *state*, independent of the history of
-    /// insertions and `swap_remove`s that produced `running[m]`'s order.
-    /// The scale engine's incremental free-slot profile recomputes the
-    /// same value from a sorted map, which is what makes old-vs-new
-    /// schedule bit-identity provable.
-    pub fn reservation(&self, m: usize, nodes: u32, now: f64) -> (f64, u32) {
-        if self.can_start(m, nodes) {
-            return (now, self.free[m] - nodes);
-        }
-        let mut ends: Vec<(f64, u64, u32)> = self.running[m]
-            .iter()
-            .map(|r| (r.end_time, r.job_id, r.nodes))
-            .collect();
-        ends.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let mut avail = self.free[m];
-        for (end, _, freed) in ends {
-            avail += freed;
-            if avail >= nodes {
-                return (end, avail - nodes);
-            }
-        }
-        // Machine can never fit the job (checked by can_ever_run upstream).
-        (f64::INFINITY, 0)
-    }
 }
 
 #[cfg(test)]
@@ -229,39 +194,6 @@ mod tests {
     }
 
     #[test]
-    fn reservation_immediate_when_free() {
-        let c = small_cluster();
-        let (shadow, extra) = c.reservation(0, 2, 5.0);
-        assert_eq!(shadow, 5.0);
-        assert_eq!(extra, 2);
-    }
-
-    #[test]
-    fn reservation_waits_for_earliest_sufficient_completion() {
-        let mut c = small_cluster();
-        c.start(0, 1, 2, 10.0).unwrap();
-        c.start(0, 2, 2, 20.0).unwrap();
-        // Needs 3 nodes: at t=10 two nodes free (0 + 2), not enough; at
-        // t=20 four free.
-        let (shadow, extra) = c.reservation(0, 3, 0.0);
-        assert_eq!(shadow, 20.0);
-        assert_eq!(extra, 1);
-        // Needs 2: at t=10.
-        let (shadow2, extra2) = c.reservation(0, 2, 0.0);
-        assert_eq!(shadow2, 10.0);
-        assert_eq!(extra2, 0);
-    }
-
-    #[test]
-    fn reservation_impossible_job() {
-        let c = small_cluster();
-        let (shadow, _) = c.reservation(0, 100, 0.0);
-        assert!(shadow.is_infinite());
-        assert!(!c.can_ever_run(0, 100));
-        assert!(c.can_ever_run(0, 4));
-    }
-
-    #[test]
     fn out_of_order_completions_keep_slot_map_consistent() {
         // swap_remove moves the last running job into the vacated index;
         // the slot map must follow it or later completions free the
@@ -275,26 +207,6 @@ mod tests {
         assert_eq!(c.complete(0, 11).unwrap(), 2);
         assert_eq!(c.free_nodes(0), 4);
         assert!(c.running(0).is_empty());
-    }
-
-    #[test]
-    fn reservation_tie_break_is_state_not_history() {
-        // Two clusters with the same running set reached through
-        // different insertion/removal histories must agree on the
-        // reservation, including extra_nodes at tied end times.
-        let mut a = small_cluster();
-        a.start(0, 1, 1, 10.0).unwrap();
-        a.start(0, 2, 3, 10.0).unwrap();
-        let mut b = small_cluster();
-        b.start(0, 9, 4, 1.0).unwrap();
-        b.complete(0, 9).unwrap();
-        b.start(0, 2, 3, 10.0).unwrap();
-        b.start(0, 1, 1, 10.0).unwrap();
-        // Canonical (end, job_id) walk: job 1 frees first, so the walk
-        // must continue through job 2 → extra = 2. A Vec-order walk over
-        // cluster `b` would stop at job 2 and report extra = 1.
-        assert_eq!(a.reservation(0, 2, 0.0), (10.0, 2));
-        assert_eq!(b.reservation(0, 2, 0.0), (10.0, 2));
     }
 
     #[test]

@@ -8,13 +8,13 @@
 //! task becomes *eligible* when all of its predecessors have completed.
 //! [`simulate_workflows`] lowers every workflow into one job set with
 //! dependency edges and runs the FCFS+EASY engine's native dependency
-//! support ([`crate::engine::simulate_with_deps`]): eligible tasks join
+//! support ([`crate::engine::simulate_full`]): eligible tasks join
 //! the global queue the moment their last dependency finishes and contend
 //! with every other running workflow, so cross-architecture placement
 //! decisions propagate along the critical path — a task placed on a slow
 //! machine delays every successor.
 
-use crate::engine::{simulate_with_deps, SimConfig};
+use crate::engine::{simulate_full, SimConfig};
 use crate::job::{Job, N_MACHINES};
 use crate::metrics::JobRecord;
 use crate::strategy::MachineAssigner;
@@ -195,7 +195,7 @@ pub fn simulate_workflows(
         }
     }
 
-    let result = simulate_with_deps(&jobs, &deps, strategy, config)?;
+    let (result, _) = simulate_full(&jobs, &deps, strategy, config, None)?;
     let strategy_name = result.strategy;
     let mut completed: HashMap<(usize, u32), JobRecord> = HashMap::new();
     for rec in result.records {

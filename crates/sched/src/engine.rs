@@ -1,33 +1,69 @@
-//! The discrete-event FCFS + EASY-backfilling engine (Algorithm 1).
+//! The scheduling engine: discrete-event FCFS + EASY backfilling
+//! (Algorithm 1), the one event loop every caller runs.
 //!
-//! Events are job arrivals and completions. At every event the scheduler
-//! runs a pass: start queue heads while they fit on their assigned
-//! machines; once the head blocks, reserve it (shadow time + extra nodes on
-//! its machine) and backfill later jobs that cannot delay the reservation.
-//! Backfill candidates on *other* machines can never delay the head, so
-//! they only need free capacity; candidates on the head's machine must
-//! finish before the shadow time or fit in the extra nodes.
+//! Events are job arrivals and completions. At every event timestamp the
+//! scheduler runs a pass: start queue heads while they fit on their
+//! assigned machines; once the head blocks, reserve it (shadow time + extra
+//! nodes on its machine) and backfill later jobs that cannot delay the
+//! reservation. Backfill candidates on *other* machines can never delay the
+//! head, so they only need free capacity; candidates on the head's machine
+//! must finish before the shadow time or fit in the extra nodes. After each
+//! backfill start the pass restarts: the start may have advanced a stateful
+//! strategy's counters (moving the head to a different machine) and changed
+//! cluster state, so the reservation is recomputed rather than reused
+//! stale — a stale `(shadow, extra)` pair lets later candidates slip past a
+//! reservation that no longer describes the head's machine, delaying the
+//! head indefinitely.
 //!
-//! This is the *reference* engine: a binary heap for events and a full
-//! reservation recomputation per blocked pass, kept deliberately simple
-//! as the semantic baseline. Its only O(n) removal — `VecDeque::remove`
-//! when a backfill candidate leaves the middle of the queue — is bounded
-//! by `backfill_depth` (128 by default), not by queue length, so it does
-//! not grow with workload size; the once-O(n) completion scan in
-//! [`Cluster::complete`] is now an O(1) slot-map lookup shared with the
-//! scale engine. For million-job workloads use [`crate::backfill`]'s
-//! [`crate::simulate_scale`]: calendar-queue events and incremental EASY,
-//! bit-identical schedules (see `benches/event_queue.rs` for the queue
-//! crossover numbers).
+//! Four structures carry that loop to millions of jobs:
+//!
+//! 1. **Calendar queue** ([`crate::calendar`]): the global event structure
+//!    is O(1) amortized, with a deterministic `(time, seq)` total order.
+//!
+//! 2. **Free-slot profile.** Each machine keeps a sorted completion profile
+//!    (a `BTreeMap` keyed by canonical `(end_time, job_id)`), maintained in
+//!    O(log R) per start/completion, so a reservation is a short in-order
+//!    prefix walk instead of a sort of every running job.
+//!
+//! 3. **Blocked-pass snapshot.** When a pass ends with the head blocked and
+//!    the next event batch is arrivals only, nothing the previous scan
+//!    observed has changed — the cluster is untouched, strategy state only
+//!    advances on starts ([`crate::strategy::MachineAssigner`] requires
+//!    `choose` to be side-effect free), and every previously rejected
+//!    candidate stays rejected (a candidate that fails `can_start` still
+//!    fails on an unchanged cluster, and the `now + dur > shadow` backfill
+//!    guard is monotone in `now`). Only the newly arrived suffix of the
+//!    window needs scanning. Completions or starts invalidate the snapshot
+//!    and force a full pass; [`ScaleStats`] counts both kinds.
+//!
+//! 4. **Batched inline prediction.** Jobs may arrive without a predicted
+//!    RPV; every decision point gathers all rows arriving at that simulated
+//!    instant into a single [`RpvProvider::predict`] call — the quantized
+//!    inference engine is batch-size invariant, so inline predictions are
+//!    bitwise the ones a precomputed run would use, and a federated
+//!    provider ([`crate::federation::FederatedRpv`]) amortises a network
+//!    round trip the same way.
+//!
+//! **Dependencies** do not weaken the snapshot: a job with open
+//! dependencies is not in the event queue at all; the completion that
+//! closes its last one enqueues its arrival at `max(submit, now)`, and that
+//! same completion has already discarded the snapshot. A dependent whose
+//! submit time lies later arrives as an ordinary arrival.
+//!
+//! The binary-heap, sort-per-pass engine this one replaced survives as the
+//! `cfg(test)` oracle in `reference.rs`; its suite holds every schedule
+//! here bit-identical to it.
 
 use crate::audit::InvariantAuditor;
+use crate::calendar::{CalendarQueue, EventKey};
 use crate::cluster::{Cluster, MachineConfig};
-use crate::job::{Job, N_MACHINES};
+use crate::federation::RpvProvider;
+use crate::job::{finite_rpv, Job, N_MACHINES};
 use crate::metrics::{avg_bounded_slowdown, makespan, JobRecord};
 use crate::strategy::MachineAssigner;
 use mphpc_errors::MphpcError;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
+use std::ops::Range;
 
 /// Simulation parameters.
 #[derive(Debug, Clone, Copy)]
@@ -86,56 +122,344 @@ pub struct SimResult {
     pub records: Vec<JobRecord>,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum Event {
+/// Inline prediction hookup: per-job feature rows plus the provider that
+/// turns them into RPVs. Rows align with the `jobs` slice by index; jobs
+/// that already carry `predicted_rpv` are not re-predicted.
+pub struct InlineRpv<'a> {
+    /// One feature row per job (same order as the `jobs` slice).
+    pub features: &'a [&'a [f64]],
+    /// Predictor answering one batch per decision point.
+    pub provider: &'a mut dyn RpvProvider,
+}
+
+/// Operational counters from one [`simulate_full`] run. Schedule outputs
+/// live in [`SimResult`]; these describe how the engine got there. Each
+/// field is also flushed once, at the end of the run, to the telemetry
+/// counter named in its doc.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ScaleStats {
+    /// Events pushed into the calendar queue (`sched.events.enqueued`).
+    pub events_enqueued: u64,
+    /// Events popped from the calendar queue (`sched.events.dequeued`).
+    pub events_dequeued: u64,
+    /// Decision points answered by the blocked-pass snapshot: only the
+    /// newly arrived window suffix was scanned
+    /// (`sched.backfill.incremental_updates`).
+    pub incremental_updates: u64,
+    /// Decision points that ran a full scheduling pass
+    /// (`sched.backfill.full_rescans`).
+    pub full_rescans: u64,
+    /// EASY reservations computed — full passes only; snapshot hits reuse
+    /// the stored reservation (`sched.reservations`).
+    pub reservations: u64,
+    /// Backfill candidates examined (`sched.backfill.attempts`).
+    pub backfill_attempts: u64,
+    /// Jobs started by backfilling past a blocked head
+    /// (`sched.backfill.starts`).
+    pub backfill_starts: u64,
+    /// Inline prediction batches issued (`sched.predict.batches`).
+    pub predict_batches: u64,
+    /// Feature rows predicted inline (`sched.predict.rows`).
+    pub predict_rows: u64,
+    /// Wall-clock microseconds spent inside the provider — the serving
+    /// latency term when the provider is federated
+    /// (`sched.predict.us_total`).
+    pub predict_us_total: u64,
+}
+
+/// Per-machine sorted completion profile: canonical `(end_time, job_id)`
+/// order, maintained incrementally. [`EventKey`] already encodes exactly
+/// that order (total_cmp time bits, then a u64 tie-break — here the job
+/// id), so it doubles as the map key.
+struct FreeSlotProfile {
+    ends: [BTreeMap<EventKey, u32>; N_MACHINES],
+}
+
+impl FreeSlotProfile {
+    fn new() -> Self {
+        Self {
+            ends: Default::default(),
+        }
+    }
+
+    fn insert(&mut self, m: usize, end: f64, job_id: u64, nodes: u32) {
+        self.ends[m].insert(EventKey::new(end, job_id), nodes);
+    }
+
+    fn remove(&mut self, m: usize, end: f64, job_id: u64) -> Result<(), MphpcError> {
+        self.ends[m]
+            .remove(&EventKey::new(end, job_id))
+            .ok_or_else(|| {
+                MphpcError::InvariantViolation(format!(
+                    "free-slot profile: completing job {job_id} (end {end}) missing on machine {m}"
+                ))
+            })?;
+        Ok(())
+    }
+
+    /// EASY reservation for a head job needing `nodes` on machine `m`:
+    /// `(shadow_time, extra_nodes)`, where `shadow_time` is the earliest
+    /// the head can start and `extra_nodes` is how many nodes remain free
+    /// at that moment after it starts. Backfilled jobs must either finish
+    /// by `shadow_time` or fit in `extra_nodes`.
+    ///
+    /// Completions are walked in `(end_time, job_id)` order. Equal end
+    /// times free their nodes at the same simulated instant, so only
+    /// `extra_nodes` (which depends on where the walk stops) is sensitive
+    /// to the tie order — the canonical key makes it a pure function of
+    /// cluster *state*, independent of the history of starts and
+    /// completions that produced it. The walk usually stops after a
+    /// handful of entries.
+    fn reservation(&self, cluster: &Cluster, m: usize, nodes: u32, now: f64) -> (f64, u32) {
+        if cluster.can_start(m, nodes) {
+            return (now, cluster.free_nodes(m) - nodes);
+        }
+        let mut avail = cluster.free_nodes(m);
+        for (k, &freed) in &self.ends[m] {
+            avail += freed;
+            if avail >= nodes {
+                return (k.time(), avail - nodes);
+            }
+        }
+        // Machine can never fit the job (ruled out by the up-front check
+        // that every job fits somewhere and `can_ever_run` in strategies).
+        (f64::INFINITY, 0)
+    }
+
+    /// Entries for machine `m` as `(end_time, job_id, nodes)` in profile
+    /// order, for the auditor's consistency sweep.
+    fn entries(&self, m: usize) -> impl Iterator<Item = (f64, u64, u32)> + '_ {
+        self.ends[m].iter().map(|(k, &n)| (k.time(), k.seq, n))
+    }
+}
+
+#[derive(Clone, Copy)]
+enum Ev {
     Arrival(usize),
     Completion { machine: usize, job: usize },
 }
 
-/// Totally ordered event key: (time, tiebreak sequence).
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct EventKey(f64, u64);
-
-impl Eq for EventKey {}
-impl PartialOrd for EventKey {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for EventKey {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0).then(self.1.cmp(&other.1))
-    }
+/// What a blocked head holds: backfilled jobs must not delay it.
+#[derive(Clone, Copy)]
+struct Reservation {
+    machine: usize,
+    shadow: f64,
+    extra: u32,
 }
 
-/// Run the simulation of `jobs` under `strategy`.
-///
-/// Jobs may arrive in any order; the queue is FCFS by submit time (ties by
-/// id). Invalid jobs are rejected up front as
-/// [`MphpcError::InvalidJob`]; internal bookkeeping bugs surface as
-/// [`MphpcError::InvariantViolation`] (see [`crate::audit`]) instead of
-/// panicking.
+/// Snapshot of a pass that ended with the head blocked: while no job
+/// starts or completes, the reservation and every scanned candidate's
+/// verdict remain valid, so later arrivals only need the unscanned
+/// window suffix examined.
+struct Blocked {
+    head_idx: usize,
+    held: Reservation,
+    /// Candidates `1..scanned` are known to fail; scanning resumes here.
+    scanned: usize,
+}
+
+/// How often (in event timestamps) the auditor cross-checks the free-slot
+/// profile against the cluster when auditing is on. The check is
+/// O(R log R) per machine — exhaustive per-timestamp verification would
+/// dominate debug runs; sampling still catches any divergence quickly
+/// because profile corruption persists once introduced.
+const PROFILE_AUDIT_STRIDE: u64 = 64;
+
+/// Everything one run mutates, so the loop's steps can be methods.
+struct Engine<'a> {
+    /// Local copy so inline predictions can be patched in as jobs arrive;
+    /// strategies then see exactly the jobs a precomputed run would.
+    jobs: Vec<Job>,
+    strategy: &'a mut dyn MachineAssigner,
+    config: &'a SimConfig,
+    cluster: Cluster,
+    profile: FreeSlotProfile,
+    events: CalendarQueue<Ev>,
+    /// Monotonic tie-break for simultaneous events.
+    seq: u64,
+    /// Job indices in FCFS order (arrival events come in submit order, so
+    /// `push_back` maintains it).
+    queue: VecDeque<usize>,
+    start_time: Vec<f64>,
+    end_time: Vec<f64>,
+    machine_of: Vec<usize>,
+    jobs_per_machine: [u64; N_MACHINES],
+    node_seconds: [f64; N_MACHINES],
+    stats: ScaleStats,
+    auditor: InvariantAuditor,
+}
+
+impl Engine<'_> {
+    fn enqueue(&mut self, time: f64, ev: Ev) {
+        self.events.push(EventKey::new(time, self.seq), ev);
+        self.seq += 1;
+        self.stats.events_enqueued += 1;
+    }
+
+    /// One job start: cluster + profile + bookkeeping + completion event.
+    /// A start invalidates any blocked-pass snapshot (cluster and strategy
+    /// state both change); every caller holds none.
+    fn start(&mut self, idx: usize, m: usize, now: f64) -> Result<(), MphpcError> {
+        let job = &self.jobs[idx];
+        let dur = job.runtime_on(m);
+        self.auditor.observe_start(job.id, now)?;
+        self.cluster
+            .start(m, job.id, job.nodes_required, now + dur)?;
+        self.profile
+            .insert(m, now + dur, job.id, job.nodes_required);
+        self.start_time[idx] = now;
+        self.end_time[idx] = now + dur;
+        self.machine_of[idx] = m;
+        self.jobs_per_machine[m] += 1;
+        self.node_seconds[m] += dur * job.nodes_required as f64;
+        self.strategy.notify_started(job, m);
+        self.enqueue(
+            now + dur,
+            Ev::Completion {
+                machine: m,
+                job: idx,
+            },
+        );
+        Ok(())
+    }
+
+    /// Queue positions a pass may examine: the head plus `backfill_depth`.
+    fn window(&self) -> usize {
+        self.queue.len().min(1 + self.config.backfill_depth)
+    }
+
+    /// The backfill-candidate scan: the first (FCFS) or shortest (SJF) job
+    /// at queue positions `range` that can start now without delaying the
+    /// reservation `held` — on another machine free capacity suffices; on
+    /// the head's machine it must finish by the shadow time or fit in the
+    /// extra nodes. Returns its queue position and machine.
+    fn backfill_candidate(
+        &mut self,
+        range: Range<usize>,
+        held: Reservation,
+        now: f64,
+    ) -> Option<(usize, usize)> {
+        let order = self.config.backfill_order;
+        let mut chosen: Option<(usize, usize, f64)> = None;
+        // Counted locally: the scan is the engine's innermost loop.
+        let mut attempts = 0u64;
+        for qi in range {
+            attempts += 1;
+            let cand = &self.jobs[self.queue[qi]];
+            let cm = self.strategy.choose(cand, &self.cluster);
+            if !self.cluster.can_start(cm, cand.nodes_required) {
+                continue;
+            }
+            let dur = cand.runtime_on(cm);
+            let uses_extra = cm == held.machine && now + dur > held.shadow;
+            if uses_extra && cand.nodes_required > held.extra {
+                continue;
+            }
+            match order {
+                BackfillOrder::Fcfs => {
+                    chosen = Some((qi, cm, dur));
+                    break;
+                }
+                BackfillOrder::ShortestFirst => {
+                    if chosen.map_or(true, |(_, _, best)| dur < best) {
+                        chosen = Some((qi, cm, dur));
+                    }
+                }
+            }
+        }
+        self.stats.backfill_attempts += attempts;
+        chosen.map(|(qi, cm, _)| (qi, cm))
+    }
+
+    /// Start the backfill candidate at queue position `qi` on machine `m`.
+    fn start_backfill(&mut self, qi: usize, m: usize, now: f64) -> Result<(), MphpcError> {
+        self.stats.backfill_starts += 1;
+        let idx = self.queue.remove(qi).expect("scanned position");
+        self.start(idx, m, now)
+    }
+
+    /// A full scheduling pass at `now`. Returns the snapshot to resume
+    /// from if it ends with the head blocked.
+    fn full_pass(&mut self, now: f64) -> Result<Option<Blocked>, MphpcError> {
+        self.stats.full_rescans += 1;
+        loop {
+            let Some(&head_idx) = self.queue.front() else {
+                return Ok(None);
+            };
+            let head = &self.jobs[head_idx];
+            let m = self.strategy.choose(head, &self.cluster);
+            if self.cluster.can_start(m, head.nodes_required) {
+                self.queue.pop_front();
+                self.start(head_idx, m, now)?;
+                continue;
+            }
+            let (shadow, extra) =
+                self.profile
+                    .reservation(&self.cluster, m, head.nodes_required, now);
+            self.auditor.record_reservation(head.id, m, shadow);
+            self.stats.reservations += 1;
+            let held = Reservation {
+                machine: m,
+                shadow,
+                extra,
+            };
+            let window = self.window();
+            match self.backfill_candidate(1..window, held, now) {
+                Some((qi, cm)) => self.start_backfill(qi, cm, now)?,
+                None => {
+                    return Ok(Some(Blocked {
+                        head_idx,
+                        held,
+                        scanned: window,
+                    }))
+                }
+            }
+        }
+    }
+
+    fn audit_profile(&mut self) -> Result<(), MphpcError> {
+        for m in 0..N_MACHINES {
+            self.auditor
+                .check_free_slot_profile(&self.cluster, m, self.profile.entries(m))?;
+        }
+        Ok(())
+    }
+}
+
+/// [`simulate_full`] for callers with neither dependencies nor inline
+/// prediction: every job carries whatever RPV its strategy needs.
 pub fn simulate(
     jobs: &[Job],
     strategy: &mut dyn MachineAssigner,
     config: &SimConfig,
 ) -> Result<SimResult, MphpcError> {
-    simulate_with_deps(jobs, &[], strategy, config)
+    simulate_full(jobs, &[], strategy, config, None).map(|(result, _)| result)
 }
 
-/// [`simulate`] with job dependencies: `deps[i]` lists the indices of jobs
-/// that must complete before job `i` becomes eligible (its effective
-/// submit time is then the max of its own submit time and its last
-/// dependency's completion). An empty `deps` slice means no dependencies.
-/// Dependent jobs join the same global queue and contend for the same
-/// nodes as everything else — this is the substrate for workflow (DAG)
-/// scheduling in [`crate::dag`].
-pub fn simulate_with_deps(
+/// Run the simulation of `jobs` under `strategy`.
+///
+/// Jobs may arrive in any order; the queue is FCFS by submit time (ties by
+/// position in `jobs`). Invalid jobs are rejected up front as
+/// [`MphpcError::InvalidJob`]; internal bookkeeping bugs surface as
+/// [`MphpcError::InvariantViolation`] (see [`crate::audit`]) instead of
+/// panicking.
+///
+/// `deps[i]` lists the indices of jobs that must complete before job `i`
+/// becomes eligible (its effective submit time is then the max of its own
+/// submit time and its last dependency's completion); an empty `deps`
+/// slice means no dependencies. Dependent jobs join the same global queue
+/// and contend for the same nodes as everything else — this is the
+/// substrate for workflow (DAG) scheduling in [`crate::dag`].
+///
+/// With `inline`, jobs without a `predicted_rpv` get one from the provider
+/// when they arrive, one batch per simulated instant.
+pub fn simulate_full(
     jobs: &[Job],
     deps: &[Vec<usize>],
     strategy: &mut dyn MachineAssigner,
     config: &SimConfig,
-) -> Result<SimResult, MphpcError> {
+    mut inline: Option<InlineRpv<'_>>,
+) -> Result<(SimResult, ScaleStats), MphpcError> {
     for j in jobs {
         j.validate()?;
         if !(0..N_MACHINES).any(|m| j.nodes_required <= config.machines[m].total_nodes) {
@@ -162,203 +486,195 @@ pub fn simulate_with_deps(
             return Err(MphpcError::Simulation(format!("job {i} depends on itself")));
         }
     }
+    if let Some(inl) = &inline {
+        if inl.features.len() != jobs.len() {
+            return Err(MphpcError::Simulation(format!(
+                "inline rpv: {} feature rows for {} jobs",
+                inl.features.len(),
+                jobs.len()
+            )));
+        }
+    }
     let _sim_span = mphpc_telemetry::span!("sched.simulate", jobs = jobs.len());
-    let mut auditor = InvariantAuditor::new(config.audit || cfg!(debug_assertions));
-    // Telemetry counters accumulate in locals and flush once at the end:
-    // the event loop is the simulator's hot path and must not touch the
-    // global metric registry per event.
-    let mut n_events = 0u64;
-    let mut n_reservations = 0u64;
-    let mut n_backfill_attempts = 0u64;
-    let mut n_backfill_starts = 0u64;
 
-    // Dependency bookkeeping: dependents[c] lists jobs unblocked by c's
-    // completion; jobs with open dependencies arrive only once released.
-    let mut remaining_deps: Vec<usize> = (0..jobs.len())
-        .map(|i| deps.get(i).map_or(0, Vec::len))
-        .collect();
-    let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); jobs.len()];
+    // Dependency bookkeeping, empty when there are no dependencies at all:
+    // `dependents[c]` lists the jobs unblocked by c's completion; a job
+    // with open dependencies arrives only once the last one completes.
+    let mut open_deps: Vec<usize> = deps.iter().map(Vec::len).collect();
+    let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); deps.len()];
     for (i, d) in deps.iter().enumerate() {
         for &c in d {
             dependents[c].push(i);
         }
     }
 
-    let mut cluster = Cluster::new(config.machines);
-    let mut events: BinaryHeap<Reverse<(EventKey, Event)>> = BinaryHeap::new();
-    // Monotonic tie-break for simultaneous events, shared by the start-job
-    // closure and the completion handler.
-    let seq = std::cell::Cell::new(0u64);
-    let next_seq = || {
-        let v = seq.get();
-        seq.set(v + 1);
-        v
+    let mut e = Engine {
+        jobs: jobs.to_vec(),
+        strategy,
+        config,
+        cluster: Cluster::new(config.machines),
+        profile: FreeSlotProfile::new(),
+        events: CalendarQueue::new(),
+        seq: 0,
+        queue: VecDeque::new(),
+        start_time: vec![f64::NAN; jobs.len()],
+        end_time: vec![f64::NAN; jobs.len()],
+        machine_of: vec![usize::MAX; jobs.len()],
+        jobs_per_machine: [0; N_MACHINES],
+        node_seconds: [0.0; N_MACHINES],
+        stats: ScaleStats::default(),
+        auditor: InvariantAuditor::new(config.audit || cfg!(debug_assertions)),
     };
     for (idx, job) in jobs.iter().enumerate() {
-        if remaining_deps[idx] == 0 {
-            events.push(Reverse((
-                EventKey(job.submit_time, next_seq()),
-                Event::Arrival(idx),
-            )));
+        if open_deps.get(idx).map_or(true, |&n| n == 0) {
+            e.enqueue(job.submit_time, Ev::Arrival(idx));
         }
     }
 
-    // Queue holds job indices, FCFS order (arrival events come in submit
-    // order, so push_back maintains it).
-    let mut queue: VecDeque<usize> = VecDeque::new();
-    let mut start_time = vec![f64::NAN; jobs.len()];
-    let mut end_time = vec![f64::NAN; jobs.len()];
-    let mut machine_of = vec![usize::MAX; jobs.len()];
-    let mut jobs_per_machine = [0u64; N_MACHINES];
-    let mut node_seconds = [0.0f64; N_MACHINES];
+    let mut blocked: Option<Blocked> = None;
+    let mut arrivals_this_ts: Vec<usize> = Vec::new();
+    let mut rows_buf: Vec<&[f64]> = Vec::new();
+    let mut pred_idx: Vec<usize> = Vec::new();
+    let mut timestamps = 0u64;
 
-    let mut start_job = |cluster: &mut Cluster,
-                         events: &mut BinaryHeap<Reverse<(EventKey, Event)>>,
-                         strategy: &mut dyn MachineAssigner,
-                         auditor: &mut InvariantAuditor,
-                         idx: usize,
-                         m: usize,
-                         now: f64|
-     -> Result<(), MphpcError> {
-        let job = &jobs[idx];
-        let dur = job.runtime_on(m);
-        auditor.observe_start(job.id, now)?;
-        cluster.start(m, job.id, job.nodes_required, now + dur)?;
-        start_time[idx] = now;
-        end_time[idx] = now + dur;
-        machine_of[idx] = m;
-        jobs_per_machine[m] += 1;
-        node_seconds[m] += dur * job.nodes_required as f64;
-        events.push(Reverse((
-            EventKey(now + dur, next_seq()),
-            Event::Completion {
-                machine: m,
-                job: idx,
-            },
-        )));
-        strategy.notify_started(job, m);
-        Ok(())
-    };
-
-    #[allow(clippy::while_let_loop)]
-    while let Some(&Reverse((EventKey(now, _), _))) = events.peek() {
-        // Apply every event at this timestamp before scheduling.
-        while let Some(&Reverse((EventKey(t, _), ev))) = events.peek() {
-            if t > now {
+    while let Some(first) = e.events.peek_key() {
+        let now = first.time();
+        timestamps += 1;
+        arrivals_this_ts.clear();
+        // Apply every event at this timestamp before scheduling (IEEE `>`
+        // batching, so -0.0 and 0.0 coalesce). A dependent released at
+        // `now` is pushed while its instant is being drained and leaves in
+        // this same batch, after everything already queued for `now`.
+        while let Some(k) = e.events.peek_key() {
+            if k.time() > now {
                 break;
             }
-            events.pop();
-            n_events += 1;
+            let (k, ev) = e.events.pop().expect("peeked");
+            e.stats.events_dequeued += 1;
+            e.auditor.observe_calendar_dequeue(k.time(), k.seq)?;
             match ev {
-                Event::Arrival(idx) => queue.push_back(idx),
-                Event::Completion { machine, job } => {
-                    cluster.complete(machine, jobs[job].id)?;
-                    // Release dependents whose last dependency just ended.
-                    for &d in &dependents[job] {
-                        remaining_deps[d] -= 1;
-                        if remaining_deps[d] == 0 {
-                            let at = jobs[d].submit_time.max(now);
-                            events.push(Reverse((EventKey(at, next_seq()), Event::Arrival(d))));
+                Ev::Arrival(idx) => {
+                    e.queue.push_back(idx);
+                    arrivals_this_ts.push(idx);
+                }
+                Ev::Completion { machine, job } => {
+                    e.cluster.complete(machine, e.jobs[job].id)?;
+                    e.profile.remove(machine, e.end_time[job], e.jobs[job].id)?;
+                    // Cluster changed: every cached backfill verdict is
+                    // stale.
+                    blocked = None;
+                    for &d in dependents.get(job).map_or(&[][..], Vec::as_slice) {
+                        open_deps[d] -= 1;
+                        if open_deps[d] == 0 {
+                            e.enqueue(e.jobs[d].submit_time.max(now), Ev::Arrival(d));
                         }
                     }
                 }
             }
         }
-        auditor.observe_event_time(now)?;
+        e.auditor.observe_event_time(now)?;
 
-        // Scheduling pass.
-        'pass: loop {
-            let Some(&head_idx) = queue.front() else {
-                break;
-            };
-            let head = &jobs[head_idx];
-            let m = strategy.choose(head, &cluster);
-            if cluster.can_start(m, head.nodes_required) {
-                queue.pop_front();
-                start_job(
-                    &mut cluster,
-                    &mut events,
-                    strategy,
-                    &mut auditor,
-                    head_idx,
-                    m,
-                    now,
-                )?;
-                continue 'pass;
-            }
-            // Head blocks: reserve and backfill (EASY). Candidates are
-            // tried in R2 order. After each successful backfill the whole
-            // pass restarts: the start may have advanced a stateful
-            // strategy's counters (moving the head to a different
-            // machine) and changed cluster state, so the reservation is
-            // recomputed from scratch rather than reused stale — a stale
-            // (shadow, extra) pair lets later candidates slip past a
-            // reservation that no longer describes the head's machine,
-            // delaying the head indefinitely.
-            let (shadow, extra) = cluster.reservation(m, head.nodes_required, now);
-            auditor.record_reservation(head.id, m, shadow);
-            n_reservations += 1;
-            let window = queue.len().min(1 + config.backfill_depth);
-            // Pick the first (FCFS) or shortest (SJF) startable candidate
-            // in the window that cannot delay the reservation: on another
-            // machine free capacity suffices; on the head's machine it
-            // must finish by the shadow time or fit in the extra nodes.
-            let mut chosen: Option<(usize, usize, f64)> = None;
-            #[allow(clippy::needless_range_loop)]
-            for qi in 1..window {
-                n_backfill_attempts += 1;
-                let cand_idx = queue[qi];
-                let cand = &jobs[cand_idx];
-                let cm = strategy.choose(cand, &cluster);
-                if !cluster.can_start(cm, cand.nodes_required) {
-                    continue;
-                }
-                let dur = cand.runtime_on(cm);
-                let uses_extra = cm == m && now + dur > shadow;
-                if uses_extra && cand.nodes_required > extra {
-                    continue;
-                }
-                match config.backfill_order {
-                    BackfillOrder::Fcfs => {
-                        chosen = Some((qi, cm, dur));
-                        break;
-                    }
-                    BackfillOrder::ShortestFirst => {
-                        if chosen.map_or(true, |(_, _, best)| dur < best) {
-                            chosen = Some((qi, cm, dur));
-                        }
-                    }
+        // Inline prediction: one batch for everything arriving now.
+        if let Some(inl) = &mut inline {
+            rows_buf.clear();
+            pred_idx.clear();
+            for &idx in &arrivals_this_ts {
+                if e.jobs[idx].predicted_rpv.is_none() {
+                    rows_buf.push(inl.features[idx]);
+                    pred_idx.push(idx);
                 }
             }
-            let Some((qi, cm, _dur)) = chosen else {
-                break 'pass;
-            };
-            n_backfill_starts += 1;
-            let cand_idx = queue[qi];
-            queue.remove(qi);
-            start_job(
-                &mut cluster,
-                &mut events,
-                strategy,
-                &mut auditor,
-                cand_idx,
-                cm,
-                now,
-            )?;
+            if !rows_buf.is_empty() {
+                let t0 = std::time::Instant::now();
+                let rpvs = inl.provider.predict(&rows_buf)?;
+                let us = t0.elapsed().as_micros() as u64;
+                e.stats.predict_batches += 1;
+                e.stats.predict_rows += rows_buf.len() as u64;
+                e.stats.predict_us_total += us;
+                if mphpc_telemetry::enabled() {
+                    mphpc_telemetry::histogram_record(
+                        "sched.predict.lookup_us",
+                        us as f64 / rows_buf.len() as f64,
+                    );
+                }
+                if rpvs.len() != pred_idx.len() {
+                    return Err(MphpcError::Simulation(format!(
+                        "rpv provider returned {} predictions for {} rows",
+                        rpvs.len(),
+                        pred_idx.len()
+                    )));
+                }
+                for (&idx, rpv) in pred_idx.iter().zip(&rpvs) {
+                    if !finite_rpv(rpv) {
+                        return Err(MphpcError::InvalidJob(format!(
+                            "job {}: non-finite predicted RPV {rpv:?} from provider {}",
+                            e.jobs[idx].id,
+                            inl.provider.name()
+                        )));
+                    }
+                    e.jobs[idx].predicted_rpv = Some(*rpv);
+                }
+            }
         }
-        auditor.check_cluster(&cluster, now)?;
+
+        // Incremental path: the head blocked earlier and nothing it saw
+        // has changed — scan only the arrivals that extended the window.
+        if let Some(b) = blocked.take() {
+            debug_assert_eq!(e.queue.front(), Some(&b.head_idx));
+            let window = e.window();
+            match e.backfill_candidate(b.scanned..window, b.held, now) {
+                None => {
+                    // Still blocked; remember how far we looked.
+                    e.stats.incremental_updates += 1;
+                    blocked = Some(Blocked {
+                        scanned: window,
+                        ..b
+                    });
+                }
+                // A new arrival backfills. Starting it invalidates the
+                // snapshot; the full pass below finishes this decision
+                // point.
+                Some((qi, cm)) => e.start_backfill(qi, cm, now)?,
+            }
+        }
+        if blocked.is_none() {
+            blocked = e.full_pass(now)?;
+        }
+
+        e.auditor.check_cluster(&e.cluster, now)?;
+        if e.auditor.enabled() && timestamps % PROFILE_AUDIT_STRIDE == 0 {
+            e.audit_profile()?;
+        }
     }
 
+    // Final exhaustive profile check: both structures must drain empty.
+    if e.auditor.enabled() {
+        e.audit_profile()?;
+    }
+
+    // Counters accumulate in `stats` and reach the global registry once:
+    // the event loop must not touch it per event.
     if mphpc_telemetry::enabled() {
-        mphpc_telemetry::counter_add("sched.events", n_events);
-        mphpc_telemetry::counter_add("sched.jobs", jobs.len() as u64);
-        mphpc_telemetry::counter_add("sched.reservations", n_reservations);
-        mphpc_telemetry::counter_add("sched.backfill.attempts", n_backfill_attempts);
-        mphpc_telemetry::counter_add("sched.backfill.starts", n_backfill_starts);
-        mphpc_telemetry::counter_add("sched.audit.checks_passed", auditor.checks_passed());
+        let s = &e.stats;
+        for (name, value) in [
+            ("sched.jobs", jobs.len() as u64),
+            ("sched.events.enqueued", s.events_enqueued),
+            ("sched.events.dequeued", s.events_dequeued),
+            ("sched.backfill.incremental_updates", s.incremental_updates),
+            ("sched.backfill.full_rescans", s.full_rescans),
+            ("sched.reservations", s.reservations),
+            ("sched.backfill.attempts", s.backfill_attempts),
+            ("sched.backfill.starts", s.backfill_starts),
+            ("sched.predict.batches", s.predict_batches),
+            ("sched.predict.rows", s.predict_rows),
+            ("sched.predict.us_total", s.predict_us_total),
+            ("sched.audit.checks_passed", e.auditor.checks_passed()),
+        ] {
+            mphpc_telemetry::counter_add(name, value);
+        }
     }
 
-    if let Some(idx) = (0..jobs.len()).find(|&i| end_time[i].is_nan()) {
+    if let Some(idx) = e.end_time.iter().position(|t| t.is_nan()) {
         return Err(MphpcError::Simulation(format!(
             "job {} never completed (unsatisfiable or cyclic dependencies?)",
             jobs[idx].id
@@ -371,25 +687,29 @@ pub fn simulate_with_deps(
         .map(|(i, j)| JobRecord {
             job_id: j.id,
             submit: j.submit_time,
-            start: start_time[i],
-            end: end_time[i],
-            machine: machine_of[i],
+            start: e.start_time[i],
+            end: e.end_time[i],
+            machine: e.machine_of[i],
         })
         .collect();
 
-    Ok(SimResult {
-        strategy: strategy.name(),
-        makespan: makespan(&records),
-        avg_bounded_slowdown: avg_bounded_slowdown(&records),
-        jobs_per_machine,
-        node_seconds_per_machine: node_seconds,
-        records,
-    })
+    Ok((
+        SimResult {
+            strategy: e.strategy.name(),
+            makespan: makespan(&records),
+            avg_bounded_slowdown: avg_bounded_slowdown(&records),
+            jobs_per_machine: e.jobs_per_machine,
+            node_seconds_per_machine: e.node_seconds,
+            records,
+        },
+        e.stats,
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::federation::FnRpvProvider;
     use crate::strategy::{ModelBased, Oracle, RoundRobin, UserRoundRobin};
 
     fn small_config() -> SimConfig {
@@ -633,5 +953,234 @@ mod tests {
         for w in starts.windows(2) {
             assert!(w[0].1 < w[1].1, "earlier submit starts earlier");
         }
+    }
+
+    #[test]
+    fn dependents_wait_for_their_last_dependency() {
+        // 0 and 1 run first; 2 needs both, 3 needs 2 and is submitted late.
+        let jobs = vec![
+            job(0, 0.0, 1, [4.0; 4]),
+            job(1, 0.0, 1, [9.0; 4]),
+            job(2, 1.0, 1, [2.0; 4]),
+            job(3, 50.0, 1, [1.0; 4]),
+        ];
+        let deps = vec![vec![], vec![], vec![0, 1], vec![2]];
+        let mut s = RoundRobin::new();
+        let (r, stats) = simulate_full(&jobs, &deps, &mut s, &small_config(), None).unwrap();
+        let start = |id: u64| r.records.iter().find(|x| x.job_id == id).unwrap().start;
+        assert_eq!(
+            start(2),
+            9.0,
+            "released the instant its last dependency ends"
+        );
+        assert_eq!(
+            start(3),
+            50.0,
+            "its own submit time is later than the release"
+        );
+        assert_eq!(stats.events_enqueued, 8);
+        assert_eq!(stats.events_dequeued, 8);
+    }
+
+    #[test]
+    fn bad_dependencies_are_rejected() {
+        let jobs = vec![job(0, 0.0, 1, [1.0; 4]), job(1, 0.0, 1, [1.0; 4])];
+        let run = |deps: &[Vec<usize>]| {
+            let mut s = RoundRobin::new();
+            simulate_full(&jobs, deps, &mut s, &small_config(), None)
+                .unwrap_err()
+                .to_string()
+        };
+        assert!(run(&[vec![]]).contains("deps length 1 does not match 2 jobs"));
+        assert!(run(&[vec![2], vec![]]).contains("job 0 depends on out-of-range index 2"));
+        assert!(run(&[vec![], vec![1]]).contains("job 1 depends on itself"));
+        assert!(run(&[vec![1], vec![0]]).contains("job 0 never completed"));
+    }
+
+    fn features_for(jobs: &[Job]) -> Vec<Vec<f64>> {
+        jobs.iter()
+            .map(|j| vec![j.id as f64 % 7.0, j.nodes_required as f64])
+            .collect()
+    }
+
+    #[test]
+    fn inline_prediction_equals_precomputed() {
+        // A deterministic fake predictor: rpv derived from the feature
+        // row. Precomputing through it and predicting inline through it
+        // must give identical schedules.
+        let predict_row = |row: &[f64]| -> [f64; N_MACHINES] {
+            [1.0 + row[0] * 0.125, 1.0 + row[1] * 0.25, 1.5, 2.0]
+        };
+        // Submissions on a 30 s grid so several jobs share each arrival
+        // instant — that's what makes batching observable.
+        let mut jobs: Vec<Job> = (0..300)
+            .map(|i| {
+                job(
+                    i,
+                    (i / 4) as f64 * 30.0,
+                    1 + (i % 2) as u32,
+                    [10.0 + (i % 9) as f64; 4],
+                )
+            })
+            .collect();
+        let features = features_for(&jobs);
+        let rows: Vec<&[f64]> = features.iter().map(Vec::as_slice).collect();
+        for (j, f) in jobs.iter_mut().zip(&features) {
+            j.predicted_rpv = Some(predict_row(f));
+        }
+        let cfg = small_config();
+        let precomputed = simulate(&jobs, &mut ModelBased::new(), &cfg).unwrap();
+        for j in &mut jobs {
+            j.predicted_rpv = None;
+        }
+        let mut provider = FnRpvProvider::new("fake", |rows: &[&[f64]]| {
+            Ok(rows.iter().map(|r| predict_row(r)).collect())
+        });
+        let inline = InlineRpv {
+            features: &rows,
+            provider: &mut provider,
+        };
+        let (inlined, stats) =
+            simulate_full(&jobs, &[], &mut ModelBased::new(), &cfg, Some(inline)).unwrap();
+        assert_eq!(precomputed, inlined);
+        assert_eq!(stats.predict_rows, jobs.len() as u64);
+        assert_eq!(
+            stats.predict_batches, 75,
+            "arrivals sharing a timestamp must share a batch"
+        );
+    }
+
+    #[test]
+    fn non_finite_inline_rpvs_fail_the_simulation() {
+        let mut jobs = vec![job(7, 0.0, 1, [5.0; 4]), job(8, 0.0, 1, [5.0; 4])];
+        for j in &mut jobs {
+            j.predicted_rpv = None;
+        }
+        let features = features_for(&jobs);
+        let rows: Vec<&[f64]> = features.iter().map(Vec::as_slice).collect();
+        for bad in [f64::NAN, f64::NEG_INFINITY] {
+            let mut provider = FnRpvProvider::new("flaky", move |rows: &[&[f64]]| {
+                let mut out = vec![[1.0; N_MACHINES]; rows.len()];
+                out[1][2] = bad;
+                Ok(out)
+            });
+            let inline = InlineRpv {
+                features: &rows,
+                provider: &mut provider,
+            };
+            let err = simulate_full(
+                &jobs,
+                &[],
+                &mut ModelBased::new(),
+                &small_config(),
+                Some(inline),
+            )
+            .unwrap_err();
+            assert!(matches!(err, MphpcError::InvalidJob(_)), "{err}");
+            let msg = err.to_string();
+            assert!(msg.contains("job 8") && msg.contains("flaky"), "{msg}");
+        }
+    }
+
+    #[test]
+    fn rejects_mismatched_features() {
+        let jobs = vec![job(1, 0.0, 1, [5.0; 4]), job(2, 0.0, 1, [5.0; 4])];
+        let rows: Vec<&[f64]> = vec![&[0.0]];
+        let mut provider = FnRpvProvider::new("fake", |rows: &[&[f64]]| {
+            Ok(vec![[1.0; N_MACHINES]; rows.len()])
+        });
+        let inline = InlineRpv {
+            features: &rows,
+            provider: &mut provider,
+        };
+        let err = simulate_full(
+            &jobs,
+            &[],
+            &mut ModelBased::new(),
+            &small_config(),
+            Some(inline),
+        )
+        .unwrap_err();
+        assert!(err.to_string().contains("feature rows"), "{err}");
+    }
+
+    #[test]
+    fn empty_workload() {
+        let mut s = RoundRobin::new();
+        let (r, stats) = simulate_full(&[], &[], &mut s, &small_config(), None).unwrap();
+        assert!(r.records.is_empty());
+        assert_eq!(stats, ScaleStats::default());
+    }
+
+    fn profile_of(cluster: &Cluster, m: usize) -> FreeSlotProfile {
+        let mut p = FreeSlotProfile::new();
+        for r in cluster.running(m) {
+            p.insert(m, r.end_time, r.job_id, r.nodes);
+        }
+        p
+    }
+
+    fn four_node_cluster() -> Cluster {
+        let mut configs = crate::cluster::table1_cluster();
+        configs[0].total_nodes = 4;
+        Cluster::new(configs)
+    }
+
+    #[test]
+    fn reservation_immediate_when_free() {
+        let c = four_node_cluster();
+        assert_eq!(profile_of(&c, 0).reservation(&c, 0, 2, 5.0), (5.0, 2));
+    }
+
+    #[test]
+    fn reservation_waits_for_earliest_sufficient_completion() {
+        let mut c = four_node_cluster();
+        c.start(0, 1, 2, 10.0).unwrap();
+        c.start(0, 2, 2, 20.0).unwrap();
+        let p = profile_of(&c, 0);
+        // Needs 3 nodes: at t=10 two nodes free (0 + 2), not enough; at
+        // t=20 four free.
+        assert_eq!(p.reservation(&c, 0, 3, 0.0), (20.0, 1));
+        // Needs 2: at t=10.
+        assert_eq!(p.reservation(&c, 0, 2, 0.0), (10.0, 0));
+    }
+
+    #[test]
+    fn reservation_impossible_job() {
+        let c = four_node_cluster();
+        let (shadow, _) = profile_of(&c, 0).reservation(&c, 0, 100, 0.0);
+        assert!(shadow.is_infinite());
+        assert!(!c.can_ever_run(0, 100));
+        assert!(c.can_ever_run(0, 4));
+    }
+
+    #[test]
+    fn reservation_tie_break_is_state_not_history() {
+        // The same running set reached through different start/completion
+        // histories must give the same reservation, including extra_nodes
+        // at tied end times: job 1 frees first, so the walk continues
+        // through job 2 → extra = 2.
+        let mut a = four_node_cluster();
+        let mut pa = FreeSlotProfile::new();
+        for (id, nodes) in [(1, 1), (2, 3)] {
+            a.start(0, id, nodes, 10.0).unwrap();
+            pa.insert(0, 10.0, id, nodes);
+        }
+        let mut b = four_node_cluster();
+        let mut pb = FreeSlotProfile::new();
+        b.start(0, 9, 4, 1.0).unwrap();
+        pb.insert(0, 1.0, 9, 4);
+        b.complete(0, 9).unwrap();
+        pb.remove(0, 1.0, 9).unwrap();
+        for (id, nodes) in [(2, 3), (1, 1)] {
+            b.start(0, id, nodes, 10.0).unwrap();
+            pb.insert(0, 10.0, id, nodes);
+        }
+        assert_eq!(pa.reservation(&a, 0, 2, 0.0), (10.0, 2));
+        assert_eq!(pb.reservation(&b, 0, 2, 0.0), (10.0, 2));
+        assert!(
+            pb.remove(0, 10.0, 42).is_err(),
+            "unknown job is a bookkeeping bug"
+        );
     }
 }

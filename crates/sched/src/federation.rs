@@ -1,6 +1,6 @@
 //! Predictor federation: RPV lookups as a service.
 //!
-//! The scale engine ([`crate::backfill`]) does not embed a model; it asks
+//! The engine ([`crate::engine`]) does not embed a model; it asks
 //! an [`RpvProvider`] for predicted relative-performance vectors, one
 //! *batch per decision point* (every job arriving at a simulated instant
 //! is predicted in a single call). Two providers ship here:
@@ -28,7 +28,7 @@
 //! throughput *with* the prediction-service term the same way Li et al.
 //! (2310.16792) argue it must be measured.
 
-use crate::job::N_MACHINES;
+use crate::job::{finite_rpv, N_MACHINES};
 use mphpc_errors::MphpcError;
 use mphpc_serve::client::ClientConn;
 use std::collections::VecDeque;
@@ -39,8 +39,8 @@ use std::time::{Duration, Instant};
 ///
 /// `predict` receives one row per job and must return one
 /// `[f64; N_MACHINES]` per row, in order. Implementations must be
-/// deterministic functions of the rows (the engine replays batches across
-/// engines and thread counts and asserts bit-identical schedules).
+/// deterministic functions of the rows (the test suites replay batches
+/// across runs and thread counts and assert bit-identical schedules).
 pub trait RpvProvider {
     /// Predict RPVs for `rows` (one feature vector per job).
     fn predict(&mut self, rows: &[&[f64]]) -> Result<Vec<[f64; N_MACHINES]>, MphpcError>;
@@ -212,12 +212,17 @@ impl<'a> FederatedRpv<'a> {
                     format!("predict returned status {}", resp.status),
                 ));
             }
-            let rpv = parse_outputs(&resp.text()).ok_or_else(|| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    "predict response without a 4-float outputs array",
-                )
-            })?;
+            // An RPV the engine would reject (`"NaN".parse()` succeeds) is
+            // a protocol error like any other: the whole batch goes to the
+            // fallback.
+            let rpv = parse_outputs(&resp.text())
+                .filter(finite_rpv)
+                .ok_or_else(|| {
+                    std::io::Error::new(
+                        std::io::ErrorKind::InvalidData,
+                        "predict response without 4 finite outputs",
+                    )
+                })?;
             out.push(rpv);
         }
         Ok(out)
@@ -305,20 +310,34 @@ mod tests {
     use std::net::TcpListener;
 
     fn local(scale: f64) -> Box<dyn RpvProvider> {
-        Box::new(FnRpvProvider::new("test-local", move |rows: &[&[f64]]| {
-            Ok(rows
-                .iter()
-                .map(|r| {
-                    let s: f64 = r.iter().sum::<f64>() * scale;
-                    [s, s + 1.0, s + 2.0, s + 3.0]
-                })
-                .collect())
-        }))
+        Box::new(FnRpvProvider::new(
+            "test-local",
+            move |rows: &[&[f64]]| {
+                Ok(rows
+                    .iter()
+                    .map(|r| {
+                        let s: f64 = r.iter().sum::<f64>() * scale;
+                        [s, s + 1.0, s + 2.0, s + 3.0]
+                    })
+                    .collect())
+            },
+        ))
     }
 
     /// A fake predict server: answers `n_ok` requests with the same
     /// function `local(1.0)` computes, then drops the connection.
     fn fake_server(n_ok: usize) -> (String, std::thread::JoinHandle<()>) {
+        fake_server_rendering(n_ok, |sum| {
+            format!("{},{},{},{}", sum, sum + 1.0, sum + 2.0, sum + 3.0)
+        })
+    }
+
+    /// [`fake_server`] with the `outputs` array's contents rendered by
+    /// `outputs` from the request's feature sum.
+    fn fake_server_rendering(
+        n_ok: usize,
+        outputs: impl Fn(f64) -> String + Send + 'static,
+    ) -> (String, std::thread::JoinHandle<()>) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
         let handle = std::thread::spawn(move || {
@@ -342,7 +361,9 @@ mod tests {
                     }
                 }
                 let mut body = vec![0u8; len];
-                reader.read_exact(&mut body).unwrap();
+                if reader.read_exact(&mut body).is_err() {
+                    return;
+                }
                 let body = String::from_utf8(body).unwrap();
                 let s = body.find("\"features\":[").unwrap() + "\"features\":[".len();
                 let e = s + body[s..].find(']').unwrap();
@@ -351,18 +372,19 @@ mod tests {
                     .map(|t| t.trim().parse::<f64>().unwrap())
                     .sum();
                 let resp_body = format!(
-                    "{{\"model\":\"default@v1\",\"batch_rows\":1,\"outputs\":[{},{},{},{}]}}",
-                    sum,
-                    sum + 1.0,
-                    sum + 2.0,
-                    sum + 3.0
+                    "{{\"model\":\"default@v1\",\"batch_rows\":1,\"outputs\":[{}]}}",
+                    outputs(sum)
                 );
                 let head = format!(
                     "HTTP/1.1 200 OK\r\ncontent-type: application/json\r\ncontent-length: {}\r\n\r\n",
                     resp_body.len()
                 );
-                writer.write_all(head.as_bytes()).unwrap();
-                writer.write_all(resp_body.as_bytes()).unwrap();
+                // A client that degraded has hung up; that ends the session.
+                if writer.write_all(head.as_bytes()).is_err()
+                    || writer.write_all(resp_body.as_bytes()).is_err()
+                {
+                    return;
+                }
             }
             // Connection drops here; further recv() on the client errors.
         });
@@ -435,6 +457,26 @@ mod tests {
         assert_eq!(more.len(), 2);
         assert_eq!(fed.stats().fallbacks, 10);
         handle.join().unwrap();
+    }
+
+    #[test]
+    fn non_finite_outputs_are_a_protocol_error() {
+        // These tokens parse as f64, so the shape check alone would pass
+        // them straight to the strategies.
+        for outputs in ["NaN,1,1,1", "1,inf,1,1", "1,1,-inf,1"] {
+            let (addr, handle) = fake_server_rendering(4, move |_| outputs.to_string());
+            let mut fed =
+                FederatedRpv::new(&addr, "default", Duration::from_secs(2), 4, local(1.0));
+            let data = rows(4);
+            let refs: Vec<&[f64]> = data.iter().map(|r| r.as_slice()).collect();
+            let out = fed.predict(&refs).unwrap();
+            assert_eq!(out, local(1.0).predict(&refs).unwrap(), "{outputs}");
+            let st = fed.stats();
+            assert!(st.degraded, "{outputs}");
+            assert_eq!(st.fallbacks, 4, "{outputs}: whole batch from the fallback");
+            drop(fed);
+            handle.join().unwrap();
+        }
     }
 
     #[test]

@@ -65,6 +65,18 @@ impl Job {
     }
 }
 
+/// What an RPV answered by a provider — inline or over the wire — must
+/// meet before a strategy sees it: every entry finite. `ModelBased`
+/// compares entries with `<`, so a NaN would silently send the job to the
+/// first feasible machine. Unlike [`Job::validate`]'s rule for an RPV that
+/// comes with the job, entries need not be positive: a trained regressor
+/// answers slightly below zero for a machine it finds far faster than the
+/// reference (the benchmark's GBT does: `[0.999, 0.738, -0.002, 0.007]`),
+/// and such an entry still orders correctly.
+pub fn finite_rpv(rpv: &[f64; N_MACHINES]) -> bool {
+    rpv.iter().all(|v| v.is_finite())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,8 +103,14 @@ mod tests {
         let mut neg = j.clone();
         neg.runtimes[1] = -1.0;
         assert!(neg.validate().is_err());
-        let mut sub = j;
+        let mut sub = j.clone();
         sub.submit_time = f64::NAN;
         assert!(sub.validate().is_err());
+        for bad in [f64::NAN, f64::INFINITY, 0.0, -1.0] {
+            let mut rpv = j.clone();
+            rpv.predicted_rpv = Some([1.0, bad, 1.0, 1.0]);
+            assert!(rpv.validate().is_err(), "rpv entry {bad}");
+            assert_eq!(finite_rpv(&[1.0, bad, 1.0, 1.0]), bad.is_finite());
+        }
     }
 }

@@ -22,11 +22,16 @@
 //! each machine from the data set"), plus the model's predicted RPV for the
 //! model-based strategy. [`metrics`] reports makespan and average bounded
 //! slowdown (Figs. 7–8).
+//!
+//! There is one event loop, [`engine`]: [`simulate`] for a plain job list,
+//! [`simulate_full`] when jobs have dependencies ([`dag`] lowers workflows
+//! onto it) or their RPVs are looked up inline through an [`RpvProvider`]
+//! ([`federation`]). The engine it replaced is a `cfg(test)` oracle
+//! (`reference.rs`) that the in-crate suite holds it bit-identical to.
 
 #![warn(missing_docs)]
 
 pub mod audit;
-pub mod backfill;
 pub mod calendar;
 pub mod cluster;
 pub mod dag;
@@ -34,15 +39,18 @@ pub mod engine;
 pub mod federation;
 pub mod job;
 pub mod metrics;
+#[cfg(test)]
+mod reference;
 pub mod strategy;
 pub mod workload;
 
 pub use audit::InvariantAuditor;
-pub use backfill::{simulate_scale, InlineRpv, ScaleStats};
 pub use calendar::{CalendarQueue, EventKey};
 pub use cluster::{Cluster, MachineConfig};
 pub use dag::{simulate_workflows, Task, Workflow, WorkflowSimResult};
-pub use engine::{simulate, simulate_with_deps, BackfillOrder, SimConfig, SimResult};
+pub use engine::{
+    simulate, simulate_full, BackfillOrder, InlineRpv, ScaleStats, SimConfig, SimResult,
+};
 pub use federation::{FederatedRpv, FederationStats, FnRpvProvider, RpvProvider};
 pub use job::Job;
 pub use metrics::{avg_bounded_slowdown, makespan, SLOWDOWN_BOUND_SECONDS};

@@ -54,7 +54,7 @@ pub fn sample_jobs(
 /// [`sample_jobs`], additionally returning which template each job was
 /// drawn from (`indices[i]` is job `i`'s template). Same seed ⇒ the same
 /// jobs as `sample_jobs` — callers that need per-job side data (e.g. the
-/// raw feature rows the scale engine predicts from inline) use the index
+/// raw feature rows the engine predicts from inline) use the index
 /// to line it up without re-deriving the RNG stream.
 pub fn sample_jobs_indexed(
     templates: &[JobTemplate],

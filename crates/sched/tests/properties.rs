@@ -7,34 +7,8 @@ use mphpc_sched::strategy::{ModelBased, Oracle, RandomAssign, RoundRobin, UserRo
 use mphpc_sched::{Job, MachineAssigner};
 use proptest::prelude::*;
 
-prop_compose! {
-    fn arb_job(id: u64)(
-        submit in 0.0f64..1000.0,
-        nodes in 1u32..4,
-        gpu in any::<bool>(),
-        t0 in 1.0f64..500.0,
-        t1 in 1.0f64..500.0,
-        t2 in 1.0f64..500.0,
-        t3 in 1.0f64..500.0,
-        has_pred in any::<bool>(),
-    ) -> Job {
-        Job {
-            id,
-            submit_time: submit,
-            nodes_required: nodes,
-            gpu_capable: gpu,
-            runtimes: [t0, t1, t2, t3],
-            predicted_rpv: has_pred.then_some([t0, t1, t2, t3]),
-        }
-    }
-}
-
-fn arb_jobs(max: usize) -> impl Strategy<Value = Vec<Job>> {
-    proptest::collection::vec(any::<u64>(), 1..max).prop_flat_map(|ids| {
-        let n = ids.len();
-        (0..n as u64).map(arb_job).collect::<Vec<_>>()
-    })
-}
+mod common;
+use common::arb_jobs;
 
 fn strategies() -> Vec<Box<dyn MachineAssigner>> {
     vec![

@@ -1,19 +1,17 @@
-//! Scale-engine integration (DESIGN.md §18): the new calendar-queue +
-//! incremental-EASY engine must be a bit-identical, faster replay of the
-//! reference engine — on seeded workloads across sizes and thread counts,
-//! with RPVs predicted inline by the real model, and when federated
-//! against a live serving endpoint that dies mid-simulation.
+//! Scheduling at scale with the real model (DESIGN.md §18): RPVs looked
+//! up inline by the trained predictor must give the very schedule that
+//! precomputed RPVs give — on seeded workloads across sizes and thread
+//! counts — and so must RPVs federated from a live serving endpoint, also
+//! when it dies mid-simulation. (Identity with the pre-calendar-queue
+//! engine is the in-crate oracle suite's job: `crates/sched/src/reference.rs`.)
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use mphpc_core::prelude::*;
 use mphpc_core::serving::{predictor_loader, ServedPredictor};
-use mphpc_sched::engine::{simulate, SimConfig};
-use mphpc_sched::{
-    sample_jobs, sample_jobs_indexed, simulate_scale, FederatedRpv, InlineRpv, JobTemplate,
-    MachineAssigner,
-};
+use mphpc_sched::engine::{simulate, simulate_full, InlineRpv, SimConfig};
+use mphpc_sched::{sample_jobs, sample_jobs_indexed, FederatedRpv, JobTemplate};
 use mphpc_serve::{serve, ModelRegistry, PredictModel, ServeConfig};
 
 fn setup() -> (MpHpcDataset, PerfPredictor) {
@@ -22,10 +20,10 @@ fn setup() -> (MpHpcDataset, PerfPredictor) {
     (d, p)
 }
 
-/// Reference run on precomputed-RPV templates vs scale run on raw
-/// templates with inline prediction — full `SimResult` equality (every
-/// job's start, end, and machine), not just aggregates.
-fn assert_engines_agree(
+/// Precomputed-RPV templates vs raw templates with inline prediction —
+/// full `SimResult` equality (every job's start, end, and machine), not
+/// just aggregates.
+fn assert_inline_equals_precomputed(
     enriched: &[JobTemplate],
     raw: &[JobTemplate],
     features: &[[f64; 21]],
@@ -35,26 +33,24 @@ fn assert_engines_agree(
     seed: u64,
 ) {
     let config = SimConfig::default();
-    let ref_jobs = sample_jobs(enriched, n_jobs, rate, seed).unwrap();
-    let (scale_jobs, indices) = sample_jobs_indexed(raw, n_jobs, rate, seed).unwrap();
-    let rows: Vec<Vec<f64>> = indices.iter().map(|&t| features[t].to_vec()).collect();
+    let pre_jobs = sample_jobs(enriched, n_jobs, rate, seed).unwrap();
+    let (raw_jobs, indices) = sample_jobs_indexed(raw, n_jobs, rate, seed).unwrap();
+    let rows: Vec<&[f64]> = indices.iter().map(|&t| &features[t][..]).collect();
 
-    let mut strategies: Vec<Box<dyn MachineAssigner>> =
-        mphpc_core::schedbridge::paper_strategies(seed ^ 0x5EED);
-    let mut reference_strategies: Vec<Box<dyn MachineAssigner>> =
-        mphpc_core::schedbridge::paper_strategies(seed ^ 0x5EED);
-    for (s, rs) in strategies.iter_mut().zip(reference_strategies.iter_mut()) {
-        let reference = simulate(&ref_jobs, rs.as_mut(), &config).unwrap();
+    let strategies = || mphpc_core::schedbridge::paper_strategies(seed ^ 0x5EED);
+    for (mut s, mut ps) in strategies().into_iter().zip(strategies()) {
+        let precomputed = simulate(&pre_jobs, ps.as_mut(), &config).unwrap();
         let mut provider = PredictorRpv::new(predictor);
         let inline = InlineRpv {
             features: &rows,
             provider: &mut provider,
         };
-        let (scale, stats) = simulate_scale(&scale_jobs, s.as_mut(), &config, Some(inline)).unwrap();
+        let (inlined, stats) =
+            simulate_full(&raw_jobs, &[], s.as_mut(), &config, Some(inline)).unwrap();
         assert_eq!(
-            scale, reference,
+            inlined, precomputed,
             "{} diverged on {n_jobs} jobs rate {rate} seed {seed}",
-            reference.strategy
+            precomputed.strategy
         );
         assert_eq!(stats.predict_rows, n_jobs as u64);
         assert_eq!(stats.events_enqueued, 2 * n_jobs as u64);
@@ -69,11 +65,11 @@ fn bit_identity_1k_and_10k_across_thread_counts() {
     let (raw, features) = templates_from_dataset_raw(&d).unwrap();
     for &n_jobs in &[1_000usize, 10_000] {
         for &threads in &[1usize, 2, 8] {
-            // The engines are serial; the override exercises the
+            // The engine is serial; the override exercises the
             // predictor's parallel batch inference, which must stay
             // deterministic for the schedules to match.
             mphpc_par::set_thread_override(Some(threads));
-            assert_engines_agree(&enriched, &raw, &features, &p, n_jobs, 0.05, 42);
+            assert_inline_equals_precomputed(&enriched, &raw, &features, &p, n_jobs, 0.05, 42);
         }
     }
     mphpc_par::set_thread_override(None);
@@ -85,7 +81,11 @@ fn bit_identity_50k_reference_workload() {
     let enriched = templates_from_dataset(&d, &p).unwrap();
     let (raw, features) = templates_from_dataset_raw(&d).unwrap();
     // The paper's §VII shape: 50,000 jobs as a saturated backlog.
-    assert_engines_agree(&enriched, &raw, &features, &p, 50_000, 0.0, 7);
+    for &threads in &[1usize, 2, 8] {
+        mphpc_par::set_thread_override(Some(threads));
+        assert_inline_equals_precomputed(&enriched, &raw, &features, &p, 50_000, 0.0, 7);
+    }
+    mphpc_par::set_thread_override(None);
 }
 
 /// Pure-local inline run: the baseline every federated run must equal.
@@ -138,7 +138,11 @@ fn federation_matches_local_and_survives_server_death() {
     }
     assert!(!stats.degraded, "healthy server must not degrade");
     assert_eq!(stats.fallbacks, 0);
-    assert_eq!(stats.responses, 5 * n_jobs as u64, "one lookup per job per strategy");
+    assert_eq!(
+        stats.responses,
+        5 * n_jobs as u64,
+        "one lookup per job per strategy"
+    );
     assert!(stats.latency_us_max > 0);
 
     // Server killed mid-simulation: whatever prefix was answered
