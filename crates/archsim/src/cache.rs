@@ -15,7 +15,7 @@
 //! level of each kernel, so a reused simulator allocates nothing in steady
 //! state: a set gets its `ways` tags out of one arena the first time it is
 //! touched, and an epoch stamp per set makes emptying the cache O(1)
-//! (DESIGN.md §19).
+//! (DESIGN.md §18).
 
 use crate::demand::LocalityProfile;
 use crate::machine::{CacheLevelSpec, CpuSpec};

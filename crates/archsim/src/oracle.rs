@@ -1,5 +1,5 @@
 //! Test-only oracles: the trace generator and cache simulator as they were
-//! before the allocation-free rewrite (DESIGN.md §19) — a Fenwick tree over
+//! before the allocation-free rewrite (DESIGN.md §18) — a Fenwick tree over
 //! access-time slots, one `Vec<u64>` of tags per set, a reference-major walk
 //! of the hierarchy, `powf` on every non-streaming draw — and the tests that
 //! hold [`crate::trace`] and [`crate::cache`] bit-identical to them.

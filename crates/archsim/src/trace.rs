@@ -17,7 +17,7 @@
 //! length the whole index is 4 KiB, and shallow depths — the common case —
 //! resolve in the top block. The generator keeps the stack's buffers between
 //! kernels: it is on the per-kernel hot path of every simulated run in the
-//! dataset (DESIGN.md §19).
+//! dataset (DESIGN.md §18).
 
 use crate::demand::LocalityProfile;
 use rand::Rng;

@@ -4,7 +4,7 @@
 //! this hashes its `HierarchyResult`s over the Table-I machines, both rank
 //! layouts and four locality regimes at a fixed seed. The constant was
 //! recorded from the `Vec<Vec<u64>>`/Fenwick implementation this one replaced
-//! (DESIGN.md §19) and, like `tests/golden`, is tied to `StdRng`'s stream.
+//! (DESIGN.md §18) and, like `tests/golden`, is tied to `StdRng`'s stream.
 
 use mphpc_archsim::cache::CacheSimulator;
 use mphpc_archsim::machine::table1_machines;

@@ -3,8 +3,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mphpc_ml::binning::QuantileBinner;
-use mphpc_ml::hist::{self, HistLayout};
-use mphpc_ml::tree::{build_gbt_tree, BinnedMatrix, TreeParams};
+use mphpc_ml::hist::{self, GradHess, Variance};
+use mphpc_ml::tree::{grow, Criterion as _, TrainingView, TreeParams};
 use mphpc_ml::{
     ForestParams, ForestRegressor, GbtParams, GbtRegressor, LinearParams, LinearRegressor, Matrix,
     MlDataset,
@@ -70,31 +70,46 @@ fn bench_forest_and_linear(c: &mut Criterion) {
     group.finish();
 }
 
-/// Isolate the tentpole: the histogram-engine kernels and one full tree
-/// build, without the boosting loop around them.
+/// Isolate the histogram engine: each criterion's accumulation kernel,
+/// sibling subtraction, and one full tree grown under each criterion,
+/// without the ensemble loop around them.
 fn bench_tree_kernels(c: &mut Criterion) {
-    let d = synthetic(20_000, 21, 1, 4);
-    let binner = QuantileBinner::fit(&d.x, 64);
-    let bins = binner.transform(&d.x);
-    let data = BinnedMatrix {
-        bins: &bins,
-        cols: d.n_features(),
-        binner: &binner,
-    };
-    let layout = HistLayout::for_gbt(&binner);
+    let d = synthetic(20_000, 21, 4, 4);
+    let view = TrainingView::fit(&d.x, 64);
     let n = d.n_samples();
     let rows: Vec<u32> = (0..n as u32).collect();
     let grad: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
     let hess = vec![1.0; n];
+    let gbt_params = TreeParams {
+        max_depth: 9,
+        min_child_weight: 2.0,
+        colsample: 0.9,
+        ..TreeParams::default()
+    };
+    let forest_params = ForestParams::default().tree;
+    let gh = GradHess {
+        grad: &grad,
+        hess: &hess,
+        params: &gbt_params,
+    };
+    let variance = Variance::new(&d.y, &forest_params);
 
     let mut group = c.benchmark_group("hist_kernels");
     group.throughput(Throughput::Elements((n * d.n_features()) as u64));
-    let mut arena = vec![0.0; layout.stats_len()];
+    let mut arena = vec![0.0; view.layout.stats_len(gh.width())];
     group.bench_function("accumulate_gh_20k_rows", |b| {
         b.iter(|| {
             arena.iter_mut().for_each(|v| *v = 0.0);
-            hist::accumulate_gh(&layout, &data, &rows, &grad, &hess, &mut arena);
+            gh.accumulate(&view, &rows, &mut arena);
             std::hint::black_box(arena.last().copied())
+        })
+    });
+    let mut target_arena = vec![0.0; view.layout.stats_len(variance.width())];
+    group.bench_function("accumulate_targets_20k_rows", |b| {
+        b.iter(|| {
+            target_arena.iter_mut().for_each(|v| *v = 0.0);
+            variance.accumulate(&view, &rows, &mut target_arena);
+            std::hint::black_box(target_arena.last().copied())
         })
     });
     let child: Vec<f64> = arena.iter().map(|v| v * 0.5).collect();
@@ -110,21 +125,30 @@ fn bench_tree_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("tree_build");
     group.sample_size(20);
     group.bench_function("gbt_tree_20k_rows_depth9", |b| {
-        let params = TreeParams {
-            max_depth: 9,
-            min_child_weight: 2.0,
-            colsample: 0.9,
-            ..TreeParams::default()
-        };
         b.iter(|| {
             let mut rng = StdRng::seed_from_u64(17);
-            build_gbt_tree(
-                std::hint::black_box(&data),
+            grow(
+                std::hint::black_box(&view),
                 rows.clone(),
-                &grad,
-                &hess,
-                &params,
+                Vec::new(),
+                &gh,
+                &gbt_params,
                 &mut rng,
+                |_, _, _| {},
+            )
+        })
+    });
+    group.bench_function("variance_tree_20k_rows_depth12", |b| {
+        b.iter(|| {
+            let mut rng = StdRng::seed_from_u64(17);
+            grow(
+                std::hint::black_box(&view),
+                rows.clone(),
+                Vec::new(),
+                &variance,
+                &forest_params,
+                &mut rng,
+                |_, _, _| {},
             )
         })
     });

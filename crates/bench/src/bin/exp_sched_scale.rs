@@ -1,4 +1,4 @@
-//! Million-job scheduling at scale (DESIGN.md §18): the Figs. 7–8
+//! Million-job scheduling at scale (DESIGN.md §17): the Figs. 7–8
 //! experiment at 20× the paper's 50,000-job workload, with RPVs predicted
 //! *inline* — batched lookups at simulation decision points instead of a
 //! precomputed template table.

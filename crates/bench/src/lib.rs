@@ -3,7 +3,7 @@
 //!
 //! Each binary accepts `--size small|medium|full` (default `medium`),
 //! `--seed N` (default 2024), `--fleet N` (default 1: collect the dataset
-//! with N storage-coordinated workers, DESIGN.md §16 — the merged CSV is
+//! with N storage-coordinated workers, DESIGN.md §15 — the merged CSV is
 //! byte-identical to the single-worker one), and
 //! `--telemetry off|summary|jsonl|trace` (default `off`; see DESIGN.md
 //! §12 — `jsonl` also exports every table a binary prints, so
@@ -110,7 +110,7 @@ pub struct ExpArgs {
     /// Base seed.
     pub seed: u64,
     /// Collection workers (`--fleet N`): 1 = single-process pipeline,
-    /// N > 1 = storage-coordinated fleet (DESIGN.md §16). The merged
+    /// N > 1 = storage-coordinated fleet (DESIGN.md §15). The merged
     /// dataset is byte-identical either way, so every cached artifact and
     /// downstream number is unaffected by the choice.
     pub fleet: usize,
@@ -220,7 +220,7 @@ pub fn load_or_build_dataset(args: ExpArgs) -> Result<MpHpcDataset, MphpcError> 
     Ok(dataset)
 }
 
-/// Collect via a storage-coordinated worker fleet (DESIGN.md §16): N
+/// Collect via a storage-coordinated worker fleet (DESIGN.md §15): N
 /// in-process workers claim shards of the campaign through an ephemeral
 /// local store, and the merged CSV — byte-identical to the single-process
 /// `collect` rendering — lands at `out`, doubling as the dataset cache.

@@ -396,7 +396,7 @@ fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), MphpcError> {
     Ok(())
 }
 
-/// `mphpc watch` — the online-learning loop (DESIGN.md §17): tail the
+/// `mphpc watch` — the online-learning loop (DESIGN.md §16): tail the
 /// store for fresh fleet shards, grow the versioned dataset, warm-start
 /// retrain, shadow-score against the live server, and canary-promote.
 fn cmd_watch(opts: &HashMap<String, String>) -> Result<(), MphpcError> {
@@ -502,7 +502,7 @@ fn cmd_watch(opts: &HashMap<String, String>) -> Result<(), MphpcError> {
 }
 
 /// `mphpc fleet <init|work|run|merge|status>` — storage-coordinated
-/// multi-process collection and training (DESIGN.md §16).
+/// multi-process collection and training (DESIGN.md §15).
 ///
 /// `args` is everything after `fleet` (the action word plus flags);
 /// `opts` are the already-parsed flags.

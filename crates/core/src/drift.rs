@@ -1,5 +1,5 @@
 //! Streaming drift detection over the serving feature distribution
-//! (DESIGN.md §17).
+//! (DESIGN.md §16).
 //!
 //! The online-learning loop needs a cheap, deterministic answer to "has
 //! the traffic the model serves moved away from the data it was trained

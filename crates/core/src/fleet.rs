@@ -1,4 +1,4 @@
-//! Storage-coordinated profiling/training fleet (DESIGN.md §16).
+//! Storage-coordinated profiling/training fleet (DESIGN.md §15).
 //!
 //! A fleet job splits a collection campaign's run matrix into contiguous,
 //! group-aligned shards described by an immutable

@@ -1,4 +1,4 @@
-//! The online-learning watch loop (DESIGN.md §17): streaming ingest →
+//! The online-learning watch loop (DESIGN.md §16): streaming ingest →
 //! warm-start retrain → shadow eval → canary promote → rollback.
 //!
 //! A [`Watcher`] tails an artifact store for shard results the fleet

@@ -167,22 +167,9 @@ impl Column {
         })
     }
 
-    /// Append all cells of `other`; errors if the types differ.
-    pub fn extend_from(&mut self, other: &Column) -> Result<(), FrameError> {
-        match (self, other) {
-            (Column::F64(a), Column::F64(b)) => a.extend_from_slice(b),
-            (Column::I64(a), Column::I64(b)) => a.extend_from_slice(b),
-            (Column::Bool(a), Column::Bool(b)) => a.extend_from_slice(b),
-            (Column::Str(a), Column::Str(b)) => a.extend_from_slice(b),
-            (me, other) => {
-                return Err(type_err("<unnamed>", me.column_type(), other));
-            }
-        }
-        Ok(())
-    }
-
-    /// Key string used for group-by/join hashing. Floats are formatted with
-    /// full round-trip precision so distinct values never collide.
+    /// Key string used to tell distinct values apart ([`crate::Frame::unique`]).
+    /// Floats are formatted with full round-trip precision so distinct
+    /// values never collide.
     pub fn group_key(&self, row: usize) -> String {
         match self {
             Column::F64(v) => format!("{:?}", v[row]),
@@ -232,14 +219,6 @@ mod tests {
             vec![1.0, 0.0]
         );
         assert!(Column::from_strs(&["x"]).to_f64_vec().is_err());
-    }
-
-    #[test]
-    fn extend_type_mismatch() {
-        let mut a = Column::F64(vec![1.0]);
-        assert!(a.extend_from(&Column::I64(vec![1])).is_err());
-        assert!(a.extend_from(&Column::F64(vec![2.0])).is_ok());
-        assert_eq!(a.len(), 2);
     }
 
     #[test]

@@ -167,15 +167,15 @@ fn infer_column(cells: Vec<String>) -> Column {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::tests::frame_of;
 
     fn sample() -> Frame {
-        Frame::from_columns([
+        frame_of([
             ("app", Column::from_strs(&["amg", "co,md", "quo\"te"])),
             ("t", Column::F64(vec![1.5, 2.0, -0.25])),
             ("n", Column::I64(vec![1, 2, 3])),
             ("gpu", Column::Bool(vec![true, false, true])),
         ])
-        .unwrap()
     }
 
     #[test]
@@ -255,14 +255,13 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("contended.csv");
         let small = sample();
-        let big = Frame::from_columns([
+        let big = frame_of([
             ("app", Column::from_strs(&vec!["padded-row"; 2000])),
             (
                 "t",
                 Column::F64((0..2000).map(|i| i as f64 * 0.5).collect()),
             ),
-        ])
-        .unwrap();
+        ]);
         let (small_csv, big_csv) = (write_csv_string(&small), write_csv_string(&big));
         small.write_csv(&path).unwrap();
         let stop = std::sync::atomic::AtomicBool::new(false);

@@ -3,6 +3,7 @@
 use crate::column::{type_err, Column, ColumnType, Value};
 use crate::FrameError;
 use serde::{Deserialize, Serialize};
+use std::collections::HashSet;
 
 /// A table of named, typed, equal-length columns.
 ///
@@ -18,20 +19,6 @@ impl Frame {
     /// Create an empty frame (0 columns, 0 rows).
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Build a frame from `(name, column)` pairs, validating lengths and
-    /// duplicate names.
-    pub fn from_columns<I, S>(cols: I) -> Result<Self, FrameError>
-    where
-        I: IntoIterator<Item = (S, Column)>,
-        S: Into<String>,
-    {
-        let mut f = Frame::new();
-        for (name, col) in cols {
-            f.push_column(name, col)?;
-        }
-        Ok(f)
     }
 
     /// Number of rows (0 for a column-less frame).
@@ -111,16 +98,6 @@ impl Frame {
         let idx = self.index_of(name)?;
         self.names.remove(idx);
         Ok(self.columns.remove(idx))
-    }
-
-    /// Rename a column in place.
-    pub fn rename_column(&mut self, from: &str, to: &str) -> Result<(), FrameError> {
-        if self.has_column(to) {
-            return Err(FrameError::DuplicateColumn(to.to_string()));
-        }
-        let idx = self.index_of(from)?;
-        self.names[idx] = to.to_string();
-        Ok(())
     }
 
     /// Float cell accessor (errors on wrong type or out-of-bounds row).
@@ -207,44 +184,18 @@ impl Frame {
         self.take(&indices)
     }
 
-    /// Keep rows where the mask is true; mask length must equal row count.
-    pub fn filter_mask(&self, mask: &[bool]) -> Result<Frame, FrameError> {
-        if mask.len() != self.n_rows() {
-            return Err(FrameError::LengthMismatch {
-                expected: self.n_rows(),
-                found: mask.len(),
-            });
-        }
-        self.filter(|i| mask[i])
-    }
-
-    /// Append the rows of `other`; schemas (names, order, types) must match.
-    pub fn vstack(&mut self, other: &Frame) -> Result<(), FrameError> {
-        if self.n_cols() == 0 {
-            *self = other.clone();
-            return Ok(());
-        }
-        if self.names != other.names {
-            let missing = other
-                .names
-                .iter()
-                .chain(self.names.iter())
-                .find(|n| !self.has_column(n) || !other.has_column(n))
-                .cloned()
-                .unwrap_or_default();
-            return Err(FrameError::UnknownColumn(missing));
-        }
-        // Validate all column types before mutating anything, so a failed
-        // vstack leaves the frame untouched.
-        for (a, b) in self.columns.iter().zip(&other.columns) {
-            if a.column_type() != b.column_type() {
-                return Err(type_err("<vstack>", a.column_type(), b));
+    /// Distinct rendered values of a column, in first-appearance order.
+    pub fn unique(&self, column: &str) -> Result<Vec<String>, FrameError> {
+        let col = self.column(column)?;
+        let mut seen = HashSet::new();
+        let mut out = Vec::new();
+        for row in 0..self.n_rows() {
+            let key = col.group_key(row);
+            if seen.insert(key.clone()) {
+                out.push(key);
             }
         }
-        for (a, b) in self.columns.iter_mut().zip(&other.columns) {
-            a.extend_from(b)?;
-        }
-        Ok(())
+        Ok(out)
     }
 
     /// Extract named float-convertible columns as a row-major matrix
@@ -268,17 +219,25 @@ impl Frame {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
+    /// A frame of the given columns, for this crate's test fixtures.
+    pub(crate) fn frame_of<const N: usize>(columns: [(&str, Column); N]) -> Frame {
+        let mut f = Frame::new();
+        for (name, column) in columns {
+            f.push_column(name, column).unwrap();
+        }
+        f
+    }
+
     fn sample() -> Frame {
-        Frame::from_columns([
+        frame_of([
             ("name", Column::from_strs(&["a", "b", "c", "a"])),
             ("x", Column::F64(vec![1.0, 2.0, 3.0, 4.0])),
             ("n", Column::I64(vec![10, 20, 30, 40])),
             ("gpu", Column::Bool(vec![true, false, true, false])),
         ])
-        .unwrap()
     }
 
     #[test]
@@ -340,36 +299,6 @@ mod tests {
     }
 
     #[test]
-    fn filter_mask_length_checked() {
-        let f = sample();
-        assert!(f.filter_mask(&[true, false]).is_err());
-        let k = f.filter_mask(&[true, false, false, true]).unwrap();
-        assert_eq!(k.n_rows(), 2);
-    }
-
-    #[test]
-    fn vstack_matches_schema() {
-        let mut f = sample();
-        let g = sample();
-        f.vstack(&g).unwrap();
-        assert_eq!(f.n_rows(), 8);
-        let mut h = sample();
-        let mut wrong = sample();
-        wrong.rename_column("x", "y").unwrap();
-        assert!(h.vstack(&wrong).is_err());
-        assert_eq!(h.n_rows(), 4, "failed vstack must not mutate");
-    }
-
-    #[test]
-    fn vstack_type_conflict_leaves_frame_untouched() {
-        let mut a = Frame::from_columns([("x", Column::F64(vec![1.0]))]).unwrap();
-        let b = Frame::from_columns([("x", Column::I64(vec![1]))]).unwrap();
-        assert!(a.vstack(&b).is_err());
-        assert_eq!(a.n_rows(), 1);
-        assert_eq!(a.column("x").unwrap().column_type(), ColumnType::F64);
-    }
-
-    #[test]
     fn to_matrix_row_major() {
         let f = sample();
         let (m, r, c) = f.to_matrix(&["x", "n", "gpu"]).unwrap();
@@ -380,7 +309,13 @@ mod tests {
     }
 
     #[test]
-    fn replace_and_drop_and_rename() {
+    fn unique_in_appearance_order() {
+        assert_eq!(sample().unique("name").unwrap(), vec!["a", "b", "c"]);
+        assert_eq!(sample().unique("gpu").unwrap(), vec!["true", "false"]);
+    }
+
+    #[test]
+    fn replace_and_drop() {
         let mut f = sample();
         f.replace_column("x", Column::F64(vec![9.0; 4])).unwrap();
         assert_eq!(f.f64_at("x", 1).unwrap(), 9.0);
@@ -388,8 +323,5 @@ mod tests {
         let dropped = f.drop_column("n").unwrap();
         assert_eq!(dropped.len(), 4);
         assert!(!f.has_column("n"));
-        f.rename_column("x", "z").unwrap();
-        assert!(f.has_column("z"));
-        assert!(f.rename_column("z", "gpu").is_err());
     }
 }

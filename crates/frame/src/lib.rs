@@ -4,10 +4,9 @@
 //!
 //! [`Frame`] holds named, typed columns ([`Column`]: `f64`, `i64`, `bool`,
 //! `String`) of equal length and supports the operations the MP-HPC pipeline
-//! needs: column selection, row filtering by predicate/mask, group-by with
-//! aggregations, inner join on a key column, sorting, vertical/horizontal
-//! concatenation, and CSV round-tripping. Statistics helpers (mean, std,
-//! z-score) live in [`stats`].
+//! needs: column selection, row selection by index or predicate, distinct
+//! values, row-major matrix export, and CSV round-tripping. Statistics
+//! helpers (mean, std, z-score) live in [`stats`].
 //!
 //! The implementation favours predictability over generality: all operations
 //! are eager, copy row indices rather than data where possible, and return
@@ -21,8 +20,7 @@
 //! f.push_column("time", Column::F64(vec![1.0, 2.0, 3.0])).unwrap();
 //! let amg = f.filter(|row| f.str_at("app", row).unwrap() == "amg").unwrap();
 //! assert_eq!(amg.n_rows(), 2);
-//! let by_app = f.group_by_mean("app", &["time"]).unwrap();
-//! assert_eq!(by_app.n_rows(), 2);
+//! assert_eq!(f.unique("app").unwrap(), vec!["amg", "comd"]);
 //! ```
 
 #![warn(missing_docs)]
@@ -31,11 +29,9 @@ mod column;
 mod csv;
 mod error;
 mod frame;
-mod ops;
 pub mod stats;
 
 pub use column::{Column, ColumnType, Value};
 pub use csv::{read_csv_str, write_csv_string};
 pub use error::FrameError;
 pub use frame::Frame;
-pub use ops::{Aggregation, SortOrder};

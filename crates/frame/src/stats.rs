@@ -2,10 +2,6 @@
 //! paper: "normalized by subtracting that feature's mean ... and dividing
 //! them by its standard deviation").
 
-use crate::column::Column;
-use crate::frame::Frame;
-use crate::FrameError;
-
 /// Arithmetic mean; NaN for an empty slice.
 pub fn mean(values: &[f64]) -> f64 {
     if values.is_empty() {
@@ -61,58 +57,6 @@ impl ZScore {
     }
 }
 
-/// Per-column summary statistics (the `describe()` view).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ColumnSummary {
-    /// Column name.
-    pub name: String,
-    /// Row count.
-    pub count: usize,
-    /// Mean (NaN for non-numeric columns).
-    pub mean: f64,
-    /// Population standard deviation.
-    pub std: f64,
-    /// Minimum value.
-    pub min: f64,
-    /// Maximum value.
-    pub max: f64,
-}
-
-impl Frame {
-    /// Pandas-style `describe()`: summary statistics for every
-    /// numeric-convertible column (string columns are skipped).
-    pub fn describe(&self) -> Vec<ColumnSummary> {
-        self.column_names()
-            .iter()
-            .filter_map(|name| {
-                let values = self.column(name).ok()?.to_f64_vec().ok()?;
-                let min = values.iter().cloned().fold(f64::INFINITY, f64::min);
-                let max = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-                Some(ColumnSummary {
-                    name: name.clone(),
-                    count: values.len(),
-                    mean: mean(&values),
-                    std: std_dev(&values),
-                    min,
-                    max,
-                })
-            })
-            .collect()
-    }
-
-    /// Fit a [`ZScore`] on a numeric column.
-    pub fn zscore_fit(&self, column: &str) -> Result<ZScore, FrameError> {
-        Ok(ZScore::fit(&self.column(column)?.to_f64_vec()?))
-    }
-
-    /// Replace a numeric column with its standardised values under `z`.
-    pub fn zscore_apply(&mut self, column: &str, z: &ZScore) -> Result<(), FrameError> {
-        let values = self.column(column)?.to_f64_vec()?;
-        let transformed: Vec<f64> = values.iter().map(|&v| z.transform(v)).collect();
-        self.replace_column(column, Column::F64(transformed))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -131,34 +75,6 @@ mod tests {
         let z = ZScore::fit(&[3.0, 3.0, 3.0]);
         assert_eq!(z.transform(3.0), 0.0);
         assert_eq!(z.inverse(0.0), 3.0);
-    }
-
-    #[test]
-    fn zscore_on_frame() {
-        let mut f = Frame::from_columns([("x", Column::F64(vec![0.0, 10.0]))]).unwrap();
-        let z = f.zscore_fit("x").unwrap();
-        f.zscore_apply("x", &z).unwrap();
-        assert!((f.f64_at("x", 0).unwrap() + 1.0).abs() < 1e-12);
-        assert!((f.f64_at("x", 1).unwrap() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn describe_skips_strings_and_summarises_numerics() {
-        let f = Frame::from_columns([
-            ("name", Column::from_strs(&["a", "b"])),
-            ("x", Column::F64(vec![1.0, 3.0])),
-            ("n", Column::I64(vec![10, 20])),
-        ])
-        .unwrap();
-        let d = f.describe();
-        assert_eq!(d.len(), 2, "string column skipped");
-        let x = &d[0];
-        assert_eq!(x.name, "x");
-        assert_eq!(x.count, 2);
-        assert_eq!(x.mean, 2.0);
-        assert_eq!(x.min, 1.0);
-        assert_eq!(x.max, 3.0);
-        assert_eq!(d[1].mean, 15.0);
     }
 
     proptest! {

@@ -1,13 +1,12 @@
 //! Bagged decision forest with multi-output variance-reduction trees — the
 //! stand-in for the paper's scikit-learn decision-forest baseline.
 
-use crate::binning::QuantileBinner;
 use crate::data::{check_feature_count, validate_training_data, MlDataset};
-use crate::hist::HistLayout;
+use crate::hist::Variance;
 use crate::importance::FeatureImportance;
 use crate::matrix::Matrix;
 use crate::quantized::{LazyQuantized, QuantizedEnsemble};
-use crate::tree::{build_variance_tree_with, BinnedMatrix, SplitStats, Tree, TreeParams};
+use crate::tree::{grow, SplitStats, TrainingView, Tree, TreeParams};
 use mphpc_errors::MphpcError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -68,30 +67,28 @@ impl ForestRegressor {
     /// Train on a dataset.
     pub fn fit(dataset: &MlDataset, params: ForestParams) -> Result<Self, MphpcError> {
         validate_training_data(dataset, "ForestRegressor::fit")?;
-        let binner = QuantileBinner::fit(&dataset.x, params.max_bins);
-        let bins = binner.transform(&dataset.x);
-        let data = BinnedMatrix {
-            bins: &bins,
-            cols: dataset.n_features(),
-            binner: &binner,
-        };
-        // One histogram layout serves every tree of the forest.
-        let layout = HistLayout::for_targets(&binner, dataset.n_outputs());
-        let built = grow_trees(&data, &layout, dataset, &params, 0, params.n_trees);
-        let mut stats = SplitStats::new(dataset.n_features());
-        let mut trees = Vec::with_capacity(params.n_trees);
-        for (tree, s) in built {
-            stats.merge(&s);
-            trees.push(tree);
+        if params.n_trees == 0 {
+            return Err(MphpcError::InvalidArgument(
+                "ForestRegressor::fit: n_trees must be at least 1".into(),
+            ));
         }
-        Ok(Self {
-            params,
-            trees,
+        let _span = mphpc_telemetry::span!(
+            "forest.fit",
+            rows = dataset.n_samples(),
+            trees = params.n_trees
+        );
+        let empty = Self {
+            params: ForestParams {
+                n_trees: 0,
+                ..params
+            },
+            trees: Vec::new(),
             n_outputs: dataset.n_outputs(),
-            stats,
+            stats: SplitStats::new(dataset.n_features()),
             feature_names: dataset.feature_names.clone(),
             quantized: LazyQuantized::default(),
-        })
+        };
+        Ok(empty.grown(dataset, params.n_trees))
     }
 
     /// Grow `extra_trees` additional trees on `dataset`, returning the
@@ -118,38 +115,52 @@ impl ForestRegressor {
                 found: dataset.n_outputs(),
             });
         }
-        let params = self.params;
         let _span = mphpc_telemetry::span!(
             "forest.warm_start",
             rows = dataset.n_samples(),
             extra = extra_trees
         );
-        let binner = QuantileBinner::fit(&dataset.x, params.max_bins);
-        let bins = binner.transform(&dataset.x);
-        let data = BinnedMatrix {
-            bins: &bins,
-            cols: dataset.n_features(),
-            binner: &binner,
-        };
-        let layout = HistLayout::for_targets(&binner, dataset.n_outputs());
-        let built = grow_trees(
-            &data,
-            &layout,
-            dataset,
-            &params,
-            self.trees.len(),
-            extra_trees,
-        );
+        mphpc_telemetry::counter_add("ml.forest.warm_starts", 1);
+        Ok(self.grown(dataset, extra_trees))
+    }
+
+    /// This forest plus `count` trees grown on `dataset`, each seeded
+    /// purely by its index in the forest, their split stats folded in tree
+    /// order. Shared by [`ForestRegressor::fit`] (from the empty forest)
+    /// and [`ForestRegressor::warm_start`].
+    fn grown(&self, dataset: &MlDataset, count: usize) -> Self {
+        let params = self.params;
+        let n = dataset.n_samples();
+        // One binned view serves every tree grown here.
+        let view = TrainingView::fit(&dataset.x, params.max_bins);
+        let crit = Variance::new(&dataset.y, &params.tree);
+        let tree_ids: Vec<usize> = (self.trees.len()..self.trees.len() + count).collect();
+        let built = mphpc_par::par_map(&tree_ids, |_, &t| {
+            let mut rng = StdRng::seed_from_u64(params.seed ^ (t as u64).wrapping_mul(0x517CC1B7));
+            let sample_size = ((n as f64 * params.bootstrap).round() as usize).clamp(1, n * 2);
+            // Bootstrap: sample with replacement.
+            let rows: Vec<u32> = (0..sample_size)
+                .map(|_| rng.gen_range(0..n) as u32)
+                .collect();
+            grow(
+                &view,
+                rows,
+                Vec::new(),
+                &crit,
+                &params.tree,
+                &mut rng,
+                |_, _, _| {},
+            )
+        });
         let mut stats = self.stats.clone();
         let mut trees = self.trees.clone();
         for (tree, s) in built {
             stats.merge(&s);
             trees.push(tree);
         }
-        mphpc_telemetry::counter_add("ml.forest.warm_starts", 1);
-        Ok(Self {
+        Self {
             params: ForestParams {
-                n_trees: params.n_trees + extra_trees,
+                n_trees: params.n_trees + count,
                 ..params
             },
             trees,
@@ -157,7 +168,7 @@ impl ForestRegressor {
             stats,
             feature_names: self.feature_names.clone(),
             quantized: LazyQuantized::default(),
-        })
+        }
     }
 
     /// Predict by averaging tree outputs.
@@ -222,30 +233,6 @@ impl ForestRegressor {
     }
 }
 
-/// Build trees `start..start + count`, each seeded purely by its tree
-/// index. Shared by [`ForestRegressor::fit`] (`start = 0`) and
-/// [`ForestRegressor::warm_start`] (`start` = trees already grown).
-fn grow_trees(
-    data: &BinnedMatrix<'_>,
-    layout: &HistLayout,
-    dataset: &MlDataset,
-    params: &ForestParams,
-    start: usize,
-    count: usize,
-) -> Vec<(Tree, SplitStats)> {
-    let n = dataset.n_samples();
-    let tree_ids: Vec<usize> = (start..start + count).collect();
-    mphpc_par::par_map(&tree_ids, |_, &t| {
-        let mut rng = StdRng::seed_from_u64(params.seed ^ (t as u64).wrapping_mul(0x517CC1B7));
-        let sample_size = ((n as f64 * params.bootstrap).round() as usize).clamp(1, n * 2);
-        // Bootstrap: sample with replacement.
-        let rows: Vec<u32> = (0..sample_size)
-            .map(|_| rng.gen_range(0..n) as u32)
-            .collect();
-        build_variance_tree_with(data, layout, rows, &dataset.y, &params.tree, &mut rng)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -303,6 +290,20 @@ mod tests {
                 <= mae(&one.predict(&test.x).unwrap(), &test.y).unwrap(),
             "averaging should not hurt"
         );
+    }
+
+    #[test]
+    fn zero_trees_rejected_at_fit() {
+        // A forest with no trees cannot predict or round-trip through JSON;
+        // refuse to build one.
+        let params = ForestParams {
+            n_trees: 0,
+            ..ForestParams::default()
+        };
+        assert!(matches!(
+            ForestRegressor::fit(&synthetic(50, 10), params),
+            Err(MphpcError::InvalidArgument(_))
+        ));
     }
 
     #[test]

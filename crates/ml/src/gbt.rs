@@ -8,13 +8,12 @@
 //! there are multiple regression targets the gain is averaged over each
 //! output").
 
-use crate::binning::QuantileBinner;
 use crate::data::{check_feature_count, validate_training_data, MlDataset};
-use crate::hist::HistLayout;
+use crate::hist::GradHess;
 use crate::importance::FeatureImportance;
 use crate::matrix::Matrix;
 use crate::quantized::{LazyQuantized, QuantizedEnsemble};
-use crate::tree::{build_gbt_tree_with, BinnedMatrix, PredUpdate, SplitStats, Tree, TreeParams};
+use crate::tree::{grow, SplitStats, TrainingView, Tree, TreeParams};
 use mphpc_errors::MphpcError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -91,20 +90,8 @@ impl GbtRegressor {
         let n = dataset.n_samples();
         let k = dataset.n_outputs();
         let _fit_span = mphpc_telemetry::span!("gbt.fit", rows = n, outputs = k);
-        let (binner, bins) = {
-            let _bin_span = mphpc_telemetry::span!("gbt.fit.binning");
-            mphpc_telemetry::counter_add("ml.binning.rows", (n * dataset.n_features()) as u64);
-            let binner = QuantileBinner::fit(&dataset.x, params.max_bins);
-            let bins = binner.transform(&dataset.x);
-            (binner, bins)
-        };
-        let data = BinnedMatrix {
-            bins: &bins,
-            cols: dataset.n_features(),
-            binner: &binner,
-        };
-        // One histogram layout serves every round of every booster chain.
-        let layout = HistLayout::for_gbt(&binner);
+        // One binned view serves every round of every booster chain.
+        let view = TrainingView::fit(&dataset.x, params.max_bins);
 
         let base_scores: Vec<f64> = (0..k)
             .map(|j| dataset.y.col(j).iter().sum::<f64>() / n as f64)
@@ -139,8 +126,7 @@ impl GbtRegressor {
             let mut trees = Vec::with_capacity(params.n_rounds);
             let mut stats = SplitStats::new(dataset.n_features());
             boost_rounds(
-                &data,
-                &layout,
+                &view,
                 &params,
                 j,
                 &targets,
@@ -155,13 +141,7 @@ impl GbtRegressor {
             (trees, stats)
         });
 
-        let mut boosters = Vec::with_capacity(k);
-        let mut booster_stats = Vec::with_capacity(k);
-        for (trees, s) in trained {
-            boosters.push(trees);
-            booster_stats.push(s);
-        }
-
+        let (boosters, booster_stats) = trained.into_iter().unzip();
         Ok(Self {
             params,
             boosters,
@@ -204,14 +184,7 @@ impl GbtRegressor {
         let k = self.boosters.len();
         let params = self.params;
         let _span = mphpc_telemetry::span!("gbt.warm_start", rows = n, extra = extra_rounds);
-        let binner = QuantileBinner::fit(&dataset.x, params.max_bins);
-        let bins = binner.transform(&dataset.x);
-        let data = BinnedMatrix {
-            bins: &bins,
-            cols: dataset.n_features(),
-            binner: &binner,
-        };
-        let layout = HistLayout::for_gbt(&binner);
+        let view = TrainingView::fit(&dataset.x, params.max_bins);
 
         let outputs: Vec<usize> = (0..k).collect();
         let continued: Vec<(Vec<Tree>, SplitStats)> = mphpc_par::par_map(&outputs, |_, &j| {
@@ -235,8 +208,7 @@ impl GbtRegressor {
             let fit_rows: Vec<u32> = (0..n as u32).collect();
             let start = trees.len();
             boost_rounds(
-                &data,
-                &layout,
+                &view,
                 &params,
                 j,
                 &targets,
@@ -251,12 +223,7 @@ impl GbtRegressor {
             (trees, stats)
         });
 
-        let mut boosters = Vec::with_capacity(k);
-        let mut booster_stats = Vec::with_capacity(k);
-        for (trees, s) in continued {
-            boosters.push(trees);
-            booster_stats.push(s);
-        }
+        let (boosters, booster_stats) = continued.into_iter().unzip();
         mphpc_telemetry::counter_add("ml.gbt.warm_starts", 1);
         Ok(Self {
             params: GbtParams {
@@ -366,8 +333,7 @@ fn holdout_rng(seed: u64, output: usize) -> StdRng {
 /// bit-identical.
 #[allow(clippy::too_many_arguments)]
 fn boost_rounds(
-    data: &BinnedMatrix<'_>,
-    layout: &HistLayout,
+    view: &TrainingView,
     params: &GbtParams,
     output: usize,
     targets: &[f64],
@@ -386,8 +352,6 @@ fn boost_rounds(
     let mut best_valid = f64::INFINITY;
     let mut best_len = trees.len();
     let mut stale = 0usize;
-    let mut nodes_built = 0u64;
-    let mut leaves_built = 0u64;
     for round in start..start + budget {
         let _round_span = mphpc_telemetry::span!("gbt.fit.round", round = round);
         let mut rng = round_rng(params.seed, output, round);
@@ -404,24 +368,24 @@ fn boost_rounds(
             in_sample[r as usize] = true;
         }
         let extra_rows: Vec<u32> = (0..n as u32).filter(|&r| !in_sample[r as usize]).collect();
-        let (tree, tree_stats) = build_gbt_tree_with(
-            data,
-            layout,
+        let crit = GradHess {
+            grad: &grad,
+            hess: &hess,
+            params: &params.tree,
+        };
+        let (tree, tree_stats) = grow(
+            view,
             rows,
-            &grad,
-            &hess,
+            extra_rows,
+            &crit,
             &params.tree,
             &mut rng,
-            Some(PredUpdate {
-                extra_rows,
-                pred: &mut *pred,
-                eta: params.learning_rate,
-            }),
+            |rows, extra, leaf| {
+                for &r in rows.iter().chain(extra) {
+                    pred[r as usize] += params.learning_rate * leaf[0];
+                }
+            },
         );
-        if mphpc_telemetry::enabled() {
-            nodes_built += tree.n_nodes() as u64;
-            leaves_built += tree.n_leaves() as u64;
-        }
         stats.merge(&tree_stats);
         trees.push(tree);
         if let Some(patience) = params.early_stopping_rounds {
@@ -446,11 +410,7 @@ fn boost_rounds(
             }
         }
     }
-    // Counters accumulate locally and flush once per booster so the
-    // metric lock stays off the round-loop hot path.
     mphpc_telemetry::counter_add("ml.gbt.rounds", (trees.len() - start) as u64);
-    mphpc_telemetry::counter_add("ml.tree.nodes", nodes_built);
-    mphpc_telemetry::counter_add("ml.tree.leaves", leaves_built);
 }
 
 fn subsample_rows_of(rows: &[u32], fraction: f64, rng: &mut impl Rng) -> Vec<u32> {

@@ -1,17 +1,17 @@
 //! Regression trees over quantile-binned features.
 //!
-//! One tree structure ([`Tree`]) serves both ensemble types; what differs
-//! is the split criterion:
+//! One tree structure ([`Tree`]) and one grower ([`grow`]) serve both
+//! ensemble types; what differs is the [`Criterion`] the grower is handed:
 //!
-//! * [`build_gbt_tree`] — XGBoost's second-order criterion. With gradient
+//! * [`hist::GradHess`] — XGBoost's second-order criterion. With gradient
 //!   and hessian sums `G`, `H` of a node, the gain of a split into (L, R)
 //!   is `½·(G_L²/(H_L+λ) + G_R²/(H_R+λ) − G²/(H+λ)) − γ` and the leaf
 //!   weight is `−G/(H+λ)`.
-//! * [`build_variance_tree`] — CART variance reduction, generalised to
-//!   vector targets by summing the per-output SSE reduction; leaves hold
-//!   the mean target vector.
+//! * [`hist::Variance`] — CART variance reduction, generalised to vector
+//!   targets by summing the per-output SSE reduction; leaves hold the
+//!   mean target vector.
 //!
-//! Both builders run on the pooled histogram engine in [`crate::hist`]:
+//! The grower runs on the pooled histogram engine in [`crate::hist`]:
 //! one row-major pass per node fills per-bin statistics for *all*
 //! features into a contiguous arena, each split builds only the smaller
 //! child's histogram and derives the larger sibling by subtraction, and a
@@ -20,7 +20,8 @@
 //! does not need the binner.
 
 use crate::binning::QuantileBinner;
-use crate::hist::{self, HistLayout, HistPool, SplitCandidate};
+use crate::hist::{self, HistLayout, HistPool, RowwiseScratch, SplitCandidate};
+use crate::matrix::Matrix;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -163,32 +164,120 @@ impl Default for TreeParams {
     }
 }
 
-/// Binned view of a feature matrix (row-major bins + the binner).
-pub struct BinnedMatrix<'a> {
+/// Binned view of a training feature matrix: the binner, its row-major
+/// bin ids and the histogram layout, shared by every tree of an ensemble.
+pub struct TrainingView {
+    /// The binner that produced `bins`.
+    pub binner: QuantileBinner,
     /// Row-major bin ids, `rows × cols`.
-    pub bins: &'a [u16],
+    pub bins: Vec<u16>,
     /// Feature count.
     pub cols: usize,
-    /// The binner that produced `bins`.
-    pub binner: &'a QuantileBinner,
+    /// Arena offsets of each feature's bins.
+    pub layout: HistLayout,
 }
 
-impl BinnedMatrix<'_> {
+impl TrainingView {
+    /// Fit a quantile binner with at most `max_bins` bins per feature on
+    /// `x` and bin every row.
+    pub fn fit(x: &Matrix, max_bins: usize) -> Self {
+        let _span = mphpc_telemetry::span!("ml.binning", rows = x.rows(), features = x.cols());
+        mphpc_telemetry::counter_add("ml.binning.rows", (x.rows() * x.cols()) as u64);
+        let binner = QuantileBinner::fit(x, max_bins);
+        let bins = binner.transform(x);
+        let layout = HistLayout::new(&binner);
+        Self {
+            binner,
+            bins,
+            cols: x.cols(),
+            layout,
+        }
+    }
+
     #[inline]
     fn bin(&self, row: u32, feature: usize) -> u16 {
         self.bins[row as usize * self.cols + feature]
     }
 }
 
+/// What distinguishes one tree family from another: the statistics a
+/// histogram bin holds, how a bin prefix is scored against the node's
+/// totals, when a node is too small to split, and what a leaf stores.
+/// Everything else — feature sampling, when to build, subtract or skip a
+/// histogram, partitioning, node bookkeeping — is [`grow`]'s.
+///
+/// The two implementations are [`hist::GradHess`] (gradient boosting) and
+/// [`hist::Variance`] (decision forest).
+pub trait Criterion: Sync {
+    /// Totals of a node's rows: what a bin prefix is compared against and
+    /// what the leaf value is computed from.
+    type Totals: Sync;
+
+    /// Statistics interleaved per histogram bin.
+    fn width(&self) -> usize;
+
+    /// Totals over `rows` (absolute row ids; duplicates count multiply,
+    /// here and in the accumulators — bootstrap samples rely on it).
+    fn totals(&self, rows: &[u32]) -> Self::Totals;
+
+    /// Output vector of a leaf with these totals.
+    fn leaf(&self, totals: Self::Totals) -> Vec<f64>;
+
+    /// Whether a node of `n_rows` rows is large enough to split at all
+    /// (depth is the grower's concern).
+    fn can_split(&self, n_rows: usize) -> bool;
+
+    /// Accumulate the statistics of `rows` for all features into `out`, a
+    /// zeroed (or partially accumulated) arena buffer, in one row-major
+    /// sweep.
+    fn accumulate(&self, view: &TrainingView, rows: &[u32], out: &mut [f64]);
+
+    /// [`Criterion::accumulate`] restricted to `features`, for nodes whose
+    /// histogram will only ever be read over their sampled feature set.
+    /// Per-feature bin sums are accumulated in row order, bit-identical to
+    /// the full sweep.
+    fn accumulate_sampled(
+        &self,
+        view: &TrainingView,
+        rows: &[u32],
+        features: &[usize],
+        out: &mut [f64],
+    );
+
+    /// Best `(bin, gain)` of feature `f` in the arena histogram `hist`,
+    /// by a prefix scan in bin order that keeps the first of equal gains.
+    fn best_bin(
+        &self,
+        layout: &HistLayout,
+        f: usize,
+        hist: &[f64],
+        totals: &Self::Totals,
+    ) -> Option<(u16, f64)>;
+
+    /// Split search for a small node straight from its rows, without an
+    /// arena histogram: per feature, accumulate the rows into a dense
+    /// per-bin strip — epoch stamps avoid zeroing it — then prefix-scan the
+    /// touched bins in bin order. Must agree bit for bit with
+    /// [`hist::best_split`] over a histogram of the same rows (the
+    /// [`crate::hist`] module docs give the argument).
+    fn best_split_rowwise(
+        &self,
+        view: &TrainingView,
+        rows: &[u32],
+        features: &[usize],
+        totals: &Self::Totals,
+        scratch: &mut RowwiseScratch,
+    ) -> Option<SplitCandidate>;
+}
+
 /// Draw `ceil(n·colsample)` distinct feature indices by a partial
 /// Fisher–Yates pass over a caller-owned scratch permutation.
 ///
-/// Only `take` RNG draws and swaps are performed (the old implementation
-/// allocated and fully shuffled all `n` indices at every node). The
-/// scratch keeps whatever permutation earlier nodes left behind, which is
-/// statistically irrelevant: a partial Fisher–Yates draw from *any*
-/// permutation is a uniform sample without replacement. When every
-/// feature is taken no RNG is consumed, matching the old behaviour.
+/// Only `take` RNG draws and swaps are performed. The scratch keeps
+/// whatever permutation earlier nodes left behind, which is statistically
+/// irrelevant: a partial Fisher–Yates draw from *any* permutation is a
+/// uniform sample without replacement. When every feature is taken no RNG
+/// is consumed.
 pub(crate) fn sample_features<'a>(
     scratch: &'a mut [usize],
     colsample: f64,
@@ -211,26 +300,6 @@ pub(crate) fn sampled_count(n_features: usize, colsample: f64) -> usize {
     ((n_features as f64 * colsample).ceil() as usize).clamp(1, n_features)
 }
 
-/// Routes rows that do not contribute split statistics down the tree and
-/// applies leaf weights straight to a prediction vector.
-///
-/// Used by [`crate::gbt::GbtRegressor::fit`]: every training row (both
-/// the subsampled stats rows and `extra_rows` — the out-of-subsample and
-/// early-stopping holdout rows) ends up in exactly one leaf during
-/// construction, so `pred[row] += eta * leaf_weight` replaces a full
-/// re-traversal of the finished tree per row. Routing compares bin ids,
-/// which is equivalent to comparing raw values against the recorded
-/// thresholds because binning is monotone and thresholds are bin upper
-/// edges.
-pub struct PredUpdate<'a> {
-    /// Rows routed in addition to the stats rows.
-    pub extra_rows: Vec<u32>,
-    /// Prediction vector indexed by absolute row id.
-    pub pred: &'a mut [f64],
-    /// Multiplier (learning rate) applied to leaf weights.
-    pub eta: f64,
-}
-
 /// One pending node during tree growth.
 struct WorkItem {
     node: usize,
@@ -243,23 +312,23 @@ struct WorkItem {
 }
 
 /// Decide child histograms after a split. When the parent has a
-/// full-arena histogram and subtraction pays for itself
-/// ([`hist::subtract_profitable`]), accumulate the smaller child in a
-/// single pass and derive the larger as `parent − smaller`; otherwise
-/// release the parent buffer and let each child re-accumulate its own
-/// sampled features when popped. `accumulate` fills a zeroed arena buffer
-/// for the given rows over all features.
+/// full-arena histogram and subtraction pays for itself (`subtract_pays`
+/// of the smaller child's rows, the larger's, and whether the smaller
+/// will be split again), accumulate the smaller child in a single pass
+/// and derive the larger as `parent − smaller`; otherwise release the
+/// parent buffer and let each child re-accumulate its own sampled
+/// features when popped. `accumulate` fills a zeroed arena buffer for the
+/// given rows over all features.
 #[allow(clippy::too_many_arguments)]
 fn child_hists(
     pool: &mut HistPool,
-    layout: &HistLayout,
-    n_sampled: usize,
+    subtract_pays: impl Fn(usize, usize, bool) -> bool,
     parent: Option<Vec<f64>>,
     left_rows: &[u32],
     right_rows: &[u32],
     left_live: bool,
     right_live: bool,
-    mut accumulate: impl FnMut(&[u32], &mut [f64]),
+    accumulate: impl FnOnce(&[u32], &mut [f64]),
 ) -> (Option<Vec<f64>>, Option<Vec<f64>>) {
     let left_smaller = left_rows.len() <= right_rows.len();
     let (small_rows, large_rows, small_live, large_live) = if left_smaller {
@@ -268,18 +337,7 @@ fn child_hists(
         (right_rows, left_rows, right_live, left_live)
     };
     let parent = match parent {
-        Some(p)
-            if large_live
-                && hist::subtract_profitable(
-                    layout,
-                    n_sampled,
-                    small_rows.len(),
-                    large_rows.len(),
-                    small_live,
-                ) =>
-        {
-            p
-        }
+        Some(p) if large_live && subtract_pays(small_rows.len(), large_rows.len(), small_live) => p,
         Some(p) => {
             pool.release(p);
             return (None, None);
@@ -303,51 +361,62 @@ fn child_hists(
     }
 }
 
-/// Build one tree for gradient boosting (single output).
+/// Grow one tree over `rows` under `crit`, depth-first from an explicit
+/// stack. Returns the tree and its split stats.
 ///
-/// `rows` are the (possibly subsampled) training rows; `grad`/`hess` are
-/// indexed by absolute row id. Returns the tree and its split stats.
-pub fn build_gbt_tree(
-    data: &BinnedMatrix<'_>,
-    rows: Vec<u32>,
-    grad: &[f64],
-    hess: &[f64],
-    params: &TreeParams,
-    rng: &mut impl Rng,
-) -> (Tree, SplitStats) {
-    let layout = HistLayout::for_gbt(data.binner);
-    build_gbt_tree_with(data, &layout, rows, grad, hess, params, rng, None)
-}
-
-/// [`build_gbt_tree`] over a precomputed histogram layout, optionally
-/// applying leaf weights to a prediction vector as leaves are finalised.
+/// `rows` are the (possibly subsampled or bootstrapped) training rows
+/// that supply split statistics. `extra` rows supply none but are routed
+/// down the tree beside them, and `on_leaf(rows, extra, leaf)` is called
+/// once per finished leaf with the two row sets that landed in it —
+/// gradient boosting passes every out-of-sample row as `extra` and adds
+/// `η·leaf` to its running prediction there, which replaces a full
+/// re-traversal of the finished tree per row. Routing compares bin ids,
+/// which is equivalent to comparing raw values against the recorded
+/// thresholds because binning is monotone and thresholds are bin upper
+/// edges.
+///
+/// The histogram policy per node: a node that inherited a histogram from
+/// its parent scans it; a tiny node (≤ [`hist::ROWWISE_MAX_ROWS`] rows)
+/// searches row-wise; otherwise the node accumulates the full arena when
+/// its children could profitably subtract from it
+/// ([`hist::subtract_profitable`]) and only its sampled features when
+/// not.
 #[allow(clippy::too_many_arguments)]
-pub fn build_gbt_tree_with(
-    data: &BinnedMatrix<'_>,
-    layout: &HistLayout,
+pub fn grow<C: Criterion>(
+    view: &TrainingView,
     rows: Vec<u32>,
-    grad: &[f64],
-    hess: &[f64],
+    extra: Vec<u32>,
+    crit: &C,
     params: &TreeParams,
     rng: &mut impl Rng,
-    update: Option<PredUpdate<'_>>,
+    mut on_leaf: impl FnMut(&[u32], &[u32], &[f64]),
 ) -> (Tree, SplitStats) {
+    let layout = &view.layout;
+    let width = crit.width();
+    // Every placeholder is overwritten when its node is popped.
     let mut tree = Tree {
-        nodes: vec![Node::Leaf(vec![0.0])],
+        nodes: vec![Node::Leaf(Vec::new())],
     };
-    let mut stats = SplitStats::new(data.cols);
-    let mut pool = HistPool::new(layout);
-    let mut feat_scratch: Vec<usize> = (0..data.cols).collect();
-    let mut row_scratch = hist::RowwiseScratch::new(layout);
-    let n_sampled = sampled_count(data.cols, params.colsample);
-    let (mut pred_eta, root_extra) = match update {
-        Some(u) => (Some((u.pred, u.eta)), u.extra_rows),
-        None => (None, Vec::new()),
+    let mut n_leaves = 0u64;
+    let mut stats = SplitStats::new(view.cols);
+    let mut pool = HistPool::new(layout.stats_len(width));
+    let mut feat_scratch: Vec<usize> = (0..view.cols).collect();
+    let mut row_scratch = RowwiseScratch::new(layout, width);
+    let n_sampled = sampled_count(view.cols, params.colsample);
+    let subtract_pays = |small_rows: usize, large_rows: usize, small_needs_hist: bool| {
+        hist::subtract_profitable(
+            layout,
+            width,
+            n_sampled,
+            small_rows,
+            large_rows,
+            small_needs_hist,
+        )
     };
     let mut stack = vec![WorkItem {
         node: 0,
         rows,
-        extra: root_extra,
+        extra,
         depth: 0,
         hist: None,
     }];
@@ -360,30 +429,15 @@ pub fn build_gbt_tree_with(
         mut hist,
     }) = stack.pop()
     {
-        let g_sum: f64 = node_rows.iter().map(|&r| grad[r as usize]).sum();
-        let h_sum: f64 = node_rows.iter().map(|&r| hess[r as usize]).sum();
-        let leaf_weight = -g_sum / (h_sum + params.lambda);
-
-        let make_leaf = depth >= params.max_depth || node_rows.len() < 2;
+        let totals = crit.totals(&node_rows);
         let mut best = None;
         let mut scratch_hist: Option<Vec<f64>> = None;
-        if !make_leaf {
+        if depth < params.max_depth && crit.can_split(node_rows.len()) {
             let feats = sample_features(&mut feat_scratch, params.colsample, rng);
             if hist.is_none() && node_rows.len() <= hist::ROWWISE_MAX_ROWS {
                 // Tiny node without an inherited histogram: search
                 // splits row-wise instead of touching the arena.
-                best = hist::best_split_gh_rowwise(
-                    layout,
-                    data,
-                    &node_rows,
-                    feats,
-                    grad,
-                    hess,
-                    g_sum,
-                    h_sum,
-                    params,
-                    &mut row_scratch,
-                );
+                best = crit.best_split_rowwise(view, &node_rows, feats, &totals, &mut row_scratch);
             } else {
                 let arena: &[f64] = match &hist {
                     Some(h) => h,
@@ -392,28 +446,20 @@ pub fn build_gbt_tree_with(
                     // just this node's sampled features in a scratch
                     // buffer.
                     None if depth + 1 < params.max_depth
-                        && hist::subtract_profitable(
-                            layout,
-                            n_sampled,
-                            node_rows.len() / 2,
-                            node_rows.len() / 2,
-                            true,
-                        ) =>
+                        && subtract_pays(node_rows.len() / 2, node_rows.len() / 2, true) =>
                     {
                         let mut buf = pool.acquire();
-                        hist::accumulate_gh(layout, data, &node_rows, grad, hess, &mut buf);
+                        crit.accumulate(view, &node_rows, &mut buf);
                         &*hist.insert(buf)
                     }
                     None => {
                         let mut buf = pool.acquire_raw();
-                        hist::zero_features(layout, feats, &mut buf);
-                        hist::accumulate_gh_sampled(
-                            layout, data, &node_rows, grad, hess, feats, &mut buf,
-                        );
+                        hist::zero_features(layout, width, feats, &mut buf);
+                        crit.accumulate_sampled(view, &node_rows, feats, &mut buf);
                         &*scratch_hist.insert(buf)
                     }
                 };
-                best = hist::best_split_gh(layout, feats, arena, g_sum, h_sum, params);
+                best = hist::best_split(crit, layout, feats, arena, &totals);
             }
         }
         if let Some(buf) = scratch_hist {
@@ -422,12 +468,10 @@ pub fn build_gbt_tree_with(
 
         match best {
             None => {
-                if let Some((pred, eta)) = &mut pred_eta {
-                    for &r in node_rows.iter().chain(extra.iter()) {
-                        pred[r as usize] += *eta * leaf_weight;
-                    }
-                }
-                tree.nodes[node] = Node::Leaf(vec![leaf_weight]);
+                let leaf = crit.leaf(totals);
+                on_leaf(&node_rows, &extra, &leaf);
+                tree.nodes[node] = Node::Leaf(leaf);
+                n_leaves += 1;
                 if let Some(buf) = hist {
                     pool.release(buf);
                 }
@@ -437,29 +481,29 @@ pub fn build_gbt_tree_with(
                 stats.counts[feature] += 1;
                 let (left_rows, right_rows): (Vec<u32>, Vec<u32>) = node_rows
                     .into_iter()
-                    .partition(|&r| data.bin(r, feature) <= bin);
+                    .partition(|&r| view.bin(r, feature) <= bin);
                 let (left_extra, right_extra): (Vec<u32>, Vec<u32>) = extra
                     .into_iter()
-                    .partition(|&r| data.bin(r, feature) <= bin);
-                let child_live = |rows: &[u32]| depth + 1 < params.max_depth && rows.len() >= 2;
+                    .partition(|&r| view.bin(r, feature) <= bin);
+                let child_live =
+                    |rows: &[u32]| depth + 1 < params.max_depth && crit.can_split(rows.len());
                 let (left_hist, right_hist) = child_hists(
                     &mut pool,
-                    layout,
-                    n_sampled,
+                    subtract_pays,
                     hist.take(),
                     &left_rows,
                     &right_rows,
                     child_live(&left_rows),
                     child_live(&right_rows),
-                    |rows, buf| hist::accumulate_gh(layout, data, rows, grad, hess, buf),
+                    |rows, buf| crit.accumulate(view, rows, buf),
                 );
                 let left = tree.nodes.len();
-                tree.nodes.push(Node::Leaf(vec![0.0]));
+                tree.nodes.push(Node::Leaf(Vec::new()));
                 let right = tree.nodes.len();
-                tree.nodes.push(Node::Leaf(vec![0.0]));
+                tree.nodes.push(Node::Leaf(Vec::new()));
                 tree.nodes[node] = Node::Split {
                     feature,
-                    threshold: data.binner.threshold(feature, bin),
+                    threshold: view.binner.threshold(feature, bin),
                     left,
                     right,
                 };
@@ -480,186 +524,42 @@ pub fn build_gbt_tree_with(
             }
         }
     }
-    (tree, stats)
-}
-
-/// Build one CART tree with multi-output variance-reduction splits.
-pub fn build_variance_tree(
-    data: &BinnedMatrix<'_>,
-    rows: Vec<u32>,
-    targets: &crate::matrix::Matrix,
-    params: &TreeParams,
-    rng: &mut impl Rng,
-) -> (Tree, SplitStats) {
-    let layout = HistLayout::for_targets(data.binner, targets.cols());
-    build_variance_tree_with(data, &layout, rows, targets, params, rng)
-}
-
-/// [`build_variance_tree`] over a precomputed histogram layout.
-pub fn build_variance_tree_with(
-    data: &BinnedMatrix<'_>,
-    layout: &HistLayout,
-    rows: Vec<u32>,
-    targets: &crate::matrix::Matrix,
-    params: &TreeParams,
-    rng: &mut impl Rng,
-) -> (Tree, SplitStats) {
-    let k = targets.cols();
-    let mut tree = Tree {
-        nodes: vec![Node::Leaf(vec![0.0; k])],
-    };
-    let mut stats = SplitStats::new(data.cols);
-    let mut pool = HistPool::new(layout);
-    let mut feat_scratch: Vec<usize> = (0..data.cols).collect();
-    let mut row_scratch = hist::RowwiseScratch::new(layout);
-    let n_sampled = sampled_count(data.cols, params.colsample);
-    let min_leaf = params.min_child_weight.max(1.0);
-    let mut stack = vec![WorkItem {
-        node: 0,
-        rows,
-        extra: Vec::new(),
-        depth: 0,
-        hist: None,
-    }];
-
-    while let Some(WorkItem {
-        node,
-        rows: node_rows,
-        depth,
-        mut hist,
-        ..
-    }) = stack.pop()
-    {
-        let n = node_rows.len() as f64;
-        let mut mean = vec![0.0; k];
-        for &r in &node_rows {
-            for (m, &t) in mean.iter_mut().zip(targets.row(r as usize)) {
-                *m += t;
-            }
-        }
-        for m in &mut mean {
-            *m /= n.max(1.0);
-        }
-
-        let make_leaf = depth >= params.max_depth || n < 2.0 * min_leaf;
-        let mut best = None;
-        let mut scratch_hist: Option<Vec<f64>> = None;
-        if !make_leaf {
-            // Parent score: Σ_k S_k²/n (constant shift of SSE reduction).
-            let sums: Vec<f64> = mean.iter().map(|m| m * n).collect();
-            let feats = sample_features(&mut feat_scratch, params.colsample, rng);
-            if hist.is_none() && node_rows.len() <= hist::ROWWISE_MAX_ROWS {
-                // Tiny node without an inherited histogram: search
-                // splits row-wise instead of touching the arena.
-                best = hist::best_split_targets_rowwise(
-                    layout,
-                    data,
-                    &node_rows,
-                    feats,
-                    targets,
-                    &sums,
-                    n,
-                    min_leaf,
-                    &mut row_scratch,
-                );
-            } else {
-                let arena: &[f64] = match &hist {
-                    Some(h) => h,
-                    // Full arena only if the children could profitably
-                    // subtract from it; else fill just the sampled
-                    // features.
-                    None if depth + 1 < params.max_depth
-                        && hist::subtract_profitable(
-                            layout,
-                            n_sampled,
-                            node_rows.len() / 2,
-                            node_rows.len() / 2,
-                            true,
-                        ) =>
-                    {
-                        let mut buf = pool.acquire();
-                        hist::accumulate_targets(layout, data, &node_rows, targets, &mut buf);
-                        &*hist.insert(buf)
-                    }
-                    None => {
-                        let mut buf = pool.acquire_raw();
-                        hist::zero_features(layout, feats, &mut buf);
-                        hist::accumulate_targets_sampled(
-                            layout, data, &node_rows, targets, feats, &mut buf,
-                        );
-                        &*scratch_hist.insert(buf)
-                    }
-                };
-                best = hist::best_split_targets(layout, feats, arena, &sums, n, min_leaf);
-            }
-        }
-        if let Some(buf) = scratch_hist {
-            pool.release(buf);
-        }
-
-        match best {
-            None => {
-                tree.nodes[node] = Node::Leaf(mean);
-                if let Some(buf) = hist {
-                    pool.release(buf);
-                }
-            }
-            Some(SplitCandidate { feature, bin, gain }) => {
-                stats.gains[feature] += gain;
-                stats.counts[feature] += 1;
-                let (left_rows, right_rows): (Vec<u32>, Vec<u32>) = node_rows
-                    .into_iter()
-                    .partition(|&r| data.bin(r, feature) <= bin);
-                let child_live = |rows: &[u32]| {
-                    depth + 1 < params.max_depth && rows.len() as f64 >= 2.0 * min_leaf
-                };
-                let (left_hist, right_hist) = child_hists(
-                    &mut pool,
-                    layout,
-                    n_sampled,
-                    hist.take(),
-                    &left_rows,
-                    &right_rows,
-                    child_live(&left_rows),
-                    child_live(&right_rows),
-                    |rows, buf| hist::accumulate_targets(layout, data, rows, targets, buf),
-                );
-                let left = tree.nodes.len();
-                tree.nodes.push(Node::Leaf(vec![0.0; k]));
-                let right = tree.nodes.len();
-                tree.nodes.push(Node::Leaf(vec![0.0; k]));
-                tree.nodes[node] = Node::Split {
-                    feature,
-                    threshold: data.binner.threshold(feature, bin),
-                    left,
-                    right,
-                };
-                stack.push(WorkItem {
-                    node: left,
-                    rows: left_rows,
-                    extra: Vec::new(),
-                    depth: depth + 1,
-                    hist: left_hist,
-                });
-                stack.push(WorkItem {
-                    node: right,
-                    rows: right_rows,
-                    extra: Vec::new(),
-                    depth: depth + 1,
-                    hist: right_hist,
-                });
-            }
-        }
-    }
+    mphpc_telemetry::counter_add("ml.tree.nodes", tree.nodes.len() as u64);
+    mphpc_telemetry::counter_add("ml.tree.leaves", n_leaves);
     (tree, stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matrix::Matrix;
+    use crate::hist::{GradHess, Variance};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// One GBT tree with no routed rows.
+    pub(super) fn build_gbt_tree(
+        data: &TrainingView,
+        rows: Vec<u32>,
+        grad: &[f64],
+        hess: &[f64],
+        params: &TreeParams,
+        rng: &mut impl Rng,
+    ) -> (Tree, SplitStats) {
+        let crit = GradHess { grad, hess, params };
+        grow(data, rows, Vec::new(), &crit, params, rng, |_, _, _| {})
+    }
+
+    /// One multi-output variance-reduction tree.
+    pub(super) fn build_variance_tree(
+        data: &TrainingView,
+        rows: Vec<u32>,
+        targets: &Matrix,
+        params: &TreeParams,
+        rng: &mut impl Rng,
+    ) -> (Tree, SplitStats) {
+        let crit = Variance::new(targets, params);
+        grow(data, rows, Vec::new(), &crit, params, rng, |_, _, _| {})
+    }
 
     fn step_data(n: usize) -> (Matrix, Vec<f64>) {
         // y = 1 if x > 0.5 else 0: one split suffices.
@@ -674,13 +574,7 @@ mod tests {
     #[test]
     fn gbt_tree_learns_a_step() {
         let (x, y) = step_data(200);
-        let binner = QuantileBinner::fit(&x, 64);
-        let bins = binner.transform(&x);
-        let data = BinnedMatrix {
-            bins: &bins,
-            cols: 1,
-            binner: &binner,
-        };
+        let data = TrainingView::fit(&x, 64);
         // Squared loss from prediction 0: grad = -(y - 0) = -y, hess = 1.
         let grad: Vec<f64> = y.iter().map(|&v| -v).collect();
         let hess = vec![1.0; y.len()];
@@ -708,13 +602,7 @@ mod tests {
     fn gbt_leaf_weight_is_regularised_mean() {
         // Single leaf (max_depth 0): weight = -G/(H+λ) = ȳ·n/(n+λ).
         let (x, y) = step_data(10);
-        let binner = QuantileBinner::fit(&x, 8);
-        let bins = binner.transform(&x);
-        let data = BinnedMatrix {
-            bins: &bins,
-            cols: 1,
-            binner: &binner,
-        };
+        let data = TrainingView::fit(&x, 8);
         let grad: Vec<f64> = y.iter().map(|&v| -v).collect();
         let hess = vec![1.0; y.len()];
         let mut rng = StdRng::seed_from_u64(2);
@@ -737,13 +625,7 @@ mod tests {
     #[test]
     fn gamma_suppresses_weak_splits() {
         let (x, y) = step_data(100);
-        let binner = QuantileBinner::fit(&x, 32);
-        let bins = binner.transform(&x);
-        let data = BinnedMatrix {
-            bins: &bins,
-            cols: 1,
-            binner: &binner,
-        };
+        let data = TrainingView::fit(&x, 32);
         let grad: Vec<f64> = y.iter().map(|&v| -v).collect();
         let hess = vec![1.0; y.len()];
         let mut rng = StdRng::seed_from_u64(3);
@@ -778,13 +660,7 @@ mod tests {
             })
             .collect();
         let y = Matrix::from_rows(&y_rows);
-        let binner = QuantileBinner::fit(&x, 64);
-        let bins = binner.transform(&x);
-        let data = BinnedMatrix {
-            bins: &bins,
-            cols: 1,
-            binner: &binner,
-        };
+        let data = TrainingView::fit(&x, 64);
         let mut rng = StdRng::seed_from_u64(4);
         let (tree, stats) = build_variance_tree(
             &data,
@@ -806,13 +682,7 @@ mod tests {
     #[test]
     fn depth_limit_respected() {
         let (x, y) = step_data(512);
-        let binner = QuantileBinner::fit(&x, 128);
-        let bins = binner.transform(&x);
-        let data = BinnedMatrix {
-            bins: &bins,
-            cols: 1,
-            binner: &binner,
-        };
+        let data = TrainingView::fit(&x, 128);
         // Noisy targets force many candidate splits.
         let grad: Vec<f64> = y
             .iter()
@@ -839,13 +709,7 @@ mod tests {
     #[test]
     fn min_child_weight_blocks_tiny_children() {
         let (x, y) = step_data(20);
-        let binner = QuantileBinner::fit(&x, 32);
-        let bins = binner.transform(&x);
-        let data = BinnedMatrix {
-            bins: &bins,
-            cols: 1,
-            binner: &binner,
-        };
+        let data = TrainingView::fit(&x, 32);
         let grad: Vec<f64> = y.iter().map(|&v| -v).collect();
         let hess = vec![1.0; y.len()];
         let mut rng = StdRng::seed_from_u64(6);
@@ -894,7 +758,7 @@ mod reference {
     use super::*;
 
     pub fn build_gbt_tree_naive(
-        data: &BinnedMatrix<'_>,
+        data: &TrainingView,
         rows: Vec<u32>,
         grad: &[f64],
         hess: &[f64],
@@ -982,9 +846,9 @@ mod reference {
     }
 
     pub fn build_variance_tree_naive(
-        data: &BinnedMatrix<'_>,
+        data: &TrainingView,
         rows: Vec<u32>,
-        targets: &crate::matrix::Matrix,
+        targets: &Matrix,
         params: &TreeParams,
         rng: &mut impl Rng,
     ) -> (Tree, SplitStats) {
@@ -1087,8 +951,9 @@ mod reference {
 
 #[cfg(test)]
 mod equivalence {
+    use super::tests::{build_gbt_tree, build_variance_tree};
     use super::*;
-    use crate::matrix::Matrix;
+    use crate::hist::GradHess;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1122,13 +987,7 @@ mod equivalence {
     #[test]
     fn gbt_hist_engine_matches_naive_builder() {
         let x = random_fixture(400, 8, 42);
-        let binner = QuantileBinner::fit(&x, 32);
-        let bins = binner.transform(&x);
-        let data = BinnedMatrix {
-            bins: &bins,
-            cols: x.cols(),
-            binner: &binner,
-        };
+        let data = TrainingView::fit(&x, 32);
         let mut rng = StdRng::seed_from_u64(7);
         let grad: Vec<f64> = (0..400)
             .map(|i| x.get(i, 0) * 2.0 - x.get(i, 3) + rng.gen_range(-0.01..0.01))
@@ -1165,13 +1024,7 @@ mod equivalence {
     #[test]
     fn variance_hist_engine_matches_naive_builder() {
         let x = random_fixture(300, 6, 11);
-        let binner = QuantileBinner::fit(&x, 24);
-        let bins = binner.transform(&x);
-        let data = BinnedMatrix {
-            bins: &bins,
-            cols: x.cols(),
-            binner: &binner,
-        };
+        let data = TrainingView::fit(&x, 24);
         let y_rows: Vec<Vec<f64>> = (0..300)
             .map(|i| vec![x.get(i, 1) + x.get(i, 2), x.get(i, 0) * x.get(i, 4)])
             .collect();
@@ -1199,15 +1052,9 @@ mod equivalence {
 
     #[test]
     fn leaf_routed_updates_match_tree_traversal() {
-        // PredUpdate must leave `pred` exactly where predict_row would.
+        // `on_leaf` must leave `pred` exactly where predict_row would.
         let x = random_fixture(250, 5, 5);
-        let binner = QuantileBinner::fit(&x, 32);
-        let bins = binner.transform(&x);
-        let data = BinnedMatrix {
-            bins: &bins,
-            cols: x.cols(),
-            binner: &binner,
-        };
+        let data = TrainingView::fit(&x, 32);
         let grad: Vec<f64> = (0..250).map(|i| x.get(i, 2) - 0.5 * x.get(i, 0)).collect();
         let hess = vec![1.0; 250];
         let params = TreeParams {
@@ -1217,22 +1064,25 @@ mod equivalence {
         // Stats rows: every third row withheld (simulates subsampling).
         let rows: Vec<u32> = (0..250u32).filter(|r| r % 3 != 0).collect();
         let extra: Vec<u32> = (0..250u32).filter(|r| r % 3 == 0).collect();
-        let layout = HistLayout::for_gbt(&binner);
         let mut pred = vec![0.0; 250];
         let eta = 0.3;
-        let (tree, _) = build_gbt_tree_with(
+        let crit = GradHess {
+            grad: &grad,
+            hess: &hess,
+            params: &params,
+        };
+        let (tree, _) = grow(
             &data,
-            &layout,
             rows,
-            &grad,
-            &hess,
+            extra,
+            &crit,
             &params,
             &mut StdRng::seed_from_u64(31),
-            Some(PredUpdate {
-                extra_rows: extra,
-                pred: &mut pred,
-                eta,
-            }),
+            |rows, extra, leaf| {
+                for &r in rows.iter().chain(extra) {
+                    pred[r as usize] += eta * leaf[0];
+                }
+            },
         );
         for i in 0..250 {
             let expected = eta * tree.predict_row(x.row(i))[0];

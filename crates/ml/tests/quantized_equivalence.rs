@@ -204,70 +204,3 @@ fn json_round_trip_rebuilds_identical_quantized_engine() {
         }
     }
 }
-
-/// Release-mode report on the paper's shape (21 features, 4 outputs):
-/// engine footprint, and single-row latency, which must not lose to the
-/// reference traversal. Run with
-/// `cargo test -p mphpc-ml --release --test quantized_equivalence -- --ignored --nocapture`.
-/// The regression gates on every push are `mphpc_perf`'s
-/// `predict_batch_rows_per_s` / `predict_row_p50_us`, not this report.
-#[test]
-#[ignore = "perf measurement; run explicitly in release mode"]
-fn quantized_speedup_report() {
-    use std::time::Instant;
-    let train = synthetic(4_000, 21, 4, 31);
-    let gbt = GbtRegressor::fit(&train, GbtParams::default()).unwrap();
-    let forest = ForestRegressor::fit(&train, ForestParams::default()).unwrap();
-    // Lower both engines outside the timed region.
-    let (gq, fq) = (gbt.quantized().unwrap(), forest.quantized().unwrap());
-    println!(
-        "footprint: gbt nodes {} KiB ({}-bit bins) leaves {} KiB; forest nodes {} KiB leaves {} KiB",
-        gq.node_bytes() / 1024,
-        gq.bin_bits(),
-        gq.leaf_bytes() / 1024,
-        fq.node_bytes() / 1024,
-        fq.leaf_bytes() / 1024,
-    );
-    type PredictFn<'a> = &'a dyn Fn(&Matrix) -> Matrix;
-    let gbt_ref = |x: &Matrix| gbt.predict_reference(x).unwrap();
-    let gbt_q = |x: &Matrix| gbt.predict(x).unwrap();
-    let forest_ref = |x: &Matrix| forest.predict_reference(x).unwrap();
-    let forest_q = |x: &Matrix| forest.predict(x).unwrap();
-    let cases: [(&str, PredictFn, PredictFn); 2] = [
-        ("gbt", &gbt_ref, &gbt_q),
-        ("forest", &forest_ref, &forest_q),
-    ];
-    let probes = synthetic(2_000, 21, 4, 33);
-    let rows: Vec<Matrix> = (0..probes.x.rows())
-        .map(|i| Matrix::from_rows(&[probes.x.row(i).to_vec()]))
-        .collect();
-    let mut sink = 0.0;
-    for (name, reference, quantized) in cases {
-        let mut time_all = |f: PredictFn| {
-            let mut hist = mphpc_telemetry::HistSummary::new();
-            let mut total = 0.0;
-            for x in &rows {
-                let t0 = Instant::now();
-                sink += f(x).get(0, 0);
-                let dt = t0.elapsed().as_secs_f64();
-                hist.record(dt * 1e6); // µs
-                total += dt;
-            }
-            (total, hist)
-        };
-        let ((ref_total, ref_hist), (q_total, q_hist)) = (time_all(reference), time_all(quantized));
-        println!(
-            "{name} single-row: reference p50 {:.1} µs p99 {:.1} µs | \
-             quantized p50 {:.1} µs p99 {:.1} µs | {:.2}x",
-            ref_hist.p50(),
-            ref_hist.p99(),
-            q_hist.p50(),
-            q_hist.p99(),
-            ref_total / q_total
-        );
-        assert!(
-            ref_total / q_total >= 1.0,
-            "{name} single-row lost (sink {sink})"
-        );
-    }
-}

@@ -5,7 +5,7 @@
 //! same shape of parallelism: a known list of independent work items whose
 //! results must be collected *in input order* so that seeded experiments stay
 //! bit-reproducible regardless of thread count. This crate provides that as
-//! [`par_map`] (and friends) built on `crossbeam` scoped threads with an
+//! [`par_map`] (and friends) built on `std::thread::scope` scoped threads with an
 //! atomic-cursor work queue, so no work item is ever processed twice and no
 //! ordering decision is left to thread timing.
 //!

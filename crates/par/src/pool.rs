@@ -90,7 +90,7 @@ struct SlotBuffer<R> {
 }
 
 // SAFETY: access is coordinated by ChunkCursor (disjoint ranges) and the
-// crossbeam scope join provides the happens-before edge for reads.
+// scope join provides the happens-before edge for reads.
 unsafe impl<R: Send> Sync for SlotBuffer<R> {}
 
 impl<R> SlotBuffer<R> {
@@ -151,9 +151,9 @@ where
     }
     let cursor = ChunkCursor::new(items.len(), chunk);
     let out = SlotBuffer::<R>::new(items.len());
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for _ in 0..threads {
-            s.spawn(|_| {
+            s.spawn(|| {
                 while let Some((start, end)) = cursor.next() {
                     for i in start..end {
                         let v = f(i, &items[i]);
@@ -163,8 +163,7 @@ where
                 }
             });
         }
-    })
-    .expect("mphpc-par worker panicked");
+    });
     // SAFETY: cursor exhausted => every slot written; scope join done.
     unsafe { out.into_vec() }
 }
@@ -198,9 +197,9 @@ where
     }
     let cursor = ChunkCursor::new(items.len(), chunk);
     let out = SlotBuffer::<R>::new(items.len());
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for _ in 0..threads {
-            s.spawn(|_| {
+            s.spawn(|| {
                 let mut state = init();
                 while let Some((start, end)) = cursor.next() {
                     for i in start..end {
@@ -211,8 +210,7 @@ where
                 }
             });
         }
-    })
-    .expect("mphpc-par worker panicked");
+    });
     // SAFETY: cursor exhausted => every slot written; scope join done.
     unsafe { out.into_vec() }
 }
@@ -235,9 +233,9 @@ where
         return;
     }
     let cursor = ChunkCursor::new(items.len(), chunk);
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for _ in 0..threads {
-            s.spawn(|_| {
+            s.spawn(|| {
                 while let Some((start, end)) = cursor.next() {
                     for i in start..end {
                         f(i, &items[i]);
@@ -245,8 +243,7 @@ where
                 }
             });
         }
-    })
-    .expect("mphpc-par worker panicked");
+    });
 }
 
 /// Mutate `data` in parallel by disjoint chunks of `chunk_len` elements.
@@ -287,9 +284,9 @@ where
             len: c.len(),
         })
         .collect();
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for _ in 0..threads {
-            s.spawn(|_| {
+            s.spawn(|| {
                 while let Some((start, end)) = cursor.next() {
                     for ci in start..end {
                         let c = &chunks[ci];
@@ -301,8 +298,7 @@ where
                 }
             });
         }
-    })
-    .expect("mphpc-par worker panicked");
+    });
 }
 
 struct UnsafeSendPtr<T> {
@@ -456,7 +452,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "worker panicked")]
+    #[should_panic(expected = "a scoped thread panicked")]
     fn worker_panics_propagate() {
         let items: Vec<u32> = (0..100).collect();
         par_map_with(&items, ParConfig::with_threads(4), |_, &x| {

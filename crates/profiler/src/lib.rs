@@ -20,7 +20,7 @@
 //!   kernel inclusive times and counters, supporting the Hatchet-style
 //!   pruning/flattening the analysis layer needs;
 //! * [`collect::profile_matrix`] runs a whole campaign in parallel
-//!   (crossbeam workers, deterministic per-run seeds).
+//!   (scoped worker threads, deterministic per-run seeds).
 
 #![warn(missing_docs)]
 

@@ -1,5 +1,5 @@
 //! Test-only oracle: the scheduling engine as it was before the
-//! calendar-queue engine took over every caller (DESIGN.md §18) — a binary
+//! calendar-queue engine took over every caller (DESIGN.md §17) — a binary
 //! heap of events, one reservation recomputed per blocked pass by sorting
 //! every running job, no snapshot, no inline prediction — and the suite
 //! that holds [`crate::engine`] bit-identical to it: same `SimResult`,

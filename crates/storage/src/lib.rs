@@ -1,4 +1,4 @@
-//! Crash-safe artifact storage for the mphpc fleet (DESIGN.md §16).
+//! Crash-safe artifact storage for the mphpc fleet (DESIGN.md §15).
 //!
 //! Every user-visible artifact the pipeline produces — dataset CSVs,
 //! trained-model JSON, fleet shard results — must survive `kill -9` of the

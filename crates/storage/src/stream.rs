@@ -1,5 +1,5 @@
 //! Streaming-ingest primitives for the online-learning watch loop
-//! (DESIGN.md §17): shard-watermark tracking and an append-only
+//! (DESIGN.md §16): shard-watermark tracking and an append-only
 //! versioned dataset with a crash-safe current pointer.
 //!
 //! The watch daemon tails the store for newly published shard results.

@@ -6,7 +6,7 @@
 //! with [`drain`]/[`snapshot`], which run at report time). The registry
 //! keeps a second `Arc` to every buffer, so events recorded by
 //! `mphpc_par`'s scoped worker threads remain readable after those
-//! threads exit — crossbeam scopes tear workers down between calls.
+//! threads exit — `std::thread::scope` tears workers down between calls.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};

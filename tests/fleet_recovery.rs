@@ -1,6 +1,6 @@
 //! Fleet crash-recovery integration: `kill -9` a worker mid-shard, restart
 //! the fleet, and require byte-identical convergence with the
-//! single-process pipeline (DESIGN.md §16).
+//! single-process pipeline (DESIGN.md §15).
 //!
 //! Drives the real `mphpc` binary as separate OS processes, because the
 //! property under test is *inter-process* crash safety: stale-claim

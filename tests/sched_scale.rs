@@ -1,4 +1,4 @@
-//! Scheduling at scale with the real model (DESIGN.md §18): RPVs looked
+//! Scheduling at scale with the real model (DESIGN.md §17): RPVs looked
 //! up inline by the trained predictor must give the very schedule that
 //! precomputed RPVs give — on seeded workloads across sizes and thread
 //! counts — and so must RPVs federated from a live serving endpoint, also
