@@ -6,9 +6,9 @@
 //! By default a local in-process predictor sits behind the batched lookup
 //! interface. `--federate` answers RPV lookups over live HTTP from an
 //! `mphpc serve` endpoint instead (an ephemeral in-process one unless
-//! `--addr` points elsewhere), with bounded in-flight pipelining,
-//! per-lookup latency accounting, and graceful degradation to the local
-//! predictor.
+//! `--addr` points elsewhere), each decision-point batch as pipelined
+//! multi-row requests with a bounded number in flight, per-request
+//! latency accounting, and graceful degradation to the local predictor.
 //!
 //! `--jsonl PATH` appends one machine-readable line per strategy run, the
 //! artifact CI uploads.
@@ -53,6 +53,7 @@ fn usage() -> ! {
          --rate      Poisson arrival rate; 0 = saturated backlog (default 0)\n\
          --federate  answer RPV lookups from a live serving endpoint; an\n\
          \x20          ephemeral in-process server is started unless --addr\n\
+         --inflight  pipelined multi-row requests in flight (default 32)\n\
          --jsonl     append one JSON line per strategy run to PATH"
     );
     std::process::exit(2);
@@ -245,15 +246,17 @@ fn print_federation(stats: &FederationStats) {
         &[
             "requests",
             "responses",
+            "rows",
             "timeouts",
-            "fallbacks",
-            "mean lookup",
-            "max lookup",
+            "fallback rows",
+            "mean request",
+            "max request",
             "degraded",
         ],
         &[vec![
             stats.requests.to_string(),
             stats.responses.to_string(),
+            stats.rows.to_string(),
             stats.timeouts.to_string(),
             stats.fallbacks.to_string(),
             format!("{:.0} us", stats.mean_latency_us()),
@@ -305,10 +308,11 @@ fn write_jsonl(
         );
         if let Some(f) = federation {
             line.push_str(&format!(
-                ",\"federation\":{{\"requests\":{},\"responses\":{},\"timeouts\":{},\
-                 \"fallbacks\":{},\"mean_lookup_us\":{},\"degraded\":{}}}",
+                ",\"federation\":{{\"requests\":{},\"responses\":{},\"rows\":{},\
+                 \"timeouts\":{},\"fallbacks\":{},\"mean_lookup_us\":{},\"degraded\":{}}}",
                 f.requests,
                 f.responses,
+                f.rows,
                 f.timeouts,
                 f.fallbacks,
                 f.mean_latency_us(),

@@ -41,8 +41,8 @@
 //!    instant into a single [`RpvProvider::predict`] call — the quantized
 //!    inference engine is batch-size invariant, so inline predictions are
 //!    bitwise the ones a precomputed run would use, and a federated
-//!    provider ([`crate::federation::FederatedRpv`]) amortises a network
-//!    round trip the same way.
+//!    provider ([`crate::federation::FederatedRpv`]) sends the batch as
+//!    a few pipelined multi-row requests instead of one per job.
 //!
 //! **Dependencies** do not weaken the snapshot: a job with open
 //! dependencies is not in the event queue at all; the completion that

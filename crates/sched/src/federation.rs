@@ -8,8 +8,10 @@
 //! * [`FnRpvProvider`] wraps a closure — the in-process path, used by
 //!   `mphpc-core` to adapt its quantized compiled engine;
 //! * [`FederatedRpv`] queries a live `mphpc serve` endpoint over the
-//!   keep-alive pipelined HTTP client, with a bounded in-flight window,
-//!   per-request timeouts, and degradation to a local fallback provider:
+//!   keep-alive pipelined HTTP client: each decision-point batch travels
+//!   as multi-row `POST /predict` requests (the `rows` form) of
+//!   [`ROWS_PER_REQUEST`] rows, a bounded window of them in flight, with
+//!   per-request timeouts and degradation to a local fallback provider:
 //!   the first transport or protocol error permanently fails the
 //!   connection over to the fallback, and the whole in-flight batch is
 //!   recomputed locally so a half-answered batch can never mix a stale
@@ -22,7 +24,7 @@
 //! unchanged and a simulation that degrades mid-run still produces the
 //! job outcomes a pure-local run would (asserted in the test suite).
 //!
-//! Serving latency is a first-class simulator metric: every response's
+//! Serving latency is a first-class simulator metric: every request's
 //! send→receive time lands in the `sched.federation.lookup_us` histogram
 //! and in [`FederationStats`], so `exp_sched_scale` can report scheduler
 //! throughput *with* the prediction-service term the same way Li et al.
@@ -89,12 +91,17 @@ where
 }
 
 /// Counters and latency accounting for one federated provider.
+/// `requests`, `responses` and the latencies count HTTP requests (up to
+/// [`ROWS_PER_REQUEST`] rows each); `rows` and `fallbacks` count rows, and
+/// together cover every row the provider was asked for.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FederationStats {
-    /// Requests sent to the server.
+    /// HTTP requests sent to the server.
     pub requests: u64,
-    /// Responses successfully received and parsed.
+    /// HTTP responses received (whatever they said).
     pub responses: u64,
+    /// Rows answered by the server (in batches it answered whole).
+    pub rows: u64,
     /// Requests that failed on a read/write timeout.
     pub timeouts: u64,
     /// Rows answered by the local fallback provider.
@@ -108,7 +115,7 @@ pub struct FederationStats {
 }
 
 impl FederationStats {
-    /// Mean per-lookup serving latency in microseconds (0 when no
+    /// Mean per-request serving latency in microseconds (0 when no
     /// response ever arrived).
     pub fn mean_latency_us(&self) -> f64 {
         if self.responses == 0 {
@@ -119,6 +126,15 @@ impl FederationStats {
     }
 }
 
+/// Rows per request. Not a knob: it is the server's default
+/// `BatchConfig::queue_cap / ServeConfig::max_pipeline` (1024 / 32), the
+/// largest chunk one connection can keep a full pipeline of without ever
+/// being answered 503, since `queue_cap` bounds queued rows and the server
+/// reads at most `max_pipeline` requests ahead; and it divides
+/// `max_batch` (64), so two chunks make exactly one batch. The test
+/// `chunk_size_fits_the_default_server` pins both relations.
+pub const ROWS_PER_REQUEST: usize = 32;
+
 /// Federated provider: RPVs from a live `mphpc serve` endpoint, degrading
 /// permanently to `fallback` on the first error.
 pub struct FederatedRpv<'a> {
@@ -127,6 +143,8 @@ pub struct FederatedRpv<'a> {
     timeout: Duration,
     max_inflight: usize,
     conn: Option<ClientConn>,
+    /// Reused request body.
+    body: String,
     fallback: Box<dyn RpvProvider + 'a>,
     stats: FederationStats,
 }
@@ -134,9 +152,10 @@ pub struct FederatedRpv<'a> {
 impl<'a> FederatedRpv<'a> {
     /// A provider for `POST /predict` on `addr`, predicting with model
     /// `model` ("default" unless the server hosts several), with at most
-    /// `max_inflight` pipelined requests outstanding and `timeout` on
-    /// every socket operation. `fallback` answers everything after the
-    /// first failure (and the rows of the failing batch itself).
+    /// `max_inflight` pipelined requests (of [`ROWS_PER_REQUEST`] rows)
+    /// outstanding and `timeout` on every socket operation. `fallback`
+    /// answers everything after the first failure (and the rows of the
+    /// failing batch itself).
     pub fn new(
         addr: &str,
         model: &str,
@@ -150,6 +169,7 @@ impl<'a> FederatedRpv<'a> {
             timeout,
             max_inflight: max_inflight.max(1),
             conn: None,
+            body: String::new(),
             fallback,
             stats: FederationStats::default(),
         }
@@ -176,28 +196,33 @@ impl<'a> FederatedRpv<'a> {
         self.conn = None;
     }
 
-    /// Pipelined round trip for the whole batch; any error returns `Err`
-    /// and the caller falls back for the entire batch.
+    /// Pipelined round trip for the whole batch, [`ROWS_PER_REQUEST`]
+    /// rows per request; any error returns `Err` and the caller falls
+    /// back for the entire batch.
     fn predict_remote(&mut self, rows: &[&[f64]]) -> std::io::Result<Vec<[f64; N_MACHINES]>> {
         if self.conn.is_none() {
             self.conn = Some(ClientConn::connect(&self.addr, self.timeout)?);
         }
-        let mut out = Vec::with_capacity(rows.len());
-        let mut inflight: VecDeque<Instant> = VecDeque::with_capacity(self.max_inflight);
-        let mut next = 0usize;
-        let telemetry = mphpc_telemetry::enabled();
         let conn = self.conn.as_mut().expect("connected above");
-        while out.len() < rows.len() {
+        let telemetry = mphpc_telemetry::enabled();
+        let invalid = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidData, msg);
+        let mut out = Vec::with_capacity(rows.len());
+        let mut chunks = rows.chunks(ROWS_PER_REQUEST);
+        // Send time and row count of every unanswered request.
+        let mut inflight: VecDeque<(Instant, usize)> = VecDeque::with_capacity(self.max_inflight);
+        loop {
             // Fill the window before draining: the server answers
             // strictly in order, so send/recv pair up FIFO.
-            while next < rows.len() && inflight.len() < self.max_inflight {
-                let body = request_body(&self.model, rows[next]);
-                conn.send("POST", "/predict", &body)?;
+            while inflight.len() < self.max_inflight {
+                let Some(chunk) = chunks.next() else { break };
+                write_request_body(&mut self.body, &self.model, chunk);
+                conn.send("POST", "/predict", &self.body)?;
                 self.stats.requests += 1;
-                inflight.push_back(Instant::now());
-                next += 1;
+                inflight.push_back((Instant::now(), chunk.len()));
             }
-            let sent_at = inflight.pop_front().expect("window non-empty");
+            let Some((sent_at, n_rows)) = inflight.pop_front() else {
+                return Ok(out);
+            };
             let resp = conn.recv()?;
             let us = sent_at.elapsed().as_micros() as u64;
             self.stats.responses += 1;
@@ -207,25 +232,17 @@ impl<'a> FederatedRpv<'a> {
                 mphpc_telemetry::histogram_record("sched.federation.lookup_us", us as f64);
             }
             if resp.status != 200 {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("predict returned status {}", resp.status),
-                ));
+                return Err(invalid(format!("predict returned status {}", resp.status)));
             }
-            // An RPV the engine would reject (`"NaN".parse()` succeeds) is
-            // a protocol error like any other: the whole batch goes to the
-            // fallback.
-            let rpv = parse_outputs(&resp.text())
-                .filter(finite_rpv)
-                .ok_or_else(|| {
-                    std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        "predict response without 4 finite outputs",
-                    )
-                })?;
-            out.push(rpv);
+            // A reply the engine would reject (`"NaN".parse()` succeeds)
+            // is a protocol error like any other: the whole batch goes to
+            // the fallback.
+            parse_outputs(&resp.body, n_rows, &mut out).ok_or_else(|| {
+                invalid(format!(
+                    "predict response without {n_rows} rows of {N_MACHINES} finite outputs"
+                ))
+            })?;
         }
-        Ok(out)
     }
 }
 
@@ -235,13 +252,20 @@ impl RpvProvider for FederatedRpv<'_> {
             return Ok(Vec::new());
         }
         if !self.stats.degraded {
-            match self.predict_remote(rows) {
+            let sent_before = self.stats.requests;
+            let answer = self.predict_remote(rows);
+            let telemetry = mphpc_telemetry::enabled();
+            if telemetry {
+                mphpc_telemetry::counter_add(
+                    "sched.federation.requests",
+                    self.stats.requests - sent_before,
+                );
+            }
+            match answer {
                 Ok(out) => {
-                    if mphpc_telemetry::enabled() {
-                        mphpc_telemetry::counter_add(
-                            "sched.federation.requests",
-                            rows.len() as u64,
-                        );
+                    self.stats.rows += rows.len() as u64;
+                    if telemetry {
+                        mphpc_telemetry::counter_add("sched.federation.rows", rows.len() as u64);
                     }
                     return Ok(out);
                 }
@@ -266,48 +290,69 @@ impl RpvProvider for FederatedRpv<'_> {
     }
 }
 
-/// One `POST /predict` body. `{}` is shortest-roundtrip for f64: the
-/// server's parse recovers the exact bits, which is what keeps federated
-/// schedules identical to local ones.
-fn request_body(model: &str, row: &[f64]) -> String {
-    let mut body = String::with_capacity(32 + 24 * row.len());
+/// One `POST /predict` body in the `rows` form, built into `body`. `{}`
+/// is shortest-roundtrip for f64: the server's parse recovers the exact
+/// bits, which is what keeps federated schedules identical to local ones.
+fn write_request_body(body: &mut String, model: &str, rows: &[&[f64]]) {
+    body.clear();
     body.push_str("{\"model\":\"");
     body.push_str(model);
-    body.push_str("\",\"features\":[");
-    for (i, v) in row.iter().enumerate() {
-        if i > 0 {
-            body.push(',');
+    body.push_str("\",\"rows\":[");
+    for (r, row) in rows.iter().enumerate() {
+        body.push_str(if r > 0 { ",[" } else { "[" });
+        for (i, v) in row.iter().enumerate() {
+            if i > 0 {
+                body.push(',');
+            }
+            let _ = write!(body, "{v}");
         }
-        let _ = write!(body, "{v}");
+        body.push(']');
     }
     body.push_str("]}");
-    body
 }
 
-/// Extract the `"outputs":[a,b,c,d]` array from a predict response body.
-/// The server's JSON is machine-generated with a fixed shape, so a
-/// positional scan is exact (and keeps `serde` off the simulator's hot
+/// Append the `n_rows` RPVs of a `rows` reply's
+/// `"outputs":[[a,b,c,d],...]}` tail to `out`; `None` unless the body is
+/// UTF-8 and holds exactly that many rows of [`N_MACHINES`] finite
+/// numbers. The server's JSON is machine-generated with a fixed shape, so
+/// a positional scan is exact (and keeps `serde` off the simulator's hot
 /// path).
-fn parse_outputs(body: &str) -> Option<[f64; N_MACHINES]> {
-    let start = body.find("\"outputs\":[")? + "\"outputs\":[".len();
-    let end = start + body[start..].find(']')?;
-    let mut out = [0.0; N_MACHINES];
-    let mut n = 0;
-    for tok in body[start..end].split(',') {
-        if n >= N_MACHINES {
+fn parse_outputs(body: &[u8], n_rows: usize, out: &mut Vec<[f64; N_MACHINES]>) -> Option<()> {
+    let body = std::str::from_utf8(body).ok()?;
+    let mut rest = &body[body.find("\"outputs\":[")? + "\"outputs\":[".len()..];
+    for r in 0..n_rows {
+        if r > 0 {
+            rest = rest.strip_prefix(',')?;
+        }
+        rest = rest.strip_prefix('[')?;
+        let end = rest.find(']')?;
+        let mut rpv = [0.0; N_MACHINES];
+        let mut n = 0;
+        for tok in rest[..end].split(',') {
+            *rpv.get_mut(n)? = tok.parse().ok()?;
+            n += 1;
+        }
+        if n != N_MACHINES || !finite_rpv(&rpv) {
             return None;
         }
-        out[n] = tok.trim().parse().ok()?;
-        n += 1;
+        out.push(rpv);
+        rest = &rest[end + 1..];
     }
-    (n == N_MACHINES).then_some(out)
+    (rest == "]}").then_some(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mphpc_serve::{serve, BatchConfig, ModelRegistry, PredictModel, ServeConfig};
     use std::io::{BufRead, BufReader, Read, Write};
     use std::net::TcpListener;
+    use std::sync::Arc;
+
+    /// What the healthy server answers for a row summing to `sum`.
+    fn rpv_of(sum: f64) -> [f64; N_MACHINES] {
+        [sum, sum + 1.0, sum + 2.0, sum + 3.0]
+    }
 
     fn local(scale: f64) -> Box<dyn RpvProvider> {
         Box::new(FnRpvProvider::new(
@@ -315,42 +360,54 @@ mod tests {
             move |rows: &[&[f64]]| {
                 Ok(rows
                     .iter()
-                    .map(|r| {
-                        let s: f64 = r.iter().sum::<f64>() * scale;
-                        [s, s + 1.0, s + 2.0, s + 3.0]
-                    })
+                    .map(|r| rpv_of(r.iter().sum::<f64>() * scale))
                     .collect())
             },
         ))
     }
 
-    /// A fake predict server: answers `n_ok` requests with the same
-    /// function `local(1.0)` computes, then drops the connection.
-    fn fake_server(n_ok: usize) -> (String, std::thread::JoinHandle<()>) {
-        fake_server_rendering(n_ok, |sum| {
-            format!("{},{},{},{}", sum, sum + 1.0, sum + 2.0, sum + 3.0)
-        })
+    /// The output tokens an honest server renders for rows with these sums.
+    fn honest_tokens(sums: &[f64]) -> Vec<Vec<String>> {
+        sums.iter()
+            .map(|&s| rpv_of(s).iter().map(f64::to_string).collect())
+            .collect()
     }
 
-    /// [`fake_server`] with the `outputs` array's contents rendered by
-    /// `outputs` from the request's feature sum.
-    fn fake_server_rendering(
-        n_ok: usize,
-        outputs: impl Fn(f64) -> String + Send + 'static,
-    ) -> (String, std::thread::JoinHandle<()>) {
+    /// The nested `outputs` value holding `tokens`.
+    fn outputs_of(tokens: &[Vec<String>]) -> String {
+        let rows: Vec<String> = tokens
+            .iter()
+            .map(|r| format!("[{}]", r.join(",")))
+            .collect();
+        format!("[{}]", rows.join(","))
+    }
+
+    fn honest(sums: &[f64]) -> String {
+        outputs_of(&honest_tokens(sums))
+    }
+
+    /// A fake predict server speaking the `rows` form on one connection:
+    /// request `k` (from 0) gets the status and `outputs` value
+    /// `answer(k, row sums)` returns, `None` drops the connection instead.
+    /// Joins to the row count of every request it read.
+    fn fake_server(
+        answer: impl Fn(usize, &[f64]) -> Option<(u16, String)> + Send + 'static,
+    ) -> (String, std::thread::JoinHandle<Vec<usize>>) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
         let handle = std::thread::spawn(move || {
             let (stream, _) = listener.accept().unwrap();
             let mut reader = BufReader::new(stream.try_clone().unwrap());
             let mut writer = stream;
-            for _ in 0..n_ok {
-                // Read one request: headers then content-length body.
+            let mut seen = Vec::new();
+            loop {
+                // Read one request: headers then content-length body. A
+                // client that is done (or degraded) has hung up.
                 let mut len = 0usize;
                 loop {
                     let mut line = String::new();
                     if reader.read_line(&mut line).unwrap_or(0) == 0 {
-                        return;
+                        return seen;
                     }
                     let t = line.trim();
                     if t.is_empty() {
@@ -362,121 +419,240 @@ mod tests {
                 }
                 let mut body = vec![0u8; len];
                 if reader.read_exact(&mut body).is_err() {
-                    return;
+                    return seen;
                 }
                 let body = String::from_utf8(body).unwrap();
-                let s = body.find("\"features\":[").unwrap() + "\"features\":[".len();
-                let e = s + body[s..].find(']').unwrap();
-                let sum: f64 = body[s..e]
-                    .split(',')
-                    .map(|t| t.trim().parse::<f64>().unwrap())
-                    .sum();
+                let rows = body
+                    .strip_prefix("{\"model\":\"default\",\"rows\":[[")
+                    .and_then(|b| b.strip_suffix("]]}"))
+                    .unwrap_or_else(|| panic!("not a rows request: {body}"));
+                let sums: Vec<f64> = rows
+                    .split("],[")
+                    .map(|row| row.split(',').map(|t| t.parse::<f64>().unwrap()).sum())
+                    .collect();
+                let Some((status, outputs)) = answer(seen.len(), &sums) else {
+                    return seen;
+                };
+                seen.push(sums.len());
                 let resp_body = format!(
-                    "{{\"model\":\"default@v1\",\"batch_rows\":1,\"outputs\":[{}]}}",
-                    outputs(sum)
+                    "{{\"model\":\"default@v1\",\"batch_rows\":{},\"outputs\":{outputs}}}",
+                    sums.len()
                 );
-                let head = format!(
-                    "HTTP/1.1 200 OK\r\ncontent-type: application/json\r\ncontent-length: {}\r\n\r\n",
+                let resp = format!(
+                    "HTTP/1.1 {status} X\r\ncontent-type: application/json\r\ncontent-length: {}\r\n\r\n{resp_body}",
                     resp_body.len()
                 );
-                // A client that degraded has hung up; that ends the session.
-                if writer.write_all(head.as_bytes()).is_err()
-                    || writer.write_all(resp_body.as_bytes()).is_err()
-                {
-                    return;
+                if writer.write_all(resp.as_bytes()).is_err() {
+                    return seen;
                 }
             }
-            // Connection drops here; further recv() on the client errors.
         });
         (addr, handle)
     }
 
-    fn rows(n: usize) -> Vec<Vec<f64>> {
-        (0..n).map(|i| vec![i as f64, 0.5, 2.0]).collect()
+    /// Rows `from..from + n`, each summing to something distinct.
+    fn rows(from: usize, n: usize) -> Vec<Vec<f64>> {
+        (from..from + n).map(|i| vec![i as f64, 0.5, 2.0]).collect()
+    }
+
+    fn refs(data: &[Vec<f64>]) -> Vec<&[f64]> {
+        data.iter().map(|r| r.as_slice()).collect()
     }
 
     #[test]
-    fn parse_outputs_round_trip() {
-        let body = "{\"model\":\"m@v2\",\"batch_rows\":1,\"outputs\":[1.5,-2.25,1e-3,0.1]}";
-        assert_eq!(parse_outputs(body), Some([1.5, -2.25, 1e-3, 0.1]));
-        assert_eq!(parse_outputs("{\"outputs\":[1,2,3]}"), None);
-        assert_eq!(parse_outputs("{\"outputs\":[1,2,3,4,5]}"), None);
-        assert_eq!(parse_outputs("no outputs here"), None);
+    fn chunk_size_fits_the_default_server() {
+        let (batch, serve) = (BatchConfig::default(), ServeConfig::default());
+        // A full pipeline of chunks never overruns the row-counted queue...
+        assert_eq!(ROWS_PER_REQUEST, batch.queue_cap / serve.max_pipeline);
+        assert!(ROWS_PER_REQUEST * serve.max_pipeline <= batch.queue_cap);
+        // ...and whole chunks tile a batch.
+        assert!(ROWS_PER_REQUEST <= batch.max_batch);
+        assert_eq!(batch.max_batch % ROWS_PER_REQUEST, 0);
+    }
+
+    #[test]
+    fn request_and_reply_shapes_round_trip() {
+        let mut body = String::from("stale");
+        write_request_body(&mut body, "m", &[&[1.0, -0.5], &[0.1 + 0.2, 3e-7]]);
+        assert_eq!(
+            body,
+            "{\"model\":\"m\",\"rows\":[[1,-0.5],[0.30000000000000004,0.0000003]]}"
+        );
+
+        let parse = |body: &str, n| {
+            let mut out = Vec::new();
+            parse_outputs(body.as_bytes(), n, &mut out).map(|()| out)
+        };
+        let two =
+            "{\"model\":\"m@v2\",\"batch_rows\":64,\"outputs\":[[1.5,-2.25,1e-3,0.1],[4,3,2,1]]}";
+        assert_eq!(
+            parse(two, 2),
+            Some(vec![[1.5, -2.25, 1e-3, 0.1], [4.0, 3.0, 2.0, 1.0]])
+        );
+        assert_eq!(parse(two, 1), None, "more rows than asked for");
+        assert_eq!(parse(two, 3), None, "fewer rows than asked for");
+        for bad in [
+            "{\"outputs\":[[1,2,3]]}",
+            "{\"outputs\":[[1,2,3,4,5]]}",
+            "{\"outputs\":[1,2,3,4]}", // the one-row form's flat shape
+            "{\"outputs\":[[1,2,3,null]]}",
+            "{\"outputs\":[[1,2,3,NaN]]}",
+            "{\"outputs\":[[1,2,3,4]]} trailing",
+            "no outputs here",
+        ] {
+            assert_eq!(parse(bad, 1), None, "{bad}");
+        }
+        // Invalid UTF-8 is a protocol error, not U+FFFD.
+        let mut out = Vec::new();
+        assert_eq!(
+            parse_outputs(b"{\"outputs\":[[1,2,3,4]]}\xff", 1, &mut out),
+            None
+        );
         // Shortest-roundtrip display survives the hop bit-exactly.
         let v = 0.1f64 + 0.2f64;
-        let body = format!("{{\"outputs\":[{v},{v},{v},{v}]}}");
-        assert_eq!(parse_outputs(&body).unwrap()[0].to_bits(), v.to_bits());
+        let body = format!("{{\"outputs\":[[{v},{v},{v},{v}]]}}");
+        assert_eq!(parse(&body, 1).unwrap()[0][0].to_bits(), v.to_bits());
     }
 
     #[test]
-    fn healthy_server_answers_pipelined_batches() {
-        let (addr, handle) = fake_server(12);
-        let mut fed = FederatedRpv::new(&addr, "default", Duration::from_secs(2), 4, local(1.0));
-        let data = rows(12);
-        let refs: Vec<&[f64]> = data.iter().map(|r| r.as_slice()).collect();
-        // Two batches (5 + 7) across one keep-alive connection.
-        let a = fed.predict(&refs[..5]).unwrap();
-        let b = fed.predict(&refs[5..]).unwrap();
-        let expect = |r: &[f64]| {
-            let s: f64 = r.iter().sum();
-            [s, s + 1.0, s + 2.0, s + 3.0]
-        };
-        for (i, got) in a.iter().chain(b.iter()).enumerate() {
-            assert_eq!(*got, expect(&data[i]), "row {i}");
-        }
-        let st = fed.stats();
-        assert_eq!(st.requests, 12);
-        assert_eq!(st.responses, 12);
-        assert_eq!(st.fallbacks, 0);
-        assert!(!st.degraded);
-        assert!(st.latency_us_max >= 1, "latency was measured");
-        handle.join().unwrap();
-    }
-
-    #[test]
-    fn server_death_mid_batch_degrades_to_fallback_for_whole_batch() {
-        // Server answers 3 requests then drops; the 8-row batch must be
-        // answered entirely by the fallback (no remote/local mixing).
-        let (addr, handle) = fake_server(3);
-        let mut fed = FederatedRpv::new(&addr, "default", Duration::from_secs(2), 4, local(1.0));
-        let data = rows(8);
-        let refs: Vec<&[f64]> = data.iter().map(|r| r.as_slice()).collect();
-        let out = fed.predict(&refs).unwrap();
-        // Fallback computes the same function here, so outputs match the
-        // healthy path — which is exactly the bit-identity the real
-        // deployment gets from running the same model on both sides.
-        for (i, r) in data.iter().enumerate() {
-            let s: f64 = r.iter().sum();
-            assert_eq!(out[i], [s, s + 1.0, s + 2.0, s + 3.0]);
-        }
-        let st = fed.stats();
-        assert!(st.degraded);
-        assert_eq!(st.fallbacks, 8, "whole batch recomputed locally");
-        // Next batch goes straight to the fallback without reconnecting.
-        let more = fed.predict(&refs[..2]).unwrap();
-        assert_eq!(more.len(), 2);
-        assert_eq!(fed.stats().fallbacks, 10);
-        handle.join().unwrap();
-    }
-
-    #[test]
-    fn non_finite_outputs_are_a_protocol_error() {
-        // These tokens parse as f64, so the shape check alone would pass
-        // them straight to the strategies.
-        for outputs in ["NaN,1,1,1", "1,inf,1,1", "1,1,-inf,1"] {
-            let (addr, handle) = fake_server_rendering(4, move |_| outputs.to_string());
+    fn batches_travel_in_order_as_chunks_of_32_rows() {
+        for window in [1usize, 4, 32] {
+            let (addr, handle) = fake_server(|_, sums| Some((200, honest(sums))));
             let mut fed =
-                FederatedRpv::new(&addr, "default", Duration::from_secs(2), 4, local(1.0));
-            let data = rows(4);
-            let refs: Vec<&[f64]> = data.iter().map(|r| r.as_slice()).collect();
-            let out = fed.predict(&refs).unwrap();
-            assert_eq!(out, local(1.0).predict(&refs).unwrap(), "{outputs}");
+                FederatedRpv::new(&addr, "default", Duration::from_secs(5), window, local(1.0));
+            // Every batch on the one keep-alive connection the fake accepts.
+            let (mut from, mut requests) = (0usize, 0u64);
+            for n in [0usize, 1, 31, 32, 33, 1_000] {
+                let data = rows(from, n);
+                let got = fed.predict(&refs(&data)).unwrap();
+                let want: Vec<_> = data.iter().map(|r| rpv_of(r.iter().sum())).collect();
+                assert_eq!(got, want, "{n} rows, window {window}");
+                from += n;
+                requests += n.div_ceil(ROWS_PER_REQUEST) as u64;
+                let st = fed.stats();
+                assert_eq!(st.requests, requests, "{n} rows, window {window}");
+                assert_eq!(st.responses, requests);
+                assert_eq!(st.rows, from as u64);
+            }
             let st = fed.stats();
-            assert!(st.degraded, "{outputs}");
-            assert_eq!(st.fallbacks, 4, "{outputs}: whole batch from the fallback");
+            assert_eq!(st.fallbacks, 0);
+            assert!(!st.degraded);
+            assert!(st.latency_us_max >= 1, "latency was measured");
+            assert!(st.mean_latency_us() > 0.0);
+            drop(fed);
+            // Full chunks, then each batch's remainder.
+            let mut want = Vec::new();
+            for n in [1usize, 31, 32, 33, 1_000] {
+                want.extend(std::iter::repeat(ROWS_PER_REQUEST).take(n / ROWS_PER_REQUEST));
+                want.extend((n % ROWS_PER_REQUEST > 0).then_some(n % ROWS_PER_REQUEST));
+            }
+            assert_eq!(handle.join().unwrap(), want, "window {window}");
+        }
+    }
+
+    #[test]
+    fn a_bad_answer_on_any_chunk_sends_the_whole_batch_to_the_fallback() {
+        // 100 rows are four chunks; the third (k == 2) goes wrong. The
+        // fallback predicts differently from the server (scale 2), so a
+        // batch that mixed the two sources would show.
+        type Tokens = Vec<Vec<String>>;
+        type Fault = fn(Tokens) -> Option<(u16, Tokens)>;
+        fn with_token(mut t: Tokens, token: &str) -> Option<(u16, Tokens)> {
+            t[5][1] = token.to_string();
+            Some((200, t))
+        }
+        let faults: [(&str, Fault); 8] = [
+            ("one row short", |mut t| {
+                t.pop();
+                Some((200, t))
+            }),
+            ("one row over", |mut t| {
+                t.push(t[0].clone());
+                Some((200, t))
+            }),
+            ("three outputs", |mut t| {
+                t[5].pop();
+                Some((200, t))
+            }),
+            ("NaN", |t| with_token(t, "NaN")),
+            ("inf", |t| with_token(t, "inf")),
+            ("null", |t| with_token(t, "null")),
+            ("status 503", |t| Some((503, t))),
+            ("connection dropped", |_| None),
+        ];
+        for (what, fault) in faults {
+            let (addr, handle) = fake_server(move |k, sums| {
+                if k == 2 {
+                    fault(honest_tokens(sums)).map(|(status, t)| (status, outputs_of(&t)))
+                } else {
+                    Some((200, honest(sums)))
+                }
+            });
+            let mut fed =
+                FederatedRpv::new(&addr, "default", Duration::from_secs(5), 4, local(2.0));
+            let data = rows(0, 100);
+            let got = fed.predict(&refs(&data)).unwrap();
+            assert_eq!(got, local(2.0).predict(&refs(&data)).unwrap(), "{what}");
+            let st = fed.stats();
+            assert!(st.degraded, "{what}");
+            assert_eq!((st.rows, st.fallbacks), (0, 100), "{what}: never a mix");
+            // Degraded for good: the next batch asks the server nothing.
+            let sent = st.requests;
+            let more = fed.predict(&refs(&data[..40])).unwrap();
+            assert_eq!(more, local(2.0).predict(&refs(&data[..40])).unwrap());
+            let st = fed.stats();
+            assert_eq!(
+                (st.requests, st.rows, st.fallbacks),
+                (sent, 0, 140),
+                "{what}"
+            );
             drop(fed);
             handle.join().unwrap();
         }
+    }
+
+    /// Three features in, `rpv_of(their sum)` out.
+    struct SumModel;
+
+    impl PredictModel for SumModel {
+        fn n_features(&self) -> usize {
+            3
+        }
+        fn n_outputs(&self) -> usize {
+            N_MACHINES
+        }
+        fn predict_batch(&self, rows: &[f64], _n_rows: usize) -> Result<Vec<f64>, MphpcError> {
+            Ok(rows
+                .chunks(3)
+                .flat_map(|r| rpv_of(r.iter().sum()))
+                .collect())
+        }
+    }
+
+    #[test]
+    fn a_window_wider_than_the_servers_pipeline_never_falls_back() {
+        // 64 requests of 32 rows in flight are twice the default queue_cap;
+        // the server reads only max_pipeline (32) of them ahead, so none
+        // is ever answered 503.
+        let registry = Arc::new(ModelRegistry::new(Arc::new(|_: &str| {
+            Err(MphpcError::Serve("no uploads in this test".to_string()))
+        })));
+        registry.install("default", Arc::new(SumModel));
+        let handle = serve(ServeConfig::default(), registry).expect("server starts");
+        let addr = handle.addr().to_string();
+        let mut fed = FederatedRpv::new(&addr, "default", Duration::from_secs(10), 64, local(2.0));
+        let data = rows(0, 5_000);
+        for _ in 0..2 {
+            let got = fed.predict(&refs(&data)).unwrap();
+            let want: Vec<_> = data.iter().map(|r| rpv_of(r.iter().sum())).collect();
+            assert_eq!(got, want);
+        }
+        let st = fed.stats();
+        assert_eq!((st.rows, st.fallbacks, st.degraded), (10_000, 0, false));
+        assert_eq!(st.requests, 2 * 5_000u64.div_ceil(ROWS_PER_REQUEST as u64));
+        drop(fed);
+        handle.shutdown();
+        handle.join();
     }
 
     #[test]
@@ -489,14 +665,13 @@ mod tests {
             4,
             local(2.0),
         );
-        let data = rows(3);
-        let refs: Vec<&[f64]> = data.iter().map(|r| r.as_slice()).collect();
-        let out = fed.predict(&refs).unwrap();
+        let data = rows(0, 3);
+        let out = fed.predict(&refs(&data)).unwrap();
         assert_eq!(out.len(), 3);
-        let s: f64 = data[0].iter().sum::<f64>() * 2.0;
-        assert_eq!(out[0], [s, s + 1.0, s + 2.0, s + 3.0]);
-        assert!(fed.stats().degraded);
-        assert_eq!(fed.stats().requests, 0);
+        assert_eq!(out[0], rpv_of(data[0].iter().sum::<f64>() * 2.0));
+        let st = fed.stats();
+        assert!(st.degraded);
+        assert_eq!((st.requests, st.rows, st.fallbacks), (0, 0, 3));
     }
 
     #[test]
@@ -504,8 +679,7 @@ mod tests {
         let mut bad = FnRpvProvider::new("bad", |rows: &[&[f64]]| {
             Ok(vec![[1.0; N_MACHINES]; rows.len() + 1])
         });
-        let data = rows(2);
-        let refs: Vec<&[f64]> = data.iter().map(|r| r.as_slice()).collect();
-        assert!(bad.predict(&refs).is_err());
+        let data = rows(0, 2);
+        assert!(bad.predict(&refs(&data)).is_err());
     }
 }

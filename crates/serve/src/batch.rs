@@ -1,19 +1,24 @@
-//! The micro-batching queue: concurrent single-row requests coalesce
-//! into one batch call on the model.
+//! The micro-batching queue: concurrent submissions of *n* rows each
+//! coalesce into one batch call on the model.
 //!
-//! Connection handlers [`MicroBatcher::submit`] one row each and block
-//! on a reply channel; a single batcher thread drains the queue in
-//! same-model batches of up to `max_batch` rows. Under load the queue
-//! is never empty — while one batch predicts, the next accumulates — so
-//! batching emerges without waiting. The optional `linger` exists for
-//! open-loop trickle traffic and defaults to **zero**: with closed-loop
-//! clients a fixed linger would cap throughput at `clients / linger`
-//! whenever the queue cannot reach `max_batch`.
+//! A submission is one `/predict` request: one row for the `features`
+//! form, up to `max_batch` rows for the `rows` form. The event loop
+//! hands each to [`MicroBatcher::submit_with`] (blocking callers use
+//! [`MicroBatcher::submit`] and a reply channel); a single batcher
+//! thread drains the queue in same-model batches of up to `max_batch`
+//! rows, never splitting a submission across two batches. Under load
+//! the queue is never empty — while one batch predicts, the next
+//! accumulates — so batching emerges without waiting. The optional
+//! `linger` exists for open-loop trickle traffic and defaults to
+//! **zero**: with closed-loop clients a fixed linger would cap
+//! throughput at `clients / linger` whenever the queue cannot reach
+//! `max_batch`.
 //!
-//! Every pending row carries the `Arc<LoadedModel>` it resolved at
-//! enqueue time, so a hot swap mid-queue splits the queue into
+//! Every pending submission carries the `Arc<LoadedModel>` it resolved
+//! at enqueue time, so a hot swap mid-queue splits the queue into
 //! per-version batches instead of mixing versions (the batcher groups
-//! by `Arc::ptr_eq`).
+//! by `Arc::ptr_eq`), and every row of one submission is answered by
+//! one version.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -30,16 +35,20 @@ use crate::shadow::{MirrorBatch, ShadowSlot};
 /// Batcher tuning knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchConfig {
-    /// Largest batch handed to one `predict_batch` call.
+    /// Most rows handed to one `predict_batch` call, and so the most
+    /// rows one submission may carry ([`SubmitError::TooManyRows`] →
+    /// HTTP 400): a submission is never split.
     pub max_batch: usize,
     /// How long the batcher may hold an under-full batch open waiting
     /// for more rows. Zero (the default) serves whatever is queued.
     pub linger: Duration,
-    /// Bound on queued rows; submissions beyond it are rejected
-    /// ([`SubmitError::QueueFull`] → HTTP 503).
+    /// Bound on queued *rows*, however they are grouped into
+    /// submissions; a submission whose rows do not all fit is rejected
+    /// whole ([`SubmitError::QueueFull`] → HTTP 503).
     pub queue_cap: usize,
-    /// Maximum time a row may wait in the queue before it is answered
-    /// with [`BatchReply::Expired`] (→ HTTP 504) instead of predicted.
+    /// Maximum time a submission may wait in the queue before it is
+    /// answered with [`BatchReply::Expired`] (→ HTTP 504) instead of
+    /// predicted.
     pub deadline: Duration,
 }
 
@@ -57,26 +66,31 @@ impl Default for BatchConfig {
 /// Why a submission was rejected without being queued.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SubmitError {
-    /// The pending queue is at `queue_cap` (backpressure).
+    /// The rows would take the pending queue past `queue_cap`
+    /// (backpressure).
     QueueFull,
+    /// More rows than one batch (`max_batch`) may hold.
+    TooManyRows,
     /// The batcher is draining for shutdown.
     ShuttingDown,
 }
 
-/// Terminal answer for one submitted row.
+/// Terminal answer for one submission (all of its rows at once).
 #[derive(Debug)]
 pub enum BatchReply {
-    /// The model ran; `outputs` has the row's `n_outputs()` values.
+    /// The model ran; `outputs` has `n_outputs()` values per submitted
+    /// row, row-major.
     Ok {
-        /// This row's outputs.
+        /// The submission's outputs.
         outputs: Vec<f64>,
         /// `name@vN` tag of the exact model version that predicted.
         model_tag: String,
-        /// Rows in the batch this one rode in (observability: the
-        /// load generator verifies coalescing through it).
+        /// Rows in the batch the submission rode in, its own included
+        /// (observability: the load generator verifies coalescing
+        /// through it).
         batch_rows: usize,
     },
-    /// The row out-waited its deadline in the queue.
+    /// The submission out-waited its deadline in the queue.
     Expired,
     /// The model's `predict_batch` failed.
     Failed(MphpcError),
@@ -85,11 +99,11 @@ pub enum BatchReply {
 /// Receives batcher completions without a blocked thread: the event
 /// loop registers one sink per shard, the batcher calls
 /// [`CompletionSink::complete`] with the caller's ticket once per
-/// submitted row (from the batcher thread), and the sink wakes its
+/// submission (from the batcher thread), and the sink wakes its
 /// shard. Implementations must be nonblocking and panic-free — the
 /// batcher thread is shared by every connection.
 pub trait CompletionSink: Send + Sync + 'static {
-    /// Deliver the terminal reply for the row submitted with `ticket`.
+    /// Deliver the terminal reply for the submission made with `ticket`.
     fn complete(&self, ticket: u64, reply: BatchReply);
 }
 
@@ -117,14 +131,23 @@ impl Completion {
 
 struct Pending {
     model: Arc<LoadedModel>,
-    row: Vec<f64>,
+    /// `n_rows` feature rows, row-major.
+    rows: Vec<f64>,
+    n_rows: usize,
     enqueued: Instant,
     reply: Completion,
 }
 
+#[derive(Default)]
+struct Queue {
+    entries: VecDeque<Pending>,
+    /// Sum of `n_rows` over `entries`: what `queue_cap` bounds.
+    rows: usize,
+}
+
 struct Shared {
     cfg: BatchConfig,
-    queue: Mutex<VecDeque<Pending>>,
+    queue: Mutex<Queue>,
     /// Signalled on enqueue and on drain start.
     available: Condvar,
     draining: AtomicBool,
@@ -145,7 +168,7 @@ impl MicroBatcher {
     pub fn start(cfg: BatchConfig) -> MicroBatcher {
         let shared = Arc::new(Shared {
             cfg,
-            queue: Mutex::new(VecDeque::new()),
+            queue: Mutex::new(Queue::default()),
             available: Condvar::new(),
             draining: AtomicBool::new(false),
             shadow: ShadowSlot::new(),
@@ -169,46 +192,55 @@ impl MicroBatcher {
         row: Vec<f64>,
     ) -> Result<Receiver<BatchReply>, SubmitError> {
         let (tx, rx) = mpsc::channel();
-        self.enqueue(model, row, Completion::Channel(tx))?;
+        self.enqueue(model, row, 1, Completion::Channel(tx))?;
         Ok(rx)
     }
 
-    /// Queue one row against `model`, delivering the reply through
-    /// `sink.complete(ticket, ..)` instead of a channel (the event
-    /// loop's nonblocking submission path). Admission rules are
-    /// identical to [`MicroBatcher::submit`]; on `Err` the sink is
-    /// never called.
+    /// Queue `n_rows >= 1` rows (row-major in `rows`) against `model`
+    /// as one submission, delivering the one reply for all of them
+    /// through `sink.complete(ticket, ..)` instead of a channel (the
+    /// event loop's nonblocking submission path). The rows are admitted
+    /// or rejected together and predicted in one batch; on `Err` the
+    /// sink is never called.
     pub fn submit_with(
         &self,
         model: Arc<LoadedModel>,
-        row: Vec<f64>,
+        rows: Vec<f64>,
+        n_rows: usize,
         sink: Arc<dyn CompletionSink>,
         ticket: u64,
     ) -> Result<(), SubmitError> {
-        self.enqueue(model, row, Completion::Sink { sink, ticket })
+        self.enqueue(model, rows, n_rows, Completion::Sink { sink, ticket })
     }
 
     fn enqueue(
         &self,
         model: Arc<LoadedModel>,
-        row: Vec<f64>,
+        rows: Vec<f64>,
+        n_rows: usize,
         reply: Completion,
     ) -> Result<(), SubmitError> {
+        let cfg = &self.shared.cfg;
         if self.shared.draining.load(Ordering::Acquire) {
             return Err(SubmitError::ShuttingDown);
         }
+        if n_rows > cfg.max_batch {
+            return Err(SubmitError::TooManyRows);
+        }
         let mut queue = lock(&self.shared.queue);
-        if queue.len() >= self.shared.cfg.queue_cap {
+        if queue.rows + n_rows > cfg.queue_cap {
             mphpc_telemetry::counter_add("serve.queue_rejections", 1);
             return Err(SubmitError::QueueFull);
         }
-        queue.push_back(Pending {
+        queue.rows += n_rows;
+        queue.entries.push_back(Pending {
             model,
-            row,
+            rows,
+            n_rows,
             enqueued: Instant::now(),
             reply,
         });
-        mphpc_telemetry::gauge_set("serve.queue_depth", queue.len() as f64);
+        mphpc_telemetry::gauge_set("serve.queue_depth", queue.rows as f64);
         drop(queue);
         self.shared.available.notify_one();
         Ok(())
@@ -216,7 +248,12 @@ impl MicroBatcher {
 
     /// Rows currently queued (for tests and stats).
     pub fn queue_depth(&self) -> usize {
-        lock(&self.shared.queue).len()
+        lock(&self.shared.queue).rows
+    }
+
+    /// The configured per-batch (and so per-submission) row limit.
+    pub fn max_batch(&self) -> usize {
+        self.shared.cfg.max_batch
     }
 
     /// The shadow-evaluation slot (see [`crate::shadow`]).
@@ -224,13 +261,13 @@ impl MicroBatcher {
         &self.shared.shadow
     }
 
-    /// The configured per-row queue deadline.
+    /// The configured queue deadline.
     pub fn deadline(&self) -> Duration {
         self.shared.cfg.deadline
     }
 
-    /// Stop accepting, let the batcher drain every queued row, and join
-    /// it. Idempotent.
+    /// Stop accepting, let the batcher drain every queued submission,
+    /// and join it. Idempotent.
     pub fn shutdown(&self) {
         self.shared.draining.store(true, Ordering::Release);
         self.shared.available.notify_all();
@@ -254,7 +291,7 @@ fn run_batcher(shared: &Shared) {
     let cfg = shared.cfg;
     loop {
         let mut queue = lock(&shared.queue);
-        while queue.is_empty() {
+        while queue.entries.is_empty() {
             if shared.draining.load(Ordering::Acquire) {
                 return;
             }
@@ -268,10 +305,10 @@ fn run_batcher(shared: &Shared) {
         }
 
         // Linger: hold the batch open for more rows, but never past the
-        // oldest row's linger window and never during a drain.
+        // oldest submission's linger window and never during a drain.
         if cfg.linger > Duration::ZERO {
-            while queue.len() < cfg.max_batch && !shared.draining.load(Ordering::Acquire) {
-                let oldest = queue.front().expect("non-empty queue").enqueued;
+            while queue.rows < cfg.max_batch && !shared.draining.load(Ordering::Acquire) {
+                let oldest = queue.entries.front().expect("non-empty queue").enqueued;
                 let Some(remaining) = (oldest + cfg.linger).checked_duration_since(Instant::now())
                 else {
                     break;
@@ -285,20 +322,27 @@ fn run_batcher(shared: &Shared) {
         }
 
         // Assemble one same-model batch from the front of the queue:
-        // the oldest row picks the model, later rows for the same
-        // version join (hot swap splits the queue here).
-        let first = queue.pop_front().expect("non-empty queue");
+        // the oldest submission picks the model, later ones for the
+        // same version join whole (hot swap splits the queue here)
+        // until the next would take the batch past `max_batch` rows.
+        let first = queue.entries.pop_front().expect("non-empty queue");
         let model = Arc::clone(&first.model);
+        let mut batch_rows = first.n_rows;
         let mut batch = vec![first];
         let mut i = 0;
-        while batch.len() < cfg.max_batch && i < queue.len() {
-            if Arc::ptr_eq(&queue[i].model, &model) {
-                batch.push(queue.remove(i).expect("index in bounds"));
-            } else {
+        while i < queue.entries.len() {
+            let next = &queue.entries[i];
+            if !Arc::ptr_eq(&next.model, &model) {
                 i += 1;
+            } else if batch_rows + next.n_rows <= cfg.max_batch {
+                batch_rows += next.n_rows;
+                batch.push(queue.entries.remove(i).expect("index in bounds"));
+            } else {
+                break;
             }
         }
-        mphpc_telemetry::gauge_set("serve.queue_depth", queue.len() as f64);
+        queue.rows -= batch_rows;
+        mphpc_telemetry::gauge_set("serve.queue_depth", queue.rows as f64);
         drop(queue);
 
         run_one_batch(&model, batch, cfg.deadline, &shared.shadow);
@@ -325,12 +369,12 @@ fn run_one_batch(
         return;
     }
 
-    let n_rows = live.len();
+    let n_rows: usize = live.iter().map(|p| p.n_rows).sum();
     let n_features = model.model.n_features();
     let n_outputs = model.model.n_outputs();
     let mut rows = Vec::with_capacity(n_rows * n_features);
     for pending in &live {
-        rows.extend_from_slice(&pending.row);
+        rows.extend_from_slice(&pending.rows);
     }
 
     let _span = mphpc_telemetry::span!("serve.batch", rows = n_rows);
@@ -341,12 +385,15 @@ fn run_one_batch(
     match model.model.predict_batch(&rows, n_rows) {
         Ok(outputs) if outputs.len() == n_rows * n_outputs => {
             let tag = model.tag();
-            for (i, pending) in live.into_iter().enumerate() {
+            let mut at = 0;
+            for pending in live {
+                let end = at + pending.n_rows * n_outputs;
                 pending.reply.deliver(BatchReply::Ok {
-                    outputs: outputs[i * n_outputs..(i + 1) * n_outputs].to_vec(),
+                    outputs: outputs[at..end].to_vec(),
                     model_tag: tag.clone(),
                     batch_rows: n_rows,
                 });
+                at = end;
             }
             // Shadow tap, strictly after every reply is delivered: the
             // buffers are moved (not copied) to the mirror queue, so
@@ -509,6 +556,90 @@ mod tests {
         );
     }
 
+    /// [`DoubleModel`] that waits for the gate before every batch (a
+    /// dropped sender opens it for good).
+    struct GatedDouble(Mutex<Receiver<()>>);
+
+    impl PredictModel for GatedDouble {
+        fn n_features(&self) -> usize {
+            2
+        }
+        fn n_outputs(&self) -> usize {
+            2
+        }
+        fn predict_batch(&self, rows: &[f64], n_rows: usize) -> Result<Vec<f64>, MphpcError> {
+            let _ = self.0.lock().unwrap().recv();
+            DoubleModel.predict_batch(rows, n_rows)
+        }
+    }
+
+    #[test]
+    fn multi_row_submissions_are_admitted_whole_and_never_split() {
+        let batcher = MicroBatcher::start(BatchConfig {
+            max_batch: 4,
+            queue_cap: 6,
+            ..BatchConfig::default()
+        });
+        let (gate, gate_rx) = mpsc::channel();
+        let model = Arc::new(LoadedModel {
+            name: "m".to_string(),
+            version: 1,
+            model: Arc::new(GatedDouble(Mutex::new(gate_rx))),
+        });
+        let submit = |first: f64, n_rows: usize| {
+            let rows: Vec<f64> = (0..2 * n_rows).map(|i| first + i as f64).collect();
+            let (tx, rx) = mpsc::channel();
+            batcher
+                .enqueue(Arc::clone(&model), rows, n_rows, Completion::Channel(tx))
+                .map(|()| rx)
+        };
+        // The batcher takes the first row and blocks in the model, so
+        // what follows queues up untouched.
+        let blocker = submit(0.0, 1).unwrap();
+        while batcher.queue_depth() > 0 {
+            thread::yield_now();
+        }
+        let a = submit(10.0, 2).unwrap();
+        let b = submit(20.0, 2).unwrap();
+        let c = submit(30.0, 1).unwrap();
+        assert_eq!(batcher.queue_depth(), 5, "the depth counts rows");
+        // 5 + 2 rows do not fit 6: the submission is refused whole; one
+        // more row still fits.
+        assert_eq!(submit(40.0, 2).unwrap_err(), SubmitError::QueueFull);
+        let d = submit(50.0, 1).unwrap();
+        assert_eq!(batcher.queue_depth(), 6);
+        assert_eq!(submit(60.0, 1).unwrap_err(), SubmitError::QueueFull);
+        // More rows than a batch holds are refused whatever the queue.
+        assert_eq!(submit(70.0, 5).unwrap_err(), SubmitError::TooManyRows);
+
+        drop(gate);
+        let mut replies = Vec::new();
+        for (rx, first, n_rows) in [
+            (blocker, 0.0, 1),
+            (a, 10.0, 2),
+            (b, 20.0, 2),
+            (c, 30.0, 1),
+            (d, 50.0, 1),
+        ] {
+            match rx.recv().unwrap() {
+                BatchReply::Ok {
+                    outputs,
+                    batch_rows,
+                    ..
+                } => {
+                    let want: Vec<f64> =
+                        (0..2 * n_rows).map(|i| 2.0 * (first + i as f64)).collect();
+                    assert_eq!(outputs, want, "submission starting at {first}");
+                    replies.push(batch_rows);
+                }
+                other => panic!("unexpected reply {other:?}"),
+            }
+        }
+        // a + b fill a batch exactly; c would make it five rows, so it
+        // waits for the next one and rides with d.
+        assert_eq!(replies, [1, 4, 4, 2, 2]);
+    }
+
     #[test]
     fn sink_submissions_complete_with_their_ticket() {
         struct Collect(Mutex<Vec<(u64, BatchReply)>>, Condvar);
@@ -523,10 +654,22 @@ mod tests {
         let batcher = MicroBatcher::start(BatchConfig::default());
         let model = loaded(3);
         batcher
-            .submit_with(Arc::clone(&model), vec![1.0, 2.0], Arc::clone(&as_sink), 41)
+            .submit_with(
+                Arc::clone(&model),
+                vec![1.0, 2.0],
+                1,
+                Arc::clone(&as_sink),
+                41,
+            )
             .unwrap();
         batcher
-            .submit_with(Arc::clone(&model), vec![3.0, 4.0], Arc::clone(&as_sink), 42)
+            .submit_with(
+                Arc::clone(&model),
+                vec![3.0, 4.0, 5.0, 6.0],
+                2,
+                Arc::clone(&as_sink),
+                42,
+            )
             .unwrap();
         let mut got = sink.0.lock().unwrap();
         while got.len() < 2 {
@@ -552,7 +695,7 @@ mod tests {
                 (42, BatchReply::Ok { outputs: b, .. }),
             ) => {
                 assert_eq!(a, &[2.0, 4.0]);
-                assert_eq!(b, &[6.0, 8.0]);
+                assert_eq!(b, &[6.0, 8.0, 10.0, 12.0], "both rows in one reply");
                 assert_eq!(model_tag, "m@v3");
             }
             other => panic!("unexpected completions {other:?}"),
@@ -563,7 +706,7 @@ mod tests {
         batcher.shutdown();
         assert_eq!(
             batcher
-                .submit_with(model, vec![0.0, 0.0], as_sink, 43)
+                .submit_with(model, vec![0.0, 0.0], 1, as_sink, 43)
                 .unwrap_err(),
             SubmitError::ShuttingDown
         );

@@ -1,10 +1,11 @@
-//! A minimal blocking HTTP/1.1 client for the load generator, the CI
-//! smoke step, and the integration tests.
+//! A minimal blocking HTTP/1.1 client for the load generator, the
+//! federated scheduler, the CI smoke step, and the integration tests.
 //!
 //! One [`ClientConn`] holds one keep-alive connection and issues
-//! requests serially — exactly the closed-loop shape the load generator
-//! measures. Responses are parsed with the same bounded reader the
-//! server uses.
+//! requests serially ([`ClientConn::request`], the closed-loop shape
+//! the load generator measures) or pipelined ([`ClientConn::send`] /
+//! [`ClientConn::recv`]). Responses are parsed with the same bounded
+//! reader the server uses.
 
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -41,6 +42,8 @@ impl Response {
 pub struct ClientConn {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
+    /// Reused head + body of the request being written.
+    wbuf: Vec<u8>,
 }
 
 impl ClientConn {
@@ -54,6 +57,7 @@ impl ClientConn {
         Ok(ClientConn {
             reader: BufReader::new(stream),
             writer,
+            wbuf: Vec::new(),
         })
     }
 
@@ -67,13 +71,15 @@ impl ClientConn {
     /// with a later [`recv`](Self::recv) — the server answers pipelined
     /// requests strictly in order.
     pub fn send(&mut self, method: &str, path: &str, body: &str) -> io::Result<()> {
-        let head = format!(
-            "{method} {path} HTTP/1.1\r\nhost: mphpc\r\ncontent-length: {}\r\n\r\n",
+        // Head and body leave in one write: on this `TCP_NODELAY` socket
+        // two writes are two segments and up to two server wake-ups.
+        self.wbuf.clear();
+        write!(
+            self.wbuf,
+            "{method} {path} HTTP/1.1\r\nhost: mphpc\r\ncontent-length: {}\r\n\r\n{body}",
             body.len()
-        );
-        self.writer.write_all(head.as_bytes())?;
-        self.writer.write_all(body.as_bytes())?;
-        self.writer.flush()
+        )?;
+        self.writer.write_all(&self.wbuf)
     }
 
     /// Read the next in-order response for a previously sent request.

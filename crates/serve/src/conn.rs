@@ -51,8 +51,9 @@ impl Body {
 /// The terminal state of a slot: what to send back.
 #[derive(Debug)]
 pub(crate) enum SlotReply {
-    /// The micro-batcher answered a `/predict` row; rendered straight
-    /// into the write buffer when the slot reaches the queue front.
+    /// The micro-batcher answered a `/predict` request; rendered
+    /// straight into the write buffer when the slot reaches the queue
+    /// front.
     Batch(BatchReply),
     /// A synchronous route's reply (everything except in-flight
     /// predictions).
@@ -77,6 +78,9 @@ pub(crate) struct Slot {
     pub close_after: bool,
     /// `None` while a prediction is in flight.
     pub reply: Option<SlotReply>,
+    /// `Some(n)` when the request was a `/predict` in the `rows` form
+    /// with `n` rows: its reply nests `outputs` per row (also for one).
+    pub rows: Option<usize>,
 }
 
 /// One accepted connection owned by an event-loop shard.
@@ -225,7 +229,12 @@ impl Conn {
     }
 
     /// Claim the next in-order slot.
-    pub(crate) fn push_slot(&mut self, close_after: bool, reply: Option<SlotReply>) -> u16 {
+    pub(crate) fn push_slot(
+        &mut self,
+        close_after: bool,
+        reply: Option<SlotReply>,
+        rows: Option<usize>,
+    ) -> u16 {
         let seq = self.next_seq;
         self.next_seq = self.next_seq.wrapping_add(1);
         self.pending.push_back(Slot {
@@ -233,6 +242,7 @@ impl Conn {
             t0: Instant::now(),
             close_after,
             reply,
+            rows,
         });
         seq
     }

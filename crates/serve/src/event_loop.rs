@@ -52,8 +52,8 @@ fn conn_token(idx: u16, gen: u32) -> u64 {
 
 /// Where the batcher delivers a shard's finished predictions. The
 /// batcher thread pushes `(ticket, reply)` and rings the wakeup only on
-/// the empty→non-empty transition, so a 64-row batch completing costs
-/// one syscall, not 64.
+/// the empty→non-empty transition, so a batch of 64 one-row requests
+/// completing costs one syscall, not 64.
 pub(crate) struct ShardInbox {
     completions: Mutex<Vec<(u64, BatchReply)>>,
     wakeup: Wakeup,
@@ -98,7 +98,7 @@ pub(crate) struct Shard {
     free: Vec<u16>,
     /// Live connections on this shard (loop-exit condition at drain).
     live: usize,
-    /// Reused per-request feature row (predict parse scratch).
+    /// Reused per-request feature rows (predict parse scratch).
     features: Vec<f64>,
     /// Reused response-body render scratch.
     body_buf: Vec<u8>,
@@ -342,24 +342,32 @@ impl Shard {
                     break;
                 }
             }
-        } else if alive && !conn.no_more_reads {
-            // Completion pumps re-enter here: a freed pipeline slot may
-            // unlock already-buffered requests.
-            let grew = parse_requests(
-                conn,
-                &this.shared,
-                &mut this.features,
-                &this.sink,
-                token,
-                shutdown,
-                requests,
-            );
-            if grew {
-                BUF_GROWTHS.fetch_add(1, Ordering::Relaxed);
-            }
         }
-        if alive {
+        // Render what is ready. Every reply rendered frees a pipeline
+        // slot, which may let in a request already buffered behind a
+        // full pipeline: no later event would parse it (the client may
+        // have sent everything and be waiting), so parse again, and go
+        // round until that claims no new slot.
+        while alive {
             alive = advance(conn, &this.shared, &mut this.body_buf);
+            let next_seq = conn.next_seq;
+            if alive && !conn.no_more_reads {
+                let grew = parse_requests(
+                    conn,
+                    &this.shared,
+                    &mut this.features,
+                    &this.sink,
+                    token,
+                    shutdown,
+                    requests,
+                );
+                if grew {
+                    BUF_GROWTHS.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+            if conn.next_seq == next_seq {
+                break;
+            }
         }
         if alive {
             // Read-deadline clock: runs while a partial request waits.
@@ -544,6 +552,7 @@ fn parse_requests(
                         retry_after: false,
                         body: Body::Owned(body),
                     }),
+                    None,
                 );
                 conn.no_more_reads = true;
                 let n = conn.rdlen - conn.rdpos;
@@ -570,6 +579,7 @@ fn parse_requests(
                             retry_after: false,
                             body: Body::Owned(body),
                         }),
+                        None,
                     );
                     conn.no_more_reads = true;
                     let n = conn.rdlen - conn.rdpos;
@@ -601,13 +611,16 @@ fn parse_requests(
                 };
                 match outcome {
                     server::Dispatch::Ready(reply) => {
-                        conn.push_slot(wants_close, Some(reply));
+                        conn.push_slot(wants_close, Some(reply), None);
                     }
-                    server::Dispatch::Submitted => {
-                        conn.push_slot(wants_close, None);
+                    server::Dispatch::Submitted { rows } => {
+                        conn.push_slot(wants_close, None, rows);
                     }
                 }
                 conn.consume(total);
+                // The deadline is per request: whatever partial request
+                // follows this one starts its own clock.
+                conn.read_deadline_start = None;
                 if wants_close {
                     conn.no_more_reads = true;
                     let n = conn.rdlen - conn.rdpos;

@@ -281,9 +281,9 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Fast zero-allocation scanner for the canonical `/predict` body shape
-/// `{"model": "...", "features": [n, n, ...]}` (either key order, JSON
-/// whitespace anywhere, `model` optional).
+/// Fast zero-allocation scanner for the canonical one-row `/predict`
+/// body `{"model": "...", "features": [n, n, ...]}` (either key order,
+/// JSON whitespace anywhere, `model` optional).
 ///
 /// On success returns `Some(model)` — `None` inside meaning no `model`
 /// key — with the numbers appended to `features` (cleared first). The
@@ -291,7 +291,8 @@ impl<'a> Parser<'a> {
 /// the recursive-descent parser's, so the fast path computes the same
 /// values [`JsonValue::parse`] would.
 ///
-/// Returns `None` for *anything* else — escapes in the model string,
+/// Returns `None` for *anything* else — the multi-row form
+/// ([`scan_predict_rows`] takes that one), escapes in the model string,
 /// extra keys, nested values, trailing garbage, malformed numbers — and
 /// the caller falls back to [`JsonValue::parse`], which either accepts
 /// the body (allocating, cold path) or produces the canonical error
@@ -300,108 +301,157 @@ impl<'a> Parser<'a> {
 pub fn scan_predict_body<'a>(text: &'a str, features: &mut Vec<f64>) -> Option<Option<&'a str>> {
     features.clear();
     let b = text.as_bytes();
-    let mut i = 0usize;
-    let ws = |i: &mut usize| {
-        while matches!(b.get(*i), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            *i += 1;
+    scan_predict_object(text, "features", |i| {
+        scan_array(b, i, |i| scan_number(text, i, features)).map(|_| ())
+    })
+}
+
+/// [`scan_predict_body`] for the multi-row form
+/// `{"model": "...", "rows": [[n, ...], [n, ...], ...]}`: the numbers of
+/// every row land in `rows` (cleared first), row-major, and the result
+/// is `(model, n_rows)` with `n_rows >= 1`, each row
+/// `rows.len() / n_rows` numbers wide.
+///
+/// Ragged rows and an empty `rows` array are `None` like everything
+/// else the scanner does not take: the slow path words the 400.
+pub fn scan_predict_rows<'a>(
+    text: &'a str,
+    rows: &mut Vec<f64>,
+) -> Option<(Option<&'a str>, usize)> {
+    rows.clear();
+    let b = text.as_bytes();
+    let mut n_rows = 0;
+    let mut width = None;
+    let model = scan_predict_object(text, "rows", |i| {
+        n_rows = scan_array(b, i, |i| {
+            let n = scan_array(b, i, |i| scan_number(text, i, rows))?;
+            (*width.get_or_insert(n) == n).then_some(())
+        })?;
+        (n_rows > 0).then_some(())
+    })?;
+    Some((model, n_rows))
+}
+
+fn skip_ws(b: &[u8], i: &mut usize) {
+    while matches!(b.get(*i), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+        *i += 1;
+    }
+}
+
+/// A plain (escape-free) string starting at `b[*i]`; leaves `i` past
+/// the closing quote. `'"'` is ASCII, so slicing the `&str` at these
+/// byte offsets stays on char boundaries.
+fn scan_plain_str<'a>(text: &'a str, i: &mut usize) -> Option<&'a str> {
+    let b = text.as_bytes();
+    if b.get(*i) != Some(&b'"') {
+        return None;
+    }
+    let start = *i + 1;
+    let mut j = start;
+    while matches!(b.get(j), Some(c) if *c != b'"' && *c != b'\\') {
+        j += 1;
+    }
+    if b.get(j) != Some(&b'"') {
+        return None;
+    }
+    *i = j + 1;
+    Some(&text[start..j])
+}
+
+/// The array loop both scanners share: `[e, e, ...]` starting at
+/// `b[*i]`, each element read by `element` with the cursor on its first
+/// byte; returns the element count.
+fn scan_array(
+    b: &[u8],
+    i: &mut usize,
+    mut element: impl FnMut(&mut usize) -> Option<()>,
+) -> Option<usize> {
+    if b.get(*i) != Some(&b'[') {
+        return None;
+    }
+    *i += 1;
+    skip_ws(b, i);
+    if b.get(*i) == Some(&b']') {
+        *i += 1;
+        return Some(0);
+    }
+    let mut n = 0usize;
+    loop {
+        skip_ws(b, i);
+        element(i)?;
+        n += 1;
+        skip_ws(b, i);
+        match b.get(*i) {
+            Some(b',') => *i += 1,
+            Some(b']') => {
+                *i += 1;
+                return Some(n);
+            }
+            _ => return None,
         }
-    };
-    ws(&mut i);
+    }
+}
+
+/// One number starting at `b[*i]`, appended to `out`. Same first-byte
+/// dispatch and token charset as `Parser::number`.
+fn scan_number(text: &str, i: &mut usize, out: &mut Vec<f64>) -> Option<()> {
+    let b = text.as_bytes();
+    if !matches!(b.get(*i), Some(c) if *c == b'-' || c.is_ascii_digit()) {
+        return None;
+    }
+    let tok_start = *i;
+    if b[*i] == b'-' {
+        *i += 1;
+    }
+    while matches!(
+        b.get(*i),
+        Some(c) if c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-')
+    ) {
+        *i += 1;
+    }
+    out.push(text[tok_start..*i].parse::<f64>().ok()?);
+    Some(())
+}
+
+/// The object both `/predict` forms share: an optional `"model"` string
+/// and exactly one `array_key` member, whose value `scan_array` reads
+/// with the cursor on its first byte. Any other or repeated key, and
+/// anything after the closing brace, is `None`.
+fn scan_predict_object<'a>(
+    text: &'a str,
+    array_key: &str,
+    mut scan_array: impl FnMut(&mut usize) -> Option<()>,
+) -> Option<Option<&'a str>> {
+    let b = text.as_bytes();
+    let mut i = 0usize;
+    skip_ws(b, &mut i);
     if b.get(i) != Some(&b'{') {
         return None;
     }
     i += 1;
 
     let mut model: Option<&str> = None;
-    let mut saw_features = false;
+    let mut saw_array = false;
     loop {
-        ws(&mut i);
-        // Key (must be a plain string; '"' is ASCII so slicing the
-        // &str at these byte offsets stays on char boundaries).
-        if b.get(i) != Some(&b'"') {
-            return None;
-        }
-        let key_start = i + 1;
-        let mut j = key_start;
-        while matches!(b.get(j), Some(c) if *c != b'"' && *c != b'\\') {
-            j += 1;
-        }
-        if b.get(j) != Some(&b'"') {
-            return None;
-        }
-        let key = &text[key_start..j];
-        i = j + 1;
-        ws(&mut i);
+        skip_ws(b, &mut i);
+        let key = scan_plain_str(text, &mut i)?;
+        skip_ws(b, &mut i);
         if b.get(i) != Some(&b':') {
             return None;
         }
         i += 1;
-        ws(&mut i);
+        skip_ws(b, &mut i);
 
-        match key {
-            "model" if model.is_none() => {
-                if b.get(i) != Some(&b'"') {
-                    return None;
-                }
-                let val_start = i + 1;
-                let mut j = val_start;
-                while matches!(b.get(j), Some(c) if *c != b'"' && *c != b'\\') {
-                    j += 1;
-                }
-                if b.get(j) != Some(&b'"') {
-                    return None;
-                }
-                model = Some(&text[val_start..j]);
-                i = j + 1;
-            }
-            "features" if !saw_features => {
-                saw_features = true;
-                if b.get(i) != Some(&b'[') {
-                    return None;
-                }
-                i += 1;
-                ws(&mut i);
-                if b.get(i) == Some(&b']') {
-                    i += 1;
-                } else {
-                    loop {
-                        ws(&mut i);
-                        // Same first-byte dispatch and token charset as
-                        // Parser::number.
-                        if !matches!(b.get(i), Some(c) if *c == b'-' || c.is_ascii_digit()) {
-                            return None;
-                        }
-                        let tok_start = i;
-                        if b[i] == b'-' {
-                            i += 1;
-                        }
-                        while matches!(
-                            b.get(i),
-                            Some(c) if c.is_ascii_digit()
-                                || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-')
-                        ) {
-                            i += 1;
-                        }
-                        let Ok(v) = text[tok_start..i].parse::<f64>() else {
-                            return None;
-                        };
-                        features.push(v);
-                        ws(&mut i);
-                        match b.get(i) {
-                            Some(b',') => i += 1,
-                            Some(b']') => {
-                                i += 1;
-                                break;
-                            }
-                            _ => return None,
-                        }
-                    }
-                }
-            }
-            _ => return None, // unknown or duplicate key → slow path
+        if key == "model" && model.is_none() {
+            model = Some(scan_plain_str(text, &mut i)?);
+        } else if key == array_key && !saw_array {
+            saw_array = true;
+            scan_array(&mut i)?;
+        } else {
+            return None; // unknown or duplicate key → slow path
         }
 
-        ws(&mut i);
+        skip_ws(b, &mut i);
         match b.get(i) {
             Some(b',') => i += 1,
             Some(b'}') => {
@@ -411,11 +461,54 @@ pub fn scan_predict_body<'a>(text: &'a str, features: &mut Vec<f64>) -> Option<O
             _ => return None,
         }
     }
-    ws(&mut i);
-    if i != b.len() || !saw_features {
+    skip_ws(b, &mut i);
+    if i != b.len() || !saw_array {
         return None;
     }
     Some(model)
+}
+
+/// The `/predict` 200 body, appended to `out` without allocating:
+/// `{"model":"name@vN","batch_rows":N,"outputs":[...]}`. A `features`
+/// request (`rows: None`) gets its outputs as one flat array; a `rows`
+/// request of `n` rows (`Some(n)`, also for one row) gets one array per
+/// row.
+pub fn write_predict_reply(
+    out: &mut Vec<u8>,
+    model_tag: &str,
+    batch_rows: usize,
+    outputs: &[f64],
+    rows: Option<usize>,
+) {
+    use std::io::Write as _;
+    out.extend_from_slice(b"{\"model\":");
+    write_json_str(out, model_tag);
+    let _ = write!(out, ",\"batch_rows\":{batch_rows},\"outputs\":");
+    let write_row = |out: &mut Vec<u8>, row: &[f64]| {
+        out.push(b'[');
+        for (i, v) in row.iter().enumerate() {
+            if i > 0 {
+                out.push(b',');
+            }
+            write_json_num(out, *v);
+        }
+        out.push(b']');
+    };
+    match rows {
+        None => write_row(out, outputs),
+        Some(n) => {
+            let width = outputs.len() / n.max(1);
+            out.push(b'[');
+            for r in 0..n {
+                if r > 0 {
+                    out.push(b',');
+                }
+                write_row(out, &outputs[r * width..(r + 1) * width]);
+            }
+            out.push(b']');
+        }
+    }
+    out.push(b'}');
 }
 
 /// Streaming [`json_str`]: escape `s` into `out` without an
@@ -621,11 +714,75 @@ mod tests {
             r#"{"features":[--1]}"#,              // malformed number
             r#"{"features":{"a":1}}"#,            // wrong type
             r#"{"model":null,"features":[1]}"#,   // non-string model
+            r#"{"model":"m","rows":[[1,2]]}"#,    // the multi-row form
         ] {
             assert!(
                 scan_predict_body(body, &mut feats).is_none(),
                 "fast path must defer {body:?}"
             );
         }
+    }
+
+    #[test]
+    fn rows_scan_reads_row_major_values_and_defers_the_rest() {
+        let mut rows = Vec::new();
+        for (body, model, n_rows, want) in [
+            (
+                r#"{"model":"m","rows":[[1,-2.5],[3e2,0.125]]}"#,
+                Some("m"),
+                2,
+                vec![1.0, -2.5, 300.0, 0.125],
+            ),
+            (r#" { "rows" : [ [ 7 ] ] } "#, None, 1, vec![7.0]),
+            (
+                r#"{"rows":[[1e999,1]],"model":"x"}"#,
+                Some("x"),
+                1,
+                vec![f64::INFINITY, 1.0],
+            ),
+            (r#"{"rows":[[],[]]}"#, None, 2, vec![]),
+        ] {
+            let got = scan_predict_rows(body, &mut rows)
+                .unwrap_or_else(|| panic!("rows scan rejected {body:?}"));
+            assert_eq!(got, (model, n_rows), "{body:?}");
+            assert_eq!(rows, want, "{body:?}");
+        }
+        for body in [
+            r#"{"rows":[]}"#,                    // no rows
+            r#"{"rows":[[1,2],[3]]}"#,           // ragged
+            r#"{"rows":[1,2]}"#,                 // rows of numbers, not of rows
+            r#"{"rows":[[1]],"features":[1]}"#,  // both forms
+            r#"{"rows":[[1]],"rows":[[2]]}"#,    // duplicate key
+            r#"{"rows":[[1],]}"#,                // trailing comma
+            r#"{"rows":[[1]]} x"#,               // trailing garbage
+            r#"{"model":"m","features":[1,2]}"#, // the one-row form
+        ] {
+            assert!(
+                scan_predict_rows(body, &mut rows).is_none(),
+                "rows scan must defer {body:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn predict_reply_is_flat_for_features_and_nested_for_rows() {
+        let mut out = Vec::new();
+        write_predict_reply(&mut out, "m@v2", 3, &[1.5, -2.0, 0.1, 4.0], None);
+        assert_eq!(
+            String::from_utf8(out.clone()).unwrap(),
+            r#"{"model":"m@v2","batch_rows":3,"outputs":[1.5,-2,0.1,4]}"#
+        );
+        out.clear();
+        write_predict_reply(&mut out, "m@v2", 64, &[1.5, -2.0, 0.1, 4.0], Some(2));
+        assert_eq!(
+            String::from_utf8(out.clone()).unwrap(),
+            r#"{"model":"m@v2","batch_rows":64,"outputs":[[1.5,-2],[0.1,4]]}"#
+        );
+        out.clear();
+        write_predict_reply(&mut out, "m@v2", 1, &[0.25], Some(1));
+        assert_eq!(
+            String::from_utf8(out).unwrap(),
+            r#"{"model":"m@v2","batch_rows":1,"outputs":[[0.25]]}"#
+        );
     }
 }

@@ -3,10 +3,11 @@
 //!
 //! The paper's scheduling simulation consumes RPV predictions at job
 //! submit time; this crate is the deployment shape that implies — a
-//! long-lived process answering single-row `POST /predict` requests.
-//! Three design points carry the whole crate:
+//! long-lived process answering `POST /predict` requests of one row
+//! (`features`, a job submission) or several (`rows`, a scheduler's
+//! decision-point batch). Three design points carry the whole crate:
 //!
-//! 1. **Micro-batching** ([`batch`]): concurrent single-row requests are
+//! 1. **Micro-batching** ([`batch`]): concurrent requests are
 //!    coalesced into one batch call on the model, so the per-row cost
 //!    under load is the *batched* inference cost: the tree-ensemble
 //!    engine's blocked batch kernel is several times cheaper per row

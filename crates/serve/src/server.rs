@@ -6,8 +6,9 @@
 //! fallback — see [`crate::poller`]): a fixed set of shard threads each
 //! owns its accepted connections, parses pipelined HTTP/1.1 requests
 //! from reusable per-connection buffers, and writes responses back in
-//! request order. `POST /predict` rows still flow through the
-//! [`crate::batch`] micro-batching queue — the batcher delivers
+//! request order. `POST /predict` requests — one row (`features`) or
+//! several (`rows`) — flow through the one [`crate::batch`]
+//! micro-batching queue — the batcher delivers
 //! completions to the owning shard's inbox instead of a parked thread,
 //! so thousands of keep-alive connections need only `shards` threads.
 //!
@@ -329,9 +330,10 @@ pub fn serve(cfg: ServeConfig, registry: Arc<ModelRegistry>) -> Result<ServerHan
 pub(crate) enum Dispatch {
     /// The reply is known now (every route except an admitted predict).
     Ready(SlotReply),
-    /// A predict row was queued; the batcher will complete the slot
-    /// through the shard's sink under the given ticket.
-    Submitted,
+    /// A predict request was queued; the batcher will complete the slot
+    /// through the shard's sink under the given ticket. `rows` is the
+    /// slot's [`Slot::rows`].
+    Submitted { rows: Option<usize> },
 }
 
 fn ready(status: u16, retry_after: bool, body: Body) -> Dispatch {
@@ -402,6 +404,55 @@ pub(crate) fn dispatch(
     ready_error(404, &format!("no route for {path}"))
 }
 
+/// The allocating path for bodies the scanners defer: the same values
+/// in `values`, or the canonical 400 message. `Some(n)` is the `rows`
+/// form with `n` rows, every one as wide as the first.
+fn predict_body_slow<'a>(
+    parsed: &'a JsonValue,
+    values: &mut Vec<f64>,
+) -> Result<(Option<&'a str>, Option<usize>), &'static str> {
+    fn push_numbers(
+        values: &mut Vec<f64>,
+        row: &[JsonValue],
+        not_numbers: &'static str,
+    ) -> Result<(), &'static str> {
+        for value in row {
+            values.push(value.as_f64().ok_or(not_numbers)?);
+        }
+        Ok(())
+    }
+    values.clear();
+    let model = parsed.get("model").and_then(JsonValue::as_str);
+    match (parsed.get("features"), parsed.get("rows")) {
+        (Some(_), Some(_)) => Err("give either \"features\" or \"rows\", not both"),
+        (None, Some(rows)) => {
+            let rows = rows
+                .as_array()
+                .filter(|rows| !rows.is_empty())
+                .ok_or("\"rows\" must be a non-empty array of rows")?;
+            let mut width = None;
+            for row in rows {
+                let row = row.as_array().ok_or(ROWS_NOT_NUMBERS)?;
+                if *width.get_or_insert(row.len()) != row.len() {
+                    return Err("\"rows\" must all have the same length");
+                }
+                push_numbers(values, row, ROWS_NOT_NUMBERS)?;
+            }
+            Ok((model, Some(rows.len())))
+        }
+        (features, None) => {
+            let row = features
+                .and_then(JsonValue::as_array)
+                .ok_or("missing \"features\" array")?;
+            push_numbers(values, row, FEATURES_NOT_NUMBERS)?;
+            Ok((model, None))
+        }
+    }
+}
+
+const FEATURES_NOT_NUMBERS: &str = "\"features\" must be finite numbers";
+const ROWS_NOT_NUMBERS: &str = "\"rows\" must be arrays of finite numbers";
+
 fn predict(
     shared: &ServerShared,
     body: &[u8],
@@ -413,62 +464,59 @@ fn predict(
         return ready_error(400, "body is not utf-8");
     };
 
-    // Hot path: the canonical `{"model":...,"features":[...]}` shape
-    // parses straight into the reusable row with zero allocation;
-    // anything else falls back to the full JSON parser with behavior
-    // (and error messages) identical to the blocking server's.
-    let model = if let Some(name) = json::scan_predict_body(text, features) {
-        let name = name.unwrap_or("default");
-        if features.iter().any(|x| !x.is_finite()) {
-            return ready_error(400, "\"features\" must be finite numbers");
-        }
-        match shared.registry.get(name) {
-            Some(model) => model,
-            None => return ready_error(404, &format!("unknown model '{name}'")),
-        }
+    // Hot path: the canonical `{"model":...,"features":[...]}` and
+    // `{"model":...,"rows":[[...],...]}` shapes parse straight into the
+    // reusable scratch with zero allocation; anything else falls back to
+    // the full JSON parser, which reads the same values or words the 400.
+    let parsed;
+    let (name, rows) = if let Some(name) = json::scan_predict_body(text, features) {
+        (name, None)
+    } else if let Some((name, n_rows)) = json::scan_predict_rows(text, features) {
+        (name, Some(n_rows))
     } else {
-        let parsed = match JsonValue::parse(text) {
+        parsed = match JsonValue::parse(text) {
             Ok(v) => v,
             Err(e) => return ready_error(400, &e.to_string()),
         };
-        let name = parsed
-            .get("model")
-            .and_then(JsonValue::as_str)
-            .unwrap_or("default");
-        let Some(values) = parsed.get("features").and_then(JsonValue::as_array) else {
-            return ready_error(400, "missing \"features\" array");
-        };
-        features.clear();
-        for value in values {
-            match value.as_f64() {
-                Some(x) if x.is_finite() => features.push(x),
-                _ => return ready_error(400, "\"features\" must be finite numbers"),
-            }
-        }
-        match shared.registry.get(name) {
-            Some(model) => model,
-            None => return ready_error(404, &format!("unknown model '{name}'")),
+        match predict_body_slow(&parsed, features) {
+            Ok(body) => body,
+            Err(msg) => return ready_error(400, msg),
         }
     };
+    if features.iter().any(|x| !x.is_finite()) {
+        return ready_error(
+            400,
+            if rows.is_some() {
+                ROWS_NOT_NUMBERS
+            } else {
+                FEATURES_NOT_NUMBERS
+            },
+        );
+    }
+    let name = name.unwrap_or("default");
+    let Some(model) = shared.registry.get(name) else {
+        return ready_error(404, &format!("unknown model '{name}'"));
+    };
 
-    if features.len() != model.model.n_features() {
+    let n_rows = rows.unwrap_or(1);
+    let width = features.len() / n_rows;
+    if width != model.model.n_features() {
         return ready_error(
             400,
             &format!(
                 "model '{}' expects {} features, got {}",
                 model.tag(),
                 model.model.n_features(),
-                features.len()
+                width
             ),
         );
     }
 
-    let row = features.clone();
     match shared
         .batcher
-        .submit_with(model, row, Arc::clone(sink), ticket)
+        .submit_with(model, features.clone(), n_rows, Arc::clone(sink), ticket)
     {
-        Ok(()) => Dispatch::Submitted,
+        Ok(()) => Dispatch::Submitted { rows },
         Err(SubmitError::QueueFull) => ready(
             503,
             true,
@@ -478,6 +526,13 @@ fn predict(
             503,
             true,
             Body::Static("{\"error\":\"server is shutting down\"}"),
+        ),
+        Err(SubmitError::TooManyRows) => ready_error(
+            400,
+            &format!(
+                "{n_rows} rows in one request; the limit is {} (max_batch)",
+                shared.batcher.max_batch()
+            ),
         ),
     }
 }
@@ -696,7 +751,6 @@ pub(crate) fn render_reply(
     body_buf: &mut Vec<u8>,
     out: &mut Vec<u8>,
 ) {
-    use std::io::Write as _;
     let status = match reply {
         SlotReply::Batch(BatchReply::Ok {
             outputs,
@@ -704,16 +758,7 @@ pub(crate) fn render_reply(
             batch_rows,
         }) => {
             body_buf.clear();
-            body_buf.extend_from_slice(b"{\"model\":");
-            json::write_json_str(body_buf, &model_tag);
-            let _ = write!(body_buf, ",\"batch_rows\":{batch_rows},\"outputs\":[");
-            for (i, v) in outputs.iter().enumerate() {
-                if i > 0 {
-                    body_buf.push(b',');
-                }
-                json::write_json_num(body_buf, *v);
-            }
-            body_buf.extend_from_slice(b"]}");
+            json::write_predict_reply(body_buf, &model_tag, batch_rows, &outputs, slot.rows);
             http::render_response(out, 200, &[], body_buf, keep_alive);
             200
         }

@@ -1,6 +1,8 @@
 //! Backpressure behaviour: a full queue answers `503 + Retry-After`
 //! promptly (no hang, no panic), the queue drains once load stops, and
-//! rows that out-wait their deadline get `504`.
+//! rows that out-wait their deadline get `504` — with `queue_cap`
+//! counting rows and a multi-row request admitted, refused or expired
+//! as a whole.
 
 mod common;
 
@@ -8,7 +10,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use common::SlowModel;
-use mphpc_serve::client::request_once;
+use mphpc_serve::client::{request_once, ClientConn};
 use mphpc_serve::{serve, BatchConfig, ServeConfig, ServerHandle};
 
 fn start_slow_server(delay: Duration, batch: BatchConfig, shards: usize) -> ServerHandle {
@@ -164,4 +166,103 @@ fn queued_rows_past_their_deadline_answer_504() {
     let stats = handle.join();
     assert!(stats.expired >= 1, "expiries must be counted");
     assert_eq!(stats.failed, 0);
+}
+
+/// `{"rows":[[i,1],...]}` with `n` rows.
+fn rows_body(n: usize) -> String {
+    let rows: Vec<String> = (0..n).map(|i| format!("[{i},1]")).collect();
+    format!("{{\"rows\":[{}]}}", rows.join(","))
+}
+
+#[test]
+fn queue_cap_counts_rows_and_refuses_a_multi_row_request_whole() {
+    // A linger far longer than the test holds the first request in the
+    // queue until the last one fills the batch (32 + 4 rows).
+    let handle = start_slow_server(
+        Duration::ZERO,
+        BatchConfig {
+            max_batch: 36,
+            queue_cap: 40,
+            linger: Duration::from_secs(30),
+            deadline: Duration::from_secs(60),
+        },
+        1,
+    );
+    let addr = handle.addr().to_string();
+    let io_timeout = Duration::from_secs(10);
+
+    let mut first = ClientConn::connect(&addr, io_timeout).expect("connect");
+    first
+        .send("POST", "/predict", &rows_body(32))
+        .expect("32 rows fit an empty queue");
+    let depth = |want: &str| {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            let stats = request_once(&addr, "GET", "/stats", "", io_timeout).expect("stats");
+            if stats.text().contains(want) {
+                break;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "never saw {want}: {}",
+                stats.text()
+            );
+            thread::sleep(Duration::from_millis(5));
+        }
+    };
+    depth("\"queue_depth\":32");
+
+    // 32 + 32 rows exceed 40: refused as a whole, nothing of it queued.
+    let refused =
+        request_once(&addr, "POST", "/predict", &rows_body(32), io_timeout).expect("second");
+    assert_eq!(refused.status, 503, "{}", refused.text());
+    assert_eq!(refused.header("retry-after"), Some("1"));
+    depth("\"queue_depth\":32");
+
+    // Four more rows fit, fill the batch, and both requests ride it.
+    let last = request_once(&addr, "POST", "/predict", &rows_body(4), io_timeout).expect("third");
+    assert_eq!(last.status, 200, "{}", last.text());
+    assert_eq!(
+        last.text(),
+        "{\"model\":\"default@v1\",\"batch_rows\":36,\"outputs\":[[1],[2],[3],[4]]}"
+    );
+    let first = first.recv().expect("the first request's reply");
+    assert_eq!(first.status, 200, "{}", first.text());
+    assert!(first
+        .text()
+        .starts_with("{\"model\":\"default@v1\",\"batch_rows\":36,\"outputs\":[[1],[2],"));
+    assert!(first.text().ends_with(",[32]]}"));
+    depth("\"queue_depth\":0");
+
+    handle.shutdown();
+    let stats = handle.join();
+    assert_eq!((stats.rejected, stats.expired, stats.failed), (1, 0, 0));
+}
+
+#[test]
+fn an_expired_multi_row_request_is_one_504() {
+    // Pipelined on one connection, so enqueued in order: the first
+    // request keeps the batcher busy for 150 ms (a batch holds only its
+    // two rows), the second waits behind it past its 20 ms deadline.
+    let handle = start_slow_server(
+        Duration::from_millis(150),
+        BatchConfig {
+            max_batch: 2,
+            deadline: Duration::from_millis(20),
+            ..BatchConfig::default()
+        },
+        1,
+    );
+    let addr = handle.addr().to_string();
+    let mut conn = ClientConn::connect(&addr, Duration::from_secs(10)).expect("connect");
+    conn.send("POST", "/predict", &rows_body(2)).expect("first");
+    conn.send("POST", "/predict", &rows_body(2))
+        .expect("second");
+    assert_eq!(conn.recv().expect("first reply").status, 200);
+    let late = conn.recv().expect("second reply");
+    assert_eq!(late.status, 504, "{}", late.text());
+
+    handle.shutdown();
+    let stats = handle.join();
+    assert_eq!((stats.expired, stats.failed), (1, 0));
 }

@@ -6,12 +6,12 @@
 //! *cost* of a stray allocation, not its existence.
 //!
 //! The guard drives the exact functions the event loop calls per
-//! request ([`http::parse_head`], [`json::scan_predict_body`],
-//! [`json::write_json_str`]/[`write_json_num`], [`http::render_response`])
-//! over reused buffers, mirroring the per-connection buffer lifecycle.
-//! The batcher hand-off (one `Vec` clone per row) is deliberately out
-//! of scope: it crosses threads and is priced separately in the
-//! serving benchmark.
+//! request ([`http::parse_head`], [`json::scan_predict_body`] or, for a
+//! 32-row `rows` request, [`json::scan_predict_rows`],
+//! [`json::write_predict_reply`], [`http::render_response`]) over reused
+//! buffers, mirroring the per-connection buffer lifecycle. The batcher
+//! hand-off (one `Vec` clone per request) is deliberately out of scope:
+//! it crosses threads and is priced separately in the serving benchmark.
 //!
 //! Everything lives in one `#[test]` because the allocation counter is
 //! process-global and would observe concurrent tests.
@@ -42,14 +42,20 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 const ITERS: u64 = 10_000;
 
+/// The reused buffers of one shard and connection.
+#[derive(Default)]
+struct Buffers {
+    features: Vec<f64>,
+    outputs: Vec<f64>,
+    body_buf: Vec<u8>,
+    out: Vec<u8>,
+}
+
 /// One simulated request/response cycle over reused buffers — the same
 /// sequence the event loop runs per request after connection setup.
-fn request_cycle(
-    request: &[u8],
-    features: &mut Vec<f64>,
-    body_buf: &mut Vec<u8>,
-    out: &mut Vec<u8>,
-) {
+/// `rows` is `None` for a `features` request and the row count of a
+/// `rows` request.
+fn request_cycle(request: &[u8], rows: Option<usize>, buf: &mut Buffers) {
     // Parse the head (borrowed slices, no copies).
     let head = match http::parse_head(request, http::MAX_HEAD_BYTES) {
         Parse::Head(head) => head,
@@ -61,39 +67,47 @@ fn request_cycle(
     let text = std::str::from_utf8(body).expect("fixture is utf-8");
 
     // Scan the predict body into the reused feature vector.
-    features.clear();
-    let model = json::scan_predict_body(text, features).expect("fixture is canonical");
-    assert!(model.is_none(), "fixture omits the model field");
-    assert_eq!(features.len(), 3);
-
-    // Render the 200 body the way the server does: streamed JSON into a
-    // reused body buffer, then the response head around it.
-    body_buf.clear();
-    body_buf.extend_from_slice(b"{\"model\":");
-    json::write_json_str(body_buf, "default@v1");
-    body_buf.extend_from_slice(b",\"batch_rows\":1,\"outputs\":[");
-    for (i, f) in features.iter().enumerate() {
-        if i > 0 {
-            body_buf.push(b',');
-        }
-        json::write_json_num(body_buf, f * 2.0);
+    let model = match rows {
+        None => json::scan_predict_body(text, &mut buf.features),
+        Some(n) => json::scan_predict_rows(text, &mut buf.features).map(|(model, n_rows)| {
+            assert_eq!(n_rows, n);
+            model
+        }),
     }
-    body_buf.extend_from_slice(b"]}");
+    .expect("fixture is canonical");
+    assert!(model.is_none(), "fixture omits the model field");
+    assert_eq!(buf.features.len(), 3 * rows.unwrap_or(1));
 
-    out.clear();
-    http::render_response(out, 200, &[], body_buf, true);
-    assert!(out.starts_with(b"HTTP/1.1 200 OK\r\n"));
+    // Render the 200 the way the server does: the reply body streamed
+    // into a reused buffer, then the response head around it.
+    buf.outputs.clear();
+    buf.outputs.extend(buf.features.iter().map(|f| f * 2.0));
+    buf.body_buf.clear();
+    json::write_predict_reply(&mut buf.body_buf, "default@v1", 64, &buf.outputs, rows);
+    buf.out.clear();
+    http::render_response(&mut buf.out, 200, &[], &buf.body_buf, true);
+    assert!(buf.out.starts_with(b"HTTP/1.1 200 OK\r\n"));
 }
 
 #[test]
 fn steady_state_request_cycle_allocates_nothing() {
-    let request = b"POST /predict HTTP/1.1\r\nhost: mphpc\r\ncontent-length: 26\r\n\r\n{\"features\":[1.5,-2,3.25]}";
+    let one_row = b"POST /predict HTTP/1.1\r\nhost: mphpc\r\ncontent-length: 26\r\n\r\n{\"features\":[1.5,-2,3.25]}".to_vec();
+    let rows: Vec<String> = (0..32).map(|i| format!("[{i}.5,-2,3.25]")).collect();
+    let body = format!("{{\"rows\":[{}]}}", rows.join(","));
+    let multi_row = format!(
+        "POST /predict HTTP/1.1\r\nhost: mphpc\r\ncontent-length: {}\r\n\r\n{body}",
+        body.len()
+    )
+    .into_bytes();
+    let cycle = |buf: &mut Buffers| {
+        request_cycle(&one_row, None, buf);
+        request_cycle(&multi_row, Some(32), buf);
+    };
 
     // Warm-up: first cycle sizes every reused buffer.
-    let mut features = Vec::new();
-    let mut body_buf = Vec::new();
-    let mut out = Vec::new();
-    request_cycle(request, &mut features, &mut body_buf, &mut out);
+    let mut buf = Buffers::default();
+    cycle(&mut buf);
+    assert!(buf.out.ends_with(b",[63,-4,6.5]]}"));
 
     // The counter is process-global, so a one-off lazy init on another
     // thread (test harness, stdio) could land inside the window. Take
@@ -103,7 +117,7 @@ fn steady_state_request_cycle_allocates_nothing() {
         .map(|_| {
             let before = ALLOCS.load(Ordering::SeqCst);
             for _ in 0..ITERS {
-                request_cycle(request, &mut features, &mut body_buf, &mut out);
+                cycle(&mut buf);
             }
             ALLOCS.load(Ordering::SeqCst) - before
         })

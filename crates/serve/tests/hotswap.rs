@@ -1,7 +1,8 @@
-//! Concurrent hot-swap: hammer `/predict` from 1/2/8 threads while the
-//! model is re-uploaded in a loop. Every response must be consistent —
-//! the outputs must match the version its tag claims, bit-identically —
-//! and nothing may error.
+//! Concurrent hot-swap: hammer `/predict` from 1/2/8 threads, one-row and
+//! multi-row requests alternating, while the model is re-uploaded in a
+//! loop. Every response must be consistent — the outputs of every row
+//! must match the version its tag claims, bit-identically — and nothing
+//! may error.
 
 mod common;
 
@@ -46,12 +47,16 @@ fn run_hotswap(threads: usize) {
                 let stop = &stop;
                 scope.spawn(move || {
                     let mut conn = ClientConn::connect(addr, io_timeout).expect("client connects");
-                    let body = r#"{"features":[1,2,3]}"#;
+                    let bodies = [
+                        r#"{"features":[1,2,3]}"#,
+                        r#"{"rows":[[1,2,3],[1,2,3],[1,2,3]]}"#,
+                    ];
                     let mut checked = 0u64;
                     let mut versions = BTreeSet::new();
                     while !stop.load(Ordering::Acquire) {
+                        let multi_row = checked % 2 == 1;
                         let resp = conn
-                            .request("POST", "/predict", body)
+                            .request("POST", "/predict", bodies[usize::from(multi_row)])
                             .expect("request completes");
                         assert_eq!(resp.status, 200, "unexpected response: {}", resp.text());
                         let parsed = JsonValue::parse(&resp.text()).expect("valid body");
@@ -70,21 +75,34 @@ fn run_hotswap(threads: usize) {
                         );
                         // Torn-read check: the factor is the version, so
                         // the outputs must be exactly features × the
-                        // tagged version — any mix of versions breaks
+                        // tagged version — any mix of versions, within a
+                        // row or between the rows of one reply, breaks
                         // the equality bit-for-bit.
-                        let outputs: Vec<f64> = parsed
-                            .get("outputs")
-                            .and_then(JsonValue::as_array)
-                            .expect("outputs array")
-                            .iter()
-                            .map(|v| v.as_f64().expect("numeric output"))
-                            .collect();
+                        let outputs = parsed.get("outputs").expect("outputs");
+                        let rows: Vec<&JsonValue> = if multi_row {
+                            outputs
+                                .as_array()
+                                .expect("one array per row")
+                                .iter()
+                                .collect()
+                        } else {
+                            vec![outputs]
+                        };
+                        assert_eq!(rows.len(), if multi_row { 3 } else { 1 });
                         let expected: Vec<f64> =
                             FEATURES.iter().map(|f| f * version as f64).collect();
-                        assert_eq!(
-                            outputs, expected,
-                            "response tagged {tag} carries another version's outputs"
-                        );
+                        for row in rows {
+                            let row: Vec<f64> = row
+                                .as_array()
+                                .expect("outputs array")
+                                .iter()
+                                .map(|v| v.as_f64().expect("numeric output"))
+                                .collect();
+                            assert_eq!(
+                                row, expected,
+                                "response tagged {tag} carries another version's outputs"
+                            );
+                        }
                         versions.insert(version);
                         checked += 1;
                     }

@@ -1,8 +1,10 @@
 //! Parser conformance over real sockets: the incremental parser must
 //! produce the same response no matter how the request bytes are
-//! chunked, answer pipelined requests strictly in order, reject
-//! malformed and oversized input with `400`/`431` and a close, and
-//! never panic — a deterministic byte-mutation fuzz drives the last
+//! chunked, answer pipelined requests strictly in order (also more of
+//! them than the pipeline holds), give the `rows` form of `/predict` the
+//! same answer from the fast scanner as from the full JSON parser,
+//! reject malformed and oversized input with `400`/`431` and a close,
+//! and never panic — a deterministic byte-mutation fuzz drives the last
 //! point.
 
 mod common;
@@ -22,16 +24,16 @@ const GOOD_BODY: &str = "{\"features\":[1.5,2,3.2]}";
 const GOOD_RESPONSE_BODY: &str =
     "{\"model\":\"default@v1\",\"batch_rows\":1,\"outputs\":[1.5,2,3.2]}";
 
-fn good_request() -> Vec<u8> {
-    let mut req = Vec::new();
-    write!(
-        req,
-        "POST /predict HTTP/1.1\r\nhost: mphpc\r\ncontent-length: {}\r\n\r\n{}",
-        GOOD_BODY.len(),
-        GOOD_BODY
+fn predict_request(body: &str) -> Vec<u8> {
+    format!(
+        "POST /predict HTTP/1.1\r\nhost: mphpc\r\ncontent-length: {}\r\n\r\n{body}",
+        body.len()
     )
-    .unwrap();
-    req
+    .into_bytes()
+}
+
+fn good_request() -> Vec<u8> {
+    predict_request(GOOD_BODY)
 }
 
 fn start_server(cfg: ServeConfig) -> ServerHandle {
@@ -204,6 +206,161 @@ fn pipelined_requests_in_one_write_answer_in_order() {
         );
     }
     assert_eq!(String::from_utf8_lossy(&second.body), "{\"status\":\"ok\"}");
+
+    handle.shutdown();
+    handle.join();
+}
+
+#[test]
+fn more_pipelined_requests_than_the_pipeline_holds_are_all_answered() {
+    let handle = start_server(ServeConfig {
+        shards: 1,
+        ..ServeConfig::default()
+    });
+    let addr = handle.addr().to_string();
+    let depth = ServeConfig::default().max_pipeline;
+
+    // One small write, so one read buffers everything: the server parses
+    // a pipeline's worth, answers it, and must then go on to the requests
+    // still in its buffer without waiting for an event that never comes.
+    let n = 2 * depth + 6;
+    let burst = b"GET /healthz HTTP/1.1\r\nhost: mphpc\r\n\r\n".repeat(n);
+    assert!(burst.len() < 4096, "must fit the initial read buffer");
+    let mut conn = RawConn::connect(&addr);
+    conn.write(&burst).expect("burst");
+    for i in 0..n {
+        let resp = conn
+            .read_response()
+            .unwrap_or_else(|e| panic!("response {i} of {n}: {e}"));
+        assert_eq!(String::from_utf8_lossy(&resp.body), "{\"status\":\"ok\"}");
+    }
+
+    // The same with predictions, one-row and multi-row interleaved: the
+    // batcher completes them in whatever groups it likes, the wire keeps
+    // request order, and each form keeps its reply shape.
+    let mut burst = Vec::new();
+    for i in 0..n {
+        burst.extend(predict_request(&if i % 2 == 0 {
+            format!("{{\"features\":[{i},0,1]}}")
+        } else {
+            format!("{{\"rows\":[[{i},0,1],[{i},1,2]]}}")
+        }));
+    }
+    conn.write(&burst).expect("predict burst");
+    for i in 0..n {
+        let resp = conn
+            .read_response()
+            .unwrap_or_else(|e| panic!("predict response {i} of {n}: {e}"));
+        assert_eq!(resp.status, 200);
+        let text = String::from_utf8_lossy(&resp.body).into_owned();
+        let want = if i % 2 == 0 {
+            format!("\"outputs\":[{i},0,1]}}")
+        } else {
+            format!("\"outputs\":[[{i},0,1],[{i},1,2]]}}")
+        };
+        assert!(
+            text.ends_with(&want),
+            "response {i} out of order or corrupted: {text}"
+        );
+    }
+
+    handle.shutdown();
+    let stats = handle.join();
+    assert_eq!(stats.ok, 2 * n as u64);
+}
+
+#[test]
+fn rows_bodies_get_one_answer_from_the_scanner_and_the_full_parser() {
+    let handle = start_server(ServeConfig {
+        shards: 1,
+        ..ServeConfig::default()
+    });
+    let addr = handle.addr().to_string();
+    let max_batch = ServeConfig::default().batch.max_batch;
+    let full_batch = vec!["[1,2,3]"; max_batch].join(",");
+
+    let ok = |batch_rows: usize, outputs: &str| {
+        (
+            200,
+            format!(
+                "{{\"model\":\"default@v1\",\"batch_rows\":{batch_rows},\"outputs\":{outputs}}}"
+            ),
+        )
+    };
+    let error = |status: u16, msg: &str| (status, format!("{{\"error\":\"{msg}\"}}"));
+    let cases: Vec<(String, (u16, String))> = vec![
+        (
+            r#"{"rows":[[1.5,2,3.2],[4,5e0,-6]]}"#.to_string(),
+            ok(2, "[[1.5,2,3.2],[4,5,-6]]"),
+        ),
+        // One row still answers nested; whitespace and key order are free.
+        (
+            " { \"rows\" : [ [ 1.5 , 2 ,\t3.2 ] ] ,\n \"model\" : \"default\" } ".to_string(),
+            ok(1, "[[1.5,2,3.2]]"),
+        ),
+        (
+            format!("{{\"rows\":[{full_batch}]}}"),
+            ok(max_batch, &format!("[{full_batch}]")),
+        ),
+        (
+            format!("{{\"rows\":[{full_batch},[1,2,3]]}}"),
+            error(
+                400,
+                &format!(
+                    "{} rows in one request; the limit is {max_batch} (max_batch)",
+                    max_batch + 1
+                ),
+            ),
+        ),
+        (
+            r#"{"rows":[[1,2,3],[4,5]]}"#.to_string(),
+            error(400, r#"\"rows\" must all have the same length"#),
+        ),
+        (
+            r#"{"rows":[]}"#.to_string(),
+            error(400, r#"\"rows\" must be a non-empty array of rows"#),
+        ),
+        (
+            r#"{"rows":[[]]}"#.to_string(),
+            error(400, "model 'default@v1' expects 3 features, got 0"),
+        ),
+        (
+            r#"{"rows":[[1,2],[3,4]]}"#.to_string(),
+            error(400, "model 'default@v1' expects 3 features, got 2"),
+        ),
+        (
+            r#"{"rows":[[1,2,3]],"features":[1,2,3]}"#.to_string(),
+            error(400, r#"give either \"features\" or \"rows\", not both"#),
+        ),
+        (
+            r#"{"rows":[[1e999,2,3]]}"#.to_string(),
+            error(400, r#"\"rows\" must be arrays of finite numbers"#),
+        ),
+        (
+            r#"{"rows":[1,2,3]}"#.to_string(),
+            error(400, r#"\"rows\" must be arrays of finite numbers"#),
+        ),
+        (
+            r#"{"model":"nope","rows":[[1,2,3]]}"#.to_string(),
+            error(404, "unknown model 'nope'"),
+        ),
+    ];
+
+    let mut conn = RawConn::connect(&addr);
+    for (body, want) in &cases {
+        // An unknown key is something the scanner defers and the full
+        // parser ignores: the same request, down the other path.
+        let slow = body.replacen('{', "{\"via\":\"the full parser\",", 1);
+        for body in [body, &slow] {
+            conn.write(&predict_request(body)).expect("request");
+            let resp = conn.read_response().expect("response");
+            let got = (
+                resp.status,
+                String::from_utf8_lossy(&resp.body).into_owned(),
+            );
+            assert_eq!(&got, want, "for {body}");
+        }
+    }
 
     handle.shutdown();
     handle.join();

@@ -1,6 +1,7 @@
 //! Admission-control robustness: a slowloris trickle cannot hold a
-//! connection past the read deadline, idle keep-alive connections are
-//! reaped, the connection cap answers `503` at accept, and a structurally
+//! connection past the read deadline (while a steady pipelined stream,
+//! each request prompt, is not mistaken for one), idle keep-alive
+//! connections are reaped, the connection cap answers `503` at accept, and a structurally
 //! invalid model upload is refused — all while the server keeps serving
 //! well-behaved clients.
 
@@ -88,6 +89,66 @@ fn slowloris_trickle_is_cut_at_the_read_deadline() {
     handle.shutdown();
     let stats = handle.join();
     assert_eq!(stats.ok, 1);
+}
+
+#[test]
+fn the_read_deadline_is_per_request_not_per_stream() {
+    let handle = start_server(ServeConfig {
+        shards: 1,
+        read_deadline: Duration::from_millis(150),
+        idle_timeout: Duration::from_secs(60),
+        ..ServeConfig::default()
+    });
+    let addr = handle.addr().to_string();
+
+    // A pipelining client whose every write ends mid-request (what a
+    // stream of multi-row requests looks like to the server's reads):
+    // the server always holds a partial request, but never the same one
+    // for longer than 40 ms. It must still be served after several
+    // deadlines' worth of that.
+    let request = format!(
+        "POST /predict HTTP/1.1\r\nhost: mphpc\r\ncontent-length: {}\r\n\r\n{BODY}",
+        BODY.len()
+    );
+    let (front, back) = request.as_bytes().split_at(request.len() / 2);
+    let stream = TcpStream::connect(&addr).expect("connect");
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let rounds = 15;
+    writer.write_all(front).expect("first half");
+    for round in 0..rounds {
+        thread::sleep(Duration::from_millis(40));
+        writer
+            .write_all(&[back, front].concat())
+            .unwrap_or_else(|e| panic!("the server hung up in round {round}: {e}"));
+        let mut status = String::new();
+        reader.read_line(&mut status).expect("status line");
+        assert!(
+            status.starts_with("HTTP/1.1 200"),
+            "round {round}: {status:?}"
+        );
+        // Skip to the end of this response: headers, blank line, body.
+        let mut len = 0;
+        loop {
+            let mut line = String::new();
+            reader.read_line(&mut line).expect("header line");
+            if let Some(v) = line.strip_prefix("content-length:") {
+                len = v.trim().parse().expect("content-length");
+            }
+            if line == "\r\n" {
+                break;
+            }
+        }
+        io::copy(&mut (&mut reader).take(len), &mut io::sink()).expect("body");
+    }
+
+    handle.shutdown();
+    let stats = handle.join();
+    assert_eq!(stats.ok, rounds);
 }
 
 #[test]

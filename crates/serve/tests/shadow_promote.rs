@@ -62,13 +62,20 @@ fn raw_request(addr: &str, method: &str, path: &str, body: &str) -> Vec<u8> {
 /// state. Sequential single connections keep batching deterministic
 /// (every batch is one row).
 fn capture_predicts(addr: &str) -> Vec<Vec<u8>> {
-    (0..12)
-        .map(|i| {
-            let body = format!("{{\"features\":[{}.0,{}.5,-3.25]}}", i, i % 4);
-            raw_request(addr, "POST", "/predict", &body)
-        })
+    let mut bodies: Vec<String> = (0..12)
+        .map(|i| format!("{{\"features\":[{}.0,{}.5,-3.25]}}", i, i % 4))
+        .collect();
+    // Multi-row traffic is mirrored row for row like any other.
+    bodies.push("{\"rows\":[[1,2,3],[4,5,6],[7,8,9],[10,11,12],[-1,-2,-3]]}".to_string());
+    bodies
+        .iter()
+        .map(|body| raw_request(addr, "POST", "/predict", body))
         .collect()
 }
+
+/// Rows [`capture_predicts`] sends: twelve one-row requests and one of
+/// five rows.
+const PROBE_ROWS: u64 = 12 + 5;
 
 fn shadow_rows(addr: &str) -> u64 {
     let resp = request_once(addr, "GET", "/shadow", "", IO_TIMEOUT).expect("GET /shadow");
@@ -106,12 +113,17 @@ fn shadow_leaves_live_response_bytes_bit_identical() {
     let during = capture_predicts(&addr);
     // The shadow really scored the mirrored traffic: purity is proven
     // against an *active* shadow, not an idle one.
-    wait_for_shadow_rows(&addr, 12);
+    wait_for_shadow_rows(&addr, PROBE_ROWS);
     let report = request_once(&addr, "POST", "/shadow/default/drop", "", IO_TIMEOUT).unwrap();
     assert_eq!(report.status, 200, "{}", report.text());
     let parsed = JsonValue::parse(&report.text()).unwrap();
     let dropped = parsed.get("dropped").expect("final report");
     assert_eq!(dropped.get("errors").and_then(JsonValue::as_f64), Some(0.0));
+    assert_eq!(
+        dropped.get("rows").and_then(JsonValue::as_f64),
+        Some(PROBE_ROWS as f64),
+        "every row of the multi-row request counts"
+    );
     // |7x − x| averaged over the probe rows is nonzero: the candidate
     // diverged, yet (below) the live bytes did not.
     let mean = dropped

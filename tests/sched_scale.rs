@@ -139,9 +139,14 @@ fn federation_matches_local_and_survives_server_death() {
     assert!(!stats.degraded, "healthy server must not degrade");
     assert_eq!(stats.fallbacks, 0);
     assert_eq!(
-        stats.responses,
+        stats.rows,
         5 * n_jobs as u64,
         "one lookup per job per strategy"
+    );
+    assert_eq!(stats.requests, stats.responses);
+    assert!(
+        stats.requests <= stats.rows,
+        "requests carry rows: {stats:?}"
     );
     assert!(stats.latency_us_max > 0);
 
@@ -168,11 +173,11 @@ fn federation_matches_local_and_survives_server_death() {
     for (f, l) in outcomes.iter().zip(&baseline) {
         assert_eq!(f.outcome, l.outcome, "mid-death federation diverged");
     }
-    // Responses received for a batch that later failed are discarded and
-    // the whole batch falls back, so the two counters can overlap — but
-    // together they must cover every lookup.
-    assert!(
-        stats.responses + stats.fallbacks >= 5 * n_jobs as u64,
+    // A batch the server answered only in part falls back whole, so every
+    // lookup is counted exactly once, as a remote row or a fallback row.
+    assert_eq!(
+        stats.rows + stats.fallbacks,
+        5 * n_jobs as u64,
         "every lookup answered, remotely or locally: {stats:?}"
     );
 
@@ -191,5 +196,5 @@ fn federation_matches_local_and_survives_server_death() {
     }
     assert!(stats.degraded);
     assert_eq!(stats.fallbacks, 5 * n_jobs as u64);
-    assert_eq!(stats.responses, 0);
+    assert_eq!((stats.requests, stats.rows), (0, 0));
 }
