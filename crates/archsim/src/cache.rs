@@ -49,24 +49,6 @@ impl LevelStats {
         }
         (self.load_misses + self.store_misses) as f64 / total as f64
     }
-
-    /// Load miss ratio relative to loads at this level.
-    pub fn load_miss_ratio(&self) -> f64 {
-        let loads = self.load_hits + self.load_misses;
-        if loads == 0 {
-            return 0.0;
-        }
-        self.load_misses as f64 / loads as f64
-    }
-
-    /// Store miss ratio relative to stores at this level.
-    pub fn store_miss_ratio(&self) -> f64 {
-        let stores = self.store_hits + self.store_misses;
-        if stores == 0 {
-            return 0.0;
-        }
-        self.store_misses as f64 / stores as f64
-    }
 }
 
 /// One set's entry in the set table: live only while `epoch` matches the

@@ -31,11 +31,6 @@ impl Roofline {
         self.peak_flops / self.mem_bw
     }
 
-    /// Attainable FLOP/s at arithmetic intensity `ai`.
-    pub fn attainable_flops(&self, ai: f64) -> f64 {
-        (ai.max(0.0) * self.mem_bw).min(self.peak_flops)
-    }
-
     /// True if a kernel at `ai` is limited by memory on this machine.
     pub fn is_memory_bound(&self, ai: f64) -> bool {
         ai < self.ridge_point()
@@ -140,14 +135,12 @@ mod tests {
     }
 
     #[test]
-    fn ridge_point_and_attainability() {
+    fn ridge_point_splits_memory_bound_from_compute_bound() {
         let r = Roofline {
             peak_flops: 1e12,
             mem_bw: 1e11,
         };
         assert!((r.ridge_point() - 10.0).abs() < 1e-12);
-        assert_eq!(r.attainable_flops(1.0), 1e11);
-        assert_eq!(r.attainable_flops(100.0), 1e12);
         assert!(r.is_memory_bound(5.0));
         assert!(!r.is_memory_bound(20.0));
     }
@@ -191,6 +184,5 @@ mod tests {
             mem_bw: 0.0,
         };
         assert!(r.ridge_point().is_infinite());
-        assert_eq!(r.attainable_flops(5.0), 0.0);
     }
 }

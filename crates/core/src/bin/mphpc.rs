@@ -79,8 +79,8 @@ USAGE:
   mphpc predict --model <json> --app <name> --input <cfg> --scale 1core|1node|2node --machine <name>
   mphpc sched   --dataset <csv> --model <json> [--jobs N] [--rate R] [--seed N]
   mphpc pipeline [--apps N] [--inputs N] [--reps N] [--jobs N] [--rate R] [--seed N]
-  mphpc serve   --model <json> [--addr H:P] [--shards N] [--max-batch N] [--linger-us N]
-                [--queue-cap N] [--deadline-ms N] [--max-conns N] [--read-deadline-ms N]
+  mphpc serve   --model <json> [--addr H:P] [--shards N] [--max-batch N] [--queue-cap N]
+                [--deadline-ms N] [--max-conns N] [--read-deadline-ms N]
                 [--idle-timeout-ms N] [--poller epoll|poll]
   mphpc watch   --store <dir> --model <json> [--addr H:P] [--name <model>] [--ticks N]
                 [--poll-ms N] [--holdout N] [--epsilon E] [--extra N] [--min-rows N]
@@ -136,28 +136,45 @@ fn req<'a>(opts: &'a HashMap<String, String>, key: &str) -> Result<&'a str, Mphp
         .ok_or_else(|| MphpcError::InvalidArgument(format!("missing required option --{key}")))
 }
 
-fn seed(opts: &HashMap<String, String>) -> u64 {
-    opts.get("seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2024)
+/// `--key <value>` read as a `T`, `None` when the flag was not given. A
+/// value that does not parse is an error, never silently the default.
+fn opt<T: std::str::FromStr>(
+    opts: &HashMap<String, String>,
+    key: &str,
+) -> Result<Option<T>, MphpcError> {
+    let Some(value) = opts.get(key) else {
+        return Ok(None);
+    };
+    value.parse().map(Some).map_err(|_| {
+        let wanted = std::any::type_name::<T>();
+        MphpcError::InvalidArgument(format!("--{key} wants a {wanted}, got '{value}'"))
+    })
 }
 
-fn cmd_collect(opts: &HashMap<String, String>) -> Result<(), MphpcError> {
-    let out = req(opts, "out")?;
-    let n_apps: usize = opts.get("apps").and_then(|s| s.parse().ok()).unwrap_or(20);
-    let inputs: Option<usize> = opts.get("inputs").and_then(|s| s.parse().ok());
-    let reps: u32 = opts.get("reps").and_then(|s| s.parse().ok()).unwrap_or(2);
-    let cfg = CollectionConfig {
+fn seed(opts: &HashMap<String, String>) -> Result<u64, MphpcError> {
+    Ok(opt(opts, "seed")?.unwrap_or(2024))
+}
+
+/// The campaign `collect` and `fleet init` run: `--apps` (the first N of
+/// Table II, all 20 by default), `--inputs`, `--reps`, `--seed`.
+fn collection_config(opts: &HashMap<String, String>) -> Result<CollectionConfig, MphpcError> {
+    let n_apps: usize = opt(opts, "apps")?.unwrap_or(20);
+    Ok(CollectionConfig {
         apps: Some(
             mphpc_workloads::AppKind::ALL
                 .into_iter()
                 .take(n_apps.clamp(1, 20))
                 .collect(),
         ),
-        inputs_per_app: inputs,
-        reps,
-        seed: seed(opts),
-    };
+        inputs_per_app: opt(opts, "inputs")?,
+        reps: opt(opts, "reps")?.unwrap_or(2),
+        seed: seed(opts)?,
+    })
+}
+
+fn cmd_collect(opts: &HashMap<String, String>) -> Result<(), MphpcError> {
+    let out = req(opts, "out")?;
+    let cfg = collection_config(opts)?;
     eprintln!("collecting {} runs ...", cfg.specs().len());
     let dataset = collect(&cfg)?;
     dataset.write_csv(out)?;
@@ -174,7 +191,7 @@ fn cmd_train(opts: &HashMap<String, String>) -> Result<(), MphpcError> {
     let out = req(opts, "out")?;
     let kind = parse_model(opts.get("model"))?;
     eprintln!("training {} on {} rows ...", kind.name(), dataset.n_rows());
-    let predictor = train_predictor(&dataset, kind, seed(opts))?;
+    let predictor = train_predictor(&dataset, kind, seed(opts)?)?;
     // Atomic: a crash (or a concurrent `mphpc serve` loading the model)
     // must never observe a half-written export.
     mphpc_storage::atomic_write_file(out, predictor.to_json()?.as_bytes())
@@ -222,7 +239,7 @@ fn cmd_predict(opts: &HashMap<String, String>) -> Result<(), MphpcError> {
         scale.label(),
         machine.name()
     );
-    let profile = profile_one(app.spec.kind, input, scale, machine, seed(opts))?;
+    let profile = profile_one(app.spec.kind, input, scale, machine, seed(opts)?)?;
     let rpv = predictor.predict_rpv(&profile)?;
 
     println!(
@@ -243,15 +260,12 @@ fn cmd_sched(opts: &HashMap<String, String>) -> Result<(), MphpcError> {
     let model_path = req(opts, "model")?;
     let json = std::fs::read_to_string(model_path).map_err(|e| MphpcError::io(model_path, e))?;
     let predictor = PerfPredictor::from_json(&json)?;
-    let n_jobs: usize = opts
-        .get("jobs")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(20_000);
-    let rate: f64 = opts.get("rate").and_then(|s| s.parse().ok()).unwrap_or(0.0);
+    let n_jobs: usize = opt(opts, "jobs")?.unwrap_or(20_000);
+    let rate: f64 = opt(opts, "rate")?.unwrap_or(0.0);
 
     let templates = templates_from_dataset(&dataset, &predictor)?;
     eprintln!("simulating {n_jobs} jobs under 5 strategies ...");
-    let outcomes = run_strategy_comparison(&templates, n_jobs, rate, seed(opts))?;
+    let outcomes = run_strategy_comparison(&templates, n_jobs, rate, seed(opts)?)?;
     println!(
         "{:<14} {:>12} {:>22}",
         "strategy", "makespan (h)", "avg bounded slowdown"
@@ -273,15 +287,12 @@ fn cmd_sched(opts: &HashMap<String, String>) -> Result<(), MphpcError> {
 /// `mphpc pipeline --telemetry summary` prints the full span tree.
 fn cmd_pipeline(opts: &HashMap<String, String>) -> Result<(), MphpcError> {
     let _span = mphpc_telemetry::span!("pipeline");
-    let n_apps: usize = opts.get("apps").and_then(|s| s.parse().ok()).unwrap_or(6);
-    let inputs: usize = opts.get("inputs").and_then(|s| s.parse().ok()).unwrap_or(2);
-    let reps: u32 = opts.get("reps").and_then(|s| s.parse().ok()).unwrap_or(2);
-    let n_jobs: usize = opts
-        .get("jobs")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2_000);
-    let rate: f64 = opts.get("rate").and_then(|s| s.parse().ok()).unwrap_or(0.0);
-    let seed = seed(opts);
+    let n_apps: usize = opt(opts, "apps")?.unwrap_or(6);
+    let inputs: usize = opt(opts, "inputs")?.unwrap_or(2);
+    let reps: u32 = opt(opts, "reps")?.unwrap_or(2);
+    let n_jobs: usize = opt(opts, "jobs")?.unwrap_or(2_000);
+    let rate: f64 = opt(opts, "rate")?.unwrap_or(0.0);
+    let seed = seed(opts)?;
 
     let cfg = CollectionConfig::small(n_apps.clamp(1, 20), inputs, reps, seed);
     eprintln!("collecting {} runs ...", cfg.specs().len());
@@ -350,16 +361,16 @@ fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), MphpcError> {
             .unwrap_or_else(|| "127.0.0.1:8077".to_string()),
         ..Default::default()
     };
-    if let Some(n) = opts.get("shards").and_then(|s| s.parse().ok()) {
+    if let Some(n) = opt(opts, "shards")? {
         cfg.shards = n;
     }
-    if let Some(n) = opts.get("max-conns").and_then(|s| s.parse().ok()) {
+    if let Some(n) = opt(opts, "max-conns")? {
         cfg.max_conns = n;
     }
-    if let Some(ms) = opts.get("read-deadline-ms").and_then(|s| s.parse().ok()) {
+    if let Some(ms) = opt(opts, "read-deadline-ms")? {
         cfg.read_deadline = std::time::Duration::from_millis(ms);
     }
-    if let Some(ms) = opts.get("idle-timeout-ms").and_then(|s| s.parse().ok()) {
+    if let Some(ms) = opt(opts, "idle-timeout-ms")? {
         cfg.idle_timeout = std::time::Duration::from_millis(ms);
     }
     match opts.get("poller").map(String::as_str) {
@@ -371,16 +382,13 @@ fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), MphpcError> {
             )))
         }
     }
-    if let Some(n) = opts.get("max-batch").and_then(|s| s.parse().ok()) {
+    if let Some(n) = opt(opts, "max-batch")? {
         cfg.batch.max_batch = n;
     }
-    if let Some(us) = opts.get("linger-us").and_then(|s| s.parse().ok()) {
-        cfg.batch.linger = std::time::Duration::from_micros(us);
-    }
-    if let Some(n) = opts.get("queue-cap").and_then(|s| s.parse().ok()) {
+    if let Some(n) = opt(opts, "queue-cap")? {
         cfg.batch.queue_cap = n;
     }
-    if let Some(ms) = opts.get("deadline-ms").and_then(|s| s.parse().ok()) {
+    if let Some(ms) = opt(opts, "deadline-ms")? {
         cfg.batch.deadline = std::time::Duration::from_millis(ms);
     }
 
@@ -414,39 +422,35 @@ fn cmd_watch(opts: &HashMap<String, String>) -> Result<(), MphpcError> {
     if let Some(name) = opts.get("name").filter(|n| !n.is_empty()) {
         cfg.model = name.clone();
     }
-    if let Some(n) = opts.get("holdout").and_then(|s| s.parse().ok()) {
+    if let Some(n) = opt(opts, "holdout")? {
         cfg.holdout = n;
     }
-    if let Some(e) = opts.get("epsilon").and_then(|s| s.parse().ok()) {
+    if let Some(e) = opt(opts, "epsilon")? {
         cfg.epsilon = e;
     }
-    if let Some(n) = opts.get("extra").and_then(|s| s.parse().ok()) {
+    if let Some(n) = opt(opts, "extra")? {
         cfg.extra = n;
     }
-    if let Some(n) = opts.get("min-rows").and_then(|s| s.parse().ok()) {
+    if let Some(n) = opt(opts, "min-rows")? {
         cfg.min_new_rows = n;
     }
-    if let Some(n) = opts.get("min-shadow-rows").and_then(|s| s.parse().ok()) {
+    if let Some(n) = opt(opts, "min-shadow-rows")? {
         cfg.min_shadow_rows = n;
     }
-    if let Some(ms) = opts.get("shadow-wait-ms").and_then(|s| s.parse().ok()) {
+    if let Some(ms) = opt(opts, "shadow-wait-ms")? {
         cfg.shadow_wait = std::time::Duration::from_millis(ms);
     }
-    if let Some(ms) = opts.get("rollback-window-ms").and_then(|s| s.parse().ok()) {
+    if let Some(ms) = opt(opts, "rollback-window-ms")? {
         cfg.rollback_window = std::time::Duration::from_millis(ms);
     }
-    if let Some(n) = opts.get("rollback-errors").and_then(|s| s.parse().ok()) {
+    if let Some(n) = opt(opts, "rollback-errors")? {
         cfg.rollback_errors = n;
     }
-    if let Some(n) = opts.get("drift-window").and_then(|s| s.parse().ok()) {
+    if let Some(n) = opt(opts, "drift-window")? {
         cfg.drift_window = n;
     }
-    let ticks: Option<u64> = opts.get("ticks").and_then(|s| s.parse().ok());
-    let poll = std::time::Duration::from_millis(
-        opts.get("poll-ms")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(500),
-    );
+    let ticks: Option<u64> = opt(opts, "ticks")?;
+    let poll = std::time::Duration::from_millis(opt(opts, "poll-ms")?.unwrap_or(500));
 
     let addr = cfg.addr.clone();
     let mut watcher = Watcher::new(&store, cfg, base)?;
@@ -520,25 +524,9 @@ fn cmd_fleet(args: &[String], opts: &HashMap<String, String>) -> Result<(), Mphp
     };
     match action.as_str() {
         "init" => {
-            let n_apps: usize = opts.get("apps").and_then(|s| s.parse().ok()).unwrap_or(20);
-            let inputs: Option<usize> = opts.get("inputs").and_then(|s| s.parse().ok());
-            let reps: u32 = opts.get("reps").and_then(|s| s.parse().ok()).unwrap_or(2);
-            let cfg = CollectionConfig {
-                apps: Some(
-                    mphpc_workloads::AppKind::ALL
-                        .into_iter()
-                        .take(n_apps.clamp(1, 20))
-                        .collect(),
-                ),
-                inputs_per_app: inputs,
-                reps,
-                seed: seed(opts),
-            };
-            let n_shards: usize = opts.get("shards").and_then(|s| s.parse().ok()).unwrap_or(8);
-            let ttl_ms: u64 = opts
-                .get("ttl-ms")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(30_000);
+            let cfg = collection_config(opts)?;
+            let n_shards: usize = opt(opts, "shards")?.unwrap_or(8);
+            let ttl_ms: u64 = opt(opts, "ttl-ms")?.unwrap_or(30_000);
             let model = match opts.get("model").map(String::as_str) {
                 None | Some("none") => None,
                 Some(word) => Some(word),
@@ -567,11 +555,7 @@ fn cmd_fleet(args: &[String], opts: &HashMap<String, String>) -> Result<(), Mphp
             );
         }
         "run" => {
-            let n_workers: usize = opts
-                .get("workers")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(3)
-                .max(1);
+            let n_workers: usize = opt(opts, "workers")?.unwrap_or(3).max(1);
             let exe = std::env::current_exe().map_err(|e| MphpcError::io("current_exe", e))?;
             let store_dir = req(opts, "store")?;
             eprintln!("spawning {n_workers} worker process(es) ...");

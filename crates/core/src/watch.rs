@@ -40,6 +40,7 @@ use mphpc_errors::{MphpcError, ResultExt};
 use mphpc_frame::read_csv_str;
 use mphpc_ml::{r2_per_output, Matrix, Regressor};
 use mphpc_serve::client::request_once;
+use mphpc_serve::json::JsonValue;
 use mphpc_storage::{stream, Storage};
 use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
@@ -499,6 +500,9 @@ impl<'a> Watcher<'a> {
         &mut self,
         candidate: PerfPredictor,
     ) -> Result<(TickDecision, bool), MphpcError> {
+        // `settled`: the pending rows were judged; `false` keeps them for
+        // the next tick (the server could not be asked, or not understood).
+        let refused = |reason, settled| Ok((TickDecision::Refused { reason }, settled));
         let name = self.cfg.model.clone();
         let json = candidate.to_json()?;
         let attach = match self.http("POST", &format!("/shadow/{name}"), &json) {
@@ -506,32 +510,27 @@ impl<'a> Watcher<'a> {
             Err(e) => {
                 // Transport failure: keep the rows pending and retry
                 // next tick.
-                return Ok((
-                    TickDecision::Refused {
-                        reason: format!("shadow attach unreachable: {e}"),
-                    },
-                    false,
-                ));
+                return refused(format!("shadow attach unreachable: {e}"), false);
             }
         };
         if attach.0 != 200 {
-            return Ok((
-                TickDecision::Refused {
-                    reason: format!("shadow attach refused: {} {}", attach.0, attach.1),
-                },
+            return refused(
+                format!("shadow attach refused: {} {}", attach.0, attach.1),
                 true,
-            ));
+            );
         }
 
         let deadline = Instant::now() + self.cfg.shadow_wait;
         let (mut rows, mut errors) = (0u64, 0u64);
         loop {
-            match self.http("GET", "/shadow", "") {
-                Ok((200, body)) => {
-                    rows = json_u64_field(&body, "rows").unwrap_or(0);
-                    errors = json_u64_field(&body, "errors").unwrap_or(0);
+            if let Ok((200, body)) = self.http("GET", "/shadow", "") {
+                match reply_counts(&body, [&["shadow", "rows"], &["shadow", "errors"]]) {
+                    Ok(report) => [rows, errors] = report,
+                    Err(e) => {
+                        let _ = self.http("POST", &format!("/shadow/{name}/drop"), "");
+                        return refused(format!("shadow report unreadable: {e}"), false);
+                    }
                 }
-                _ => {}
             }
             if errors > 0 || rows >= self.cfg.min_shadow_rows || Instant::now() >= deadline {
                 break;
@@ -540,35 +539,31 @@ impl<'a> Watcher<'a> {
         }
         if errors > 0 {
             let _ = self.http("POST", &format!("/shadow/{name}/drop"), "");
-            return Ok((
-                TickDecision::Refused {
-                    reason: format!("shadow scored {errors} error(s) over {rows} mirrored row(s)"),
-                },
+            return refused(
+                format!("shadow scored {errors} error(s) over {rows} mirrored row(s)"),
                 true,
-            ));
+            );
         }
 
         let promote = match self.http("POST", &format!("/promote/{name}"), "") {
             Ok(reply) => reply,
             Err(e) => {
                 let _ = self.http("POST", &format!("/shadow/{name}/drop"), "");
-                return Ok((
-                    TickDecision::Refused {
-                        reason: format!("promote unreachable: {e}"),
-                    },
-                    false,
-                ));
+                return refused(format!("promote unreachable: {e}"), false);
             }
         };
         if promote.0 != 200 {
-            return Ok((
-                TickDecision::Refused {
-                    reason: format!("promote refused: {} {}", promote.0, promote.1),
-                },
+            return refused(
+                format!("promote refused: {} {}", promote.0, promote.1),
                 true,
-            ));
+            );
         }
-        let version = json_u64_field(&promote.1, "version").unwrap_or(0);
+        let version = match reply_counts(&promote.1, [&["version"]]) {
+            Ok([version]) => version,
+            Err(e) => {
+                return refused(format!("promote reply unreadable: {e}"), false);
+            }
+        };
         self.store.put_atomic(MODEL_KEY, json.as_bytes())?;
         self.previous = Some(std::mem::replace(&mut self.current, candidate));
 
@@ -583,7 +578,7 @@ impl<'a> Watcher<'a> {
                 .unwrap_or(0);
             if spike >= self.cfg.rollback_errors {
                 let restored = match self.http("POST", &format!("/rollback/{name}"), "") {
-                    Ok((200, body)) => json_u64_field(&body, "version").unwrap_or(0),
+                    Ok((200, body)) => reply_counts(&body, [&["version"]])?[0],
                     Ok((status, body)) => {
                         return Err(MphpcError::Serve(format!(
                             "rollback of '{name}' failed: {status} {body}"
@@ -630,8 +625,8 @@ impl<'a> Watcher<'a> {
         if status != 200 {
             return Err(MphpcError::Serve(format!("GET /stats returned {status}")));
         }
-        let total = json_u64_field(&body, "failed").unwrap_or(0)
-            + json_u64_field(&body, "expired").unwrap_or(0);
+        let [failed, expired] = reply_counts(&body, [&["failed"], &["expired"]])?;
+        let total = failed + expired;
         self.last_error_total = Some(total);
         Ok(total)
     }
@@ -704,17 +699,24 @@ fn matrix_is_finite(m: &Matrix) -> bool {
     (0..m.rows()).all(|i| (0..m.cols()).all(|j| m.get(i, j).is_finite()))
 }
 
-/// Extract `"field":<unsigned integer>` from a hand-rolled JSON body.
-/// Enough for the server's flat numeric fields; no escaping concerns
-/// because the pattern anchors on the quoted field name.
-fn json_u64_field(body: &str, field: &str) -> Option<u64> {
-    let pattern = format!("\"{field}\":");
-    let at = body.find(&pattern)? + pattern.len();
-    let rest = &body[at..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+/// The counts under `paths` (member names, outermost first) in a server
+/// reply. A reply that is not JSON, or has no unsigned integer there, is
+/// an error like the transport failing: read as zero it would pass the
+/// gate that asked.
+fn reply_counts<const N: usize>(body: &str, paths: [&[&str]; N]) -> Result<[u64; N], MphpcError> {
+    let reply = JsonValue::parse(body)?;
+    let mut counts = [0; N];
+    for (count, path) in counts.iter_mut().zip(paths) {
+        *count = path
+            .iter()
+            .try_fold(&reply, |value, key| value.get(key))
+            .and_then(JsonValue::as_f64)
+            .filter(|n| *n >= 0.0 && n.fract() == 0.0)
+            .ok_or_else(|| {
+                MphpcError::Serve(format!("no count \"{}\" in reply {body}", path.join(".")))
+            })? as u64;
+    }
+    Ok(counts)
 }
 
 #[cfg(test)]
@@ -776,15 +778,51 @@ mod tests {
     }
 
     #[test]
-    fn json_field_scraper_reads_serve_bodies() {
-        let body = r#"{"shadow":{"target":"default","candidate_kind":"Gbt","batches":3,"rows":41,"dropped_rows":2,"errors":0,"mean_abs_divergence":[0.1],"max_abs_divergence":0.5}}"#;
-        assert_eq!(json_u64_field(body, "rows"), Some(41));
-        assert_eq!(json_u64_field(body, "dropped_rows"), Some(2));
-        assert_eq!(json_u64_field(body, "errors"), Some(0));
-        assert_eq!(json_u64_field(body, "absent"), None);
-        let stats = r#"{"connections":9,"requests":120,"ok":118,"rejected":0,"expired":1,"failed":1,"client_errors":0,"queue_depth":0}"#;
-        assert_eq!(json_u64_field(stats, "failed"), Some(1));
-        assert_eq!(json_u64_field(stats, "expired"), Some(1));
+    fn a_reply_without_the_counts_refuses_the_candidate_and_keeps_the_rows() {
+        use mphpc_serve::http;
+        use std::io::{Read as _, Write as _};
+
+        // A server that answers every request `200 {}`: well-formed,
+        // and none of the fields a gate reads.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let requests = 4; // attach, report, drop; then /stats
+        let server = std::thread::spawn(move || {
+            for stream in listener.incoming().take(requests) {
+                let mut stream = stream.unwrap();
+                let (mut request, mut chunk) = (Vec::new(), [0u8; 4096]);
+                loop {
+                    if let http::Parse::Head(h) = http::parse_head(&request, http::MAX_HEAD_BYTES) {
+                        if request.len() >= h.head_len + h.content_length {
+                            break;
+                        }
+                    }
+                    let n = stream.read(&mut chunk).unwrap();
+                    assert!(n > 0, "the client hung up mid-request");
+                    request.extend_from_slice(&chunk[..n]);
+                }
+                let mut reply = Vec::new();
+                http::render_response(&mut reply, 200, &[], b"{}", false);
+                stream.write_all(&reply).unwrap();
+            }
+        });
+
+        let store = temp_store("empty_replies");
+        let cfg = WatchConfig {
+            addr,
+            ..offline_cfg()
+        };
+        let mut watcher = Watcher::new(&store, cfg, base_predictor(331)).unwrap();
+        let (decision, rows_spent) = watcher.shadow_and_promote(base_predictor(332)).unwrap();
+        assert!(
+            matches!(&decision, TickDecision::Refused { reason }
+                if reason.starts_with("shadow report unreadable: ")
+                    && reason.contains("no count \"shadow.rows\" in reply {}")),
+            "{decision:?}"
+        );
+        assert!(!rows_spent, "the rows stay pending for the next tick");
+        assert!(watcher.read_error_total().is_err());
+        server.join().unwrap();
     }
 
     #[test]

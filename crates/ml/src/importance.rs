@@ -58,19 +58,6 @@ impl FeatureImportance {
         pairs.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
         pairs
     }
-
-    /// Column indices of the top-`k` features (for §VI-B feature
-    /// selection / retraining).
-    pub fn top_k_indices(&self, k: usize) -> Vec<usize> {
-        let mut idx: Vec<usize> = (0..self.scores.len()).collect();
-        idx.sort_by(|&a, &b| {
-            self.scores[b]
-                .partial_cmp(&self.scores[a])
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        idx.truncate(k);
-        idx
-    }
 }
 
 #[cfg(test)]
@@ -99,13 +86,11 @@ mod tests {
     }
 
     #[test]
-    fn ranked_and_top_k() {
+    fn ranked_sorts_descending() {
         let imp = FeatureImportance::from_stats(&names(), &stats());
         let ranked = imp.ranked();
         assert_eq!(ranked[0].0, "b");
         assert_eq!(ranked[1].0, "a");
-        assert_eq!(imp.top_k_indices(2), vec![1, 0]);
-        assert_eq!(imp.top_k_indices(10).len(), 3);
     }
 
     #[test]

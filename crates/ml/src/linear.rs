@@ -114,15 +114,6 @@ impl LinearRegressor {
         }
         Ok(out)
     }
-
-    /// Weight magnitudes per feature (averaged over outputs) — a crude
-    /// importance proxy for diagnostics.
-    pub fn coefficient_magnitudes(&self) -> Vec<f64> {
-        let k = self.y_mean.len();
-        (0..self.x_mean.len())
-            .map(|f| (0..k).map(|j| self.weights.get(f, j).abs()).sum::<f64>() / k as f64)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -181,15 +172,6 @@ mod tests {
         let p_soft = soft.predict(&probe).unwrap().get(0, 0);
         let p_hard = hard.predict(&probe).unwrap().get(0, 0);
         assert!((p_hard - mean0).abs() < (p_soft - mean0).abs());
-    }
-
-    #[test]
-    fn coefficient_magnitudes_track_true_weights() {
-        let train = linear_data(500, 4);
-        let model = LinearRegressor::fit(&train, LinearParams::default()).unwrap();
-        let mags = model.coefficient_magnitudes();
-        // |3|+|1| for a vs |1|+|2| for b (scaled equally): a bigger.
-        assert!(mags[0] > mags[1]);
     }
 
     #[test]

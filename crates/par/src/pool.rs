@@ -215,37 +215,6 @@ where
     unsafe { out.into_vec() }
 }
 
-/// Run `f` for each item in parallel, discarding results.
-#[allow(clippy::needless_range_loop)]
-pub fn par_for_each<T, F>(items: &[T], f: F)
-where
-    T: Sync,
-    F: Fn(usize, &T) + Sync,
-{
-    if items.is_empty() {
-        return;
-    }
-    let (threads, chunk) = ParConfig::default().resolve(items.len());
-    if threads <= 1 {
-        for (i, t) in items.iter().enumerate() {
-            f(i, t);
-        }
-        return;
-    }
-    let cursor = ChunkCursor::new(items.len(), chunk);
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| {
-                while let Some((start, end)) = cursor.next() {
-                    for i in start..end {
-                        f(i, &items[i]);
-                    }
-                }
-            });
-        }
-    });
-}
-
 /// Mutate `data` in parallel by disjoint chunks of `chunk_len` elements.
 ///
 /// `f` receives the chunk index and the mutable chunk. This is the in-place
@@ -358,17 +327,6 @@ mod tests {
             });
             assert_eq!(got, expected, "threads={threads}");
         }
-    }
-
-    #[test]
-    fn par_for_each_visits_everything() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        let items: Vec<u64> = (1..=1000).collect();
-        let sum = AtomicU64::new(0);
-        par_for_each(&items, |_, &x| {
-            sum.fetch_add(x, Ordering::Relaxed);
-        });
-        assert_eq!(sum.load(Ordering::Relaxed), 500_500);
     }
 
     #[test]

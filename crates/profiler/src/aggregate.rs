@@ -9,21 +9,6 @@ pub fn mean_across_ranks(values: &[f64]) -> f64 {
     values.iter().sum::<f64>() / values.len() as f64
 }
 
-/// Relative spread (max−min)/mean of per-rank measurements, a load-balance
-/// diagnostic exposed for analysis tooling.
-pub fn rank_imbalance(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    let min = values.iter().cloned().fold(f64::INFINITY, f64::min);
-    let max = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    let mean = mean_across_ranks(values);
-    if mean.abs() < f64::MIN_POSITIVE {
-        return 0.0;
-    }
-    (max - min) / mean
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -32,13 +17,5 @@ mod tests {
     fn mean_basic() {
         assert_eq!(mean_across_ranks(&[1.0, 2.0, 3.0]), 2.0);
         assert_eq!(mean_across_ranks(&[]), 0.0);
-    }
-
-    #[test]
-    fn imbalance_zero_for_uniform() {
-        assert_eq!(rank_imbalance(&[5.0, 5.0, 5.0]), 0.0);
-        assert!((rank_imbalance(&[4.0, 6.0]) - 0.4).abs() < 1e-12);
-        assert_eq!(rank_imbalance(&[]), 0.0);
-        assert_eq!(rank_imbalance(&[0.0, 0.0]), 0.0);
     }
 }

@@ -3,9 +3,8 @@
 //!
 //! Our simulated applications have a two-level context (application →
 //! kernels), but the tree type is general: nodes carry exclusive metric
-//! values, inclusive values are computed on demand, and Hatchet-style
-//! operations (flatten, prune-by-time, filter) are provided for the
-//! analysis layer.
+//! values, inclusive values are computed on demand, and the Hatchet
+//! "to dataframe" view (`flatten`) is provided for the analysis layer.
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -99,62 +98,9 @@ impl CallingContextTree {
         out
     }
 
-    /// Prune subtrees whose inclusive time is below `fraction` of the
-    /// total (Hatchet's hot-path filtering). The root is never pruned.
-    pub fn prune_below(&self, fraction: f64) -> CallingContextTree {
-        let total = self.total_seconds().max(f64::MIN_POSITIVE);
-        fn keep(node: &CctNode, threshold: f64) -> CctNode {
-            let mut pruned = node.clone();
-            pruned.children = node
-                .children
-                .iter()
-                .filter(|c| c.inclusive_seconds() >= threshold)
-                .map(|c| keep(c, threshold))
-                .collect();
-            pruned
-        }
-        CallingContextTree {
-            root: keep(&self.root, fraction * total),
-        }
-    }
-
     /// Sum a metric over every node (inclusive of root).
     pub fn metric_total(&self, key: &str) -> f64 {
         self.root.inclusive_metric(key)
-    }
-
-    /// Hatchet-style tree diff: align nodes by path and report
-    /// `(path, self seconds, other seconds)` for the union of paths.
-    /// Missing nodes contribute 0 on their side.
-    pub fn diff<'a>(&'a self, other: &'a CallingContextTree) -> Vec<(String, f64, f64)> {
-        use std::collections::BTreeMap;
-        let mut merged: BTreeMap<String, (f64, f64)> = BTreeMap::new();
-        for (path, node) in self.flatten() {
-            merged.entry(path).or_default().0 = node.seconds;
-        }
-        for (path, node) in other.flatten() {
-            merged.entry(path).or_default().1 = node.seconds;
-        }
-        merged
-            .into_iter()
-            .map(|(path, (a, b))| (path, a, b))
-            .collect()
-    }
-
-    /// The hot path: starting at the root, repeatedly descend into the
-    /// child with the largest inclusive time.
-    pub fn hot_path(&self) -> Vec<&CctNode> {
-        let mut path = vec![&self.root];
-        let mut node = &self.root;
-        while let Some(next) = node
-            .children
-            .iter()
-            .max_by(|a, b| a.inclusive_seconds().total_cmp(&b.inclusive_seconds()))
-        {
-            path.push(next);
-            node = next;
-        }
-        path
     }
 }
 
@@ -198,48 +144,9 @@ mod tests {
     }
 
     #[test]
-    fn prune_removes_cold_subtrees() {
-        let t = sample();
-        let pruned = t.prune_below(0.2); // threshold 2.0 s
-        let names: Vec<&str> = pruned
-            .flatten()
-            .iter()
-            .map(|(_, n)| n.name.as_str())
-            .collect();
-        assert!(names.contains(&"hot_kernel"));
-        assert!(!names.contains(&"cold_kernel"));
-        // Nested child of hot kernel survives only if itself above
-        // threshold: inner has 1.5 < 2.0.
-        assert!(!names.contains(&"inner"));
-        // Original tree untouched.
-        assert_eq!(t.root.size(), 4);
-    }
-
-    #[test]
     fn size_counts_nodes() {
         assert_eq!(sample().root.size(), 4);
         assert_eq!(CctNode::new("leaf", 1.0).size(), 1);
-    }
-
-    #[test]
-    fn diff_aligns_by_path() {
-        let a = sample();
-        let mut b = sample();
-        b.root.children[0].seconds = 20.0; // hot_kernel slower in b
-        b.root.children.pop(); // cold_kernel missing in b
-        let d = a.diff(&b);
-        let find = |p: &str| d.iter().find(|(path, _, _)| path == p).unwrap();
-        assert_eq!(find("app/hot_kernel").1, 8.0);
-        assert_eq!(find("app/hot_kernel").2, 20.0);
-        assert_eq!(find("app/cold_kernel").1, 0.5);
-        assert_eq!(find("app/cold_kernel").2, 0.0, "missing side reads 0");
-    }
-
-    #[test]
-    fn hot_path_descends_by_inclusive_time() {
-        let t = sample();
-        let names: Vec<&str> = t.hot_path().iter().map(|n| n.name.as_str()).collect();
-        assert_eq!(names, vec!["app", "hot_kernel", "inner"]);
     }
 
     #[test]

@@ -170,15 +170,6 @@ pub fn available_counters(system: SystemId, side: CounterSide) -> Vec<CounterId>
         .collect()
 }
 
-/// Reverse lookup: canonical id for an architecture-specific name on a
-/// (system, side).
-pub fn counter_from_name(name: &str, system: SystemId, side: CounterSide) -> Option<CounterId> {
-    CounterId::ALL
-        .iter()
-        .copied()
-        .find(|&id| counter_name(id, system, side) == Some(name))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,18 +231,6 @@ mod tests {
             counter_name(CounterId::Fp64Ops, SystemId::Lassen, CounterSide::Gpu),
             Some("flop_count_dp")
         );
-    }
-
-    #[test]
-    fn reverse_lookup_round_trips() {
-        for sys in [SystemId::Quartz, SystemId::Lassen, SystemId::Corona] {
-            for side in [CounterSide::Cpu, CounterSide::Gpu] {
-                for id in available_counters(sys, side) {
-                    let name = counter_name(id, sys, side).unwrap();
-                    assert_eq!(counter_from_name(name, sys, side), Some(id));
-                }
-            }
-        }
     }
 
     #[test]

@@ -74,24 +74,10 @@ pub struct SimConfig {
     /// backfilling (production schedulers bound this; it also bounds the
     /// simulation's worst case to O(events × depth)).
     pub backfill_depth: usize,
-    /// Order in which backfill candidates are tried (Algorithm 1's `R2`
-    /// policy; the paper uses FCFS).
-    pub backfill_order: BackfillOrder,
     /// Force the [`crate::audit::InvariantAuditor`] on even in release
     /// builds. Debug builds (and release builds compiled with
     /// `-C debug-assertions`) always audit.
     pub audit: bool,
-}
-
-/// Backfill candidate ordering (Algorithm 1's `R2`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BackfillOrder {
-    /// Queue order (the paper's choice).
-    #[default]
-    Fcfs,
-    /// Shortest estimated runtime first — the classic EASY-SJF variant,
-    /// provided as an extension for scheduling ablations.
-    ShortestFirst,
 }
 
 impl Default for SimConfig {
@@ -99,7 +85,6 @@ impl Default for SimConfig {
         Self {
             machines: crate::cluster::table1_cluster(),
             backfill_depth: 128,
-            backfill_order: BackfillOrder::Fcfs,
             audit: false,
         }
     }
@@ -328,19 +313,19 @@ impl Engine<'_> {
         self.queue.len().min(1 + self.config.backfill_depth)
     }
 
-    /// The backfill-candidate scan: the first (FCFS) or shortest (SJF) job
-    /// at queue positions `range` that can start now without delaying the
-    /// reservation `held` — on another machine free capacity suffices; on
-    /// the head's machine it must finish by the shadow time or fit in the
-    /// extra nodes. Returns its queue position and machine.
+    /// The backfill-candidate scan: the first job at queue positions
+    /// `range` (FCFS, Algorithm 1's `R2` policy in the paper) that can
+    /// start now without delaying the reservation `held` — on another
+    /// machine free capacity suffices; on the head's machine it must
+    /// finish by the shadow time or fit in the extra nodes. Returns its
+    /// queue position and machine.
     fn backfill_candidate(
         &mut self,
         range: Range<usize>,
         held: Reservation,
         now: f64,
     ) -> Option<(usize, usize)> {
-        let order = self.config.backfill_order;
-        let mut chosen: Option<(usize, usize, f64)> = None;
+        let mut chosen = None;
         // Counted locally: the scan is the engine's innermost loop.
         let mut attempts = 0u64;
         for qi in range {
@@ -355,20 +340,11 @@ impl Engine<'_> {
             if uses_extra && cand.nodes_required > held.extra {
                 continue;
             }
-            match order {
-                BackfillOrder::Fcfs => {
-                    chosen = Some((qi, cm, dur));
-                    break;
-                }
-                BackfillOrder::ShortestFirst => {
-                    if chosen.map_or(true, |(_, _, best)| dur < best) {
-                        chosen = Some((qi, cm, dur));
-                    }
-                }
-            }
+            chosen = Some((qi, cm));
+            break;
         }
         self.stats.backfill_attempts += attempts;
-        chosen.map(|(qi, cm, _)| (qi, cm))
+        chosen
     }
 
     /// Start the backfill candidate at queue position `qi` on machine `m`.
@@ -720,7 +696,6 @@ mod tests {
         SimConfig {
             machines,
             backfill_depth: 16,
-            backfill_order: Default::default(),
             audit: true,
         }
     }
@@ -791,7 +766,6 @@ mod tests {
         let cfg = SimConfig {
             machines,
             backfill_depth: 16,
-            backfill_order: Default::default(),
             audit: true,
         };
         let jobs = vec![
@@ -809,11 +783,11 @@ mod tests {
     }
 
     #[test]
-    fn sjf_backfill_prefers_short_jobs() {
+    fn backfill_takes_candidates_in_queue_order() {
         // One 3-node machine; a 2-node job runs 0..10 leaving 1 node; the
         // 3-node head must wait. Two 1-node backfill candidates fit the
         // shadow window, but only one can hold the single free node at a
-        // time: FCFS picks the earlier (long) one first, SJF the shorter.
+        // time: FCFS picks the earlier one, though the later is shorter.
         let mut machines = crate::cluster::table1_cluster();
         machines[0].total_nodes = 3;
         for m in &mut machines[1..] {
@@ -825,28 +799,15 @@ mod tests {
             job(3, 2.0, 1, [8.0; 4]),  // earlier, longer (ends 10 <= shadow)
             job(4, 2.0, 1, [2.0; 4]),  // later, shorter
         ];
-        let fcfs = SimConfig {
+        let cfg = SimConfig {
             machines,
             backfill_depth: 16,
-            backfill_order: BackfillOrder::Fcfs,
             audit: true,
         };
-        let sjf = SimConfig {
-            machines,
-            backfill_depth: 16,
-            backfill_order: BackfillOrder::ShortestFirst,
-            audit: true,
-        };
-        let mut s1 = RoundRobin::new();
-        let r_fcfs = simulate(&jobs, &mut s1, &fcfs).unwrap();
-        let mut s2 = RoundRobin::new();
-        let r_sjf = simulate(&jobs, &mut s2, &sjf).unwrap();
-        let start =
-            |r: &SimResult, id: u64| r.records.iter().find(|x| x.job_id == id).unwrap().start;
-        assert_eq!(start(&r_fcfs, 3), 2.0, "FCFS backfills the earlier job");
-        assert!(start(&r_fcfs, 4) > 2.0);
-        assert_eq!(start(&r_sjf, 4), 2.0, "SJF backfills the shorter job");
-        assert!(start(&r_sjf, 3) > 2.0);
+        let r = simulate(&jobs, &mut RoundRobin::new(), &cfg).unwrap();
+        let start = |id: u64| r.records.iter().find(|x| x.job_id == id).unwrap().start;
+        assert_eq!(start(3), 2.0, "FCFS backfills the earlier job");
+        assert!(start(4) > 2.0);
     }
 
     #[test]
@@ -880,7 +841,6 @@ mod tests {
         let cfg = SimConfig {
             machines,
             backfill_depth: 16,
-            backfill_order: BackfillOrder::Fcfs,
             audit: true,
         };
         let jobs = vec![
@@ -940,7 +900,6 @@ mod tests {
         let cfg = SimConfig {
             machines,
             backfill_depth: 0, // no backfill: strict FCFS
-            backfill_order: Default::default(),
             audit: true,
         };
         let jobs: Vec<Job> = (0..5)

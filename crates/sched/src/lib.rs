@@ -48,9 +48,7 @@ pub use audit::InvariantAuditor;
 pub use calendar::{CalendarQueue, EventKey};
 pub use cluster::{Cluster, MachineConfig};
 pub use dag::{simulate_workflows, Task, Workflow, WorkflowSimResult};
-pub use engine::{
-    simulate, simulate_full, BackfillOrder, InlineRpv, ScaleStats, SimConfig, SimResult,
-};
+pub use engine::{simulate, simulate_full, InlineRpv, ScaleStats, SimConfig, SimResult};
 pub use federation::{FederatedRpv, FederationStats, FnRpvProvider, RpvProvider};
 pub use job::Job;
 pub use metrics::{avg_bounded_slowdown, makespan, SLOWDOWN_BOUND_SECONDS};

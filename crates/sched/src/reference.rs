@@ -11,7 +11,7 @@
 
 use crate::audit::InvariantAuditor;
 use crate::cluster::Cluster;
-use crate::engine::{BackfillOrder, SimConfig, SimResult};
+use crate::engine::{SimConfig, SimResult};
 use crate::job::{Job, N_MACHINES};
 use crate::metrics::{avg_bounded_slowdown, makespan, JobRecord};
 use crate::strategy::MachineAssigner;
@@ -230,11 +230,11 @@ pub fn simulate_with_deps(
             let (shadow, extra) = reservation(&cluster, m, head.nodes_required, now);
             auditor.record_reservation(head.id, m, shadow);
             let window = queue.len().min(1 + config.backfill_depth);
-            // Pick the first (FCFS) or shortest (SJF) startable candidate
-            // in the window that cannot delay the reservation: on another
+            // Pick the first startable candidate in the window (FCFS)
+            // that cannot delay the reservation: on another
             // machine free capacity suffices; on the head's machine it
             // must finish by the shadow time or fit in the extra nodes.
-            let mut chosen: Option<(usize, usize, f64)> = None;
+            let mut chosen = None;
             #[allow(clippy::needless_range_loop)]
             for qi in 1..window {
                 let cand_idx = queue[qi];
@@ -248,19 +248,10 @@ pub fn simulate_with_deps(
                 if uses_extra && cand.nodes_required > extra {
                     continue;
                 }
-                match config.backfill_order {
-                    BackfillOrder::Fcfs => {
-                        chosen = Some((qi, cm, dur));
-                        break;
-                    }
-                    BackfillOrder::ShortestFirst => {
-                        if chosen.map_or(true, |(_, _, best)| dur < best) {
-                            chosen = Some((qi, cm, dur));
-                        }
-                    }
-                }
+                chosen = Some((qi, cm));
+                break;
             }
-            let Some((qi, cm, _dur)) = chosen else {
+            let Some((qi, cm)) = chosen else {
                 break 'pass;
             };
             let cand_idx = queue[qi];
@@ -328,7 +319,6 @@ mod tests {
         SimConfig {
             machines,
             backfill_depth: 16,
-            backfill_order: Default::default(),
             audit: true,
         }
     }
@@ -406,18 +396,6 @@ mod tests {
         assert!(
             stats.incremental_updates > 0,
             "congested trickle must hit the snapshot path: {stats:?}"
-        );
-    }
-
-    #[test]
-    fn sjf_order_also_matches_oracle() {
-        let mut cfg = small_config();
-        cfg.backfill_order = BackfillOrder::ShortestFirst;
-        let jobs = sample_jobs(&templates(), 400, 0.05, 21).unwrap();
-        let oracle = simulate_with_deps(&jobs, &[], &mut UserRoundRobin::new(), &cfg).unwrap();
-        assert_eq!(
-            oracle,
-            simulate(&jobs, &mut UserRoundRobin::new(), &cfg).unwrap()
         );
     }
 
@@ -527,7 +505,7 @@ mod tests {
 
         /// Random jobs under a random forward-edge DAG (job `i` may depend
         /// only on jobs before it), on machines small enough to queue:
-        /// every strategy, both backfill orders, any window depth, RPVs
+        /// every strategy, any window depth, RPVs
         /// carried by the jobs or looked up inline — always the oracle's
         /// schedule, and never a start before a dependency's end.
         #[test]
@@ -535,7 +513,6 @@ mod tests {
             jobs in arb_jobs(60),
             edge_seed in any::<u64>(),
             coarse in any::<bool>(),
-            sjf in any::<bool>(),
             inline in any::<bool>(),
             depth in 0usize..20,
         ) {
@@ -570,7 +547,6 @@ mod tests {
             let cfg = SimConfig {
                 machines,
                 backfill_depth: depth,
-                backfill_order: if sjf { BackfillOrder::ShortestFirst } else { BackfillOrder::Fcfs },
                 audit: true,
             };
             // Inline: jobs without an RPV get one from their feature row;

@@ -3,7 +3,7 @@
 //!
 //! Unlike `properties.rs` (proptest shrinking over engine liveness), these
 //! tests drive seeded random workloads through *every* assignment strategy
-//! and both backfill orders with the runtime auditor forced on
+//! with the runtime auditor forced on
 //! (`SimConfig::audit = true`), then re-verify the core safety invariants
 //! from the emitted records alone:
 //!
@@ -17,7 +17,7 @@
 //!   bit-identical results at 1, 2, and 8 worker threads.
 
 use mphpc_sched::cluster::{table1_cluster, MachineConfig};
-use mphpc_sched::engine::{simulate, BackfillOrder, SimConfig, SimResult};
+use mphpc_sched::engine::{simulate, SimConfig, SimResult};
 use mphpc_sched::strategy::{ModelBased, Oracle, RandomAssign, RoundRobin, UserRoundRobin};
 use mphpc_sched::{Job, MachineAssigner};
 use rand::rngs::StdRng;
@@ -120,25 +120,21 @@ fn check_invariants(jobs: &[Job], r: &SimResult, machines: &[MachineConfig; 4]) 
     }
 }
 
-/// One simulation batch over all strategies and both backfill orders for a
-/// seed; returns makespans for cross-thread-count comparison.
+/// One simulation batch over all strategies for a seed; returns
+/// makespans for cross-thread-count comparison.
 fn run_batch(seed: u64) -> Vec<f64> {
     let machines = small_machines();
     let jobs = random_jobs(seed, 40);
     let mut makespans = Vec::new();
-    for order in [BackfillOrder::Fcfs, BackfillOrder::ShortestFirst] {
-        for mut s in strategies(seed) {
-            let cfg = SimConfig {
-                machines,
-                backfill_depth: 8,
-                backfill_order: order,
-                audit: true,
-            };
-            let r = simulate(&jobs, s.as_mut(), &cfg)
-                .unwrap_or_else(|e| panic!("seed {seed} {order:?}: {e}"));
-            check_invariants(&jobs, &r, &machines);
-            makespans.push(r.makespan);
-        }
+    for mut s in strategies(seed) {
+        let cfg = SimConfig {
+            machines,
+            backfill_depth: 8,
+            audit: true,
+        };
+        let r = simulate(&jobs, s.as_mut(), &cfg).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        check_invariants(&jobs, &r, &machines);
+        makespans.push(r.makespan);
     }
     makespans
 }
@@ -184,7 +180,6 @@ fn strict_fcfs_without_backfill_is_submit_ordered() {
         let cfg = SimConfig {
             machines,
             backfill_depth: 0,
-            backfill_order: BackfillOrder::Fcfs,
             audit: true,
         };
         let mut s = RoundRobin::new();
@@ -219,7 +214,6 @@ fn audited_run_matches_unaudited_run() {
         let cfg = SimConfig {
             machines,
             backfill_depth: 8,
-            backfill_order: BackfillOrder::Fcfs,
             audit,
         };
         let mut s = RoundRobin::new();
@@ -230,7 +224,6 @@ fn audited_run_matches_unaudited_run() {
         let cfg = SimConfig {
             machines,
             backfill_depth: 8,
-            backfill_order: BackfillOrder::Fcfs,
             audit,
         };
         let mut s = Oracle::new();

@@ -109,7 +109,6 @@ proptest! {
         let config = SimConfig {
             machines,
             backfill_depth: depth,
-            backfill_order: Default::default(),
             audit: true,
         };
         let mut s = RoundRobin::new();

@@ -3,16 +3,15 @@
 //!
 //! A submission is one `/predict` request: one row for the `features`
 //! form, up to `max_batch` rows for the `rows` form. The event loop
-//! hands each to [`MicroBatcher::submit_with`] (blocking callers use
-//! [`MicroBatcher::submit`] and a reply channel); a single batcher
+//! hands each to [`MicroBatcher::submit_with`] ([`MicroBatcher::submit`]
+//! is the same call with a channel for a sink); a single batcher
 //! thread drains the queue in same-model batches of up to `max_batch`
 //! rows, never splitting a submission across two batches. Under load
 //! the queue is never empty — while one batch predicts, the next
-//! accumulates — so batching emerges without waiting. The optional
-//! `linger` exists for open-loop trickle traffic and defaults to
-//! **zero**: with closed-loop clients a fixed linger would cap
-//! throughput at `clients / linger` whenever the queue cannot reach
-//! `max_batch`.
+//! accumulates — so batching emerges without waiting, and the batcher
+//! never holds a batch open for more rows: with closed-loop clients a
+//! fixed linger would cap throughput at `clients / linger` whenever the
+//! queue cannot reach `max_batch`.
 //!
 //! Every pending submission carries the `Arc<LoadedModel>` it resolved
 //! at enqueue time, so a hot swap mid-queue splits the queue into
@@ -39,9 +38,6 @@ pub struct BatchConfig {
     /// rows one submission may carry ([`SubmitError::TooManyRows`] →
     /// HTTP 400): a submission is never split.
     pub max_batch: usize,
-    /// How long the batcher may hold an under-full batch open waiting
-    /// for more rows. Zero (the default) serves whatever is queued.
-    pub linger: Duration,
     /// Bound on queued *rows*, however they are grouped into
     /// submissions; a submission whose rows do not all fit is rejected
     /// whole ([`SubmitError::QueueFull`] → HTTP 503).
@@ -56,7 +52,6 @@ impl Default for BatchConfig {
     fn default() -> BatchConfig {
         BatchConfig {
             max_batch: 64,
-            linger: Duration::ZERO,
             queue_cap: 1024,
             deadline: Duration::from_secs(2),
         }
@@ -107,25 +102,13 @@ pub trait CompletionSink: Send + Sync + 'static {
     fn complete(&self, ticket: u64, reply: BatchReply);
 }
 
-enum Completion {
-    /// Blocking callers ([`MicroBatcher::submit`]) park on a channel.
-    Channel(Sender<BatchReply>),
-    /// Event-loop callers ([`MicroBatcher::submit_with`]) get a sink
-    /// callback.
-    Sink {
-        sink: Arc<dyn CompletionSink>,
-        ticket: u64,
-    },
-}
+/// The sink behind [`MicroBatcher::submit`]: the reply goes down the
+/// channel, to a receiver that may have gone away.
+struct ChannelSink(Sender<BatchReply>);
 
-impl Completion {
-    fn deliver(self, reply: BatchReply) {
-        match self {
-            Completion::Channel(tx) => {
-                let _ = tx.send(reply);
-            }
-            Completion::Sink { sink, ticket } => sink.complete(ticket, reply),
-        }
+impl CompletionSink for ChannelSink {
+    fn complete(&self, _ticket: u64, reply: BatchReply) {
+        let _ = self.0.send(reply);
     }
 }
 
@@ -135,7 +118,8 @@ struct Pending {
     rows: Vec<f64>,
     n_rows: usize,
     enqueued: Instant,
-    reply: Completion,
+    sink: Arc<dyn CompletionSink>,
+    ticket: u64,
 }
 
 #[derive(Default)]
@@ -192,16 +176,15 @@ impl MicroBatcher {
         row: Vec<f64>,
     ) -> Result<Receiver<BatchReply>, SubmitError> {
         let (tx, rx) = mpsc::channel();
-        self.enqueue(model, row, 1, Completion::Channel(tx))?;
+        self.submit_with(model, row, 1, Arc::new(ChannelSink(tx)), 0)?;
         Ok(rx)
     }
 
     /// Queue `n_rows >= 1` rows (row-major in `rows`) against `model`
-    /// as one submission, delivering the one reply for all of them
-    /// through `sink.complete(ticket, ..)` instead of a channel (the
-    /// event loop's nonblocking submission path). The rows are admitted
-    /// or rejected together and predicted in one batch; on `Err` the
-    /// sink is never called.
+    /// as one submission; the one reply for all of them arrives through
+    /// `sink.complete(ticket, ..)`, from the batcher thread. The rows
+    /// are admitted or rejected together and predicted in one batch; on
+    /// `Err` the sink is never called.
     pub fn submit_with(
         &self,
         model: Arc<LoadedModel>,
@@ -209,16 +192,6 @@ impl MicroBatcher {
         n_rows: usize,
         sink: Arc<dyn CompletionSink>,
         ticket: u64,
-    ) -> Result<(), SubmitError> {
-        self.enqueue(model, rows, n_rows, Completion::Sink { sink, ticket })
-    }
-
-    fn enqueue(
-        &self,
-        model: Arc<LoadedModel>,
-        rows: Vec<f64>,
-        n_rows: usize,
-        reply: Completion,
     ) -> Result<(), SubmitError> {
         let cfg = &self.shared.cfg;
         if self.shared.draining.load(Ordering::Acquire) {
@@ -238,7 +211,8 @@ impl MicroBatcher {
             rows,
             n_rows,
             enqueued: Instant::now(),
-            reply,
+            sink,
+            ticket,
         });
         mphpc_telemetry::gauge_set("serve.queue_depth", queue.rows as f64);
         drop(queue);
@@ -259,11 +233,6 @@ impl MicroBatcher {
     /// The shadow-evaluation slot (see [`crate::shadow`]).
     pub fn shadow(&self) -> &ShadowSlot {
         &self.shared.shadow
-    }
-
-    /// The configured queue deadline.
-    pub fn deadline(&self) -> Duration {
-        self.shared.cfg.deadline
     }
 
     /// Stop accepting, let the batcher drain every queued submission,
@@ -302,23 +271,6 @@ fn run_batcher(shared: &Shared) {
                 .wait_timeout(queue, Duration::from_millis(50))
                 .unwrap_or_else(|p| p.into_inner());
             queue = q;
-        }
-
-        // Linger: hold the batch open for more rows, but never past the
-        // oldest submission's linger window and never during a drain.
-        if cfg.linger > Duration::ZERO {
-            while queue.rows < cfg.max_batch && !shared.draining.load(Ordering::Acquire) {
-                let oldest = queue.entries.front().expect("non-empty queue").enqueued;
-                let Some(remaining) = (oldest + cfg.linger).checked_duration_since(Instant::now())
-                else {
-                    break;
-                };
-                let (q, _) = shared
-                    .available
-                    .wait_timeout(queue, remaining)
-                    .unwrap_or_else(|p| p.into_inner());
-                queue = q;
-            }
         }
 
         // Assemble one same-model batch from the front of the queue:
@@ -360,7 +312,7 @@ fn run_one_batch(
     for pending in batch {
         if now.duration_since(pending.enqueued) > deadline {
             mphpc_telemetry::counter_add("serve.expired", 1);
-            pending.reply.deliver(BatchReply::Expired);
+            pending.sink.complete(pending.ticket, BatchReply::Expired);
         } else {
             live.push(pending);
         }
@@ -382,17 +334,35 @@ fn run_one_batch(
     mphpc_telemetry::counter_add("serve.rows", n_rows as u64);
     mphpc_telemetry::histogram_record("serve.batch_rows", n_rows as f64);
 
-    match model.model.predict_batch(&rows, n_rows) {
-        Ok(outputs) if outputs.len() == n_rows * n_outputs => {
+    let predicted = model
+        .model
+        .predict_batch(&rows, n_rows)
+        .and_then(|outputs| {
+            if outputs.len() == n_rows * n_outputs {
+                return Ok(outputs);
+            }
+            Err(MphpcError::Serve(format!(
+                "model '{}' returned {} outputs for {} rows x {} outputs",
+                model.tag(),
+                outputs.len(),
+                n_rows,
+                n_outputs
+            )))
+        });
+    match predicted {
+        Ok(outputs) => {
             let tag = model.tag();
             let mut at = 0;
             for pending in live {
                 let end = at + pending.n_rows * n_outputs;
-                pending.reply.deliver(BatchReply::Ok {
-                    outputs: outputs[at..end].to_vec(),
-                    model_tag: tag.clone(),
-                    batch_rows: n_rows,
-                });
+                pending.sink.complete(
+                    pending.ticket,
+                    BatchReply::Ok {
+                        outputs: outputs[at..end].to_vec(),
+                        model_tag: tag.clone(),
+                        batch_rows: n_rows,
+                    },
+                );
                 at = end;
             }
             // Shadow tap, strictly after every reply is delivered: the
@@ -409,21 +379,11 @@ fn run_one_batch(
                 );
             }
         }
-        Ok(outputs) => {
-            let e = MphpcError::Serve(format!(
-                "model '{}' returned {} outputs for {} rows x {} outputs",
-                model.tag(),
-                outputs.len(),
-                n_rows,
-                n_outputs
-            ));
-            for pending in live {
-                pending.reply.deliver(BatchReply::Failed(e.clone()));
-            }
-        }
         Err(e) => {
             for pending in live {
-                pending.reply.deliver(BatchReply::Failed(e.clone()));
+                pending
+                    .sink
+                    .complete(pending.ticket, BatchReply::Failed(e.clone()));
             }
         }
     }
@@ -475,87 +435,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn linger_coalesces_concurrent_rows() {
-        let batcher = MicroBatcher::start(BatchConfig {
-            linger: Duration::from_millis(100),
-            ..BatchConfig::default()
-        });
-        let model = loaded(1);
-        let receivers: Vec<_> = (0..4)
-            .map(|i| {
-                batcher
-                    .submit(Arc::clone(&model), vec![i as f64, 0.0])
-                    .unwrap()
-            })
-            .collect();
-        for (i, rx) in receivers.into_iter().enumerate() {
-            match rx.recv().unwrap() {
-                BatchReply::Ok {
-                    outputs,
-                    batch_rows,
-                    ..
-                } => {
-                    assert_eq!(outputs, [2.0 * i as f64, 0.0]);
-                    assert_eq!(batch_rows, 4, "linger should coalesce all four rows");
-                }
-                other => panic!("unexpected reply {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn hot_swapped_models_never_share_a_batch() {
-        let batcher = MicroBatcher::start(BatchConfig {
-            linger: Duration::from_millis(100),
-            ..BatchConfig::default()
-        });
-        let v1 = loaded(1);
-        let v2 = loaded(2);
-        let rx_a = batcher.submit(Arc::clone(&v1), vec![1.0, 1.0]).unwrap();
-        let rx_b = batcher.submit(Arc::clone(&v2), vec![2.0, 2.0]).unwrap();
-        let rx_c = batcher.submit(Arc::clone(&v1), vec![3.0, 3.0]).unwrap();
-        for (rx, want_tag, want_rows) in [(rx_a, "m@v1", 2), (rx_b, "m@v2", 1), (rx_c, "m@v1", 2)] {
-            match rx.recv().unwrap() {
-                BatchReply::Ok {
-                    model_tag,
-                    batch_rows,
-                    ..
-                } => {
-                    assert_eq!(model_tag, want_tag);
-                    assert_eq!(batch_rows, want_rows);
-                }
-                other => panic!("unexpected reply {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn queue_cap_rejects_and_drains() {
-        let batcher = MicroBatcher::start(BatchConfig {
-            queue_cap: 2,
-            // A long linger keeps submissions queued while we overfill.
-            linger: Duration::from_millis(200),
-            max_batch: 64,
-            ..BatchConfig::default()
-        });
-        let model = loaded(1);
-        let rx1 = batcher.submit(Arc::clone(&model), vec![0.0, 0.0]).unwrap();
-        let rx2 = batcher.submit(Arc::clone(&model), vec![0.0, 0.0]).unwrap();
-        let err = batcher
-            .submit(Arc::clone(&model), vec![0.0, 0.0])
-            .unwrap_err();
-        assert_eq!(err, SubmitError::QueueFull);
-        assert!(matches!(rx1.recv().unwrap(), BatchReply::Ok { .. }));
-        assert!(matches!(rx2.recv().unwrap(), BatchReply::Ok { .. }));
-        batcher.shutdown();
-        assert_eq!(batcher.queue_depth(), 0);
-        assert_eq!(
-            batcher.submit(model, vec![0.0, 0.0]).unwrap_err(),
-            SubmitError::ShuttingDown
-        );
-    }
-
     /// [`DoubleModel`] that waits for the gate before every batch (a
     /// dropped sender opens it for good).
     struct GatedDouble(Mutex<Receiver<()>>);
@@ -573,32 +452,93 @@ mod tests {
         }
     }
 
+    /// A batcher whose thread sits inside a model call until the gate is
+    /// dropped, so what a test submits meanwhile queues up untouched.
+    /// Also the receiver of the one-row submission that put it there.
+    fn parked_batcher(cfg: BatchConfig) -> (MicroBatcher, Sender<()>, Receiver<BatchReply>) {
+        let batcher = MicroBatcher::start(cfg);
+        let (gate, gate_rx) = mpsc::channel();
+        let gated = Arc::new(LoadedModel {
+            name: "gated".to_string(),
+            version: 1,
+            model: Arc::new(GatedDouble(Mutex::new(gate_rx))),
+        });
+        let blocker = batcher.submit(gated, vec![0.0, 0.0]).unwrap();
+        while batcher.queue_depth() > 0 {
+            thread::yield_now();
+        }
+        (batcher, gate, blocker)
+    }
+
+    #[test]
+    fn hot_swapped_models_never_share_a_batch() {
+        let (batcher, gate, _blocker) = parked_batcher(BatchConfig::default());
+        let v1 = loaded(1);
+        let v2 = loaded(2);
+        let rx_a = batcher.submit(Arc::clone(&v1), vec![1.0, 1.0]).unwrap();
+        let rx_b = batcher.submit(Arc::clone(&v2), vec![2.0, 2.0]).unwrap();
+        let rx_c = batcher.submit(Arc::clone(&v1), vec![3.0, 3.0]).unwrap();
+        drop(gate);
+        for (rx, want_tag, want_rows) in [(rx_a, "m@v1", 2), (rx_b, "m@v2", 1), (rx_c, "m@v1", 2)] {
+            match rx.recv().unwrap() {
+                BatchReply::Ok {
+                    model_tag,
+                    batch_rows,
+                    ..
+                } => {
+                    assert_eq!(model_tag, want_tag);
+                    assert_eq!(batch_rows, want_rows);
+                }
+                other => panic!("unexpected reply {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn queue_cap_rejects_and_drains() {
+        let (batcher, gate, _blocker) = parked_batcher(BatchConfig {
+            queue_cap: 2,
+            ..BatchConfig::default()
+        });
+        let model = loaded(1);
+        let rx1 = batcher.submit(Arc::clone(&model), vec![0.0, 0.0]).unwrap();
+        let rx2 = batcher.submit(Arc::clone(&model), vec![0.0, 0.0]).unwrap();
+        let err = batcher
+            .submit(Arc::clone(&model), vec![0.0, 0.0])
+            .unwrap_err();
+        assert_eq!(err, SubmitError::QueueFull);
+        drop(gate);
+        assert!(matches!(rx1.recv().unwrap(), BatchReply::Ok { .. }));
+        assert!(matches!(rx2.recv().unwrap(), BatchReply::Ok { .. }));
+        batcher.shutdown();
+        assert_eq!(batcher.queue_depth(), 0);
+        assert_eq!(
+            batcher.submit(model, vec![0.0, 0.0]).unwrap_err(),
+            SubmitError::ShuttingDown
+        );
+    }
+
     #[test]
     fn multi_row_submissions_are_admitted_whole_and_never_split() {
-        let batcher = MicroBatcher::start(BatchConfig {
+        let (batcher, gate, _blocker) = parked_batcher(BatchConfig {
             max_batch: 4,
             queue_cap: 6,
             ..BatchConfig::default()
         });
-        let (gate, gate_rx) = mpsc::channel();
-        let model = Arc::new(LoadedModel {
-            name: "m".to_string(),
-            version: 1,
-            model: Arc::new(GatedDouble(Mutex::new(gate_rx))),
-        });
+        let model = loaded(1);
         let submit = |first: f64, n_rows: usize| {
             let rows: Vec<f64> = (0..2 * n_rows).map(|i| first + i as f64).collect();
             let (tx, rx) = mpsc::channel();
             batcher
-                .enqueue(Arc::clone(&model), rows, n_rows, Completion::Channel(tx))
+                .submit_with(
+                    Arc::clone(&model),
+                    rows,
+                    n_rows,
+                    Arc::new(ChannelSink(tx)),
+                    0,
+                )
                 .map(|()| rx)
         };
-        // The batcher takes the first row and blocks in the model, so
-        // what follows queues up untouched.
-        let blocker = submit(0.0, 1).unwrap();
-        while batcher.queue_depth() > 0 {
-            thread::yield_now();
-        }
         let a = submit(10.0, 2).unwrap();
         let b = submit(20.0, 2).unwrap();
         let c = submit(30.0, 1).unwrap();
@@ -614,13 +554,7 @@ mod tests {
 
         drop(gate);
         let mut replies = Vec::new();
-        for (rx, first, n_rows) in [
-            (blocker, 0.0, 1),
-            (a, 10.0, 2),
-            (b, 20.0, 2),
-            (c, 30.0, 1),
-            (d, 50.0, 1),
-        ] {
+        for (rx, first, n_rows) in [(a, 10.0, 2), (b, 20.0, 2), (c, 30.0, 1), (d, 50.0, 1)] {
             match rx.recv().unwrap() {
                 BatchReply::Ok {
                     outputs,
@@ -637,7 +571,7 @@ mod tests {
         }
         // a + b fill a batch exactly; c would make it five rows, so it
         // waits for the next one and rides with d.
-        assert_eq!(replies, [1, 4, 4, 2, 2]);
+        assert_eq!(replies, [4, 4, 2, 2]);
     }
 
     #[test]
@@ -715,13 +649,17 @@ mod tests {
 
     #[test]
     fn shutdown_drains_queued_rows() {
-        let batcher = MicroBatcher::start(BatchConfig {
-            linger: Duration::from_secs(5),
-            ..BatchConfig::default()
-        });
+        let (batcher, gate, _blocker) = parked_batcher(BatchConfig::default());
         let rx = batcher.submit(loaded(1), vec![1.0, 2.0]).unwrap();
-        // Shutdown must cut the linger short and still answer the row.
-        batcher.shutdown();
+        thread::scope(|scope| {
+            scope.spawn(|| batcher.shutdown());
+            // The drain starts with the row still queued, and must
+            // answer it all the same.
+            while !batcher.shared.draining.load(Ordering::Acquire) {
+                thread::yield_now();
+            }
+            drop(gate);
+        });
         assert!(matches!(rx.recv().unwrap(), BatchReply::Ok { .. }));
     }
 }

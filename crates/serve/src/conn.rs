@@ -17,12 +17,14 @@
 //! wire always carries responses in request order no matter how the
 //! batcher interleaves.
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::time::Instant;
 
 use crate::batch::BatchReply;
+use crate::json::json_str;
 use crate::poller::Interest;
 
 /// Initial (and steady-state) read/write buffer capacity.
@@ -30,40 +32,57 @@ pub(crate) const INITIAL_BUF: usize = 4 * 1024;
 /// Buffers larger than this shrink back to [`INITIAL_BUF`] once idle.
 pub(crate) const SHRINK_ABOVE: usize = 256 * 1024;
 
-/// A response body ready to render.
-#[derive(Debug)]
-pub(crate) enum Body {
-    /// Constant responses (`/healthz`).
-    Static(&'static str),
-    /// Formatted responses and errors (cold path — may allocate).
-    Owned(String),
-}
-
-impl Body {
-    pub(crate) fn as_bytes(&self) -> &[u8] {
-        match self {
-            Body::Static(s) => s.as_bytes(),
-            Body::Owned(s) => s.as_bytes(),
-        }
-    }
-}
-
 /// The terminal state of a slot: what to send back.
 #[derive(Debug)]
 pub(crate) enum SlotReply {
-    /// The micro-batcher answered a `/predict` request; rendered
-    /// straight into the write buffer when the slot reaches the queue
-    /// front.
-    Batch(BatchReply),
-    /// A synchronous route's reply (everything except in-flight
-    /// predictions).
+    /// The model's answer to a `/predict` request, streamed straight
+    /// into the write buffer when the slot reaches the queue front
+    /// (fields as in [`BatchReply::Ok`]).
+    Predicted {
+        outputs: Vec<f64>,
+        model_tag: String,
+        batch_rows: usize,
+    },
+    /// Every other reply: a status and a finished JSON body. A `503`
+    /// goes out with `retry-after: 1`, the only extra header the server
+    /// ever sends.
     Ready {
         status: u16,
-        /// Adds `retry-after: 1` (the only extra header the server
-        /// ever sends).
-        retry_after: bool,
-        body: Body,
+        body: Cow<'static, str>,
     },
+}
+
+impl SlotReply {
+    /// A reply whose JSON body the caller has rendered.
+    pub(crate) fn json(status: u16, body: impl Into<Cow<'static, str>>) -> SlotReply {
+        SlotReply::Ready {
+            status,
+            body: body.into(),
+        }
+    }
+
+    /// `{"error": msg}` under `status`.
+    pub(crate) fn error(status: u16, msg: &str) -> SlotReply {
+        SlotReply::json(status, format!("{{\"error\":{}}}", json_str(msg)))
+    }
+
+    /// What the batcher's answer to a `/predict` request looks like on
+    /// the wire.
+    pub(crate) fn from_batch(reply: BatchReply) -> SlotReply {
+        match reply {
+            BatchReply::Ok {
+                outputs,
+                model_tag,
+                batch_rows,
+            } => SlotReply::Predicted {
+                outputs,
+                model_tag,
+                batch_rows,
+            },
+            BatchReply::Expired => SlotReply::error(504, "request deadline exceeded in queue"),
+            BatchReply::Failed(e) => SlotReply::error(500, &e.render_chain()),
+        }
+    }
 }
 
 /// One in-order response slot, claimed at request parse time.
@@ -136,11 +155,6 @@ impl Conn {
         }
     }
 
-    /// Unconsumed input.
-    pub(crate) fn unparsed(&self) -> &[u8] {
-        &self.rdbuf[self.rdpos..self.rdlen]
-    }
-
     /// Drop `n` consumed bytes; resets cursors (and shrinks an
     /// upload-sized buffer) once everything is consumed.
     pub(crate) fn consume(&mut self, n: usize) {
@@ -153,6 +167,14 @@ impl Conn {
                 self.rdbuf = vec![0; INITIAL_BUF];
             }
         }
+    }
+
+    /// Parse no further request on this connection: what is buffered
+    /// behind the last one parsed is dropped, what is owed is still
+    /// rendered and flushed.
+    pub(crate) fn stop_reading(&mut self) {
+        self.no_more_reads = true;
+        self.consume(self.rdlen - self.rdpos);
     }
 
     /// Make room to buffer a request of `needed` total bytes (head +
@@ -234,7 +256,7 @@ impl Conn {
         close_after: bool,
         reply: Option<SlotReply>,
         rows: Option<usize>,
-    ) -> u16 {
+    ) {
         let seq = self.next_seq;
         self.next_seq = self.next_seq.wrapping_add(1);
         self.pending.push_back(Slot {
@@ -244,7 +266,6 @@ impl Conn {
             reply,
             rows,
         });
-        seq
     }
 
     /// Deliver a batcher completion into its slot. Returns `false` for

@@ -30,9 +30,8 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::batch::{BatchReply, CompletionSink};
-use crate::conn::{Body, Conn, SlotReply, INITIAL_BUF};
+use crate::conn::{Conn, SlotReply, INITIAL_BUF};
 use crate::http;
-use crate::json::json_str;
 use crate::poller::Wakeup;
 use crate::poller::{Event, Interest, Poller};
 use crate::server::{self, ServerShared};
@@ -242,7 +241,18 @@ impl Shard {
             return;
         }
         let prev = self.shared.conns_live.fetch_add(1, Ordering::AcqRel);
-        if prev >= self.shared.max_conns {
+        let slot = if prev >= self.shared.max_conns {
+            None
+        } else if let Some(i) = self.free.pop() {
+            Some(i as usize)
+        } else if self.conns.len() <= u16::MAX as usize {
+            self.conns.push(None);
+            self.gens.push(0);
+            Some(self.conns.len() - 1)
+        } else {
+            None // slab exhausted (token space): treated like the cap
+        };
+        let Some(idx) = slot else {
             // Admission control: answer 503 at accept instead of
             // accepting-then-starving. Best-effort write — an instantly
             // full socket buffer just means the client sees a reset.
@@ -250,22 +260,6 @@ impl Shard {
             self.shared.stats.note_status(503);
             let _ = (&stream).write(&self.capacity_503);
             return;
-        }
-
-        let idx = match self.free.pop() {
-            Some(i) => i as usize,
-            None if self.conns.len() <= u16::MAX as usize => {
-                self.conns.push(None);
-                self.gens.push(0);
-                self.conns.len() - 1
-            }
-            None => {
-                // Slab exhausted (token space); treat like the cap.
-                self.shared.conns_live.fetch_sub(1, Ordering::AcqRel);
-                self.shared.stats.note_status(503);
-                let _ = (&stream).write(&self.capacity_503);
-                return;
-            }
         };
         let token = conn_token(idx as u16, self.gens[idx]);
         if self
@@ -317,9 +311,7 @@ impl Shard {
                     Err(_) => {
                         // EOF or transport error: answer what was fully
                         // parsed, read nothing further.
-                        conn.no_more_reads = true;
-                        let n = conn.rdlen - conn.rdpos;
-                        conn.consume(n);
+                        conn.stop_reading();
                         false
                     }
                 };
@@ -335,9 +327,6 @@ impl Shard {
                     shutdown,
                     requests,
                 );
-                if grew {
-                    BUF_GROWTHS.fetch_add(1, Ordering::Relaxed);
-                }
                 if !progressed && !grew {
                     break;
                 }
@@ -352,7 +341,7 @@ impl Shard {
             alive = advance(conn, &this.shared, &mut this.body_buf);
             let next_seq = conn.next_seq;
             if alive && !conn.no_more_reads {
-                let grew = parse_requests(
+                parse_requests(
                     conn,
                     &this.shared,
                     &mut this.features,
@@ -361,9 +350,6 @@ impl Shard {
                     shutdown,
                     requests,
                 );
-                if grew {
-                    BUF_GROWTHS.fetch_add(1, Ordering::Relaxed);
-                }
             }
             if conn.next_seq == next_seq {
                 break;
@@ -420,7 +406,7 @@ impl Shard {
             let Some(conn) = self.conns[idx].as_mut() else {
                 continue;
             };
-            if conn.complete_slot(seq, SlotReply::Batch(reply)) {
+            if conn.complete_slot(seq, SlotReply::from_batch(reply)) {
                 touched.push(idx);
             }
         }
@@ -474,13 +460,10 @@ impl Shard {
     /// owed, close everything that is done.
     fn begin_drain(&mut self, requests: &mut u64) {
         for idx in 0..self.conns.len() {
-            if let Some(conn) = self.conns[idx].as_mut() {
-                conn.no_more_reads = true;
-                let n = conn.rdlen - conn.rdpos;
-                conn.consume(n);
-            } else {
+            let Some(conn) = self.conns[idx].as_mut() else {
                 continue;
-            }
+            };
+            conn.stop_reading();
             self.pump_conn(idx, false, false, true, requests);
         }
     }
@@ -499,8 +482,7 @@ impl Shard {
 
 /// Parse every complete pipelined request in the connection's buffer
 /// and dispatch each into its in-order slot. Returns whether the read
-/// buffer grew (the parse-allocation gauge counts these; steady state
-/// is zero).
+/// buffer grew, which [`BUF_GROWTHS`] counts (steady state is zero).
 fn parse_requests(
     conn: &mut Conn,
     shared: &ServerShared,
@@ -511,124 +493,68 @@ fn parse_requests(
     requests: &mut u64,
 ) -> bool {
     let mut grew = false;
-    loop {
-        if conn.no_more_reads || shutdown || conn.pending.len() >= shared.max_pipeline {
-            break;
-        }
-        enum Step {
-            Incomplete,
-            Bad(u16, String),
-            Request {
-                head_len: usize,
-                content_length: usize,
-                wants_close: bool,
-            },
-        }
-        let step = match http::parse_head(conn.unparsed(), http::MAX_HEAD_BYTES) {
-            http::Parse::Incomplete => Step::Incomplete,
-            http::Parse::Bad(bad) => Step::Bad(bad.status, bad.msg),
-            http::Parse::Head(h) => Step::Request {
-                head_len: h.head_len,
-                content_length: h.content_length,
-                wants_close: h.wants_close,
-            },
-        };
-        match step {
-            Step::Incomplete => {
+    while !(conn.no_more_reads || shutdown || conn.pending.len() >= shared.max_pipeline) {
+        // The head borrows the buffer field, not `conn`: its method and
+        // path are read at dispatch, after the request is counted.
+        let unparsed = &conn.rdbuf[conn.rdpos..conn.rdlen];
+        let buffered = unparsed.len();
+        let head = match http::parse_head(unparsed, http::MAX_HEAD_BYTES) {
+            http::Parse::Incomplete => {
                 if conn.rdlen == conn.rdbuf.len() {
                     // Full buffer, no complete head: make room (bounded
                     // by the parser's own 431 head cap).
-                    let unparsed = conn.rdlen - conn.rdpos;
-                    grew |= conn.reserve_request(unparsed + INITIAL_BUF);
+                    grew |= conn.reserve_request(buffered + INITIAL_BUF);
                 }
                 break;
             }
-            Step::Bad(status, msg) => {
-                let body = format!("{{\"error\":{}}}", json_str(&msg));
-                conn.push_slot(
-                    true,
-                    Some(SlotReply::Ready {
-                        status,
-                        retry_after: false,
-                        body: Body::Owned(body),
-                    }),
-                    None,
-                );
-                conn.no_more_reads = true;
-                let n = conn.rdlen - conn.rdpos;
-                conn.consume(n);
+            http::Parse::Bad(bad) => {
+                conn.push_slot(true, Some(SlotReply::error(bad.status, &bad.msg)), None);
+                conn.stop_reading();
                 break;
             }
-            Step::Request {
-                head_len,
-                content_length,
-                wants_close,
-            } => {
-                if content_length > shared.max_body {
-                    let body = format!(
-                        "{{\"error\":{}}}",
-                        json_str(&format!(
-                            "body of {content_length} bytes exceeds the {}-byte limit",
-                            shared.max_body
-                        ))
-                    );
-                    conn.push_slot(
-                        true,
-                        Some(SlotReply::Ready {
-                            status: 400,
-                            retry_after: false,
-                            body: Body::Owned(body),
-                        }),
-                        None,
-                    );
-                    conn.no_more_reads = true;
-                    let n = conn.rdlen - conn.rdpos;
-                    conn.consume(n);
-                    break;
-                }
-                let total = head_len + content_length;
-                if conn.rdlen - conn.rdpos < total {
-                    grew |= conn.reserve_request(total);
-                    break;
-                }
-
-                conn.requests += 1;
-                if conn.requests > 1 {
-                    mphpc_telemetry::counter_add("serve.conn.reused", 1);
-                }
-                *requests += 1;
-                shared.stats.note_request();
-
-                let seq = conn.next_seq;
-                let ticket = token << 16 | seq as u64;
-                let outcome = {
-                    let req = &conn.rdbuf[conn.rdpos..conn.rdpos + total];
-                    let http::Parse::Head(h) = http::parse_head(req, http::MAX_HEAD_BYTES) else {
-                        unreachable!("re-parse of a verified-complete head")
-                    };
-                    let body = &req[head_len..total];
-                    server::dispatch(shared, h.method, h.path, body, features, sink, ticket)
-                };
-                match outcome {
-                    server::Dispatch::Ready(reply) => {
-                        conn.push_slot(wants_close, Some(reply), None);
-                    }
-                    server::Dispatch::Submitted { rows } => {
-                        conn.push_slot(wants_close, None, rows);
-                    }
-                }
-                conn.consume(total);
-                // The deadline is per request: whatever partial request
-                // follows this one starts its own clock.
-                conn.read_deadline_start = None;
-                if wants_close {
-                    conn.no_more_reads = true;
-                    let n = conn.rdlen - conn.rdpos;
-                    conn.consume(n);
-                    break;
-                }
-            }
+            http::Parse::Head(head) => head,
+        };
+        if head.content_length > shared.max_body {
+            let msg = format!(
+                "body of {} bytes exceeds the {}-byte limit",
+                head.content_length, shared.max_body
+            );
+            conn.push_slot(true, Some(SlotReply::error(400, &msg)), None);
+            conn.stop_reading();
+            break;
         }
+        let total = head.head_len + head.content_length;
+        if buffered < total {
+            grew |= conn.reserve_request(total);
+            break;
+        }
+
+        conn.requests += 1;
+        if conn.requests > 1 {
+            mphpc_telemetry::counter_add("serve.conn.reused", 1);
+        }
+        *requests += 1;
+        shared.stats.note_request();
+
+        let ticket = token << 16 | conn.next_seq as u64;
+        let body = &unparsed[head.head_len..total];
+        let outcome =
+            server::dispatch(shared, head.method, head.path, body, features, sink, ticket);
+        let wants_close = head.wants_close;
+        match outcome {
+            server::Dispatch::Ready(reply) => conn.push_slot(wants_close, Some(reply), None),
+            server::Dispatch::Submitted { rows } => conn.push_slot(wants_close, None, rows),
+        }
+        conn.consume(total);
+        // The deadline is per request: whatever partial request
+        // follows this one starts its own clock.
+        conn.read_deadline_start = None;
+        if wants_close {
+            conn.stop_reading();
+        }
+    }
+    if grew {
+        BUF_GROWTHS.fetch_add(1, Ordering::Relaxed);
     }
     grew
 }
@@ -645,9 +571,7 @@ fn advance(conn: &mut Conn, shared: &ServerShared, body_buf: &mut Vec<u8>) -> bo
         let keep_alive = !slot.close_after && !shutdown_now;
         server::render_reply(shared, &slot, reply, keep_alive, body_buf, &mut conn.out);
         if !keep_alive {
-            conn.no_more_reads = true;
-            let n = conn.rdlen - conn.rdpos;
-            conn.consume(n);
+            conn.stop_reading();
         }
     }
     if !conn.flush() {

@@ -18,10 +18,9 @@
 //! Responses render with [`render_response`] straight into a caller
 //! buffer — no intermediate `String` — in the exact wire format the
 //! original blocking server produced (asserted by a unit test against
-//! the legacy string-building path, kept as [`write_response`] for the
-//! client-side tests).
+//! the legacy format string).
 
-use std::io::{self, Write};
+use std::io::Write;
 
 /// Upper bound on the request line plus all header lines.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -189,26 +188,6 @@ pub fn render_response(
     out.extend_from_slice(body);
 }
 
-/// Write a complete response with a JSON body (blocking-stream
-/// convenience over [`render_response`], used by tests and one-shot
-/// error replies).
-pub fn write_response<W: Write>(
-    writer: &mut W,
-    status: u16,
-    extra_headers: &[(&str, String)],
-    body: &str,
-    keep_alive: bool,
-) -> io::Result<()> {
-    let mut out = Vec::with_capacity(128 + body.len());
-    let extras: Vec<(&str, &str)> = extra_headers
-        .iter()
-        .map(|(k, v)| (*k, v.as_str()))
-        .collect();
-    render_response(&mut out, status, &extras, body.as_bytes(), keep_alive);
-    writer.write_all(&out)?;
-    writer.flush()
-}
-
 fn reason_phrase(status: u16) -> &'static str {
     match status {
         200 => "OK",
@@ -324,14 +303,7 @@ mod tests {
     #[test]
     fn response_wire_format_matches_legacy() {
         let mut out = Vec::new();
-        write_response(
-            &mut out,
-            503,
-            &[("retry-after", "1".to_string())],
-            "{}",
-            true,
-        )
-        .unwrap();
+        render_response(&mut out, 503, &[("retry-after", "1")], b"{}", true);
         let text = String::from_utf8(out.clone()).unwrap();
         assert!(text.starts_with("HTTP/1.1 503 Service Unavailable\r\n"));
         assert!(text.contains("content-length: 2\r\n"));

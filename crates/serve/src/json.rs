@@ -7,6 +7,8 @@
 //! type `/predict` traffics in), and objects keep insertion order so
 //! rendering is stable.
 
+use std::borrow::Cow;
+
 use mphpc_errors::MphpcError;
 
 /// A parsed JSON value.
@@ -29,17 +31,7 @@ pub enum JsonValue {
 impl JsonValue {
     /// Parse a complete JSON document (rejects trailing garbage).
     pub fn parse(text: &str) -> Result<JsonValue, MphpcError> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let value = p.value(0)?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing characters after JSON value"));
-        }
-        Ok(value)
+        Parser { text, pos: 0 }.document(|p| p.value(0))
     }
 
     /// Member lookup on an object (`None` for other variants).
@@ -80,8 +72,11 @@ impl JsonValue {
 /// away.
 const MAX_DEPTH: usize = 64;
 
+/// The one JSON grammar: [`JsonValue::parse`] builds a tree from these
+/// rules and [`read_predict_body`] reads a `/predict` body through the
+/// same ones, so the two agree on every token and every error position.
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
@@ -91,7 +86,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -110,7 +105,7 @@ impl<'a> Parser<'a> {
     }
 
     fn eat_literal(&mut self, lit: &str) -> Result<(), MphpcError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(())
         } else {
@@ -118,30 +113,62 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// A whole document: `root`, whitespace around it, nothing after.
+    fn document<T>(
+        mut self,
+        root: impl FnOnce(&mut Self) -> Result<T, MphpcError>,
+    ) -> Result<T, MphpcError> {
+        self.skip_ws();
+        let value = root(&mut self)?;
+        self.skip_ws();
+        if self.pos != self.text.len() {
+            return Err(self.err("trailing characters after JSON value"));
+        }
+        Ok(value)
+    }
+
     fn value(&mut self, depth: usize) -> Result<JsonValue, MphpcError> {
         if depth > MAX_DEPTH {
             return Err(self.err("nesting too deep"));
         }
         match self.peek() {
-            Some(b'{') => self.object(depth),
-            Some(b'[') => self.array(depth),
-            Some(b'"') => Ok(JsonValue::Str(self.string()?)),
+            Some(b'{') => {
+                let mut members = Vec::new();
+                self.object(|p, key| {
+                    members.push((key.into_owned(), p.value(depth + 1)?));
+                    Ok(())
+                })?;
+                Ok(JsonValue::Object(members))
+            }
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.array(|p| {
+                    items.push(p.value(depth + 1)?);
+                    Ok(())
+                })?;
+                Ok(JsonValue::Array(items))
+            }
+            Some(b'"') => Ok(JsonValue::Str(self.string()?.into_owned())),
             Some(b't') => self.eat_literal("true").map(|_| JsonValue::Bool(true)),
             Some(b'f') => self.eat_literal("false").map(|_| JsonValue::Bool(false)),
             Some(b'n') => self.eat_literal("null").map(|_| JsonValue::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
+            Some(_) if self.at_number() => self.number().map(JsonValue::Num),
             Some(c) => Err(self.err(&format!("unexpected character '{}'", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
     }
 
-    fn object(&mut self, depth: usize) -> Result<JsonValue, MphpcError> {
+    /// `{"key": member, ...}` with the cursor on the brace; `member`
+    /// reads each value with the cursor on its first byte.
+    fn object(
+        &mut self,
+        mut member: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), MphpcError>,
+    ) -> Result<(), MphpcError> {
         self.eat(b'{')?;
-        let mut members = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(JsonValue::Object(members));
+            return Ok(());
         }
         loop {
             self.skip_ws();
@@ -149,120 +176,138 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             self.eat(b':')?;
             self.skip_ws();
-            let value = self.value(depth + 1)?;
-            members.push((key, value));
+            member(self, key)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(JsonValue::Object(members));
+                    return Ok(());
                 }
                 _ => return Err(self.err("expected ',' or '}' in object")),
             }
         }
     }
 
-    fn array(&mut self, depth: usize) -> Result<JsonValue, MphpcError> {
+    /// `[element, ...]` with the cursor on the bracket; `element` reads
+    /// each one with the cursor on its first byte. Returns the count.
+    fn array(
+        &mut self,
+        mut element: impl FnMut(&mut Self) -> Result<(), MphpcError>,
+    ) -> Result<usize, MphpcError> {
         self.eat(b'[')?;
-        let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(JsonValue::Array(items));
+            return Ok(0);
         }
+        let mut n = 0;
         loop {
             self.skip_ws();
-            items.push(self.value(depth + 1)?);
+            element(self)?;
+            n += 1;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(JsonValue::Array(items));
+                    return Ok(n);
                 }
                 _ => return Err(self.err("expected ',' or ']' in array")),
             }
         }
     }
 
-    fn string(&mut self) -> Result<String, MphpcError> {
+    /// A string; borrowed from the input unless it holds an escape.
+    fn string(&mut self) -> Result<Cow<'a, str>, MphpcError> {
         self.eat(b'"')?;
-        let mut out = String::new();
+        let mut unescaped: Option<String> = None;
         loop {
+            // `"` and `\` are ASCII, so a run between them starts and
+            // ends on char boundaries of the `&str`.
+            let start = self.pos;
+            while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                self.pos += 1;
+            }
+            let run = &self.text[start..self.pos];
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{0008}'),
-                        Some(b'f') => out.push('\u{000c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let code = self.hex4()?;
-                            // Surrogate pairs: a high surrogate must be
-                            // followed by an escaped low surrogate.
-                            let c = if (0xd800..0xdc00).contains(&code) {
-                                self.eat(b'\\')?;
-                                self.eat(b'u')?;
-                                let low = self.hex4()?;
-                                if !(0xdc00..0xe000).contains(&low) {
-                                    return Err(self.err("invalid low surrogate"));
-                                }
-                                let combined = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
-                                char::from_u32(combined)
-                            } else {
-                                char::from_u32(code)
-                            };
-                            out.push(c.ok_or_else(|| self.err("invalid \\u escape"))?);
-                            // hex4 leaves pos past the digits; undo the
-                            // generic advance below.
-                            self.pos -= 1;
+                    return Ok(match unescaped {
+                        None => Cow::Borrowed(run),
+                        Some(mut out) => {
+                            out.push_str(run);
+                            Cow::Owned(out)
                         }
-                        _ => return Err(self.err("invalid escape")),
-                    }
-                    self.pos += 1;
+                    });
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // bytes are valid UTF-8; copy the whole sequence).
-                    let start = self.pos;
                     self.pos += 1;
-                    while self.bytes.get(self.pos).is_some_and(|b| b & 0xc0 == 0x80) {
-                        self.pos += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos])
-                            .map_err(|_| self.err("invalid utf-8"))?,
-                    );
+                    let c = self.escape()?;
+                    let out = unescaped.get_or_insert_with(String::new);
+                    out.push_str(run);
+                    out.push(c);
                 }
             }
         }
     }
 
+    /// The character an escape stands for, cursor just past the `\`.
+    fn escape(&mut self) -> Result<char, MphpcError> {
+        let c = match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'b') => '\u{0008}',
+            Some(b'f') => '\u{000c}',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'u') => {
+                self.pos += 1;
+                let code = self.hex4()?;
+                // Surrogate pairs: a high surrogate must be followed by
+                // an escaped low surrogate.
+                let c = if (0xd800..0xdc00).contains(&code) {
+                    self.eat(b'\\')?;
+                    self.eat(b'u')?;
+                    let low = self.hex4()?;
+                    if !(0xdc00..0xe000).contains(&low) {
+                        return Err(self.err("invalid low surrogate"));
+                    }
+                    char::from_u32(0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00))
+                } else {
+                    char::from_u32(code)
+                };
+                return c.ok_or_else(|| self.err("invalid \\u escape"));
+            }
+            _ => return Err(self.err("invalid escape")),
+        };
+        self.pos += 1;
+        Ok(c)
+    }
+
     fn hex4(&mut self) -> Result<u32, MphpcError> {
         let end = self.pos + 4;
-        if end > self.bytes.len() {
+        if end > self.text.len() {
             return Err(self.err("truncated \\u escape"));
         }
-        let digits = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| self.err("invalid \\u escape"))?;
-        let code = u32::from_str_radix(digits, 16).map_err(|_| self.err("invalid \\u escape"))?;
+        let code = self
+            .text
+            .get(self.pos..end)
+            .and_then(|digits| u32::from_str_radix(digits, 16).ok())
+            .ok_or_else(|| self.err("invalid \\u escape"))?;
         self.pos = end;
         Ok(code)
     }
 
-    fn number(&mut self) -> Result<JsonValue, MphpcError> {
+    /// Whether the cursor is on the first byte of a number token.
+    fn at_number(&self) -> bool {
+        matches!(self.peek(), Some(b'-' | b'0'..=b'9'))
+    }
+
+    fn number(&mut self) -> Result<f64, MphpcError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -273,199 +318,184 @@ impl<'a> Parser<'a> {
         {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
-        text.parse::<f64>()
-            .map(JsonValue::Num)
+        self.text[start..self.pos]
+            .parse::<f64>()
             .map_err(|_| self.err("invalid number"))
     }
-}
 
-/// Fast zero-allocation scanner for the canonical one-row `/predict`
-/// body `{"model": "...", "features": [n, n, ...]}` (either key order,
-/// JSON whitespace anywhere, `model` optional).
-///
-/// On success returns `Some(model)` — `None` inside meaning no `model`
-/// key — with the numbers appended to `features` (cleared first). The
-/// number token grammar and `str::parse::<f64>` conversion are exactly
-/// the recursive-descent parser's, so the fast path computes the same
-/// values [`JsonValue::parse`] would.
-///
-/// Returns `None` for *anything* else — the multi-row form
-/// ([`scan_predict_rows`] takes that one), escapes in the model string,
-/// extra keys, nested values, trailing garbage, malformed numbers — and
-/// the caller falls back to [`JsonValue::parse`], which either accepts
-/// the body (allocating, cold path) or produces the canonical error
-/// message. The fast path therefore never changes observable behaviour,
-/// only allocation counts.
-pub fn scan_predict_body<'a>(text: &'a str, features: &mut Vec<f64>) -> Option<Option<&'a str>> {
-    features.clear();
-    let b = text.as_bytes();
-    scan_predict_object(text, "features", |i| {
-        scan_array(b, i, |i| scan_number(text, i, features)).map(|_| ())
-    })
-}
-
-/// [`scan_predict_body`] for the multi-row form
-/// `{"model": "...", "rows": [[n, ...], [n, ...], ...]}`: the numbers of
-/// every row land in `rows` (cleared first), row-major, and the result
-/// is `(model, n_rows)` with `n_rows >= 1`, each row
-/// `rows.len() / n_rows` numbers wide.
-///
-/// Ragged rows and an empty `rows` array are `None` like everything
-/// else the scanner does not take: the slow path words the 400.
-pub fn scan_predict_rows<'a>(
-    text: &'a str,
-    rows: &mut Vec<f64>,
-) -> Option<(Option<&'a str>, usize)> {
-    rows.clear();
-    let b = text.as_bytes();
-    let mut n_rows = 0;
-    let mut width = None;
-    let model = scan_predict_object(text, "rows", |i| {
-        n_rows = scan_array(b, i, |i| {
-            let n = scan_array(b, i, |i| scan_number(text, i, rows))?;
-            (*width.get_or_insert(n) == n).then_some(())
+    /// `[n, ...]` appended to `values`: how many elements it has, and
+    /// whether all were numbers (one that is not is read as whatever it
+    /// is, at `depth`, and dropped).
+    fn numbers(
+        &mut self,
+        depth: usize,
+        values: &mut Vec<f64>,
+    ) -> Result<(usize, bool), MphpcError> {
+        let mut all = true;
+        let n = self.array(|p| {
+            if p.at_number() {
+                values.push(p.number()?);
+            } else {
+                p.value(depth)?;
+                all = false;
+            }
+            Ok(())
         })?;
-        (n_rows > 0).then_some(())
-    })?;
-    Some((model, n_rows))
-}
+        Ok((n, all))
+    }
 
-fn skip_ws(b: &[u8], i: &mut usize) {
-    while matches!(b.get(*i), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-        *i += 1;
-    }
-}
-
-/// A plain (escape-free) string starting at `b[*i]`; leaves `i` past
-/// the closing quote. `'"'` is ASCII, so slicing the `&str` at these
-/// byte offsets stays on char boundaries.
-fn scan_plain_str<'a>(text: &'a str, i: &mut usize) -> Option<&'a str> {
-    let b = text.as_bytes();
-    if b.get(*i) != Some(&b'"') {
-        return None;
-    }
-    let start = *i + 1;
-    let mut j = start;
-    while matches!(b.get(j), Some(c) if *c != b'"' && *c != b'\\') {
-        j += 1;
-    }
-    if b.get(j) != Some(&b'"') {
-        return None;
-    }
-    *i = j + 1;
-    Some(&text[start..j])
-}
-
-/// The array loop both scanners share: `[e, e, ...]` starting at
-/// `b[*i]`, each element read by `element` with the cursor on its first
-/// byte; returns the element count.
-fn scan_array(
-    b: &[u8],
-    i: &mut usize,
-    mut element: impl FnMut(&mut usize) -> Option<()>,
-) -> Option<usize> {
-    if b.get(*i) != Some(&b'[') {
-        return None;
-    }
-    *i += 1;
-    skip_ws(b, i);
-    if b.get(*i) == Some(&b']') {
-        *i += 1;
-        return Some(0);
-    }
-    let mut n = 0usize;
-    loop {
-        skip_ws(b, i);
-        element(i)?;
-        n += 1;
-        skip_ws(b, i);
-        match b.get(*i) {
-            Some(b',') => *i += 1,
-            Some(b']') => {
-                *i += 1;
-                return Some(n);
-            }
-            _ => return None,
-        }
-    }
-}
-
-/// One number starting at `b[*i]`, appended to `out`. Same first-byte
-/// dispatch and token charset as `Parser::number`.
-fn scan_number(text: &str, i: &mut usize, out: &mut Vec<f64>) -> Option<()> {
-    let b = text.as_bytes();
-    if !matches!(b.get(*i), Some(c) if *c == b'-' || c.is_ascii_digit()) {
-        return None;
-    }
-    let tok_start = *i;
-    if b[*i] == b'-' {
-        *i += 1;
-    }
-    while matches!(
-        b.get(*i),
-        Some(c) if c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-')
-    ) {
-        *i += 1;
-    }
-    out.push(text[tok_start..*i].parse::<f64>().ok()?);
-    Some(())
-}
-
-/// The object both `/predict` forms share: an optional `"model"` string
-/// and exactly one `array_key` member, whose value `scan_array` reads
-/// with the cursor on its first byte. Any other or repeated key, and
-/// anything after the closing brace, is `None`.
-fn scan_predict_object<'a>(
-    text: &'a str,
-    array_key: &str,
-    mut scan_array: impl FnMut(&mut usize) -> Option<()>,
-) -> Option<Option<&'a str>> {
-    let b = text.as_bytes();
-    let mut i = 0usize;
-    skip_ws(b, &mut i);
-    if b.get(i) != Some(&b'{') {
-        return None;
-    }
-    i += 1;
-
-    let mut model: Option<&str> = None;
-    let mut saw_array = false;
-    loop {
-        skip_ws(b, &mut i);
-        let key = scan_plain_str(text, &mut i)?;
-        skip_ws(b, &mut i);
-        if b.get(i) != Some(&b':') {
-            return None;
-        }
-        i += 1;
-        skip_ws(b, &mut i);
-
-        if key == "model" && model.is_none() {
-            model = Some(scan_plain_str(text, &mut i)?);
-        } else if key == array_key && !saw_array {
-            saw_array = true;
-            scan_array(&mut i)?;
+    /// The document [`read_predict_body`] reads. Members it does not
+    /// know, repeats of ones it does (the first wins, as with
+    /// [`JsonValue::get`]) and a `model` that is not a string are read
+    /// by [`Parser::value`] and dropped; a document that is not an
+    /// object has no members at all.
+    fn predict_body(
+        &mut self,
+        values: &mut Vec<f64>,
+    ) -> Result<Meaning<PredictBody<'a>>, MphpcError> {
+        let mut model = None;
+        let mut features = None;
+        let mut rows = None;
+        if self.peek() == Some(b'{') {
+            self.object(|p, key| {
+                match &*key {
+                    "model" if model.is_none() => {
+                        model = Some(if p.peek() == Some(b'"') {
+                            Some(p.string()?)
+                        } else {
+                            p.value(1)?;
+                            None
+                        });
+                    }
+                    "features" if features.is_none() => features = Some(p.features(values)?),
+                    "rows" if rows.is_none() => rows = Some(p.rows(values)?),
+                    _ => drop(p.value(1)?),
+                }
+                Ok(())
+            })?;
         } else {
-            return None; // unknown or duplicate key → slow path
+            self.value(0)?;
         }
-
-        skip_ws(b, &mut i);
-        match b.get(i) {
-            Some(b',') => i += 1,
-            Some(b'}') => {
-                i += 1;
-                break;
+        let rows = match (features, rows) {
+            (Some(_), Some(_)) => Err("give either \"features\" or \"rows\", not both"),
+            (None, Some(rows)) => rows.map(Some),
+            (Some(features), None) => features.map(|()| None),
+            (None, None) => Err(FEATURES_MISSING),
+        };
+        Ok(rows.and_then(|rows| {
+            if values.iter().all(|x| x.is_finite()) {
+                Ok(PredictBody {
+                    model: model.flatten(),
+                    rows,
+                })
+            } else if rows.is_some() {
+                Err(ROWS_NOT_NUMBERS)
+            } else {
+                Err(FEATURES_NOT_NUMBERS)
             }
-            _ => return None,
+        }))
+    }
+
+    /// The value of a `features` member.
+    fn features(&mut self, values: &mut Vec<f64>) -> Result<Meaning<()>, MphpcError> {
+        if self.peek() != Some(b'[') {
+            return self.value(1).map(|_| Err(FEATURES_MISSING));
         }
+        let (_, numbers) = self.numbers(2, values)?;
+        Ok(numbers.then_some(()).ok_or(FEATURES_NOT_NUMBERS))
     }
-    skip_ws(b, &mut i);
-    if i != b.len() || !saw_array {
-        return None;
+
+    /// The value of a `rows` member: the row count, each row as wide as
+    /// the first. What is wrong with a row is decided at its end, in the
+    /// order not an array, wrong width, not numbers, and the first row
+    /// with something wrong names the error.
+    fn rows(&mut self, values: &mut Vec<f64>) -> Result<Meaning<usize>, MphpcError> {
+        const ROWS_EMPTY: &str = "\"rows\" must be a non-empty array of rows";
+        if self.peek() != Some(b'[') {
+            return self.value(1).map(|_| Err(ROWS_EMPTY));
+        }
+        let mut meaning = Ok(());
+        let mut width = None;
+        let n_rows = self.array(|p| {
+            let row = if p.peek() == Some(b'[') {
+                let (n, numbers) = p.numbers(3, values)?;
+                if *width.get_or_insert(n) != n {
+                    Err("\"rows\" must all have the same length")
+                } else if numbers {
+                    Ok(())
+                } else {
+                    Err(ROWS_NOT_NUMBERS)
+                }
+            } else {
+                p.value(2).map(|_| Err(ROWS_NOT_NUMBERS))?
+            };
+            meaning = meaning.and(row);
+            Ok(())
+        })?;
+        Ok(if n_rows == 0 {
+            Err(ROWS_EMPTY)
+        } else {
+            meaning.map(|()| n_rows)
+        })
     }
-    Some(model)
+}
+
+/// What a syntactically valid `/predict` body means: what it asks for,
+/// or the 400 text saying why it asks for nothing. Kept apart from the
+/// syntax errors because those win wherever they are — a body is read to
+/// its end before what it means is looked at.
+type Meaning<T> = Result<T, &'static str>;
+
+const FEATURES_MISSING: &str = "missing \"features\" array";
+const FEATURES_NOT_NUMBERS: &str = "\"features\" must be finite numbers";
+const ROWS_NOT_NUMBERS: &str = "\"rows\" must be arrays of finite numbers";
+
+/// A `/predict` request body, its numbers already in the caller's
+/// buffer.
+#[derive(Debug, PartialEq)]
+pub struct PredictBody<'a> {
+    /// The `model` member (`None`: absent, the caller's default).
+    pub model: Option<Cow<'a, str>>,
+    /// `None` for the one-row `features` form; `Some(n)` for the `rows`
+    /// form with its `n >= 1` rows, all of one width.
+    pub rows: Option<usize>,
+}
+
+/// Read a `/predict` body in either form — `{"model": "...",
+/// "features": [n, ...]}` or `{"model": "...", "rows": [[n, ...], ...]}`,
+/// `model` optional, members in any order — into `values` (cleared
+/// first; row-major for `rows`). `Err` is the text of the 400.
+///
+/// One pass of the grammar [`JsonValue::parse`] uses, and no allocation
+/// for a body that has no escape in a string, only the members above
+/// and nothing wrong with it.
+pub fn read_predict_body<'a>(
+    text: &'a str,
+    values: &mut Vec<f64>,
+) -> Result<PredictBody<'a>, String> {
+    values.clear();
+    match (Parser { text, pos: 0 }).document(|p| p.predict_body(values)) {
+        Ok(Ok(body)) => Ok(body),
+        Ok(Err(msg)) => Err(msg.to_string()),
+        Err(e) => Err(e.to_string()),
+    }
+}
+
+/// [`read_predict_body`] for callers that handle only the `features`
+/// form and borrow the model name: `Some(model)` with the numbers in
+/// `features`, `None` for every other body, a refused one included.
+pub fn scan_predict_body<'a>(text: &'a str, features: &mut Vec<f64>) -> Option<Option<&'a str>> {
+    match read_predict_body(text, features) {
+        Ok(PredictBody {
+            model: None,
+            rows: None,
+        }) => Some(None),
+        Ok(PredictBody {
+            model: Some(Cow::Borrowed(name)),
+            rows: None,
+        }) => Some(Some(name)),
+        _ => None,
+    }
 }
 
 /// The `/predict` 200 body, appended to `out` without allocating:
@@ -511,8 +541,8 @@ pub fn write_predict_reply(
     out.push(b'}');
 }
 
-/// Streaming [`json_str`]: escape `s` into `out` without an
-/// intermediate `String`. Byte-identical output (unit-tested).
+/// Escape `s` per RFC 8259 into `out`, quotes included, without an
+/// intermediate `String`.
 pub fn write_json_str(out: &mut Vec<u8>, s: &str) {
     use std::io::Write as _;
     out.push(b'"');
@@ -535,8 +565,10 @@ pub fn write_json_str(out: &mut Vec<u8>, s: &str) {
     out.push(b'"');
 }
 
-/// Streaming [`json_num`]: render `v` into `out` without an
-/// intermediate `String` (std's `f64` Display formats on the stack).
+/// Render `v` into `out` without an intermediate `String` (std's `f64`
+/// Display formats on the stack), emitting `null` for non-finite values
+/// (which JSON cannot represent), matching the telemetry JSONL
+/// convention.
 pub fn write_json_num(out: &mut Vec<u8>, v: f64) {
     use std::io::Write as _;
     if v.is_finite() {
@@ -546,36 +578,18 @@ pub fn write_json_num(out: &mut Vec<u8>, v: f64) {
     }
 }
 
-/// Escape a string per RFC 8259 and wrap it in quotes.
+/// [`write_json_str`] into a fresh `String`.
 pub fn json_str(s: &str) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    let mut out = Vec::with_capacity(s.len() + 2);
+    write_json_str(&mut out, s);
+    String::from_utf8(out).expect("escaping UTF-8 yields UTF-8")
 }
 
-/// Render a number, emitting `null` for non-finite values (which JSON
-/// cannot represent), matching the telemetry JSONL convention.
+/// [`write_json_num`] into a fresh `String`.
 pub fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
+    let mut out = Vec::new();
+    write_json_num(&mut out, v);
+    String::from_utf8(out).expect("JSON numbers are ASCII")
 }
 
 #[cfg(test)]
@@ -617,7 +631,7 @@ mod tests {
         let v = JsonValue::parse(r#""\ud83d\ude00""#).unwrap();
         assert_eq!(v.as_str(), Some("\u{1f600}"));
         // Escaping is the inverse on the control/quote set.
-        assert_eq!(json_str("a\"b\\\n\t\u{1}"), r#""a\"b\\\n\t\u0001""#);
+        assert_eq!(json_str("a\"b\\\n\t\u{1}名"), r#""a\"b\\\n\t\u0001名""#);
     }
 
     #[test]
@@ -649,118 +663,152 @@ mod tests {
         assert_eq!(json_num(1.5), "1.5");
     }
 
-    #[test]
-    fn streaming_writers_match_allocating_ones() {
-        for s in ["plain", "with \"quotes\" and \\", "tabs\tnl\n\u{1}", "名前"] {
-            let mut out = Vec::new();
-            write_json_str(&mut out, s);
-            assert_eq!(out, json_str(s).as_bytes(), "for {s:?}");
-        }
-        for v in [
-            0.0,
-            -0.0,
-            1.5,
-            -2.75e300,
-            1.0 / 3.0,
-            f64::NAN,
-            f64::INFINITY,
-            f64::MIN_POSITIVE,
-        ] {
-            let mut out = Vec::new();
-            write_json_num(&mut out, v);
-            assert_eq!(out, json_num(v).as_bytes(), "for {v:?}");
+    /// Model name, row count (`None`: the `features` form) and numbers
+    /// of a body, read off the tree [`JsonValue::parse`] builds.
+    fn from_tree(body: &str) -> (Option<String>, Option<usize>, Vec<f64>) {
+        let tree = JsonValue::parse(body).unwrap();
+        let numbers = |v: &JsonValue| -> Vec<f64> {
+            let items = v.as_array().unwrap().iter();
+            items.map(|x| x.as_f64().unwrap()).collect()
+        };
+        let model = tree.get("model").and_then(JsonValue::as_str);
+        let model = model.map(str::to_string);
+        match tree.get("rows").map(|rows| rows.as_array().unwrap()) {
+            Some(rows) => (
+                model,
+                Some(rows.len()),
+                rows.iter().flat_map(numbers).collect(),
+            ),
+            None => (model, None, numbers(tree.get("features").unwrap())),
         }
     }
 
     #[test]
-    fn fast_scan_accepts_canonical_bodies_and_matches_slow_parse() {
-        let mut feats = Vec::new();
+    fn the_predict_reader_agrees_with_the_tree_and_words_every_refusal() {
+        let mut values = Vec::new();
+        // An unknown member nested `n` arrays deep; the member is depth 1.
+        let nested = |n| {
+            format!(
+                "{{\"rows\":[[1]],\"x\":{}{}}}",
+                "[".repeat(n),
+                "]".repeat(n)
+            )
+        };
+        let (deepest, too_deep) = (nested(64), nested(65));
+
         for body in [
             r#"{"model":"default","features":[1, -2.5, 3e2]}"#,
             r#"{"features":[0.125]}"#,
             r#" { "features" : [ 1 , 2 ] , "model" : "m-1" } "#,
             r#"{"model":"x","features":[]}"#,
-            r#"{"features":[1e999]}"#, // overflows to inf, like the slow path
+            r#"{"model":"a\"bé","features":[1]}"#, // escapes in the name
+            r#"{"features":[1],"extra":{"deep":[[null]]}}"#, // unknown member
+            r#"{"features":[1],"features":["x"]}"#, // the first wins
+            r#"{"model":null,"features":[1],"model":"m"}"#, // also when it is no string
+            r#"{"model":"m","rows":[[1,-2.5],[3e2,0.125]]}"#,
+            r#" { "rows" : [ [ 7 ] ] } "#,
+            r#"{"rows":[[],[]]}"#,
+            r#"{"rows":[[1]],"rows":[[2],[3]]}"#,
+            deepest.as_str(),
         ] {
-            let fast = scan_predict_body(body, &mut feats)
-                .unwrap_or_else(|| panic!("fast path rejected {body:?}"));
-            let slow = JsonValue::parse(body).unwrap();
-            assert_eq!(fast, slow.get("model").and_then(JsonValue::as_str));
-            let slow_feats: Vec<f64> = slow
-                .get("features")
-                .and_then(JsonValue::as_array)
-                .unwrap()
-                .iter()
-                .map(|v| v.as_f64().unwrap())
-                .collect();
-            assert_eq!(feats.len(), slow_feats.len());
-            for (a, b) in feats.iter().zip(&slow_feats) {
-                assert_eq!(a.to_bits(), b.to_bits(), "value mismatch in {body:?}");
+            let got = read_predict_body(body, &mut values)
+                .unwrap_or_else(|msg| panic!("{body:?} refused: {msg}"));
+            let (model, rows, want) = from_tree(body);
+            assert_eq!(
+                (got.model.as_deref(), got.rows),
+                (model.as_deref(), rows),
+                "{body:?}"
+            );
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&values), bits(&want), "{body:?}");
+        }
+
+        // Bodies that are JSON and ask for nothing: the reader's words.
+        // The first row with something wrong decides, and in a row the
+        // width is looked at before the elements.
+        let refused: [(&str, &[&str]); 6] = [
+            (
+                "missing \"features\" array",
+                &["{}", "[1,2]", r#"{"features":{"a":1}}"#],
+            ),
+            (
+                "\"features\" must be finite numbers",
+                &[r#"{"features":[1,"x"]}"#, r#"{"features":[1e999]}"#],
+            ),
+            (
+                "\"rows\" must be a non-empty array of rows",
+                &[r#"{"rows":[]}"#, r#"{"rows":5}"#],
+            ),
+            (
+                "\"rows\" must be arrays of finite numbers",
+                &[
+                    r#"{"rows":[1,2]}"#,
+                    r#"{"rows":[[1e999,1]]}"#,
+                    r#"{"rows":[[1,"x"],[3]]}"#,
+                ],
+            ),
+            (
+                "\"rows\" must all have the same length",
+                &[
+                    r#"{"rows":[[1,2],[3]]}"#,
+                    r#"{"rows":[[1,2],["x"]]}"#,
+                    r#"{"rows":[[1e999],[1,2]]}"#,
+                ],
+            ),
+            (
+                "give either \"features\" or \"rows\", not both",
+                &[
+                    r#"{"rows":[[1]],"features":[1]}"#,
+                    r#"{"features":"x","rows":7}"#,
+                ],
+            ),
+        ];
+        for (msg, bodies) in refused {
+            for body in bodies {
+                assert!(JsonValue::parse(body).is_ok(), "{body:?}");
+                let got = read_predict_body(body, &mut values);
+                assert_eq!(got, Err(msg.to_string()), "{body:?}");
             }
         }
-    }
 
-    #[test]
-    fn fast_scan_defers_everything_else_to_the_slow_path() {
-        let mut feats = Vec::new();
+        // Bodies that are not JSON: the parser's words, wherever the
+        // error is and whatever else is wrong with the body.
         for body in [
             "not json",
-            "{}",                                 // missing features
-            r#"{"model":"a\"b","features":[1]}"#, // escaped string
-            r#"{"features":[1,"x"]}"#,            // non-number element
-            r#"{"features":[1],"extra":2}"#,      // unknown key
-            r#"{"features":[1]} trailing"#,       // trailing garbage
-            r#"{"features":[1],"features":[2]}"#, // duplicate key
-            r#"{"features":[--1]}"#,              // malformed number
-            r#"{"features":{"a":1}}"#,            // wrong type
-            r#"{"model":null,"features":[1]}"#,   // non-string model
-            r#"{"model":"m","rows":[[1,2]]}"#,    // the multi-row form
+            r#"{"features":[1]} trailing"#,
+            r#"{"features":[--1]}"#,
+            r#"{"features":[1,"x"]} trailing"#,
+            r#"{"rows":[[1],]}"#,
+            r#"{"rows":[[1,2],[3]],}"#,
+            r#"{"model":"\x","features":[1]}"#,
+            r#"{"features":[1],"model":"m}"#,
+            too_deep.as_str(),
         ] {
-            assert!(
-                scan_predict_body(body, &mut feats).is_none(),
-                "fast path must defer {body:?}"
-            );
+            let want = JsonValue::parse(body).unwrap_err().to_string();
+            assert_eq!(read_predict_body(body, &mut values), Err(want), "{body:?}");
         }
+        assert_eq!(
+            read_predict_body(r#"{"features":[1]} trailing"#, &mut values),
+            Err("serialisation error: json parse error at byte 17: \
+                 trailing characters after JSON value"
+                .to_string())
+        );
+        assert!(read_predict_body(&too_deep, &mut values)
+            .unwrap_err()
+            .ends_with("nesting too deep"));
     }
 
     #[test]
-    fn rows_scan_reads_row_major_values_and_defers_the_rest() {
-        let mut rows = Vec::new();
-        for (body, model, n_rows, want) in [
-            (
-                r#"{"model":"m","rows":[[1,-2.5],[3e2,0.125]]}"#,
-                Some("m"),
-                2,
-                vec![1.0, -2.5, 300.0, 0.125],
-            ),
-            (r#" { "rows" : [ [ 7 ] ] } "#, None, 1, vec![7.0]),
-            (
-                r#"{"rows":[[1e999,1]],"model":"x"}"#,
-                Some("x"),
-                1,
-                vec![f64::INFINITY, 1.0],
-            ),
-            (r#"{"rows":[[],[]]}"#, None, 2, vec![]),
+    fn the_one_row_view_borrows_the_model_and_takes_nothing_else() {
+        let mut features = Vec::new();
+        for (body, want) in [
+            (r#"{"model":"m","features":[1,2]}"#, Some(Some("m"))),
+            (r#"{"features":[1,2]}"#, Some(None)),
+            (r#"{"model":"\u006d","features":[1,2]}"#, None), // nothing to borrow
+            (r#"{"model":"m","rows":[[1,2]]}"#, None),
+            (r#"{"features":[1,"x"]}"#, None),
         ] {
-            let got = scan_predict_rows(body, &mut rows)
-                .unwrap_or_else(|| panic!("rows scan rejected {body:?}"));
-            assert_eq!(got, (model, n_rows), "{body:?}");
-            assert_eq!(rows, want, "{body:?}");
-        }
-        for body in [
-            r#"{"rows":[]}"#,                    // no rows
-            r#"{"rows":[[1,2],[3]]}"#,           // ragged
-            r#"{"rows":[1,2]}"#,                 // rows of numbers, not of rows
-            r#"{"rows":[[1]],"features":[1]}"#,  // both forms
-            r#"{"rows":[[1]],"rows":[[2]]}"#,    // duplicate key
-            r#"{"rows":[[1],]}"#,                // trailing comma
-            r#"{"rows":[[1]]} x"#,               // trailing garbage
-            r#"{"model":"m","features":[1,2]}"#, // the one-row form
-        ] {
-            assert!(
-                scan_predict_rows(body, &mut rows).is_none(),
-                "rows scan must defer {body:?}"
-            );
+            assert_eq!(scan_predict_body(body, &mut features), want, "{body:?}");
         }
     }
 

@@ -57,7 +57,7 @@ pub mod shadow;
 
 pub use batch::{BatchConfig, MicroBatcher};
 pub use registry::{LoadedModel, ModelRegistry};
-pub use server::{serve, ServeConfig, ServeStats, ServerHandle, StatsSnapshot};
+pub use server::{serve, ServeConfig, ServerHandle, StatsSnapshot};
 pub use shadow::{ShadowReport, ShadowSlot};
 
 /// A model the server can host: row-major batch prediction over `f64`

@@ -29,12 +29,12 @@ use std::time::Duration;
 
 use mphpc_errors::MphpcError;
 
-use crate::batch::{BatchConfig, BatchReply, CompletionSink, MicroBatcher, SubmitError};
-use crate::conn::{Body, Slot, SlotReply};
+use crate::batch::{BatchConfig, CompletionSink, MicroBatcher, SubmitError};
+use crate::conn::{Slot, SlotReply};
 use crate::event_loop::{Shard, ShardInbox};
 use crate::http;
-use crate::json::{self, json_str, JsonValue};
-use crate::registry::ModelRegistry;
+use crate::json::{self, json_num, json_str};
+use crate::registry::{LoadedModel, ModelRegistry};
 use crate::shadow::ShadowReport;
 
 /// Server tuning knobs.
@@ -84,9 +84,10 @@ impl Default for ServeConfig {
     }
 }
 
-/// Monotonic request counters, readable while the server runs.
+/// Monotonic request counters, bumped while the server runs; read
+/// through [`ServeStats::snapshot`].
 #[derive(Debug, Default)]
-pub struct ServeStats {
+pub(crate) struct ServeStats {
     connections: AtomicU64,
     requests: AtomicU64,
     ok: AtomicU64,
@@ -96,33 +97,7 @@ pub struct ServeStats {
     client_errors: AtomicU64,
 }
 
-macro_rules! stat_getters {
-    ($($(#[$doc:meta])* $name:ident),+ $(,)?) => {
-        $( $(#[$doc])*
-        pub fn $name(&self) -> u64 {
-            self.$name.load(Ordering::Relaxed)
-        } )+
-    };
-}
-
 impl ServeStats {
-    stat_getters! {
-        /// Connections accepted (admission-control rejects excluded).
-        connections,
-        /// Requests parsed (any route).
-        requests,
-        /// `200` responses.
-        ok,
-        /// `503` responses (queue full, draining, or connection cap).
-        rejected,
-        /// `504` responses (queue deadline exceeded).
-        expired,
-        /// `500` responses (model or channel failure).
-        failed,
-        /// `4xx` responses (malformed, unknown route/model, bad shape).
-        client_errors,
-    }
-
     pub(crate) fn note_connection(&self) {
         self.connections.fetch_add(1, Ordering::Relaxed);
     }
@@ -142,30 +117,38 @@ impl ServeStats {
         field.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Copy the counters out (the form [`ServerHandle::join`] returns).
-    pub fn snapshot(&self) -> StatsSnapshot {
+    /// Copy the counters out (what `GET /stats` and
+    /// [`ServerHandle::join`] report).
+    pub(crate) fn snapshot(&self) -> StatsSnapshot {
+        let read = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
         StatsSnapshot {
-            connections: self.connections(),
-            requests: self.requests(),
-            ok: self.ok(),
-            rejected: self.rejected(),
-            expired: self.expired(),
-            failed: self.failed(),
-            client_errors: self.client_errors(),
+            connections: read(&self.connections),
+            requests: read(&self.requests),
+            ok: read(&self.ok),
+            rejected: read(&self.rejected),
+            expired: read(&self.expired),
+            failed: read(&self.failed),
+            client_errors: read(&self.client_errors),
         }
     }
 }
 
-/// Final request counters (see [`ServeStats`] for field meanings).
+/// The server's request counters at one instant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[allow(missing_docs)]
 pub struct StatsSnapshot {
+    /// Connections accepted (admission-control rejects excluded).
     pub connections: u64,
+    /// Requests parsed (any route).
     pub requests: u64,
+    /// `200` responses.
     pub ok: u64,
+    /// `503` responses (queue full, draining, or connection cap).
     pub rejected: u64,
+    /// `504` responses (queue deadline exceeded).
     pub expired: u64,
+    /// `500` responses (model or channel failure).
     pub failed: u64,
+    /// `4xx` responses (malformed, unknown route/model, bad shape).
     pub client_errors: u64,
 }
 
@@ -223,16 +206,6 @@ impl ServerHandle {
     /// The bound address (resolves ephemeral ports).
     pub fn addr(&self) -> SocketAddr {
         self.shared.addr
-    }
-
-    /// The registry this server serves from (for in-process installs).
-    pub fn registry(&self) -> Arc<ModelRegistry> {
-        Arc::clone(&self.shared.registry)
-    }
-
-    /// Live request counters.
-    pub fn stats(&self) -> &ServeStats {
-        &self.shared.stats
     }
 
     /// Begin graceful shutdown: stop accepting, finish in-flight
@@ -336,22 +309,6 @@ pub(crate) enum Dispatch {
     Submitted { rows: Option<usize> },
 }
 
-fn ready(status: u16, retry_after: bool, body: Body) -> Dispatch {
-    Dispatch::Ready(SlotReply::Ready {
-        status,
-        retry_after,
-        body,
-    })
-}
-
-fn ready_error(status: u16, msg: &str) -> Dispatch {
-    ready(
-        status,
-        false,
-        Body::Owned(format!("{{\"error\":{}}}", json_str(msg))),
-    )
-}
-
 /// Route one request. `features` is the shard's reusable row scratch
 /// (the predict hot path parses into it without allocating).
 pub(crate) fn dispatch(
@@ -364,144 +321,67 @@ pub(crate) fn dispatch(
     ticket: u64,
 ) -> Dispatch {
     let _span = mphpc_telemetry::span!("serve.request");
-    if method.eq_ignore_ascii_case("POST") {
+    let no_route = || SlotReply::error(404, &format!("no route for {path}"));
+    Dispatch::Ready(if method.eq_ignore_ascii_case("POST") {
         if path == "/predict" {
-            return predict(shared, body, features, sink, ticket);
-        }
-        if let Some(name) = path.strip_prefix("/models/") {
-            return Dispatch::Ready(upload_model(shared, name, body));
-        }
-        if let Some(rest) = path.strip_prefix("/shadow/") {
-            return Dispatch::Ready(match rest.strip_suffix("/drop") {
+            match predict(shared, body, features, sink, ticket) {
+                Ok(rows) => return Dispatch::Submitted { rows },
+                Err(reply) => reply,
+            }
+        } else if let Some(name) = path.strip_prefix("/models/") {
+            upload_model(shared, name, body)
+        } else if let Some(rest) = path.strip_prefix("/shadow/") {
+            match rest.strip_suffix("/drop") {
                 Some(name) => drop_shadow(shared, name),
                 None => attach_shadow(shared, rest, body),
-            });
-        }
-        if let Some(name) = path.strip_prefix("/promote/") {
-            return Dispatch::Ready(promote_shadow(shared, name));
-        }
-        if let Some(name) = path.strip_prefix("/rollback/") {
-            return Dispatch::Ready(rollback_model(shared, name));
-        }
-        if path == "/shutdown" {
+            }
+        } else if let Some(name) = path.strip_prefix("/promote/") {
+            promote_shadow(shared, name)
+        } else if let Some(name) = path.strip_prefix("/rollback/") {
+            rollback_model(shared, name)
+        } else if path == "/shutdown" {
             shared.initiate_shutdown();
-            return ready(200, false, Body::Static("{\"status\":\"draining\"}"));
+            SlotReply::json(200, "{\"status\":\"draining\"}")
+        } else {
+            no_route()
         }
     } else if method.eq_ignore_ascii_case("GET") {
         match path {
-            "/models" => return Dispatch::Ready(list_models(shared)),
-            "/healthz" => return ready(200, false, Body::Static("{\"status\":\"ok\"}")),
-            "/stats" => return Dispatch::Ready(stats_body(shared)),
-            "/shadow" => return Dispatch::Ready(shadow_body(shared)),
-            _ => return ready_error(404, &format!("no route for {path}")),
+            "/models" => list_models(shared),
+            "/healthz" => SlotReply::json(200, "{\"status\":\"ok\"}"),
+            "/stats" => stats_body(shared),
+            "/shadow" => shadow_body(shared),
+            _ => no_route(),
         }
     } else {
-        return ready_error(
-            405,
-            &format!("method {} not supported", method.to_ascii_uppercase()),
-        );
-    }
-    ready_error(404, &format!("no route for {path}"))
+        let method = method.to_ascii_uppercase();
+        SlotReply::error(405, &format!("method {method} not supported"))
+    })
 }
 
-/// The allocating path for bodies the scanners defer: the same values
-/// in `values`, or the canonical 400 message. `Some(n)` is the `rows`
-/// form with `n` rows, every one as wide as the first.
-fn predict_body_slow<'a>(
-    parsed: &'a JsonValue,
-    values: &mut Vec<f64>,
-) -> Result<(Option<&'a str>, Option<usize>), &'static str> {
-    fn push_numbers(
-        values: &mut Vec<f64>,
-        row: &[JsonValue],
-        not_numbers: &'static str,
-    ) -> Result<(), &'static str> {
-        for value in row {
-            values.push(value.as_f64().ok_or(not_numbers)?);
-        }
-        Ok(())
-    }
-    values.clear();
-    let model = parsed.get("model").and_then(JsonValue::as_str);
-    match (parsed.get("features"), parsed.get("rows")) {
-        (Some(_), Some(_)) => Err("give either \"features\" or \"rows\", not both"),
-        (None, Some(rows)) => {
-            let rows = rows
-                .as_array()
-                .filter(|rows| !rows.is_empty())
-                .ok_or("\"rows\" must be a non-empty array of rows")?;
-            let mut width = None;
-            for row in rows {
-                let row = row.as_array().ok_or(ROWS_NOT_NUMBERS)?;
-                if *width.get_or_insert(row.len()) != row.len() {
-                    return Err("\"rows\" must all have the same length");
-                }
-                push_numbers(values, row, ROWS_NOT_NUMBERS)?;
-            }
-            Ok((model, Some(rows.len())))
-        }
-        (features, None) => {
-            let row = features
-                .and_then(JsonValue::as_array)
-                .ok_or("missing \"features\" array")?;
-            push_numbers(values, row, FEATURES_NOT_NUMBERS)?;
-            Ok((model, None))
-        }
-    }
-}
-
-const FEATURES_NOT_NUMBERS: &str = "\"features\" must be finite numbers";
-const ROWS_NOT_NUMBERS: &str = "\"rows\" must be arrays of finite numbers";
-
+/// `POST /predict`: read the body, resolve the model, queue the rows.
+/// `Ok` is the queued request's [`Slot::rows`]; `Err` is the reply to a
+/// request that was not queued.
 fn predict(
     shared: &ServerShared,
     body: &[u8],
     features: &mut Vec<f64>,
     sink: &Arc<dyn CompletionSink>,
     ticket: u64,
-) -> Dispatch {
-    let Ok(text) = std::str::from_utf8(body) else {
-        return ready_error(400, "body is not utf-8");
-    };
+) -> Result<Option<usize>, SlotReply> {
+    let text = std::str::from_utf8(body).map_err(|_| SlotReply::error(400, "body is not utf-8"))?;
+    let request =
+        json::read_predict_body(text, features).map_err(|msg| SlotReply::error(400, &msg))?;
+    let name = request.model.as_deref().unwrap_or("default");
+    let model = shared
+        .registry
+        .get(name)
+        .ok_or_else(|| SlotReply::error(404, &format!("unknown model '{name}'")))?;
 
-    // Hot path: the canonical `{"model":...,"features":[...]}` and
-    // `{"model":...,"rows":[[...],...]}` shapes parse straight into the
-    // reusable scratch with zero allocation; anything else falls back to
-    // the full JSON parser, which reads the same values or words the 400.
-    let parsed;
-    let (name, rows) = if let Some(name) = json::scan_predict_body(text, features) {
-        (name, None)
-    } else if let Some((name, n_rows)) = json::scan_predict_rows(text, features) {
-        (name, Some(n_rows))
-    } else {
-        parsed = match JsonValue::parse(text) {
-            Ok(v) => v,
-            Err(e) => return ready_error(400, &e.to_string()),
-        };
-        match predict_body_slow(&parsed, features) {
-            Ok(body) => body,
-            Err(msg) => return ready_error(400, msg),
-        }
-    };
-    if features.iter().any(|x| !x.is_finite()) {
-        return ready_error(
-            400,
-            if rows.is_some() {
-                ROWS_NOT_NUMBERS
-            } else {
-                FEATURES_NOT_NUMBERS
-            },
-        );
-    }
-    let name = name.unwrap_or("default");
-    let Some(model) = shared.registry.get(name) else {
-        return ready_error(404, &format!("unknown model '{name}'"));
-    };
-
-    let n_rows = rows.unwrap_or(1);
+    let n_rows = request.rows.unwrap_or(1);
     let width = features.len() / n_rows;
     if width != model.model.n_features() {
-        return ready_error(
+        return Err(SlotReply::error(
             400,
             &format!(
                 "model '{}' expects {} features, got {}",
@@ -509,32 +389,24 @@ fn predict(
                 model.model.n_features(),
                 width
             ),
-        );
+        ));
     }
 
-    match shared
+    shared
         .batcher
         .submit_with(model, features.clone(), n_rows, Arc::clone(sink), ticket)
-    {
-        Ok(()) => Dispatch::Submitted { rows },
-        Err(SubmitError::QueueFull) => ready(
-            503,
-            true,
-            Body::Static("{\"error\":\"prediction queue is full\"}"),
-        ),
-        Err(SubmitError::ShuttingDown) => ready(
-            503,
-            true,
-            Body::Static("{\"error\":\"server is shutting down\"}"),
-        ),
-        Err(SubmitError::TooManyRows) => ready_error(
-            400,
-            &format!(
-                "{n_rows} rows in one request; the limit is {} (max_batch)",
-                shared.batcher.max_batch()
+        .map(|()| request.rows)
+        .map_err(|refused| match refused {
+            SubmitError::QueueFull => SlotReply::error(503, "prediction queue is full"),
+            SubmitError::ShuttingDown => SlotReply::error(503, "server is shutting down"),
+            SubmitError::TooManyRows => SlotReply::error(
+                400,
+                &format!(
+                    "{n_rows} rows in one request; the limit is {} (max_batch)",
+                    shared.batcher.max_batch()
+                ),
             ),
-        ),
-    }
+        })
 }
 
 fn list_models(shared: &ServerShared) -> SlotReply {
@@ -553,73 +425,41 @@ fn list_models(shared: &ServerShared) -> SlotReply {
             )
         })
         .collect();
-    SlotReply::Ready {
-        status: 200,
-        retry_after: false,
-        body: Body::Owned(format!("{{\"models\":[{}]}}", entries.join(","))),
-    }
+    SlotReply::json(200, format!("{{\"models\":[{}]}}", entries.join(",")))
 }
 
 fn upload_model(shared: &ServerShared, name: &str, body: &[u8]) -> SlotReply {
-    fn error(status: u16, msg: &str) -> SlotReply {
-        SlotReply::Ready {
-            status,
-            retry_after: false,
-            body: Body::Owned(format!("{{\"error\":{}}}", json_str(msg))),
-        }
-    }
     if name.is_empty()
         || !name
             .bytes()
             .all(|b| b.is_ascii_alphanumeric() || b == b'_' || b == b'-')
     {
-        return error(400, "model names are [A-Za-z0-9_-]+");
+        return SlotReply::error(400, "model names are [A-Za-z0-9_-]+");
     }
     let Ok(text) = std::str::from_utf8(body) else {
-        return error(400, "body is not utf-8");
+        return SlotReply::error(400, "body is not utf-8");
     };
     match shared.registry.load_json(name, text) {
-        Ok(entry) => SlotReply::Ready {
-            status: 200,
-            retry_after: false,
-            body: Body::Owned(format!(
-                "{{\"name\":{},\"version\":{}}}",
-                json_str(&entry.name),
-                entry.version
-            )),
-        },
-        Err(e) => error(400, &e.render_chain()),
+        Ok(entry) => installed(&entry),
+        Err(e) => SlotReply::error(400, &e.render_chain()),
     }
 }
 
-fn slot_ok(body: String) -> SlotReply {
-    SlotReply::Ready {
-        status: 200,
-        retry_after: false,
-        body: Body::Owned(body),
-    }
-}
-
-fn slot_error(status: u16, msg: &str) -> SlotReply {
-    SlotReply::Ready {
-        status,
-        retry_after: false,
-        body: Body::Owned(format!("{{\"error\":{}}}", json_str(msg))),
-    }
-}
-
-fn json_num_string(v: f64) -> String {
-    let mut buf = Vec::new();
-    json::write_json_num(&mut buf, v);
-    String::from_utf8(buf).expect("JSON numbers are ASCII")
+/// `{"name":..,"version":..}` of the entry an upload or a rollback made
+/// live.
+fn installed(entry: &LoadedModel) -> SlotReply {
+    SlotReply::json(
+        200,
+        format!(
+            "{{\"name\":{},\"version\":{}}}",
+            json_str(&entry.name),
+            entry.version
+        ),
+    )
 }
 
 fn shadow_report_json(r: &ShadowReport) -> String {
-    let means: Vec<String> = r
-        .mean_abs_divergence
-        .iter()
-        .map(|v| json_num_string(*v))
-        .collect();
+    let means: Vec<String> = r.mean_abs_divergence.iter().map(|v| json_num(*v)).collect();
     format!(
         "{{\"target\":{},\"candidate_kind\":{},\"batches\":{},\"rows\":{},\"dropped_rows\":{},\"errors\":{},\"mean_abs_divergence\":[{}],\"max_abs_divergence\":{}}}",
         json_str(&r.target),
@@ -629,7 +469,7 @@ fn shadow_report_json(r: &ShadowReport) -> String {
         r.dropped_rows,
         r.errors,
         means.join(","),
-        json_num_string(r.max_abs_divergence),
+        json_num(r.max_abs_divergence),
     )
 }
 
@@ -638,19 +478,19 @@ fn shadow_report_json(r: &ShadowReport) -> String {
 /// lives only in the shadow slot until `POST /promote/<name>`.
 fn attach_shadow(shared: &ServerShared, name: &str, body: &[u8]) -> SlotReply {
     let Some(live) = shared.registry.get(name) else {
-        return slot_error(404, &format!("unknown model '{name}'"));
+        return SlotReply::error(404, &format!("unknown model '{name}'"));
     };
     let Ok(text) = std::str::from_utf8(body) else {
-        return slot_error(400, "body is not utf-8");
+        return SlotReply::error(400, "body is not utf-8");
     };
     let candidate = match shared.registry.parse(text) {
         Ok(model) => model,
-        Err(e) => return slot_error(400, &e.render_chain()),
+        Err(e) => return SlotReply::error(400, &e.render_chain()),
     };
     if candidate.n_features() != live.model.n_features()
         || candidate.n_outputs() != live.model.n_outputs()
     {
-        return slot_error(
+        return SlotReply::error(
             400,
             &format!(
                 "candidate shape {}x{} does not match live model '{}' ({}x{})",
@@ -664,28 +504,37 @@ fn attach_shadow(shared: &ServerShared, name: &str, body: &[u8]) -> SlotReply {
     }
     let kind = candidate.kind();
     let replaced = shared.batcher.shadow().attach(name, candidate).is_some();
-    slot_ok(format!(
-        "{{\"shadow\":{},\"candidate_kind\":{},\"replaced\":{}}}",
-        json_str(name),
-        json_str(&kind),
-        replaced
-    ))
+    SlotReply::json(
+        200,
+        format!(
+            "{{\"shadow\":{},\"candidate_kind\":{},\"replaced\":{}}}",
+            json_str(name),
+            json_str(&kind),
+            replaced
+        ),
+    )
 }
 
 /// `POST /shadow/<name>/drop`: stop the shadow and return its final
 /// report without installing anything.
 fn drop_shadow(shared: &ServerShared, name: &str) -> SlotReply {
     match shared.batcher.shadow().detach_for(name) {
-        Some((report, _)) => slot_ok(format!("{{\"dropped\":{}}}", shadow_report_json(&report))),
-        None => slot_error(409, &format!("no shadow attached for '{name}'")),
+        Some((report, _)) => SlotReply::json(
+            200,
+            format!("{{\"dropped\":{}}}", shadow_report_json(&report)),
+        ),
+        None => SlotReply::error(409, &format!("no shadow attached for '{name}'")),
     }
 }
 
 /// `GET /shadow`: the in-progress shadow report, or `{"shadow":null}`.
 fn shadow_body(shared: &ServerShared) -> SlotReply {
     match shared.batcher.shadow().snapshot() {
-        Some(report) => slot_ok(format!("{{\"shadow\":{}}}", shadow_report_json(&report))),
-        None => slot_ok("{\"shadow\":null}".to_string()),
+        Some(report) => SlotReply::json(
+            200,
+            format!("{{\"shadow\":{}}}", shadow_report_json(&report)),
+        ),
+        None => SlotReply::json(200, "{\"shadow\":null}"),
     }
 }
 
@@ -697,46 +546,44 @@ fn promote_shadow(shared: &ServerShared, name: &str) -> SlotReply {
         Some((report, candidate)) => {
             let entry = shared.registry.install(name, candidate);
             mphpc_telemetry::counter_add("serve.promotions", 1);
-            slot_ok(format!(
-                "{{\"name\":{},\"version\":{},\"shadow\":{}}}",
-                json_str(&entry.name),
-                entry.version,
-                shadow_report_json(&report)
-            ))
+            SlotReply::json(
+                200,
+                format!(
+                    "{{\"name\":{},\"version\":{},\"shadow\":{}}}",
+                    json_str(&entry.name),
+                    entry.version,
+                    shadow_report_json(&report)
+                ),
+            )
         }
-        None => slot_error(409, &format!("no shadow attached for '{name}'")),
+        None => SlotReply::error(409, &format!("no shadow attached for '{name}'")),
     }
 }
 
 /// `POST /rollback/<name>`: revert to the previous retained version.
 fn rollback_model(shared: &ServerShared, name: &str) -> SlotReply {
     match shared.registry.rollback(name) {
-        Ok(entry) => slot_ok(format!(
-            "{{\"name\":{},\"version\":{}}}",
-            json_str(&entry.name),
-            entry.version
-        )),
-        Err(e) => slot_error(409, &e.render_chain()),
+        Ok(entry) => installed(&entry),
+        Err(e) => SlotReply::error(409, &e.render_chain()),
     }
 }
 
 fn stats_body(shared: &ServerShared) -> SlotReply {
-    let s = &shared.stats;
-    SlotReply::Ready {
-        status: 200,
-        retry_after: false,
-        body: Body::Owned(format!(
+    let s = shared.stats.snapshot();
+    SlotReply::json(
+        200,
+        format!(
             "{{\"connections\":{},\"requests\":{},\"ok\":{},\"rejected\":{},\"expired\":{},\"failed\":{},\"client_errors\":{},\"queue_depth\":{}}}",
-            s.connections(),
-            s.requests(),
-            s.ok(),
-            s.rejected(),
-            s.expired(),
-            s.failed(),
-            s.client_errors(),
+            s.connections,
+            s.requests,
+            s.ok,
+            s.rejected,
+            s.expired,
+            s.failed,
+            s.client_errors,
             shared.batcher.queue_depth()
-        )),
-    }
+        ),
+    )
 }
 
 /// Render one slot's response into the connection's write buffer,
@@ -752,35 +599,18 @@ pub(crate) fn render_reply(
     out: &mut Vec<u8>,
 ) {
     let status = match reply {
-        SlotReply::Batch(BatchReply::Ok {
+        SlotReply::Predicted {
             outputs,
             model_tag,
             batch_rows,
-        }) => {
+        } => {
             body_buf.clear();
             json::write_predict_reply(body_buf, &model_tag, batch_rows, &outputs, slot.rows);
             http::render_response(out, 200, &[], body_buf, keep_alive);
             200
         }
-        SlotReply::Batch(BatchReply::Expired) => {
-            let body = format!(
-                "{{\"error\":{}}}",
-                json_str("request deadline exceeded in queue")
-            );
-            http::render_response(out, 504, &[], body.as_bytes(), keep_alive);
-            504
-        }
-        SlotReply::Batch(BatchReply::Failed(e)) => {
-            let body = format!("{{\"error\":{}}}", json_str(&e.render_chain()));
-            http::render_response(out, 500, &[], body.as_bytes(), keep_alive);
-            500
-        }
-        SlotReply::Ready {
-            status,
-            retry_after,
-            body,
-        } => {
-            let extras: &[(&str, &str)] = if retry_after {
+        SlotReply::Ready { status, body } => {
+            let extras: &[(&str, &str)] = if status == 503 {
                 &[("retry-after", "1")]
             } else {
                 &[]

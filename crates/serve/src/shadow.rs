@@ -144,17 +144,20 @@ impl ShadowSlot {
         previous.map(stop)
     }
 
-    /// Stop shadowing and return the final report, regardless of target.
-    pub fn detach(&self) -> Option<ShadowReport> {
-        self.take(None).map(|(report, _)| report)
-    }
-
     /// Stop shadowing *if* the current shadow targets `target`,
     /// returning the final report **and the candidate model** so the
     /// caller can install exactly what was evaluated. Leaves a shadow
     /// for a different target attached.
     pub fn detach_for(&self, target: &str) -> Option<(ShadowReport, Arc<dyn PredictModel>)> {
-        self.take(Some(target))
+        let mut slot = lock(&self.active);
+        if slot.as_ref().is_none_or(|a| a.inner.target != target) {
+            return None;
+        }
+        let active = slot.take()?;
+        self.engaged.store(false, Ordering::Release);
+        drop(slot);
+        let candidate = Arc::clone(&active.inner.candidate);
+        Some((stop(active), candidate))
     }
 
     /// The in-progress report, if a shadow is attached.
@@ -192,20 +195,6 @@ impl ShadowSlot {
                 mphpc_telemetry::counter_add("serve.shadow_dropped_rows", n_rows);
             }
         }
-    }
-
-    fn take(&self, target: Option<&str>) -> Option<(ShadowReport, Arc<dyn PredictModel>)> {
-        let mut slot = lock(&self.active);
-        if let Some(want) = target {
-            if slot.as_ref().is_none_or(|a| a.inner.target != want) {
-                return None;
-            }
-        }
-        let active = slot.take()?;
-        self.engaged.store(false, Ordering::Release);
-        drop(slot);
-        let candidate = Arc::clone(&active.inner.candidate);
-        Some((stop(active), candidate))
     }
 }
 
@@ -395,6 +384,6 @@ mod tests {
         let old = slot.attach("m2", Arc::new(OffsetModel(2.0))).unwrap();
         assert_eq!(old.target, "m");
         assert!(slot.wants("m2"));
-        assert!(slot.detach().is_some());
+        assert!(slot.detach_for("m2").is_some());
     }
 }

@@ -6,15 +6,20 @@
 
 mod common;
 
+use std::sync::{mpsc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use common::SlowModel;
+use common::{GatedModel, SlowModel};
 use mphpc_serve::client::{request_once, ClientConn};
-use mphpc_serve::{serve, BatchConfig, ServeConfig, ServerHandle};
+use mphpc_serve::{serve, BatchConfig, PredictModel, ServeConfig, ServerHandle};
 
 fn start_slow_server(delay: Duration, batch: BatchConfig, shards: usize) -> ServerHandle {
-    let registry = common::registry_with(SlowModel { delay }, common::scale_loader());
+    start_server(SlowModel { delay }, batch, shards)
+}
+
+fn start_server(model: impl PredictModel, batch: BatchConfig, shards: usize) -> ServerHandle {
+    let registry = common::registry_with(model, common::scale_loader());
     serve(
         ServeConfig {
             shards,
@@ -27,6 +32,24 @@ fn start_slow_server(delay: Duration, batch: BatchConfig, shards: usize) -> Serv
 }
 
 const BODY: &str = r#"{"features":[1,2]}"#;
+
+/// Poll `GET /stats` until its body contains `want` (5 s at most).
+fn wait_for_stats(addr: &str, want: &str) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let stats =
+            request_once(addr, "GET", "/stats", "", Duration::from_secs(10)).expect("stats");
+        if stats.text().contains(want) {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "never saw {want}: {}",
+            stats.text()
+        );
+        thread::sleep(Duration::from_millis(5));
+    }
+}
 
 #[test]
 fn full_queue_answers_503_with_retry_after_then_drains() {
@@ -44,7 +67,6 @@ fn run_overload(clients: usize) {
             max_batch: 1,
             queue_cap: 2,
             deadline: Duration::from_secs(10),
-            ..BatchConfig::default()
         },
         2,
     );
@@ -94,19 +116,7 @@ fn run_overload(clients: usize) {
 
     // The queue must drain once load stops: a fresh request succeeds
     // and /stats reports an empty queue.
-    let deadline = Instant::now() + Duration::from_secs(5);
-    loop {
-        let stats = request_once(&addr, "GET", "/stats", "", io_timeout).expect("stats reachable");
-        if stats.text().contains("\"queue_depth\":0") {
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "queue failed to drain: {}",
-            stats.text()
-        );
-        thread::sleep(Duration::from_millis(10));
-    }
+    wait_for_stats(&addr, "\"queue_depth\":0");
     let resp =
         request_once(&addr, "POST", "/predict", BODY, io_timeout).expect("post-drain request");
     assert_eq!(resp.status, 200, "drained server must serve again");
@@ -128,7 +138,6 @@ fn queued_rows_past_their_deadline_answer_504() {
             max_batch: 1,
             queue_cap: 64,
             deadline: Duration::from_millis(20),
-            ..BatchConfig::default()
         },
         2,
     );
@@ -176,40 +185,38 @@ fn rows_body(n: usize) -> String {
 
 #[test]
 fn queue_cap_counts_rows_and_refuses_a_multi_row_request_whole() {
-    // A linger far longer than the test holds the first request in the
-    // queue until the last one fills the batch (32 + 4 rows).
-    let handle = start_slow_server(
-        Duration::ZERO,
+    // A one-row request parks the batcher inside the gated model, so
+    // what follows stays queued until the test has seen it there; the
+    // last request fills a batch (32 + 4 rows).
+    let (entered, entered_rx) = mpsc::channel();
+    let (gate, gate_rx) = mpsc::channel();
+    let handle = start_server(
+        GatedModel {
+            entered,
+            gate: Mutex::new(gate_rx),
+        },
         BatchConfig {
             max_batch: 36,
             queue_cap: 40,
-            linger: Duration::from_secs(30),
             deadline: Duration::from_secs(60),
         },
         1,
     );
     let addr = handle.addr().to_string();
     let io_timeout = Duration::from_secs(10);
-
-    let mut first = ClientConn::connect(&addr, io_timeout).expect("connect");
-    first
-        .send("POST", "/predict", &rows_body(32))
-        .expect("32 rows fit an empty queue");
-    let depth = |want: &str| {
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            let stats = request_once(&addr, "GET", "/stats", "", io_timeout).expect("stats");
-            if stats.text().contains(want) {
-                break;
-            }
-            assert!(
-                Instant::now() < deadline,
-                "never saw {want}: {}",
-                stats.text()
-            );
-            thread::sleep(Duration::from_millis(5));
-        }
+    let send = |rows: usize| {
+        let mut conn = ClientConn::connect(&addr, io_timeout).expect("connect");
+        conn.send("POST", "/predict", &rows_body(rows))
+            .expect("send");
+        conn
     };
+
+    let mut blocker = send(1);
+    entered_rx
+        .recv_timeout(io_timeout)
+        .expect("the batcher reaches the model");
+    let mut first = send(32);
+    let depth = |want: &str| wait_for_stats(&addr, want);
     depth("\"queue_depth\":32");
 
     // 32 + 32 rows exceed 40: refused as a whole, nothing of it queued.
@@ -220,7 +227,15 @@ fn queue_cap_counts_rows_and_refuses_a_multi_row_request_whole() {
     depth("\"queue_depth\":32");
 
     // Four more rows fit, fill the batch, and both requests ride it.
-    let last = request_once(&addr, "POST", "/predict", &rows_body(4), io_timeout).expect("third");
+    let mut last = send(4);
+    depth("\"queue_depth\":36");
+    drop(gate);
+    let blocker = blocker.recv().expect("the parked request's reply");
+    assert_eq!(
+        blocker.text(),
+        "{\"model\":\"default@v1\",\"batch_rows\":1,\"outputs\":[[1]]}"
+    );
+    let last = last.recv().expect("third");
     assert_eq!(last.status, 200, "{}", last.text());
     assert_eq!(
         last.text(),

@@ -3,7 +3,8 @@
 
 #![allow(dead_code)] // each test binary uses a subset
 
-use std::sync::Arc;
+use std::sync::mpsc::{Receiver, Sender};
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
@@ -67,6 +68,30 @@ impl PredictModel for SlowModel {
     }
     fn kind(&self) -> String {
         "slow".to_string()
+    }
+}
+
+/// [`SlowModel`]'s sums, where every batch first says on `entered` that
+/// it got here and then waits for the gate (a dropped sender opens it
+/// for good): a test parks the batcher thread inside the model and fills
+/// the queue behind it without racing a timer.
+pub struct GatedModel {
+    pub entered: Sender<()>,
+    pub gate: Mutex<Receiver<()>>,
+}
+
+impl PredictModel for GatedModel {
+    fn n_features(&self) -> usize {
+        2
+    }
+    fn n_outputs(&self) -> usize {
+        1
+    }
+    fn predict_batch(&self, rows: &[f64], n_rows: usize) -> Result<Vec<f64>, MphpcError> {
+        let _ = self.entered.send(());
+        let _ = self.gate.lock().unwrap().recv();
+        let delay = Duration::ZERO;
+        SlowModel { delay }.predict_batch(rows, n_rows)
     }
 }
 

@@ -6,8 +6,8 @@
 //! *cost* of a stray allocation, not its existence.
 //!
 //! The guard drives the exact functions the event loop calls per
-//! request ([`http::parse_head`], [`json::scan_predict_body`] or, for a
-//! 32-row `rows` request, [`json::scan_predict_rows`],
+//! request ([`http::parse_head`], [`json::read_predict_body`] for a
+//! `features` request and for a 32-row `rows` request alike,
 //! [`json::write_predict_reply`], [`http::render_response`]) over reused
 //! buffers, mirroring the per-connection buffer lifecycle. The batcher
 //! hand-off (one `Vec` clone per request) is deliberately out of scope:
@@ -66,16 +66,12 @@ fn request_cycle(request: &[u8], rows: Option<usize>, buf: &mut Buffers) {
     let body = &request[head.head_len..head.head_len + head.content_length];
     let text = std::str::from_utf8(body).expect("fixture is utf-8");
 
-    // Scan the predict body into the reused feature vector.
-    let model = match rows {
-        None => json::scan_predict_body(text, &mut buf.features),
-        Some(n) => json::scan_predict_rows(text, &mut buf.features).map(|(model, n_rows)| {
-            assert_eq!(n_rows, n);
-            model
-        }),
-    }
-    .expect("fixture is canonical");
-    assert!(model.is_none(), "fixture omits the model field");
+    // Read the predict body into the reused feature vector.
+    let request = json::read_predict_body(text, &mut buf.features).expect("fixture is canonical");
+    assert_eq!(request.rows, rows);
+    // The `rows` fixture names its model, as `FederatedRpv` does; the
+    // `features` one leaves it out, as `mphpc_perf` does.
+    assert_eq!(request.model.as_deref(), rows.map(|_| "default"));
     assert_eq!(buf.features.len(), 3 * rows.unwrap_or(1));
 
     // Render the 200 the way the server does: the reply body streamed
@@ -93,7 +89,7 @@ fn request_cycle(request: &[u8], rows: Option<usize>, buf: &mut Buffers) {
 fn steady_state_request_cycle_allocates_nothing() {
     let one_row = b"POST /predict HTTP/1.1\r\nhost: mphpc\r\ncontent-length: 26\r\n\r\n{\"features\":[1.5,-2,3.25]}".to_vec();
     let rows: Vec<String> = (0..32).map(|i| format!("[{i}.5,-2,3.25]")).collect();
-    let body = format!("{{\"rows\":[{}]}}", rows.join(","));
+    let body = format!("{{\"model\":\"default\",\"rows\":[{}]}}", rows.join(","));
     let multi_row = format!(
         "POST /predict HTTP/1.1\r\nhost: mphpc\r\ncontent-length: {}\r\n\r\n{body}",
         body.len()

@@ -1,8 +1,8 @@
 //! Parser conformance over real sockets: the incremental parser must
 //! produce the same response no matter how the request bytes are
 //! chunked, answer pipelined requests strictly in order (also more of
-//! them than the pipeline holds), give the `rows` form of `/predict` the
-//! same answer from the fast scanner as from the full JSON parser,
+//! them than the pipeline holds), answer every `/predict` body, in
+//! either form, with the status and the bytes pinned here,
 //! reject malformed and oversized input with `400`/`431` and a close,
 //! and never panic — a deterministic byte-mutation fuzz drives the last
 //! point.
@@ -270,7 +270,7 @@ fn more_pipelined_requests_than_the_pipeline_holds_are_all_answered() {
 }
 
 #[test]
-fn rows_bodies_get_one_answer_from_the_scanner_and_the_full_parser() {
+fn every_predict_body_gets_its_pinned_answer() {
     let handle = start_server(ServeConfig {
         shards: 1,
         ..ServeConfig::default()
@@ -344,14 +344,101 @@ fn rows_bodies_get_one_answer_from_the_scanner_and_the_full_parser() {
             r#"{"model":"nope","rows":[[1,2,3]]}"#.to_string(),
             error(404, "unknown model 'nope'"),
         ),
+        // The one-row form.
+        (GOOD_BODY.to_string(), ok(1, "[1.5,2,3.2]")),
+        (
+            " {\t\"model\" : \"default\" , \"features\" : [ 1.5 , 2e0 ,\n3.2 ] } ".to_string(),
+            ok(1, "[1.5,2,3.2]"),
+        ),
+        (
+            r#"{"features":[1,2]}"#.to_string(),
+            error(400, "model 'default@v1' expects 3 features, got 2"),
+        ),
+        (
+            r#"{"features":[1,"2",3]}"#.to_string(),
+            error(400, r#"\"features\" must be finite numbers"#),
+        ),
+        (
+            r#"{"features":[1,2,-1e999]}"#.to_string(),
+            error(400, r#"\"features\" must be finite numbers"#),
+        ),
+        (
+            r#"{"features":{"0":1}}"#.to_string(),
+            error(400, r#"missing \"features\" array"#),
+        ),
+        (
+            r#"{"model":"default"}"#.to_string(),
+            error(400, r#"missing \"features\" array"#),
+        ),
+        (
+            r#"{"model":"nope","features":[1,2,3]}"#.to_string(),
+            error(404, "unknown model 'nope'"),
+        ),
+        // An escaped name is the name it spells.
+        (
+            r#"{"model":"\u0064efault","features":[1.5,2,3.2]}"#.to_string(),
+            ok(1, "[1.5,2,3.2]"),
+        ),
+        (
+            r#"{"model":"\u006eope","rows":[[1,2,3]]}"#.to_string(),
+            error(404, "unknown model 'nope'"),
+        ),
+        // Of a repeated member the first counts, whatever the others hold.
+        (
+            r#"{"features":[1.5,2,3.2],"features":"x","model":"default","model":"nope"}"#
+                .to_string(),
+            ok(1, "[1.5,2,3.2]"),
+        ),
+        (
+            r#"{"rows":[[1,2,3]],"rows":[]}"#.to_string(),
+            ok(1, "[[1,2,3]]"),
+        ),
+        // A body that is not JSON is refused in the parser's words, also
+        // when the offence is in a member the server has no use for (64
+        // arrays may nest in one, not 65) or behind the closing brace.
+        (
+            format!(
+                "{{\"features\":[1.5,2,3.2],\"deep\":{}{}}}",
+                "[".repeat(64),
+                "]".repeat(64)
+            ),
+            ok(1, "[1.5,2,3.2]"),
+        ),
+        (
+            format!(
+                "{{\"features\":[1.5,2,3.2],\"deep\":{}{}}}",
+                "[".repeat(65),
+                "]".repeat(65)
+            ),
+            error(
+                400,
+                "serialisation error: json parse error at byte 95: nesting too deep",
+            ),
+        ),
+        (
+            r#"{"features":[1.5,2,3.2]} {}"#.to_string(),
+            error(
+                400,
+                "serialisation error: json parse error at byte 25: \
+                 trailing characters after JSON value",
+            ),
+        ),
+        (
+            r#"{"rows":[[1,2,3],[4,5]],}"#.to_string(),
+            error(
+                400,
+                "serialisation error: json parse error at byte 24: expected '\\\"'",
+            ),
+        ),
     ];
 
     let mut conn = RawConn::connect(&addr);
     for (body, want) in &cases {
-        // An unknown key is something the scanner defers and the full
-        // parser ignores: the same request, down the other path.
-        let slow = body.replacen('{', "{\"via\":\"the full parser\",", 1);
-        for body in [body, &slow] {
+        // A member the server has no use for changes no answer (it goes
+        // last, behind the byte any syntax error above is reported at).
+        let (front, back) = body.split_at(body.rfind('}').expect("a closing brace"));
+        let padded = format!("{front},\"via\":[\"an unknown member\"]{back}");
+        for body in [body, &padded] {
             conn.write(&predict_request(body)).expect("request");
             let resp = conn.read_response().expect("response");
             let got = (
@@ -363,7 +450,10 @@ fn rows_bodies_get_one_answer_from_the_scanner_and_the_full_parser() {
     }
 
     handle.shutdown();
-    handle.join();
+    let stats = handle.join();
+    let answered = cases.iter().filter(|(_, want)| want.0 == 200).count();
+    assert_eq!(stats.ok, 2 * answered as u64);
+    assert_eq!(stats.client_errors, 2 * (cases.len() - answered) as u64);
 }
 
 #[test]
