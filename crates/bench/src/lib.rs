@@ -1,15 +1,14 @@
-//! Shared harness for the experiment binaries and Criterion benches that
-//! regenerate every table and figure of the paper.
+//! Shared harness for the experiment binaries that regenerate every table
+//! and figure of the paper. How *fast* the reproduction runs is not
+//! measured here: that is `mphpc_perf` (`perf/`, `BENCHMARK.json`).
 //!
 //! Each binary accepts `--size small|medium|full` (default `medium`),
-//! `--seed N` (default 2024), `--fleet N` (default 1: collect the dataset
-//! with N storage-coordinated workers, DESIGN.md §15 — the merged CSV is
-//! byte-identical to the single-worker one), and
-//! `--telemetry off|summary|jsonl|trace` (default `off`; see DESIGN.md
-//! §12 — `jsonl` also exports every table a binary prints, so
-//! EXPERIMENTS.md numbers are machine-diffable).
+//! `--seed N` (default 2024) and `--telemetry off|summary|jsonl|trace`
+//! (default `off`; see DESIGN.md §12 — `jsonl` also exports every table a
+//! binary prints, so EXPERIMENTS.md numbers are machine-diffable).
 //! Datasets are cached as CSV under `target/mphpc-cache/` so repeated
-//! experiments don't re-run the collection campaign.
+//! experiments don't re-run the collection campaign (`mphpc fleet run`
+//! is the multi-process way to collect one, DESIGN.md §15).
 //!
 //! | Artifact | Binary |
 //! |---|---|
@@ -109,71 +108,51 @@ pub struct ExpArgs {
     pub size: ExpSize,
     /// Base seed.
     pub seed: u64,
-    /// Collection workers (`--fleet N`): 1 = single-process pipeline,
-    /// N > 1 = storage-coordinated fleet (DESIGN.md §15). The merged
-    /// dataset is byte-identical either way, so every cached artifact and
-    /// downstream number is unaffected by the choice.
-    pub fleet: usize,
 }
 
 impl ExpArgs {
-    /// Parse `--size` / `--seed` / `--fleet` / `--telemetry` from
+    /// Parse `--size` / `--seed` / `--telemetry` from
     /// `std::env::args`; exits with a usage message on bad input. The
     /// telemetry mode is applied process-wide as a side effect, so
     /// instrumentation is live before the experiment body starts.
     pub fn from_env() -> ExpArgs {
-        let mut size = ExpSize::Medium;
-        let mut seed = 2024u64;
-        let mut fleet = 1usize;
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--size" => {
-                    i += 1;
-                    size = args
-                        .get(i)
-                        .and_then(|w| ExpSize::parse(w))
-                        .unwrap_or_else(|| usage());
-                }
-                "--seed" => {
-                    i += 1;
-                    seed = args
-                        .get(i)
-                        .and_then(|w| w.parse().ok())
-                        .unwrap_or_else(|| usage());
-                }
-                "--fleet" => {
-                    i += 1;
-                    fleet = args
-                        .get(i)
-                        .and_then(|w| w.parse().ok())
-                        .filter(|&n| n >= 1)
-                        .unwrap_or_else(|| usage());
-                }
-                "--telemetry" => {
-                    i += 1;
-                    let mode = args
-                        .get(i)
-                        .and_then(|w| mphpc_telemetry::TelemetryMode::parse(w))
-                        .unwrap_or_else(|| usage());
-                    mphpc_telemetry::set_mode(mode);
-                }
-                "--help" | "-h" => usage(),
-                _ => usage(),
-            }
-            i += 1;
-        }
-        ExpArgs { size, seed, fleet }
+        ExpArgs::from_env_with("", |_, _| None)
     }
-}
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: <exp> [--size small|medium|full] [--seed N] [--fleet N] \
-         [--telemetry off|summary|jsonl|trace]"
-    );
-    std::process::exit(2);
+    /// [`ExpArgs::from_env`] for a binary with flags of its own, so there is
+    /// one argument loop: a flag the harness does not read goes to `extra`
+    /// with a function that takes the flag's value. `None` — not its flag
+    /// either, or a value it cannot use — ends in the usage message, which
+    /// closes with `extra_usage`.
+    pub fn from_env_with(
+        extra_usage: &str,
+        mut extra: impl FnMut(&str, &mut dyn FnMut() -> String) -> Option<()>,
+    ) -> ExpArgs {
+        let usage = || -> ! {
+            eprintln!(
+                "usage: <exp> [--size small|medium|full] [--seed N] \
+                 [--telemetry off|summary|jsonl|trace]{extra_usage}"
+            );
+            std::process::exit(2)
+        };
+        let mut out = ExpArgs {
+            size: ExpSize::Medium,
+            seed: 2024,
+        };
+        let mut args = std::env::args().skip(1);
+        while let Some(flag) = args.next() {
+            let mut value = || args.next().unwrap_or_else(|| usage());
+            match flag.as_str() {
+                "--size" => out.size = ExpSize::parse(&value()).unwrap_or_else(|| usage()),
+                "--seed" => out.seed = value().parse().unwrap_or_else(|_| usage()),
+                "--telemetry" => mphpc_telemetry::set_mode(
+                    mphpc_telemetry::TelemetryMode::parse(&value()).unwrap_or_else(|| usage()),
+                ),
+                other => extra(other, &mut value).unwrap_or_else(|| usage()),
+            }
+        }
+        out
+    }
 }
 
 fn cache_dir() -> PathBuf {
@@ -196,71 +175,20 @@ pub fn load_or_build_dataset(args: ExpArgs) -> Result<MpHpcDataset, MphpcError> 
         }
     }
     eprintln!(
-        "[collect] building {:?} dataset (seed {}, {} worker{}) ...",
-        args.size,
-        args.seed,
-        args.fleet,
-        if args.fleet == 1 { "" } else { "s" }
+        "[collect] building {:?} dataset (seed {}) ...",
+        args.size, args.seed
     );
     let start = std::time::Instant::now();
-    let dataset = if args.fleet > 1 {
-        collect_fleet(&args.size.config(args.seed), args.fleet, &path)?
-    } else {
-        let d = collect(&args.size.config(args.seed)).context("building the experiment dataset")?;
-        // Cache write is best-effort: a read-only target dir only costs a
-        // rebuild next run.
-        d.write_csv(&path).ok();
-        d
-    };
+    let dataset =
+        collect(&args.size.config(args.seed)).context("building the experiment dataset")?;
+    // Cache write is best-effort: a read-only target dir only costs a
+    // rebuild next run.
+    dataset.write_csv(&path).ok();
     eprintln!(
         "[collect] {} rows in {:.1}s",
         dataset.n_rows(),
         start.elapsed().as_secs_f64()
     );
-    Ok(dataset)
-}
-
-/// Collect via a storage-coordinated worker fleet (DESIGN.md §15): N
-/// in-process workers claim shards of the campaign through an ephemeral
-/// local store, and the merged CSV — byte-identical to the single-process
-/// `collect` rendering — lands at `out`, doubling as the dataset cache.
-fn collect_fleet(
-    cfg: &CollectionConfig,
-    workers: usize,
-    out: &std::path::Path,
-) -> Result<MpHpcDataset, MphpcError> {
-    use mphpc_core::fleet;
-    // One shard per worker: shards are equal-sized, so with homogeneous
-    // in-process workers finer sharding only adds claim traffic.
-    let store_dir = cache_dir().join(format!("fleet-store-{}", std::process::id()));
-    std::fs::remove_dir_all(&store_dir).ok();
-    let store = mphpc_storage::LocalDirStorage::open(&store_dir)?;
-    fleet::fleet_init(
-        &store,
-        cfg,
-        workers,
-        std::time::Duration::from_secs(30),
-        None,
-        0,
-    )?;
-    let worker_error = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let store = &store;
-                s.spawn(move || fleet::fleet_work(store, &format!("t{w}")).map(|_| ()))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .filter_map(|h| h.join().expect("fleet worker panicked").err())
-            .next()
-    });
-    if let Some(e) = worker_error {
-        return Err(e);
-    }
-    fleet::fleet_merge(&store, Some(out), None)?;
-    let dataset = MpHpcDataset::read_csv(out).context("reading back the fleet-merged dataset")?;
-    std::fs::remove_dir_all(&store_dir).ok();
     Ok(dataset)
 }
 

@@ -37,17 +37,17 @@ fn main() -> ExitCode {
     let Some(command) = args.first() else {
         return usage();
     };
-    let opts = parse_opts(&args[1..]);
-    let result = set_telemetry(&opts).and_then(|()| match command.as_str() {
-        "collect" => cmd_collect(&opts),
-        "train" => cmd_train(&opts),
-        "predict" => cmd_predict(&opts),
-        "sched" => cmd_sched(&opts),
-        "pipeline" => cmd_pipeline(&opts),
-        "serve" => cmd_serve(&opts),
-        "watch" => cmd_watch(&opts),
-        "fleet" => cmd_fleet(&args[1..], &opts),
-        "info" => cmd_info(),
+    let flags = &args[1..];
+    let result = match command.as_str() {
+        "collect" => cmd_collect(flags),
+        "train" => cmd_train(flags),
+        "predict" => cmd_predict(flags),
+        "sched" => cmd_sched(flags),
+        "pipeline" => cmd_pipeline(flags),
+        "serve" => cmd_serve(flags),
+        "watch" => cmd_watch(flags),
+        "fleet" => cmd_fleet(flags),
+        "info" => cmd_info(flags),
         "--help" | "-h" | "help" => {
             usage();
             Ok(())
@@ -55,7 +55,7 @@ fn main() -> ExitCode {
         other => Err(MphpcError::InvalidArgument(format!(
             "unknown command '{other}'"
         ))),
-    });
+    };
     mphpc_telemetry::flush("mphpc");
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -100,25 +100,33 @@ Common options:
     ExitCode::FAILURE
 }
 
-fn parse_opts(args: &[String]) -> HashMap<String, String> {
+/// `command`'s `--flag value` pairs. `known` names, space-separated, the
+/// flags the command reads (`--telemetry`, common to all, is applied
+/// here, before the command does any work); any other flag, or a word
+/// that is not a flag's value, is an error — never silently ignored, so a
+/// mistyped `--sed 7` cannot quietly run seed 2024.
+fn parse_opts(
+    command: &str,
+    args: &[String],
+    known: &str,
+) -> Result<HashMap<String, String>, MphpcError> {
     let mut opts = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        if let Some(key) = args[i].strip_prefix("--") {
-            let value = args.get(i + 1).cloned().unwrap_or_default();
-            opts.insert(key.to_string(), value);
-            i += 2;
-        } else {
-            i += 1;
+    for pair in args.chunks(2) {
+        let Some(key) = pair[0].strip_prefix("--") else {
+            return Err(MphpcError::InvalidArgument(format!(
+                "unexpected argument '{}' for '{command}'",
+                pair[0]
+            )));
+        };
+        if key != "telemetry" && !known.split_whitespace().any(|flag| flag == key) {
+            return Err(MphpcError::InvalidArgument(format!(
+                "unknown option --{key} for '{command}'"
+            )));
         }
+        opts.insert(key.to_string(), pair.get(1).cloned().unwrap_or_default());
     }
-    opts
-}
-
-/// Apply `--telemetry <mode>` (default: off) before the command runs.
-fn set_telemetry(opts: &HashMap<String, String>) -> Result<(), MphpcError> {
     let Some(word) = opts.get("telemetry") else {
-        return Ok(());
+        return Ok(opts);
     };
     let mode = mphpc_telemetry::TelemetryMode::parse(word).ok_or_else(|| {
         MphpcError::InvalidArgument(format!(
@@ -126,7 +134,7 @@ fn set_telemetry(opts: &HashMap<String, String>) -> Result<(), MphpcError> {
         ))
     })?;
     mphpc_telemetry::set_mode(mode);
-    Ok(())
+    Ok(opts)
 }
 
 fn req<'a>(opts: &'a HashMap<String, String>, key: &str) -> Result<&'a str, MphpcError> {
@@ -172,7 +180,8 @@ fn collection_config(opts: &HashMap<String, String>) -> Result<CollectionConfig,
     })
 }
 
-fn cmd_collect(opts: &HashMap<String, String>) -> Result<(), MphpcError> {
+fn cmd_collect(args: &[String]) -> Result<(), MphpcError> {
+    let opts = &parse_opts("collect", args, "out apps inputs reps seed")?;
     let out = req(opts, "out")?;
     let cfg = collection_config(opts)?;
     eprintln!("collecting {} runs ...", cfg.specs().len());
@@ -186,7 +195,8 @@ fn parse_model(word: Option<&String>) -> Result<ModelKind, MphpcError> {
     fleet::model_kind_from_name(word.map(String::as_str).unwrap_or("gbt"))
 }
 
-fn cmd_train(opts: &HashMap<String, String>) -> Result<(), MphpcError> {
+fn cmd_train(args: &[String]) -> Result<(), MphpcError> {
+    let opts = &parse_opts("train", args, "dataset out model seed")?;
     let dataset = MpHpcDataset::read_csv(req(opts, "dataset")?)?;
     let out = req(opts, "out")?;
     let kind = parse_model(opts.get("model"))?;
@@ -222,7 +232,8 @@ fn parse_machine(word: &str) -> Result<SystemId, MphpcError> {
         })
 }
 
-fn cmd_predict(opts: &HashMap<String, String>) -> Result<(), MphpcError> {
+fn cmd_predict(args: &[String]) -> Result<(), MphpcError> {
+    let opts = &parse_opts("predict", args, "model app input scale machine seed")?;
     let model_path = req(opts, "model")?;
     let json = std::fs::read_to_string(model_path).map_err(|e| MphpcError::io(model_path, e))?;
     let predictor = PerfPredictor::from_json(&json)?;
@@ -255,7 +266,8 @@ fn cmd_predict(opts: &HashMap<String, String>) -> Result<(), MphpcError> {
     Ok(())
 }
 
-fn cmd_sched(opts: &HashMap<String, String>) -> Result<(), MphpcError> {
+fn cmd_sched(args: &[String]) -> Result<(), MphpcError> {
+    let opts = &parse_opts("sched", args, "dataset model jobs rate seed")?;
     let dataset = MpHpcDataset::read_csv(req(opts, "dataset")?)?;
     let model_path = req(opts, "model")?;
     let json = std::fs::read_to_string(model_path).map_err(|e| MphpcError::io(model_path, e))?;
@@ -285,7 +297,8 @@ fn cmd_sched(opts: &HashMap<String, String>) -> Result<(), MphpcError> {
 /// schedule, all in one process — the run that exercises every
 /// instrumented layer (training rounds, batch inference, sim events), so
 /// `mphpc pipeline --telemetry summary` prints the full span tree.
-fn cmd_pipeline(opts: &HashMap<String, String>) -> Result<(), MphpcError> {
+fn cmd_pipeline(args: &[String]) -> Result<(), MphpcError> {
+    let opts = &parse_opts("pipeline", args, "apps inputs reps jobs rate seed model")?;
     let _span = mphpc_telemetry::span!("pipeline");
     let n_apps: usize = opt(opts, "apps")?.unwrap_or(6);
     let inputs: usize = opt(opts, "inputs")?.unwrap_or(2);
@@ -339,7 +352,10 @@ fn cmd_pipeline(opts: &HashMap<String, String>) -> Result<(), MphpcError> {
 
 /// Host a trained model over HTTP: load the `mphpc train` export, start
 /// the micro-batching server, and block until `POST /shutdown` drains it.
-fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), MphpcError> {
+fn cmd_serve(args: &[String]) -> Result<(), MphpcError> {
+    let known = "model addr shards max-batch queue-cap deadline-ms max-conns \
+                 read-deadline-ms idle-timeout-ms poller";
+    let opts = &parse_opts("serve", args, known)?;
     let model_path = req(opts, "model")?;
     let json = std::fs::read_to_string(model_path).map_err(|e| MphpcError::io(model_path, e))?;
     let registry = std::sync::Arc::new(mphpc_serve::ModelRegistry::new(
@@ -407,8 +423,11 @@ fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), MphpcError> {
 /// `mphpc watch` — the online-learning loop (DESIGN.md §16): tail the
 /// store for fresh fleet shards, grow the versioned dataset, warm-start
 /// retrain, shadow-score against the live server, and canary-promote.
-fn cmd_watch(opts: &HashMap<String, String>) -> Result<(), MphpcError> {
+fn cmd_watch(args: &[String]) -> Result<(), MphpcError> {
     use mphpc_core::watch::{TickDecision, WatchConfig, Watcher};
+    let known = "store model addr name ticks poll-ms holdout epsilon extra min-rows \
+                 min-shadow-rows shadow-wait-ms rollback-window-ms rollback-errors drift-window";
+    let opts = &parse_opts("watch", args, known)?;
 
     let store = mphpc_storage::LocalDirStorage::open(req(opts, "store")?)?;
     let model_path = req(opts, "model")?;
@@ -508,14 +527,26 @@ fn cmd_watch(opts: &HashMap<String, String>) -> Result<(), MphpcError> {
 /// `mphpc fleet <init|work|run|merge|status>` — storage-coordinated
 /// multi-process collection and training (DESIGN.md §15).
 ///
-/// `args` is everything after `fleet` (the action word plus flags);
-/// `opts` are the already-parsed flags.
-fn cmd_fleet(args: &[String], opts: &HashMap<String, String>) -> Result<(), MphpcError> {
+/// `args` is everything after `fleet`: the action word, then its flags.
+fn cmd_fleet(args: &[String]) -> Result<(), MphpcError> {
     let Some(action) = args.first().filter(|a| !a.starts_with("--")) else {
         return Err(MphpcError::InvalidArgument(
             "fleet wants an action: init|work|run|merge|status".into(),
         ));
     };
+    let known = match action.as_str() {
+        "init" => "store apps inputs reps seed shards model ttl-ms",
+        "work" => "store worker",
+        "run" => "store workers out model-out",
+        "merge" => "store out model-out",
+        "status" => "store",
+        other => {
+            return Err(MphpcError::InvalidArgument(format!(
+                "unknown fleet action '{other}' (use init|work|run|merge|status)"
+            )))
+        }
+    };
+    let opts = &parse_opts(&format!("fleet {action}"), &args[1..], known)?;
     let store = mphpc_storage::LocalDirStorage::open(req(opts, "store")?)?;
     let out_path = |key: &str| {
         opts.get(key)
@@ -598,11 +629,7 @@ fn cmd_fleet(args: &[String], opts: &HashMap<String, String>) -> Result<(), Mphp
             report_merge(&outcome, opts);
         }
         "status" => print!("{}", fleet::fleet_status(&store)?),
-        other => {
-            return Err(MphpcError::InvalidArgument(format!(
-                "unknown fleet action '{other}' (use init|work|run|merge|status)"
-            )))
-        }
+        _ => unreachable!("the action picked its flags above"),
     }
     Ok(())
 }
@@ -636,7 +663,8 @@ fn report_merge(outcome: &fleet::MergeOutcome, opts: &HashMap<String, String>) {
     }
 }
 
-fn cmd_info() -> Result<(), MphpcError> {
+fn cmd_info(args: &[String]) -> Result<(), MphpcError> {
+    parse_opts("info", args, "")?;
     println!("machines (Table I):");
     for m in mphpc_archsim::machine::table1_machines() {
         let gpu = m

@@ -70,7 +70,7 @@ pub const PAR_SPLIT_MIN_FEATURES: usize = 64;
 /// with fewer rows than bins, accumulating into the epoch-stamped strip
 /// and scanning only touched bins costs less than zeroing and scanning
 /// every bin of every sampled feature.
-pub const ROWWISE_MAX_ROWS: usize = 32;
+pub(crate) const ROWWISE_MAX_ROWS: usize = 32;
 
 /// Per-feature bin offsets into a pooled, contiguous histogram arena.
 ///
@@ -78,7 +78,7 @@ pub const ROWWISE_MAX_ROWS: usize = 32;
 /// ensemble (and across threads — it is `Sync`). How many statistics a
 /// bin holds is the criterion's business ([`Criterion::width`]).
 #[derive(Debug, Clone)]
-pub struct HistLayout {
+pub(crate) struct HistLayout {
     /// `offsets[f]..offsets[f+1]` is feature `f`'s bin range; the last
     /// entry is the total bin count.
     offsets: Vec<u32>,
@@ -128,7 +128,7 @@ impl HistLayout {
 /// pending sibling nodes), so the pool stays tiny; acquiring zeroes a
 /// recycled buffer instead of allocating a fresh one.
 #[derive(Debug)]
-pub struct HistPool {
+pub(crate) struct HistPool {
     stats_len: usize,
     free: Vec<Vec<f64>>,
 }
@@ -169,7 +169,12 @@ impl HistPool {
 
 /// Zero the arena ranges of the given features (for buffers from
 /// [`HistPool::acquire_raw`] that will only be read over those features).
-pub fn zero_features(layout: &HistLayout, width: usize, features: &[usize], out: &mut [f64]) {
+pub(crate) fn zero_features(
+    layout: &HistLayout,
+    width: usize,
+    features: &[usize],
+    out: &mut [f64],
+) {
     for &f in features {
         let start = layout.offset(f) * width;
         out[start..start + layout.n_bins(f) * width].fill(0.0);
@@ -177,7 +182,7 @@ pub fn zero_features(layout: &HistLayout, width: usize, features: &[usize], out:
 }
 
 /// Derive the larger sibling in place: `parent -= smaller_child`.
-pub fn subtract(parent: &mut [f64], child: &[f64]) {
+pub(crate) fn subtract(parent: &mut [f64], child: &[f64]) {
     debug_assert_eq!(parent.len(), child.len());
     mphpc_telemetry::counter_add("ml.hist.sibling_subtractions", 1);
     for (p, c) in parent.iter_mut().zip(child) {
@@ -200,7 +205,7 @@ pub fn subtract(parent: &mut [f64], child: &[f64]) {
 /// large nodes at `colsample == 1.0` this reduces to the classic
 /// always-subtract policy. The decision uses only row counts, the layout
 /// and the statistics width, so it is deterministic.
-pub fn subtract_profitable(
+pub(crate) fn subtract_profitable(
     layout: &HistLayout,
     width: usize,
     n_sampled: usize,
@@ -230,7 +235,7 @@ pub fn subtract_profitable(
 
 /// A chosen split: feature, bin (inclusive left boundary), and gain.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SplitCandidate {
+pub(crate) struct SplitCandidate {
     /// Feature column index.
     pub feature: usize,
     /// Rows with `bin <= self.bin` go left.
@@ -245,7 +250,7 @@ pub struct SplitCandidate {
 /// Features are examined in the given order and ties resolve to the first
 /// strictly-greater gain, matching a flat sequential scan; the parallel
 /// path reduces `par_map`'s in-order results identically.
-pub fn best_split<C: Criterion>(
+pub(crate) fn best_split<C: Criterion>(
     crit: &C,
     layout: &HistLayout,
     features: &[usize],
@@ -282,7 +287,7 @@ fn reduce_in_order(
 /// statistics strip sized for the layout's widest feature, epoch stamps
 /// that make "clearing" it O(1) per feature, and the list of touched
 /// bins. Create once per tree build and reuse across nodes.
-pub struct RowwiseScratch {
+pub(crate) struct RowwiseScratch {
     stamp: Vec<u64>,
     epoch: u64,
     stats: Vec<f64>,
@@ -324,7 +329,7 @@ fn sort_bins(items: &mut [u16]) {
 /// (indexed by absolute row id): a bin holds `[Σg, Σh]`, the gain of a
 /// split into (L, R) is `½·(G_L²/(H_L+λ) + G_R²/(H_R+λ) − G²/(H+λ)) − γ`
 /// and the leaf weight is `−G/(H+λ)`.
-pub struct GradHess<'a> {
+pub(crate) struct GradHess<'a> {
     /// Per-row gradients.
     pub grad: &'a [f64],
     /// Per-row hessians.
@@ -511,7 +516,7 @@ impl Criterion for GradHess<'_> {
 /// per-output SSE reduction: a bin holds `[Σt_0..Σt_{k-1}, n]`, the gain
 /// of a split is `Σ_j (S_Lj²/n_L + S_Rj²/n_R − S_j²/n)` and a leaf holds
 /// the mean target vector.
-pub struct Variance<'a> {
+pub(crate) struct Variance<'a> {
     /// Per-row target vectors.
     targets: &'a Matrix,
     /// Minimum rows per child.
@@ -530,7 +535,7 @@ impl<'a> Variance<'a> {
 }
 
 /// Node totals under [`Variance`].
-pub struct VarianceTotals {
+pub(crate) struct VarianceTotals {
     /// Row count.
     n: f64,
     /// Mean target vector — the leaf value.

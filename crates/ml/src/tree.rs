@@ -166,7 +166,7 @@ impl Default for TreeParams {
 
 /// Binned view of a training feature matrix: the binner, its row-major
 /// bin ids and the histogram layout, shared by every tree of an ensemble.
-pub struct TrainingView {
+pub(crate) struct TrainingView {
     /// The binner that produced `bins`.
     pub binner: QuantileBinner,
     /// Row-major bin ids, `rows × cols`.
@@ -208,7 +208,7 @@ impl TrainingView {
 ///
 /// The two implementations are [`hist::GradHess`] (gradient boosting) and
 /// [`hist::Variance`] (decision forest).
-pub trait Criterion: Sync {
+pub(crate) trait Criterion: Sync {
     /// Totals of a node's rows: what a bin prefix is compared against and
     /// what the leaf value is computed from.
     type Totals: Sync;
@@ -382,7 +382,7 @@ fn child_hists(
 /// ([`hist::subtract_profitable`]) and only its sampled features when
 /// not.
 #[allow(clippy::too_many_arguments)]
-pub fn grow<C: Criterion>(
+pub(crate) fn grow<C: Criterion>(
     view: &TrainingView,
     rows: Vec<u32>,
     extra: Vec<u32>,

@@ -30,6 +30,6 @@ mod pool;
 
 pub use cursor::ChunkCursor;
 pub use pool::{
-    available_threads, par_chunks_mut, par_map, par_map_init, par_map_with, set_thread_override,
-    thread_override, ParConfig,
+    available_threads, par_chunks_mut, par_map, par_map_init, set_thread_override, thread_override,
+    ParConfig,
 };

@@ -136,7 +136,7 @@ where
 
 /// [`par_map`] with explicit configuration.
 #[allow(clippy::needless_range_loop)]
-pub fn par_map_with<T, R, F>(items: &[T], cfg: ParConfig, f: F) -> Vec<R>
+pub(crate) fn par_map_with<T, R, F>(items: &[T], cfg: ParConfig, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,

@@ -32,9 +32,8 @@
 
 use crate::job::{finite_rpv, N_MACHINES};
 use mphpc_errors::MphpcError;
-use mphpc_serve::client::ClientConn;
+use mphpc_serve::client::{ClientConn, PredictRequest};
 use std::collections::VecDeque;
-use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 /// A source of predicted RPVs for a batch of feature rows.
@@ -139,12 +138,11 @@ pub const ROWS_PER_REQUEST: usize = 32;
 /// permanently to `fallback` on the first error.
 pub struct FederatedRpv<'a> {
     addr: String,
-    model: String,
     timeout: Duration,
     max_inflight: usize,
     conn: Option<ClientConn>,
-    /// Reused request body.
-    body: String,
+    /// Reused request body, addressed to the model.
+    body: PredictRequest,
     fallback: Box<dyn RpvProvider + 'a>,
     stats: FederationStats,
 }
@@ -165,11 +163,10 @@ impl<'a> FederatedRpv<'a> {
     ) -> Self {
         Self {
             addr: addr.to_string(),
-            model: model.to_string(),
             timeout,
             max_inflight: max_inflight.max(1),
             conn: None,
-            body: String::new(),
+            body: PredictRequest::new(model),
             fallback,
             stats: FederationStats::default(),
         }
@@ -215,8 +212,7 @@ impl<'a> FederatedRpv<'a> {
             // strictly in order, so send/recv pair up FIFO.
             while inflight.len() < self.max_inflight {
                 let Some(chunk) = chunks.next() else { break };
-                write_request_body(&mut self.body, &self.model, chunk);
-                conn.send("POST", "/predict", &self.body)?;
+                conn.send("POST", "/predict", self.body.write(chunk))?;
                 self.stats.requests += 1;
                 inflight.push_back((Instant::now(), chunk.len()));
             }
@@ -288,27 +284,6 @@ impl RpvProvider for FederatedRpv<'_> {
     fn name(&self) -> &str {
         "federated"
     }
-}
-
-/// One `POST /predict` body in the `rows` form, built into `body`. `{}`
-/// is shortest-roundtrip for f64: the server's parse recovers the exact
-/// bits, which is what keeps federated schedules identical to local ones.
-fn write_request_body(body: &mut String, model: &str, rows: &[&[f64]]) {
-    body.clear();
-    body.push_str("{\"model\":\"");
-    body.push_str(model);
-    body.push_str("\",\"rows\":[");
-    for (r, row) in rows.iter().enumerate() {
-        body.push_str(if r > 0 { ",[" } else { "[" });
-        for (i, v) in row.iter().enumerate() {
-            if i > 0 {
-                body.push(',');
-            }
-            let _ = write!(body, "{v}");
-        }
-        body.push(']');
-    }
-    body.push_str("]}");
 }
 
 /// Append the `n_rows` RPVs of a `rows` reply's
@@ -386,12 +361,20 @@ mod tests {
         outputs_of(&honest_tokens(sums))
     }
 
+    /// What the fake server answers one request with.
+    enum Reply {
+        /// A well-framed response: this status, this `outputs` value.
+        Json(u16, String),
+        /// These bytes, whatever they are.
+        Raw(String),
+    }
+
     /// A fake predict server speaking the `rows` form on one connection:
-    /// request `k` (from 0) gets the status and `outputs` value
-    /// `answer(k, row sums)` returns, `None` drops the connection instead.
-    /// Joins to the row count of every request it read.
+    /// request `k` (from 0) gets the reply `answer(k, row sums)` returns,
+    /// `None` drops the connection instead. Joins to the row count of
+    /// every request it read.
     fn fake_server(
-        answer: impl Fn(usize, &[f64]) -> Option<(u16, String)> + Send + 'static,
+        answer: impl Fn(usize, &[f64]) -> Option<Reply> + Send + 'static,
     ) -> (String, std::thread::JoinHandle<Vec<usize>>) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
@@ -430,18 +413,23 @@ mod tests {
                     .split("],[")
                     .map(|row| row.split(',').map(|t| t.parse::<f64>().unwrap()).sum())
                     .collect();
-                let Some((status, outputs)) = answer(seen.len(), &sums) else {
+                let Some(reply) = answer(seen.len(), &sums) else {
                     return seen;
                 };
                 seen.push(sums.len());
-                let resp_body = format!(
-                    "{{\"model\":\"default@v1\",\"batch_rows\":{},\"outputs\":{outputs}}}",
-                    sums.len()
-                );
-                let resp = format!(
-                    "HTTP/1.1 {status} X\r\ncontent-type: application/json\r\ncontent-length: {}\r\n\r\n{resp_body}",
-                    resp_body.len()
-                );
+                let resp = match reply {
+                    Reply::Raw(bytes) => bytes,
+                    Reply::Json(status, outputs) => {
+                        let resp_body = format!(
+                            "{{\"model\":\"default@v1\",\"batch_rows\":{},\"outputs\":{outputs}}}",
+                            sums.len()
+                        );
+                        format!(
+                            "HTTP/1.1 {status} X\r\ncontent-type: application/json\r\ncontent-length: {}\r\n\r\n{resp_body}",
+                            resp_body.len()
+                        )
+                    }
+                };
                 if writer.write_all(resp.as_bytes()).is_err() {
                     return seen;
                 }
@@ -472,11 +460,11 @@ mod tests {
 
     #[test]
     fn request_and_reply_shapes_round_trip() {
-        let mut body = String::from("stale");
-        write_request_body(&mut body, "m", &[&[1.0, -0.5], &[0.1 + 0.2, 3e-7]]);
+        let mut body = PredictRequest::new("we\"ird\\name");
+        body.write(&[&[7.0]]);
         assert_eq!(
-            body,
-            "{\"model\":\"m\",\"rows\":[[1,-0.5],[0.30000000000000004,0.0000003]]}"
+            body.write(&[&[1.0, -0.5], &[0.1 + 0.2, 3e-7]]),
+            "{\"model\":\"we\\\"ird\\\\name\",\"rows\":[[1,-0.5],[0.30000000000000004,0.0000003]]}"
         );
 
         let parse = |body: &str, n| {
@@ -517,7 +505,7 @@ mod tests {
     #[test]
     fn batches_travel_in_order_as_chunks_of_32_rows() {
         for window in [1usize, 4, 32] {
-            let (addr, handle) = fake_server(|_, sums| Some((200, honest(sums))));
+            let (addr, handle) = fake_server(|_, sums| Some(Reply::Json(200, honest(sums))));
             let mut fed =
                 FederatedRpv::new(&addr, "default", Duration::from_secs(5), window, local(1.0));
             // Every batch on the one keep-alive connection the fake accepts.
@@ -556,36 +544,48 @@ mod tests {
         // fallback predicts differently from the server (scale 2), so a
         // batch that mixed the two sources would show.
         type Tokens = Vec<Vec<String>>;
-        type Fault = fn(Tokens) -> Option<(u16, Tokens)>;
-        fn with_token(mut t: Tokens, token: &str) -> Option<(u16, Tokens)> {
-            t[5][1] = token.to_string();
-            Some((200, t))
+        type Fault = fn(Tokens) -> Option<Reply>;
+        fn json(status: u16, t: Tokens) -> Option<Reply> {
+            Some(Reply::Json(status, outputs_of(&t)))
         }
-        let faults: [(&str, Fault); 8] = [
+        fn with_token(mut t: Tokens, token: &str) -> Option<Reply> {
+            t[5][1] = token.to_string();
+            json(200, t)
+        }
+        let faults: [(&str, Fault); 10] = [
             ("one row short", |mut t| {
                 t.pop();
-                Some((200, t))
+                json(200, t)
             }),
             ("one row over", |mut t| {
                 t.push(t[0].clone());
-                Some((200, t))
+                json(200, t)
             }),
             ("three outputs", |mut t| {
                 t[5].pop();
-                Some((200, t))
+                json(200, t)
             }),
             ("NaN", |t| with_token(t, "NaN")),
             ("inf", |t| with_token(t, "inf")),
             ("null", |t| with_token(t, "null")),
-            ("status 503", |t| Some((503, t))),
+            ("status 503", |t| json(503, t)),
             ("connection dropped", |_| None),
+            // Sizes the peer dictates are refused, not allocated.
+            ("content-length of usize::MAX", |_| {
+                let head = format!("HTTP/1.1 200 X\r\ncontent-length: {}\r\n\r\n", usize::MAX);
+                Some(Reply::Raw(head))
+            }),
+            ("a head with no newline", |_| {
+                Some(Reply::Raw(format!("HTTP/1.1 200 {}", "X".repeat(64 << 10))))
+            }),
         ];
         for (what, fault) in faults {
             let (addr, handle) = fake_server(move |k, sums| {
+                let honest = honest_tokens(sums);
                 if k == 2 {
-                    fault(honest_tokens(sums)).map(|(status, t)| (status, outputs_of(&t)))
+                    fault(honest)
                 } else {
-                    Some((200, honest(sums)))
+                    json(200, honest)
                 }
             });
             let mut fed =
@@ -595,6 +595,7 @@ mod tests {
             assert_eq!(got, local(2.0).predict(&refs(&data)).unwrap(), "{what}");
             let st = fed.stats();
             assert!(st.degraded, "{what}");
+            assert_eq!(st.timeouts, 0, "{what}: refused on sight, not waited out");
             assert_eq!((st.rows, st.fallbacks), (0, 100), "{what}: never a mix");
             // Degraded for good: the next batch asks the server nothing.
             let sent = st.requests;
@@ -637,20 +638,30 @@ mod tests {
         let registry = Arc::new(ModelRegistry::new(Arc::new(|_: &str| {
             Err(MphpcError::Serve("no uploads in this test".to_string()))
         })));
-        registry.install("default", Arc::new(SumModel));
+        // `install` takes any name; one that needs escaping in JSON is
+        // still asked for, and answered, by that name.
+        let names = ["default", "we\"ird\\name"];
+        for name in names {
+            registry.install(name, Arc::new(SumModel));
+        }
         let handle = serve(ServeConfig::default(), registry).expect("server starts");
         let addr = handle.addr().to_string();
-        let mut fed = FederatedRpv::new(&addr, "default", Duration::from_secs(10), 64, local(2.0));
-        let data = rows(0, 5_000);
-        for _ in 0..2 {
-            let got = fed.predict(&refs(&data)).unwrap();
-            let want: Vec<_> = data.iter().map(|r| rpv_of(r.iter().sum())).collect();
-            assert_eq!(got, want);
+        for name in names {
+            let mut fed = FederatedRpv::new(&addr, name, Duration::from_secs(10), 64, local(2.0));
+            let data = rows(0, 5_000);
+            for _ in 0..2 {
+                let got = fed.predict(&refs(&data)).unwrap();
+                let want: Vec<_> = data.iter().map(|r| rpv_of(r.iter().sum())).collect();
+                assert_eq!(got, want, "{name}");
+            }
+            let st = fed.stats();
+            assert_eq!(
+                (st.rows, st.fallbacks, st.degraded),
+                (10_000, 0, false),
+                "{name}"
+            );
+            assert_eq!(st.requests, 2 * 5_000u64.div_ceil(ROWS_PER_REQUEST as u64));
         }
-        let st = fed.stats();
-        assert_eq!((st.rows, st.fallbacks, st.degraded), (10_000, 0, false));
-        assert_eq!(st.requests, 2 * 5_000u64.div_ceil(ROWS_PER_REQUEST as u64));
-        drop(fed);
         handle.shutdown();
         handle.join();
     }

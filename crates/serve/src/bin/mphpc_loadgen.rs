@@ -1,35 +1,47 @@
 //! Closed-loop load generator for `mphpc serve`.
 //!
-//! Fires `--clients` threads, each holding one keep-alive connection
-//! and issuing `POST /predict` back-to-back for `--duration-ms`;
-//! reports throughput, exact latency quantiles (computed from every
-//! recorded sample, not the telemetry buckets), and the mean batch size
-//! the server actually coalesced. The EXPERIMENTS.md serving table and
-//! the CI smoke step both run this binary.
+//! Holds `--clients` simultaneous connections, each with `--pipeline`
+//! requests in flight (default 1: send, then receive), and issues
+//! `POST /predict` back-to-back for `--duration-ms`. A pool of at most 8
+//! driver threads multiplexes the connections in rounds — send on every
+//! connection, then receive on every connection — so up to 8 clients are
+//! one thread per connection and 10 000 still fit one process. Prints
+//! one row per client count: throughput, exact latency quantiles
+//! (computed from every recorded sample, not the telemetry buckets), the
+//! 200 / 503 / error counts and the mean batch size the server actually
+//! coalesced. The CI serving and watch smokes run this binary; how fast
+//! the server *is* comes from `mphpc_perf` (`serve.closed_loop_rps`).
 //!
 //! ```text
-//! mphpc_loadgen --addr 127.0.0.1:8077 [--clients 32] [--duration-ms 2000]
+//! mphpc_loadgen --addr 127.0.0.1:8077 [--clients 32,256,1024] [--duration-ms 2000]
 //!               [--model default] [--expect-min-ok 1] [--shutdown]
-//!               [--no-keepalive] [--connections 32,256,1024,10000]
+//!               [--no-keepalive] [--pipeline 1]
 //! ```
 //!
-//! `--no-keepalive` opens a fresh connection per request, pricing the
-//! accept + admission path. `--connections` switches to sweep mode: a
-//! fixed pool of driver threads multiplexes N simultaneous keep-alive
-//! connections (one in-flight request each, sent as a pipelined round)
-//! for each N in the list, and prints one throughput/p50/p99 table row
-//! per N — thread-per-connection would stop scaling long before the
-//! server does.
+//! `--no-keepalive` reconnects every connection every round, pricing the
+//! accept + admission path. Exits non-zero unless every row saw at least
+//! `--expect-min-ok` successful responses.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use mphpc_serve::client::{request_once, ClientConn};
+use mphpc_serve::client::{request_once, ClientConn, PredictRequest};
 use mphpc_serve::json::JsonValue;
 
-struct ClientResult {
+/// What every driver thread is told.
+struct Load {
+    addr: String,
+    model: String,
+    n_features: usize,
+    duration: Duration,
+    no_keepalive: bool,
+    pipeline: usize,
+}
+
+/// What one driver thread, or one whole row, saw.
+#[derive(Default)]
+struct Tally {
     ok: u64,
+    /// 503s: the server shed the request.
     rejected: u64,
     errors: u64,
     latencies_s: Vec<f64>,
@@ -38,7 +50,7 @@ struct ClientResult {
 
 fn main() -> std::process::ExitCode {
     match run() {
-        Ok(code) => code,
+        Ok(()) => std::process::ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("mphpc_loadgen: {msg}");
             std::process::ExitCode::FAILURE
@@ -46,388 +58,160 @@ fn main() -> std::process::ExitCode {
     }
 }
 
-fn run() -> Result<std::process::ExitCode, String> {
-    let mut addr = None;
-    let mut clients = 32usize;
-    let mut duration = Duration::from_millis(2000);
-    let mut model = "default".to_string();
+fn run() -> Result<(), String> {
+    let mut load = Load {
+        addr: String::new(),
+        model: "default".to_string(),
+        n_features: 0,
+        duration: Duration::from_millis(2000),
+        no_keepalive: false,
+        pipeline: 1,
+    };
+    let mut clients = vec![32usize];
     let mut expect_min_ok = 1u64;
     let mut shutdown_after = false;
-    let mut no_keepalive = false;
-    let mut connections_sweep: Option<Vec<usize>> = None;
-    let mut pipeline = 1usize;
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
-        let mut value = |name: &str| args.next().ok_or_else(|| format!("{name} needs a value"));
+        let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
+        let number = |word: &str| {
+            let parsed = word.trim().parse::<u64>();
+            parsed.map_err(|e| format!("bad {flag} {word:?}: {e}"))
+        };
         match flag.as_str() {
-            "--addr" => addr = Some(value("--addr")?),
+            "--addr" => load.addr = value()?,
             "--clients" => {
-                clients = value("--clients")?
-                    .parse()
-                    .map_err(|e| format!("bad --clients: {e}"))?
-            }
-            "--duration-ms" => {
-                duration = Duration::from_millis(
-                    value("--duration-ms")?
-                        .parse()
-                        .map_err(|e| format!("bad --duration-ms: {e}"))?,
-                )
-            }
-            "--model" => model = value("--model")?,
-            "--expect-min-ok" => {
-                expect_min_ok = value("--expect-min-ok")?
-                    .parse()
-                    .map_err(|e| format!("bad --expect-min-ok: {e}"))?
-            }
-            "--shutdown" => shutdown_after = true,
-            "--no-keepalive" => no_keepalive = true,
-            "--connections" => {
-                let list = value("--connections")?
+                clients = value()?
                     .split(',')
-                    .map(|s| s.trim().parse::<usize>())
-                    .collect::<Result<Vec<_>, _>>()
-                    .map_err(|e| format!("bad --connections: {e}"))?;
-                if list.is_empty() || list.contains(&0) {
-                    return Err("--connections needs positive counts".to_string());
-                }
-                connections_sweep = Some(list);
+                    .map(|word| number(word).map(|n| n as usize))
+                    .collect::<Result<_, _>>()?
             }
-            "--pipeline" => {
-                pipeline = value("--pipeline")?
-                    .parse()
-                    .map_err(|e| format!("bad --pipeline: {e}"))?;
-                if pipeline == 0 {
-                    return Err("--pipeline must be positive".to_string());
-                }
-            }
+            "--duration-ms" => load.duration = Duration::from_millis(number(&value()?)?),
+            "--model" => load.model = value()?,
+            "--expect-min-ok" => expect_min_ok = number(&value()?)?,
+            "--shutdown" => shutdown_after = true,
+            "--no-keepalive" => load.no_keepalive = true,
+            "--pipeline" => load.pipeline = number(&value()?)? as usize,
             _ => {
                 return Err(format!(
-                    "unknown flag {flag:?} (usage: --addr H:P [--clients N] \
+                    "unknown flag {flag:?} (usage: --addr H:P [--clients N,N,...] \
                      [--duration-ms N] [--model NAME] [--expect-min-ok N] [--shutdown] \
-                     [--no-keepalive] [--connections N,N,...] [--pipeline N])"
+                     [--no-keepalive] [--pipeline N])"
                 ))
             }
         }
     }
-    let addr = addr.ok_or("--addr is required")?;
-    if clients == 0 {
-        return Err("--clients must be positive".to_string());
+    if load.addr.is_empty() {
+        return Err("--addr is required".to_string());
     }
+    if clients.contains(&0) || load.pipeline == 0 {
+        return Err("--clients and --pipeline want positive counts".to_string());
+    }
+    let (addr, model) = (load.addr.as_str(), load.model.as_str());
 
     // Discover the feature width from the server, so the generator
     // works against any hosted model.
     let io_timeout = Duration::from_secs(10);
-    let listing = request_once(&addr, "GET", "/models", "", io_timeout)
+    let listing = request_once(addr, "GET", "/models", "", io_timeout)
         .map_err(|e| format!("querying {addr}/models: {e}"))?;
-    let n_features = JsonValue::parse(&listing.text())
+    load.n_features = JsonValue::parse(&listing.text())
         .ok()
         .and_then(|v| {
             v.get("models")?
                 .as_array()?
                 .iter()
-                .find(|m| m.get("name").and_then(JsonValue::as_str) == Some(model.as_str()))?
+                .find(|m| m.get("name").and_then(JsonValue::as_str) == Some(model))?
                 .get("n_features")?
                 .as_f64()
         })
         .ok_or_else(|| format!("model {model:?} is not installed on {addr}"))?
         as usize;
+    let load = &load;
 
-    if let Some(sweep) = connections_sweep {
-        run_sweep(
-            &addr,
-            &model,
-            n_features,
-            &sweep,
-            duration,
-            no_keepalive,
-            pipeline,
-        )?;
-        if shutdown_after {
-            request_once(&addr, "POST", "/shutdown", "", io_timeout)
-                .map_err(|e| format!("posting /shutdown: {e}"))?;
-            println!("loadgen: server acknowledged shutdown");
+    println!("loadgen: pipeline_depth={}", load.pipeline);
+    println!(
+        "{:>11} {:>9} {:>14} {:>9} {:>9} {:>10} {:>9} {:>8} {:>15}",
+        "connections",
+        "keepalive",
+        "throughput_rps",
+        "p50_ms",
+        "p99_ms",
+        "ok",
+        "rejected",
+        "errors",
+        "mean_batch_rows"
+    );
+    let mut short = None;
+    for &n in &clients {
+        let mut row = Tally::default();
+        std::thread::scope(|scope| {
+            // `n` connections over at most 8 threads, as evenly as they go.
+            let threads = n.min(8);
+            let handles: Vec<_> = (0..threads)
+                .map(|t| {
+                    let n_conns = n / threads + usize::from(t < n % threads);
+                    scope.spawn(move || drive(load, t as u64, n_conns))
+                })
+                .collect();
+            for handle in handles {
+                let part = handle.join().expect("driver thread panicked");
+                row.ok += part.ok;
+                row.rejected += part.rejected;
+                row.errors += part.errors;
+                row.batch_rows_sum += part.batch_rows_sum;
+                row.latencies_s.extend(part.latencies_s);
+            }
+        });
+        row.latencies_s.sort_by(|a, b| a.total_cmp(b));
+        let q_ms = |p: f64| match row.latencies_s.len() {
+            0 => 0.0,
+            len => row.latencies_s[(p * (len - 1) as f64).round() as usize] * 1e3,
+        };
+        println!(
+            "{:>11} {:>9} {:>14.0} {:>9.3} {:>9.3} {:>10} {:>9} {:>8} {:>15.1}",
+            n,
+            !load.no_keepalive,
+            row.ok as f64 / load.duration.as_secs_f64(),
+            q_ms(0.50),
+            q_ms(0.99),
+            row.ok,
+            row.rejected,
+            row.errors,
+            row.batch_rows_sum as f64 / row.ok.max(1) as f64
+        );
+        if row.ok < expect_min_ok {
+            short.get_or_insert((n, row.ok));
         }
-        return Ok(std::process::ExitCode::SUCCESS);
     }
 
-    let stop = Arc::new(AtomicBool::new(false));
-    let results: Vec<ClientResult> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..clients)
-            .map(|id| {
-                let addr = addr.clone();
-                let model = model.clone();
-                let stop = Arc::clone(&stop);
-                scope.spawn(move || {
-                    client_loop(&addr, &model, n_features, id as u64, no_keepalive, &stop)
-                })
-            })
-            .collect();
-        std::thread::sleep(duration);
-        stop.store(true, Ordering::Release);
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("client thread panicked"))
-            .collect()
-    });
-
-    let ok: u64 = results.iter().map(|r| r.ok).sum();
-    let rejected: u64 = results.iter().map(|r| r.rejected).sum();
-    let errors: u64 = results.iter().map(|r| r.errors).sum();
-    let batch_rows_sum: u64 = results.iter().map(|r| r.batch_rows_sum).sum();
-    let mut latencies: Vec<f64> = results
-        .iter()
-        .flat_map(|r| r.latencies_s.iter().copied())
-        .collect();
-    latencies.sort_by(|a, b| a.total_cmp(b));
-    let q = |p: f64| -> f64 {
-        if latencies.is_empty() {
-            return 0.0;
-        }
-        let idx = (p * (latencies.len() - 1) as f64).round() as usize;
-        latencies[idx]
-    };
-    let elapsed_s = duration.as_secs_f64();
-    let throughput = ok as f64 / elapsed_s;
-    let mean_batch = if ok > 0 {
-        batch_rows_sum as f64 / ok as f64
-    } else {
-        0.0
-    };
-
-    println!(
-        "loadgen: clients={clients} duration_s={elapsed_s:.1} ok={ok} rejected={rejected} \
-         errors={errors} throughput_rps={throughput:.0} mean_batch_rows={mean_batch:.1} \
-         p50_ms={:.3} p95_ms={:.3} p99_ms={:.3}",
-        q(0.50) * 1e3,
-        q(0.95) * 1e3,
-        q(0.99) * 1e3,
-    );
-
     if shutdown_after {
-        request_once(&addr, "POST", "/shutdown", "", io_timeout)
+        request_once(&load.addr, "POST", "/shutdown", "", io_timeout)
             .map_err(|e| format!("posting /shutdown: {e}"))?;
         println!("loadgen: server acknowledged shutdown");
     }
-
-    if ok < expect_min_ok {
-        return Err(format!(
-            "only {ok} successful responses (expected at least {expect_min_ok})"
-        ));
+    match short {
+        Some((n, ok)) => Err(format!(
+            "only {ok} successful responses at {n} connections (expected at least {expect_min_ok})"
+        )),
+        None => Ok(()),
     }
-    Ok(std::process::ExitCode::SUCCESS)
 }
 
-fn client_loop(
-    addr: &str,
-    model: &str,
-    n_features: usize,
-    id: u64,
-    no_keepalive: bool,
-    stop: &AtomicBool,
-) -> ClientResult {
-    let mut result = ClientResult {
-        ok: 0,
-        rejected: 0,
-        errors: 0,
-        latencies_s: Vec::with_capacity(4096),
-        batch_rows_sum: 0,
-    };
-    let Ok(mut conn) = ClientConn::connect(addr, Duration::from_secs(10)) else {
-        result.errors += 1;
-        return result;
-    };
-    // Deterministic per-client feature stream (splitmix64), so runs are
-    // reproducible without pulling a random-number dependency.
-    let mut state = 0x9e3779b97f4a7c15u64.wrapping_mul(id + 1);
-    let mut next_unit = move || {
-        state = state.wrapping_add(0x9e3779b97f4a7c15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        z ^= z >> 31;
-        (z >> 11) as f64 / (1u64 << 53) as f64
-    };
-
-    while !stop.load(Ordering::Acquire) {
-        let mut body = format!("{{\"model\":\"{model}\",\"features\":[");
-        for i in 0..n_features {
-            if i > 0 {
-                body.push(',');
-            }
-            body.push_str(&format!("{:.6}", next_unit() * 8.0));
-        }
-        body.push_str("]}");
-
-        if no_keepalive {
-            // Fresh connection per request: prices the accept path the
-            // way short-lived clients would.
-            let started = Instant::now();
-            match request_once(addr, "POST", "/predict", &body, Duration::from_secs(10)) {
-                Ok(resp) if resp.status == 200 => {
-                    result.latencies_s.push(started.elapsed().as_secs_f64());
-                    result.ok += 1;
-                    result.batch_rows_sum += extract_batch_rows(&resp.text()).unwrap_or(1);
-                }
-                Ok(resp) if resp.status == 503 => {
-                    result.rejected += 1;
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                Ok(_) | Err(_) => result.errors += 1,
-            }
-            continue;
-        }
-
-        let started = Instant::now();
-        match conn.request("POST", "/predict", &body) {
-            Ok(resp) if resp.status == 200 => {
-                result.latencies_s.push(started.elapsed().as_secs_f64());
-                result.ok += 1;
-                result.batch_rows_sum += extract_batch_rows(&resp.text()).unwrap_or(1);
-            }
-            Ok(resp) if resp.status == 503 => {
-                result.rejected += 1;
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            Ok(_) => result.errors += 1,
-            Err(_) => {
-                // Server closed the connection (shutdown or error):
-                // reconnect once, give up for good on a second failure.
-                match ClientConn::connect(addr, Duration::from_secs(10)) {
-                    Ok(c) => conn = c,
-                    Err(_) => {
-                        result.errors += 1;
-                        break;
-                    }
-                }
-            }
-        }
-    }
-    result
-}
-
-/// Sweep mode: for each connection count, multiplex that many
-/// simultaneous keep-alive connections over a fixed driver-thread pool
-/// and print one table row.
-fn run_sweep(
-    addr: &str,
-    model: &str,
-    n_features: usize,
-    counts: &[usize],
-    duration: Duration,
-    no_keepalive: bool,
-    pipeline: usize,
-) -> Result<(), String> {
-    println!("loadgen sweep: pipeline_depth={pipeline}");
-    println!(
-        "{:>11} {:>9} {:>14} {:>9} {:>9} {:>10} {:>8}",
-        "connections", "keepalive", "throughput_rps", "p50_ms", "p99_ms", "ok", "errors"
-    );
-    for &n in counts {
-        let (ok, errors, mut latencies) =
-            sweep_once(addr, model, n_features, n, duration, no_keepalive, pipeline)?;
-        latencies.sort_by(|a, b| a.total_cmp(b));
-        let q = |p: f64| -> f64 {
-            if latencies.is_empty() {
-                return 0.0;
-            }
-            let idx = (p * (latencies.len() - 1) as f64).round() as usize;
-            latencies[idx] * 1e3
-        };
-        println!(
-            "{:>11} {:>9} {:>14.0} {:>9.3} {:>9.3} {:>10} {:>8}",
-            n,
-            !no_keepalive,
-            ok as f64 / duration.as_secs_f64(),
-            q(0.50),
-            q(0.99),
-            ok,
-            errors
-        );
-        if ok == 0 {
-            return Err(format!("sweep at {n} connections produced no responses"));
-        }
-    }
-    Ok(())
-}
-
-/// One sweep measurement: `n` connections, one in-flight request each,
-/// driven in pipelined rounds (send on every connection, then receive
-/// on every connection) by up to 8 threads.
-fn sweep_once(
-    addr: &str,
-    model: &str,
-    n_features: usize,
-    n: usize,
-    duration: Duration,
-    no_keepalive: bool,
-    pipeline: usize,
-) -> Result<(u64, u64, Vec<f64>), String> {
-    let threads = n.min(8);
-    let per_thread: Vec<usize> = (0..threads)
-        .map(|t| n / threads + usize::from(t < n % threads))
-        .collect();
-
-    let results: Vec<(u64, u64, Vec<f64>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = per_thread
-            .iter()
-            .enumerate()
-            .map(|(t, &n_conns)| {
-                scope.spawn(move || {
-                    sweep_driver(
-                        addr,
-                        model,
-                        n_features,
-                        t as u64,
-                        n_conns,
-                        duration,
-                        no_keepalive,
-                        pipeline,
-                    )
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("sweep driver panicked"))
-            .collect()
-    });
-
-    let ok = results.iter().map(|r| r.0).sum();
-    let errors = results.iter().map(|r| r.1).sum();
-    let latencies = results.iter().flat_map(|r| r.2.iter().copied()).collect();
-    Ok((ok, errors, latencies))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn sweep_driver(
-    addr: &str,
-    model: &str,
-    n_features: usize,
-    thread_id: u64,
-    n_conns: usize,
-    duration: Duration,
-    no_keepalive: bool,
-    pipeline: usize,
-) -> (u64, u64, Vec<f64>) {
+/// One driver thread: `n_conns` connections, `pipeline` requests in
+/// flight on each, driven in rounds (send on every connection, then
+/// receive on every connection) until `duration` has passed.
+fn drive(load: &Load, thread_id: u64, n_conns: usize) -> Tally {
+    let (addr, pipeline) = (load.addr.as_str(), load.pipeline);
     let io_timeout = Duration::from_secs(30);
     // One fixed body per connection (deterministic, reused every round):
     // request generation must not become the bottleneck at 10k.
+    let mut request = PredictRequest::new(&load.model);
     let bodies: Vec<String> = (0..n_conns)
         .map(|i| {
             let seed = thread_id * 100_000 + i as u64;
-            let features: Vec<String> = (0..n_features)
-                .map(|j| {
-                    format!(
-                        "{}.{:02}",
-                        (seed + j as u64) % 8,
-                        (seed * 7 + j as u64) % 100
-                    )
-                })
+            let features: Vec<f64> = (0..load.n_features as u64)
+                .map(|j| ((seed + j) % 8) as f64 + ((seed * 7 + j) % 100) as f64 / 100.0)
                 .collect();
-            format!(
-                "{{\"model\":\"{model}\",\"features\":[{}]}}",
-                features.join(",")
-            )
+            request.write(&[&features]).to_string()
         })
         .collect();
 
@@ -436,12 +220,13 @@ fn sweep_driver(
         .collect();
     let mut sent_at: Vec<Option<Instant>> = vec![None; n_conns];
 
-    let mut ok = 0u64;
-    let mut errors = 0u64;
-    let mut latencies = Vec::with_capacity(4096);
-    let deadline = Instant::now() + duration;
+    let mut tally = Tally {
+        latencies_s: Vec::with_capacity(4096),
+        ..Tally::default()
+    };
+    let deadline = Instant::now() + load.duration;
     while Instant::now() < deadline {
-        if no_keepalive {
+        if load.no_keepalive {
             // Reconnect the whole round: every request pays the accept
             // path, but the N requests are still concurrent.
             for conn in conns.iter_mut() {
@@ -451,48 +236,40 @@ fn sweep_driver(
         for (i, conn) in conns.iter_mut().enumerate() {
             sent_at[i] = None;
             let Some(c) = conn.as_mut() else {
-                errors += 1;
+                tally.errors += 1;
                 *conn = ClientConn::connect(addr, io_timeout).ok();
                 continue;
             };
-            let mut sent = true;
-            for _ in 0..pipeline {
-                if c.send("POST", "/predict", &bodies[i]).is_err() {
-                    sent = false;
-                    break;
-                }
-            }
-            if sent {
+            if (0..pipeline).all(|_| c.send("POST", "/predict", &bodies[i]).is_ok()) {
                 sent_at[i] = Some(Instant::now());
             } else {
-                errors += 1;
+                tally.errors += 1;
                 *conn = ClientConn::connect(addr, io_timeout).ok();
             }
         }
         for (i, conn) in conns.iter_mut().enumerate() {
             let Some(t0) = sent_at[i] else { continue };
             let Some(c) = conn.as_mut() else { continue };
-            let mut dead = false;
             for _ in 0..pipeline {
                 match c.recv() {
                     Ok(resp) if resp.status == 200 => {
-                        ok += 1;
-                        latencies.push(t0.elapsed().as_secs_f64());
+                        tally.ok += 1;
+                        tally.latencies_s.push(t0.elapsed().as_secs_f64());
+                        tally.batch_rows_sum += extract_batch_rows(&resp.text()).unwrap_or(1);
                     }
-                    Ok(_) => errors += 1,
+                    Ok(resp) if resp.status == 503 => tally.rejected += 1,
+                    Ok(_) => tally.errors += 1,
                     Err(_) => {
-                        errors += 1;
-                        dead = true;
+                        // Closed or timed out: what was in flight is lost.
+                        tally.errors += 1;
+                        *conn = ClientConn::connect(addr, io_timeout).ok();
                         break;
                     }
                 }
             }
-            if dead {
-                *conn = None;
-            }
         }
     }
-    (ok, errors, latencies)
+    tally
 }
 
 /// Pull `"batch_rows":N` out of a 200 body without a full JSON parse

@@ -4,12 +4,22 @@
 //! One [`ClientConn`] holds one keep-alive connection and issues
 //! requests serially ([`ClientConn::request`], the closed-loop shape
 //! the load generator measures) or pipelined ([`ClientConn::send`] /
-//! [`ClientConn::recv`]). Responses are parsed with the same bounded
-//! reader the server uses.
+//! [`ClientConn::recv`]). A response is bounded the way the server bounds
+//! a request — [`http::MAX_HEAD_BYTES`] of head, the default
+//! [`ServeConfig::max_body`](crate::ServeConfig) of body — so a garbled or
+//! hostile peer is an `InvalidData` error the caller's fallback handles,
+//! never an allocation it dictates.
+//! [`PredictRequest`] writes the `/predict` bodies [`crate::json`] reads:
+//! the wire format lives in this crate on both sides of the socket.
 
-use std::io::{self, BufRead, BufReader, Write};
+use std::fmt::Write as _;
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
+
+use crate::http;
+use crate::json;
+use crate::server::DEFAULT_MAX_BODY;
 
 /// One parsed response.
 #[derive(Debug, Clone)]
@@ -35,6 +45,46 @@ impl Response {
     /// Body as UTF-8 (lossy).
     pub fn text(&self) -> String {
         String::from_utf8_lossy(&self.body).into_owned()
+    }
+}
+
+/// The body of a `rows`-form `POST /predict` for one model, rebuilt in
+/// place for every request: `{"model":"m","rows":[[n,...],...]}`.
+pub struct PredictRequest {
+    body: String,
+    /// Length of the `{"model":"m","rows":[` head every body starts with.
+    head: usize,
+}
+
+impl PredictRequest {
+    /// Bodies addressed to `model`. The name is caller input and is
+    /// escaped (once, here): a `"` or `\` in it still reaches the server
+    /// as the name it is.
+    pub fn new(model: &str) -> PredictRequest {
+        let body = format!("{{\"model\":{},\"rows\":[", json::json_str(model));
+        PredictRequest {
+            head: body.len(),
+            body,
+        }
+    }
+
+    /// The body asking for `rows`, valid until the next call. `{}` is
+    /// shortest-roundtrip for `f64`: the server's parse recovers the exact
+    /// bits, which keeps federated schedules identical to local ones.
+    pub fn write(&mut self, rows: &[&[f64]]) -> &str {
+        self.body.truncate(self.head);
+        for (r, row) in rows.iter().enumerate() {
+            self.body.push_str(if r > 0 { ",[" } else { "[" });
+            for (i, v) in row.iter().enumerate() {
+                if i > 0 {
+                    self.body.push(',');
+                }
+                let _ = write!(self.body, "{v}");
+            }
+            self.body.push(']');
+        }
+        self.body.push_str("]}");
+        &self.body
     }
 }
 
@@ -101,7 +151,8 @@ pub fn request_once(
 
 fn read_response<R: BufRead>(reader: &mut R) -> io::Result<Response> {
     let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
-    let status_line = read_line(reader)?;
+    let mut head_left = http::MAX_HEAD_BYTES;
+    let status_line = read_line(reader, &mut head_left)?;
     let mut parts = status_line.split(' ');
     let version = parts.next().unwrap_or("");
     if !version.starts_with("HTTP/1.") {
@@ -115,7 +166,7 @@ fn read_response<R: BufRead>(reader: &mut R) -> io::Result<Response> {
 
     let mut headers = Vec::new();
     loop {
-        let line = read_line(reader)?;
+        let line = read_line(reader, &mut head_left)?;
         if line.is_empty() {
             break;
         }
@@ -132,6 +183,12 @@ fn read_response<R: BufRead>(reader: &mut R) -> io::Result<Response> {
         .transpose()
         .map_err(|_| bad("bad content-length".to_string()))?
         .unwrap_or(0);
+    // The peer's word is not an allocation size until it is bounded.
+    if content_length > DEFAULT_MAX_BODY {
+        return Err(bad(format!(
+            "content-length {content_length} over the {DEFAULT_MAX_BODY}-byte cap"
+        )));
+    }
     let mut body = vec![0u8; content_length];
     reader.read_exact(&mut body)?;
     Ok(Response {
@@ -141,12 +198,24 @@ fn read_response<R: BufRead>(reader: &mut R) -> io::Result<Response> {
     })
 }
 
-fn read_line<R: BufRead>(reader: &mut R) -> io::Result<String> {
+/// One line of the response head, which may be at most `head_left` bytes
+/// long (the budget is shared by the status line and every header).
+fn read_line<R: BufRead>(reader: &mut R, head_left: &mut usize) -> io::Result<String> {
     let mut buf = Vec::new();
-    let n = reader.read_until(b'\n', &mut buf)?;
+    let n = reader
+        .by_ref()
+        .take(*head_left as u64)
+        .read_until(b'\n', &mut buf)?;
+    if buf.last() != Some(&b'\n') && n == *head_left {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("response head over {} bytes", http::MAX_HEAD_BYTES),
+        ));
+    }
     if n == 0 {
         return Err(io::ErrorKind::UnexpectedEof.into());
     }
+    *head_left -= n;
     while matches!(buf.last(), Some(b'\n' | b'\r')) {
         buf.pop();
     }

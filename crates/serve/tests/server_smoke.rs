@@ -117,3 +117,48 @@ fn routes_statuses_and_graceful_shutdown() {
         "listener must be closed after join"
     );
 }
+
+#[test]
+fn loadgen_prints_a_row_per_client_count_and_enforces_min_ok() {
+    let registry = common::registry_with(ScaleModel { factor: 2.0 }, scale_loader());
+    let handle = serve(ServeConfig::default(), registry).expect("server starts");
+    let addr = handle.addr().to_string();
+    let loadgen = |extra: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_mphpc_loadgen"))
+            .args(["--addr", &addr, "--duration-ms", "300"])
+            .args(extra)
+            .output()
+            .expect("loadgen runs")
+    };
+
+    let run = loadgen(&["--clients", "2,4", "--expect-min-ok", "1"]);
+    let stdout = String::from_utf8_lossy(&run.stdout);
+    assert!(
+        run.status.success(),
+        "{stdout}{}",
+        String::from_utf8_lossy(&run.stderr)
+    );
+    // Two header lines, then one row per client count: connections,
+    // keepalive, rps, p50, p99, ok, rejected, errors, mean batch rows.
+    let rows: Vec<Vec<&str>> = stdout
+        .lines()
+        .skip(2)
+        .map(|line| line.split_whitespace().collect())
+        .collect();
+    assert_eq!(rows.len(), 2, "{stdout}");
+    for (row, n) in rows.iter().zip(["2", "4"]) {
+        assert_eq!((row.len(), row[0], row[1]), (9, n, "true"), "{stdout}");
+        let count = |i: usize| row[i].parse::<u64>().expect("a count");
+        assert!(count(5) >= 1, "ok: {stdout}");
+        assert_eq!((count(6), count(7)), (0, 0), "rejected, errors: {stdout}");
+        assert!(row[8].parse::<f64>().expect("a mean") >= 1.0, "{stdout}");
+    }
+
+    // Short of --expect-min-ok is exit 1, after the shutdown it was asked
+    // to post: `join` below returns because the server got it.
+    let run = loadgen(&["--clients", "2", "--expect-min-ok", "1000000", "--shutdown"]);
+    assert_eq!(run.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert!(stderr.contains("expected at least 1000000"), "{stderr}");
+    handle.join();
+}

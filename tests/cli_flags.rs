@@ -1,7 +1,8 @@
-//! A flag value that does not parse stops the command with an error
-//! naming the flag and the value (exit 1, through `render_chain` like
-//! every other failure) — it used to be dropped and the default used, so
-//! `--seed abc` quietly collected seed 2024's dataset.
+//! A flag value that does not parse, a flag the command does not read and
+//! a stray positional each stop the command with an error naming the
+//! offender (exit 1, through `render_chain` like every other failure) —
+//! they used to be dropped and the default used, so `--seed abc` and
+//! `--sed 7` both quietly collected seed 2024's dataset.
 
 use std::process::Command;
 
@@ -19,6 +20,18 @@ fn a_flag_value_that_does_not_parse_is_an_error_not_the_default() {
         (
             &["pipeline", "--apps", "1", "--rate", "0,5"][..],
             "error: invalid argument: --rate wants a f64, got '0,5'\n",
+        ),
+        (
+            &["collect", "--out", out, "--apps", "1", "--sed", "7"][..],
+            "error: invalid argument: unknown option --sed for 'collect'\n",
+        ),
+        (
+            &["fleet", "status", "--store", out, "--worker", "w0"][..],
+            "error: invalid argument: unknown option --worker for 'fleet status'\n",
+        ),
+        (
+            &["collect", "--out", out, "1", "--apps"][..],
+            "error: invalid argument: unexpected argument '1' for 'collect'\n",
         ),
     ] {
         let run = Command::new(MPHPC).args(args).output().expect("mphpc runs");
