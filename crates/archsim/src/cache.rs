@@ -1,24 +1,29 @@
 //! Trace-driven multi-level cache simulation.
 //!
-//! [`SetAssocCache`] is a classic set-associative LRU cache model;
 //! [`CacheSimulator`] drives a synthetic reference trace (from
-//! [`crate::trace`]) through the machine's hierarchy and reports per-level
-//! load/store miss ratios, which the execution model turns into stall cycles
-//! and the counter model into `PAPI_L*_LDM/STM`-style values.
+//! [`crate::trace`]) through the machine's hierarchy of set-associative LRU
+//! levels and reports per-level load/store miss ratios, which the execution
+//! model turns into stall cycles and the counter model into
+//! `PAPI_L*_LDM/STM`-style values.
 //!
 //! Shared levels (e.g. L3) are modelled by dividing their capacity among the
 //! ranks co-resident on the node, which is what makes full-node runs miss
 //! more than single-core runs on the same input — a relationship the ML
 //! model must be able to learn (Fig. 4's scale ablation).
 //!
-//! A [`CacheSimulator`] keeps one [`SetAssocCache`] and re-shapes it for each
-//! level of each kernel, so a reused simulator allocates nothing in steady
-//! state: a set gets its `ways` tags out of one arena the first time it is
-//! touched, and an epoch stamp per set makes emptying the cache O(1)
-//! (DESIGN.md §18).
+//! Only re-touches are simulated (DESIGN.md §18). Trace line ids are dense in
+//! first-touch order, so a *first touch* is a reference whose `line ==` the
+//! lines seen so far; it misses every level and is charged arithmetically. A
+//! *re-touch* of line `x` hits a level iff fewer than `ways` distinct other
+//! lines of `x`'s set were accessed at that level since `x`'s last access
+//! there: lines first touched in between are an id range, counted in O(1),
+//! and older lines re-touched in between top the set's recency list, walked
+//! until `ways` is reached. A level sees the previous level's misses only,
+//! so a hit above does not refresh a line's recency below. A reused
+//! simulator allocates nothing in steady state.
 
 use crate::demand::LocalityProfile;
-use crate::machine::{CacheLevelSpec, CpuSpec};
+use crate::machine::CpuSpec;
 use crate::trace::{MemRef, TraceGenerator, DEFAULT_TRACE_LEN};
 use rand::Rng;
 
@@ -51,138 +56,30 @@ impl LevelStats {
     }
 }
 
-/// One set's entry in the set table: live only while `epoch` matches the
-/// cache's, in which case the set's tags are arena block `block`.
+/// End of a set's recency list; no line has this id (a trace holds at most
+/// `u32::MAX` references, the generator's own bound).
+const NIL: u32 = u32::MAX;
+
+/// A re-touch that has missed every level so far.
+#[derive(Debug, Clone, Copy)]
+struct Retouch {
+    line: u32,
+    /// Position in the trace, and the lines first touched before it.
+    pos: u32,
+    fresh: u32,
+    is_store: bool,
+}
+
+/// A re-touched line at the level being simulated: the trace position of its
+/// last access there, the lines first touched up to and including that
+/// position, and its neighbours in its set's recency list (the lines
+/// re-touched at this level, most recent first; both [`NIL`] off the list).
 #[derive(Debug, Clone, Copy, Default)]
-struct SetSlot {
-    epoch: u32,
-    block: u32,
-}
-
-/// A set-associative cache with true-LRU replacement.
-///
-/// Lines are 32-bit (see [`MemRef`]), so a tag (`line / n_sets`) is too, and
-/// only sets that were touched since the last reset hold storage.
-#[derive(Debug)]
-pub struct SetAssocCache {
-    n_sets: u32,
-    ways: usize,
-    /// Current epoch; never 0, which stamps set-table entries never touched.
-    epoch: u32,
-    sets: Vec<SetSlot>,
-    /// One block of `1 + ways` words per touched set: how many tags it holds,
-    /// then the tags, most recently used first.
-    arena: Vec<u32>,
-    /// Statistics accumulated since construction or [`SetAssocCache::reset`].
-    pub stats: LevelStats,
-}
-
-impl Default for SetAssocCache {
-    /// A cache of one line, the smallest [`SetAssocCache::configure`] makes.
-    fn default() -> Self {
-        Self {
-            n_sets: 1,
-            ways: 1,
-            epoch: 1,
-            sets: vec![SetSlot::default()],
-            arena: Vec::new(),
-            stats: LevelStats::default(),
-        }
-    }
-}
-
-impl SetAssocCache {
-    /// Build from a level spec with an optional capacity divisor for shared
-    /// levels (how many ranks share it).
-    pub fn from_spec(spec: &CacheLevelSpec, sharing: u32) -> Self {
-        let mut cache = Self::default();
-        cache.configure(spec, sharing);
-        cache
-    }
-
-    /// Re-shape for `spec` and `sharing` and empty the cache, keeping its
-    /// buffers. Set counts beyond `u32::MAX` saturate.
-    pub fn configure(&mut self, spec: &CacheLevelSpec, sharing: u32) {
-        let line_bytes = spec.line_bytes.max(1) as u64;
-        let capacity = (spec.capacity_bytes / sharing.max(1) as u64).max(line_bytes);
-        let lines = (capacity / line_bytes).max(1);
-        let ways = (spec.associativity as u64).min(lines).max(1);
-        self.n_sets = (lines / ways).clamp(1, u32::MAX as u64) as u32;
-        self.ways = ways as usize;
-        if self.sets.len() < self.n_sets as usize {
-            self.sets.resize(self.n_sets as usize, SetSlot::default());
-        }
-        self.reset();
-    }
-
-    /// Number of sets (after sharing adjustment).
-    pub fn n_sets(&self) -> u64 {
-        self.n_sets as u64
-    }
-
-    /// Associativity (after sharing adjustment).
-    pub fn ways(&self) -> usize {
-        self.ways
-    }
-
-    /// Sets touched since construction or the last reset.
-    pub fn sets_touched(&self) -> usize {
-        self.arena.len() / (self.ways + 1)
-    }
-
-    /// Access a line; returns true on hit. Updates LRU order and stats.
-    pub fn access(&mut self, line: u32, is_store: bool) -> bool {
-        let tag = line / self.n_sets;
-        let stride = self.ways + 1;
-        let slot = &mut self.sets[(line % self.n_sets) as usize];
-        if slot.epoch != self.epoch {
-            *slot = SetSlot {
-                epoch: self.epoch,
-                block: (self.arena.len() / stride) as u32,
-            };
-            self.arena.resize(self.arena.len() + stride, 0);
-        }
-        let base = slot.block as usize * stride;
-        let (len, tags) = self.arena[base..base + stride]
-            .split_first_mut()
-            .expect("a block holds a length and at least one way");
-        // One pass: push `tag` in at the MRU end and carry each resident tag
-        // one way down, until the carried tag is `tag` itself (a hit).
-        let held = *len as usize;
-        let mut carried = tag;
-        let mut hit = false;
-        for way in &mut tags[..held] {
-            carried = std::mem::replace(way, carried);
-            if carried == tag {
-                hit = true;
-                break;
-            }
-        }
-        // On a miss `carried` is the LRU tag: it moves into a free way, or
-        // falls out of a full set.
-        if !hit && held < self.ways {
-            tags[held] = carried;
-            *len += 1;
-        }
-        // Branch-free: `is_store` is a coin flip the predictor cannot learn.
-        self.stats.load_hits += (!is_store & hit) as u64;
-        self.stats.load_misses += (!is_store & !hit) as u64;
-        self.stats.store_hits += (is_store & hit) as u64;
-        self.stats.store_misses += (is_store & !hit) as u64;
-        hit
-    }
-
-    /// Clear contents and statistics.
-    pub fn reset(&mut self) {
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            // Wrapped: stamps from 2^32 resets ago would look live again.
-            self.sets.fill(SetSlot::default());
-            self.epoch = 1;
-        }
-        self.arena.clear();
-        self.stats = LevelStats::default();
-    }
+struct LineState {
+    pos: u32,
+    fresh: u32,
+    newer: u32,
+    older: u32,
 }
 
 /// Result of simulating a kernel's reference stream through a hierarchy.
@@ -231,13 +128,19 @@ pub enum CacheModel {
     Analytic,
 }
 
-/// Reusable cache-hierarchy simulator (owns the trace buffer and the cache
+/// Reusable cache-hierarchy simulator (owns the trace buffer and the state
 /// every level is simulated in, one level after the other).
 #[derive(Debug)]
 pub struct CacheSimulator {
     gen: TraceGenerator,
     buf: Vec<MemRef>,
-    cache: SetAssocCache,
+    /// Re-touches live at the current level, in trace order.
+    retouches: Vec<Retouch>,
+    /// Trace position of each line's first touch.
+    first_pos: Vec<u32>,
+    lines: Vec<LineState>,
+    /// Top of each set's recency list at the current level.
+    heads: Vec<u32>,
     sets_touched: u64,
     /// Number of sampled references per kernel.
     pub trace_len: usize,
@@ -257,7 +160,10 @@ impl CacheSimulator {
         Self {
             gen: TraceGenerator::new(),
             buf: Vec::with_capacity(DEFAULT_TRACE_LEN),
-            cache: SetAssocCache::default(),
+            retouches: Vec::new(),
+            first_pos: Vec::new(),
+            lines: Vec::new(),
+            heads: Vec::new(),
             sets_touched: 0,
             trace_len: DEFAULT_TRACE_LEN,
             model: CacheModel::Trace,
@@ -284,11 +190,18 @@ impl CacheSimulator {
         ranks_on_node: u32,
         rng: &mut impl Rng,
     ) -> HierarchyResult {
-        self.sets_touched = 0;
-        match self.model {
-            CacheModel::Trace => self.run_trace(profile, store_fraction, cpu, ranks_on_node, rng),
-            CacheModel::Analytic => self.run_analytic(profile, store_fraction, cpu, ranks_on_node),
+        if self.model == CacheModel::Analytic {
+            self.first_pos.clear();
+            self.sets_touched = 0;
+            return self.run_analytic(profile, store_fraction, cpu, ranks_on_node);
         }
+        let line_bytes = cpu.cache_levels.first().map_or(64, |l| l.line_bytes);
+        let (mut trace, n) = (std::mem::take(&mut self.buf), self.trace_len);
+        self.gen
+            .generate_into(profile, n, store_fraction, line_bytes, rng, &mut trace);
+        let result = self.walk(&trace, cpu, ranks_on_node);
+        self.buf = trace;
+        result
     }
 
     /// Cache sets touched, summed over levels, by the most recent
@@ -297,47 +210,132 @@ impl CacheSimulator {
         self.sets_touched
     }
 
-    fn run_trace(
+    /// Distinct lines of the most recent [`CacheSimulator::run`]'s trace: its
+    /// first touches, compulsory misses at every level (0 under the analytic
+    /// model).
+    pub fn first_touches(&self) -> u64 {
+        self.first_pos.len() as u64
+    }
+
+    /// Simulate `trace` through `cpu`'s levels. Panics if its line ids are
+    /// not dense in first-touch order.
+    pub(crate) fn walk(
         &mut self,
-        profile: &LocalityProfile,
-        store_fraction: f64,
+        trace: &[MemRef],
         cpu: &CpuSpec,
         ranks_on_node: u32,
-        rng: &mut impl Rng,
     ) -> HierarchyResult {
-        let line_bytes = cpu.cache_levels.first().map(|l| l.line_bytes).unwrap_or(64);
-        self.gen.generate_into(
-            profile,
-            self.trace_len,
-            store_fraction,
-            line_bytes,
-            rng,
-            &mut self.buf,
-        );
+        self.retouches.clear();
+        self.first_pos.clear();
+        let mut fresh_stores = 0;
+        for (pos, r) in trace.iter().enumerate() {
+            let (pos, fresh) = (pos as u32, self.first_pos.len() as u32);
+            if r.line == fresh {
+                self.first_pos.push(pos);
+                fresh_stores += r.is_store as u64;
+            } else {
+                assert!(
+                    r.line < fresh,
+                    "trace position {pos} touches line {} when only {fresh} lines were seen: \
+                     line ids must be dense in first-touch order",
+                    r.line
+                );
+                let (line, is_store) = (r.line, r.is_store);
+                self.retouches.push(Retouch {
+                    line,
+                    pos,
+                    fresh,
+                    is_store,
+                });
+            }
+        }
+        let seen = self.first_pos.len();
+        if self.lines.len() < seen {
+            self.lines.resize(seen, LineState::default());
+        }
         // Level by level: each level sees the previous one's misses in trace
-        // order, compacted to the front of the (now spent) trace buffer, so
-        // one cache's storage serves the whole hierarchy.
-        let total_refs = self.buf.len();
-        let mut live = total_refs;
+        // order — every first touch, and the re-touches compacted to the
+        // front of `retouches` — so the same buffers serve the whole hierarchy.
+        let mut live = self.retouches.len();
+        self.sets_touched = 0;
         let mut levels = Vec::with_capacity(cpu.cache_levels.len());
         for spec in &cpu.cache_levels {
-            let sharing = if spec.shared { ranks_on_node } else { 1 };
-            self.cache.configure(spec, sharing);
-            let mut missed = 0;
-            for i in 0..live {
-                let r = self.buf[i];
-                self.buf[missed] = r;
-                missed += !self.cache.access(r.line, r.is_store) as usize;
-            }
-            live = missed;
-            levels.push(self.cache.stats);
-            self.sets_touched += self.cache.sets_touched() as u64;
+            let (n_sets, ways) = spec.geometry(if spec.shared { ranks_on_node } else { 1 });
+            // Dense ids: `seen` lines fall into `min(seen, n_sets)` sets.
+            self.sets_touched += seen.min(n_sets as usize) as u64;
+            let mut stats = LevelStats {
+                load_misses: seen as u64 - fresh_stores,
+                store_misses: fresh_stores,
+                ..LevelStats::default()
+            };
+            live = self.level(n_sets, ways, live, &mut stats);
+            levels.push(stats);
         }
         HierarchyResult {
             levels,
-            dram_accesses: live as u64,
-            total_refs: total_refs as u64,
+            dram_accesses: (seen + live) as u64,
+            total_refs: trace.len() as u64,
         }
+    }
+
+    /// Decide the first `live` re-touches at a level of `n_sets` × `ways`,
+    /// keep its misses at the front of `retouches` and return their number.
+    fn level(&mut self, n_sets: u32, ways: u32, live: usize, stats: &mut LevelStats) -> usize {
+        // Lines are below `first_pos.len()`, and so are their set indices.
+        self.heads.clear();
+        self.heads
+            .resize((n_sets as usize).min(self.first_pos.len()), NIL);
+        // At a level's start every line was last accessed by its first touch.
+        for r in &self.retouches[..live] {
+            let (pos, fresh) = (self.first_pos[r.line as usize], r.line + 1);
+            self.lines[r.line as usize] = LineState {
+                pos,
+                fresh,
+                newer: NIL,
+                older: NIL,
+            };
+        }
+        let mut missed = 0;
+        for i in 0..live {
+            let r = self.retouches[i];
+            let x = r.line;
+            let was = self.lines[x as usize];
+            let head = std::mem::replace(&mut self.heads[(x % n_sets) as usize], x);
+            // Distinct other lines of the set accessed here since `was.pos`:
+            // those first touched since are the ids `x + j * n_sets`, `j > 0`,
+            // in `was.fresh..r.fresh`; ...
+            let mut others = (r.fresh - 1 - x) / n_sets - (was.fresh - 1 - x) / n_sets;
+            // ... those re-touched since top the recency list, each once, and
+            // count unless the id range already holds them.
+            let mut y = head;
+            while others < ways && y != NIL && self.lines[y as usize].pos > was.pos {
+                others += (y < was.fresh) as u32;
+                y = self.lines[y as usize].older;
+            }
+            let hit = others < ways;
+            // `x` becomes its set's most recent line.
+            if head != x {
+                if was.newer != NIL {
+                    self.lines[was.newer as usize].older = was.older;
+                    if was.older != NIL {
+                        self.lines[was.older as usize].newer = was.newer;
+                    }
+                }
+                if head != NIL {
+                    self.lines[head as usize].newer = x;
+                }
+                (self.lines[x as usize].newer, self.lines[x as usize].older) = (NIL, head);
+            }
+            (self.lines[x as usize].pos, self.lines[x as usize].fresh) = (r.pos, r.fresh);
+            // Branch-free: `is_store` is a coin flip the predictor cannot learn.
+            stats.load_hits += (!r.is_store & hit) as u64;
+            stats.load_misses += (!r.is_store & !hit) as u64;
+            stats.store_hits += (r.is_store & hit) as u64;
+            stats.store_misses += (r.is_store & !hit) as u64;
+            self.retouches[missed] = r;
+            missed += !hit as usize;
+        }
+        missed
     }
 
     fn run_analytic(
@@ -388,6 +386,7 @@ mod tests {
     use super::*;
     use crate::machine::{quartz, ruby};
     use crate::noise::rng_for;
+    use crate::oracle::{hierarchy, loads};
 
     fn friendly() -> LocalityProfile {
         LocalityProfile {
@@ -405,58 +404,64 @@ mod tests {
         }
     }
 
-    #[test]
-    fn small_cache_spec_geometry() {
-        let spec = CacheLevelSpec {
-            capacity_bytes: 1024,
-            associativity: 4,
-            line_bytes: 64,
-            latency_cycles: 1.0,
-            shared: false,
-        };
-        let c = SetAssocCache::from_spec(&spec, 1);
-        assert_eq!(c.n_sets(), 4);
-        assert_eq!(c.ways(), 4);
+    /// Hit (`true`) or miss of every reference of `lines` at the first level
+    /// of `cpu`, read off the stats of the growing prefixes.
+    fn first_level_outcomes(cpu: &CpuSpec, lines: &[u32]) -> Vec<bool> {
+        let mut sim = CacheSimulator::new();
+        let mut hits = |n| sim.walk(&loads(&lines[..n]), cpu, 1).levels[0].load_hits;
+        (1..=lines.len()).map(|n| hits(n) > hits(n - 1)).collect()
     }
 
     #[test]
     fn direct_access_pattern_hits_after_warmup() {
-        let spec = CacheLevelSpec {
-            capacity_bytes: 64 * 16,
-            associativity: 16,
-            line_bytes: 64,
-            latency_cycles: 1.0,
-            shared: false,
-        };
-        let mut c = SetAssocCache::from_spec(&spec, 1);
-        for line in 0..8u32 {
-            assert!(!c.access(line, false), "cold miss expected");
-        }
-        for line in 0..8u32 {
-            assert!(c.access(line, false), "warm hit expected");
-        }
-        assert_eq!(c.stats.load_hits, 8);
-        assert_eq!(c.stats.load_misses, 8);
+        let lines: Vec<u32> = (0..8).chain(0..8).collect();
+        let r = CacheSimulator::new().walk(&loads(&lines), &hierarchy(&[(1, 16)]), 1);
+        assert_eq!((r.levels[0].load_misses, r.levels[0].load_hits), (8, 8));
+        assert_eq!((r.dram_accesses, r.total_refs), (8, 16));
     }
 
     #[test]
     fn lru_evicts_least_recent() {
-        // 1 set, 2 ways.
-        let spec = CacheLevelSpec {
-            capacity_bytes: 128,
-            associativity: 2,
-            line_bytes: 64,
-            latency_cycles: 1.0,
-            shared: false,
-        };
-        let mut c = SetAssocCache::from_spec(&spec, 1);
-        assert_eq!(c.n_sets(), 1);
-        c.access(0, false); // [0]
-        c.access(1, false); // [1,0]
-        c.access(0, false); // hit, [0,1]
-        c.access(2, false); // evicts 1, [2,0]
-        assert!(c.access(0, false), "0 should still be cached");
-        assert!(!c.access(1, false), "1 was evicted");
+        // 1 set, 2 ways: [0] [1,0] hit [0,1] [2,0] hit [0,2] and 1 is gone.
+        let outcomes = first_level_outcomes(&hierarchy(&[(1, 2)]), &[0, 1, 0, 2, 0, 1]);
+        assert_eq!(outcomes, [false, false, true, false, true, false]);
+    }
+
+    // Three traces, one per condition the stack-distance argument rests on.
+
+    #[test]
+    fn line_first_touched_and_re_touched_in_the_window_counts_once() {
+        // 1 set, 2 ways. Between the two accesses of 0, line 1 is first
+        // touched (counted by the id range) and re-touched (on the recency
+        // list): one other line, so 0 is still resident.
+        let outcomes = first_level_outcomes(&hierarchy(&[(1, 2)]), &[0, 1, 1, 0]);
+        assert_eq!(outcomes, [false, false, true, true]);
+    }
+
+    #[test]
+    fn line_re_touched_twice_in_the_window_counts_once() {
+        // 1 set, 3 ways. Between the two accesses of 2, the older line 0 is
+        // re-touched twice, around a re-touch of 1: two other lines, not three.
+        let outcomes = first_level_outcomes(&hierarchy(&[(1, 3)]), &[0, 1, 2, 0, 1, 0, 2]);
+        assert_eq!(outcomes, [false, false, false, true, true, true, true]);
+    }
+
+    #[test]
+    fn hit_above_does_not_refresh_recency_below() {
+        // L1 1 set x 2 ways, L2 1 set x 3 ways. The re-touch of 0 at position
+        // 2 hits L1, so L2 last saw 0 at position 0; lines 1, 2, 3 then push
+        // it out of L2, and the last reference misses both levels.
+        let cpu = hierarchy(&[(1, 2), (1, 3)]);
+        let r = CacheSimulator::new().walk(&loads(&[0, 1, 0, 2, 3, 0]), &cpu, 1);
+        assert_eq!((r.levels[0].load_hits, r.levels[0].load_misses), (1, 5));
+        assert_eq!((r.levels[1].load_hits, r.levels[1].load_misses), (0, 5));
+        assert_eq!(r.dram_accesses, 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "position 2 touches line 3 when only 2 lines were seen")]
+    fn trace_with_a_gap_in_its_line_ids_is_refused() {
+        CacheSimulator::new().walk(&loads(&[0, 1, 3]), &hierarchy(&[(4, 2)]), 1);
     }
 
     #[test]
@@ -522,8 +527,9 @@ mod tests {
             assert_eq!(a.total_refs, t.total_refs);
             // The first level sees every reference (up to per-counter rounding).
             assert!(a.levels[0].accesses().abs_diff(t.levels[0].accesses()) <= 2);
-            assert_eq!(an.sets_touched(), 0);
+            assert_eq!((an.sets_touched(), an.first_touches()), (0, 0));
             assert!(tr.sets_touched() > 0);
+            assert!((1..=t.dram_accesses).contains(&tr.first_touches()));
         }
     }
 
@@ -535,21 +541,5 @@ mod tests {
         let l1 = r.global_load_miss_ratio(0);
         let l2 = r.global_load_miss_ratio(1);
         assert!(l2 <= l1 + 1e-12, "L2 global misses cannot exceed L1's");
-    }
-
-    #[test]
-    fn stats_reset() {
-        let spec = CacheLevelSpec {
-            capacity_bytes: 1024,
-            associativity: 4,
-            line_bytes: 64,
-            latency_cycles: 1.0,
-            shared: false,
-        };
-        let mut c = SetAssocCache::from_spec(&spec, 1);
-        c.access(1, true);
-        c.reset();
-        assert_eq!(c.stats, LevelStats::default());
-        assert!(!c.access(1, true), "reset must clear contents too");
     }
 }

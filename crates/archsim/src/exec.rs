@@ -7,7 +7,7 @@
 //! the total and a per-kernel breakdown (which the profiler crate turns into
 //! a calling-context tree).
 
-use crate::cache::CacheSimulator;
+use crate::cache::{CacheModel, CacheSimulator};
 use crate::counters::GroundTruthCounters;
 use crate::cpu;
 use crate::demand::{KernelDemand, RunConfig};
@@ -85,6 +85,7 @@ pub fn simulate_run_with(
     // Cache-simulation work, accumulated locally and flushed once per run.
     let telemetry = mphpc_telemetry::enabled();
     let (mut cache_refs, mut cache_sets_touched) = (0u64, 0u64);
+    let (mut cache_first_touches, mut cache_retouches) = (0u64, 0u64);
 
     for (ki, d) in demands.iter().enumerate() {
         let offload = config.use_gpu && machine.has_gpu() && d.gpu_offloadable;
@@ -156,6 +157,12 @@ pub fn simulate_run_with(
             if telemetry {
                 cache_refs += hierarchy.total_refs;
                 cache_sets_touched += cache_sim.sets_touched();
+                // The trace model's split of its references: compulsory
+                // misses, and those whose fate a level had to decide.
+                if cache_sim.model == CacheModel::Trace {
+                    cache_first_touches += cache_sim.first_touches();
+                    cache_retouches += hierarchy.total_refs - cache_sim.first_touches();
+                }
             }
             let out = cpu::run_kernel(d, &machine.cpu, ranks, config.nodes, &hierarchy);
             counters.l1_load_misses = loads * hierarchy.global_load_miss_ratio(0);
@@ -189,6 +196,8 @@ pub fn simulate_run_with(
         mphpc_telemetry::counter_add("archsim.cache.kernels", n_cpu_kernels);
         mphpc_telemetry::counter_add("archsim.cache.refs", cache_refs);
         mphpc_telemetry::counter_add("archsim.cache.sets_touched", cache_sets_touched);
+        mphpc_telemetry::counter_add("archsim.cache.first_touches", cache_first_touches);
+        mphpc_telemetry::counter_add("archsim.cache.retouches", cache_retouches);
     }
     let used_gpu = kernels.iter().any(|k| k.on_gpu);
     let mut jitter_rng = rng_for(seed, &[0x71773]);
@@ -292,6 +301,20 @@ mod tests {
                 assert!(simulate_run_with(&machine, &ks, config, 1, &mut sim).is_err());
             }
         }
+    }
+
+    /// Trace line ids are in first-level lines; a level with another line
+    /// size would index its sets with the wrong ids.
+    #[test]
+    fn mixed_line_sizes_rejected_with_a_message() {
+        let mut machine = quartz();
+        machine.id = crate::machine::SystemId::Custom(0);
+        machine.cpu.cache_levels[2].line_bytes = 128;
+        let ks = vec![kernel("a", false, 0.2, 0.3)];
+        assert_eq!(
+            simulate_run(&machine, &ks, RunConfig::one_core(false), 1).unwrap_err(),
+            "cache level 2 has 128-byte lines, level 0 has 64: levels must share one line size"
+        );
     }
 
     #[test]

@@ -60,14 +60,16 @@ pub struct CacheLevelSpec {
 }
 
 impl CacheLevelSpec {
-    /// Number of sets (rounded down when capacity is not an exact multiple
-    /// of `ways × line`, as with Ruby's 11-way LLC); at least 1.
-    pub fn n_sets(&self) -> u64 {
-        let line = self.line_bytes as u64;
-        let ways = self.associativity as u64;
-        assert!(line > 0 && ways > 0, "cache level geometry must be nonzero");
-        let lines = self.capacity_bytes / line;
-        (lines / ways).max(1)
+    /// `(n_sets, ways)` of this level when `sharing` ranks divide its
+    /// capacity. Never panics: zero fields count as 1, a level holds at least
+    /// one line, `ways` is capped at the lines there are (the set count
+    /// rounds down, as with Ruby's 11-way LLC) and `n_sets` saturates at
+    /// `u32::MAX`.
+    pub fn geometry(&self, sharing: u32) -> (u32, u32) {
+        let line_bytes = self.line_bytes.max(1) as u64;
+        let lines = (self.capacity_bytes / sharing.max(1) as u64 / line_bytes).max(1);
+        let ways = (self.associativity as u64).clamp(1, lines);
+        ((lines / ways).min(u32::MAX as u64) as u32, ways as u32)
     }
 }
 
@@ -193,6 +195,14 @@ impl MachineSpec {
         for (i, lvl) in c.cache_levels.iter().enumerate() {
             if lvl.capacity_bytes == 0 || lvl.associativity == 0 || lvl.line_bytes == 0 {
                 return Err(format!("cache level {i} has zero geometry"));
+            }
+            // Trace line ids are in first-level lines, and every level
+            // indexes its sets with them.
+            let (a, b) = (c.cache_levels[0].line_bytes, lvl.line_bytes);
+            if a != b {
+                return Err(format!(
+                    "cache level {i} has {b}-byte lines, level 0 has {a}: levels must share one line size"
+                ));
             }
         }
         if let Some(g) = &self.gpu {
@@ -504,12 +514,24 @@ mod tests {
     }
 
     #[test]
-    fn cache_geometry_consistent() {
-        for m in table1_machines() {
-            for lvl in &m.cpu.cache_levels {
-                assert!(lvl.n_sets() > 0);
-            }
-        }
+    fn geometry_rounds_down_clamps_and_never_panics() {
+        let level = |capacity_bytes, associativity, line_bytes| CacheLevelSpec {
+            capacity_bytes,
+            associativity,
+            line_bytes,
+            latency_cycles: 1.0,
+            shared: false,
+        };
+        assert_eq!(level(1024, 4, 64).geometry(1), (4, 4));
+        // Ruby's 11-way LLC, whole and divided among 56 ranks.
+        let llc = ruby().cpu.cache_levels[2];
+        assert_eq!(llc.geometry(1), (56_599, 11));
+        assert_eq!(llc.geometry(56), (1_010, 11));
+        // Fewer lines than ways: one set of what there is.
+        assert_eq!(level(64 * 512, 512, 64).geometry(1), (1, 512));
+        assert_eq!(level(64 * 3, 512, 64).geometry(1), (1, 3));
+        assert_eq!(level(0, 0, 0).geometry(0), (1, 1));
+        assert_eq!(level(u64::MAX, 1, 1).geometry(1), (u32::MAX, 1));
     }
 
     #[test]

@@ -1,12 +1,14 @@
-//! Test-only oracles: the trace generator and cache simulator as they were
-//! before the allocation-free rewrite (DESIGN.md §18) — a Fenwick tree over
-//! access-time slots, one `Vec<u64>` of tags per set, a reference-major walk
-//! of the hierarchy, `powf` on every non-streaming draw — and the tests that
-//! hold [`crate::trace`] and [`crate::cache`] bit-identical to them.
+//! Test-only oracles: the trace generator and cache simulator in their
+//! plainest form — a Fenwick tree over access-time slots, one `Vec<u64>` of
+//! lines per set that every reference of the trace is carried through, a
+//! reference-major walk of the hierarchy, `powf` on every non-streaming draw
+//! — and the tests that hold [`crate::trace`] and [`crate::cache`]
+//! bit-identical to them (DESIGN.md §18).
 
 use crate::cache::{HierarchyResult, LevelStats};
 use crate::demand::LocalityProfile;
 use crate::machine::{CacheLevelSpec, CpuSpec};
+use crate::trace::MemRef;
 use rand::Rng;
 
 /// Fenwick (binary indexed) tree over `1..=n`: point add, prefix-sum select.
@@ -144,25 +146,13 @@ pub struct VecSetCache {
 
 impl VecSetCache {
     pub fn from_spec(spec: &CacheLevelSpec, sharing: u32) -> Self {
-        let sharing = sharing.max(1) as u64;
-        let capacity = (spec.capacity_bytes / sharing).max(spec.line_bytes as u64);
-        let lines = (capacity / spec.line_bytes as u64).max(1);
-        let ways = (spec.associativity as u64).min(lines).max(1);
-        let n_sets = (lines / ways).max(1);
+        let (n_sets, ways) = spec.geometry(sharing);
         Self {
-            n_sets,
+            n_sets: n_sets as u64,
             ways: ways as usize,
             sets: vec![Vec::new(); n_sets as usize],
             stats: LevelStats::default(),
         }
-    }
-
-    pub fn n_sets(&self) -> u64 {
-        self.n_sets
-    }
-
-    pub fn ways(&self) -> usize {
-        self.ways
     }
 
     pub fn access(&mut self, line: u64, is_store: bool) -> bool {
@@ -202,30 +192,66 @@ pub fn run_trace(
 ) -> HierarchyResult {
     let line_bytes = cpu.cache_levels.first().map_or(64, |l| l.line_bytes);
     let trace = generate(profile, trace_len, store_fraction, line_bytes, rng);
+    walk(&trace, cpu, ranks_on_node).0
+}
+
+/// `trace` through `cpu`'s hierarchy, reference by reference; also the sets
+/// that hold a line afterwards, summed over levels.
+pub fn walk(trace: &[(u64, bool)], cpu: &CpuSpec, ranks_on_node: u32) -> (HierarchyResult, u64) {
     let mut caches: Vec<VecSetCache> = cpu
         .cache_levels
         .iter()
         .map(|spec| VecSetCache::from_spec(spec, if spec.shared { ranks_on_node } else { 1 }))
         .collect();
     let mut dram = 0u64;
-    for &(line, is_store) in &trace {
+    for &(line, is_store) in trace {
         if !caches.iter_mut().any(|c| c.access(line, is_store)) {
             dram += 1;
         }
     }
-    HierarchyResult {
-        levels: caches.into_iter().map(|c| c.stats).collect(),
+    let sets_touched = caches
+        .iter()
+        .flat_map(|c| &c.sets)
+        .filter(|s| !s.is_empty());
+    let result = HierarchyResult {
+        levels: caches.iter().map(|c| c.stats).collect(),
         dram_accesses: dram,
         total_refs: trace.len() as u64,
-    }
+    };
+    (result, sets_touched.count() as u64)
+}
+
+/// A CPU whose cache levels have the given `(sets, ways)`, none shared.
+pub fn hierarchy(levels: &[(u64, u32)]) -> CpuSpec {
+    let mut cpu = crate::machine::quartz().cpu;
+    cpu.cache_levels = levels
+        .iter()
+        .map(|&(sets, ways)| CacheLevelSpec {
+            capacity_bytes: sets * ways as u64 * 64,
+            associativity: ways,
+            line_bytes: 64,
+            latency_cycles: 1.0,
+            shared: false,
+        })
+        .collect();
+    cpu
+}
+
+/// `lines` as a trace of loads.
+pub fn loads(lines: &[u32]) -> Vec<MemRef> {
+    let load = |&line| MemRef {
+        line,
+        is_store: false,
+    };
+    lines.iter().map(load).collect()
 }
 
 mod tests {
     use super::*;
-    use crate::cache::{CacheSimulator, SetAssocCache};
+    use crate::cache::CacheSimulator;
     use crate::machine::table1_machines;
     use crate::noise::rng_for;
-    use crate::trace::{IndexedLru, MemRef, TraceGenerator};
+    use crate::trace::{IndexedLru, TraceGenerator};
     use proptest::prelude::*;
 
     fn level(capacity_bytes: u64, associativity: u32) -> CacheLevelSpec {
@@ -238,58 +264,94 @@ mod tests {
         }
     }
 
-    /// A line stream with reuse (a hot range), conflicts (strides of the set
-    /// count) and cold lines, so hits, evictions and first touches all occur.
-    fn line_stream(n_sets: u64, len: usize, rng: &mut impl Rng) -> Vec<(u32, bool)> {
+    fn one_level(spec: CacheLevelSpec) -> CpuSpec {
+        let mut cpu = hierarchy(&[]);
+        cpu.cache_levels = vec![spec];
+        cpu
+    }
+
+    /// A trace with dense line ids in which `fresh_share` of the references
+    /// are first touches and the rest re-touch a recent line, a line some
+    /// multiples of one of `strides` (set counts) below a recent one, or any
+    /// line seen: hits, conflict evictions and long windows all occur.
+    fn dense_stream(
+        strides: &[u64],
+        len: usize,
+        fresh_share: f64,
+        rng: &mut impl Rng,
+    ) -> Vec<MemRef> {
+        let mut seen = 0u64;
+        let mut line = |rng: &mut dyn rand::RngCore| {
+            if seen == 0 || rng.gen::<f64>() < fresh_share {
+                seen += 1;
+                return seen - 1;
+            }
+            match rng.gen_range(0..3u32) {
+                0 => seen - 1 - rng.gen_range(0..seen.min(48)),
+                1 => {
+                    let recent = seen - 1 - rng.gen_range(0..seen.min(6));
+                    let stride = strides[rng.gen_range(0..strides.len())];
+                    recent - stride * rng.gen_range(0..=(recent / stride).min(40))
+                }
+                _ => rng.gen_range(0..seen),
+            }
+        };
         (0..len)
-            .map(|_| {
-                let line = match rng.gen_range(0..4u32) {
-                    0 => rng.gen_range(0..64u64),
-                    1 => rng.gen_range(0..8u64) + n_sets * rng.gen_range(0..40u64),
-                    2 => rng.gen_range(0..4 * n_sets),
-                    _ => rng.gen_range(0..u32::MAX as u64 + 1),
-                };
-                (line as u32, rng.gen::<f64>() < 0.3)
+            .map(|_| MemRef {
+                line: line(rng) as u32,
+                is_store: rng.gen::<f64>() < 0.3,
             })
             .collect()
     }
 
-    fn assert_same_cache(new: &mut SetAssocCache, old: &mut VecSetCache, stream: &[(u32, bool)]) {
-        assert_eq!((new.n_sets(), new.ways()), (old.n_sets(), old.ways()));
-        for (i, &(line, is_store)) in stream.iter().enumerate() {
-            let (got, want) = (
-                new.access(line, is_store),
-                old.access(line as u64, is_store),
-            );
-            assert_eq!(got, want, "access {i}: line {line}");
-        }
-        assert_eq!(new.stats, old.stats);
+    /// `walk` decides `trace` on `cpu` exactly as the reference-by-reference
+    /// caches do, and touches the sets they touch.
+    fn assert_same_hierarchy(
+        sim: &mut CacheSimulator,
+        trace: &[MemRef],
+        cpu: &CpuSpec,
+        ranks: u32,
+    ) {
+        let pairs: Vec<_> = trace.iter().map(|r| (r.line as u64, r.is_store)).collect();
+        let (want, sets_touched) = super::walk(&pairs, cpu, ranks);
+        assert_eq!(sim.walk(trace, cpu, ranks), want);
+        assert_eq!(sim.sets_touched(), sets_touched);
     }
 
     #[test]
-    fn set_assoc_cache_matches_vec_cache_on_table1_geometries() {
+    fn simulator_walk_matches_vec_caches_on_table1_geometries() {
         let mut rng = rng_for(12, &[]);
         let mut seen_sets = Vec::new();
-        // One cache re-shaped through every geometry, as the simulator does.
-        let mut reused: Option<SetAssocCache> = None;
+        // One simulator re-shaped through every geometry, as in a collection.
+        let mut reused = CacheSimulator::new();
         for machine in table1_machines() {
             for spec in &machine.cpu.cache_levels {
                 for sharing in [1, 2, 7, 20, machine.cores()] {
-                    let mut old = VecSetCache::from_spec(spec, sharing);
-                    seen_sets.push(old.n_sets());
-                    let stream = line_stream(old.n_sets(), 6_000, &mut rng);
-                    let mut fresh = SetAssocCache::from_spec(spec, sharing);
-                    assert_same_cache(&mut fresh, &mut old, &stream);
-                    let mut old = VecSetCache::from_spec(spec, sharing);
-                    let new = match reused.as_mut() {
-                        Some(cache) => {
-                            cache.configure(spec, sharing);
-                            cache
-                        }
-                        None => reused.insert(SetAssocCache::from_spec(spec, sharing)),
-                    };
-                    assert_same_cache(new, &mut old, &stream);
-                    assert!(new.sets_touched() <= stream.len());
+                    let cpu = one_level(CacheLevelSpec {
+                        shared: true,
+                        ..*spec
+                    });
+                    let n_sets = spec.geometry(sharing).0 as u64;
+                    seen_sets.push(n_sets);
+                    // Long enough for lines `n_sets` apart to exist.
+                    let stream = dense_stream(&[n_sets], 40_000, 0.97, &mut rng);
+                    assert_same_hierarchy(&mut CacheSimulator::new(), &stream, &cpu, sharing);
+                    assert_same_hierarchy(&mut reused, &stream, &cpu, sharing);
+                    let stream = dense_stream(&[n_sets], 6_000, 0.3, &mut rng);
+                    assert_same_hierarchy(&mut reused, &stream, &cpu, sharing);
+                }
+            }
+            // The whole hierarchy, both rank layouts.
+            let strides: Vec<u64> = machine
+                .cpu
+                .cache_levels
+                .iter()
+                .map(|l| l.geometry(1).0 as u64)
+                .collect();
+            for ranks in [1, machine.cores()] {
+                for fresh_share in [0.05, 0.5, 0.9] {
+                    let stream = dense_stream(&strides, 40_000, fresh_share, &mut rng);
+                    assert_same_hierarchy(&mut reused, &stream, &machine.cpu, ranks);
                 }
             }
         }
@@ -303,30 +365,43 @@ mod tests {
     }
 
     #[test]
-    fn reset_empties_the_cache_without_touching_geometry() {
+    fn reused_simulator_starts_every_trace_empty() {
         let mut rng = rng_for(13, &[]);
-        let spec = level(90_112 * 64 * 11, 11);
-        let mut new = SetAssocCache::from_spec(&spec, 1);
-        for round in 0..3 {
-            let mut old = VecSetCache::from_spec(&spec, 1);
-            let stream = line_stream(old.n_sets(), 4_000, &mut rng);
-            assert_same_cache(&mut new, &mut old, &stream);
-            assert!(new.sets_touched() > 0, "round {round}");
-            new.reset();
-            assert_eq!(new.sets_touched(), 0);
+        let cpu = one_level(level(90_112 * 64 * 11, 11));
+        let mut sim = CacheSimulator::new();
+        for fresh_share in [0.1, 0.6, 0.95] {
+            let stream = dense_stream(&[90_112, 1], 4_000, fresh_share, &mut rng);
+            assert_same_hierarchy(&mut sim, &stream, &cpu, 1);
+            // The same trace again: nothing of the first pass is left.
+            assert_same_hierarchy(&mut sim, &stream, &cpu, 1);
         }
     }
 
     #[test]
-    fn extreme_lines_neither_panic_nor_alias() {
-        // One set: the tag is the whole line. Many sets: the set index is.
-        for spec in [level(64 * 4, 4), level(64 * 65_536 * 2, 2)] {
-            let mut new = SetAssocCache::from_spec(&spec, 1);
-            let mut old = VecSetCache::from_spec(&spec, 1);
-            let lines = [u32::MAX, 0, u32::MAX - 1, u32::MAX, 1 << 31, 0, u32::MAX];
-            let stream: Vec<_> = lines.iter().map(|&l| (l, false)).collect();
-            assert_same_cache(&mut new, &mut old, &stream);
+    fn extreme_geometries_neither_panic_nor_alias() {
+        let mut rng = rng_for(15, &[]);
+        let stream = dense_stream(&[1, 512, 65_536], 20_000, 0.4, &mut rng);
+        let mut sim = CacheSimulator::new();
+        // One set of 4, 64 and 512 ways; many sets; more sets than lines.
+        for spec in [
+            level(64 * 4, 4),
+            level(64 * 64, 64),
+            level(64 * 512, 512),
+            level(64 * 65_536 * 2, 2),
+            level(64 * 7 * 600, 600),
+        ] {
+            assert_same_hierarchy(&mut sim, &stream, &one_level(spec), 1);
         }
+        // A set count saturated at `u32::MAX` is one set per line: only the
+        // first touches miss, and the set table is sized by the lines.
+        let huge = one_level(CacheLevelSpec {
+            line_bytes: 1,
+            ..level(u64::MAX, 1)
+        });
+        assert_eq!(huge.cache_levels[0].geometry(1), (u32::MAX, 1));
+        let r = sim.walk(&stream, &huge, 1);
+        assert_eq!(r.dram_accesses, sim.first_touches());
+        assert_eq!(r.levels[0].accesses(), 20_000);
     }
 
     #[test]
@@ -336,14 +411,18 @@ mod tests {
             associativity: 0,
             line_bytes: 0,
             latency_cycles: 1.0,
-            shared: false,
+            shared: true,
         };
-        let mut c = SetAssocCache::from_spec(&spec, 0);
-        assert_eq!((c.n_sets(), c.ways()), (1, 1));
-        assert!(!c.access(7, false));
-        assert!(c.access(7, true));
-        assert!(!c.access(8, false));
-        assert!(!c.access(7, false), "one way: 8 evicted 7");
+        assert_eq!(spec.geometry(0), (1, 1));
+        // One way: 1 evicts 0.
+        let mut trace = loads(&[0, 0, 1, 0]);
+        trace[1].is_store = true;
+        let r = CacheSimulator::new().walk(&trace, &one_level(spec), 0);
+        let stats = r.levels[0];
+        assert_eq!(
+            (stats.load_misses, stats.store_hits, stats.load_hits),
+            (3, 1, 0)
+        );
     }
 
     fn assert_same_lru(capacity: usize, ops: &[(bool, usize)], new: &mut IndexedLru) {
@@ -445,7 +524,7 @@ mod tests {
         }
     }
 
-    /// The failure mode reuse introduces: stale epochs, stale geometry, a
+    /// The failure mode reuse introduces: stale line state, stale geometry, a
     /// stale trace buffer. One simulator driven back to back through kernels
     /// of different machines and rank counts must equal a fresh simulator per
     /// kernel, and both must equal the original implementation.
@@ -488,29 +567,34 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         #[test]
-        fn set_assoc_cache_matches_vec_cache(
+        fn simulator_walk_matches_vec_caches(
             sets in 1u64..3_000,
             ways in 1u32..=20,
+            tall in 0usize..4,
             sharing in 1u32..=56,
+            len in 1usize..=40_000,
+            fresh_share in 0.0f64..1.0,
             seed in any::<u64>(),
         ) {
             // Capacities that are not multiples of `ways * 64` after sharing
-            // exercise the rounding in the geometry.
+            // exercise the rounding in the geometry; half the cases have 64
+            // ways or more, every third is a single set.
+            let ways = [ways, ways, 63 + ways, 500 + ways][tall];
+            let sets = if seed % 3 == 0 { 1 } else { sets };
             let spec = level(sets * ways as u64 * 64 * sharing as u64 + 64 * (seed % 3), ways);
             let mut rng = rng_for(seed, &[]);
-            let mut old = VecSetCache::from_spec(&spec, sharing);
-            let stream = line_stream(old.n_sets(), 3_000, &mut rng);
+            let n_sets = spec.geometry(sharing).0 as u64;
+            // Long traces cost the oracle `ways` per reference: keep the
+            // product bounded.
+            let len = len.min(4_000_000 / ways as usize);
+            let stream = dense_stream(&[n_sets, 2 * n_sets + 1], len, fresh_share, &mut rng);
             // Start from a different, used geometry.
-            let mut new = SetAssocCache::from_spec(&level(64 * 8 * 100, 8), 1);
-            for &(line, is_store) in &stream[..200] {
-                new.access(line, is_store);
-            }
-            new.configure(&spec, sharing);
-            prop_assert_eq!((new.n_sets(), new.ways()), (old.n_sets(), old.ways()));
-            for &(line, is_store) in &stream {
-                prop_assert_eq!(new.access(line, is_store), old.access(line as u64, is_store));
-            }
-            prop_assert_eq!(new.stats, old.stats);
+            let mut sim = CacheSimulator::new();
+            sim.walk(&stream[..len.min(200)], &one_level(level(64 * 8 * 100, 8)), 1);
+            assert_same_hierarchy(&mut sim, &stream, &one_level(spec), sharing);
+            // Two levels: the second sees the first's misses only.
+            let cpu = hierarchy(&[(n_sets.min(64), ways.min(4)), (n_sets, ways)]);
+            assert_same_hierarchy(&mut sim, &stream, &cpu, 1);
         }
 
         #[test]
@@ -533,17 +617,18 @@ mod tests {
             store_fraction in 0.0f64..1.0,
             machine in 0usize..4,
             full_node in any::<bool>(),
+            trace_len in 1usize..=40_000,
             seed in any::<u64>(),
         ) {
             let profile = LocalityProfile { working_set_bytes: ws, theta, streaming };
             let machine = &table1_machines()[machine];
             let ranks = if full_node { machine.cores() } else { 1 };
             let mut sim = CacheSimulator::new();
-            sim.trace_len = 6_000;
+            sim.trace_len = trace_len;
             // Warm the reused structures on another kernel first.
             sim.run(&regimes()[2], 0.5, &machine.cpu, 3, &mut rng_for(seed, &[1]));
             let got = sim.run(&profile, store_fraction, &machine.cpu, ranks, &mut rng_for(seed, &[]));
-            let want = run_trace(&profile, store_fraction, &machine.cpu, ranks, 6_000, &mut rng_for(seed, &[]));
+            let want = run_trace(&profile, store_fraction, &machine.cpu, ranks, trace_len, &mut rng_for(seed, &[]));
             prop_assert_eq!(got, want);
         }
     }

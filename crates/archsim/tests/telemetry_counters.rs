@@ -7,7 +7,7 @@ use mphpc_archsim::exec::simulate_run_with;
 use mphpc_archsim::machine::quartz;
 use mphpc_archsim::trace::DEFAULT_TRACE_LEN;
 use mphpc_archsim::{InstructionMix, KernelDemand, LocalityProfile, RunConfig};
-use mphpc_telemetry::{capture, set_mode, MetricValue, TelemetryMode};
+use mphpc_telemetry::{capture, set_mode, TelemetryMode};
 
 fn kernel(name: &str) -> KernelDemand {
     KernelDemand {
@@ -39,13 +39,7 @@ fn kernel(name: &str) -> KernelDemand {
 }
 
 fn counter(name: &str) -> Option<u64> {
-    capture()
-        .metrics()
-        .iter()
-        .find_map(|m| match (&m.value, m.name == name) {
-            (MetricValue::Counter(v), true) => Some(*v),
-            _ => None,
-        })
+    capture().counter(name)
 }
 
 #[test]
@@ -68,13 +62,18 @@ fn cache_counters_flush_once_per_run_and_only_when_enabled() {
     let sets = counter("archsim.cache.sets_touched").expect("sets_touched flushed");
     let levels = machine.cpu.cache_levels.len() as u64;
     assert!(sets > 0 && sets <= refs * levels, "sets touched {sets}");
+    let first = counter("archsim.cache.first_touches").expect("first_touches flushed");
+    assert!(first >= 2 && first <= refs, "first touches {first}");
+    assert_eq!(counter("archsim.cache.retouches"), Some(refs - first));
 
-    // The analytic model simulates references but touches no sets.
+    // The analytic model simulates references but touches no sets or lines.
     let mut analytic = CacheSimulator::analytic();
     simulate_run_with(&machine, &kernels, config, 5, &mut analytic).unwrap();
     assert_eq!(counter("archsim.cache.kernels"), Some(4));
     assert_eq!(counter("archsim.cache.refs"), Some(2 * refs));
     assert_eq!(counter("archsim.cache.sets_touched"), Some(sets));
+    assert_eq!(counter("archsim.cache.first_touches"), Some(first));
+    assert_eq!(counter("archsim.cache.retouches"), Some(refs - first));
 
     set_mode(TelemetryMode::Off);
     mphpc_telemetry::reset();

@@ -6,17 +6,10 @@
 //! `#[test]` in a file of its own.
 
 use mphpc_ml::{ForestParams, ForestRegressor, GbtParams, GbtRegressor, Matrix, MlDataset};
-use mphpc_telemetry::{MetricValue, TelemetryMode};
+use mphpc_telemetry::TelemetryMode;
 
 fn counter(name: &str) -> u64 {
-    mphpc_telemetry::capture()
-        .metrics()
-        .iter()
-        .find_map(|m| match m.value {
-            MetricValue::Counter(v) if m.name == name => Some(v),
-            _ => None,
-        })
-        .unwrap_or(0)
+    mphpc_telemetry::capture().counter(name).unwrap_or(0)
 }
 
 #[test]

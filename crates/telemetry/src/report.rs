@@ -108,6 +108,14 @@ impl TelemetryReport {
         &self.metrics
     }
 
+    /// Value of the counter `name`, if it ever counted.
+    pub fn counter(&self, name: &str) -> Option<u64> {
+        self.metrics.iter().find_map(|m| match m.value {
+            MetricValue::Counter(v) if m.name == name => Some(v),
+            _ => None,
+        })
+    }
+
     /// True when nothing at all was recorded.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty() && self.metrics.is_empty() && self.tables.is_empty()

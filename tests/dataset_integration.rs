@@ -5,6 +5,28 @@ use mphpc_core::prelude::*;
 use mphpc_dataset::split::{app_split, arch_split, random_split, scale_split};
 use mphpc_dataset::{FEATURE_NAMES, TARGET_NAMES};
 
+/// FNV-1a of the CSV of a three-app trace-driven campaign, recorded from the
+/// reference-by-reference cache walk that `archsim::cache`'s stack-distance
+/// walk replaced (DESIGN.md §18) and never edited since. Like `tests/golden`,
+/// it is tied to `StdRng`'s stream.
+const CAMPAIGN_CSV_FNV1A: u64 = 0xf6fb_eaf4_7aa6_f8c2;
+
+#[test]
+fn campaign_csv_bytes_are_pinned() {
+    let all = AppKind::ALL;
+    let config = CollectionConfig {
+        apps: Some((0..3).map(|i| all[i * all.len() / 3]).collect()),
+        inputs_per_app: Some(1),
+        reps: 1,
+        seed: 2024,
+    };
+    let csv = mphpc_frame::write_csv_string(&collect(&config).expect("collection").frame);
+    let hash = csv.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    assert_eq!(hash, CAMPAIGN_CSV_FNV1A, "found {hash:#018x}");
+}
+
 fn dataset() -> MpHpcDataset {
     collect(&CollectionConfig::small(5, 2, 2, 808)).expect("collection")
 }
