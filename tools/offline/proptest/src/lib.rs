@@ -6,9 +6,9 @@
 //!
 //! Cases are sampled from a generator seeded by the test's name, so a
 //! failure repeats on the next run; there is **no shrinking** — the
-//! failing case is reported as drawn. CI runs the published crate; this
-//! one exists so `tools/offline/test.sh` can run the same suites in a
-//! container without crates.io.
+//! failing case is reported as drawn. The root manifest's
+//! `[patch.crates-io]` table resolves `proptest` to this crate, so the
+//! suites run in a container without crates.io.
 
 pub mod test_runner {
     /// splitmix64: small, seedable, and good enough to sample test inputs.
