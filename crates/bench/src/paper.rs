@@ -1,0 +1,478 @@
+//! The paper's own artefacts: Tables I–III, the dataset, Figs. 2–8, §VI-B.
+//! A ✅ figure's claims state the paper's shape; the two ⚠️ figures (4 and
+//! 6) pin the deviation EXPERIMENTS.md documents, so a silent move in
+//! either direction is seen.
+
+use crate::ExpSize::{Full, Medium, Small};
+use crate::{
+    cache_dir, cells, gbt, num, number, print_bar_chart, print_columns, print_table, rises, Claim,
+    Ctx, Table, Tables,
+};
+use mphpc_archsim::machine::{table1_machines, GpuSpec, MachineSpec};
+use mphpc_archsim::SystemId;
+use mphpc_core::pipeline::{evaluate_models, evaluate_split, train_predictor};
+use mphpc_core::schedbridge::{run_strategy_comparison, templates_from_dataset};
+use mphpc_core::selection::feature_selection_study;
+use mphpc_dataset::split::{app_split, arch_split, scale_split};
+use mphpc_dataset::{FEATURE_NAMES, TARGET_NAMES};
+use mphpc_errors::MphpcError;
+use mphpc_ml::ModelKind;
+use mphpc_profiler::{counter_name, CounterId, CounterSide};
+use mphpc_workloads::{all_apps, Scale};
+
+pub(crate) const TABLES: &[Claim] = &[Claim {
+    text: "Tables I–III: 4 systems with 36/56/44/48 cores; 20 applications, 11 with GPU support \
+           (paper: 20 / 11); 6 of the 15 counters on the MI50",
+    min_size: Small,
+    holds: |t| {
+        let gpu = cells(t, "Table II —", "GPU");
+        let mi50 = cells(t, "Table III —", "Corona (GPU)");
+        cells(t, "Table I —", "cores/node") == ["36", "56", "44", "48"]
+            && (gpu.len(), gpu.iter().filter(|c| **c == "yes").count()) == (20, 11)
+            && (mi50.len(), mi50.iter().filter(|c| **c != "–").count()) == (15, 6)
+    },
+}];
+
+/// Tables I–III: the system specifications, the application suite, and the
+/// feature ↔ per-architecture counter map.
+pub(crate) fn tables(_: &Ctx) -> Tables {
+    let gpu =
+        |m: &MachineSpec, cell: fn(&GpuSpec) -> String| m.gpu.as_ref().map_or("—".into(), cell);
+    let systems = print_columns(
+        "Table I — systems",
+        &table1_machines(),
+        &[
+            ("System", &|m| m.id.name()),
+            ("CPU", &|m| m.cpu.model.clone()),
+            ("cores/node", &|m| m.cpu.cores_per_node.to_string()),
+            ("GHz", &|m| format!("{:.1}", m.cpu.clock_ghz)),
+            ("GPU", &|m| gpu(m, |g| g.model.clone())),
+            ("GPUs/node", &|m| gpu(m, |g| g.gpus_per_node.to_string())),
+            ("nodes", &|m| m.nodes_available.to_string()),
+        ],
+    );
+    let apps = print_columns(
+        "Table II — applications",
+        &all_apps(),
+        &[
+            ("Application", &|a| a.name().to_string()),
+            ("Description", &|a| a.spec.description.to_string()),
+            ("GPU", &|a| {
+                if a.spec.gpu { "yes" } else { "no" }.to_string()
+            }),
+            ("inputs", &|a| a.inputs().len().to_string()),
+        ],
+    );
+    use mphpc_archsim::SystemId::*;
+    let cell = |id: &CounterId, sys, side| counter_name(*id, sys, side).unwrap_or("–").to_string();
+    let counters = print_columns(
+        "Table III — counters per architecture (GPU machines shown with their GPU-side counters)",
+        &CounterId::ALL,
+        &[
+            ("canonical", &|id| id.key().to_string()),
+            ("Quartz", &|id| cell(id, Quartz, CounterSide::Cpu)),
+            ("Ruby", &|id| cell(id, Ruby, CounterSide::Cpu)),
+            ("Lassen (GPU)", &|id| cell(id, Lassen, CounterSide::Gpu)),
+            ("Corona (GPU)", &|id| cell(id, Corona, CounterSide::Gpu)),
+        ],
+    );
+    Ok(vec![systems, apps, counters])
+}
+
+pub(crate) const DATASET: &[Claim] = &[Claim {
+    text: "§V-D: the full campaign yields ≥ 10 000 rows over four source architectures (paper: 11 312)",
+    min_size: Full,
+    holds: |t| {
+        let rows = cells(t, "rows per source", "rows");
+        rows.len() == 4 && rows.iter().map(|c| number(c)).sum::<f64>() >= 10_000.0
+    },
+}];
+
+/// §V-D: build the MP-HPC dataset, report its shape (the paper's has 21
+/// feature columns × 11,312 rows), and export it as CSV.
+pub(crate) fn dataset(ctx: &Ctx) -> Tables {
+    let dataset = ctx.dataset()?;
+    println!(
+        "MP-HPC dataset: {} rows × {} feature columns (+{} targets, + metadata)",
+        dataset.n_rows(),
+        FEATURE_NAMES.len(),
+        TARGET_NAMES.len()
+    );
+    println!(
+        "incomplete run groups dropped: {}",
+        dataset.incomplete_groups
+    );
+
+    let mut rows = Vec::new();
+    for arch in SystemId::TABLE1 {
+        rows.push(vec![
+            arch.name(),
+            dataset.rows_for_arch(arch)?.len().to_string(),
+        ]);
+    }
+    let per_arch = print_table("rows per source architecture", &["arch", "rows"], rows);
+
+    let show = [
+        "app",
+        "input",
+        "scale",
+        "arch",
+        "branch_intensity",
+        "fp64_intensity",
+        "rpv_quartz",
+        "rpv_ruby",
+        "rpv_lassen",
+        "rpv_corona",
+    ];
+    let mut rows = Vec::new();
+    for i in 0..dataset.n_rows().min(8) {
+        let mut row = Vec::new();
+        for c in show {
+            row.push(format!("{:.10}", dataset.frame.value_at(c, i)?.render()));
+        }
+        rows.push(row);
+    }
+    let sample = print_table("sample rows", &show, rows);
+
+    let out = cache_dir().join("mp_hpc_export.csv");
+    dataset.write_csv(&out)?;
+    println!("\nfull dataset exported to {}", out.display());
+    Ok(vec![per_arch, sample])
+}
+
+const FIG2: &str = "Fig. 2 —";
+const MAE: &str = "test MAE";
+
+pub(crate) const MODELS: &[Claim] = &[
+    Claim {
+        text: "Fig. 2: XGBoost ≤ 1.15 × forest < linear < mean on test MAE",
+        min_size: Medium,
+        holds: |t| {
+            num(t, FIG2, "XGBoost", MAE) <= 1.15 * num(t, FIG2, "Decision Forest", MAE)
+                && rises(t, FIG2, MAE, &["Decision Forest", "Linear", "Mean"])
+        },
+    },
+    Claim {
+        text: "Fig. 2: both tree ensembles above linear on Same-Order Score",
+        min_size: Small,
+        holds: |t| {
+            rises(t, FIG2, "test SOS", &["Linear", "XGBoost"])
+                && rises(t, FIG2, "test SOS", &["Linear", "Decision Forest"])
+        },
+    },
+    Claim {
+        text: "§VIII-A: XGBoost cuts the mean predictor's MAE by ≥ 65 % (paper: 81.6 %)",
+        min_size: Small,
+        holds: |t| num(t, FIG2, "XGBoost", MAE) <= 0.35 * num(t, FIG2, "Mean", MAE),
+    },
+    Claim {
+        text: "§VIII-A: XGBoost test MAE < 0.2 and Same-Order Score > 0.8 (paper: 0.11, 0.86)",
+        min_size: Full,
+        holds: |t| num(t, FIG2, "XGBoost", MAE) < 0.2 && num(t, FIG2, "XGBoost", "test SOS") > 0.8,
+    },
+];
+
+/// Fig. 2 + §VIII-A: MAE and Same-Order Score for every model family on a
+/// 90-10 split with 5-fold cross-validation.
+pub(crate) fn models(ctx: &Ctx) -> Tables {
+    let evals = evaluate_models(ctx.dataset()?, &ModelKind::paper_lineup(), ctx.seed)?;
+    let per_output = |r2: &[f64]| {
+        r2.iter()
+            .map(|v| format!("{v:.3}"))
+            .collect::<Vec<_>>()
+            .join("/")
+    };
+    let table = print_columns(
+        "Fig. 2 — model comparison (90-10 split, 5-fold CV)",
+        &evals,
+        &[
+            ("model", &|e| e.model.clone()),
+            ("test MAE", &|e| format!("{:.4}", e.test_mae)),
+            ("test SOS", &|e| format!("{:.4}", e.test_sos)),
+            ("test R²", &|e| format!("{:.4}", e.test_r2)),
+            ("R² Q/R/L/C", &|e| per_output(&e.test_r2_per_output)),
+            ("cv MAE", &|e| format!("{:.4}", e.cv.mean_mae)),
+            ("cv SOS", &|e| format!("{:.4}", e.cv.mean_sos)),
+        ],
+    );
+    print_bar_chart(
+        "Fig. 2 (left) — MAE (lower is better)",
+        "MAE",
+        &evals,
+        |e| (e.model.clone(), e.test_mae),
+    );
+    print_bar_chart(
+        "Fig. 2 (right) — Same-Order Score (higher is better)",
+        "SOS",
+        &evals,
+        |e| (e.model.clone(), e.test_sos),
+    );
+    Ok(vec![table])
+}
+
+pub(crate) const ARCH_ABLATION: &[Claim] = &[Claim {
+    text:
+        "Fig. 3: XGBoost's best CPU source (Quartz / Ruby) beats the AMD GPU source (Corona) on MAE",
+    min_size: Small,
+    holds: |t| {
+        let mae = |source| num(t, "Fig. 3 (left)", "XGBoost", source);
+        mae("Quartz").min(mae("Ruby")) < mae("Corona")
+    },
+}];
+
+/// Fig. 3: MAE and SOS heatmaps of model × source architecture — train and
+/// test restricted to counters collected on a single system.
+pub(crate) fn arch_ablation(ctx: &Ctx) -> Tables {
+    let dataset = ctx.dataset()?;
+    let mut mae_rows = Vec::new();
+    let mut sos_rows = Vec::new();
+    for kind in ModelKind::paper_lineup() {
+        let mut mae_row = vec![kind.name().to_string()];
+        let mut sos_row = vec![kind.name().to_string()];
+        for sys in SystemId::TABLE1 {
+            let (train_rows, test_rows) = arch_split(dataset, sys, 0.1, ctx.seed)?;
+            let score = evaluate_split(dataset, kind, &train_rows, &test_rows)?;
+            mae_row.push(format!("{:.4}", score.mae));
+            sos_row.push(format!("{:.4}", score.sos));
+        }
+        mae_rows.push(mae_row);
+        sos_rows.push(sos_row);
+    }
+    let header = ["model", "Quartz", "Ruby", "Lassen", "Corona"];
+    Ok(vec![
+        print_table(
+            "Fig. 3 (left) — MAE by source architecture",
+            &header,
+            mae_rows,
+        ),
+        print_table(
+            "Fig. 3 (right) — SOS by source architecture",
+            &header,
+            sos_rows,
+        ),
+    ])
+}
+
+pub(crate) const SCALE_ABLATION: &[Claim] = &[Claim {
+    // The paper has all three close together, one-node best.
+    text: "Fig. 4 (documented deviation): held-out one-core MAE ≥ 3 × held-out two-node MAE",
+    min_size: Small,
+    holds: |t| num(t, "Fig. 4", "1core", "MAE") >= 3.0 * num(t, "Fig. 4", "2node", "MAE"),
+}];
+
+/// Fig. 4: train XGBoost on two of the three run scales (1 core / 1 node /
+/// 2 nodes) and evaluate on the held-out third.
+pub(crate) fn scale_ablation(ctx: &Ctx) -> Tables {
+    let dataset = ctx.dataset()?;
+    let mut rows = Vec::new();
+    for held_out in Scale::ALL {
+        let (train_rows, test_rows) = scale_split(dataset, held_out)?;
+        let score = evaluate_split(dataset, gbt(), &train_rows, &test_rows)?;
+        rows.push(vec![
+            held_out.label().to_string(),
+            train_rows.len().to_string(),
+            test_rows.len().to_string(),
+            format!("{:.4}", score.mae),
+            format!("{:.4}", score.sos),
+        ]);
+    }
+    Ok(vec![print_table(
+        "Fig. 4 — XGBoost trained on two scales, tested on the held-out third",
+        &["held-out scale", "train rows", "test rows", "MAE", "SOS"],
+        rows,
+    )])
+}
+
+pub(crate) const APP_ABLATION: &[Claim] = &[Claim {
+    text:
+        "Fig. 5: mean held-out MAE of the ML/Python applications > that of the other applications",
+    // A six-app campaign holds two ML applications and four others.
+    min_size: Medium,
+    holds: |t| {
+        let (stack, mae) = (cells(t, "Fig. 5", "stack"), cells(t, "Fig. 5", "MAE"));
+        let mean = |ml: bool| {
+            let of = stack
+                .iter()
+                .zip(&mae)
+                .filter(|(s, _)| (**s == "ML/Python") == ml);
+            of.clone().map(|(_, m)| number(m)).sum::<f64>() / of.count() as f64
+        };
+        mean(true) > mean(false)
+    },
+}];
+
+/// Fig. 5: leave-one-application-out — train XGBoost on the other
+/// applications, evaluate on the held-out one.
+pub(crate) fn app_ablation(ctx: &Ctx) -> Tables {
+    let dataset = ctx.dataset()?;
+    let mut rows = Vec::new();
+    for app in all_apps() {
+        let (train_rows, test_rows) = app_split(dataset, app.name())?;
+        if test_rows.is_empty() {
+            continue;
+        }
+        let score = evaluate_split(dataset, gbt(), &train_rows, &test_rows)?;
+        rows.push(vec![
+            app.name().to_string(),
+            if app.spec.ml_stack { "ML/Python" } else { "" }.to_string(),
+            format!("{:.4}", score.mae),
+            format!("{:.4}", score.sos),
+        ]);
+    }
+    Ok(vec![print_table(
+        "Fig. 5 — leave-one-application-out (XGBoost)",
+        &["held-out app", "stack", "MAE", "SOS"],
+        rows,
+    )])
+}
+
+pub(crate) const IMPORTANCE: &[Claim] = &[Claim {
+    // The paper has branch intensity on top, then int / fp32 intensity and
+    // the architecture indicators.
+    text: "Fig. 6 (documented deviation): uses_gpu ranks first, branch_intensity < 0.01",
+    min_size: Small,
+    holds: |t| {
+        cells(t, "Fig. 6", "feature").first() == Some(&"uses_gpu")
+            && num(t, "Fig. 6", "branch_intensity", "importance") < 0.01
+    },
+}];
+
+/// Fig. 6: gain-based feature importances of the trained XGBoost model.
+pub(crate) fn importance(ctx: &Ctx) -> Tables {
+    let predictor = train_predictor(ctx.dataset()?, gbt(), ctx.seed)?;
+    let importance = predictor.model().feature_importance().ok_or_else(|| {
+        MphpcError::InvalidArgument("trained model exposes no feature importances".into())
+    })?;
+    Ok(vec![print_columns(
+        "Fig. 6 — XGBoost feature importances (normalised average gain)",
+        &importance.ranked(),
+        &[
+            ("feature", &|(name, _)| name.clone()),
+            ("importance", &|(_, score)| format!("{score:.4}")),
+            ("", &|(_, score)| {
+                "#".repeat((score * 200.0).round() as usize)
+            }),
+        ],
+    )])
+}
+
+pub(crate) const FEATURE_SELECTION: &[Claim] = &[Claim {
+    text: "§VI-B: retraining on the top-12 features costs the tree models ≤ 10 % MAE",
+    min_size: Small,
+    holds: |t| {
+        let within = |model| {
+            num(t, "§VI-B", model, "MAE (top-k)") <= 1.10 * num(t, "§VI-B", model, "MAE (21 feat)")
+        };
+        within("Decision Forest") && within("XGBoost")
+    },
+}];
+
+/// §VI-B: rank features by tree-ensemble gain, keep the top 12, retrain
+/// every model family, and compare against the full feature set.
+pub(crate) fn feature_selection(ctx: &Ctx) -> Tables {
+    let k = 12;
+    let report = feature_selection_study(ctx.dataset()?, k, ctx.seed)?;
+    println!(
+        "selected top-{k} features: {}",
+        report.selected_features.join(", ")
+    );
+    Ok(vec![print_columns(
+        "§VI-B — retraining on selected features",
+        &report.entries,
+        &[
+            ("model", &|e| e.model.clone()),
+            ("MAE (21 feat)", &|e| format!("{:.4}", e.mae_all_features)),
+            ("MAE (top-k)", &|e| format!("{:.4}", e.mae_selected)),
+            ("SOS (21)", &|e| format!("{:.4}", e.sos_all_features)),
+            ("SOS (top-k)", &|e| format!("{:.4}", e.sos_selected)),
+        ],
+    )])
+}
+
+/// `better` < `worse` on both Figs. 7–8 metrics.
+fn wins(t: &[Table], better: &str, worse: &str) -> bool {
+    rises(t, FIGS78, "makespan", &[better, worse])
+        && rises(t, FIGS78, "avg bounded slowdown", &[better, worse])
+}
+
+const FIGS78: &str = "Figs. 7–8";
+
+pub(crate) const SCHED: &[Claim] = &[
+    Claim {
+        text: "Figs. 7–8: Model-based < User+RR, Round-Robin, Random on makespan and bounded slowdown",
+        min_size: Small,
+        holds: |t| ["User+RR", "Round-Robin", "Random"].iter().all(|s| wins(t, "Model-based", s)),
+    },
+    Claim {
+        text: "Figs. 7–8: the trained model recovers the oracle's gain — makespan within 5 % of Oracle's",
+        min_size: Small,
+        holds: |t| {
+            num(t, FIGS78, "Model-based", "makespan") <= 1.05 * num(t, FIGS78, "Oracle", "makespan")
+        },
+    },
+    Claim {
+        text: "Figs. 7–8: User+RR < Round-Robin, Random on makespan and bounded slowdown",
+        // Measured false below full size: on six applications User+RR is no
+        // better informed than Random, and at medium (20 000 jobs) it wins
+        // on makespan but not on bounded slowdown.
+        min_size: Full,
+        holds: |t| wins(t, "User+RR", "Round-Robin") && wins(t, "User+RR", "Random"),
+    },
+    Claim {
+        text: "Figs. 7–8: Model-based improves makespan on User+RR by ≥ 10 % (paper: up to 20 %)",
+        min_size: Small,
+        holds: |t| num(t, FIGS78, "Model-based", "vs User+RR") <= -10.0,
+    },
+];
+
+/// Figs. 7–8: the multi-resource scheduling simulation. Jobs sampled with
+/// replacement from the dataset (50,000 at full size), scheduled with FCFS
+/// + EASY under each machine-assignment strategy.
+pub(crate) fn sched(ctx: &Ctx) -> Tables {
+    let dataset = ctx.dataset()?;
+    let predictor = train_predictor(dataset, gbt(), ctx.seed)?;
+    let templates = templates_from_dataset(dataset, &predictor)?;
+    let n_jobs = match ctx.size {
+        Small => 5_000,
+        Medium => 20_000,
+        Full => 50_000,
+    };
+    eprintln!("[sched] simulating {n_jobs} jobs × 5 strategies ...");
+    let outcomes = run_strategy_comparison(&templates, n_jobs, 0.0, ctx.seed)?;
+
+    let user_rr = outcomes
+        .iter()
+        .find(|o| o.strategy == "User+RR")
+        .ok_or_else(|| MphpcError::Simulation("comparison lost the User+RR baseline".into()))?
+        .makespan;
+    let table = print_columns(
+        "Figs. 7–8 — scheduling strategies (makespan, bounded slowdown)",
+        &outcomes,
+        &[
+            ("strategy", &|o| o.strategy.clone()),
+            ("makespan", &|o| format!("{:.3} h", o.makespan / 3600.0)),
+            ("vs User+RR", &|o| {
+                format!("{:+.1}%", 100.0 * (o.makespan - user_rr) / user_rr)
+            }),
+            ("avg bounded slowdown", &|o| {
+                format!("{:.2}", o.avg_bounded_slowdown)
+            }),
+            ("jobs/machine [Q,R,L,C]", &|o| {
+                format!("{:?}", o.jobs_per_machine)
+            }),
+        ],
+    );
+    print_bar_chart(
+        "Fig. 7 — makespan (lower is better)",
+        "h",
+        &outcomes,
+        |o| (o.strategy.clone(), o.makespan / 3600.0),
+    );
+    print_bar_chart(
+        "Fig. 8 — average bounded slowdown (lower is better)",
+        "",
+        &outcomes,
+        |o| (o.strategy.clone(), o.avg_bounded_slowdown),
+    );
+    Ok(vec![table])
+}

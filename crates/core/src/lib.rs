@@ -59,7 +59,8 @@ pub mod watch;
 /// One-stop imports for the common workflow.
 pub mod prelude {
     pub use crate::pipeline::{
-        collect, evaluate_models, profile_one, train_predictor, CollectionConfig, ModelEvaluation,
+        collect, evaluate_models, evaluate_split, profile_one, train_predictor, CollectionConfig,
+        ModelEvaluation, SplitScore,
     };
     pub use crate::predictor::PerfPredictor;
     pub use crate::schedbridge::{

@@ -8,7 +8,7 @@ use mphpc_dataset::split::random_split;
 use mphpc_dataset::{build_dataset, MpHpcDataset};
 use mphpc_errors::{MphpcError, ResultExt};
 use mphpc_ml::cv::{cross_validate, CvReport};
-use mphpc_ml::{mae, r2, r2_per_output, same_order_score, ModelKind, Regressor};
+use mphpc_ml::{mae, r2, r2_per_output, same_order_score, MlDataset, ModelKind, Regressor};
 use mphpc_profiler::{profile_run, RawProfile};
 use mphpc_workloads::{full_matrix, small_matrix, AppKind, InputConfig, RunSpec, Scale};
 use serde::{Deserialize, Serialize};
@@ -119,10 +119,68 @@ pub struct ModelEvaluation {
     pub cv: CvReport,
 }
 
-/// Phase 2, Fig. 2: train every family on a 90-10 split with 5-fold CV on
-/// the training side, and evaluate MAE / SOS on the held-out test set.
-/// All test-set and CV predictions for the tree families run on the
-/// inference engine (`mphpc_ml::quantized`).
+/// Scores of one model family on one train/test split.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SplitScore {
+    /// MAE on the test rows.
+    pub mae: f64,
+    /// Same-Order Score on the test rows.
+    pub sos: f64,
+    /// Pooled R² over all four RPV outputs.
+    pub r2: f64,
+    /// Column-wise R² per RPV output (Table-I system order).
+    pub r2_per_output: Vec<f64>,
+}
+
+/// Normalise on the train rows and lower both sides to ML matrices.
+fn split_to_ml(
+    dataset: &MpHpcDataset,
+    train_rows: &[usize],
+    test_rows: &[usize],
+) -> Result<(MlDataset, MlDataset), MphpcError> {
+    let normalizer = dataset.fit_normalizer(train_rows)?;
+    Ok((
+        dataset.to_ml(train_rows, &normalizer)?,
+        dataset.to_ml(test_rows, &normalizer)?,
+    ))
+}
+
+/// Fit `kind` on `train`, predict `test`, score: [`evaluate_split`] for
+/// a caller that fitted one normaliser and loops over models or targets.
+pub fn fit_and_score(
+    kind: ModelKind,
+    train: &MlDataset,
+    test: &MlDataset,
+) -> Result<SplitScore, MphpcError> {
+    let model = kind
+        .fit(train)
+        .context(format!("fitting {}", kind.name()))?;
+    let pred = model
+        .predict(&test.x)
+        .context(format!("predicting with {}", kind.name()))?;
+    Ok(SplitScore {
+        mae: mae(&pred, &test.y)?,
+        sos: same_order_score(&pred, &test.y)?,
+        r2: r2(&pred, &test.y)?,
+        r2_per_output: r2_per_output(&pred, &test.y)?,
+    })
+}
+
+/// The block every experiment split runs: fit the normaliser on
+/// `train_rows`, fit `kind`, predict `test_rows`, score. Tree families
+/// predict on the inference engine (`mphpc_ml::quantized`).
+pub fn evaluate_split(
+    dataset: &MpHpcDataset,
+    kind: ModelKind,
+    train_rows: &[usize],
+    test_rows: &[usize],
+) -> Result<SplitScore, MphpcError> {
+    let (train, test) = split_to_ml(dataset, train_rows, test_rows)?;
+    fit_and_score(kind, &train, &test)
+}
+
+/// Phase 2, Fig. 2: every family through [`evaluate_split`]'s block on one
+/// 90-10 split, plus 5-fold CV on the training side.
 pub fn evaluate_models(
     dataset: &MpHpcDataset,
     kinds: &[ModelKind],
@@ -140,25 +198,18 @@ pub fn evaluate_models(
         models = kinds.len()
     );
     let (train_rows, test_rows) = random_split(dataset, 0.1, seed)?;
-    let normalizer = dataset.fit_normalizer(&train_rows)?;
-    let train = dataset.to_ml(&train_rows, &normalizer)?;
-    let test = dataset.to_ml(&test_rows, &normalizer)?;
+    let (train, test) = split_to_ml(dataset, &train_rows, &test_rows)?;
 
     let mut evals = Vec::with_capacity(kinds.len());
     for kind in kinds {
         let _model_span = mphpc_telemetry::span!("pipeline.evaluate.model", model = kind.name());
-        let model = kind
-            .fit(&train)
-            .context(format!("fitting {}", kind.name()))?;
-        let pred = model
-            .predict(&test.x)
-            .context(format!("predicting with {}", kind.name()))?;
+        let score = fit_and_score(*kind, &train, &test)?;
         evals.push(ModelEvaluation {
             model: kind.name().to_string(),
-            test_mae: mae(&pred, &test.y)?,
-            test_sos: same_order_score(&pred, &test.y)?,
-            test_r2: r2(&pred, &test.y)?,
-            test_r2_per_output: r2_per_output(&pred, &test.y)?,
+            test_mae: score.mae,
+            test_sos: score.sos,
+            test_r2: score.r2,
+            test_r2_per_output: score.r2_per_output,
             cv: cross_validate(*kind, &train, 5, seed ^ 0xCF01D)?,
         });
     }

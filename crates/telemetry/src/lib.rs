@@ -30,7 +30,7 @@ mod buffer;
 mod metrics;
 mod report;
 
-pub use metrics::{HistSummary, HIST_BUCKETS};
+pub use metrics::{HistSummary, TableRecord, HIST_BUCKETS};
 pub use report::{capture, MetricRecord, MetricValue, SpanAgg, TelemetryReport};
 
 use std::sync::atomic::{AtomicU8, Ordering};

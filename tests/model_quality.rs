@@ -1,12 +1,13 @@
 //! Model-quality integration: the paper's headline claims at reduced scale.
 //!
 //! These tests assert the *shape* of §VIII's results on a small-but-real
-//! dataset: model ordering on MAE, SOS levels, CPU-source counters beating
-//! the AMD GPU source, and ML-stack apps being hardest to predict.
+//! dataset through the experiment registry: each runs an entry of
+//! `mphpc_bench::REGISTRY` on this dataset and asserts the entry's own
+//! claims, so a figure's shape is stated once — for `mphpc_exp`, CI's claim
+//! gate and these tests.
 
+use mphpc_bench::{experiment, Ctx, ExpSize};
 use mphpc_core::prelude::*;
-use mphpc_dataset::split::{app_split, arch_split};
-use mphpc_ml::{mae, same_order_score};
 
 fn dataset() -> MpHpcDataset {
     // 10 apps (mix of CPU-only / GPU / ML), 3 inputs, 2 reps.
@@ -30,78 +31,48 @@ fn dataset() -> MpHpcDataset {
     .expect("collection")
 }
 
+/// Run registry entry `id` on the 10-app dataset with `seed`; every claim
+/// of its that a medium campaign can express must hold.
+fn assert_claims(id: &str, seed: u64) {
+    let ctx = Ctx::with_dataset(dataset(), ExpSize::Medium, seed);
+    let verdicts = experiment(id)
+        .expect("registry entry")
+        .check(&ctx)
+        .expect("experiment runs");
+    assert!(
+        verdicts.iter().any(|(_, holds)| holds.is_some()),
+        "{id}: nothing checked"
+    );
+    for (claim, holds) in verdicts {
+        assert_ne!(holds, Some(false), "{}", claim.text);
+    }
+}
+
 #[test]
 fn fig2_shape_model_ordering() {
-    let d = dataset();
-    let evals = evaluate_models(&d, &ModelKind::paper_lineup(), 17).unwrap();
-    let get = |n: &str| evals.iter().find(|e| e.model == n).unwrap();
-    let (mean, linear, forest, gbt) = (
-        get("Mean"),
-        get("Linear"),
-        get("Decision Forest"),
-        get("XGBoost"),
-    );
-    // Paper Fig. 2: XGBoost < Forest < Linear < Mean on MAE.
-    assert!(
-        gbt.test_mae < forest.test_mae * 1.15,
-        "gbt ≤ forest (within 15%)"
-    );
-    assert!(forest.test_mae < linear.test_mae, "forest < linear");
-    assert!(linear.test_mae < mean.test_mae, "linear < mean");
-    // Headline: large improvement over the mean baseline and high SOS.
-    assert!(
-        gbt.test_mae < 0.35 * mean.test_mae,
-        "XGBoost ({}) must improve strongly over mean ({})",
-        gbt.test_mae,
-        mean.test_mae
-    );
-    assert!(gbt.test_sos > 0.6, "SOS {} too low", gbt.test_sos);
-    // Trees dominate SOS as in the paper's right panel.
-    assert!(gbt.test_sos > linear.test_sos);
-    assert!(forest.test_sos > linear.test_sos);
+    // XGBoost ≲ forest < linear < mean on MAE, trees above linear on SOS,
+    // and the headline improvement over the mean baseline.
+    assert_claims("models", 17);
 }
 
 #[test]
 fn fig3_shape_cpu_sources_beat_amd_gpu_source() {
-    let d = dataset();
-    let kind = ModelKind::Gbt(Default::default());
-    let mae_for = |sys: SystemId| {
-        let (tr, te) = arch_split(&d, sys, 0.15, 23).unwrap();
-        let norm = d.fit_normalizer(&tr).unwrap();
-        let train = d.to_ml(&tr, &norm).unwrap();
-        let test = d.to_ml(&te, &norm).unwrap();
-        let model = kind.fit(&train).unwrap();
-        mae(&model.predict(&test.x).unwrap(), &test.y).unwrap()
-    };
-    let quartz = mae_for(SystemId::Quartz);
-    let ruby = mae_for(SystemId::Ruby);
-    let corona = mae_for(SystemId::Corona);
-    let best_cpu = quartz.min(ruby);
-    assert!(
-        best_cpu < corona,
-        "CPU-source counters ({best_cpu}) must beat the AMD GPU source ({corona})"
-    );
+    assert_claims("arch_ablation", 23);
+}
+
+#[test]
+fn fig4_deviation_one_core_does_not_extrapolate() {
+    assert_claims("scale_ablation", 3141);
 }
 
 #[test]
 fn fig5_shape_ml_apps_hardest_to_predict() {
-    let d = dataset();
-    let kind = ModelKind::Gbt(Default::default());
-    let loao_mae = |app: &str| {
-        let (tr, te) = app_split(&d, app).unwrap();
-        assert!(!te.is_empty(), "{app} missing");
-        let norm = d.fit_normalizer(&tr).unwrap();
-        let train = d.to_ml(&tr, &norm).unwrap();
-        let test = d.to_ml(&te, &norm).unwrap();
-        let model = kind.fit(&train).unwrap();
-        mae(&model.predict(&test.x).unwrap(), &test.y).unwrap()
-    };
-    let ml_avg = (loao_mae("CANDLE") + loao_mae("DeepCam")) / 2.0;
-    let hpc_avg = (loao_mae("CoMD") + loao_mae("SWFFT") + loao_mae("Ember")) / 3.0;
-    assert!(
-        ml_avg > hpc_avg,
-        "ML/Python apps ({ml_avg}) must be harder than plain HPC apps ({hpc_avg})"
-    );
+    assert_claims("app_ablation", 3141);
+}
+
+#[test]
+fn fig6_deviation_uses_gpu_outranks_branch_intensity() {
+    assert_claims("importance", 3141);
 }
 
 #[test]
@@ -110,11 +81,6 @@ fn sos_is_strong_even_when_magnitudes_drift() {
     // order the four systems correctly for most samples.
     let d = dataset();
     let (tr, te) = mphpc_dataset::split::random_split(&d, 0.1, 29).unwrap();
-    let norm = d.fit_normalizer(&tr).unwrap();
-    let train = d.to_ml(&tr, &norm).unwrap();
-    let test = d.to_ml(&te, &norm).unwrap();
-    let model = ModelKind::Gbt(Default::default()).fit(&train).unwrap();
-    let pred = model.predict(&test.x).unwrap();
-    let sos = same_order_score(&pred, &test.y).unwrap();
-    assert!(sos > 0.55, "SOS {sos}");
+    let score = evaluate_split(&d, ModelKind::Gbt(Default::default()), &tr, &te).unwrap();
+    assert!(score.sos > 0.55, "SOS {}", score.sos);
 }

@@ -15,37 +15,16 @@ fn setup() -> (MpHpcDataset, PerfPredictor) {
 
 #[test]
 fn figs7_8_shape_strategy_ordering() {
-    let (d, p) = setup();
-    let templates = templates_from_dataset(&d, &p).unwrap();
-    let outcomes = run_strategy_comparison(&templates, 3_000, 0.0, 31).unwrap();
-    let get = |n: &str| outcomes.iter().find(|o| o.strategy == n).unwrap();
-
-    // Fig. 7: Model-based best (excluding the oracle), Random/RR worst.
-    let model = get("Model-based");
-    let user = get("User+RR");
-    let random = get("Random");
-    let oracle = get("Oracle");
-    assert!(
-        model.makespan < random.makespan,
-        "model {} < random {}",
-        model.makespan,
-        random.makespan
-    );
-    assert!(
-        model.makespan < user.makespan,
-        "model {} < user+rr {}",
-        model.makespan,
-        user.makespan
-    );
-    // Fig. 8: same ordering on bounded slowdown.
-    assert!(model.avg_bounded_slowdown <= user.avg_bounded_slowdown);
-    // The model should recover most of the oracle's advantage.
-    assert!(
-        model.makespan <= oracle.makespan * 1.25,
-        "model {} should be near oracle {}",
-        model.makespan,
-        oracle.makespan
-    );
+    // Model-based ≤ User+RR and below Round-Robin and Random on makespan
+    // and bounded slowdown: the registry's claim, on this campaign.
+    let (d, _) = setup();
+    let ctx = mphpc_bench::Ctx::with_dataset(d, mphpc_bench::ExpSize::Small, 31);
+    let sched = mphpc_bench::experiment("sched").expect("registry entry");
+    let verdicts = sched.check(&ctx).expect("experiment runs");
+    assert!(verdicts.iter().any(|(_, holds)| holds.is_some()));
+    for (claim, holds) in verdicts {
+        assert_ne!(holds, Some(false), "{}", claim.text);
+    }
 }
 
 #[test]
