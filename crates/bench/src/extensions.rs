@@ -286,8 +286,8 @@ pub(crate) fn cache_ablation(ctx: &Ctx) -> Tables {
                 0 => "–".to_string(),
                 n => format!("{:.1}%", 100.0 * n as f64 / refs as f64),
             },
-            format!("{:.4}", evals[0].test_mae),
-            format!("{:.4}", evals[0].test_sos),
+            format!("{:.4}", evals[0].test.mae),
+            format!("{:.4}", evals[0].test.sos),
         ]);
     }
     if quiet {
@@ -456,12 +456,8 @@ pub(crate) fn sched_scale(ctx: &Ctx) -> Tables {
     let dataset = ctx.dataset()?;
     let predictor = train_predictor(dataset, gbt(), ctx.seed)?;
     let (templates, features) = templates_from_dataset_raw(dataset)?;
-    let (jobs, rate) = (ctx.jobs, ctx.rate);
-    eprintln!(
-        "[scale] {jobs} jobs sampled from {} templates, rate {rate}/s, seed {}",
-        templates.len(),
-        ctx.seed
-    );
+    let (jobs, rate, seed, n) = (ctx.jobs, ctx.rate, ctx.seed, templates.len());
+    eprintln!("[scale] {jobs} jobs sampled from {n} templates, rate {rate}/s, seed {seed}");
 
     // An ephemeral serving endpoint when federating without --addr. Kept
     // alive until the runs finish; jobs keep completing locally if it
@@ -493,7 +489,7 @@ pub(crate) fn sched_scale(ctx: &Ctx) -> Tables {
         None => &mut local,
     };
     let started = Instant::now();
-    let outcomes = run_scale_comparison(&templates, &features, provider, jobs, rate, ctx.seed)?;
+    let outcomes = run_scale_comparison(&templates, &features, provider, jobs, rate, seed)?;
     let scale_wall = started.elapsed().as_secs_f64();
 
     let passes = |s: &ScaleStats| format!("{}/{}", s.incremental_updates, s.full_rescans);

@@ -70,10 +70,9 @@ impl ExpSize {
         match self {
             ExpSize::Small => CollectionConfig::small(6, 2, 2, seed),
             ExpSize::Medium => CollectionConfig {
-                apps: None,
                 inputs_per_app: Some(3),
                 reps: 2,
-                seed,
+                ..CollectionConfig::full(seed)
             },
             ExpSize::Full => CollectionConfig::full(seed),
         }
@@ -241,14 +240,6 @@ impl Experiment {
             claims,
         }
     }
-
-    /// Run on `ctx` and evaluate every claim on the tables that printed;
-    /// `None` for a claim whose `min_size` the campaign is below.
-    pub fn check(&self, ctx: &Ctx) -> Result<Vec<(&'static Claim, Option<bool>)>, MphpcError> {
-        let tables = (self.run)(ctx).context(format!("running {}", self.id))?;
-        let verdict = |c: &Claim| (ctx.size >= c.min_size).then(|| (c.holds)(&tables));
-        Ok(self.claims.iter().map(|c| (c, verdict(c))).collect())
-    }
 }
 
 /// Every experiment, in EXPERIMENTS.md order.
@@ -312,7 +303,7 @@ pub fn run(args: impl Iterator<Item = String>) -> ExitCode {
         eprintln!("{USAGE} {}", ids.join(" "));
         return ExitCode::from(2);
     };
-    let all_hold = run_selected(&ctx, &selected);
+    let all_hold = run_experiments(&ctx, &selected);
     mphpc_telemetry::flush("mphpc_exp");
     ExitCode::from(u8::from(!all_hold))
 }
@@ -342,31 +333,33 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Option<(Ctx, Vec<&'stat
     (!selected.is_empty() && (scale_selected || !scale_flags)).then_some((ctx, selected))
 }
 
-/// Run each experiment, then print one row per claim; `false` if an
-/// experiment failed — its error chain goes to stderr and the rest still
-/// run, so one failure does not cost the record the others — or a claim
-/// whose `min_size` is met does not hold.
-fn run_selected(ctx: &Ctx, selected: &[&Experiment]) -> bool {
+/// Run each experiment and evaluate its claims on the tables it printed,
+/// then print one row per claim; `false` if an experiment failed — its
+/// error chain goes to stderr and the rest still run, so one failure does
+/// not cost the record the others — or a claim the campaign is not below
+/// the `min_size` of does not hold.
+pub fn run_experiments(ctx: &Ctx, selected: &[&Experiment]) -> bool {
     let mut rows = Vec::new();
     let mut all_hold = true;
     for exp in selected {
-        let row = |claim: &Claim, holds: &str| vec![exp.id.into(), claim.text.into(), holds.into()];
-        match exp.check(ctx) {
-            Ok(verdicts) => rows.extend(verdicts.into_iter().map(|(claim, verdict)| {
-                all_hold &= verdict != Some(false);
-                match verdict {
-                    None => row(claim, &format!("n/a below {}", claim.min_size.word())),
-                    Some(true) => row(claim, "yes"),
-                    Some(false) => row(claim, "NO"),
-                }
-            })),
-            Err(e) => {
-                eprintln!("{}", e.render_chain());
-                all_hold = false;
-                rows.extend(exp.claims.iter().map(|claim| row(claim, "error")));
-            }
+        let tables = (exp.run)(ctx).context(format!("running {}", exp.id));
+        if let Err(e) = &tables {
+            eprintln!("{}", e.render_chain());
         }
+        for claim in exp.claims {
+            let holds = match &tables {
+                Err(_) => "error".to_string(),
+                Ok(_) if ctx.size < claim.min_size => {
+                    format!("n/a below {}", claim.min_size.word())
+                }
+                Ok(tables) if (claim.holds)(tables) => "yes".to_string(),
+                Ok(_) => "NO".to_string(),
+            };
+            rows.push(vec![exp.id.to_string(), claim.text.to_string(), holds]);
+        }
+        all_hold &= tables.is_ok();
     }
+    all_hold &= rows.iter().all(|row| row[2] != "NO");
     if !rows.is_empty() {
         print_table("claims", &["experiment", "claim", "holds"], rows);
     }

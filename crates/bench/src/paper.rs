@@ -187,10 +187,10 @@ pub(crate) fn models(ctx: &Ctx) -> Tables {
         &evals,
         &[
             ("model", &|e| e.model.clone()),
-            ("test MAE", &|e| format!("{:.4}", e.test_mae)),
-            ("test SOS", &|e| format!("{:.4}", e.test_sos)),
-            ("test R²", &|e| format!("{:.4}", e.test_r2)),
-            ("R² Q/R/L/C", &|e| per_output(&e.test_r2_per_output)),
+            ("test MAE", &|e| format!("{:.4}", e.test.mae)),
+            ("test SOS", &|e| format!("{:.4}", e.test.sos)),
+            ("test R²", &|e| format!("{:.4}", e.test.r2)),
+            ("R² Q/R/L/C", &|e| per_output(&e.test.r2_per_output)),
             ("cv MAE", &|e| format!("{:.4}", e.cv.mean_mae)),
             ("cv SOS", &|e| format!("{:.4}", e.cv.mean_sos)),
         ],
@@ -199,20 +199,19 @@ pub(crate) fn models(ctx: &Ctx) -> Tables {
         "Fig. 2 (left) — MAE (lower is better)",
         "MAE",
         &evals,
-        |e| (e.model.clone(), e.test_mae),
+        |e| (e.model.clone(), e.test.mae),
     );
     print_bar_chart(
         "Fig. 2 (right) — Same-Order Score (higher is better)",
         "SOS",
         &evals,
-        |e| (e.model.clone(), e.test_sos),
+        |e| (e.model.clone(), e.test.sos),
     );
     Ok(vec![table])
 }
 
 pub(crate) const ARCH_ABLATION: &[Claim] = &[Claim {
-    text:
-        "Fig. 3: XGBoost's best CPU source (Quartz / Ruby) beats the AMD GPU source (Corona) on MAE",
+    text: "Fig. 3: XGBoost MAE from the best CPU source (Quartz / Ruby) < from Corona (AMD GPU)",
     min_size: Small,
     holds: |t| {
         let mae = |source| num(t, "Fig. 3 (left)", "XGBoost", source);
@@ -284,8 +283,7 @@ pub(crate) fn scale_ablation(ctx: &Ctx) -> Tables {
 }
 
 pub(crate) const APP_ABLATION: &[Claim] = &[Claim {
-    text:
-        "Fig. 5: mean held-out MAE of the ML/Python applications > that of the other applications",
+    text: "Fig. 5: mean held-out MAE of the ML/Python applications > that of the others",
     // A six-app campaign holds two ML applications and four others.
     min_size: Medium,
     holds: |t| {

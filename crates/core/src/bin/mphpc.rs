@@ -322,9 +322,10 @@ fn cmd_pipeline(args: &[String]) -> Result<(), MphpcError> {
         println!(
             "{:<10} test MAE {:.4}  pooled R2 {:.4}  per-output R2 {:?}",
             e.model,
-            e.test_mae,
-            e.test_r2,
-            e.test_r2_per_output
+            e.test.mae,
+            e.test.r2,
+            e.test
+                .r2_per_output
                 .iter()
                 .map(|v| (v * 1e4).round() / 1e4)
                 .collect::<Vec<_>>()

@@ -100,27 +100,8 @@ pub fn profile_one(
     profile_run(&spec, seed, &mut sim).map_err(MphpcError::Profile)
 }
 
-/// Evaluation results for one model family (one bar pair of Fig. 2).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ModelEvaluation {
-    /// Family name.
-    pub model: String,
-    /// MAE on the held-out 10 % test set.
-    pub test_mae: f64,
-    /// Same-Order Score on the test set.
-    pub test_sos: f64,
-    /// Pooled R² over all four RPV outputs on the test set.
-    pub test_r2: f64,
-    /// Column-wise R² per RPV output (Table-I system order): pooled R²
-    /// can hide one systematically mispredicted target behind three good
-    /// ones.
-    pub test_r2_per_output: Vec<f64>,
-    /// 5-fold cross-validation report on the training portion.
-    pub cv: CvReport,
-}
-
 /// Scores of one model family on one train/test split.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SplitScore {
     /// MAE on the test rows.
     pub mae: f64,
@@ -128,12 +109,25 @@ pub struct SplitScore {
     pub sos: f64,
     /// Pooled R² over all four RPV outputs.
     pub r2: f64,
-    /// Column-wise R² per RPV output (Table-I system order).
+    /// Column-wise R² per RPV output (Table-I system order): pooled R²
+    /// can hide one systematically mispredicted target behind three good
+    /// ones.
     pub r2_per_output: Vec<f64>,
 }
 
+/// Evaluation results for one model family (one bar pair of Fig. 2).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct ModelEvaluation {
+    /// Family name.
+    pub model: String,
+    /// Scores on the held-out 10 % test set.
+    pub test: SplitScore,
+    /// 5-fold cross-validation report on the training portion.
+    pub cv: CvReport,
+}
+
 /// Normalise on the train rows and lower both sides to ML matrices.
-fn split_to_ml(
+pub(crate) fn split_to_ml(
     dataset: &MpHpcDataset,
     train_rows: &[usize],
     test_rows: &[usize],
@@ -203,13 +197,9 @@ pub fn evaluate_models(
     let mut evals = Vec::with_capacity(kinds.len());
     for kind in kinds {
         let _model_span = mphpc_telemetry::span!("pipeline.evaluate.model", model = kind.name());
-        let score = fit_and_score(*kind, &train, &test)?;
         evals.push(ModelEvaluation {
             model: kind.name().to_string(),
-            test_mae: score.mae,
-            test_sos: score.sos,
-            test_r2: score.r2,
-            test_r2_per_output: score.r2_per_output,
+            test: fit_and_score(*kind, &train, &test)?,
             cv: cross_validate(*kind, &train, 5, seed ^ 0xCF01D)?,
         });
     }
@@ -267,16 +257,16 @@ mod tests {
         let by_name = |n: &str| evals.iter().find(|e| e.model == n).unwrap();
         let mean = by_name("Mean");
         let gbt = by_name("XGBoost");
-        assert!(gbt.test_r2 > mean.test_r2, "XGBoost R2 must beat mean");
-        assert_eq!(gbt.test_r2_per_output.len(), 4);
-        assert!(gbt.test_r2_per_output.iter().all(|v| v.is_finite()));
+        assert!(gbt.test.r2 > mean.test.r2, "XGBoost R2 must beat mean");
+        assert_eq!(gbt.test.r2_per_output.len(), 4);
+        assert!(gbt.test.r2_per_output.iter().all(|v| v.is_finite()));
         assert!(
-            gbt.test_mae < mean.test_mae,
+            gbt.test.mae < mean.test.mae,
             "XGBoost {} must beat mean {}",
-            gbt.test_mae,
-            mean.test_mae
+            gbt.test.mae,
+            mean.test.mae
         );
-        assert!(gbt.test_sos > 0.0);
+        assert!(gbt.test.sos > 0.0);
         assert_eq!(gbt.cv.fold_mae.len(), 5);
     }
 

@@ -5,6 +5,7 @@
 //! using those reported by XGBoost and the decision forest ... These
 //! features are then used to re-train all the models again."
 
+use crate::pipeline::split_to_ml;
 use mphpc_dataset::split::random_split;
 use mphpc_dataset::MpHpcDataset;
 use mphpc_errors::{MphpcError, ResultExt};
@@ -52,9 +53,7 @@ pub fn feature_selection_study(
         )));
     }
     let (train_rows, test_rows) = random_split(dataset, 0.1, seed)?;
-    let normalizer = dataset.fit_normalizer(&train_rows)?;
-    let train = dataset.to_ml(&train_rows, &normalizer)?;
-    let test = dataset.to_ml(&test_rows, &normalizer)?;
+    let (train, test) = split_to_ml(dataset, &train_rows, &test_rows)?;
 
     let kinds = ModelKind::paper_lineup();
     // Full-feature pass.

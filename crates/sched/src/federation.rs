@@ -26,7 +26,7 @@
 //!
 //! Serving latency is a first-class simulator metric: every request's
 //! send→receive time lands in the `sched.federation.lookup_us` histogram
-//! and in [`FederationStats`], so `exp_sched_scale` can report scheduler
+//! and in [`FederationStats`], so `mphpc_exp sched_scale` can report scheduler
 //! throughput *with* the prediction-service term the same way Li et al.
 //! (2310.16792) argue it must be measured.
 

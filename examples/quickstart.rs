@@ -23,7 +23,7 @@ fn main() -> Result<(), MphpcError> {
     for e in &evals {
         println!(
             "  {:<16} MAE {:.4}   same-order score {:.3}",
-            e.model, e.test_mae, e.test_sos
+            e.model, e.test.mae, e.test.sos
         );
     }
 

@@ -60,36 +60,21 @@ fn compute_metrics() -> Vec<GoldenMetric> {
         r.records.iter().map(|j| j.start - j.submit).sum::<f64>() / r.records.len() as f64;
 
     // The file prints six decimals: R² and MAE tolerances are absolute
-    // (their scale is fixed), time-like metrics relative.
+    // (their scale is fixed), time-like metrics relative to their value.
+    let exact = |name: &str, value: f64, scale: f64| GoldenMetric {
+        name: name.into(),
+        value,
+        tol: scale * 1e-6,
+    };
     let mut m = vec![
-        GoldenMetric {
-            name: "pooled_r2".into(),
-            value: e.test_r2,
-            tol: 1e-6,
-        },
-        GoldenMetric {
-            name: "test_mae".into(),
-            value: e.test_mae,
-            tol: 1e-6,
-        },
+        exact("pooled_r2", e.test.r2, 1.0),
+        exact("test_mae", e.test.mae, 1.0),
     ];
-    for (i, r2) in e.test_r2_per_output.iter().enumerate() {
-        m.push(GoldenMetric {
-            name: format!("r2_output_{i}"),
-            value: *r2,
-            tol: 1e-6,
-        });
+    for (i, r2) in e.test.r2_per_output.iter().enumerate() {
+        m.push(exact(&format!("r2_output_{i}"), *r2, 1.0));
     }
-    m.push(GoldenMetric {
-        name: "makespan".into(),
-        value: r.makespan,
-        tol: r.makespan * 1e-6,
-    });
-    m.push(GoldenMetric {
-        name: "mean_wait".into(),
-        value: mean_wait,
-        tol: mean_wait * 1e-6,
-    });
+    m.push(exact("makespan", r.makespan, r.makespan));
+    m.push(exact("mean_wait", mean_wait, mean_wait));
     m
 }
 

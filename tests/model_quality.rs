@@ -6,7 +6,7 @@
 //! claims, so a figure's shape is stated once — for `mphpc_exp`, CI's claim
 //! gate and these tests.
 
-use mphpc_bench::{experiment, Ctx, ExpSize};
+use mphpc_bench::{experiment, run_experiments, Ctx, ExpSize};
 use mphpc_core::prelude::*;
 
 fn dataset() -> MpHpcDataset {
@@ -35,17 +35,8 @@ fn dataset() -> MpHpcDataset {
 /// of its that a medium campaign can express must hold.
 fn assert_claims(id: &str, seed: u64) {
     let ctx = Ctx::with_dataset(dataset(), ExpSize::Medium, seed);
-    let verdicts = experiment(id)
-        .expect("registry entry")
-        .check(&ctx)
-        .expect("experiment runs");
-    assert!(
-        verdicts.iter().any(|(_, holds)| holds.is_some()),
-        "{id}: nothing checked"
-    );
-    for (claim, holds) in verdicts {
-        assert_ne!(holds, Some(false), "{}", claim.text);
-    }
+    let entry = experiment(id).expect("registry entry");
+    assert!(run_experiments(&ctx, &[entry]), "a claim of {id} is false");
 }
 
 #[test]
@@ -61,17 +52,14 @@ fn fig3_shape_cpu_sources_beat_amd_gpu_source() {
 }
 
 #[test]
-fn fig4_deviation_one_core_does_not_extrapolate() {
-    assert_claims("scale_ablation", 3141);
-}
-
-#[test]
 fn fig5_shape_ml_apps_hardest_to_predict() {
     assert_claims("app_ablation", 3141);
 }
 
 #[test]
-fn fig6_deviation_uses_gpu_outranks_branch_intensity() {
+fn figs4_6_documented_deviations_are_pinned() {
+    // One-core MAE ≫ two-node MAE; uses_gpu first, branch_intensity ≈ 0.
+    assert_claims("scale_ablation", 3141);
     assert_claims("importance", 3141);
 }
 

@@ -18,7 +18,7 @@ fn full_pipeline_produces_usable_predictor() {
     let mean = evals.iter().find(|e| e.model == "Mean").unwrap();
     let gbt = evals.iter().find(|e| e.model == "XGBoost").unwrap();
     assert!(
-        gbt.test_mae < mean.test_mae,
+        gbt.test.mae < mean.test.mae,
         "learned model must beat the mean baseline"
     );
 

@@ -6,32 +6,34 @@
 # oracle engine lives in mphpc-sched's own suite (crates/sched/src/reference.rs);
 # inline == precomputed RPVs and federation fallback correctness in
 # tests/sched_scale.rs; this smoke proves the wiring across real processes and
-# that the federation telemetry flows. Writes sched.telemetry.jsonl (needs jq).
+# that the federation telemetry flows. Leaves sched.telemetry.jsonl, which CI
+# uploads; everything else goes to a temporary directory. Needs jq.
 set -euxo pipefail
 cd "$(dirname "$0")/../.."
 cargo build --release -p mphpc-core -p mphpc-bench --bins
 BIN="${CARGO_TARGET_DIR:-target}/release"
-"$BIN/mphpc" collect --out sched-base.csv --apps 3 --inputs 2 --reps 1 --seed 903
-"$BIN/mphpc" train --dataset sched-base.csv --out sched-model.json --model gbt --seed 903
-"$BIN/mphpc" serve --model sched-model.json --addr 127.0.0.1:0 > sched-serve.log 2>&1 &
+W=$(mktemp -d)
+"$BIN/mphpc" collect --out "$W/base.csv" --apps 3 --inputs 2 --reps 1 --seed 903
+"$BIN/mphpc" train --dataset "$W/base.csv" --out "$W/model.json" --model gbt --seed 903
+"$BIN/mphpc" serve --model "$W/model.json" --addr 127.0.0.1:0 > "$W/serve.log" 2>&1 &
 SERVE_PID=$!
-trap 'kill "$SERVE_PID" 2>/dev/null || true' EXIT
+trap 'kill "$SERVE_PID" 2>/dev/null || true; rm -rf "$W"' EXIT
 ADDR=""
 for i in $(seq 1 100); do
-  ADDR=$(grep -o 'listening on .*' sched-serve.log | awk '{print $3}' || true)
+  ADDR=$(grep -o 'listening on .*' "$W/serve.log" | awk '{print $3}' || true)
   [ -n "$ADDR" ] && break
   sleep 0.2
 done
 [ -n "$ADDR" ]
 MPHPC_TELEMETRY_OUT=sched.telemetry.jsonl \
   "$BIN/mphpc_exp" sched_scale --jobs 100000 --size small \
-    --federate --addr "$ADDR" --telemetry jsonl | tee sched-scale.log
+    --federate --addr "$ADDR" --telemetry jsonl | tee "$W/scale.log"
 kill "$SERVE_PID" 2>/dev/null || true
 wait "$SERVE_PID" || true
 # Five strategies, every lookup answered by the server (not one row by the
 # fallback), latency measured.
-grep -q 'Figs. 7–8 @ scale' sched-scale.log
-grep -q 'Predictor federation' sched-scale.log
+grep -q 'Figs. 7–8 @ scale' "$W/scale.log"
+grep -q 'Predictor federation' "$W/scale.log"
 grep -q 'sched.federation.requests' sched.telemetry.jsonl
 grep -q 'sched.federation.rows' sched.telemetry.jsonl
 grep -q 'sched.federation.lookup_us' sched.telemetry.jsonl
