@@ -131,20 +131,14 @@ impl Ctx {
                 if path.exists() {
                     eprintln!("[cache] ignoring stale cache ({e})");
                 }
-                eprintln!(
-                    "[collect] building {:?} dataset (seed {}) ...",
-                    self.size, self.seed
-                );
+                let (size, seed) = (self.size, self.seed);
+                eprintln!("[collect] building {size:?} dataset (seed {seed}) ...");
                 let start = std::time::Instant::now();
-                let d = collect(&self.size.config(self.seed))
-                    .context("building the experiment dataset")?;
+                let d = collect(&size.config(seed)).context("building the experiment dataset")?;
                 // A read-only target dir only costs a rebuild next run.
                 d.write_csv(&path).ok();
-                eprintln!(
-                    "[collect] {} rows in {:.1}s",
-                    d.n_rows(),
-                    start.elapsed().as_secs_f64()
-                );
+                let secs = start.elapsed().as_secs_f64();
+                eprintln!("[collect] {} rows in {secs:.1}s", d.n_rows());
                 d
             }
         };
@@ -164,19 +158,21 @@ pub(crate) fn cache_dir() -> PathBuf {
 /// returns and claims are predicates over.
 pub use mphpc_telemetry::TableRecord as Table;
 
-/// The cells of column `col` of the table whose title starts with
-/// `title`, top to bottom; empty if there is no such table or column.
-pub fn cells<'a>(tables: &'a [Table], title: &str, col: &str) -> Vec<&'a str> {
-    let found = tables.iter().find(|t| t.title.starts_with(title));
-    let at = found.and_then(|t| Some((t, t.header.iter().position(|h| h == col)?)));
-    at.map_or(Vec::new(), |(t, at)| {
-        t.rows.iter().map(|r| r[at].as_str()).collect()
-    })
+/// The table whose title starts with `title`, and where its column `col` is.
+fn column<'a>(tables: &'a [Table], title: &str, col: &str) -> Option<(&'a Table, usize)> {
+    let table = tables.iter().find(|t| t.title.starts_with(title))?;
+    Some((table, table.header.iter().position(|h| h == col)?))
+}
+
+/// The cells of that column, top to bottom; empty if there is none.
+pub(crate) fn cells<'a>(tables: &'a [Table], title: &str, col: &str) -> Vec<&'a str> {
+    let rows = |(t, at): (&'a Table, usize)| t.rows.iter().map(|r| r[at].as_str()).collect();
+    column(tables, title, col).map_or(Vec::new(), rows)
 }
 
 /// The number a cell starts with (`"1.443 h"`, `"+2.3%"`, `"0.9s"`); NaN
 /// for anything else, so a predicate over a missing cell is false.
-pub fn number(cell: &str) -> f64 {
+pub(crate) fn number(cell: &str) -> f64 {
     let end = cell
         .find(|c: char| !(c.is_ascii_digit() || "+-.".contains(c)))
         .unwrap_or(cell.len());
@@ -185,15 +181,14 @@ pub fn number(cell: &str) -> f64 {
 
 /// The number in column `col` of the row labelled `row` (its first cell)
 /// of the table titled `title…`; NaN if any of the three is missing.
-pub fn num(tables: &[Table], title: &str, row: &str, col: &str) -> f64 {
-    let labels = tables.iter().find(|t| t.title.starts_with(title));
-    let at = labels.and_then(|t| t.rows.iter().position(|r| r[0] == row));
-    at.and_then(|at| cells(tables, title, col).get(at).map(|c| number(c)))
-        .unwrap_or(f64::NAN)
+pub(crate) fn num(tables: &[Table], title: &str, row: &str, col: &str) -> f64 {
+    let cell = column(tables, title, col)
+        .and_then(|(t, at)| Some(t.rows.iter().find(|r| r[0] == row)?[at].as_str()));
+    cell.map_or(f64::NAN, number)
 }
 
 /// Column `col` strictly increases down the rows labelled `rows`.
-pub fn rises(tables: &[Table], title: &str, col: &str, rows: &[&str]) -> bool {
+pub(crate) fn rises(tables: &[Table], title: &str, col: &str, rows: &[&str]) -> bool {
     rows.windows(2)
         .all(|w| num(tables, title, w[0], col) < num(tables, title, w[1], col))
 }
@@ -347,19 +342,18 @@ pub fn run_experiments(ctx: &Ctx, selected: &[&Experiment]) -> bool {
             eprintln!("{}", e.render_chain());
         }
         for claim in exp.claims {
+            let min = claim.min_size;
             let holds = match &tables {
                 Err(_) => "error".to_string(),
-                Ok(_) if ctx.size < claim.min_size => {
-                    format!("n/a below {}", claim.min_size.word())
-                }
+                Ok(_) if ctx.size < min => format!("n/a below {}", min.word()),
                 Ok(tables) if (claim.holds)(tables) => "yes".to_string(),
                 Ok(_) => "NO".to_string(),
             };
+            all_hold &= holds != "NO";
             rows.push(vec![exp.id.to_string(), claim.text.to_string(), holds]);
         }
         all_hold &= tables.is_ok();
     }
-    all_hold &= rows.iter().all(|row| row[2] != "NO");
     if !rows.is_empty() {
         print_table("claims", &["experiment", "claim", "holds"], rows);
     }
@@ -369,7 +363,7 @@ pub fn run_experiments(ctx: &Ctx, selected: &[&Experiment]) -> bool {
 /// Print an aligned table — header then rows — and return it. The table is
 /// also recorded with the telemetry layer, so a `--telemetry jsonl` run
 /// exports every stdout table as machine-diffable JSONL.
-pub fn print_table(title: &str, header: &[&str], rows: Vec<Vec<String>>) -> Table {
+pub(crate) fn print_table(title: &str, header: &[&str], rows: Vec<Vec<String>>) -> Table {
     mphpc_telemetry::record_table(title, header, &rows);
     println!("\n== {title} ==");
     let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
@@ -403,10 +397,10 @@ pub fn print_table(title: &str, header: &[&str], rows: Vec<Vec<String>>) -> Tabl
 }
 
 /// A column of [`print_columns`]: its header cell and how an item renders in it.
-pub type Column<'a, T> = (&'a str, &'a dyn Fn(&T) -> String);
+pub(crate) type Column<'a, T> = (&'a str, &'a dyn Fn(&T) -> String);
 
 /// [`print_table`] with one row per item.
-pub fn print_columns<T>(title: &str, items: &[T], columns: &[Column<T>]) -> Table {
+pub(crate) fn print_columns<T>(title: &str, items: &[T], columns: &[Column<T>]) -> Table {
     let header: Vec<&str> = columns.iter().map(|c| c.0).collect();
     let row = |item| columns.iter().map(|c| (c.1)(item)).collect();
     print_table(title, &header, items.iter().map(row).collect())
@@ -414,7 +408,12 @@ pub fn print_columns<T>(title: &str, items: &[T], columns: &[Column<T>]) -> Tabl
 
 /// Render a horizontal ASCII bar chart (the textual rendition of a paper
 /// figure): one `(label, value)` bar per item, 60 characters at the maximum.
-pub fn print_bar_chart<T>(title: &str, unit: &str, items: &[T], bar: impl Fn(&T) -> (String, f64)) {
+pub(crate) fn print_bar_chart<T>(
+    title: &str,
+    unit: &str,
+    items: &[T],
+    bar: impl Fn(&T) -> (String, f64),
+) {
     println!("\n== {title} ==");
     let bars: Vec<(String, f64)> = items.iter().map(bar).collect();
     let max = bars
