@@ -17,6 +17,7 @@ use mphpc_sched::strategy::{
 };
 use mphpc_sched::{sample_jobs, sample_jobs_indexed, Job, JobTemplate, RpvProvider};
 use serde::{Deserialize, Serialize};
+use std::collections::{HashMap, HashSet};
 
 /// Result of one strategy's simulation (one bar of Figs. 7–8).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -107,33 +108,61 @@ pub fn templates_from_dataset_raw(
 /// `predict_features` call on the same raw rows), which is what makes an
 /// inline-predicted simulation reproduce the precomputed one's schedule
 /// exactly.
+///
+/// Each distinct row is predicted once: answers are memoised on the raw
+/// features' bit patterns. That is exact, because the predictor is
+/// borrowed immutably and `predict_features` answers a row identically
+/// whatever batch it is in; the memo holds one entry per distinct row the
+/// caller has asked about. Rows sent to the model are counted as
+/// `sched.predict.model_rows`.
 pub struct PredictorRpv<'a> {
     predictor: &'a PerfPredictor,
+    memo: HashMap<[u64; 21], [f64; 4]>,
 }
 
 impl<'a> PredictorRpv<'a> {
     /// Wrap a trained predictor as a batched RPV lookup service.
     pub fn new(predictor: &'a PerfPredictor) -> Self {
-        Self { predictor }
+        Self {
+            predictor,
+            memo: HashMap::new(),
+        }
     }
+}
+
+/// The memo key: bit patterns, so `0.0` / `-0.0` and NaN payloads stay
+/// apart, as they may in the model's answers.
+fn row_bits(row: &[f64]) -> [u64; 21] {
+    let mut key = [0; 21];
+    for (k, v) in key.iter_mut().zip(row) {
+        *k = v.to_bits();
+    }
+    key
 }
 
 impl RpvProvider for PredictorRpv<'_> {
     fn predict(&mut self, rows: &[&[f64]]) -> Result<Vec<[f64; 4]>, MphpcError> {
-        let mut raw = Vec::with_capacity(rows.len());
-        for row in rows {
-            if row.len() != FEATURE_NAMES.len() {
-                return Err(MphpcError::DimensionMismatch {
-                    context: "PredictorRpv::predict",
-                    expected: FEATURE_NAMES.len(),
-                    found: row.len(),
-                });
-            }
-            let mut r = [0.0; 21];
-            r.copy_from_slice(row);
-            raw.push(r);
+        if let Some(row) = rows.iter().find(|r| r.len() != FEATURE_NAMES.len()) {
+            return Err(MphpcError::DimensionMismatch {
+                context: "PredictorRpv::predict",
+                expected: FEATURE_NAMES.len(),
+                found: row.len(),
+            });
         }
-        self.predictor.predict_features(&raw)
+        let keys: Vec<[u64; 21]> = rows.iter().map(|r| row_bits(r)).collect();
+        // The rows the memo lacks, each once, in first-seen order.
+        let mut seen = HashSet::new();
+        let (missing, raw): (Vec<[u64; 21]>, Vec<[f64; 21]>) = keys
+            .iter()
+            .filter(|k| !self.memo.contains_key(*k) && seen.insert(**k))
+            .map(|k| (*k, k.map(f64::from_bits)))
+            .unzip();
+        if !raw.is_empty() {
+            let answers = self.predictor.predict_features(&raw)?;
+            mphpc_telemetry::counter_add("sched.predict.model_rows", raw.len() as u64);
+            self.memo.extend(missing.into_iter().zip(answers));
+        }
+        Ok(keys.iter().map(|k| self.memo[k]).collect())
     }
 
     fn name(&self) -> &str {
@@ -414,6 +443,85 @@ mod tests {
             );
             assert!(s.stats.predict_batches > 0);
         }
+    }
+
+    /// Output bit patterns: the memo must answer exactly, NaN included.
+    fn bits(rpvs: &[[f64; 4]]) -> Vec<[u64; 4]> {
+        rpvs.iter().map(|r| r.map(f64::to_bits)).collect()
+    }
+
+    /// `predict_features`' own answer for each row, one row at a time.
+    fn direct(p: &PerfPredictor, rows: &[[f64; 21]]) -> Vec<[u64; 4]> {
+        let answers: Vec<[f64; 4]> = rows
+            .iter()
+            .map(|r| p.predict_features(&[*r]).unwrap()[0])
+            .collect();
+        bits(&answers)
+    }
+
+    fn ask(provider: &mut PredictorRpv<'_>, rows: &[[f64; 21]]) -> Vec<[u64; 4]> {
+        let rows: Vec<&[f64]> = rows.iter().map(|r| &r[..]).collect();
+        bits(&provider.predict(&rows).unwrap())
+    }
+
+    #[test]
+    fn memo_answers_duplicates_within_a_batch_once() {
+        let (d, p) = setup();
+        let (_, f) = templates_from_dataset_raw(&d).unwrap();
+        let batch = [f[0], f[1], f[0], f[0], f[1]];
+        let mut provider = PredictorRpv::new(&p);
+        assert_eq!(ask(&mut provider, &batch), direct(&p, &batch));
+        assert_eq!(provider.memo.len(), 2, "one entry per distinct row");
+    }
+
+    #[test]
+    fn memo_answers_rows_repeated_across_batches() {
+        let (d, p) = setup();
+        let (_, f) = templates_from_dataset_raw(&d).unwrap();
+        let mut provider = PredictorRpv::new(&p);
+        assert_eq!(ask(&mut provider, &[f[0], f[1]]), direct(&p, &[f[0], f[1]]));
+        let second = [f[1], f[2], f[0]];
+        assert_eq!(ask(&mut provider, &second), direct(&p, &second));
+        assert_eq!(ask(&mut provider, &[f[2]]), direct(&p, &[f[2]]));
+        assert_eq!(provider.memo.len(), 3);
+    }
+
+    #[test]
+    fn memo_keys_on_bits_signed_zero_and_nan() {
+        let (d, p) = setup();
+        let (_, f) = templates_from_dataset_raw(&d).unwrap();
+        let (mut pos, mut neg, mut nan) = (f[0], f[0], f[0]);
+        pos[3] = 0.0;
+        neg[3] = -0.0;
+        nan[5] = f64::NAN;
+        let batch = [pos, neg, nan, neg, nan, pos];
+        let mut provider = PredictorRpv::new(&p);
+        assert_eq!(ask(&mut provider, &batch), direct(&p, &batch));
+        assert_eq!(ask(&mut provider, &[nan, neg]), direct(&p, &[nan, neg]));
+        assert_eq!(provider.memo.len(), 3, "0.0 and -0.0 are distinct keys");
+    }
+
+    #[test]
+    fn wrong_width_row_errors_and_leaves_the_memo_intact() {
+        let (d, p) = setup();
+        let (_, f) = templates_from_dataset_raw(&d).unwrap();
+        let mut provider = PredictorRpv::new(&p);
+        assert_eq!(ask(&mut provider, &[f[0]]), direct(&p, &[f[0]]));
+        let err = provider.predict(&[&f[1][..], &f[2][..20]]).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                MphpcError::DimensionMismatch {
+                    expected: 21,
+                    found: 20,
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
+        assert_eq!(provider.memo.len(), 1, "a failed call inserts nothing");
+        let after = [f[1], f[0], f[2]];
+        assert_eq!(ask(&mut provider, &after), direct(&p, &after));
     }
 
     #[test]

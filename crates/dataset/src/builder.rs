@@ -78,8 +78,8 @@ impl MpHpcDataset {
 
     /// Fit a normaliser on the given (training) rows.
     pub fn fit_normalizer(&self, rows: &[usize]) -> Result<Normalizer, MphpcError> {
-        Ok(Normalizer::fit(&self.frame, rows)
-            .context("fitting the z-score normaliser on the training rows")?)
+        Normalizer::fit(&self.frame, rows)
+            .context("fitting the z-score normaliser on the training rows")
     }
 
     /// Materialise an [`MlDataset`] for the given rows, normalising the
@@ -251,8 +251,8 @@ impl MpHpcDataset {
             }
         }
         let arch = self.str_column("arch")?;
-        for i in 0..self.n_rows() {
-            let target = format!("rpv_{}", arch[i].to_lowercase());
+        for (i, a) in arch.iter().enumerate() {
+            let target = format!("rpv_{}", a.to_lowercase());
             let v = self.frame.f64_at(&target, i)?;
             if (v - 1.0).abs() > 1e-9 {
                 return violation(format!(

@@ -15,8 +15,11 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
+/// Train and test row indices.
+type Split = (Vec<usize>, Vec<usize>);
+
 /// A seeded random permutation split into train/test index sets.
-pub fn train_test_split(n: usize, test_fraction: f64, seed: u64) -> (Vec<usize>, Vec<usize>) {
+pub fn train_test_split(n: usize, test_fraction: f64, seed: u64) -> Split {
     let mut idx: Vec<usize> = (0..n).collect();
     let mut rng = StdRng::seed_from_u64(seed);
     idx.shuffle(&mut rng);
@@ -30,7 +33,7 @@ pub fn train_test_split(n: usize, test_fraction: f64, seed: u64) -> (Vec<usize>,
 ///
 /// `k` is capped at `n` so every fold's test side is non-empty; fewer than
 /// two samples cannot be cross-validated at all and is an error.
-pub fn kfold(n: usize, k: usize, seed: u64) -> Result<Vec<(Vec<usize>, Vec<usize>)>, MphpcError> {
+pub fn kfold(n: usize, k: usize, seed: u64) -> Result<Vec<Split>, MphpcError> {
     if n < 2 {
         return Err(MphpcError::InvalidDataset(format!(
             "k-fold cross-validation needs at least 2 samples, got {n}"

@@ -1084,12 +1084,11 @@ mod equivalence {
                 }
             },
         );
-        for i in 0..250 {
+        for (i, &routed) in pred.iter().enumerate().take(250) {
             let expected = eta * tree.predict_row(x.row(i))[0];
             assert!(
-                (pred[i] - expected).abs() < 1e-12,
-                "row {i}: routed {} vs traversed {expected}",
-                pred[i]
+                (routed - expected).abs() < 1e-12,
+                "row {i}: routed {routed} vs traversed {expected}"
             );
         }
     }

@@ -153,7 +153,7 @@ impl<T> CalendarQueue<T> {
         let b = self.bucket_of(key.time());
         let bucket = &mut self.buckets[b];
         // Fast path: new maximum for its bucket.
-        if bucket.back().is_none_or(|(k, _)| *k < key) {
+        if bucket.back().map_or(true, |(k, _)| *k < key) {
             bucket.push_back((key, value));
         } else if bucket.front().is_some_and(|(k, _)| key < *k) {
             bucket.push_front((key, value));
@@ -247,7 +247,7 @@ impl<T> CalendarQueue<T> {
         for bucket in &mut self.buckets {
             entries.extend(bucket.drain(..));
         }
-        entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        entries.sort_unstable_by_key(|e| e.0);
         self.width = estimate_width(&entries);
         self.buckets = Vec::new();
         self.buckets.resize_with(n_buckets, VecDeque::new);

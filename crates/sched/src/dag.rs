@@ -286,7 +286,8 @@ mod tests {
     fn dependencies_are_respected() {
         let w = pipeline(0.0);
         let mut s = RoundRobin::new();
-        let r = simulate_workflows(&[w.clone()], &mut s, &SimConfig::default()).unwrap();
+        let r =
+            simulate_workflows(std::slice::from_ref(&w), &mut s, &SimConfig::default()).unwrap();
         let rec = |tid: u32| r.task_records[&(0usize, tid)];
         assert!(rec(1).start >= rec(0).end - 1e-9, "1 after 0");
         assert!(rec(2).start >= rec(1).end - 1e-9, "2 after 1");
@@ -298,7 +299,8 @@ mod tests {
     fn oracle_tracks_critical_path_on_an_empty_cluster() {
         let w = pipeline(0.0);
         let mut s = Oracle::new();
-        let r = simulate_workflows(&[w.clone()], &mut s, &SimConfig::default()).unwrap();
+        let r =
+            simulate_workflows(std::slice::from_ref(&w), &mut s, &SimConfig::default()).unwrap();
         // With perfect placement and no contention, the span equals the
         // critical path.
         assert!(

@@ -97,16 +97,25 @@ impl UserRoundRobin {
         Self::default()
     }
 
-    fn group(cluster: &Cluster, gpu: bool) -> Vec<usize> {
-        (0..N_MACHINES)
-            .filter(|&m| cluster.configs()[m].has_gpu == gpu)
-            .collect()
+    /// The machines with (`gpu`) or without GPUs, in Table-I order, on the
+    /// stack: `choose` runs once per backfill candidate.
+    fn group(cluster: &Cluster, gpu: bool) -> ([usize; N_MACHINES], usize) {
+        let mut group = [0; N_MACHINES];
+        let mut len = 0;
+        for (m, config) in cluster.configs().iter().enumerate() {
+            if config.has_gpu == gpu {
+                group[len] = m;
+                len += 1;
+            }
+        }
+        (group, len)
     }
 }
 
 impl MachineAssigner for UserRoundRobin {
     fn choose(&mut self, job: &Job, cluster: &Cluster) -> usize {
-        let group = Self::group(cluster, job.gpu_capable);
+        let (group, len) = Self::group(cluster, job.gpu_capable);
+        let group = &group[..len];
         let counter = if job.gpu_capable {
             self.gpu_counter
         } else {

@@ -71,13 +71,13 @@ pub fn sample_jobs_indexed(
     let arrivals = poisson_arrivals(n, rate, seed ^ 0xA441);
     let mut jobs = Vec::with_capacity(n);
     let mut indices = Vec::with_capacity(n);
-    for i in 0..n {
+    for (i, &submit_time) in arrivals.iter().enumerate() {
         let ti = rng.gen_range(0..templates.len());
         let t = &templates[ti];
         indices.push(ti);
         jobs.push(Job {
             id: i as u64,
-            submit_time: arrivals[i],
+            submit_time,
             nodes_required: t.nodes_required,
             gpu_capable: t.gpu_capable,
             runtimes: t.runtimes,

@@ -95,7 +95,7 @@ fn check_invariants(jobs: &[Job], r: &SimResult, machines: &[MachineConfig; 4]) 
     }
     // Node conservation via interval sweep: +nodes at start, -nodes at
     // end, releases applied before acquisitions at equal times.
-    for m in 0..4 {
+    for (m, machine) in machines.iter().enumerate() {
         let mut events: Vec<(f64, i64)> = Vec::new();
         for rec in r.records.iter().filter(|rec| rec.machine == m) {
             let nodes = jobs
@@ -111,9 +111,9 @@ fn check_invariants(jobs: &[Job], r: &SimResult, machines: &[MachineConfig; 4]) 
         for (t, delta) in events {
             in_use += delta;
             assert!(
-                in_use <= machines[m].total_nodes as i64,
+                in_use <= machine.total_nodes as i64,
                 "machine {m} over-subscribed at t={t}: {in_use} > {}",
-                machines[m].total_nodes
+                machine.total_nodes
             );
             assert!(in_use >= 0, "machine {m} released more than it held");
         }

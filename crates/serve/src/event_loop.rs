@@ -187,8 +187,7 @@ impl Shard {
             let shutdown = self.shared.shutdown.load(Ordering::Acquire);
             let mut requests = 0u64;
             let mut accept_ready = false;
-            for i in 0..events.len() {
-                let ev = events[i];
+            for &ev in &events {
                 match ev.token {
                     TOKEN_LISTENER => accept_ready = true,
                     TOKEN_WAKEUP => self.inbox.wakeup.drain(),

@@ -313,9 +313,7 @@ mod tests {
 
         // Byte-for-byte parity with the legacy format-string builder
         // the thread-per-connection server used.
-        let legacy = format!(
-            "HTTP/1.1 503 Service Unavailable\r\ncontent-type: application/json\r\ncontent-length: 2\r\nconnection: keep-alive\r\nretry-after: 1\r\n\r\n{{}}"
-        );
+        let legacy = "HTTP/1.1 503 Service Unavailable\r\ncontent-type: application/json\r\ncontent-length: 2\r\nconnection: keep-alive\r\nretry-after: 1\r\n\r\n{}";
         assert_eq!(out, legacy.as_bytes());
     }
 }

@@ -353,9 +353,9 @@ impl Wakeup {
             if fd < 0 {
                 return Err(io::Error::last_os_error());
             }
-            return Ok(Wakeup {
+            Ok(Wakeup {
                 inner: WakeupInner::EventFd(fd),
-            });
+            })
         }
         #[cfg(not(target_os = "linux"))]
         {

@@ -150,7 +150,7 @@ impl ShadowSlot {
     /// for a different target attached.
     pub fn detach_for(&self, target: &str) -> Option<(ShadowReport, Arc<dyn PredictModel>)> {
         let mut slot = lock(&self.active);
-        if slot.as_ref().is_none_or(|a| a.inner.target != target) {
+        if slot.as_ref().map_or(true, |a| a.inner.target != target) {
             return None;
         }
         let active = slot.take()?;
@@ -232,11 +232,7 @@ fn report(inner: &Inner) -> ShadowReport {
 /// Run the candidate on one mirrored batch and fold the divergence in.
 fn score(inner: &Inner, batch: &MirrorBatch) {
     let n_rows = batch.n_rows;
-    let k = if n_rows == 0 {
-        0
-    } else {
-        batch.live_outputs.len() / n_rows
-    };
+    let k = batch.live_outputs.len().checked_div(n_rows).unwrap_or(0);
     let cand = match inner.candidate.predict_batch(&batch.rows, n_rows) {
         Ok(outputs) if outputs.len() == batch.live_outputs.len() => outputs,
         _ => {

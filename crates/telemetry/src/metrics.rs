@@ -184,10 +184,7 @@ pub(crate) fn gauge_set(name: &'static str, value: f64) {
 
 pub(crate) fn histogram_record(name: &'static str, value: f64) {
     let mut s = store();
-    s.hists
-        .entry(name)
-        .or_insert_with(HistSummary::new)
-        .record(value);
+    s.hists.entry(name).or_default().record(value);
     drop(s);
     note_write();
 }
@@ -201,12 +198,15 @@ pub(crate) fn record_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     note_write();
 }
 
-pub(crate) fn snapshot() -> (
+/// Counters, gauges, histograms and tables, each in name order.
+pub(crate) type Snapshot = (
     Vec<(&'static str, u64)>,
     Vec<(&'static str, f64)>,
     Vec<(&'static str, HistSummary)>,
     Vec<TableRecord>,
-) {
+);
+
+pub(crate) fn snapshot() -> Snapshot {
     let s = store();
     (
         s.counters.iter().map(|(k, v)| (*k, *v)).collect(),

@@ -33,8 +33,8 @@ fn main() {
 
     println!("\nper-application dominant kernel, classified on each machine's CPU roofline:");
     println!(
-        "{:<14} {:<16} {:>8}   {}",
-        "application", "dominant kernel", "AI (F/B)", "Quartz / Ruby / Lassen / Corona"
+        "{:<14} {:<16} {:>8}   Quartz / Ruby / Lassen / Corona",
+        "application", "dominant kernel", "AI (F/B)"
     );
     let machines = table1_machines();
     for app in all_apps() {

@@ -103,9 +103,7 @@ fn field_str(line: &str, key: &str) -> Option<String> {
 
 fn field_num(line: &str, key: &str) -> Option<f64> {
     let rest = after_key(line, key)?;
-    let end = rest
-        .find(|c: char| c == ',' || c == '}')
-        .unwrap_or(rest.len());
+    let end = rest.find([',', '}']).unwrap_or(rest.len());
     rest[..end].trim().parse().ok()
 }
 
@@ -162,7 +160,8 @@ fn small_pipeline_matches_goldens() {
     let mut failures = Vec::new();
     for (want, got) in expected.iter().zip(&actual) {
         let err = (got.value - want.value).abs();
-        if !(err <= want.tol) {
+        // NaN fails too.
+        if err.partial_cmp(&want.tol).map_or(true, |o| o.is_gt()) {
             failures.push(format!(
                 "{}: got {:.6}, golden {:.6} ± {:.6} (off by {:.6})",
                 want.name, got.value, want.value, want.tol, err

@@ -22,7 +22,9 @@ fn setup() -> (MpHpcDataset, PerfPredictor) {
 
 /// Precomputed-RPV templates vs raw templates with inline prediction —
 /// full `SimResult` equality (every job's start, end, and machine), not
-/// just aggregates.
+/// just aggregates. One provider serves all five strategies, as in
+/// `run_scale_comparison`, so from the second strategy on every row is a
+/// memo hit; the engine's own counters must not notice.
 fn assert_inline_equals_precomputed(
     enriched: &[JobTemplate],
     raw: &[JobTemplate],
@@ -36,11 +38,15 @@ fn assert_inline_equals_precomputed(
     let pre_jobs = sample_jobs(enriched, n_jobs, rate, seed).unwrap();
     let (raw_jobs, indices) = sample_jobs_indexed(raw, n_jobs, rate, seed).unwrap();
     let rows: Vec<&[f64]> = indices.iter().map(|&t| &features[t][..]).collect();
+    // Every arrival timestamp is one decision point and one predict batch.
+    let mut submits: Vec<u64> = raw_jobs.iter().map(|j| j.submit_time.to_bits()).collect();
+    submits.sort_unstable();
+    submits.dedup();
 
     let strategies = || mphpc_core::schedbridge::paper_strategies(seed ^ 0x5EED);
+    let mut provider = PredictorRpv::new(predictor);
     for (mut s, mut ps) in strategies().into_iter().zip(strategies()) {
         let precomputed = simulate(&pre_jobs, ps.as_mut(), &config).unwrap();
-        let mut provider = PredictorRpv::new(predictor);
         let inline = InlineRpv {
             features: &rows,
             provider: &mut provider,
@@ -53,6 +59,7 @@ fn assert_inline_equals_precomputed(
             precomputed.strategy
         );
         assert_eq!(stats.predict_rows, n_jobs as u64);
+        assert_eq!(stats.predict_batches, submits.len() as u64);
         assert_eq!(stats.events_enqueued, 2 * n_jobs as u64);
         assert_eq!(stats.events_dequeued, 2 * n_jobs as u64);
     }
