@@ -472,5 +472,17 @@ pub(crate) fn sched(ctx: &Ctx) -> Tables {
         &outcomes,
         |o| (o.strategy.clone(), o.avg_bounded_slowdown),
     );
-    Ok(vec![table])
+    // Raw model output drives Model-based: entries ≤ 0 are legal and shown.
+    let (mut rows, mut entries) = (0, 0);
+    for rpv in templates.iter().flat_map(|t| t.predicted_rpv) {
+        let n = rpv.iter().filter(|v| **v <= 0.0).count();
+        (rows, entries) = (rows + usize::from(n > 0), entries + n);
+    }
+    let cells = [templates.len(), rows, entries].map(|n| n.to_string());
+    let rpvs = print_table(
+        "Predicted RPVs of the Figs. 7–8 templates — entries ≤ 0",
+        &["dataset rows", "rows with an entry ≤ 0", "entries ≤ 0"],
+        vec![cells.to_vec()],
+    );
+    Ok(vec![table, rpvs])
 }

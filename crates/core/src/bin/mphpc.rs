@@ -275,9 +275,21 @@ fn cmd_sched(args: &[String]) -> Result<(), MphpcError> {
     let n_jobs: usize = opt(opts, "jobs")?.unwrap_or(20_000);
     let rate: f64 = opt(opts, "rate")?.unwrap_or(0.0);
 
-    let templates = templates_from_dataset(&dataset, &predictor)?;
+    print_strategy_comparison(&dataset, &predictor, n_jobs, rate, seed(opts)?)
+}
+
+/// Figs. 7–8 on `dataset`'s runs, RPVs from `predictor`: one table row per
+/// strategy.
+fn print_strategy_comparison(
+    dataset: &MpHpcDataset,
+    predictor: &PerfPredictor,
+    n_jobs: usize,
+    rate: f64,
+    seed: u64,
+) -> Result<(), MphpcError> {
+    let templates = templates_from_dataset(dataset, predictor)?;
     eprintln!("simulating {n_jobs} jobs under 5 strategies ...");
-    let outcomes = run_strategy_comparison(&templates, n_jobs, rate, seed(opts)?)?;
+    let outcomes = run_strategy_comparison(&templates, n_jobs, rate, seed)?;
     println!(
         "{:<14} {:>12} {:>22}",
         "strategy", "makespan (h)", "avg bounded slowdown"
@@ -333,22 +345,7 @@ fn cmd_pipeline(args: &[String]) -> Result<(), MphpcError> {
     }
 
     let predictor = train_predictor(&dataset, kind, seed)?;
-    let templates = templates_from_dataset(&dataset, &predictor)?;
-    eprintln!("simulating {n_jobs} jobs under 5 strategies ...");
-    let outcomes = run_strategy_comparison(&templates, n_jobs, rate, seed)?;
-    println!(
-        "{:<14} {:>12} {:>22}",
-        "strategy", "makespan (h)", "avg bounded slowdown"
-    );
-    for o in &outcomes {
-        println!(
-            "{:<14} {:>12.3} {:>22.2}",
-            o.strategy,
-            o.makespan / 3600.0,
-            o.avg_bounded_slowdown
-        );
-    }
-    Ok(())
+    print_strategy_comparison(&dataset, &predictor, n_jobs, rate, seed)
 }
 
 /// Host a trained model over HTTP: load the `mphpc train` export, start

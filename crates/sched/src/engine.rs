@@ -58,7 +58,7 @@ use crate::audit::InvariantAuditor;
 use crate::calendar::{CalendarQueue, EventKey};
 use crate::cluster::{Cluster, MachineConfig};
 use crate::federation::RpvProvider;
-use crate::job::{finite_rpv, Job, N_MACHINES};
+use crate::job::{check_rpv, Job, N_MACHINES};
 use crate::metrics::{avg_bounded_slowdown, makespan, JobRecord};
 use crate::strategy::MachineAssigner;
 use mphpc_errors::MphpcError;
@@ -581,13 +581,9 @@ pub fn simulate_full(
                     )));
                 }
                 for (&idx, rpv) in pred_idx.iter().zip(&rpvs) {
-                    if !finite_rpv(rpv) {
-                        return Err(MphpcError::InvalidJob(format!(
-                            "job {}: non-finite predicted RPV {rpv:?} from provider {}",
-                            e.jobs[idx].id,
-                            inl.provider.name()
-                        )));
-                    }
+                    check_rpv(e.jobs[idx].id, rpv).map_err(|err| {
+                        err.context(format!("answer of rpv provider {}", inl.provider.name()))
+                    })?;
                     e.jobs[idx].predicted_rpv = Some(*rpv);
                 }
             }
@@ -632,6 +628,9 @@ pub fn simulate_full(
     // the event loop must not touch it per event.
     if mphpc_telemetry::enabled() {
         let s = &e.stats;
+        // Jobs scheduled on an RPV with an entry ≤ 0: legal, and counted.
+        let low = |j: &&Job| j.predicted_rpv.is_some_and(|r| !r.iter().all(|v| *v > 0.0));
+        let nonpositive = e.jobs.iter().filter(low).count();
         for (name, value) in [
             ("sched.jobs", jobs.len() as u64),
             ("sched.events.enqueued", s.events_enqueued),
@@ -644,6 +643,7 @@ pub fn simulate_full(
             ("sched.predict.batches", s.predict_batches),
             ("sched.predict.rows", s.predict_rows),
             ("sched.predict.us_total", s.predict_us_total),
+            ("sched.predict.nonpositive", nonpositive as u64),
             ("sched.audit.checks_passed", e.auditor.checks_passed()),
         ] {
             mphpc_telemetry::counter_add(name, value);
@@ -966,9 +966,11 @@ mod tests {
     fn inline_prediction_equals_precomputed() {
         // A deterministic fake predictor: rpv derived from the feature
         // row. Precomputing through it and predicting inline through it
-        // must give identical schedules.
+        // must give identical schedules — also for the entries ≤ 0 a
+        // trained regressor answers (0.0, -0.0, below zero).
         let predict_row = |row: &[f64]| -> [f64; N_MACHINES] {
-            [1.0 + row[0] * 0.125, 1.0 + row[1] * 0.25, 1.5, 2.0]
+            let low = [1.5, 0.0, -0.0, -0.25, 1.5, 0.0, -0.5][row[0] as usize];
+            [1.0 + row[0] * 0.125, 1.0 + row[1] * 0.25, low, 2.0 - row[0]]
         };
         // Submissions on a 30 s grid so several jobs share each arrival
         // instant — that's what makes batching observable.
@@ -1035,8 +1037,11 @@ mod tests {
                 Some(inline),
             )
             .unwrap_err();
-            assert!(matches!(err, MphpcError::InvalidJob(_)), "{err}");
-            let msg = err.to_string();
+            assert!(
+                matches!(err.root_cause(), MphpcError::InvalidJob(_)),
+                "{err}"
+            );
+            let msg = err.render_chain();
             assert!(msg.contains("job 8") && msg.contains("flaky"), "{msg}");
         }
     }

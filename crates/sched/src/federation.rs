@@ -30,7 +30,7 @@
 //! throughput *with* the prediction-service term the same way Li et al.
 //! (2310.16792) argue it must be measured.
 
-use crate::job::{finite_rpv, N_MACHINES};
+use crate::job::{check_rpv, N_MACHINES};
 use mphpc_errors::MphpcError;
 use mphpc_serve::client::{ClientConn, PredictRequest};
 use std::collections::VecDeque;
@@ -230,9 +230,8 @@ impl<'a> FederatedRpv<'a> {
             if resp.status != 200 {
                 return Err(invalid(format!("predict returned status {}", resp.status)));
             }
-            // A reply the engine would reject (`"NaN".parse()` succeeds)
-            // is a protocol error like any other: the whole batch goes to
-            // the fallback.
+            // A reply `check_rpv` refuses (`"NaN".parse()` succeeds) is a
+            // protocol error like any other: the batch goes to the fallback.
             parse_outputs(&resp.body, n_rows, &mut out).ok_or_else(|| {
                 invalid(format!(
                     "predict response without {n_rows} rows of {N_MACHINES} finite outputs"
@@ -265,9 +264,7 @@ impl RpvProvider for FederatedRpv<'_> {
                     }
                     return Ok(out);
                 }
-                Err(e) => {
-                    self.degrade(&e);
-                }
+                Err(e) => self.degrade(&e),
             }
         }
         // Degraded (now or earlier): the whole batch comes from the local
@@ -288,10 +285,10 @@ impl RpvProvider for FederatedRpv<'_> {
 
 /// Append the `n_rows` RPVs of a `rows` reply's
 /// `"outputs":[[a,b,c,d],...]}` tail to `out`; `None` unless the body is
-/// UTF-8 and holds exactly that many rows of [`N_MACHINES`] finite
-/// numbers. The server's JSON is machine-generated with a fixed shape, so
-/// a positional scan is exact (and keeps `serde` off the simulator's hot
-/// path).
+/// UTF-8 and holds exactly that many rows of [`N_MACHINES`] numbers that
+/// pass [`check_rpv`]. The server's JSON is machine-generated with a fixed
+/// shape, so a positional scan is exact (and keeps `serde` off the
+/// simulator's hot path).
 fn parse_outputs(body: &[u8], n_rows: usize, out: &mut Vec<[f64; N_MACHINES]>) -> Option<()> {
     let body = std::str::from_utf8(body).ok()?;
     let mut rest = &body[body.find("\"outputs\":[")? + "\"outputs\":[".len()..];
@@ -307,7 +304,7 @@ fn parse_outputs(body: &[u8], n_rows: usize, out: &mut Vec<[f64; N_MACHINES]>) -
             *rpv.get_mut(n)? = tok.parse().ok()?;
             n += 1;
         }
-        if n != N_MACHINES || !finite_rpv(&rpv) {
+        if n != N_MACHINES || check_rpv(r as u64, &rpv).is_err() {
             return None;
         }
         out.push(rpv);
@@ -479,12 +476,19 @@ mod tests {
         );
         assert_eq!(parse(two, 1), None, "more rows than asked for");
         assert_eq!(parse(two, 3), None, "fewer rows than asked for");
+        // Entries ≤ 0 are a regressor's answer, not a protocol error.
+        let low = parse("{\"outputs\":[[0,-0,-1e-3,2]]}", 1).unwrap()[0];
+        assert_eq!(
+            low.map(f64::to_bits),
+            [0.0, -0.0, -1e-3, 2.0].map(f64::to_bits)
+        );
         for bad in [
             "{\"outputs\":[[1,2,3]]}",
             "{\"outputs\":[[1,2,3,4,5]]}",
             "{\"outputs\":[1,2,3,4]}", // the one-row form's flat shape
             "{\"outputs\":[[1,2,3,null]]}",
             "{\"outputs\":[[1,2,3,NaN]]}",
+            "{\"outputs\":[[1,-inf,3,4]]}",
             "{\"outputs\":[[1,2,3,4]]} trailing",
             "no outputs here",
         ] {

@@ -53,28 +53,22 @@ impl Job {
                 self.id
             )));
         }
-        if let Some(rpv) = &self.predicted_rpv {
-            if rpv.iter().any(|v| !v.is_finite() || *v <= 0.0) {
-                return Err(MphpcError::InvalidJob(format!(
-                    "job {}: non-positive predicted RPV",
-                    self.id
-                )));
-            }
-        }
-        Ok(())
+        self.predicted_rpv
+            .map_or(Ok(()), |rpv| check_rpv(self.id, &rpv))
     }
 }
 
-/// What an RPV answered by a provider — inline or over the wire — must
-/// meet before a strategy sees it: every entry finite. `ModelBased`
-/// compares entries with `<`, so a NaN would silently send the job to the
-/// first feasible machine. Unlike [`Job::validate`]'s rule for an RPV that
-/// comes with the job, entries need not be positive: a trained regressor
-/// answers slightly below zero for a machine it finds far faster than the
-/// reference (the benchmark's GBT does: `[0.999, 0.738, -0.002, 0.007]`),
-/// and such an entry still orders correctly.
-pub fn finite_rpv(rpv: &[f64; N_MACHINES]) -> bool {
-    rpv.iter().all(|v| v.is_finite())
+/// The one rule for an RPV that reaches a strategy, whether the job carries
+/// it or a provider answers it: every entry finite. `ModelBased` compares
+/// with `<`, so a NaN would misplace the job silently, while an entry ≤ 0
+/// (a regressor's raw answer, e.g. `[0.999, 0.738, -0.002, 0.007]`) orders
+/// correctly.
+pub fn check_rpv(job_id: u64, rpv: &[f64; N_MACHINES]) -> Result<(), MphpcError> {
+    if rpv.iter().all(|v| v.is_finite()) {
+        return Ok(());
+    }
+    let msg = format!("job {job_id}: non-finite predicted RPV {rpv:?}");
+    Err(MphpcError::InvalidJob(msg))
 }
 
 #[cfg(test)]
@@ -106,11 +100,23 @@ mod tests {
         let mut sub = j.clone();
         sub.submit_time = f64::NAN;
         assert!(sub.validate().is_err());
-        for bad in [f64::NAN, f64::INFINITY, 0.0, -1.0] {
-            let mut rpv = j.clone();
-            rpv.predicted_rpv = Some([1.0, bad, 1.0, 1.0]);
-            assert!(rpv.validate().is_err(), "rpv entry {bad}");
-            assert_eq!(finite_rpv(&[1.0, bad, 1.0, 1.0]), bad.is_finite());
+        // One RPV rule: finite, any sign.
+        for (entry, ok) in [
+            (f64::NAN, false),
+            (f64::INFINITY, false),
+            (f64::NEG_INFINITY, false),
+            (0.0, true),
+            (-0.0, true),
+            (-1.0, true),
+        ] {
+            let rpv = [1.0, entry, 1.0, 1.0];
+            let mut predicted = j.clone();
+            predicted.predicted_rpv = Some(rpv);
+            assert_eq!(predicted.validate().is_ok(), ok, "rpv entry {entry}");
+            assert_eq!(check_rpv(1, &rpv).is_ok(), ok, "rpv entry {entry}");
         }
+        let err = check_rpv(9, &[1.0, f64::NAN, 1.0, 1.0]).unwrap_err();
+        assert!(matches!(err, MphpcError::InvalidJob(_)), "{err}");
+        assert!(err.to_string().contains("job 9: non-finite"), "{err}");
     }
 }

@@ -95,6 +95,22 @@ fn bit_identity_50k_reference_workload() {
     mphpc_par::set_thread_override(None);
 }
 
+#[test]
+fn bit_identity_with_rpv_entries_at_or_below_zero() {
+    // A linear model extrapolates below zero for some rows; precomputed
+    // and inline RPVs obey one rule, so both paths schedule them alike.
+    let (d, _) = setup();
+    let p = train_predictor(&d, ModelKind::Linear(Default::default()), 18).unwrap();
+    let enriched = templates_from_dataset(&d, &p).unwrap();
+    let (raw, features) = templates_from_dataset_raw(&d).unwrap();
+    let nonpositive = enriched
+        .iter()
+        .filter(|t| t.predicted_rpv.unwrap().iter().any(|v| *v <= 0.0))
+        .count();
+    assert!(nonpositive > 0, "the dataset must exercise entries ≤ 0");
+    assert_inline_equals_precomputed(&enriched, &raw, &features, &p, 10_000, 0.05, 42);
+}
+
 /// Pure-local inline run: the baseline every federated run must equal.
 fn local_outcomes(
     raw: &[JobTemplate],
