@@ -520,6 +520,7 @@ pub(crate) fn sched_scale(ctx: &Ctx) -> Tables {
                 ("requests", &|s| s.requests.to_string()),
                 ("responses", &|s| s.responses.to_string()),
                 ("rows", &|s| s.rows.to_string()),
+                ("rows sent", &|s| s.sent_rows.to_string()),
                 ("timeouts", &|s| s.timeouts.to_string()),
                 ("fallback rows", &|s| s.fallbacks.to_string()),
                 ("mean request", &|s| {
