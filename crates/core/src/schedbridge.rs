@@ -11,13 +11,16 @@ use mphpc_dataset::features::FEATURE_NAMES;
 use mphpc_dataset::MpHpcDataset;
 use mphpc_errors::MphpcError;
 use mphpc_sched::dag::{simulate_workflows, Task, Workflow};
-use mphpc_sched::engine::{simulate_full, InlineRpv, ScaleStats, SimConfig};
+use mphpc_sched::engine::{predict_rpvs, simulate_full, ScaleStats, SimConfig};
 use mphpc_sched::strategy::{
     MachineAssigner, ModelBased, Oracle, RandomAssign, RoundRobin, UserRoundRobin,
 };
-use mphpc_sched::{sample_jobs, sample_jobs_indexed, Job, JobTemplate, RpvProvider};
+use mphpc_sched::{row_bits, sample_jobs, sample_jobs_indexed, Job, JobTemplate, RpvProvider};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
+use std::panic::resume_unwind;
+use std::thread::ScopedJoinHandle;
+use std::time::{Duration, Instant};
 
 /// Result of one strategy's simulation (one bar of Figs. 7–8).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -52,11 +55,10 @@ pub fn templates_from_dataset(
 /// The un-predicted half of [`templates_from_dataset`]: one template per
 /// dataset row with `predicted_rpv: None`, plus that row's raw feature
 /// vector (un-normalised; predictors apply their own normaliser). This is
-/// the input shape of the engine's inline-prediction path — RPVs are
-/// looked up in batches at simulation decision points instead of being
-/// precomputed, so the same workload can be driven against a local
-/// predictor or a live serving endpoint ([`PredictorRpv`],
-/// [`mphpc_sched::FederatedRpv`]).
+/// the input shape of [`run_scale_comparison`], which looks RPVs up in one
+/// batch per decision point instead of precomputing them, so the same
+/// workload can be driven against a local predictor or a live serving
+/// endpoint ([`PredictorRpv`], [`mphpc_sched::FederatedRpv`]).
 pub fn templates_from_dataset_raw(
     dataset: &MpHpcDataset,
 ) -> Result<(Vec<JobTemplate>, Vec<[f64; 21]>), MphpcError> {
@@ -117,7 +119,7 @@ pub fn templates_from_dataset_raw(
 /// `sched.predict.model_rows`.
 pub struct PredictorRpv<'a> {
     predictor: &'a PerfPredictor,
-    memo: HashMap<[u64; 21], [f64; 4]>,
+    memo: HashMap<Box<[u64]>, [f64; 4]>,
 }
 
 impl<'a> PredictorRpv<'a> {
@@ -130,16 +132,6 @@ impl<'a> PredictorRpv<'a> {
     }
 }
 
-/// The memo key: bit patterns, so `0.0` / `-0.0` and NaN payloads stay
-/// apart, as they may in the model's answers.
-fn row_bits(row: &[f64]) -> [u64; 21] {
-    let mut key = [0; 21];
-    for (k, v) in key.iter_mut().zip(row) {
-        *k = v.to_bits();
-    }
-    key
-}
-
 impl RpvProvider for PredictorRpv<'_> {
     fn predict(&mut self, rows: &[&[f64]]) -> Result<Vec<[f64; 4]>, MphpcError> {
         if let Some(row) = rows.iter().find(|r| r.len() != FEATURE_NAMES.len()) {
@@ -149,20 +141,20 @@ impl RpvProvider for PredictorRpv<'_> {
                 found: row.len(),
             });
         }
-        let keys: Vec<[u64; 21]> = rows.iter().map(|r| row_bits(r)).collect();
         // The rows the memo lacks, each once, in first-seen order.
         let mut seen = HashSet::new();
-        let (missing, raw): (Vec<[u64; 21]>, Vec<[f64; 21]>) = keys
+        let raw: Vec<[f64; 21]> = rows
             .iter()
-            .filter(|k| !self.memo.contains_key(*k) && seen.insert(**k))
-            .map(|k| (*k, k.map(f64::from_bits)))
-            .unzip();
+            .filter(|r| !self.memo.contains_key(row_bits(r)) && seen.insert(row_bits(r)))
+            .map(|r| r[..].try_into().expect("width checked above"))
+            .collect();
         if !raw.is_empty() {
             let answers = self.predictor.predict_features(&raw)?;
             mphpc_telemetry::counter_add("sched.predict.model_rows", raw.len() as u64);
-            self.memo.extend(missing.into_iter().zip(answers));
+            let keys = raw.iter().map(|r| Box::from(row_bits(r)));
+            self.memo.extend(keys.zip(answers));
         }
-        Ok(keys.iter().map(|k| self.memo[k]).collect())
+        Ok(rows.iter().map(|r| self.memo[row_bits(r)]).collect())
     }
 
     fn name(&self) -> &str {
@@ -200,63 +192,111 @@ pub fn paper_strategies(random_seed: u64) -> Vec<Box<dyn MachineAssigner>> {
 }
 
 /// One strategy's simulation: the Figs. 7–8 numbers plus the engine's own
-/// counters and the wall-clock the simulation took.
+/// counters and the wall-clock the strategy took.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScaleOutcome {
     /// The fields [`run_strategy_comparison`] reports.
     pub outcome: StrategyOutcome,
     /// Calendar-queue / incremental-backfill / prediction counters.
     pub stats: ScaleStats,
-    /// Wall-clock seconds for this strategy's simulation alone.
+    /// Wall-clock seconds of this strategy alone: asking the provider for
+    /// its RPVs, then simulating.
     pub wall_secs: f64,
 }
 
-/// The per-strategy loop both comparisons share: `jobs` under each of
-/// [`paper_strategies`] on the Table-I cluster, RPVs looked up through
-/// `inline` when given.
+/// The driver every comparison shares: `simulate` each strategy, at most
+/// `mphpc_par`'s thread count of them at once. The caller runs `ask` once
+/// per strategy, in strategy order, so whatever `ask` consults sees the
+/// calls a serial loop makes; then the strategy goes to a scoped worker if
+/// one may start, or is simulated on the caller (with 1 thread, all are).
+/// Results come back in strategy order, or the first error in that order.
+fn on_each_strategy<A: Send, R: Send>(
+    strategies: Vec<Box<dyn MachineAssigner>>,
+    mut ask: impl FnMut() -> Result<A, MphpcError>,
+    simulate: impl Fn(A, &mut dyn MachineAssigner) -> Result<R, MphpcError> + Sync,
+) -> Result<Vec<R>, MphpcError> {
+    let threads = mphpc_par::thread_override().unwrap_or_else(mphpc_par::available_threads);
+    let simulate = &simulate;
+    let mut done = Vec::with_capacity(strategies.len());
+    std::thread::scope(|scope| {
+        let join = |(i, h): (usize, ScopedJoinHandle<'_, _>)| {
+            (i, h.join().unwrap_or_else(|panic| resume_unwind(panic)))
+        };
+        let mut running: Vec<(usize, ScopedJoinHandle<'_, Result<R, MphpcError>>)> = Vec::new();
+        for (i, mut s) in strategies.into_iter().enumerate() {
+            // Workers that are done make room for the next.
+            while let Some(k) = running.iter().position(|(_, h)| h.is_finished()) {
+                done.push(join(running.swap_remove(k)));
+            }
+            if done.iter().any(|(_, r)| r.is_err()) {
+                break;
+            }
+            match ask() {
+                Err(e) => done.push((i, Err(e))),
+                Ok(a) if running.len() + 1 < threads => {
+                    running.push((i, scope.spawn(move || simulate(a, s.as_mut()))));
+                    continue;
+                }
+                Ok(a) => done.push((i, simulate(a, s.as_mut()))),
+            }
+        }
+        done.extend(running.into_iter().map(join));
+    });
+    done.sort_by_key(|(i, _)| *i);
+    done.into_iter().map(|(_, r)| r).collect()
+}
+
+/// [`paper_strategies`] on `jobs` and the Table-I cluster. With `lookup`,
+/// each strategy's own copy of the jobs gets its RPVs from
+/// [`predict_rpvs`] on the calling thread before it is simulated.
 fn compare_strategies(
     jobs: &[Job],
     seed: u64,
-    mut inline: Option<InlineRpv<'_>>,
+    mut lookup: Option<(&[&[f64]], &mut dyn RpvProvider)>,
 ) -> Result<Vec<ScaleOutcome>, MphpcError> {
     let config = SimConfig::default();
-    paper_strategies(seed ^ 0x5EED)
-        .iter_mut()
-        .map(|s| {
-            let started = std::time::Instant::now();
-            // Each strategy's run borrows the one provider in turn.
-            let hookup = inline.as_mut().map(|i| InlineRpv {
-                features: i.features,
-                provider: &mut *i.provider,
-            });
-            let (r, stats) = simulate_full(jobs, &[], s.as_mut(), &config, hookup)?;
-            Ok(ScaleOutcome {
-                outcome: StrategyOutcome {
-                    strategy: r.strategy.to_string(),
-                    makespan: r.makespan,
-                    avg_bounded_slowdown: r.avg_bounded_slowdown,
-                    jobs_per_machine: r.jobs_per_machine,
-                },
-                stats,
-                wall_secs: started.elapsed().as_secs_f64(),
-            })
+    let ask = || {
+        let started = Instant::now();
+        let mut own = jobs.to_vec();
+        let asked = match &mut lookup {
+            Some((rows, provider)) => predict_rpvs(&mut own, rows, &mut **provider)?,
+            None => ScaleStats::default(),
+        };
+        Ok((own, asked, started.elapsed()))
+    };
+    let simulate = |(jobs, asked, asking): (Vec<Job>, ScaleStats, Duration),
+                    s: &mut dyn MachineAssigner| {
+        let started = Instant::now();
+        let (r, stats) = simulate_full(&jobs, &[], s, &config)?;
+        Ok(ScaleOutcome {
+            outcome: StrategyOutcome {
+                strategy: r.strategy.to_string(),
+                makespan: r.makespan,
+                avg_bounded_slowdown: r.avg_bounded_slowdown,
+                jobs_per_machine: r.jobs_per_machine,
+            },
+            stats: ScaleStats {
+                predict_batches: asked.predict_batches,
+                predict_rows: asked.predict_rows,
+                predict_us_total: asked.predict_us_total,
+                ..stats
+            },
+            wall_secs: (asking + started.elapsed()).as_secs_f64(),
         })
-        .collect()
+    };
+    on_each_strategy(paper_strategies(seed ^ 0x5EED), ask, simulate)
 }
 
-/// [`run_strategy_comparison`] with RPVs looked up inline through
-/// `provider`, in one batched call per decision point, instead of
-/// precomputed per template — the shape that scales to millions of jobs
-/// and to a remote predictor.
+/// [`run_strategy_comparison`] with RPVs looked up through `provider`, one
+/// batched call per decision point of each strategy, instead of
+/// precomputed per template — the shape that scales to millions of jobs and
+/// to a remote predictor.
 ///
-/// `features[t]` is the raw feature row of `templates[t]`
-/// (the [`templates_from_dataset_raw`] pairing); each sampled job borrows
-/// its template's row for the provider. Pass templates whose
-/// `predicted_rpv` is `None` to exercise the inline path — templates that
-/// already carry a prediction are left untouched, so the provider is only
-/// consulted for the rest. With a [`PredictorRpv`] over the same trained
-/// model, outcomes are bit-identical to [`run_strategy_comparison`] on
-/// [`templates_from_dataset`] templates.
+/// `features[t]` is the raw feature row of `templates[t]` (the
+/// [`templates_from_dataset_raw`] pairing). Templates that already carry a
+/// prediction are not asked for. With a [`PredictorRpv`] over the same
+/// trained model, outcomes are bit-identical to [`run_strategy_comparison`]
+/// on [`templates_from_dataset`] templates.
 pub fn run_scale_comparison(
     templates: &[JobTemplate],
     features: &[[f64; 21]],
@@ -274,11 +314,7 @@ pub fn run_scale_comparison(
     }
     let (jobs, indices) = sample_jobs_indexed(templates, n_jobs, arrival_rate, seed)?;
     let rows: Vec<&[f64]> = indices.iter().map(|&t| &features[t][..]).collect();
-    let inline = InlineRpv {
-        features: &rows,
-        provider,
-    };
-    compare_strategies(&jobs, seed, Some(inline))
+    compare_strategies(&jobs, seed, Some((&rows, provider)))
 }
 
 /// Result of one strategy on a workflow workload.
@@ -343,17 +379,18 @@ pub fn workflows_from_templates(
 /// Compare the five strategies on a workflow workload.
 pub fn run_workflow_comparison(workflows: &[Workflow]) -> Result<Vec<WorkflowOutcome>, MphpcError> {
     let config = SimConfig::default();
-    paper_strategies(0x10F)
-        .iter_mut()
-        .map(|s| {
-            let r = simulate_workflows(workflows, s.as_mut(), &config)?;
+    on_each_strategy(
+        paper_strategies(0x10F),
+        || Ok(()),
+        |(), s| {
+            let r = simulate_workflows(workflows, s, &config)?;
             Ok(WorkflowOutcome {
                 strategy: r.strategy.to_string(),
                 makespan: r.makespan,
                 mean_workflow_span: r.mean_workflow_span,
             })
-        })
-        .collect()
+        },
+    )
 }
 
 #[cfg(test)]
@@ -361,6 +398,7 @@ mod tests {
     use super::*;
     use crate::pipeline::{collect, train_predictor, CollectionConfig};
     use mphpc_ml::ModelKind;
+    use mphpc_sched::FnRpvProvider;
 
     fn setup() -> (MpHpcDataset, PerfPredictor) {
         let d = collect(&CollectionConfig::small(5, 2, 1, 31)).unwrap();
@@ -522,6 +560,126 @@ mod tests {
         assert_eq!(provider.memo.len(), 1, "a failed call inserts nothing");
         let after = [f[1], f[0], f[2]];
         assert_eq!(ask(&mut provider, &after), direct(&p, &after));
+    }
+
+    /// 40 templates and 21-wide feature rows (some holding `-0.0`), no
+    /// model needed: the provider is a test double.
+    fn synthetic() -> (Vec<JobTemplate>, Vec<[f64; 21]>) {
+        let templates = (0..40)
+            .map(|i| JobTemplate {
+                nodes_required: 1 + (i % 2) as u32,
+                gpu_capable: i % 3 == 0,
+                runtimes: [
+                    10.0 + i as f64,
+                    20.0 + (i * 7 % 13) as f64,
+                    5.0 + (i % 11) as f64,
+                    15.0,
+                ],
+                predicted_rpv: None,
+            })
+            .collect();
+        let features = (0..40)
+            .map(|i| std::array::from_fn(|k| if k == 20 { -0.0 } else { (i * k % 17) as f64 }))
+            .collect();
+        (templates, features)
+    }
+
+    /// A finite answer that still tells rows apart.
+    fn answer(row: &[f64]) -> [f64; 4] {
+        [row[1], 1.0, row[2] * 0.5, 4.0]
+    }
+
+    /// FNV-1a over a provider's call log: each call's row count, then the
+    /// bits of its rows.
+    fn fold_call(hash: u64, rows: &[&[f64]]) -> u64 {
+        let bits = rows.iter().flat_map(|r| r.iter().map(|v| v.to_bits()));
+        std::iter::once(rows.len() as u64)
+            .chain(bits)
+            .fold(hash, |h, w| (h ^ w).wrapping_mul(0x0000_0100_0000_01b3))
+    }
+
+    #[test]
+    fn a_comparison_asks_the_provider_what_the_event_loop_asked() {
+        let (templates, features) = synthetic();
+        // Pinned from the event loop's own asking, before it moved out.
+        for (rate, calls_want, hash_want) in [
+            (0.0, 5, 6_903_943_193_095_546_335u64),
+            (0.05, 2_000, 7_255_655_024_141_550_565),
+        ] {
+            let (mut calls, mut hash) = (0, 0xcbf2_9ce4_8422_2325u64);
+            let mut recording = FnRpvProvider::new("recording", |rows: &[&[f64]]| {
+                calls += 1;
+                hash = fold_call(hash, rows);
+                Ok(rows.iter().map(|r| answer(r)).collect())
+            });
+            let outcomes =
+                run_scale_comparison(&templates, &features, &mut recording, 400, rate, 7).unwrap();
+            assert_eq!(outcomes.len(), 5);
+            assert!(outcomes.iter().all(|o| o.stats.predict_rows == 400));
+            assert_eq!((calls, hash), (calls_want, hash_want), "rate {rate}");
+        }
+    }
+
+    /// A provider that answers like [`answer`] but goes wrong on call
+    /// `at` (from 0) in the way `fault` says.
+    struct Faulty {
+        calls: usize,
+        at: usize,
+        fault: &'static str,
+    }
+
+    impl RpvProvider for Faulty {
+        fn predict(&mut self, rows: &[&[f64]]) -> Result<Vec<[f64; 4]>, MphpcError> {
+            let mut out: Vec<[f64; 4]> = rows.iter().map(|r| answer(r)).collect();
+            self.calls += 1;
+            if self.calls == self.at + 1 {
+                match self.fault {
+                    "error" => return Err(MphpcError::Serve("predictor went away".into())),
+                    "NaN" => out[0][2] = f64::NAN,
+                    _ => drop(out.pop()),
+                }
+            }
+            Ok(out)
+        }
+
+        fn name(&self) -> &str {
+            "faulty"
+        }
+    }
+
+    #[test]
+    fn the_first_error_in_strategy_order_is_the_event_loops() {
+        // 400 Poisson arrivals are 400 calls a strategy: call 400 is the
+        // second strategy's first, call 1 000 half-way through the third.
+        let (templates, features) = synthetic();
+        for (fault, at, want) in [
+            ("error", 400, "error: serve error: predictor went away"),
+            (
+                "NaN",
+                1_000,
+                "error: answer of rpv provider faulty\n  caused by: invalid job: job 200: \
+                 non-finite predicted RPV [10.0, 1.0, NaN, 4.0]",
+            ),
+            (
+                "short",
+                1_999,
+                "error: simulation error: rpv provider returned 0 predictions for 1 rows",
+            ),
+        ] {
+            let mut faulty = Faulty {
+                calls: 0,
+                at,
+                fault,
+            };
+            let err =
+                run_scale_comparison(&templates, &features, &mut faulty, 400, 0.05, 7).unwrap_err();
+            assert_eq!(err.render_chain(), want, "{fault}");
+            assert_eq!(
+                faulty.calls,
+                at + 1,
+                "{fault}: asked nothing after the fault"
+            );
+        }
     }
 
     #[test]

@@ -42,10 +42,11 @@ pub struct EventKey {
 }
 
 /// Map an `f64` to `u64` bits whose unsigned order equals
-/// [`f64::total_cmp`] order (the standard sign-fold trick).
+/// [`f64::total_cmp`] order (the standard sign-fold trick): negatives flip
+/// every bit, the rest only the sign bit, so `-0.0` keys before `0.0`.
 fn total_cmp_bits(t: f64) -> u64 {
-    let b = t.to_bits() as i64;
-    (b ^ (((b >> 63) as u64) >> 1) as i64) as u64
+    let b = t.to_bits();
+    b ^ ((b as i64 >> 63) as u64 | 1 << 63)
 }
 
 impl EventKey {
@@ -60,8 +61,8 @@ impl EventKey {
     /// The event's time.
     pub fn time(self) -> f64 {
         // Invert the sign fold.
-        let b = self.bits as i64;
-        f64::from_bits((b ^ (((b >> 63) as u64) >> 1) as i64) as u64)
+        let b = self.bits;
+        f64::from_bits(b ^ (!((b as i64 >> 63) as u64) | 1 << 63))
     }
 }
 
@@ -307,11 +308,13 @@ mod tests {
 
     #[test]
     fn key_order_matches_total_cmp_then_seq() {
-        let times = [0.0, 1e-300, 0.5, 1.0, 1.5, 1e300];
+        // Negative times, -0.0 among them, key below every positive one.
+        let times = [-2.0, -1e-300, -0.0, 0.0, 1e-300, 0.5, 1.0, 1.5, 1e300];
         for (i, &a) in times.iter().enumerate() {
             for &b in &times[i + 1..] {
                 assert!(EventKey::new(a, 5) < EventKey::new(b, 0), "{a} < {b}");
             }
+            assert_eq!(EventKey::new(a, 3).time().to_bits(), a.to_bits());
         }
         assert!(EventKey::new(2.0, 1) < EventKey::new(2.0, 2));
         assert_eq!(EventKey::new(1.25, 7).time(), 1.25);
@@ -321,7 +324,7 @@ mod tests {
     #[test]
     fn drains_in_sorted_order() {
         let mut q = CalendarQueue::new();
-        let times = [5.0, 1.0, 3.0, 1.0, 0.0, 2.5, 7.75, 3.0];
+        let times = [5.0, 1.0, 3.0, 1.0, 0.0, 2.5, 7.75, 3.0, -0.0];
         for (seq, &t) in times.iter().enumerate() {
             q.push(EventKey::new(t, seq as u64), seq);
         }

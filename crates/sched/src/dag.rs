@@ -195,7 +195,7 @@ pub fn simulate_workflows(
         }
     }
 
-    let (result, _) = simulate_full(&jobs, &deps, strategy, config, None)?;
+    let (result, _) = simulate_full(&jobs, &deps, strategy, config)?;
     let strategy_name = result.strategy;
     let mut completed: HashMap<(usize, u32), JobRecord> = HashMap::new();
     for rec in result.records {

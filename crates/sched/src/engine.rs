@@ -36,13 +36,17 @@
 //!    window needs scanning. Completions or starts invalidate the snapshot
 //!    and force a full pass; [`ScaleStats`] counts both kinds.
 //!
-//! 4. **Batched inline prediction.** Jobs may arrive without a predicted
-//!    RPV; every decision point gathers all rows arriving at that simulated
-//!    instant into a single [`RpvProvider::predict`] call — the quantized
-//!    inference engine is batch-size invariant, so inline predictions are
-//!    bitwise the ones a precomputed run would use, and a federated
-//!    provider ([`crate::federation::FederatedRpv`]) sends the batch as
-//!    a few pipelined multi-row requests instead of one per job.
+//! 4. **Free-node gate.** A scan with no free node on any machine ends at
+//!    once, and a candidate wider than the most free nodes anywhere is
+//!    passed over unasked: `can_start(cm, n)` needs `n ≤ free[cm]` whatever
+//!    machine `cm` its strategy would choose, and `choose` is side-effect
+//!    free. [`ScaleStats`] counts only the candidates it consulted.
+//!
+//! **Predictions** come before the loop: [`predict_rpvs`] asks the provider
+//! once per arrival instant, as the loop's decision points did. For a
+//! dependency-free job list those instants do not depend on the schedule,
+//! and inference is batch-size invariant, so the RPVs are bitwise the ones
+//! a precomputed run uses.
 //!
 //! **Dependencies** do not weaken the snapshot: a job with open
 //! dependencies is not in the event queue at all; the completion that
@@ -64,6 +68,7 @@ use crate::strategy::MachineAssigner;
 use mphpc_errors::MphpcError;
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::Range;
+use std::time::Instant;
 
 /// Simulation parameters.
 #[derive(Debug, Clone, Copy)]
@@ -107,20 +112,11 @@ pub struct SimResult {
     pub records: Vec<JobRecord>,
 }
 
-/// Inline prediction hookup: per-job feature rows plus the provider that
-/// turns them into RPVs. Rows align with the `jobs` slice by index; jobs
-/// that already carry `predicted_rpv` are not re-predicted.
-pub struct InlineRpv<'a> {
-    /// One feature row per job (same order as the `jobs` slice).
-    pub features: &'a [&'a [f64]],
-    /// Predictor answering one batch per decision point.
-    pub provider: &'a mut dyn RpvProvider,
-}
-
-/// Operational counters from one [`simulate_full`] run. Schedule outputs
-/// live in [`SimResult`]; these describe how the engine got there. Each
-/// field is also flushed once, at the end of the run, to the telemetry
-/// counter named in its doc.
+/// Operational counters from one [`simulate_full`] run (the `predict_*`
+/// fields from one [`predict_rpvs`] call). Schedule outputs live in
+/// [`SimResult`]; these describe how the engine got there. Each field is
+/// also flushed once, at the end of the run, to the telemetry counter named
+/// in its doc.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScaleStats {
     /// Events pushed into the calendar queue (`sched.events.enqueued`).
@@ -137,14 +133,15 @@ pub struct ScaleStats {
     /// EASY reservations computed — full passes only; snapshot hits reuse
     /// the stored reservation (`sched.reservations`).
     pub reservations: u64,
-    /// Backfill candidates examined (`sched.backfill.attempts`).
+    /// Backfill candidates whose strategy was consulted; the free-node gate
+    /// passes over the rest (`sched.backfill.attempts`).
     pub backfill_attempts: u64,
     /// Jobs started by backfilling past a blocked head
     /// (`sched.backfill.starts`).
     pub backfill_starts: u64,
-    /// Inline prediction batches issued (`sched.predict.batches`).
+    /// Provider calls, one per arrival instant (`sched.predict.batches`).
     pub predict_batches: u64,
-    /// Feature rows predicted inline (`sched.predict.rows`).
+    /// Feature rows the provider was asked for (`sched.predict.rows`).
     pub predict_rows: u64,
     /// Wall-clock microseconds spent inside the provider — the serving
     /// latency term when the provider is federated
@@ -252,9 +249,7 @@ const PROFILE_AUDIT_STRIDE: u64 = 64;
 
 /// Everything one run mutates, so the loop's steps can be methods.
 struct Engine<'a> {
-    /// Local copy so inline predictions can be patched in as jobs arrive;
-    /// strategies then see exactly the jobs a precomputed run would.
-    jobs: Vec<Job>,
+    jobs: &'a [Job],
     strategy: &'a mut dyn MachineAssigner,
     config: &'a SimConfig,
     cluster: Cluster,
@@ -318,19 +313,29 @@ impl Engine<'_> {
     /// start now without delaying the reservation `held` — on another
     /// machine free capacity suffices; on the head's machine it must
     /// finish by the shadow time or fit in the extra nodes. Returns its
-    /// queue position and machine.
+    /// queue position and machine. Behind the free-node gate (point 4 of
+    /// the module doc): no job wider than every machine's free nodes can
+    /// start, so its strategy is not consulted.
     fn backfill_candidate(
         &mut self,
         range: Range<usize>,
         held: Reservation,
         now: f64,
     ) -> Option<(usize, usize)> {
+        let most_free = (0..N_MACHINES).map(|m| self.cluster.free_nodes(m)).max();
+        let most_free = most_free.unwrap_or(0);
+        if most_free == 0 {
+            return None;
+        }
         let mut chosen = None;
         // Counted locally: the scan is the engine's innermost loop.
         let mut attempts = 0u64;
         for qi in range {
-            attempts += 1;
             let cand = &self.jobs[self.queue[qi]];
+            if cand.nodes_required > most_free {
+                continue;
+            }
+            attempts += 1;
             let cm = self.strategy.choose(cand, &self.cluster);
             if !self.cluster.can_start(cm, cand.nodes_required) {
                 continue;
@@ -402,14 +407,72 @@ impl Engine<'_> {
     }
 }
 
-/// [`simulate_full`] for callers with neither dependencies nor inline
-/// prediction: every job carries whatever RPV its strategy needs.
+/// [`simulate_full`] for callers without dependencies.
 pub fn simulate(
     jobs: &[Job],
     strategy: &mut dyn MachineAssigner,
     config: &SimConfig,
 ) -> Result<SimResult, MphpcError> {
-    simulate_full(jobs, &[], strategy, config, None).map(|(result, _)| result)
+    simulate_full(jobs, &[], strategy, config).map(|(result, _)| result)
+}
+
+/// Give every job of a dependency-free list that lacks an RPV the one
+/// `provider` answers for its row `features[i]`, in the calls the event
+/// loop's decision points made: one per instant at which such jobs arrive,
+/// instants and their rows in the calendar's `(time, seq)` pop order (seq
+/// is the job's index), `-0.0` and `0.0` one instant as IEEE `>` batches
+/// them. Every answer must pass [`check_rpv`].
+pub fn predict_rpvs(
+    jobs: &mut [Job],
+    features: &[&[f64]],
+    provider: &mut dyn RpvProvider,
+) -> Result<ScaleStats, MphpcError> {
+    if features.len() != jobs.len() {
+        let msg = format!(
+            "inline rpv: {} feature rows for {} jobs",
+            features.len(),
+            jobs.len()
+        );
+        return Err(MphpcError::Simulation(msg));
+    }
+    // A stable sort keeps an instant's jobs in index order.
+    let mut asked: Vec<usize> = (0..jobs.len())
+        .filter(|&i| jobs[i].predicted_rpv.is_none())
+        .collect();
+    asked.sort_by(|&a, &b| jobs[a].submit_time.total_cmp(&jobs[b].submit_time));
+    let (mut stats, mut rest) = (ScaleStats::default(), &asked[..]);
+    while let Some(&first) = rest.first() {
+        let now = jobs[first].submit_time;
+        let later = rest.iter().position(|&i| jobs[i].submit_time > now);
+        let (instant, tail) = rest.split_at(later.unwrap_or(rest.len()));
+        rest = tail;
+        let rows: Vec<&[f64]> = instant.iter().map(|&i| features[i]).collect();
+        let started = Instant::now();
+        let rpvs = provider.predict(&rows)?;
+        let us = started.elapsed().as_micros() as u64;
+        stats.predict_batches += 1;
+        stats.predict_rows += rows.len() as u64;
+        stats.predict_us_total += us;
+        mphpc_telemetry::histogram_record("sched.predict.lookup_us", us as f64 / rows.len() as f64);
+        if rpvs.len() != rows.len() {
+            return Err(MphpcError::Simulation(format!(
+                "rpv provider returned {} predictions for {} rows",
+                rpvs.len(),
+                rows.len()
+            )));
+        }
+        for (&i, rpv) in instant.iter().zip(rpvs) {
+            let named = |err: MphpcError| {
+                err.context(format!("answer of rpv provider {}", provider.name()))
+            };
+            check_rpv(jobs[i].id, &rpv).map_err(named)?;
+            jobs[i].predicted_rpv = Some(rpv);
+        }
+    }
+    mphpc_telemetry::counter_add("sched.predict.batches", stats.predict_batches);
+    mphpc_telemetry::counter_add("sched.predict.rows", stats.predict_rows);
+    mphpc_telemetry::counter_add("sched.predict.us_total", stats.predict_us_total);
+    Ok(stats)
 }
 
 /// Run the simulation of `jobs` under `strategy`.
@@ -426,15 +489,11 @@ pub fn simulate(
 /// slice means no dependencies. Dependent jobs join the same global queue
 /// and contend for the same nodes as everything else — this is the
 /// substrate for workflow (DAG) scheduling in [`crate::dag`].
-///
-/// With `inline`, jobs without a `predicted_rpv` get one from the provider
-/// when they arrive, one batch per simulated instant.
 pub fn simulate_full(
     jobs: &[Job],
     deps: &[Vec<usize>],
     strategy: &mut dyn MachineAssigner,
     config: &SimConfig,
-    mut inline: Option<InlineRpv<'_>>,
 ) -> Result<(SimResult, ScaleStats), MphpcError> {
     for j in jobs {
         j.validate()?;
@@ -462,15 +521,6 @@ pub fn simulate_full(
             return Err(MphpcError::Simulation(format!("job {i} depends on itself")));
         }
     }
-    if let Some(inl) = &inline {
-        if inl.features.len() != jobs.len() {
-            return Err(MphpcError::Simulation(format!(
-                "inline rpv: {} feature rows for {} jobs",
-                inl.features.len(),
-                jobs.len()
-            )));
-        }
-    }
     let _sim_span = mphpc_telemetry::span!("sched.simulate", jobs = jobs.len());
 
     // Dependency bookkeeping, empty when there are no dependencies at all:
@@ -485,7 +535,7 @@ pub fn simulate_full(
     }
 
     let mut e = Engine {
-        jobs: jobs.to_vec(),
+        jobs,
         strategy,
         config,
         cluster: Cluster::new(config.machines),
@@ -508,15 +558,11 @@ pub fn simulate_full(
     }
 
     let mut blocked: Option<Blocked> = None;
-    let mut arrivals_this_ts: Vec<usize> = Vec::new();
-    let mut rows_buf: Vec<&[f64]> = Vec::new();
-    let mut pred_idx: Vec<usize> = Vec::new();
     let mut timestamps = 0u64;
 
     while let Some(first) = e.events.peek_key() {
         let now = first.time();
         timestamps += 1;
-        arrivals_this_ts.clear();
         // Apply every event at this timestamp before scheduling (IEEE `>`
         // batching, so -0.0 and 0.0 coalesce). A dependent released at
         // `now` is pushed while its instant is being drained and leaves in
@@ -529,10 +575,7 @@ pub fn simulate_full(
             e.stats.events_dequeued += 1;
             e.auditor.observe_calendar_dequeue(k.time(), k.seq)?;
             match ev {
-                Ev::Arrival(idx) => {
-                    e.queue.push_back(idx);
-                    arrivals_this_ts.push(idx);
-                }
+                Ev::Arrival(idx) => e.queue.push_back(idx),
                 Ev::Completion { machine, job } => {
                     e.cluster.complete(machine, e.jobs[job].id)?;
                     e.profile.remove(machine, e.end_time[job], e.jobs[job].id)?;
@@ -549,45 +592,6 @@ pub fn simulate_full(
             }
         }
         e.auditor.observe_event_time(now)?;
-
-        // Inline prediction: one batch for everything arriving now.
-        if let Some(inl) = &mut inline {
-            rows_buf.clear();
-            pred_idx.clear();
-            for &idx in &arrivals_this_ts {
-                if e.jobs[idx].predicted_rpv.is_none() {
-                    rows_buf.push(inl.features[idx]);
-                    pred_idx.push(idx);
-                }
-            }
-            if !rows_buf.is_empty() {
-                let t0 = std::time::Instant::now();
-                let rpvs = inl.provider.predict(&rows_buf)?;
-                let us = t0.elapsed().as_micros() as u64;
-                e.stats.predict_batches += 1;
-                e.stats.predict_rows += rows_buf.len() as u64;
-                e.stats.predict_us_total += us;
-                if mphpc_telemetry::enabled() {
-                    mphpc_telemetry::histogram_record(
-                        "sched.predict.lookup_us",
-                        us as f64 / rows_buf.len() as f64,
-                    );
-                }
-                if rpvs.len() != pred_idx.len() {
-                    return Err(MphpcError::Simulation(format!(
-                        "rpv provider returned {} predictions for {} rows",
-                        rpvs.len(),
-                        pred_idx.len()
-                    )));
-                }
-                for (&idx, rpv) in pred_idx.iter().zip(&rpvs) {
-                    check_rpv(e.jobs[idx].id, rpv).map_err(|err| {
-                        err.context(format!("answer of rpv provider {}", inl.provider.name()))
-                    })?;
-                    e.jobs[idx].predicted_rpv = Some(*rpv);
-                }
-            }
-        }
 
         // Incremental path: the head blocked earlier and nothing it saw
         // has changed — scan only the arrivals that extended the window.
@@ -640,9 +644,6 @@ pub fn simulate_full(
             ("sched.reservations", s.reservations),
             ("sched.backfill.attempts", s.backfill_attempts),
             ("sched.backfill.starts", s.backfill_starts),
-            ("sched.predict.batches", s.predict_batches),
-            ("sched.predict.rows", s.predict_rows),
-            ("sched.predict.us_total", s.predict_us_total),
             ("sched.predict.nonpositive", nonpositive as u64),
             ("sched.audit.checks_passed", e.auditor.checks_passed()),
         ] {
@@ -925,7 +926,7 @@ mod tests {
         ];
         let deps = vec![vec![], vec![], vec![0, 1], vec![2]];
         let mut s = RoundRobin::new();
-        let (r, stats) = simulate_full(&jobs, &deps, &mut s, &small_config(), None).unwrap();
+        let (r, stats) = simulate_full(&jobs, &deps, &mut s, &small_config()).unwrap();
         let start = |id: u64| r.records.iter().find(|x| x.job_id == id).unwrap().start;
         assert_eq!(
             start(2),
@@ -946,7 +947,7 @@ mod tests {
         let jobs = vec![job(0, 0.0, 1, [1.0; 4]), job(1, 0.0, 1, [1.0; 4])];
         let run = |deps: &[Vec<usize>]| {
             let mut s = RoundRobin::new();
-            simulate_full(&jobs, deps, &mut s, &small_config(), None)
+            simulate_full(&jobs, deps, &mut s, &small_config())
                 .unwrap_err()
                 .to_string()
         };
@@ -997,12 +998,8 @@ mod tests {
         let mut provider = FnRpvProvider::new("fake", |rows: &[&[f64]]| {
             Ok(rows.iter().map(|r| predict_row(r)).collect())
         });
-        let inline = InlineRpv {
-            features: &rows,
-            provider: &mut provider,
-        };
-        let (inlined, stats) =
-            simulate_full(&jobs, &[], &mut ModelBased::new(), &cfg, Some(inline)).unwrap();
+        let stats = predict_rpvs(&mut jobs, &rows, &mut provider).unwrap();
+        let inlined = simulate(&jobs, &mut ModelBased::new(), &cfg).unwrap();
         assert_eq!(precomputed, inlined);
         assert_eq!(stats.predict_rows, jobs.len() as u64);
         assert_eq!(
@@ -1025,18 +1022,7 @@ mod tests {
                 out[1][2] = bad;
                 Ok(out)
             });
-            let inline = InlineRpv {
-                features: &rows,
-                provider: &mut provider,
-            };
-            let err = simulate_full(
-                &jobs,
-                &[],
-                &mut ModelBased::new(),
-                &small_config(),
-                Some(inline),
-            )
-            .unwrap_err();
+            let err = predict_rpvs(&mut jobs.clone(), &rows, &mut provider).unwrap_err();
             assert!(
                 matches!(err.root_cause(), MphpcError::InvalidJob(_)),
                 "{err}"
@@ -1053,25 +1039,72 @@ mod tests {
         let mut provider = FnRpvProvider::new("fake", |rows: &[&[f64]]| {
             Ok(vec![[1.0; N_MACHINES]; rows.len()])
         });
-        let inline = InlineRpv {
-            features: &rows,
-            provider: &mut provider,
-        };
-        let err = simulate_full(
-            &jobs,
-            &[],
-            &mut ModelBased::new(),
-            &small_config(),
-            Some(inline),
-        )
-        .unwrap_err();
+        let err = predict_rpvs(&mut jobs.clone(), &rows, &mut provider).unwrap_err();
         assert!(err.to_string().contains("feature rows"), "{err}");
+    }
+
+    /// FNV-1a over a provider's call log: each call's row count, then the
+    /// bits of its rows.
+    fn log_hash(calls: &[Vec<Vec<f64>>]) -> u64 {
+        let words = calls.iter().flat_map(|call| {
+            let bits = call.iter().flatten().map(|v| v.to_bits());
+            std::iter::once(call.len() as u64).chain(bits)
+        });
+        words.fold(0xcbf2_9ce4_8422_2325, |h, w| {
+            (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn the_provider_is_asked_as_the_event_loop_asked_it() {
+        // Tied instants, -0.0 beside 0.0, and jobs that carry an RPV (all
+        // of 7.0's): the calls the event loop's decision points made.
+        let submits = [5.0, 0.0, -0.0, 5.0, 2.5, 0.0, 7.0, -0.0, 2.5, 5.0];
+        let carries = [3, 5, 6];
+        let mut jobs: Vec<Job> = submits
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| {
+                let mut j = job(i as u64, t, 1 + (i % 2) as u32, [1.0 + i as f64; 4]);
+                j.predicted_rpv = carries.contains(&i).then_some([2.0; 4]);
+                j
+            })
+            .collect();
+        let signed = |i: usize| if i % 3 == 0 { -0.0 } else { 0.0 };
+        let features: Vec<Vec<f64>> = (0..jobs.len()).map(|i| vec![i as f64, signed(i)]).collect();
+        let rows: Vec<&[f64]> = features.iter().map(Vec::as_slice).collect();
+        let mut calls: Vec<Vec<Vec<f64>>> = Vec::new();
+        let mut provider = FnRpvProvider::new("recording", |rows: &[&[f64]]| {
+            calls.push(rows.iter().map(|r| r.to_vec()).collect());
+            Ok(rows.iter().map(|r| [r[0], 1.0, 2.0, 3.0]).collect())
+        });
+        let stats = predict_rpvs(&mut jobs, &rows, &mut provider).unwrap();
+        assert_eq!((stats.predict_batches, stats.predict_rows), (3, 7));
+        let asked: Vec<Vec<f64>> = calls
+            .iter()
+            .map(|call| call.iter().map(|r| r[0]).collect())
+            .collect();
+        assert_eq!(asked, [vec![2.0, 7.0, 1.0], vec![4.0, 8.0], vec![0.0, 9.0]]);
+        // Pinned from the event loop's own asking, before it moved here
+        // (with the calendar's -0.0 key fixed: it ran -0.0 late before).
+        assert_eq!(log_hash(&calls), 17_683_125_853_137_821_254);
+        for (i, j) in jobs.iter().enumerate() {
+            let answered = [i as f64, 1.0, 2.0, 3.0];
+            let want = if carries.contains(&i) {
+                [2.0; 4]
+            } else {
+                answered
+            };
+            assert_eq!(j.predicted_rpv, Some(want), "job {i}");
+        }
+        let schedule = simulate(&jobs, &mut ModelBased::new(), &small_config()).unwrap();
+        assert_eq!(schedule.records.len(), jobs.len());
     }
 
     #[test]
     fn empty_workload() {
         let mut s = RoundRobin::new();
-        let (r, stats) = simulate_full(&[], &[], &mut s, &small_config(), None).unwrap();
+        let (r, stats) = simulate_full(&[], &[], &mut s, &small_config()).unwrap();
         assert!(r.records.is_empty());
         assert_eq!(stats, ScaleStats::default());
     }

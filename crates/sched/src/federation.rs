@@ -1,9 +1,10 @@
 //! Predictor federation: RPV lookups as a service.
 //!
-//! The engine ([`crate::engine`]) does not embed a model; it asks
-//! an [`RpvProvider`] for predicted relative-performance vectors, one
-//! *batch per decision point* (every job arriving at a simulated instant
-//! is predicted in a single call). Two providers ship here:
+//! The engine ([`crate::engine`]) does not embed a model: before it
+//! simulates, [`crate::engine::predict_rpvs`] asks an [`RpvProvider`] for
+//! predicted relative-performance vectors, one *batch per decision point*
+//! (every job arriving at a simulated instant in a single call). Two
+//! providers ship here:
 //!
 //! * [`FnRpvProvider`] wraps a closure — the in-process path, used by
 //!   `mphpc-core` to adapt its quantized compiled engine;
@@ -291,23 +292,25 @@ impl RpvProvider for FederatedRpv<'_> {
     }
 }
 
+/// A feature row's `f64` bit patterns, viewed in place: the key RPV lookups
+/// compare rows on, so `0.0` / `-0.0` and NaN payloads stay apart, as they
+/// may in a model's answers.
+pub fn row_bits(row: &[f64]) -> &[u64] {
+    const _: () = assert!(std::mem::align_of::<f64>() == std::mem::align_of::<u64>());
+    // SAFETY: `f64` and `u64` have the same size and alignment, and every
+    // bit pattern is a valid `u64`.
+    unsafe { std::slice::from_raw_parts(row.as_ptr().cast(), row.len()) }
+}
+
 /// The distinct rows of `rows` in first-seen order, and for each row of
-/// `rows` the index of its distinct row. Rows are keyed on their `f64` bit
-/// patterns, as `PredictorRpv`'s memo is: `0.0` / `-0.0` and NaN payloads
-/// stay apart.
+/// `rows` the index of its distinct row, keyed on [`row_bits`].
 fn distinct_rows<'r>(rows: &[&'r [f64]]) -> (Vec<&'r [f64]>, Vec<usize>) {
-    let bits: Vec<u64> = rows
-        .iter()
-        .flat_map(|r| r.iter().map(|v| v.to_bits()))
-        .collect();
     let mut first = HashMap::with_capacity(rows.len());
-    let (mut distinct, mut at) = (Vec::new(), 0);
+    let mut distinct = Vec::new();
     let slots = rows
         .iter()
         .map(|&row| {
-            let key = &bits[at..at + row.len()];
-            at += row.len();
-            *first.entry(key).or_insert_with(|| {
+            *first.entry(row_bits(row)).or_insert_with(|| {
                 distinct.push(row);
                 distinct.len() - 1
             })

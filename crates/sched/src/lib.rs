@@ -25,8 +25,9 @@
 //!
 //! There is one event loop, [`engine`]: [`simulate`] for a plain job list,
 //! [`simulate_full`] when jobs have dependencies ([`dag`] lowers workflows
-//! onto it) or their RPVs are looked up inline through an [`RpvProvider`]
-//! ([`federation`]). The engine it replaced is a `cfg(test)` oracle
+//! onto it). Jobs whose RPVs come from an [`RpvProvider`] ([`federation`])
+//! get them from [`predict_rpvs`] before the loop, in the calls its decision
+//! points would make. The engine it replaced is a `cfg(test)` oracle
 //! (`reference.rs`) that the in-crate suite holds it bit-identical to.
 
 #![warn(missing_docs)]
@@ -48,8 +49,8 @@ pub use audit::InvariantAuditor;
 pub use calendar::{CalendarQueue, EventKey};
 pub use cluster::{Cluster, MachineConfig};
 pub use dag::{simulate_workflows, Task, Workflow, WorkflowSimResult};
-pub use engine::{simulate, simulate_full, InlineRpv, ScaleStats, SimConfig, SimResult};
-pub use federation::{FederatedRpv, FederationStats, FnRpvProvider, RpvProvider};
+pub use engine::{predict_rpvs, simulate, simulate_full, ScaleStats, SimConfig, SimResult};
+pub use federation::{row_bits, FederatedRpv, FederationStats, FnRpvProvider, RpvProvider};
 pub use job::Job;
 pub use metrics::{avg_bounded_slowdown, makespan, SLOWDOWN_BOUND_SECONDS};
 pub use strategy::{MachineAssigner, ModelBased, Oracle, RandomAssign, RoundRobin, UserRoundRobin};

@@ -301,8 +301,7 @@ pub fn simulate_with_deps(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{simulate, simulate_full, InlineRpv};
-    use crate::federation::FnRpvProvider;
+    use crate::engine::{simulate, simulate_full};
     use crate::strategy::{ModelBased, Oracle, RandomAssign, RoundRobin, UserRoundRobin};
     use crate::workload::{sample_jobs, JobTemplate};
     use proptest::prelude::*;
@@ -364,7 +363,7 @@ mod tests {
         let cfg = small_config();
         for (mut old_s, mut new_s) in strategies().into_iter().zip(strategies()) {
             let oracle = simulate_with_deps(&jobs, &[], old_s.as_mut(), &cfg).unwrap();
-            let (engine, stats) = simulate_full(&jobs, &[], new_s.as_mut(), &cfg, None).unwrap();
+            let (engine, stats) = simulate_full(&jobs, &[], new_s.as_mut(), &cfg).unwrap();
             assert_eq!(oracle, engine, "strategy {}", engine.strategy);
             assert!(stats.events_dequeued == stats.events_enqueued);
             assert!(stats.full_rescans > 0);
@@ -391,7 +390,7 @@ mod tests {
         let jobs = sample_jobs(&templates(), 400, 1.0, 3).unwrap();
         let cfg = small_config();
         let oracle = simulate_with_deps(&jobs, &[], &mut Oracle::new(), &cfg).unwrap();
-        let (engine, stats) = simulate_full(&jobs, &[], &mut Oracle::new(), &cfg, None).unwrap();
+        let (engine, stats) = simulate_full(&jobs, &[], &mut Oracle::new(), &cfg).unwrap();
         assert_eq!(oracle, engine);
         assert!(
             stats.incremental_updates > 0,
@@ -419,7 +418,7 @@ mod tests {
         let cfg = SimConfig::default();
         for (mut old_s, mut new_s) in strategies().into_iter().zip(strategies()) {
             let oracle = simulate_with_deps(&jobs, &[], old_s.as_mut(), &cfg).unwrap();
-            let (engine, stats) = simulate_full(&jobs, &[], new_s.as_mut(), &cfg, None).unwrap();
+            let (engine, stats) = simulate_full(&jobs, &[], new_s.as_mut(), &cfg).unwrap();
             assert_eq!(oracle, engine, "strategy {}", engine.strategy);
             assert_eq!(stats.events_dequeued, 100_000);
         }
@@ -456,8 +455,7 @@ mod tests {
         ];
         let deps = vec![vec![], vec![0], vec![0], vec![1, 2], vec![], vec![]];
         let oracle = simulate_with_deps(&jobs, &deps, &mut RoundRobin::new(), &cfg).unwrap();
-        let (engine, stats) =
-            simulate_full(&jobs, &deps, &mut RoundRobin::new(), &cfg, None).unwrap();
+        let (engine, stats) = simulate_full(&jobs, &deps, &mut RoundRobin::new(), &cfg).unwrap();
         assert_eq!(oracle, engine);
         assert_eq!(
             engine.records[1].start, 5.0,
@@ -492,7 +490,7 @@ mod tests {
             let oracle = simulate_with_deps(&jobs, &deps, &mut RoundRobin::new(), &cfg)
                 .unwrap_err()
                 .to_string();
-            let engine = simulate_full(&jobs, &deps, &mut RoundRobin::new(), &cfg, None)
+            let engine = simulate_full(&jobs, &deps, &mut RoundRobin::new(), &cfg)
                 .unwrap_err()
                 .to_string();
             assert!(oracle.contains(expect), "{oracle}");
@@ -505,15 +503,13 @@ mod tests {
 
         /// Random jobs under a random forward-edge DAG (job `i` may depend
         /// only on jobs before it), on machines small enough to queue:
-        /// every strategy, any window depth, RPVs
-        /// carried by the jobs or looked up inline — always the oracle's
+        /// every strategy, any window depth — always the oracle's
         /// schedule, and never a start before a dependency's end.
         #[test]
         fn random_dags_match_the_oracle(
             jobs in arb_jobs(60),
             edge_seed in any::<u64>(),
             coarse in any::<bool>(),
-            inline in any::<bool>(),
             depth in 0usize..20,
         ) {
             let mut jobs = jobs;
@@ -549,26 +545,10 @@ mod tests {
                 backfill_depth: depth,
                 audit: true,
             };
-            // Inline: jobs without an RPV get one from their feature row;
-            // the oracle sees the same values precomputed.
-            let predict_row = |row: &[f64]| [1.0 + row[0], 2.0, 1.0 + row[1], 1.5];
-            let features: Vec<[f64; 2]> =
-                jobs.iter().map(|j| [(j.id % 5) as f64, j.nodes_required as f64]).collect();
-            let rows: Vec<&[f64]> = features.iter().map(|f| &f[..]).collect();
-            let mut oracle_jobs = jobs.clone();
-            if inline {
-                for (j, f) in oracle_jobs.iter_mut().zip(&features) {
-                    j.predicted_rpv.get_or_insert(predict_row(f));
-                }
-            }
             for (mut old_s, mut new_s) in strategies().into_iter().zip(strategies()) {
-                let oracle = simulate_with_deps(&oracle_jobs, &deps, old_s.as_mut(), &cfg).unwrap();
-                let mut provider = FnRpvProvider::new("fake", |rows: &[&[f64]]| {
-                    Ok(rows.iter().map(|r| predict_row(r)).collect())
-                });
-                let hookup = inline.then_some(InlineRpv { features: &rows, provider: &mut provider });
+                let oracle = simulate_with_deps(&jobs, &deps, old_s.as_mut(), &cfg).unwrap();
                 let (engine, stats) =
-                    simulate_full(&jobs, &deps, new_s.as_mut(), &cfg, hookup).unwrap();
+                    simulate_full(&jobs, &deps, new_s.as_mut(), &cfg).unwrap();
                 prop_assert_eq!(&oracle, &engine, "strategy {}", engine.strategy);
                 prop_assert_eq!(stats.events_dequeued, 2 * jobs.len() as u64);
                 for (i, d) in deps.iter().enumerate() {
@@ -578,6 +558,24 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_scan_with_every_machine_full_consults_no_strategy() {
+        // One node a machine: four jobs fill the pool at t=0 and the other
+        // four queue behind a blocked head. The backfill scan then finds no
+        // free node anywhere and examines no candidate; at t=10 the heads
+        // start in turn, and at t=20 the queue is empty.
+        let mut cfg = small_config();
+        for m in &mut cfg.machines {
+            m.total_nodes = 1;
+        }
+        let jobs: Vec<Job> = (0..8).map(|i| job(i, 0.0, 1, 10.0)).collect();
+        let oracle = simulate_with_deps(&jobs, &[], &mut RoundRobin::new(), &cfg).unwrap();
+        let (engine, stats) = simulate_full(&jobs, &[], &mut RoundRobin::new(), &cfg).unwrap();
+        assert_eq!(oracle, engine);
+        assert_eq!((stats.full_rescans, stats.reservations), (3, 1));
+        assert_eq!(stats.backfill_attempts, 0, "{stats:?}");
     }
 
     fn four_node_cluster() -> Cluster {

@@ -5,11 +5,12 @@ use crate::cluster::Cluster;
 use crate::job::{Job, N_MACHINES};
 use mphpc_archsim::noise::derive_seed;
 
-/// A machine-assignment policy. `choose` must be side-effect free with
-/// respect to queue scanning (it may be called for jobs that do not start);
+/// A machine-assignment policy, `Send` so each can simulate on a thread of
+/// its own. `choose` must be side-effect free with respect to queue
+/// scanning (it may be called for jobs that do not start, or not at all);
 /// stateful policies advance their counters in `notify_started`, matching
 /// Algorithm 1 where `i` increments per `Start`.
-pub trait MachineAssigner {
+pub trait MachineAssigner: Send {
     /// Pick a machine (Table-I index) for `job` given current cluster
     /// state.
     fn choose(&mut self, job: &Job, cluster: &Cluster) -> usize;

@@ -11,8 +11,9 @@ use std::time::Duration;
 
 use mphpc_core::prelude::*;
 use mphpc_core::serving::{predictor_loader, ServedPredictor};
-use mphpc_sched::engine::{simulate, simulate_full, InlineRpv, SimConfig};
-use mphpc_sched::{sample_jobs, sample_jobs_indexed, FederatedRpv, JobTemplate};
+use mphpc_errors::MphpcError;
+use mphpc_sched::engine::{predict_rpvs, simulate, simulate_full, SimConfig};
+use mphpc_sched::{sample_jobs, sample_jobs_indexed, FederatedRpv, JobTemplate, RpvProvider};
 use mphpc_serve::{serve, ModelRegistry, PredictModel, ServeConfig, ServerHandle};
 
 fn setup() -> (MpHpcDataset, PerfPredictor) {
@@ -21,11 +22,11 @@ fn setup() -> (MpHpcDataset, PerfPredictor) {
     (d, p)
 }
 
-/// Precomputed-RPV templates vs raw templates with inline prediction —
-/// full `SimResult` equality (every job's start, end, and machine), not
-/// just aggregates. One provider serves all five strategies, as in
-/// `run_scale_comparison`, so from the second strategy on every row is a
-/// memo hit; the engine's own counters must not notice.
+/// Precomputed-RPV templates vs raw templates whose RPVs `predict_rpvs`
+/// looks up — full `SimResult` equality (every job's start, end, and
+/// machine), not just aggregates. One provider serves all five strategies,
+/// as in `run_scale_comparison`, so from the second strategy on every row
+/// is a memo hit; the counters must not notice.
 fn assert_inline_equals_precomputed(
     enriched: &[JobTemplate],
     raw: &[JobTemplate],
@@ -48,19 +49,16 @@ fn assert_inline_equals_precomputed(
     let mut provider = PredictorRpv::new(predictor);
     for (mut s, mut ps) in strategies().into_iter().zip(strategies()) {
         let precomputed = simulate(&pre_jobs, ps.as_mut(), &config).unwrap();
-        let inline = InlineRpv {
-            features: &rows,
-            provider: &mut provider,
-        };
-        let (inlined, stats) =
-            simulate_full(&raw_jobs, &[], s.as_mut(), &config, Some(inline)).unwrap();
+        let mut jobs = raw_jobs.clone();
+        let asked = predict_rpvs(&mut jobs, &rows, &mut provider).unwrap();
+        let (inlined, stats) = simulate_full(&jobs, &[], s.as_mut(), &config).unwrap();
         assert_eq!(
             inlined, precomputed,
             "{} diverged on {n_jobs} jobs rate {rate} seed {seed}",
             precomputed.strategy
         );
-        assert_eq!(stats.predict_rows, n_jobs as u64);
-        assert_eq!(stats.predict_batches, submits.len() as u64);
+        assert_eq!(asked.predict_rows, n_jobs as u64);
+        assert_eq!(asked.predict_batches, submits.len() as u64);
         assert_eq!(stats.events_enqueued, 2 * n_jobs as u64);
         assert_eq!(stats.events_dequeued, 2 * n_jobs as u64);
     }
@@ -73,7 +71,7 @@ fn bit_identity_1k_and_10k_across_thread_counts() {
     let (raw, features) = templates_from_dataset_raw(&d).unwrap();
     for &n_jobs in &[1_000usize, 10_000] {
         for &threads in &[1usize, 2, 8] {
-            // The engine is serial; the override exercises the
+            // One simulation is serial; the override exercises the
             // predictor's parallel batch inference, which must stay
             // deterministic for the schedules to match.
             mphpc_par::set_thread_override(Some(threads));
@@ -264,4 +262,83 @@ fn federated_backlog_sends_each_distinct_row_once_per_strategy() {
     assert_eq!((stats.rows, stats.fallbacks), (5 * n_jobs as u64, 0));
     assert!(distinct.len() < n_jobs, "the sample must repeat rows");
     assert_eq!(stats.sent_rows, 5 * distinct.len() as u64);
+}
+
+/// A provider that folds every call it forwards into an FNV-1a hash: each
+/// call's row count, then the bits of its rows.
+struct Recording<P> {
+    inner: P,
+    calls: u64,
+    hash: u64,
+}
+
+impl<P> Recording<P> {
+    fn new(inner: P) -> Self {
+        Self {
+            inner,
+            calls: 0,
+            hash: 0xcbf2_9ce4_8422_2325,
+        }
+    }
+}
+
+impl<P: RpvProvider> RpvProvider for Recording<P> {
+    fn predict(&mut self, rows: &[&[f64]]) -> Result<Vec<[f64; 4]>, MphpcError> {
+        let bits = rows.iter().flat_map(|r| r.iter().map(|v| v.to_bits()));
+        self.hash = std::iter::once(rows.len() as u64)
+            .chain(bits)
+            .fold(self.hash, |h, w| {
+                (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+        self.calls += 1;
+        self.inner.predict(rows)
+    }
+}
+
+#[test]
+fn strategies_simulated_side_by_side_ask_and_schedule_as_one_at_a_time() {
+    // The comparison simulates its five strategies on up to `threads`
+    // workers while the calling thread asks the provider for the next one:
+    // outcomes and the provider's calls must not depend on how many.
+    let (d, p) = setup();
+    let (raw, features) = templates_from_dataset_raw(&d).unwrap();
+    let handle = start_server(&p);
+    let addr = handle.addr().to_string();
+    for (n_jobs, rate) in [(3_000usize, 0.0), (1_500, 0.05)] {
+        let mut runs = Vec::new();
+        for threads in [1usize, 2, 8] {
+            mphpc_par::set_thread_override(Some(threads));
+            let mut local = Recording::new(PredictorRpv::new(&p));
+            let outcomes =
+                run_scale_comparison(&raw, &features, &mut local, n_jobs, rate, 5).unwrap();
+            let federated = FederatedRpv::new(
+                &addr,
+                "default",
+                Duration::from_secs(10),
+                16,
+                Box::new(PredictorRpv::new(&p)),
+            );
+            let mut remote = Recording::new(federated);
+            let fed_outcomes =
+                run_scale_comparison(&raw, &features, &mut remote, n_jobs, rate, 5).unwrap();
+            let stats = remote.inner.stats();
+            assert_eq!(
+                (stats.fallbacks, stats.degraded),
+                (0, false),
+                "{threads} threads"
+            );
+            let plain =
+                |o: &[ScaleOutcome]| o.iter().map(|o| o.outcome.clone()).collect::<Vec<_>>();
+            assert_eq!(plain(&fed_outcomes), plain(&outcomes), "{threads} threads");
+            assert_eq!((remote.calls, remote.hash), (local.calls, local.hash));
+            runs.push((plain(&outcomes), local.calls, local.hash));
+        }
+        mphpc_par::set_thread_override(None);
+        assert!(
+            runs.iter().all(|r| *r == runs[0]),
+            "{n_jobs} jobs, rate {rate}"
+        );
+    }
+    handle.shutdown();
+    handle.join();
 }
