@@ -204,7 +204,7 @@ pub struct ScaleOutcome {
     pub wall_secs: f64,
 }
 
-/// The driver every comparison shares: `simulate` each strategy, at most
+/// How every comparison runs its strategies: `simulate` each, at most
 /// `mphpc_par`'s thread count of them at once. The caller runs `ask` once
 /// per strategy, in strategy order, so whatever `ask` consults sees the
 /// calls a serial loop makes; then the strategy goes to a scoped worker if
