@@ -8,7 +8,7 @@ use mphpc_dataset::split::random_split;
 use mphpc_dataset::{build_dataset, MpHpcDataset};
 use mphpc_errors::{MphpcError, ResultExt};
 use mphpc_ml::cv::{cross_validate, CvReport};
-use mphpc_ml::{mae, r2, r2_per_output, same_order_score, MlDataset, ModelKind, Regressor};
+use mphpc_ml::{mae, r2, r2_per_output, same_order_score, Matrix, MlDataset, ModelKind, Regressor};
 use mphpc_profiler::{profile_run, RawProfile};
 use mphpc_workloads::{full_matrix, small_matrix, AppKind, InputConfig, RunSpec, Scale};
 use serde::{Deserialize, Serialize};
@@ -152,11 +152,16 @@ pub fn fit_and_score(
     let pred = model
         .predict(&test.x)
         .context(format!("predicting with {}", kind.name()))?;
+    score_predictions(&pred, test)
+}
+
+/// Score predictions of `test`'s rows against its targets.
+pub fn score_predictions(pred: &Matrix, test: &MlDataset) -> Result<SplitScore, MphpcError> {
     Ok(SplitScore {
-        mae: mae(&pred, &test.y)?,
-        sos: same_order_score(&pred, &test.y)?,
-        r2: r2(&pred, &test.y)?,
-        r2_per_output: r2_per_output(&pred, &test.y)?,
+        mae: mae(pred, &test.y)?,
+        sos: same_order_score(pred, &test.y)?,
+        r2: r2(pred, &test.y)?,
+        r2_per_output: r2_per_output(pred, &test.y)?,
     })
 }
 

@@ -87,6 +87,7 @@ impl GbtRegressor {
     /// Train on a dataset.
     pub fn fit(dataset: &MlDataset, params: GbtParams) -> Result<Self, MphpcError> {
         validate_training_data(dataset, "GbtRegressor::fit")?;
+        check_params(&params, "GbtRegressor::fit")?;
         let n = dataset.n_samples();
         let k = dataset.n_outputs();
         let _fit_span = mphpc_telemetry::span!("gbt.fit", rows = n, outputs = k);
@@ -167,6 +168,7 @@ impl GbtRegressor {
     /// to continuations: all rows train, all `extra_rounds` run.
     pub fn warm_start(&self, dataset: &MlDataset, extra_rounds: usize) -> Result<Self, MphpcError> {
         validate_training_data(dataset, "GbtRegressor::warm_start")?;
+        check_params(&self.params, "GbtRegressor::warm_start")?;
         if dataset.feature_names != self.feature_names {
             return Err(MphpcError::InvalidArgument(format!(
                 "GbtRegressor::warm_start: dataset features {:?} do not match the model's {:?}",
@@ -306,6 +308,21 @@ impl GbtRegressor {
     pub fn n_trees(&self) -> usize {
         self.boosters.iter().map(Vec::len).sum()
     }
+}
+
+/// Reject a shrinkage that is not finite and positive (a NaN rate makes
+/// every prediction NaN) and a row subsample outside (0, 1] (a NaN one
+/// trains each round on one row).
+fn check_params(params: &GbtParams, context: &str) -> Result<(), MphpcError> {
+    let (rate, subsample) = (params.learning_rate, params.subsample);
+    let problem = if !(rate.is_finite() && rate > 0.0) {
+        format!("learning_rate must be finite and > 0, got {rate}")
+    } else if !(subsample > 0.0 && subsample <= 1.0) {
+        format!("subsample must be in (0, 1], got {subsample}")
+    } else {
+        return Ok(());
+    };
+    Err(MphpcError::InvalidArgument(format!("{context}: {problem}")))
 }
 
 /// RNG for one boosting round of one output chain. A pure function of
@@ -587,6 +604,56 @@ pub(super) mod tests {
             GbtRegressor::fit(&train, params).unwrap(),
             GbtRegressor::fit(&train, params).unwrap()
         );
+    }
+
+    #[test]
+    fn rejects_unusable_rate_and_subsample() {
+        let train = synthetic(100, 15);
+        let fit = |learning_rate: f64, subsample: f64| {
+            GbtRegressor::fit(
+                &train,
+                GbtParams {
+                    n_rounds: 3,
+                    learning_rate,
+                    subsample,
+                    ..GbtParams::default()
+                },
+            )
+        };
+        for (rate, subsample) in [
+            (f64::NAN, 0.8),
+            (f64::INFINITY, 0.8),
+            (0.0, 0.8),
+            (-0.1, 0.8),
+            (0.1, f64::NAN),
+            (0.1, 0.0),
+            (0.1, 1.5),
+            (0.1, -0.5),
+        ] {
+            match fit(rate, subsample) {
+                Err(MphpcError::InvalidArgument(msg)) => {
+                    assert!(msg.starts_with("GbtRegressor::fit: "), "{msg}")
+                }
+                other => panic!("rate {rate}, subsample {subsample}: {other:?}"),
+            }
+        }
+        // The edges that are allowed.
+        assert!(fit(1e-3, 1.0).is_ok());
+        assert!(fit(2.0, 1e-3).is_ok());
+
+        // A deserialised model with a NaN rate cannot be continued either.
+        let mut model = fit(0.1, 0.8).unwrap();
+        model.params.learning_rate = f64::NAN;
+        assert!(matches!(
+            model.warm_start(&train, 2),
+            Err(MphpcError::InvalidArgument(msg)) if msg.contains("learning_rate")
+        ));
+        model.params.learning_rate = 0.1;
+        model.params.subsample = f64::NAN;
+        assert!(matches!(
+            model.warm_start(&train, 2),
+            Err(MphpcError::InvalidArgument(msg)) if msg.contains("subsample")
+        ));
     }
 
     #[test]

@@ -34,16 +34,23 @@
 //!   a partially zeroed buffer ([`zero_features`]) — exactly the work a
 //!   per-feature builder does, minus its allocations. Tiny nodes
 //!   (≤ [`ROWWISE_MAX_ROWS`] rows) skip arena histograms entirely: split
-//!   search accumulates the node's rows into an epoch-stamped dense strip
-//!   ([`RowwiseScratch`]) and prefix-scans only the touched bins in bin
-//!   order ([`Criterion::best_split_rowwise`]), which stays bit-identical
+//!   search accumulates the node's rows into a zeroed dense strip that
+//!   marks the bins it touches ([`RowwiseScratch`]) and prefix-scans only
+//!   those, in bin order ([`Criterion::best_split_rowwise`]), which stays bit-identical
 //!   to the histogram scan because per-bin sums are folded with the same
 //!   two-level summation, untouched bins cannot beat an equal earlier
 //!   gain under the strictly-greater argmax, and bins past the last
 //!   touched one never satisfy the child-weight checks.
 //!
-//! Split search ([`best_split`]) scans bin prefixes exactly like the
-//! scalar builders did. For wide feature spaces (`>=`
+//! Split search ([`best_split`]) picks the split the scalar builders
+//! picked. Per feature, [`Criterion::best_bin`] runs two passes over
+//! blocks of [`SCAN_BLOCK`] bins: a branch-free prefix pass adds every bin
+//! and records only the non-empty ones, then a tight loop scores those.
+//! Skipping an all-zero bin is exact: a prefix sum that starts at `+0.0`
+//! is never `-0.0`, and adding `±0.0` to it changes nothing, so every
+//! recorded prefix — and every gain — is the one the scalar scan saw; the
+//! bins left out repeat an earlier prefix, and the strictly-greater argmax
+//! keeps the first of equal gains. For wide feature spaces (`>=`
 //! [`PAR_SPLIT_MIN_FEATURES`] candidate features) the per-feature scans
 //! fan out via [`mphpc_par::par_map`]; because `par_map` returns results
 //! in input order and the reduction folds them in that same order with a
@@ -59,6 +66,7 @@
 use crate::binning::QuantileBinner;
 use crate::matrix::Matrix;
 use crate::tree::{Criterion, TrainingView, TreeParams};
+use std::ops::Range;
 
 /// Candidate feature count at or above which split search fans out across
 /// worker threads. Below this, the per-feature scans are cheaper than the
@@ -67,10 +75,24 @@ pub const PAR_SPLIT_MIN_FEATURES: usize = 64;
 
 /// Row count at or below which nodes search splits row-wise
 /// ([`Criterion::best_split_rowwise`]) instead of building a histogram:
-/// with fewer rows than bins, accumulating into the epoch-stamped strip
-/// and scanning only touched bins costs less than zeroing and scanning
+/// with fewer rows than bins, accumulating into the dense strip and
+/// scanning only touched bins costs less than zeroing and scanning
 /// every bin of every sampled feature.
 pub(crate) const ROWWISE_MAX_ROWS: usize = 32;
+
+/// Cut candidates a split scan handles per block: the scan's first pass
+/// records a block's non-empty bins and their prefix sums in fixed-size
+/// stack arrays, its second scores only those.
+const SCAN_BLOCK: usize = 64;
+
+/// The cut candidates of a feature with `n_bins` bins — every bin but the
+/// last — in blocks of at most [`SCAN_BLOCK`].
+fn cut_blocks(n_bins: usize) -> impl Iterator<Item = Range<usize>> {
+    let cuts = n_bins.saturating_sub(1);
+    (0..cuts)
+        .step_by(SCAN_BLOCK)
+        .map(move |start| start..(start + SCAN_BLOCK).min(cuts))
+}
 
 /// Per-feature bin offsets into a pooled, contiguous histogram arena.
 ///
@@ -284,14 +306,12 @@ fn reduce_in_order(
 }
 
 /// Reusable buffers for the row-wise split search: a dense per-bin
-/// statistics strip sized for the layout's widest feature, epoch stamps
-/// that make "clearing" it O(1) per feature, and the list of touched
-/// bins. Create once per tree build and reuse across nodes.
+/// statistics strip sized for the layout's widest feature, all `+0.0`
+/// between searches, and one bit per bin marking the bins a search
+/// touched. Create once per tree build and reuse across nodes.
 pub(crate) struct RowwiseScratch {
-    stamp: Vec<u64>,
-    epoch: u64,
     stats: Vec<f64>,
-    touched: Vec<u16>,
+    touched: Vec<u64>,
 }
 
 impl RowwiseScratch {
@@ -303,24 +323,30 @@ impl RowwiseScratch {
             .max()
             .unwrap_or(0);
         Self {
-            stamp: vec![0; max_bins],
-            epoch: 0,
             stats: vec![0.0; max_bins * width],
-            touched: Vec::new(),
+            touched: vec![0; max_bins.div_ceil(64)],
         }
     }
-}
 
-/// Insertion sort of the touched-bin list — at most [`ROWWISE_MAX_ROWS`]
-/// distinct bins, where this beats a general sort. The list has no
-/// duplicates, so stability is moot; per-bin accumulation already
-/// happened in row order in the dense strip.
-fn sort_bins(items: &mut [u16]) {
-    for i in 1..items.len() {
-        let mut j = i;
-        while j > 0 && items[j - 1] > items[j] {
-            items.swap(j - 1, j);
-            j -= 1;
+    /// The `width` statistics of bin `b`, marked touched.
+    #[inline]
+    fn bin(&mut self, b: usize, width: usize) -> &mut [f64] {
+        self.touched[b / 64] |= 1 << (b % 64);
+        &mut self.stats[b * width..(b + 1) * width]
+    }
+
+    /// Visit the touched bins in bin order, then zero them and clear their
+    /// marks for the next search.
+    fn drain(&mut self, width: usize, mut visit: impl FnMut(usize, &[f64])) {
+        for (word, marks) in self.touched.iter_mut().enumerate() {
+            let mut bits = std::mem::take(marks);
+            while bits != 0 {
+                let b = word * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let stats = &mut self.stats[b * width..(b + 1) * width];
+                visit(b, stats);
+                stats.fill(0.0);
+            }
         }
     }
 }
@@ -347,9 +373,10 @@ impl Criterion for GradHess<'_> {
     }
 
     fn totals(&self, rows: &[u32]) -> (f64, f64) {
-        let g_sum: f64 = rows.iter().map(|&r| self.grad[r as usize]).sum();
-        let h_sum: f64 = rows.iter().map(|&r| self.hess[r as usize]).sum();
-        (g_sum, h_sum)
+        // Both sums in one pass, from `-0.0` as `Iterator::sum` folds them.
+        rows.iter().fold((-0.0, -0.0), |(g, h), &r| {
+            (g + self.grad[r as usize], h + self.hess[r as usize])
+        })
     }
 
     fn leaf(&self, (g_sum, h_sum): (f64, f64)) -> Vec<f64> {
@@ -361,18 +388,14 @@ impl Criterion for GradHess<'_> {
     }
 
     fn accumulate(&self, view: &TrainingView, rows: &[u32], out: &mut [f64]) {
-        let (layout, grad, hess) = (&view.layout, self.grad, self.hess);
+        let (grad, hess) = (self.grad, self.hess);
         mphpc_telemetry::counter_add("ml.hist.rows_binned", rows.len() as u64);
-        let cols = view.cols;
         for &r in rows {
-            let ri = r as usize;
-            let g = grad[ri];
-            let h = hess[ri];
-            let bins = &view.bins[ri * cols..ri * cols + cols];
-            for (f, &b) in bins.iter().enumerate() {
-                let idx = (layout.offsets[f] as usize + b as usize) * 2;
-                out[idx] += g;
-                out[idx + 1] += h;
+            let (g, h) = (grad[r as usize], hess[r as usize]);
+            for &slot in view.row_slots(r) {
+                let bin = &mut out[slot as usize * 2..slot as usize * 2 + 2];
+                bin[0] += g;
+                bin[1] += h;
             }
         }
     }
@@ -384,18 +407,15 @@ impl Criterion for GradHess<'_> {
         features: &[usize],
         out: &mut [f64],
     ) {
-        let (layout, grad, hess) = (&view.layout, self.grad, self.hess);
+        let (grad, hess) = (self.grad, self.hess);
         mphpc_telemetry::counter_add("ml.hist.rows_binned", rows.len() as u64);
-        let cols = view.cols;
         for &r in rows {
-            let ri = r as usize;
-            let g = grad[ri];
-            let h = hess[ri];
-            let bins = &view.bins[ri * cols..ri * cols + cols];
+            let (g, h) = (grad[r as usize], hess[r as usize]);
+            let slots = view.row_slots(r);
             for &f in features {
-                let idx = (layout.offsets[f] as usize + bins[f] as usize) * 2;
-                out[idx] += g;
-                out[idx + 1] += h;
+                let bin = &mut out[slots[f] as usize * 2..slots[f] as usize * 2 + 2];
+                bin[0] += g;
+                bin[1] += h;
             }
         }
     }
@@ -408,39 +428,37 @@ impl Criterion for GradHess<'_> {
         &(g_sum, h_sum): &(f64, f64),
     ) -> Option<(u16, f64)> {
         let params = self.params;
-        let n_bins = layout.n_bins(f);
-        if n_bins < 2 {
-            return None;
-        }
         let base = layout.offset(f) * 2;
         let parent_score = g_sum * g_sum / (h_sum + params.lambda);
-        let mut gl = 0.0;
-        let mut hl = 0.0;
+        let (mut gl, mut hl) = (0.0, 0.0);
         let mut best: Option<(u16, f64)> = None;
-        for b in 0..n_bins - 1 {
-            let g = hist[base + 2 * b];
-            let h = hist[base + 2 * b + 1];
-            // A bin with exactly zero statistics leaves (gl, hl) — and hence
-            // the gain and the min-weight checks — identical to the previous
-            // bin, and the strictly-greater argmax keeps the first of equal
-            // gains, so skipping it is bit-exact. Directly accumulated
-            // histograms of small nodes are mostly such bins, which makes
-            // this skip cheaper than a branch-free scan over every bin.
-            if g == 0.0 && h == 0.0 {
-                continue;
+        let mut prefix = [(0.0, 0.0); SCAN_BLOCK];
+        let mut at = [0u16; SCAN_BLOCK];
+        for block in cut_blocks(layout.n_bins(f)) {
+            let mut m = 0;
+            let bins = hist[base + 2 * block.start..base + 2 * block.end].chunks_exact(2);
+            for (b, bin) in block.zip(bins) {
+                let (g, h) = (bin[0], bin[1]);
+                gl += g;
+                hl += h;
+                // `m` < SCAN_BLOCK already; the mask only drops the bounds check.
+                prefix[m & (SCAN_BLOCK - 1)] = (gl, hl);
+                at[m & (SCAN_BLOCK - 1)] = b as u16;
+                m += ((g != 0.0) | (h != 0.0)) as usize;
             }
-            gl += g;
-            hl += h;
-            let gr = g_sum - gl;
-            let hr = h_sum - hl;
-            if hl < params.min_child_weight || hr < params.min_child_weight {
-                continue;
-            }
-            let gain = 0.5
-                * (gl * gl / (hl + params.lambda) + gr * gr / (hr + params.lambda) - parent_score)
-                - params.gamma;
-            if gain > 0.0 && best.map_or(true, |(_, g)| gain > g) {
-                best = Some((b as u16, gain));
+            for (&b, &(gl, hl)) in at[..m].iter().zip(&prefix[..m]) {
+                let gr = g_sum - gl;
+                let hr = h_sum - hl;
+                if hl < params.min_child_weight || hr < params.min_child_weight {
+                    continue;
+                }
+                let gain = 0.5
+                    * (gl * gl / (hl + params.lambda) + gr * gr / (hr + params.lambda)
+                        - parent_score)
+                    - params.gamma;
+                if gain > 0.0 && best.map_or(true, |(_, g)| gain > g) {
+                    best = Some((b, gain));
+                }
             }
         }
         best
@@ -462,38 +480,21 @@ impl Criterion for GradHess<'_> {
             if n_bins < 2 {
                 continue;
             }
-            scratch.epoch += 1;
-            scratch.touched.clear();
             for &r in rows {
                 let ri = r as usize;
-                let b = view.bins[ri * view.cols + f] as usize;
-                let s = &mut scratch.stats[2 * b..2 * b + 2];
-                if scratch.stamp[b] == scratch.epoch {
-                    s[0] += grad[ri];
-                    s[1] += hess[ri];
-                } else {
-                    scratch.stamp[b] = scratch.epoch;
-                    // `0.0 + x`, not `x`: a first statistic of `-0.0` must
-                    // land as `+0.0`, exactly as in a zeroed arena bin.
-                    s[0] = 0.0 + grad[ri];
-                    s[1] = 0.0 + hess[ri];
-                    scratch.touched.push(b as u16);
-                }
+                let s = scratch.bin(view.bin(r, f) as usize, 2);
+                s[0] += grad[ri];
+                s[1] += hess[ri];
             }
-            sort_bins(&mut scratch.touched);
-            let mut gl = 0.0;
-            let mut hl = 0.0;
-            for &b in &scratch.touched {
-                let bi = b as usize;
-                gl += scratch.stats[2 * bi];
-                hl += scratch.stats[2 * bi + 1];
-                if bi + 1 >= n_bins {
-                    break;
-                }
+            let (mut gl, mut hl) = (0.0, 0.0);
+            scratch.drain(2, |b, s| {
+                gl += s[0];
+                hl += s[1];
                 let gr = g_sum - gl;
                 let hr = h_sum - hl;
-                if hl < params.min_child_weight || hr < params.min_child_weight {
-                    continue;
+                // The last bin is never a cut.
+                if b + 1 >= n_bins || hl < params.min_child_weight || hr < params.min_child_weight {
+                    return;
                 }
                 let gain = 0.5
                     * (gl * gl / (hl + params.lambda) + gr * gr / (hr + params.lambda)
@@ -502,11 +503,11 @@ impl Criterion for GradHess<'_> {
                 if gain > 0.0 && best.as_ref().map_or(true, |c| gain > c.gain) {
                     best = Some(SplitCandidate {
                         feature: f,
-                        bin: b,
+                        bin: b as u16,
                         gain,
                     });
                 }
-            }
+            });
         }
         best
     }
@@ -577,17 +578,14 @@ impl Criterion for Variance<'_> {
     }
 
     fn accumulate(&self, view: &TrainingView, rows: &[u32], out: &mut [f64]) {
-        let (layout, targets) = (&view.layout, self.targets);
+        let targets = self.targets;
         let w = self.width();
         let k = w - 1;
         mphpc_telemetry::counter_add("ml.hist.rows_binned", rows.len() as u64);
-        let cols = view.cols;
         for &r in rows {
-            let ri = r as usize;
-            let t = targets.row(ri);
-            let bins = &view.bins[ri * cols..ri * cols + cols];
-            for (f, &b) in bins.iter().enumerate() {
-                let base = (layout.offsets[f] as usize + b as usize) * w;
+            let t = targets.row(r as usize);
+            for &slot in view.row_slots(r) {
+                let base = slot as usize * w;
                 let slot = &mut out[base..base + w];
                 for (s, &v) in slot[..k].iter_mut().zip(t) {
                     *s += v;
@@ -604,17 +602,15 @@ impl Criterion for Variance<'_> {
         features: &[usize],
         out: &mut [f64],
     ) {
-        let (layout, targets) = (&view.layout, self.targets);
+        let targets = self.targets;
         let w = self.width();
         let k = w - 1;
         mphpc_telemetry::counter_add("ml.hist.rows_binned", rows.len() as u64);
-        let cols = view.cols;
         for &r in rows {
-            let ri = r as usize;
-            let t = targets.row(ri);
-            let bins = &view.bins[ri * cols..ri * cols + cols];
+            let t = targets.row(r as usize);
+            let slots = view.row_slots(r);
             for &f in features {
-                let base = (layout.offsets[f] as usize + bins[f] as usize) * w;
+                let base = slots[f] as usize * w;
                 let slot = &mut out[base..base + w];
                 for (s, &v) in slot[..k].iter_mut().zip(t) {
                     *s += v;
@@ -632,10 +628,6 @@ impl Criterion for Variance<'_> {
         totals: &VarianceTotals,
     ) -> Option<(u16, f64)> {
         let (sums, n, min_leaf) = (&totals.sums, totals.n, self.min_leaf);
-        let n_bins = layout.n_bins(f);
-        if n_bins < 2 {
-            return None;
-        }
         let w = self.width();
         let k = w - 1;
         let base = layout.offset(f) * w;
@@ -643,29 +635,37 @@ impl Criterion for Variance<'_> {
         let mut nl = 0.0;
         let mut sl = vec![0.0; k];
         let mut best: Option<(u16, f64)> = None;
-        for b in 0..n_bins - 1 {
-            let bin = &hist[base + b * w..base + (b + 1) * w];
-            // All-zero bins change nothing downstream; skipping them is
-            // bit-exact (see `GradHess::best_bin`).
-            if bin[k] == 0.0 && bin[..k].iter().all(|&v| v == 0.0) {
-                continue;
+        let mut prefix = [0.0; SCAN_BLOCK];
+        let mut at = [0u16; SCAN_BLOCK];
+        for block in cut_blocks(layout.n_bins(f)) {
+            let mut m = 0;
+            let bins = hist[base + w * block.start..base + w * block.end].chunks_exact(w);
+            for (b, bin) in block.zip(bins) {
+                nl += bin[k];
+                prefix[m & (SCAN_BLOCK - 1)] = nl;
+                at[m & (SCAN_BLOCK - 1)] = b as u16;
+                m += bin.iter().fold(false, |any, &v| any | (v != 0.0)) as usize;
             }
-            nl += bin[k];
-            for (s, &v) in sl.iter_mut().zip(&bin[..k]) {
-                *s += v;
-            }
-            let nr = n - nl;
-            if nl < min_leaf || nr < min_leaf {
-                continue;
-            }
-            let mut score = 0.0;
-            for (j, &s) in sl.iter().enumerate() {
-                let sr = sums[j] - s;
-                score += s * s / nl + sr * sr / nr;
-            }
-            let gain = score - parent_score;
-            if gain > 1e-12 && best.map_or(true, |(_, g)| gain > g) {
-                best = Some((b as u16, gain));
+            // The target sums enter the prefix here, at the recorded bins
+            // only: skipped bins hold zeros that would change nothing.
+            for (&b, &nl) in at[..m].iter().zip(&prefix[..m]) {
+                let start = base + b as usize * w;
+                for (s, &v) in sl.iter_mut().zip(&hist[start..start + k]) {
+                    *s += v;
+                }
+                let nr = n - nl;
+                if nl < min_leaf || nr < min_leaf {
+                    continue;
+                }
+                let mut score = 0.0;
+                for (j, &s) in sl.iter().enumerate() {
+                    let sr = sums[j] - s;
+                    score += s * s / nl + sr * sr / nr;
+                }
+                let gain = score - parent_score;
+                if gain > 1e-12 && best.map_or(true, |(_, g)| gain > g) {
+                    best = Some((b, gain));
+                }
             }
         }
         best
@@ -691,37 +691,24 @@ impl Criterion for Variance<'_> {
             if n_bins < 2 {
                 continue;
             }
-            scratch.epoch += 1;
-            scratch.touched.clear();
             for &r in rows {
-                let ri = r as usize;
-                let b = view.bins[ri * view.cols + f] as usize;
-                let s = &mut scratch.stats[b * w..(b + 1) * w];
-                if scratch.stamp[b] != scratch.epoch {
-                    scratch.stamp[b] = scratch.epoch;
-                    s.fill(0.0);
-                    scratch.touched.push(b as u16);
-                }
-                for (sj, &v) in s.iter_mut().zip(targets.row(ri)) {
+                let s = scratch.bin(view.bin(r, f) as usize, w);
+                for (sj, &v) in s.iter_mut().zip(targets.row(r as usize)) {
                     *sj += v;
                 }
                 s[k] += 1.0;
             }
-            sort_bins(&mut scratch.touched);
             sl.fill(0.0);
             let mut nl = 0.0;
-            for &b in &scratch.touched {
-                let s = &scratch.stats[b as usize * w..(b as usize + 1) * w];
+            scratch.drain(w, |b, s| {
                 for (p, &v) in sl.iter_mut().zip(&s[..k]) {
                     *p += v;
                 }
                 nl += s[k];
-                if b as usize + 1 >= n_bins {
-                    break;
-                }
                 let nr = n - nl;
-                if nl < min_leaf || nr < min_leaf {
-                    continue;
+                // The last bin is never a cut.
+                if b + 1 >= n_bins || nl < min_leaf || nr < min_leaf {
+                    return;
                 }
                 let mut score = 0.0;
                 for (j, &p) in sl.iter().enumerate() {
@@ -732,10 +719,103 @@ impl Criterion for Variance<'_> {
                 if gain > 1e-12 && best.as_ref().map_or(true, |c| gain > c.gain) {
                     best = Some(SplitCandidate {
                         feature: f,
-                        bin: b,
+                        bin: b as u16,
                         gain,
                     });
                 }
+            });
+        }
+        best
+    }
+}
+
+/// The scalar split scans the two-pass [`Criterion::best_bin`] replaced,
+/// kept verbatim as its oracle: one loop per criterion that skips all-zero
+/// bins with a branch and scores every other bin as it goes.
+#[cfg(test)]
+mod scan_oracle {
+    use super::*;
+
+    pub(super) fn grad_hess(
+        crit: &GradHess,
+        layout: &HistLayout,
+        f: usize,
+        hist: &[f64],
+        &(g_sum, h_sum): &(f64, f64),
+    ) -> Option<(u16, f64)> {
+        let params = crit.params;
+        let n_bins = layout.n_bins(f);
+        if n_bins < 2 {
+            return None;
+        }
+        let base = layout.offset(f) * 2;
+        let parent_score = g_sum * g_sum / (h_sum + params.lambda);
+        let mut gl = 0.0;
+        let mut hl = 0.0;
+        let mut best: Option<(u16, f64)> = None;
+        for b in 0..n_bins - 1 {
+            let g = hist[base + 2 * b];
+            let h = hist[base + 2 * b + 1];
+            if g == 0.0 && h == 0.0 {
+                continue;
+            }
+            gl += g;
+            hl += h;
+            let gr = g_sum - gl;
+            let hr = h_sum - hl;
+            if hl < params.min_child_weight || hr < params.min_child_weight {
+                continue;
+            }
+            let gain = 0.5
+                * (gl * gl / (hl + params.lambda) + gr * gr / (hr + params.lambda) - parent_score)
+                - params.gamma;
+            if gain > 0.0 && best.map_or(true, |(_, g)| gain > g) {
+                best = Some((b as u16, gain));
+            }
+        }
+        best
+    }
+
+    pub(super) fn variance(
+        crit: &Variance,
+        layout: &HistLayout,
+        f: usize,
+        hist: &[f64],
+        totals: &VarianceTotals,
+    ) -> Option<(u16, f64)> {
+        let (sums, n, min_leaf) = (&totals.sums, totals.n, crit.min_leaf);
+        let n_bins = layout.n_bins(f);
+        if n_bins < 2 {
+            return None;
+        }
+        let w = crit.width();
+        let k = w - 1;
+        let base = layout.offset(f) * w;
+        let parent_score: f64 = sums.iter().map(|s| s * s).sum::<f64>() / n;
+        let mut nl = 0.0;
+        let mut sl = vec![0.0; k];
+        let mut best: Option<(u16, f64)> = None;
+        for b in 0..n_bins - 1 {
+            let bin = &hist[base + b * w..base + (b + 1) * w];
+            if bin[k] == 0.0 && bin[..k].iter().all(|&v| v == 0.0) {
+                continue;
+            }
+            nl += bin[k];
+            for (s, &v) in sl.iter_mut().zip(&bin[..k]) {
+                *s += v;
+            }
+            let nr = n - nl;
+            if nl < min_leaf || nr < min_leaf {
+                continue;
+            }
+            let mut score = 0.0;
+            for (j, &s) in sl.iter().enumerate() {
+                let sr = sums[j] - s;
+                score += s * s / nl + sr * sr / nr;
+            }
+            let gain = score - parent_score;
+            if gain > 1e-12 && best.map_or(true, |(_, g)| gain > g) {
+                best = Some((b as u16, gain));
             }
         }
         best
@@ -745,6 +825,8 @@ impl Criterion for Variance<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     /// Two features with different bin counts to exercise offsets.
     fn fixture() -> (Matrix, TrainingView) {
@@ -793,7 +875,7 @@ mod tests {
             let mut g_hist = vec![0.0; layout.n_bins(f)];
             let mut h_hist = vec![0.0; layout.n_bins(f)];
             for &r in &rows {
-                let b = view.bins[r as usize * 2 + f] as usize;
+                let b = view.bin(r, f) as usize;
                 g_hist[b] += grad[r as usize];
                 h_hist[b] += hess[r as usize];
             }
@@ -1056,5 +1138,110 @@ mod tests {
         let targets =
             Matrix::from_rows(&grad.iter().map(|&g| vec![g, -0.5 * g]).collect::<Vec<_>>());
         check_parallel_gate(&view, &Variance::new(&targets, &params), n);
+    }
+
+    /// A random histogram statistic: mostly runs of empty bins, the rest
+    /// `-0.0`, small integers (so gains tie) or arbitrary values.
+    fn stat(rng: &mut StdRng, kind: u32) -> f64 {
+        match kind {
+            0 => -0.0,
+            1 => rng.gen_range(-3..=3) as f64,
+            _ => rng.gen_range(-5.0..5.0),
+        }
+    }
+
+    /// A layout of 1–3 features with 1–150 bins each — past one scan block
+    /// — and an arena of `width` statistics per bin, about a quarter of its
+    /// bins non-empty, between runs of empty ones.
+    fn random_arena(rng: &mut StdRng, width: usize) -> (HistLayout, Vec<f64>) {
+        let mut offsets = vec![0u32];
+        for _ in 0..rng.gen_range(1..=3) {
+            let n_bins = [1, 2, rng.gen_range(3..=150)][rng.gen_range(0..3usize)];
+            offsets.push(offsets.last().unwrap() + n_bins);
+        }
+        let layout = HistLayout { offsets };
+        let mut arena = vec![0.0; layout.stats_len(width)];
+        let mut bins = arena.chunks_exact_mut(width);
+        while let Some(bin) = bins.next() {
+            if rng.gen_range(0..3) > 0 {
+                // A run of empty bins.
+                for _ in 0..rng.gen_range(0..6) {
+                    bins.next();
+                }
+                continue;
+            }
+            let kind = rng.gen_range(0..3);
+            for v in bin.iter_mut() {
+                *v = stat(rng, kind);
+            }
+            // The last statistic is a hessian or a count: never negative.
+            let last = &mut bin[width - 1];
+            *last = if kind == 0 { -0.0 } else { last.abs().round() };
+        }
+        // A third of the arenas hold integers mirrored within each feature,
+        // so cuts at mirrored bins tie exactly.
+        if rng.gen_range(0..3) == 0 {
+            arena.iter_mut().for_each(|v| *v = v.round());
+            for f in 0..layout.n_features() {
+                let feature = &mut arena[layout.offset(f) * width..][..layout.n_bins(f) * width];
+                for b in 0..layout.n_bins(f) / 2 {
+                    let (low, high) = feature.split_at_mut((layout.n_bins(f) - 1 - b) * width);
+                    high[..width].copy_from_slice(&low[b * width..(b + 1) * width]);
+                }
+            }
+        }
+        (layout, arena)
+    }
+
+    /// Bins and gain bits of two scans, feature by feature.
+    fn same_scan(a: Option<(u16, f64)>, b: Option<(u16, f64)>) -> bool {
+        a.map(|(bin, gain)| (bin, gain.to_bits())) == b.map(|(bin, gain)| (bin, gain.to_bits()))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+        #[test]
+        fn two_pass_scan_matches_the_scalar_oracle(seed in proptest::prelude::any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+
+            let (layout, arena) = random_arena(&mut rng, 2);
+            let g_sum: f64 = arena.iter().step_by(2).sum();
+            let h_sum: f64 = arena.iter().skip(1).step_by(2).sum();
+            let params = TreeParams {
+                lambda: [0.0, 1.0, rng.gen_range(0.0..2.0)][rng.gen_range(0..3usize)],
+                gamma: [0.0, rng.gen_range(0.0..0.5)][rng.gen_range(0..2usize)],
+                min_child_weight: [0.0, 1.0, h_sum + 1.0][rng.gen_range(0..3usize)],
+                ..TreeParams::default()
+            };
+            let gh = GradHess { grad: &[], hess: &[], params: &params };
+            for f in 0..layout.n_features() {
+                let totals = (g_sum, h_sum);
+                proptest::prop_assert!(same_scan(
+                    gh.best_bin(&layout, f, &arena, &totals),
+                    scan_oracle::grad_hess(&gh, &layout, f, &arena, &totals),
+                ), "GradHess seed {seed} feature {f}");
+            }
+
+            let k = rng.gen_range(1..=3);
+            let (layout, arena) = random_arena(&mut rng, k + 1);
+            let sums: Vec<f64> = (0..k).map(|j| arena.iter().skip(j).step_by(k + 1).sum()).collect();
+            let n: f64 = arena.iter().skip(k).step_by(k + 1).sum();
+            let totals = VarianceTotals {
+                n,
+                mean: sums.iter().map(|s| s / n.max(1.0)).collect(),
+                sums,
+            };
+            let targets = Matrix::zeros(1, k);
+            let variance = Variance {
+                targets: &targets,
+                min_leaf: [0.0, 1.0, n + 1.0][rng.gen_range(0..3usize)],
+            };
+            for f in 0..layout.n_features() {
+                proptest::prop_assert!(same_scan(
+                    variance.best_bin(&layout, f, &arena, &totals),
+                    scan_oracle::variance(&variance, &layout, f, &arena, &totals),
+                ), "Variance seed {seed} feature {f}");
+            }
+        }
     }
 }

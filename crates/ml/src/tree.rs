@@ -24,6 +24,7 @@ use crate::hist::{self, HistLayout, HistPool, RowwiseScratch, SplitCandidate};
 use crate::matrix::Matrix;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// One node of a trained tree.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -164,13 +165,17 @@ impl Default for TreeParams {
     }
 }
 
-/// Binned view of a training feature matrix: the binner, its row-major
-/// bin ids and the histogram layout, shared by every tree of an ensemble.
+/// Binned view of a training feature matrix: the binner, the row-major
+/// arena slot of every (row, feature) cell and the histogram layout, shared
+/// by every tree of an ensemble.
 pub(crate) struct TrainingView {
-    /// The binner that produced `bins`.
+    /// The binner whose bins `slots` index.
     pub binner: QuantileBinner,
-    /// Row-major bin ids, `rows × cols`.
-    pub bins: Vec<u16>,
+    /// Row-major arena slots, `rows × cols`: cell `(r, f)` holds
+    /// `layout.offset(f) + bin`, so accumulation indexes the histogram
+    /// arena directly and a split on `(f, bin)` compares against one
+    /// constant.
+    pub slots: Vec<u32>,
     /// Feature count.
     pub cols: usize,
     /// Arena offsets of each feature's bins.
@@ -184,19 +189,31 @@ impl TrainingView {
         let _span = mphpc_telemetry::span!("ml.binning", rows = x.rows(), features = x.cols());
         mphpc_telemetry::counter_add("ml.binning.rows", (x.rows() * x.cols()) as u64);
         let binner = QuantileBinner::fit(x, max_bins);
-        let bins = binner.transform(x);
         let layout = HistLayout::new(&binner);
+        let slots = (0..x.rows())
+            .flat_map(|i| x.row(i).iter().enumerate())
+            .map(|(f, &v)| (layout.offset(f) + binner.bin(f, v) as usize) as u32)
+            .collect();
         Self {
             binner,
-            bins,
+            slots,
             cols: x.cols(),
             layout,
         }
     }
 
+    /// The `cols` arena slots of `row`.
     #[inline]
-    fn bin(&self, row: u32, feature: usize) -> u16 {
-        self.bins[row as usize * self.cols + feature]
+    pub fn row_slots(&self, row: u32) -> &[u32] {
+        let start = row as usize * self.cols;
+        &self.slots[start..start + self.cols]
+    }
+
+    /// Bin of `feature` in `row`.
+    #[inline]
+    pub fn bin(&self, row: u32, feature: usize) -> u16 {
+        (self.slots[row as usize * self.cols + feature] as usize - self.layout.offset(feature))
+            as u16
     }
 }
 
@@ -256,8 +273,8 @@ pub(crate) trait Criterion: Sync {
 
     /// Split search for a small node straight from its rows, without an
     /// arena histogram: per feature, accumulate the rows into a dense
-    /// per-bin strip — epoch stamps avoid zeroing it — then prefix-scan the
-    /// touched bins in bin order. Must agree bit for bit with
+    /// per-bin strip that marks the bins it touches, then prefix-scan those
+    /// in bin order, zeroing them for the next feature. Must agree bit for bit with
     /// [`hist::best_split`] over a histogram of the same rows (the
     /// [`crate::hist`] module docs give the argument).
     fn best_split_rowwise(
@@ -300,15 +317,35 @@ pub(crate) fn sampled_count(n_features: usize, colsample: f64) -> usize {
     ((n_features as f64 * colsample).ceil() as usize).clamp(1, n_features)
 }
 
-/// One pending node during tree growth.
+/// One pending node during tree growth. Its rows and extra rows are
+/// ranges of the tree's index buffer.
 struct WorkItem {
     node: usize,
-    rows: Vec<u32>,
-    extra: Vec<u32>,
+    rows: Range<usize>,
+    extra: Range<usize>,
     depth: usize,
     /// Arena histogram of this node, when inherited from the parent via
     /// sibling subtraction; `None` means build on first use.
     hist: Option<Vec<f64>>,
+}
+
+/// Stable in-place partition of `ids`: the rows with `goes_left` first,
+/// the others after them, each side in its input order. Returns the left
+/// count. Branch-free: every row is written to both sides — the left one in
+/// place (its cursor never passes the read cursor), the right one to
+/// `spill` — and only the cursor of its own side advances.
+fn partition_stable(ids: &mut [u32], spill: &mut [u32], goes_left: impl Fn(u32) -> bool) -> usize {
+    let (mut n_left, mut n_right) = (0, 0);
+    for i in 0..ids.len() {
+        let r = ids[i];
+        let left = goes_left(r);
+        ids[n_left] = r;
+        spill[n_right] = r;
+        n_left += left as usize;
+        n_right += !left as usize;
+    }
+    ids[n_left..].copy_from_slice(&spill[..n_right]);
+    n_left
 }
 
 /// Decide child histograms after a split. When the parent has a
@@ -367,13 +404,15 @@ fn child_hists(
 /// `rows` are the (possibly subsampled or bootstrapped) training rows
 /// that supply split statistics. `extra` rows supply none but are routed
 /// down the tree beside them, and `on_leaf(rows, extra, leaf)` is called
-/// once per finished leaf with the two row sets that landed in it —
-/// gradient boosting passes every out-of-sample row as `extra` and adds
-/// `η·leaf` to its running prediction there, which replaces a full
-/// re-traversal of the finished tree per row. Routing compares bin ids,
-/// which is equivalent to comparing raw values against the recorded
-/// thresholds because binning is monotone and thresholds are bin upper
-/// edges.
+/// once per finished leaf with the two row sets that landed in it, each in
+/// input order — gradient boosting passes every out-of-sample row as
+/// `extra` and adds `η·leaf` to its running prediction there, which
+/// replaces a full re-traversal of the finished tree per row. Both sets
+/// live in one index buffer per tree, and each split partitions its node's
+/// ranges of it in place ([`partition_stable`]); input order is what every
+/// histogram sum depends on. Routing compares arena slots, which is
+/// equivalent to comparing raw values against the recorded thresholds
+/// because binning is monotone and thresholds are bin upper edges.
 ///
 /// The histogram policy per node: a node that inherited a histogram from
 /// its parent scans it; a tiny node (≤ [`hist::ROWWISE_MAX_ROWS`] rows)
@@ -413,23 +452,28 @@ pub(crate) fn grow<C: Criterion>(
             small_needs_hist,
         )
     };
+    let n_rows = rows.len();
+    let mut ids = rows;
+    ids.extend_from_slice(&extra);
+    let mut spill = vec![0u32; n_rows.max(extra.len())];
     let mut stack = vec![WorkItem {
         node: 0,
-        rows,
-        extra,
+        rows: 0..n_rows,
+        extra: n_rows..ids.len(),
         depth: 0,
         hist: None,
     }];
 
     while let Some(WorkItem {
         node,
-        rows: node_rows,
+        rows,
         extra,
         depth,
         mut hist,
     }) = stack.pop()
     {
-        let totals = crit.totals(&node_rows);
+        let node_rows = &ids[rows.clone()];
+        let totals = crit.totals(node_rows);
         let mut best = None;
         let mut scratch_hist: Option<Vec<f64>> = None;
         if depth < params.max_depth && crit.can_split(node_rows.len()) {
@@ -437,7 +481,7 @@ pub(crate) fn grow<C: Criterion>(
             if hist.is_none() && node_rows.len() <= hist::ROWWISE_MAX_ROWS {
                 // Tiny node without an inherited histogram: search
                 // splits row-wise instead of touching the arena.
-                best = crit.best_split_rowwise(view, &node_rows, feats, &totals, &mut row_scratch);
+                best = crit.best_split_rowwise(view, node_rows, feats, &totals, &mut row_scratch);
             } else {
                 let arena: &[f64] = match &hist {
                     Some(h) => h,
@@ -449,13 +493,13 @@ pub(crate) fn grow<C: Criterion>(
                         && subtract_pays(node_rows.len() / 2, node_rows.len() / 2, true) =>
                     {
                         let mut buf = pool.acquire();
-                        crit.accumulate(view, &node_rows, &mut buf);
+                        crit.accumulate(view, node_rows, &mut buf);
                         &*hist.insert(buf)
                     }
                     None => {
                         let mut buf = pool.acquire_raw();
                         hist::zero_features(layout, width, feats, &mut buf);
-                        crit.accumulate_sampled(view, &node_rows, feats, &mut buf);
+                        crit.accumulate_sampled(view, node_rows, feats, &mut buf);
                         &*scratch_hist.insert(buf)
                     }
                 };
@@ -469,7 +513,7 @@ pub(crate) fn grow<C: Criterion>(
         match best {
             None => {
                 let leaf = crit.leaf(totals);
-                on_leaf(&node_rows, &extra, &leaf);
+                on_leaf(&ids[rows], &ids[extra], &leaf);
                 tree.nodes[node] = Node::Leaf(leaf);
                 n_leaves += 1;
                 if let Some(buf) = hist {
@@ -479,22 +523,22 @@ pub(crate) fn grow<C: Criterion>(
             Some(SplitCandidate { feature, bin, gain }) => {
                 stats.gains[feature] += gain;
                 stats.counts[feature] += 1;
-                let (left_rows, right_rows): (Vec<u32>, Vec<u32>) = node_rows
-                    .into_iter()
-                    .partition(|&r| view.bin(r, feature) <= bin);
-                let (left_extra, right_extra): (Vec<u32>, Vec<u32>) = extra
-                    .into_iter()
-                    .partition(|&r| view.bin(r, feature) <= bin);
-                let child_live =
-                    |rows: &[u32]| depth + 1 < params.max_depth && crit.can_split(rows.len());
+                let cut = (layout.offset(feature) + bin as usize) as u32;
+                let goes_left = |r: u32| view.slots[r as usize * view.cols + feature] <= cut;
+                let rows_mid =
+                    rows.start + partition_stable(&mut ids[rows.clone()], &mut spill, goes_left);
+                let extra_mid =
+                    extra.start + partition_stable(&mut ids[extra.clone()], &mut spill, goes_left);
+                let (left_rows, right_rows) = (rows.start..rows_mid, rows_mid..rows.end);
+                let child_live = |n: usize| depth + 1 < params.max_depth && crit.can_split(n);
                 let (left_hist, right_hist) = child_hists(
                     &mut pool,
                     subtract_pays,
                     hist.take(),
-                    &left_rows,
-                    &right_rows,
-                    child_live(&left_rows),
-                    child_live(&right_rows),
+                    &ids[left_rows.clone()],
+                    &ids[right_rows.clone()],
+                    child_live(left_rows.len()),
+                    child_live(right_rows.len()),
                     |rows, buf| crit.accumulate(view, rows, buf),
                 );
                 let left = tree.nodes.len();
@@ -510,14 +554,14 @@ pub(crate) fn grow<C: Criterion>(
                 stack.push(WorkItem {
                     node: left,
                     rows: left_rows,
-                    extra: left_extra,
+                    extra: extra.start..extra_mid,
                     depth: depth + 1,
                     hist: left_hist,
                 });
                 stack.push(WorkItem {
                     node: right,
                     rows: right_rows,
-                    extra: right_extra,
+                    extra: extra_mid..extra.end,
                     depth: depth + 1,
                     hist: right_hist,
                 });
@@ -953,7 +997,7 @@ mod reference {
 mod equivalence {
     use super::tests::{build_gbt_tree, build_variance_tree};
     use super::*;
-    use crate::hist::GradHess;
+    use crate::hist::{GradHess, Variance};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1091,5 +1135,100 @@ mod equivalence {
                 "row {i}: routed {routed} vs traversed {expected}"
             );
         }
+    }
+
+    /// Grow one tree and check that each leaf's `on_leaf` call received
+    /// exactly the input rows and extras that `Tree::predict_row` routes to
+    /// that leaf, in input order — the order every histogram sum follows.
+    #[allow(clippy::too_many_arguments)]
+    fn check_leaf_rows<C: Criterion>(
+        x: &Matrix,
+        view: &TrainingView,
+        rows: &[u32],
+        extra: &[u32],
+        crit: &C,
+        params: &TreeParams,
+        seed: u64,
+    ) {
+        let mut calls: Vec<(Vec<u32>, Vec<u32>)> = Vec::new();
+        let (tree, _) = grow(
+            view,
+            rows.to_vec(),
+            extra.to_vec(),
+            crit,
+            params,
+            &mut StdRng::seed_from_u64(seed),
+            |rows, extra, _| calls.push((rows.to_vec(), extra.to_vec())),
+        );
+        assert!(tree.n_leaves() > 8, "fixture must grow a tree");
+        assert_eq!(calls.len(), tree.n_leaves(), "one call per leaf");
+        let leaf_of = |r: u32| tree.predict_row(x.row(r as usize)).as_ptr();
+        let routed = |set: &[u32], leaf| -> Vec<u32> {
+            set.iter()
+                .copied()
+                .filter(|&r| leaf_of(r) == leaf)
+                .collect()
+        };
+        let mut leaves = Vec::new();
+        for (got_rows, got_extra) in &calls {
+            let first = got_rows.iter().chain(got_extra).next().expect("rows");
+            let leaf = leaf_of(*first);
+            assert_eq!(got_rows, &routed(rows, leaf), "rows of a leaf");
+            assert_eq!(got_extra, &routed(extra, leaf), "extras of a leaf");
+            leaves.push(leaf);
+        }
+        leaves.sort();
+        leaves.dedup();
+        assert_eq!(leaves.len(), calls.len(), "every call is a distinct leaf");
+    }
+
+    #[test]
+    fn leaves_receive_their_rows_in_input_order() {
+        use rand::seq::SliceRandom;
+        let n = 600;
+        let x = random_fixture(n, 6, 17);
+        let view = TrainingView::fit(&x, 32);
+        let mut rng = StdRng::seed_from_u64(23);
+
+        // A GBT round: a scrambled 85 % subsample, the rest routed beside it.
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        order.shuffle(&mut rng);
+        let (rows, extra) = order.split_at(n * 85 / 100);
+        let grad: Vec<f64> = (0..n).map(|i| x.get(i, 1) - x.get(i, 4).powi(2)).collect();
+        let hess = vec![1.0; n];
+        let params = TreeParams {
+            max_depth: 7,
+            colsample: 0.8,
+            ..TreeParams::default()
+        };
+        let gh = GradHess {
+            grad: &grad,
+            hess: &hess,
+            params: &params,
+        };
+        check_leaf_rows(&x, &view, rows, extra, &gh, &params, 5);
+
+        // A forest tree: a bootstrap sample, duplicates included.
+        let boot: Vec<u32> = (0..n).map(|_| rng.gen_range(0..n as u32)).collect();
+        let y = Matrix::from_rows(
+            &(0..n)
+                .map(|i| vec![x.get(i, 0) * x.get(i, 2), x.get(i, 3)])
+                .collect::<Vec<_>>(),
+        );
+        let params = TreeParams {
+            max_depth: 9,
+            colsample: 0.6,
+            min_child_weight: 2.0,
+            ..TreeParams::default()
+        };
+        check_leaf_rows(
+            &x,
+            &view,
+            &boot,
+            &[],
+            &Variance::new(&y, &params),
+            &params,
+            6,
+        );
     }
 }
