@@ -17,10 +17,10 @@ use mphpc_sched::strategy::{
 };
 use mphpc_sched::{row_bits, sample_jobs, sample_jobs_indexed, Job, JobTemplate, RpvProvider};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
-use std::panic::resume_unwind;
-use std::thread::ScopedJoinHandle;
-use std::time::{Duration, Instant};
+use std::sync::Mutex;
+use std::time::Instant;
 
 /// Result of one strategy's simulation (one bar of Figs. 7–8).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -193,81 +193,68 @@ pub fn paper_strategies(random_seed: u64) -> Vec<Box<dyn MachineAssigner>> {
 
 /// One strategy's simulation: the Figs. 7–8 numbers plus the engine's own
 /// counters and the wall-clock the strategy took.
+///
+/// A comparison asks its provider once, for all five strategies. That ask
+/// is charged to Model-based, the one strategy that reads RPVs: its
+/// `predict_*` counters and `wall_secs` include the ask, the other four
+/// report 0 and their simulation alone. Summed over a comparison's
+/// outcomes, the counters and walls are what the comparison did.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScaleOutcome {
     /// The fields [`run_strategy_comparison`] reports.
     pub outcome: StrategyOutcome,
     /// Calendar-queue / incremental-backfill / prediction counters.
     pub stats: ScaleStats,
-    /// Wall-clock seconds of this strategy alone: asking the provider for
-    /// its RPVs, then simulating.
+    /// Wall-clock seconds of this strategy's simulation, plus the ask for
+    /// Model-based.
     pub wall_secs: f64,
 }
 
-/// How every comparison runs its strategies: `simulate` each, at most
-/// `mphpc_par`'s thread count of them at once. The caller runs `ask` once
-/// per strategy, in strategy order, so whatever `ask` consults sees the
-/// calls a serial loop makes; then the strategy goes to a scoped worker if
-/// one may start, or is simulated on the caller (with 1 thread, all are).
-/// Results come back in strategy order, or the first error in that order.
-fn on_each_strategy<A: Send, R: Send>(
+/// Where Model-based, the strategy charged with a comparison's ask, stands
+/// in [`paper_strategies`].
+const MODEL_BASED: usize = 3;
+
+/// How every comparison runs its strategies: `simulate` each, side by side
+/// on `mphpc_par`'s threads. Results come back in strategy order, or the
+/// first error in that order.
+fn on_each_strategy<R: Send>(
     strategies: Vec<Box<dyn MachineAssigner>>,
-    mut ask: impl FnMut() -> Result<A, MphpcError>,
-    simulate: impl Fn(A, &mut dyn MachineAssigner) -> Result<R, MphpcError> + Sync,
+    simulate: impl Fn(usize, &mut dyn MachineAssigner) -> Result<R, MphpcError> + Sync,
 ) -> Result<Vec<R>, MphpcError> {
-    let threads = mphpc_par::thread_override().unwrap_or_else(mphpc_par::available_threads);
-    let simulate = &simulate;
-    let mut done = Vec::with_capacity(strategies.len());
-    std::thread::scope(|scope| {
-        let join = |(i, h): (usize, ScopedJoinHandle<'_, _>)| {
-            (i, h.join().unwrap_or_else(|panic| resume_unwind(panic)))
-        };
-        let mut running: Vec<(usize, ScopedJoinHandle<'_, Result<R, MphpcError>>)> = Vec::new();
-        for (i, mut s) in strategies.into_iter().enumerate() {
-            // Workers that are done make room for the next.
-            while let Some(k) = running.iter().position(|(_, h)| h.is_finished()) {
-                done.push(join(running.swap_remove(k)));
-            }
-            if done.iter().any(|(_, r)| r.is_err()) {
-                break;
-            }
-            match ask() {
-                Err(e) => done.push((i, Err(e))),
-                Ok(a) if running.len() + 1 < threads => {
-                    running.push((i, scope.spawn(move || simulate(a, s.as_mut()))));
-                    continue;
-                }
-                Ok(a) => done.push((i, simulate(a, s.as_mut()))),
-            }
-        }
-        done.extend(running.into_iter().map(join));
-    });
-    done.sort_by_key(|(i, _)| *i);
-    done.into_iter().map(|(_, r)| r).collect()
+    let strategies: Vec<Mutex<_>> = strategies.into_iter().map(Mutex::new).collect();
+    mphpc_par::par_map(&strategies, |i, s| {
+        simulate(i, s.lock().expect("each strategy runs once").as_mut())
+    })
+    .into_iter()
+    .collect()
 }
 
 /// [`paper_strategies`] on `jobs` and the Table-I cluster. With `lookup`,
-/// each strategy's own copy of the jobs gets its RPVs from
-/// [`predict_rpvs`] on the calling thread before it is simulated.
+/// one copy of the jobs gets its RPVs from one [`predict_rpvs`] call, and
+/// every strategy simulates that copy.
 fn compare_strategies(
     jobs: &[Job],
     seed: u64,
-    mut lookup: Option<(&[&[f64]], &mut dyn RpvProvider)>,
+    lookup: Option<(&[&[f64]], &mut dyn RpvProvider)>,
 ) -> Result<Vec<ScaleOutcome>, MphpcError> {
-    let config = SimConfig::default();
-    let ask = || {
-        let started = Instant::now();
-        let mut own = jobs.to_vec();
-        let asked = match &mut lookup {
-            Some((rows, provider)) => predict_rpvs(&mut own, rows, &mut **provider)?,
-            None => ScaleStats::default(),
-        };
-        Ok((own, asked, started.elapsed()))
+    let started = Instant::now();
+    let (jobs, asked) = match lookup {
+        Some((rows, provider)) => {
+            let mut predicted = jobs.to_vec();
+            let asked = predict_rpvs(&mut predicted, rows, provider)?;
+            (Cow::Owned(predicted), asked)
+        }
+        None => (Cow::Borrowed(jobs), ScaleStats::default()),
     };
-    let simulate = |(jobs, asked, asking): (Vec<Job>, ScaleStats, Duration),
-                    s: &mut dyn MachineAssigner| {
+    let asking = started.elapsed();
+    let config = SimConfig::default();
+    on_each_strategy(paper_strategies(seed ^ 0x5EED), |i, s| {
         let started = Instant::now();
         let (r, stats) = simulate_full(&jobs, &[], s, &config)?;
+        let (asked, asking) = match i {
+            MODEL_BASED => (asked, asking),
+            _ => Default::default(),
+        };
         Ok(ScaleOutcome {
             outcome: StrategyOutcome {
                 strategy: r.strategy.to_string(),
@@ -283,14 +270,14 @@ fn compare_strategies(
             },
             wall_secs: (asking + started.elapsed()).as_secs_f64(),
         })
-    };
-    on_each_strategy(paper_strategies(seed ^ 0x5EED), ask, simulate)
+    })
 }
 
-/// [`run_strategy_comparison`] with RPVs looked up through `provider`, one
-/// batched call per decision point of each strategy, instead of
-/// precomputed per template — the shape that scales to millions of jobs and
-/// to a remote predictor.
+/// [`run_strategy_comparison`] with RPVs looked up through `provider`
+/// instead of precomputed per template — the shape that scales to millions
+/// of jobs and to a remote predictor. The provider is asked once per
+/// comparison, one batched call per decision point, and all five
+/// strategies simulate the answers.
 ///
 /// `features[t]` is the raw feature row of `templates[t]` (the
 /// [`templates_from_dataset_raw`] pairing). Templates that already carry a
@@ -381,8 +368,7 @@ pub fn run_workflow_comparison(workflows: &[Workflow]) -> Result<Vec<WorkflowOut
     let config = SimConfig::default();
     on_each_strategy(
         paper_strategies(0x10F),
-        || Ok(()),
-        |(), s| {
+        |_, s| {
             let r = simulate_workflows(workflows, s, &config)?;
             Ok(WorkflowOutcome {
                 strategy: r.strategy.to_string(),
@@ -474,13 +460,10 @@ mod tests {
             // Bit-identical, not approximately equal: the inline provider
             // runs the very predict_features call the precomputation ran.
             assert_eq!(s.outcome, *r, "{} diverged", r.strategy);
-            assert_eq!(
-                s.stats.predict_rows, 400,
-                "{}: every job predicted",
-                r.strategy
-            );
-            assert!(s.stats.predict_batches > 0);
         }
+        let asked = |o: &ScaleOutcome| (o.stats.predict_batches > 0, o.stats.predict_rows);
+        let want = [(false, 0), (false, 0), (false, 0), (true, 400), (false, 0)];
+        assert_eq!(scale.iter().map(asked).collect::<Vec<_>>(), want);
     }
 
     /// Output bit patterns: the memo must answer exactly, NaN included.
@@ -591,32 +574,50 @@ mod tests {
 
     /// FNV-1a over a provider's call log: each call's row count, then the
     /// bits of its rows.
-    fn fold_call(hash: u64, rows: &[&[f64]]) -> u64 {
-        let bits = rows.iter().flat_map(|r| r.iter().map(|v| v.to_bits()));
-        std::iter::once(rows.len() as u64)
-            .chain(bits)
-            .fold(hash, |h, w| (h ^ w).wrapping_mul(0x0000_0100_0000_01b3))
+    fn fold_log<'a>(log: impl Iterator<Item = &'a Vec<Vec<f64>>>) -> u64 {
+        log.fold(0xcbf2_9ce4_8422_2325, |hash, rows| {
+            let bits = rows.iter().flat_map(|r| r.iter().map(|v| v.to_bits()));
+            std::iter::once(rows.len() as u64)
+                .chain(bits)
+                .fold(hash, |h, w| (h ^ w).wrapping_mul(0x0000_0100_0000_01b3))
+        })
     }
 
     #[test]
     fn a_comparison_asks_the_provider_what_the_event_loop_asked() {
         let (templates, features) = synthetic();
-        // Pinned from the event loop's own asking, before it moved out.
-        for (rate, calls_want, hash_want) in [
-            (0.0, 5, 6_903_943_193_095_546_335u64),
-            (0.05, 2_000, 7_255_655_024_141_550_565),
+        // Pinned from one strategy's asking. The event loop asked the same
+        // calls once per strategy: folded five times, the log reproduces
+        // what it asked for all five.
+        for (rate, calls_want, hash_want, five_want) in [
+            (
+                0.0,
+                1,
+                5_437_174_631_005_024_847u64,
+                (5, 6_903_943_193_095_546_335u64),
+            ),
+            (
+                0.05,
+                400,
+                8_406_018_228_718_804_197,
+                (2_000, 7_255_655_024_141_550_565),
+            ),
         ] {
-            let (mut calls, mut hash) = (0, 0xcbf2_9ce4_8422_2325u64);
+            let mut log: Vec<Vec<Vec<f64>>> = Vec::new();
             let mut recording = FnRpvProvider::new("recording", |rows: &[&[f64]]| {
-                calls += 1;
-                hash = fold_call(hash, rows);
+                log.push(rows.iter().map(|r| r.to_vec()).collect());
                 Ok(rows.iter().map(|r| answer(r)).collect())
             });
             let outcomes =
                 run_scale_comparison(&templates, &features, &mut recording, 400, rate, 7).unwrap();
             assert_eq!(outcomes.len(), 5);
-            assert!(outcomes.iter().all(|o| o.stats.predict_rows == 400));
-            assert_eq!((calls, hash), (calls_want, hash_want), "rate {rate}");
+            let rows: usize = log.iter().map(Vec::len).sum();
+            let charged: u64 = outcomes.iter().map(|o| o.stats.predict_rows).sum();
+            assert_eq!((rows, charged), (400, 400), "rate {rate}");
+            let hash = fold_log(log.iter());
+            assert_eq!((log.len(), hash), (calls_want, hash_want), "rate {rate}");
+            let five = fold_log(log.iter().cycle().take(5 * log.len()));
+            assert_eq!((5 * log.len(), five), five_want, "rate {rate}");
         }
     }
 
@@ -649,20 +650,19 @@ mod tests {
 
     #[test]
     fn the_first_error_in_strategy_order_is_the_event_loops() {
-        // 400 Poisson arrivals are 400 calls a strategy: call 400 is the
-        // second strategy's first, call 1 000 half-way through the third.
+        // 400 Poisson arrivals are 400 calls, one per job in arrival order.
         let (templates, features) = synthetic();
         for (fault, at, want) in [
-            ("error", 400, "error: serve error: predictor went away"),
+            ("error", 0, "error: serve error: predictor went away"),
             (
                 "NaN",
-                1_000,
+                200,
                 "error: answer of rpv provider faulty\n  caused by: invalid job: job 200: \
                  non-finite predicted RPV [10.0, 1.0, NaN, 4.0]",
             ),
             (
                 "short",
-                1_999,
+                399,
                 "error: simulation error: rpv provider returned 0 predictions for 1 rows",
             ),
         ] {

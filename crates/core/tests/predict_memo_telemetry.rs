@@ -1,8 +1,8 @@
 //! The in-process RPV provider predicts each distinct row once, and says so
 //! in telemetry: over one `run_scale_comparison`, `sched.predict.rows`
-//! counts every lookup of every strategy while `sched.predict.model_rows`
-//! counts only the rows that reached the model, and
-//! `sched.predict.nonpositive` the jobs scheduled on an RPV entry ≤ 0.
+//! counts every lookup of the comparison's one ask while
+//! `sched.predict.model_rows` counts only the rows that reached the model,
+//! and `sched.predict.nonpositive` the jobs scheduled on an RPV entry ≤ 0.
 //! Telemetry mode is process-global, hence one `#[test]` in a file of its
 //! own.
 
@@ -51,7 +51,7 @@ fn model_rows_count_distinct_sampled_rows() {
     };
 
     let (rows, model_rows, _) = counted(&p);
-    assert_eq!(rows, 5 * jobs as u64, "every job asked for, per strategy");
+    assert_eq!(rows, jobs as u64, "every job asked for, once");
     assert_eq!(
         model_rows,
         distinct.len() as u64,

@@ -24,9 +24,8 @@ fn setup() -> (MpHpcDataset, PerfPredictor) {
 
 /// Precomputed-RPV templates vs raw templates whose RPVs `predict_rpvs`
 /// looks up — full `SimResult` equality (every job's start, end, and
-/// machine), not just aggregates. One provider serves all five strategies,
-/// as in `run_scale_comparison`, so from the second strategy on every row
-/// is a memo hit; the counters must not notice.
+/// machine), not just aggregates. One ask serves all five strategies, as
+/// in `run_scale_comparison`.
 fn assert_inline_equals_precomputed(
     enriched: &[JobTemplate],
     raw: &[JobTemplate],
@@ -46,19 +45,18 @@ fn assert_inline_equals_precomputed(
     submits.dedup();
 
     let strategies = || mphpc_core::schedbridge::paper_strategies(seed ^ 0x5EED);
-    let mut provider = PredictorRpv::new(predictor);
+    let mut jobs = raw_jobs;
+    let asked = predict_rpvs(&mut jobs, &rows, &mut PredictorRpv::new(predictor)).unwrap();
+    assert_eq!(asked.predict_rows, n_jobs as u64);
+    assert_eq!(asked.predict_batches, submits.len() as u64);
     for (mut s, mut ps) in strategies().into_iter().zip(strategies()) {
         let precomputed = simulate(&pre_jobs, ps.as_mut(), &config).unwrap();
-        let mut jobs = raw_jobs.clone();
-        let asked = predict_rpvs(&mut jobs, &rows, &mut provider).unwrap();
         let (inlined, stats) = simulate_full(&jobs, &[], s.as_mut(), &config).unwrap();
         assert_eq!(
             inlined, precomputed,
             "{} diverged on {n_jobs} jobs rate {rate} seed {seed}",
             precomputed.strategy
         );
-        assert_eq!(asked.predict_rows, n_jobs as u64);
-        assert_eq!(asked.predict_batches, submits.len() as u64);
         assert_eq!(stats.events_enqueued, 2 * n_jobs as u64);
         assert_eq!(stats.events_dequeued, 2 * n_jobs as u64);
     }
@@ -161,11 +159,7 @@ fn federation_matches_local_and_survives_server_death() {
     }
     assert!(!stats.degraded, "healthy server must not degrade");
     assert_eq!(stats.fallbacks, 0);
-    assert_eq!(
-        stats.rows,
-        5 * n_jobs as u64,
-        "one lookup per job per strategy"
-    );
+    assert_eq!(stats.rows, n_jobs as u64, "one lookup per job");
     assert_eq!(stats.requests, stats.responses);
     assert!(
         stats.requests <= stats.rows,
@@ -200,7 +194,7 @@ fn federation_matches_local_and_survives_server_death() {
     // lookup is counted exactly once, as a remote row or a fallback row.
     assert_eq!(
         stats.rows + stats.fallbacks,
-        5 * n_jobs as u64,
+        n_jobs as u64,
         "every lookup answered, remotely or locally: {stats:?}"
     );
 
@@ -218,14 +212,14 @@ fn federation_matches_local_and_survives_server_death() {
         assert_eq!(f.outcome, l.outcome, "dead-server federation diverged");
     }
     assert!(stats.degraded);
-    assert_eq!(stats.fallbacks, 5 * n_jobs as u64);
+    assert_eq!(stats.fallbacks, n_jobs as u64);
     assert_eq!((stats.requests, stats.rows), (0, 0));
 }
 
 #[test]
-fn federated_backlog_sends_each_distinct_row_once_per_strategy() {
-    // All jobs submitted at time zero: one decision point per strategy,
-    // holding every sampled job, so repeats are most of each batch.
+fn federated_backlog_sends_each_distinct_row_once_per_comparison() {
+    // All jobs submitted at time zero: one decision point, holding every
+    // sampled job, so repeats are most of the batch.
     let (d, p) = setup();
     let (raw, features) = templates_from_dataset_raw(&d).unwrap();
     let (n_jobs, rate, seed) = (3_000usize, 0.0, 21);
@@ -259,9 +253,9 @@ fn federated_backlog_sends_each_distinct_row_once_per_strategy() {
         assert_eq!(bits(f), bits(l));
     }
     assert!(!stats.degraded);
-    assert_eq!((stats.rows, stats.fallbacks), (5 * n_jobs as u64, 0));
+    assert_eq!((stats.rows, stats.fallbacks), (n_jobs as u64, 0));
     assert!(distinct.len() < n_jobs, "the sample must repeat rows");
-    assert_eq!(stats.sent_rows, 5 * distinct.len() as u64);
+    assert_eq!(stats.sent_rows, distinct.len() as u64);
 }
 
 /// A provider that folds every call it forwards into an FNV-1a hash: each
@@ -297,9 +291,9 @@ impl<P: RpvProvider> RpvProvider for Recording<P> {
 
 #[test]
 fn strategies_simulated_side_by_side_ask_and_schedule_as_one_at_a_time() {
-    // The comparison simulates its five strategies on up to `threads`
-    // workers while the calling thread asks the provider for the next one:
-    // outcomes and the provider's calls must not depend on how many.
+    // The comparison asks the provider once, then simulates its five
+    // strategies side by side on up to `threads` workers: outcomes and the
+    // provider's calls must not depend on how many.
     let (d, p) = setup();
     let (raw, features) = templates_from_dataset_raw(&d).unwrap();
     let handle = start_server(&p);
