@@ -46,7 +46,8 @@
 //! once per arrival instant, as the loop's decision points did. For a
 //! dependency-free job list those instants do not depend on the schedule,
 //! and inference is batch-size invariant, so the RPVs are bitwise the ones
-//! a precomputed run uses.
+//! a precomputed run uses. Nor do they depend on the strategy: a
+//! comparison asks once, and every strategy simulates the same list.
 //!
 //! **Dependencies** do not weaken the snapshot: a job with open
 //! dependencies is not in the event queue at all; the completion that

@@ -40,12 +40,13 @@ grep -q 'sched.federation.sent_rows' sched.telemetry.jsonl
 grep -q 'sched.federation.lookup_us' sched.telemetry.jsonl
 # The printed tables are `"type":"table"` records of the same file: five
 # strategy rows, and a federation row that never fell back (the fallback
-# counter is only written when it moves) and sent a repeated row once per
-# decision point: the 100k jobs are sampled from the small dataset's 288 rows.
+# counter is only written when it moves), looked up each job once for all
+# five strategies, and sent each distinct row of a decision point once: the
+# 100k jobs are sampled from the small dataset's 288 rows.
 jq -es 'map(select(.type == "table" and (.title | startswith("Figs. 7–8 @ scale"))))
   | length == 1 and (.[0].rows | length == 5 and any(.[0] == "Model-based"))' sched.telemetry.jsonl
 jq -es 'map(select(.type == "table" and (.title | startswith("Predictor federation"))))
   | length == 1 and (.[0] | [.header, .rows[0]] | transpose | map({(.[0]): .[1]}) | add
-    | .["fallback rows"] == "0" and .degraded == "false"
+    | .["fallback rows"] == "0" and .degraded == "false" and .rows == "100000"
       and (.["rows sent"] | tonumber) < (.rows | tonumber))' sched.telemetry.jsonl
 jq -es 'any(.name? == "sched.federation.fallbacks") | not' sched.telemetry.jsonl
