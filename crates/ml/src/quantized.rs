@@ -1,6 +1,6 @@
 //! The inference engine: trained trees lowered in one checked pass to a
-//! flat, bin-indexed layout with integer node compares, branchless
-//! multi-lane traversal, and a first-class single-row path.
+//! flat, bin-indexed layout with integer node compares, a branch-free
+//! fixed-depth lockstep walk, and a first-class single-row path.
 //!
 //! Trained trees ([`Tree`]) are a `Vec` of enum nodes with heap-allocated
 //! leaf vectors — convenient during construction, slow for serving: every
@@ -8,15 +8,19 @@
 //! leaf read chases a separate allocation. [`QuantizedEnsemble::from_gbt`]
 //! / [`QuantizedEnsemble::from_forest`] lower a whole ensemble into:
 //!
-//! * **Flat arrays.** `feature[i]` / `bin[i]` / `child[i]`, one entry per
-//!   node, all trees concatenated, each tree laid out breadth-first so its
-//!   hot top levels share cache lines. `child[i]` packs the topology: an
-//!   internal node stores its left child's index (siblings are emitted
-//!   adjacently, so the right child is `left + 1`); a leaf sets
-//!   [`LEAF_BIT`] and stores an offset into one shared leaf arena. GBT
-//!   leaves are pre-scaled by the learning rate as they enter the arena
-//!   (`eta · w` has identical bits multiplied once here or per row at
-//!   predict time), so the serving loop is a pure add.
+//! * **One pack layout.** Trees are grouped into packs of [`LANES`] in
+//!   accumulation order, and each pack is laid out breadth-first *across*
+//!   its trees: all roots adjacent (tree `t`'s root is slot
+//!   `pack_start[t / LANES] + t % LANES`), then every pack tree's level-1
+//!   nodes, and so on, so the hot top levels share cache lines. Per slot,
+//!   `feature` / `bin` / `step`: a split's `step` is its left child's slot
+//!   (siblings are adjacent, so the right child is `step + 1`); a **leaf
+//!   steps to itself** and holds the bin `B::MAX`, which no row's bin
+//!   exceeds, so once a walk reaches a leaf it stays there. `leaf[slot]`
+//!   is a leaf's offset into one shared leaf arena. GBT leaves are
+//!   pre-scaled by the learning rate as they enter the arena (`eta · w`
+//!   has identical bits multiplied once here or per row at predict time),
+//!   so the serving loop is a pure add.
 //!
 //! * **Quantization.** Every split threshold a trained tree holds is a bin
 //!   edge of some training-time [`crate::binning::QuantileBinner`]. The
@@ -34,25 +38,20 @@
 //!   because `bin(v) <= j` holds iff fewer than `j + 1` cuts are below
 //!   `v`, i.e. iff `cuts[f][j] >= v`. Each threshold is literally one of
 //!   its feature's cuts, so the engine selects *the same leaf* as the
-//!   reference traversal and its output is **bit-identical**.
+//!   reference traversal and its output is **bit-identical**. A row bin is
+//!   at most `n_cuts` ≤ `B::MAX`, so no row ever steps off a leaf.
 //!
-//! * **Branchless 8-row lanes.** The batch kernel processes rows in
-//!   blocks of [`BLOCK_ROWS`] with trees in the outer loop (a tree's node
-//!   arrays stay cache-resident while the block streams through) and
-//!   walks [`LANES`] rows per tree in lockstep: each step is
-//!   mask-arithmetic (`next = internal ? child + go_right : stay`), eight
-//!   independent dependency chains that hide node-load latency, the only
-//!   branch being the shared "all lanes done" exit. Blocks write disjoint
+//! * **Fixed-depth lockstep walk.** One step of the kernel is
+//!   `idx = step[idx] + (binned[base + feature[idx]] > bin[idx])` for
+//!   [`LANES`] independent walks at once: no leaf test, no mask, no exit
+//!   branch. Each walk runs a trip count fixed at lowering — its tree's
+//!   depth in the batch kernel, where the lanes are rows of one tree, and
+//!   its pack's largest depth in the single-row path, where the lanes are
+//!   the pack's trees. The batch kernel processes rows in blocks of
+//!   [`BLOCK_ROWS`] with trees in the outer loop; blocks write disjoint
 //!   output slices under `mphpc-par`'s chunked driver.
 //!
-//! * **Interleaved single-row packing.** A second copy of the node arrays
-//!   groups trees into packs of [`LANES`] and lays each pack out
-//!   breadth-first *across* its trees (all roots adjacent, then every
-//!   pack tree's level-1 nodes, ...). Single-row prediction walks the
-//!   pack's trees in lockstep, so one cache line feeds up to eight trees
-//!   at the hot top levels.
-//!
-//! * **Validation.** The kernels index without bounds checks, so the
+//! * **Validation.** The kernel indexes without bounds checks, so the
 //!   lowering is where trees from outside the process (model JSON) are
 //!   checked: every structural fault is an [`MphpcError`] naming the tree
 //!   and node, never a panic or an unbounded loop.
@@ -66,9 +65,6 @@ use crate::tree::{Node, Tree};
 use mphpc_errors::MphpcError;
 use std::collections::VecDeque;
 use std::sync::OnceLock;
-
-/// Tag bit marking a packed `child` entry as a leaf-arena reference.
-const LEAF_BIT: u32 = 1 << 31;
 
 /// Rows (batch kernel) or trees (single-row kernel) walked in lockstep.
 pub const LANES: usize = 8;
@@ -86,14 +82,17 @@ const STACK_FEATURES: usize = 256;
 /// Integer bin-id storage: `u8` while every feature has ≤ 255 cuts, `u16`
 /// for ensembles with more distinct thresholds.
 trait BinId: Copy + Ord + std::fmt::Debug + Send + Sync + 'static {
-    /// The zero bin (padding for leaf slots).
     const ZERO: Self;
+    /// A leaf's bin: at least every row bin (the NaN sentinel `n_cuts`
+    /// included), so a leaf steps to itself.
+    const MAX: Self;
     /// Narrow from `usize`; the builder guarantees the value fits.
     fn from_usize(v: usize) -> Self;
 }
 
 impl BinId for u8 {
     const ZERO: Self = 0;
+    const MAX: Self = u8::MAX;
     fn from_usize(v: usize) -> Self {
         debug_assert!(v <= u8::MAX as usize);
         v as u8
@@ -102,33 +101,24 @@ impl BinId for u8 {
 
 impl BinId for u16 {
     const ZERO: Self = 0;
+    const MAX: Self = u16::MAX;
     fn from_usize(v: usize) -> Self {
         debug_assert!(v <= u16::MAX as usize);
         v as u16
     }
 }
 
-/// Width-specific node arrays: the sequential layout (batch kernel) and
-/// the interleaved pack layout (single-row kernel).
+/// Width-specific node arrays, one entry per slot of the pack layout.
 #[derive(Debug, Clone)]
 struct Engine<B> {
-    /// Split feature per node (0 for leaves).
+    /// Split feature per slot (0 for leaves).
     feature: Vec<u16>,
-    /// Quantized threshold per node: index of the node's cut within
-    /// `cuts[feature]` (0 for leaves).
+    /// Quantized threshold per slot: index of the split's cut within
+    /// `cuts[feature]`; `B::MAX` for leaves.
     bin: Vec<B>,
-    /// Packed topology per node: left-child index (right sibling at
-    /// `+1`), or `LEAF_BIT | leaf-arena offset`.
-    child: Vec<u32>,
-    /// Interleaved re-layout of `feature` for tree packs.
-    pk_feature: Vec<u16>,
-    /// Interleaved re-layout of `bin`.
-    pk_bin: Vec<B>,
-    /// Interleaved re-layout of `child` (indices into the pk arrays).
-    pk_child: Vec<u32>,
-    /// First slot of each pack; pack `p` holding `m` trees has its roots
-    /// at slots `pack_start[p] .. pack_start[p] + m`.
-    pack_start: Vec<u32>,
+    /// Left-child slot of a split (right sibling at `+1`); a leaf's own
+    /// slot.
+    step: Vec<u32>,
 }
 
 /// Bin-width dispatch: one engine instantiation per id width.
@@ -161,9 +151,16 @@ pub struct QuantizedEnsemble {
     n_features: usize,
     /// Per-feature ascending distinct split thresholds ("cuts").
     cuts: Vec<Vec<f64>>,
-    /// Root node index of each tree in the sequential layout, in
-    /// reference accumulation order.
-    roots: Vec<u32>,
+    /// First slot of each pack; pack `p` holding `m` trees has its roots
+    /// at slots `pack_start[p] .. pack_start[p] + m`.
+    pack_start: Vec<u32>,
+    /// Trip count of each tree's walk in the batch kernel: its depth.
+    depth: Vec<u32>,
+    /// Trip count of each pack's walk in the single-row path: the largest
+    /// depth among its trees.
+    pack_depth: Vec<u32>,
+    /// Leaf-arena offset per slot (read at leaves only).
+    leaf: Vec<u32>,
     /// Leaf-value arena shared by all trees (GBT leaves pre-scaled by the
     /// learning rate, forests unscaled).
     leaves: Vec<f64>,
@@ -180,7 +177,7 @@ fn invalid(what: impl std::fmt::Display) -> MphpcError {
     MphpcError::InvalidArgument(format!("invalid tree ensemble: {what}"))
 }
 
-/// The flat arrays while trees are lowered one by one. `threshold` is the
+/// The pack layout while packs are lowered one by one. `threshold` is the
 /// only place the f64 thresholds exist after lowering; it is dropped once
 /// [`QuantizedEnsemble::finish`] has turned it into cut indices.
 struct Lowerer {
@@ -189,16 +186,21 @@ struct Lowerer {
     leaf_width: usize,
     feature: Vec<u16>,
     threshold: Vec<f64>,
-    child: Vec<u32>,
-    roots: Vec<u32>,
+    step: Vec<u32>,
+    leaf: Vec<u32>,
     leaves: Vec<f64>,
+    pack_start: Vec<u32>,
+    depth: Vec<u32>,
 }
 
 impl Lowerer {
-    fn new<'a>(
-        trees: impl Iterator<Item = &'a Tree>,
+    /// Lower `trees` (in accumulation order) pack by pack; leaf values
+    /// are multiplied by `leaf_scale` as they enter the arena.
+    fn new(
+        trees: &[&Tree],
         n_features: usize,
         leaf_width: usize,
+        leaf_scale: f64,
     ) -> Result<Self, MphpcError> {
         // Leaf slots read `binned[base + 0]`, so a row must hold one bin.
         if n_features == 0 || n_features > u16::MAX as usize {
@@ -206,41 +208,63 @@ impl Lowerer {
                 "{n_features} features (supported: 1..=65535)"
             )));
         }
-        let nodes: usize = trees.map(Tree::n_nodes).sum();
-        Ok(Self {
+        let nodes: usize = trees.iter().map(|t| t.n_nodes()).sum();
+        let mut l = Self {
             n_features,
             leaf_width,
             feature: Vec::with_capacity(nodes),
             threshold: Vec::with_capacity(nodes),
-            child: Vec::with_capacity(nodes),
-            roots: Vec::new(),
+            step: Vec::with_capacity(nodes),
+            leaf: Vec::with_capacity(nodes),
             leaves: Vec::new(),
-        })
+            pack_start: Vec::with_capacity(trees.len().div_ceil(LANES)),
+            depth: Vec::with_capacity(trees.len()),
+        };
+        for (pi, pack) in trees.chunks(LANES).enumerate() {
+            l.lower_pack(pi * LANES, pack, leaf_scale)?;
+        }
+        Ok(l)
     }
 
-    fn push_placeholder(&mut self) {
+    /// Append a slot that is a leaf until [`Lowerer::lower_pack`] makes it
+    /// a split: it steps to itself.
+    fn push_slot(&mut self) -> Result<usize, MphpcError> {
+        let slot = self.step.len();
+        if slot >= u32::MAX as usize {
+            return Err(invalid("node count exceeds 2^32 - 1"));
+        }
         self.feature.push(0);
         self.threshold.push(0.0);
-        self.child.push(LEAF_BIT);
+        self.step.push(slot as u32);
+        self.leaf.push(0);
+        Ok(slot)
     }
 
-    /// Emit tree number `t` breadth-first (children adjacent, left first)
-    /// and record its root. Leaf values are multiplied by `leaf_scale` as
-    /// they enter the arena. Iterative, so a chain-shaped tree cannot
-    /// overflow the stack; every source node is emitted at most once, so
-    /// a cyclic or shared-child "tree" is an error, not an endless loop.
-    fn lower(&mut self, t: usize, tree: &Tree, leaf_scale: f64) -> Result<(), MphpcError> {
-        let n = tree.nodes.len();
-        if n == 0 {
-            return Err(invalid(format!("tree {t} has no nodes")));
+    /// Emit the pack of trees numbered from `t0` breadth-first across the
+    /// pack (children adjacent, left first) and record each tree's depth.
+    /// Iterative, so a chain-shaped tree cannot overflow the stack; every
+    /// source node is emitted at most once, so a cyclic or shared-child
+    /// "tree" is an error, not an endless loop.
+    fn lower_pack(&mut self, t0: usize, pack: &[&Tree], leaf_scale: f64) -> Result<(), MphpcError> {
+        let mut seen = Vec::with_capacity(pack.len());
+        let mut queue = VecDeque::new();
+        for (l, tree) in pack.iter().enumerate() {
+            if tree.nodes.is_empty() {
+                return Err(invalid(format!("tree {} has no nodes", t0 + l)));
+            }
+            let mut s = vec![false; tree.nodes.len()];
+            s[0] = true;
+            seen.push(s);
+            let slot = self.push_slot()?;
+            if l == 0 {
+                self.pack_start.push(slot as u32);
+            }
+            queue.push_back((l, 0usize, slot, 0u32));
+            self.depth.push(0);
         }
-        let mut seen = vec![false; n];
-        seen[0] = true;
-        let root = self.child.len();
-        self.push_placeholder();
-        let mut queue: VecDeque<(usize, usize)> = VecDeque::from([(0, root)]);
-        while let Some((src, dst)) = queue.pop_front() {
-            match &tree.nodes[src] {
+        while let Some((l, src, dst, level)) = queue.pop_front() {
+            let (t, n) = (t0 + l, pack[l].nodes.len());
+            match &pack[l].nodes[src] {
                 Node::Leaf(values) => {
                     if values.len() != self.leaf_width {
                         return Err(invalid(format!(
@@ -250,11 +274,12 @@ impl Lowerer {
                         )));
                     }
                     let off = self.leaves.len();
-                    if off + values.len() > LEAF_BIT as usize {
-                        return Err(invalid("leaf arena exceeds 2^31 values"));
+                    if off + values.len() > u32::MAX as usize {
+                        return Err(invalid("leaf arena exceeds 2^32 - 1 values"));
                     }
                     self.leaves.extend(values.iter().map(|v| v * leaf_scale));
-                    self.child[dst] = LEAF_BIT | off as u32;
+                    self.leaf[dst] = off as u32;
+                    self.depth[t] = self.depth[t].max(level);
                 }
                 Node::Split {
                     feature,
@@ -281,28 +306,23 @@ impl Lowerer {
                                  (tree has {n} nodes)"
                             )));
                         }
-                        if std::mem::replace(&mut seen[c], true) {
+                        if std::mem::replace(&mut seen[l][c], true) {
                             return Err(invalid(format!(
                                 "tree {t} node {src}: {side} child {c} is reached twice \
                                  (cycle or shared subtree)"
                             )));
                         }
                     }
-                    let l = self.child.len();
-                    if l + 2 > LEAF_BIT as usize {
-                        return Err(invalid("node count exceeds 2^31"));
-                    }
-                    self.push_placeholder();
-                    self.push_placeholder();
+                    let left_slot = self.push_slot()?;
+                    self.push_slot()?;
                     self.feature[dst] = *feature as u16;
                     self.threshold[dst] = *threshold;
-                    self.child[dst] = l as u32;
-                    queue.push_back((*left, l));
-                    queue.push_back((*right, l + 1));
+                    self.step[dst] = left_slot as u32;
+                    queue.push_back((l, *left, left_slot, level + 1));
+                    queue.push_back((l, *right, left_slot + 1, level + 1));
                 }
             }
         }
-        self.roots.push(root as u32);
         Ok(())
     }
 }
@@ -330,16 +350,14 @@ impl QuantizedEnsemble {
                 base_scores.len()
             )));
         }
-        let mut lowerer = Lowerer::new(boosters.iter().flatten(), n_features, 1)?;
-        let mut cols = Vec::new();
-        for (j, chain) in boosters.iter().enumerate() {
-            for tree in chain {
-                lowerer.lower(cols.len(), tree, learning_rate)?;
-                cols.push(j as u32);
-            }
-        }
+        let trees: Vec<&Tree> = boosters.iter().flatten().collect();
+        let cols = boosters
+            .iter()
+            .enumerate()
+            .flat_map(|(j, chain)| std::iter::repeat(j as u32).take(chain.len()))
+            .collect();
         Self::finish(
-            lowerer,
+            Lowerer::new(&trees, n_features, 1, learning_rate)?,
             LeafLayout::ScalarPerTree(cols),
             base_scores.to_vec(),
             1.0,
@@ -364,32 +382,28 @@ impl QuantizedEnsemble {
         if trees.is_empty() {
             return Err(invalid("forest has no trees"));
         }
-        let mut lowerer = Lowerer::new(trees.iter(), n_features, n_outputs)?;
-        for (t, tree) in trees.iter().enumerate() {
-            lowerer.lower(t, tree, 1.0)?;
-        }
+        let trees: Vec<&Tree> = trees.iter().collect();
         Self::finish(
-            lowerer,
+            Lowerer::new(&trees, n_features, n_outputs, 1.0)?,
             LeafLayout::Vector,
             vec![0.0; n_outputs],
             1.0 / trees.len() as f64,
         )
     }
 
-    /// Derive the per-feature cuts from the lowered thresholds, quantize
-    /// the nodes at the narrowest id width that fits and build the pack
-    /// layout.
+    /// Derive the per-feature cuts from the lowered thresholds and
+    /// quantize the nodes at the narrowest id width that fits.
     fn finish(
         l: Lowerer,
         layout: LeafLayout,
         base: Vec<f64>,
         scale: f64,
     ) -> Result<Self, MphpcError> {
+        // A leaf steps to itself, a split to a later slot.
+        let is_split = |i: usize| l.step[i] as usize != i;
         let mut cuts: Vec<Vec<f64>> = vec![Vec::new(); l.n_features];
-        for (i, &c) in l.child.iter().enumerate() {
-            if c & LEAF_BIT == 0 {
-                cuts[l.feature[i] as usize].push(l.threshold[i]);
-            }
+        for i in (0..l.step.len()).filter(|&i| is_split(i)) {
+            cuts[l.feature[i] as usize].push(l.threshold[i]);
         }
         for fc in &mut cuts {
             fc.sort_by(|a, b| a.partial_cmp(b).expect("cuts are finite"));
@@ -404,27 +418,23 @@ impl QuantizedEnsemble {
             )));
         }
         let nodes = if max_cuts <= u8::MAX as usize {
-            Nodes::U8(Engine::build(
-                l.feature,
-                &l.threshold,
-                l.child,
-                &l.roots,
-                &cuts,
-            ))
+            Nodes::U8(Engine::build(l.feature, &l.threshold, l.step, &cuts))
         } else {
-            Nodes::U16(Engine::build(
-                l.feature,
-                &l.threshold,
-                l.child,
-                &l.roots,
-                &cuts,
-            ))
+            Nodes::U16(Engine::build(l.feature, &l.threshold, l.step, &cuts))
         };
+        let pack_depth = l
+            .depth
+            .chunks(LANES)
+            .map(|d| d.iter().copied().max().unwrap_or(0))
+            .collect();
         let engine = Self {
             n_outputs: base.len(),
             n_features: l.n_features,
             cuts,
-            roots: l.roots,
+            pack_start: l.pack_start,
+            depth: l.depth,
+            pack_depth,
+            leaf: l.leaf,
             leaves: l.leaves,
             layout,
             base,
@@ -439,7 +449,7 @@ impl QuantizedEnsemble {
 
     /// Number of trees.
     pub fn n_trees(&self) -> usize {
-        self.roots.len()
+        self.depth.len()
     }
 
     /// Per-feature ascending distinct split thresholds the ensemble uses.
@@ -455,12 +465,13 @@ impl QuantizedEnsemble {
         }
     }
 
-    /// Bytes held by node arrays (sequential + interleaved layouts).
+    /// Bytes held by the node layout: per slot its feature, bin, step and
+    /// leaf offset; per pack its first slot and trip count; per tree its
+    /// trip count.
     pub fn node_bytes(&self) -> usize {
-        match &self.nodes {
-            Nodes::U8(e) => e.node_bytes(),
-            Nodes::U16(e) => e.node_bytes(),
-        }
+        let per_slot = 2 + 4 + 4 + self.bin_bits() as usize / 8;
+        let words = self.pack_start.len() + self.pack_depth.len() + self.depth.len();
+        self.leaf.len() * per_slot + words * std::mem::size_of::<u32>()
     }
 
     /// Bytes held by the leaf arena.
@@ -470,11 +481,11 @@ impl QuantizedEnsemble {
 
     /// Predict the `n × n_outputs` target matrix for `n` feature rows.
     ///
-    /// Rows below [`LANES`] take the interleaved single-row path (no
-    /// parallel dispatch, packs of trees walked in lockstep); larger
-    /// batches run the blocked lane kernel, parallelised over
-    /// [`BLOCK_ROWS`]-row blocks. Output is bit-identical to the
-    /// reference traversal at any thread count.
+    /// Rows below [`LANES`] take the single-row path (no parallel
+    /// dispatch, each pack's trees walked in lockstep); larger batches
+    /// run the blocked lane kernel, parallelised over [`BLOCK_ROWS`]-row
+    /// blocks. Output is bit-identical to the reference traversal at any
+    /// thread count.
     pub fn predict(&self, x: &Matrix) -> Matrix {
         let k = self.n_outputs;
         let mut out = Matrix::zeros(x.rows(), k);
@@ -482,11 +493,8 @@ impl QuantizedEnsemble {
             return out;
         }
         assert_eq!(x.cols(), self.n_features, "feature count mismatch");
-        let _span = mphpc_telemetry::span!(
-            "quantized.predict",
-            rows = x.rows(),
-            trees = self.roots.len()
-        );
+        let _span =
+            mphpc_telemetry::span!("quantized.predict", rows = x.rows(), trees = self.n_trees());
         mphpc_telemetry::counter_add("ml.quantized.rows_predicted", x.rows() as u64);
         if x.rows() < LANES {
             mphpc_telemetry::counter_add("ml.quantized.path.single", x.rows() as u64);
@@ -507,7 +515,7 @@ impl QuantizedEnsemble {
     }
 
     /// Bin one row: `out[f] = |{cut < v}|`, NaN ↦ `n_cuts` (a sentinel
-    /// above every node bin, reproducing the reference "NaN goes right").
+    /// above every split bin, reproducing the reference "NaN goes right").
     fn bin_row<B: BinId>(cuts: &[Vec<f64>], row: &[f64], out: &mut [B]) {
         for ((v, fc), o) in row.iter().zip(cuts).zip(out.iter_mut()) {
             *o = if v.is_nan() {
@@ -546,8 +554,9 @@ impl QuantizedEnsemble {
         for (r, chunk) in binned.chunks_exact_mut(p).enumerate() {
             Self::bin_row(&self.cuts, x.row(row0 + r), chunk);
         }
-        let mut leaf_off = [0u32; BLOCK_ROWS];
-        for (t, &root) in self.roots.iter().enumerate() {
+        let mut ends = [0u32; BLOCK_ROWS];
+        for (t, &trips) in self.depth.iter().enumerate() {
+            let root = self.pack_start[t / LANES] + (t % LANES) as u32;
             let mut r = 0;
             while r < n {
                 let lanes = (n - r).min(LANES);
@@ -557,11 +566,11 @@ impl QuantizedEnsemble {
                 for (l, b) in bases.iter_mut().enumerate() {
                     *b = (r + l.min(lanes - 1)) * p;
                 }
-                let offs = e.walk_seq(&binned, &bases, root);
-                leaf_off[r..r + lanes].copy_from_slice(&offs[..lanes]);
+                let slots = e.walk(&binned, &bases, [root; LANES], trips);
+                ends[r..r + lanes].copy_from_slice(&slots[..lanes]);
                 r += lanes;
             }
-            self.accumulate_tree(t, &leaf_off[..n], out);
+            self.accumulate_tree(t, &ends[..n], out);
         }
         if self.scale != 1.0 {
             for o in out.iter_mut() {
@@ -570,7 +579,7 @@ impl QuantizedEnsemble {
         }
     }
 
-    /// Single-row prediction over the interleaved pack layout.
+    /// Single-row prediction: each pack's trees walked in lockstep.
     fn predict_one(&self, row: &[f64], out: &mut [f64]) {
         match &self.nodes {
             Nodes::U8(e) => self.predict_one_scalar(e, row, out),
@@ -590,10 +599,17 @@ impl QuantizedEnsemble {
             &mut heap
         };
         Self::bin_row(&self.cuts, row, binned);
-        for (pi, pack) in self.roots.chunks(LANES).enumerate() {
-            let offs = e.walk_pack(binned, pi, pack.len());
-            for (l, &off) in offs[..pack.len()].iter().enumerate() {
-                self.accumulate_tree(pi * LANES + l, std::slice::from_ref(&off), out);
+        for (pi, (&start, &trips)) in self.pack_start.iter().zip(&self.pack_depth).enumerate() {
+            let lanes = (self.n_trees() - pi * LANES).min(LANES);
+            // Tail lanes re-walk the pack's last tree; their result is
+            // ignored below.
+            let mut roots = [start; LANES];
+            for (l, r) in roots.iter_mut().enumerate() {
+                *r = start + l.min(lanes - 1) as u32;
+            }
+            let slots = e.walk(binned, &[0; LANES], roots, trips);
+            for (l, slot) in slots[..lanes].iter().enumerate() {
+                self.accumulate_tree(pi * LANES + l, std::slice::from_ref(slot), out);
             }
         }
         if self.scale != 1.0 {
@@ -603,21 +619,22 @@ impl QuantizedEnsemble {
         }
     }
 
-    /// Add tree `t`'s leaf contributions (`offs[r]` per output row) to
-    /// `out`, preserving the reference accumulation order.
-    fn accumulate_tree(&self, t: usize, offs: &[u32], out: &mut [f64]) {
+    /// Add tree `t`'s leaf contributions (`slots[r]`, the leaf reached by
+    /// output row `r`) to `out`, preserving the reference accumulation
+    /// order.
+    fn accumulate_tree(&self, t: usize, slots: &[u32], out: &mut [f64]) {
         let k = self.n_outputs;
+        let offsets = slots.iter().map(|&s| self.leaf[s as usize] as usize);
         match &self.layout {
             LeafLayout::ScalarPerTree(cols) => {
                 let j = cols[t] as usize;
-                for (row_out, &off) in out.chunks_exact_mut(k).zip(offs) {
-                    row_out[j] += self.leaves[off as usize];
+                for (row_out, off) in out.chunks_exact_mut(k).zip(offsets) {
+                    row_out[j] += self.leaves[off];
                 }
             }
             LeafLayout::Vector => {
-                for (row_out, &off) in out.chunks_exact_mut(k).zip(offs) {
-                    let leaf = &self.leaves[off as usize..off as usize + k];
-                    for (o, &v) in row_out.iter_mut().zip(leaf) {
+                for (row_out, off) in out.chunks_exact_mut(k).zip(offsets) {
+                    for (o, &v) in row_out.iter_mut().zip(&self.leaves[off..off + k]) {
                         *o += v;
                     }
                 }
@@ -627,156 +644,57 @@ impl QuantizedEnsemble {
 }
 
 impl<B: BinId> Engine<B> {
-    /// Quantize the lowered nodes' thresholds against `cuts` and build
-    /// the interleaved pack layout.
-    fn build(
-        feature: Vec<u16>,
-        threshold: &[f64],
-        child: Vec<u32>,
-        roots: &[u32],
-        cuts: &[Vec<f64>],
-    ) -> Self {
-        let n = child.len();
-        let mut bin = vec![B::ZERO; n];
-        for i in 0..n {
-            if child[i] & LEAF_BIT == 0 {
+    /// Quantize the lowered splits' thresholds against `cuts`; leaves
+    /// (slots that step to themselves) get `B::MAX`.
+    fn build(feature: Vec<u16>, threshold: &[f64], step: Vec<u32>, cuts: &[Vec<f64>]) -> Self {
+        let bin = step
+            .iter()
+            .enumerate()
+            .map(|(i, &s)| {
+                if s as usize == i {
+                    return B::MAX;
+                }
                 let j = cuts[feature[i] as usize]
                     .binary_search_by(|probe| {
                         probe.partial_cmp(&threshold[i]).expect("cuts are finite")
                     })
                     .expect("every split threshold is one of its feature's cuts");
-                bin[i] = B::from_usize(j);
+                B::from_usize(j)
+            })
+            .collect();
+        Self { feature, bin, step }
+    }
+
+    /// The lockstep kernel: [`LANES`] walks from `idx`, lane `l` reading
+    /// its row's bins at `binned[bases[l]..]`, each taking exactly `trips`
+    /// steps. A split steps to `step + go_right`; a leaf steps to itself
+    /// (its bin is `B::MAX`), so a walk that reaches its leaf early stays
+    /// there. Returns the slot each lane ends on.
+    #[inline]
+    fn walk(
+        &self,
+        binned: &[B],
+        bases: &[usize; LANES],
+        mut idx: [u32; LANES],
+        trips: u32,
+    ) -> [u32; LANES] {
+        for _ in 0..trips {
+            for (i, &base) in idx.iter_mut().zip(bases) {
+                let cur = *i as usize;
+                // SAFETY: builder invariants, checked by `Lowerer` for
+                // every tree — slots (roots and steps) are < the arrays'
+                // common length, `feature[cur] < n_features` with
+                // `n_features >= 1` (leaves hold 0), and
+                // `base + n_features <= binned.len()`.
+                let f = unsafe { *self.feature.get_unchecked(cur) } as usize;
+                let rb = unsafe { *binned.get_unchecked(base + f) };
+                let nb = unsafe { *self.bin.get_unchecked(cur) };
+                *i = unsafe { *self.step.get_unchecked(cur) } + u32::from(rb > nb);
             }
         }
-        // Interleaved packing: one BFS per pack, seeded with all of the
-        // pack's roots, so slot order is "level 0 of every pack tree,
-        // then level 1 of every pack tree, ...". `src[slot]` remembers
-        // which sequential node each packed slot mirrors.
-        let mut src: Vec<u32> = Vec::with_capacity(n);
-        let mut pk_child: Vec<u32> = Vec::with_capacity(n);
-        let mut pack_start = Vec::with_capacity(roots.len().div_ceil(LANES));
-        for pack in roots.chunks(LANES) {
-            pack_start.push(src.len() as u32);
-            let mut head = src.len();
-            src.extend_from_slice(pack);
-            pk_child.resize(src.len(), 0);
-            while head < src.len() {
-                let cc = child[src[head] as usize];
-                if cc & LEAF_BIT != 0 {
-                    pk_child[head] = cc;
-                } else {
-                    let slot = src.len() as u32;
-                    pk_child[head] = slot;
-                    src.push(cc);
-                    src.push(cc + 1);
-                    pk_child.resize(src.len(), 0);
-                }
-                head += 1;
-            }
-        }
-        debug_assert_eq!(src.len(), n);
-        let mut pk_feature = vec![0u16; n];
-        let mut pk_bin = vec![B::ZERO; n];
-        for (slot, &s) in src.iter().enumerate() {
-            pk_feature[slot] = feature[s as usize];
-            pk_bin[slot] = bin[s as usize];
-        }
-        Self {
-            feature,
-            bin,
-            child,
-            pk_feature,
-            pk_bin,
-            pk_child,
-            pack_start,
-        }
-    }
-
-    fn node_bytes(&self) -> usize {
-        let per_node =
-            std::mem::size_of::<u16>() + std::mem::size_of::<B>() + std::mem::size_of::<u32>();
-        2 * self.child.len() * per_node + self.pack_start.len() * std::mem::size_of::<u32>()
-    }
-
-    /// Walk up to [`LANES`] rows through one sequential-layout tree in
-    /// lockstep. `bases[l]` is lane `l`'s offset into `binned`.
-    #[inline]
-    fn walk_seq(&self, binned: &[B], bases: &[usize; LANES], root: u32) -> [u32; LANES] {
-        walk(
-            &self.feature,
-            &self.bin,
-            &self.child,
-            binned,
-            bases,
-            [root; LANES],
-        )
-    }
-
-    /// Walk one row through pack `pi` (holding `lanes` trees) of the
-    /// interleaved layout, all trees in lockstep.
-    #[inline]
-    fn walk_pack(&self, binned: &[B], pi: usize, lanes: usize) -> [u32; LANES] {
-        let start = self.pack_start[pi];
-        let mut roots = [start; LANES];
-        for (l, r) in roots.iter_mut().enumerate() {
-            // Tail lanes re-walk the pack's last tree; their result is
-            // ignored by the caller.
-            *r = start + l.min(lanes - 1) as u32;
-        }
-        walk(
-            &self.pk_feature,
-            &self.pk_bin,
-            &self.pk_child,
-            binned,
-            &[0usize; LANES],
-            roots,
-        )
+        idx
     }
 }
-
-/// The branchless lockstep kernel shared by both layouts: every lane
-/// either steps to `child + go_right` (internal node) or stays put
-/// (leaf), selected by mask arithmetic; the loop exits once every lane
-/// sits on a leaf. Returns each lane's leaf-arena offset.
-#[inline]
-fn walk<B: BinId>(
-    feature: &[u16],
-    bin: &[B],
-    child: &[u32],
-    binned: &[B],
-    bases: &[usize; LANES],
-    mut idx: [u32; LANES],
-) -> [u32; LANES] {
-    loop {
-        let mut active = 0u32;
-        for (i, &base) in idx.iter_mut().zip(bases) {
-            let cur = *i as usize;
-            // SAFETY: builder invariants, checked by `Lowerer::lower` for
-            // every tree — node indices (roots and child links) are < the
-            // array length, `feature[cur] < n_features` with
-            // `n_features >= 1`, and `base + n_features <= binned.len()`;
-            // all arrays are the same length by construction.
-            let c = unsafe { *child.get_unchecked(cur) };
-            let internal = u32::from(c & LEAF_BIT == 0);
-            let f = unsafe { *feature.get_unchecked(cur) } as usize;
-            let rb = unsafe { *binned.get_unchecked(base + f) };
-            let nb = unsafe { *bin.get_unchecked(cur) };
-            let go_right = u32::from(rb > nb);
-            let step_mask = internal.wrapping_neg();
-            *i = ((c.wrapping_add(go_right)) & step_mask) | (*i & !step_mask);
-            active |= internal;
-        }
-        if active == 0 {
-            break;
-        }
-    }
-    let mut offs = [0u32; LANES];
-    for (o, &i) in offs.iter_mut().zip(&idx) {
-        *o = child[i as usize] & !LEAF_BIT;
-    }
-    offs
-}
-
 /// The engine cache attached to a tree regressor, filled on first use.
 ///
 /// Derived data, so it is excluded from serialisation, equality and
@@ -893,21 +811,10 @@ mod tests {
 
     #[test]
     fn many_thresholds_fall_back_to_u16() {
-        // A right-leaning chain with 300 distinct thresholds on one
-        // feature: exceeds u8 bins, must select the u16 engine and stay
-        // exact.
-        let depth = 300usize;
-        let mut nodes = Vec::with_capacity(2 * depth + 1);
-        for i in 0..depth {
-            let right = if i + 1 < depth { i + 1 } else { depth };
-            nodes.push(split(0, i as f64, depth + 1 + i, right));
-        }
-        nodes.push(Node::Leaf(vec![-1.0]));
-        for i in 0..depth {
-            nodes.push(Node::Leaf(vec![i as f64]));
-        }
+        // 300 distinct thresholds on one feature exceed u8 bins: the
+        // engine must select u16 and stay exact.
         let rows: Vec<Vec<f64>> = (0..40).map(|i| vec![i as f64 * 8.3 - 10.0]).collect();
-        assert_eq!(probe(&Tree { nodes }, 1, &rows).bin_bits(), 16);
+        assert_eq!(probe(&chain(300), 1, &rows).bin_bits(), 16);
     }
 
     #[test]
@@ -947,20 +854,20 @@ mod tests {
         };
         let trees = vec![tree.clone(), tree.clone(), tree];
         let q = QuantizedEnsemble::from_forest(&trees, 1, 1).unwrap();
+        assert_eq!(q.pack_start, vec![0]);
+        assert_eq!(q.depth, vec![1; 3]);
+        assert_eq!(q.pack_depth, vec![1]);
         match &q.nodes {
             Nodes::U8(e) => {
-                assert_eq!(e.pack_start, vec![0]);
                 // Roots first (slots 0..3, all splits), then the six
-                // leaves level-interleaved behind them.
+                // leaves level-interleaved behind them, each stepping to
+                // itself under the bin no row exceeds.
                 for slot in 0..3 {
-                    assert_eq!(
-                        e.pk_child[slot] & LEAF_BIT,
-                        0,
-                        "slot {slot} is a root split"
-                    );
+                    assert_eq!(e.step[slot] as usize, 3 + 2 * slot, "root {slot}");
                 }
                 for slot in 3..9 {
-                    assert_ne!(e.pk_child[slot] & LEAF_BIT, 0, "slot {slot} is a leaf");
+                    assert_eq!(e.step[slot] as usize, slot, "slot {slot} is a leaf");
+                    assert_eq!(e.bin[slot], u8::MAX, "slot {slot} is a leaf");
                 }
             }
             Nodes::U16(_) => panic!("stumps must quantize to u8"),
@@ -971,6 +878,42 @@ mod tests {
         assert_eq!(out.get(1, 0), 2.0);
         assert!(q.node_bytes() > 0);
         assert_eq!(q.leaf_bytes(), 6 * 8);
+    }
+
+    /// A right-leaning chain of `depth` splits on feature 0 at thresholds
+    /// 0, 1, ...; the leaf after split `i` holds `i`, the chain's end -1.
+    fn chain(depth: usize) -> Tree {
+        let mut nodes = Vec::with_capacity(2 * depth + 1);
+        for i in 0..depth {
+            let right = if i + 1 < depth { i + 1 } else { depth };
+            nodes.push(split(0, i as f64, depth + 1 + i, right));
+        }
+        nodes.push(Node::Leaf(vec![-1.0]));
+        nodes.extend((0..depth).map(|i| Node::Leaf(vec![i as f64])));
+        Tree { nodes }
+    }
+
+    #[test]
+    fn pack_trips_are_each_packs_deepest_tree() {
+        // Pack 0: eight stumps. Pack 1, partial: a stump, then a 20-deep
+        // chain. Its trip count is the chain's depth, not the first tree's
+        // and not the whole ensemble's.
+        let mut trees = vec![chain(1); 9];
+        trees.push(chain(20));
+        let q = QuantizedEnsemble::from_forest(&trees, 1, 1).unwrap();
+        assert_eq!(q.depth, [vec![1; 9], vec![20]].concat());
+        assert_eq!(q.pack_depth, vec![1, 20]);
+        let rows: Vec<Vec<f64>> = (0..24).map(|i| vec![i as f64 - 2.5]).collect();
+        let want: Vec<f64> = rows
+            .iter()
+            .map(|row| trees.iter().map(|t| t.predict_row(row)[0]).sum::<f64>() * (1.0 / 10.0))
+            .collect();
+        let batch = q.predict(&Matrix::from_rows(&rows));
+        for (i, row) in rows.iter().enumerate() {
+            let one = q.predict(&Matrix::from_rows(std::slice::from_ref(row)));
+            assert_eq!(one.get(0, 0), want[i], "single row {row:?}");
+            assert_eq!(batch.get(i, 0), want[i], "batch row {row:?}");
+        }
     }
 
     #[test]

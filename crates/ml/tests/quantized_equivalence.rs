@@ -1,10 +1,12 @@
 //! Quantized-engine equivalence: the bin-indexed integer engine behind
 //! `predict` must be **bit-identical** to the reference per-row enum-tree
 //! traversal — for GBT and forest, at 1/2/8 worker threads, across single
-//! rows, lane-partial batches, multi-block batches, NaN/±inf probes, and
-//! degenerate constant-feature training sets — and structurally invalid
-//! model JSON must be refused at load.
+//! rows, lane-partial batches, multi-block batches, NaN/±inf probes,
+//! degenerate constant-feature training sets, hand-made packs of trees of
+//! very unequal depth and features at the u8/u16 bin limits — and
+//! structurally invalid model JSON must be refused at load.
 
+use mphpc_ml::tree::{Node, Tree};
 use mphpc_ml::{
     ForestParams, ForestRegressor, GbtParams, GbtRegressor, Matrix, MlDataset, ModelKind,
     Regressor, TrainedModel, TreeParams,
@@ -202,5 +204,187 @@ fn json_round_trip_rebuilds_identical_quantized_engine() {
                 kind.name()
             );
         }
+    }
+}
+
+/// A forest of hand-made trees over `p` features and one output, loaded
+/// the way model JSON from outside the process is: a fitted forest's
+/// export with its `trees` array replaced.
+fn forest_of(trees: &[Tree], p: usize) -> TrainedModel {
+    let fitted = ModelKind::Forest(ForestParams {
+        n_trees: 1,
+        ..ForestParams::default()
+    })
+    .fit(&synthetic(60, p, 1, 5))
+    .unwrap();
+    let json = fitted.to_json().unwrap();
+    let start = json.find("\"trees\":").expect("forest export has trees") + "\"trees\":".len();
+    let mut depth = 0;
+    let end = start
+        + json[start..]
+            .char_indices()
+            .find_map(|(i, c)| {
+                depth += i32::from(c == '[') - i32::from(c == ']');
+                (depth == 0).then_some(i + 1)
+            })
+            .expect("balanced trees array");
+    let trees = serde_json::to_string(trees).unwrap();
+    TrainedModel::from_json(&format!("{}{trees}{}", &json[..start], &json[end..])).unwrap()
+}
+
+fn leaf(v: f64) -> Node {
+    Node::Leaf(vec![v])
+}
+
+/// A chain of `depth` splits on feature 0 over the thresholds
+/// `0, 1, ..., depth - 1`. Leaning right, larger values go deeper (split
+/// `i` at threshold `i`); leaning left, smaller ones do (split `i` at
+/// `depth - 1 - i`), so NaN and +inf leave at the first split.
+fn chain(depth: usize, lean_right: bool) -> Tree {
+    let mut nodes = Vec::with_capacity(2 * depth + 1);
+    for i in 0..depth {
+        let (next, off) = (i + 1, depth + 1 + i);
+        let (left, right, threshold) = if lean_right {
+            (off, next, i)
+        } else {
+            (next, off, depth - 1 - i)
+        };
+        nodes.push(Node::Split {
+            feature: 0,
+            threshold: threshold as f64,
+            left,
+            right,
+        });
+    }
+    nodes.push(leaf(-1.0));
+    nodes.extend((0..depth).map(|i| leaf(i as f64 + 0.25)));
+    Tree { nodes }
+}
+
+/// A complete tree of `depth` levels in heap order, splitting on random
+/// features at thresholds on a 1/8 grid in [-1, 1], distinct leaves.
+fn full(depth: u32, p: usize, rng: &mut StdRng) -> Tree {
+    let internal = (1usize << depth) - 1;
+    let nodes = (0..2 * internal + 1)
+        .map(|i| {
+            if i < internal {
+                Node::Split {
+                    feature: rng.gen_range(0..p),
+                    threshold: f64::from(rng.gen_range(-8i32..=8)) / 8.0,
+                    left: 2 * i + 1,
+                    right: 2 * i + 2,
+                }
+            } else {
+                leaf(rng.gen_range(-100.0..100.0))
+            }
+        })
+        .collect();
+    Tree { nodes }
+}
+
+/// Batch (tiled to at least one full lane group) and single-row
+/// predictions equal `predict_reference` bit for bit.
+fn assert_exact(model: &TrainedModel, rows: &[Vec<f64>], what: &str) {
+    let tiled: Vec<Vec<f64>> = rows
+        .iter()
+        .cycle()
+        .take(rows.len().max(8) + 67)
+        .cloned()
+        .collect();
+    let x = Matrix::from_rows(&tiled);
+    let want = model.predict_reference(&x).unwrap();
+    assert_eq!(model.predict(&x).unwrap(), want, "{what}: batch");
+    for (i, row) in rows.iter().enumerate() {
+        let one = model
+            .predict(&Matrix::from_rows(std::slice::from_ref(row)))
+            .unwrap();
+        assert_eq!(one.row(0), want.row(i), "{what}: single row {row:?}");
+    }
+}
+
+fn bin_bits(model: &TrainedModel) -> u32 {
+    match model {
+        TrainedModel::Forest(m) => m.quantized().unwrap().bin_bits(),
+        _ => unreachable!("forest_of builds forests"),
+    }
+}
+
+/// Every walk runs its tree's depth (batch) or its pack's largest depth
+/// (single row): rows that reach a shallow leaf early must stay on it, and
+/// a 300-deep chain must be walked to its end.
+#[test]
+fn a_pack_mixing_a_leaf_a_deep_chain_and_full_trees_is_exact() {
+    let p = 3;
+    let mut rng = StdRng::seed_from_u64(41);
+    // Pack 0: a one-leaf tree, a 300-deep chain and six full depth-9
+    // trees. Pack 1 (partial): a one-leaf tree, a 40-deep left chain and
+    // a full depth-5 tree.
+    let mut trees = vec![
+        Tree {
+            nodes: vec![leaf(3.5)],
+        },
+        chain(300, true),
+    ];
+    trees.extend((0..6).map(|_| full(9, p, &mut rng)));
+    trees.extend([
+        Tree {
+            nodes: vec![leaf(-2.0)],
+        },
+        chain(40, false),
+        full(5, p, &mut rng),
+    ]);
+    let model = forest_of(&trees, p);
+    let mut rows: Vec<Vec<f64>> = (0..120)
+        .map(|_| {
+            vec![
+                rng.gen_range(-5.0..310.0),
+                rng.gen_range(-1.2..1.2),
+                rng.gen_range(-1.2..1.2),
+            ]
+        })
+        .collect();
+    rows.extend([
+        vec![299.5, 0.0, 0.0],
+        vec![1e9, 1.0, -1.0],
+        vec![f64::NAN, 0.5, 0.5],
+        vec![f64::INFINITY, f64::NAN, f64::NEG_INFINITY],
+        vec![f64::NEG_INFINITY, 0.125, -0.125],
+    ]);
+    assert_exact(&model, &rows, "mixed pack");
+}
+
+/// At 255 cuts the u8 engine's NaN sentinel equals the leaf bin
+/// (`u8::MAX`); at 256 the u16 engine takes over. NaN and +inf leave the
+/// left-leaning chain at its first split and must stay on that leaf for
+/// the rest of the walk.
+#[test]
+fn nan_and_infinities_at_the_u8_and_u16_bin_limits() {
+    for (cuts, bits) in [(255, 8), (256, 16)] {
+        let trees = [
+            chain(cuts, true),
+            chain(cuts, false),
+            Tree {
+                nodes: vec![leaf(1.0)],
+            },
+        ];
+        let model = forest_of(&trees, 2);
+        assert_eq!(bin_bits(&model), bits, "{cuts} cuts");
+        let top = cuts as f64;
+        let rows: Vec<Vec<f64>> = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            top,
+            top - 1.0,
+            top - 1.5,
+            0.0,
+            -0.5,
+            127.0,
+            f64::MAX,
+        ]
+        .iter()
+        .flat_map(|&v| [vec![v, 0.0], vec![v, f64::NAN]])
+        .collect();
+        assert_exact(&model, &rows, &format!("{cuts} cuts"));
     }
 }
