@@ -21,7 +21,7 @@ use mphpc_ml::tree::TreeParams;
 use mphpc_ml::{GbtParams, ModelKind, Regressor};
 use mphpc_sched::engine::{simulate, SimConfig};
 use mphpc_sched::strategy::ModelBased;
-use mphpc_sched::{sample_jobs, FederatedRpv, JobTemplate, RpvProvider, ScaleStats};
+use mphpc_sched::{sample_jobs_indexed, FederatedRpv, JobTemplate, RpvProvider, ScaleStats};
 use mphpc_serve::{serve, ModelRegistry, PredictModel, ServeConfig};
 use mphpc_telemetry::TelemetryMode;
 use std::sync::Arc;
@@ -90,7 +90,7 @@ pub(crate) fn sensitivity(ctx: &Ctx) -> Tables {
         Full => (30_000, 0.30),
     };
     let run = |noisy: &[JobTemplate], rate: f64| {
-        let jobs = sample_jobs(noisy, n_jobs, rate, ctx.seed)?;
+        let (jobs, _) = sample_jobs_indexed(noisy, n_jobs, rate, ctx.seed)?;
         simulate(&jobs, &mut ModelBased::new(), &SimConfig::default())
     };
 

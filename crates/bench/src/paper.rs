@@ -11,13 +11,14 @@ use crate::{
 use mphpc_archsim::machine::{table1_machines, GpuSpec, MachineSpec};
 use mphpc_archsim::SystemId;
 use mphpc_core::pipeline::{evaluate_models, evaluate_split, train_predictor};
-use mphpc_core::schedbridge::{run_strategy_comparison, templates_from_dataset};
+use mphpc_core::schedbridge::{run_scale_comparison, templates_from_dataset_raw, PredictorRpv};
 use mphpc_core::selection::feature_selection_study;
 use mphpc_dataset::split::{app_split, arch_split, scale_split};
 use mphpc_dataset::{FEATURE_NAMES, TARGET_NAMES};
 use mphpc_errors::MphpcError;
 use mphpc_ml::ModelKind;
 use mphpc_profiler::{counter_name, CounterId, CounterSide};
+use mphpc_sched::RpvProvider;
 use mphpc_workloads::{all_apps, Scale};
 
 pub(crate) const TABLES: &[Claim] = &[Claim {
@@ -429,14 +430,16 @@ pub(crate) const SCHED: &[Claim] = &[
 pub(crate) fn sched(ctx: &Ctx) -> Tables {
     let dataset = ctx.dataset()?;
     let predictor = train_predictor(dataset, gbt(), ctx.seed)?;
-    let templates = templates_from_dataset(dataset, &predictor)?;
+    let (templates, features) = templates_from_dataset_raw(dataset)?;
     let n_jobs = match ctx.size {
         Small => 5_000,
         Medium => 20_000,
         Full => 50_000,
     };
     eprintln!("[sched] simulating {n_jobs} jobs × 5 strategies ...");
-    let outcomes = run_strategy_comparison(&templates, n_jobs, 0.0, ctx.seed)?;
+    let provider = &mut PredictorRpv::new(&predictor);
+    let outcomes = run_scale_comparison(&templates, &features, provider, n_jobs, 0.0, ctx.seed)?;
+    let outcomes: Vec<_> = outcomes.into_iter().map(|o| o.outcome).collect();
 
     let user_rr = outcomes
         .iter()
@@ -473,8 +476,9 @@ pub(crate) fn sched(ctx: &Ctx) -> Tables {
         |o| (o.strategy.clone(), o.avg_bounded_slowdown),
     );
     // Raw model output drives Model-based: entries ≤ 0 are legal and shown.
+    let every_row: Vec<&[f64]> = features.iter().map(|r| &r[..]).collect();
     let (mut rows, mut entries) = (0, 0);
-    for rpv in templates.iter().flat_map(|t| t.predicted_rpv) {
+    for rpv in provider.predict(&every_row)? {
         let n = rpv.iter().filter(|v| **v <= 0.0).count();
         (rows, entries) = (rows + usize::from(n > 0), entries + n);
     }

@@ -24,7 +24,7 @@ use mphpc_core::pipeline::{
     collect, evaluate_models, profile_one, train_predictor, CollectionConfig,
 };
 use mphpc_core::predictor::PerfPredictor;
-use mphpc_core::schedbridge::{run_strategy_comparison, templates_from_dataset};
+use mphpc_core::schedbridge::{run_scale_comparison, templates_from_dataset_raw, PredictorRpv};
 use mphpc_dataset::MpHpcDataset;
 use mphpc_errors::MphpcError;
 use mphpc_ml::{ModelKind, Regressor};
@@ -287,14 +287,15 @@ fn print_strategy_comparison(
     rate: f64,
     seed: u64,
 ) -> Result<(), MphpcError> {
-    let templates = templates_from_dataset(dataset, predictor)?;
+    let (templates, features) = templates_from_dataset_raw(dataset)?;
     eprintln!("simulating {n_jobs} jobs under 5 strategies ...");
-    let outcomes = run_strategy_comparison(&templates, n_jobs, rate, seed)?;
+    let provider = &mut PredictorRpv::new(predictor);
+    let outcomes = run_scale_comparison(&templates, &features, provider, n_jobs, rate, seed)?;
     println!(
         "{:<14} {:>12} {:>22}",
         "strategy", "makespan (h)", "avg bounded slowdown"
     );
-    for o in &outcomes {
+    for o in outcomes.iter().map(|o| &o.outcome) {
         println!(
             "{:<14} {:>12.3} {:>22.2}",
             o.strategy,

@@ -64,8 +64,8 @@ pub mod prelude {
     };
     pub use crate::predictor::PerfPredictor;
     pub use crate::schedbridge::{
-        run_scale_comparison, run_strategy_comparison, templates_from_dataset,
-        templates_from_dataset_raw, PredictorRpv, ScaleOutcome, StrategyOutcome,
+        run_scale_comparison, templates_from_dataset, templates_from_dataset_raw, PredictorRpv,
+        ScaleOutcome, StrategyOutcome,
     };
     pub use crate::selection::{feature_selection_study, SelectionReport};
     pub use mphpc_archsim::SystemId;

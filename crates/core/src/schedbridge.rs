@@ -15,9 +15,8 @@ use mphpc_sched::engine::{predict_rpvs, simulate_full, ScaleStats, SimConfig};
 use mphpc_sched::strategy::{
     MachineAssigner, ModelBased, Oracle, RandomAssign, RoundRobin, UserRoundRobin,
 };
-use mphpc_sched::{row_bits, sample_jobs, sample_jobs_indexed, Job, JobTemplate, RpvProvider};
+use mphpc_sched::{row_bits, sample_jobs_indexed, JobTemplate, RpvProvider};
 use serde::{Deserialize, Serialize};
-use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -36,10 +35,9 @@ pub struct StrategyOutcome {
 }
 
 /// Build job templates from every dataset row, attaching the model's
-/// prediction computed from that row's (already normalised at training
-/// time) features. The whole dataset is predicted as one batch through
-/// the inference engine (`mphpc_ml::quantized`), so template
-/// construction scales to large run matrices.
+/// prediction from that row's features, the whole dataset in one batch.
+/// The RPVs ride on the templates, so callers can edit them before
+/// scheduling (noise, workflows); [`run_scale_comparison`] asks for none.
 pub fn templates_from_dataset(
     dataset: &MpHpcDataset,
     predictor: &PerfPredictor,
@@ -162,22 +160,6 @@ impl RpvProvider for PredictorRpv<'_> {
     }
 }
 
-/// Run the four paper strategies (plus the oracle upper bound) on a
-/// workload of `n_jobs` sampled from `templates`.
-///
-/// `arrival_rate` is jobs/second (0 = all submitted at time zero, as in a
-/// saturated backlog).
-pub fn run_strategy_comparison(
-    templates: &[JobTemplate],
-    n_jobs: usize,
-    arrival_rate: f64,
-    seed: u64,
-) -> Result<Vec<StrategyOutcome>, MphpcError> {
-    let jobs = sample_jobs(templates, n_jobs, arrival_rate, seed)?;
-    let outcomes = compare_strategies(&jobs, seed, None)?;
-    Ok(outcomes.into_iter().map(|o| o.outcome).collect())
-}
-
 /// The four paper strategies plus the oracle upper bound, in Figs. 7–8
 /// order. `random_seed` seeds the Random strategy only — every other
 /// strategy is deterministic.
@@ -201,7 +183,7 @@ pub fn paper_strategies(random_seed: u64) -> Vec<Box<dyn MachineAssigner>> {
 /// outcomes, the counters and walls are what the comparison did.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScaleOutcome {
-    /// The fields [`run_strategy_comparison`] reports.
+    /// The Figs. 7–8 numbers.
     pub outcome: StrategyOutcome,
     /// Calendar-queue / incremental-backfill / prediction counters.
     pub stats: ScaleStats,
@@ -229,23 +211,33 @@ fn on_each_strategy<R: Send>(
     .collect()
 }
 
-/// [`paper_strategies`] on `jobs` and the Table-I cluster. With `lookup`,
-/// one copy of the jobs gets its RPVs from one [`predict_rpvs`] call, and
-/// every strategy simulates that copy.
-fn compare_strategies(
-    jobs: &[Job],
+/// Run the four paper strategies (plus the oracle upper bound) on the
+/// Table-I cluster over `n_jobs` sampled from `templates`, arriving at
+/// `arrival_rate` jobs/second (0 = all at time zero, a saturated backlog).
+///
+/// `features[t]` is `templates[t]`'s raw feature row (the
+/// [`templates_from_dataset_raw`] pairing). One [`predict_rpvs`] call asks
+/// `provider` for the RPVs the templates do not carry, one batch per
+/// decision point, and all five strategies simulate the answers.
+pub fn run_scale_comparison(
+    templates: &[JobTemplate],
+    features: &[[f64; 21]],
+    provider: &mut dyn RpvProvider,
+    n_jobs: usize,
+    arrival_rate: f64,
     seed: u64,
-    lookup: Option<(&[&[f64]], &mut dyn RpvProvider)>,
 ) -> Result<Vec<ScaleOutcome>, MphpcError> {
+    if templates.len() != features.len() {
+        return Err(MphpcError::DimensionMismatch {
+            context: "run_scale_comparison: one feature row per template",
+            expected: templates.len(),
+            found: features.len(),
+        });
+    }
+    let (mut jobs, indices) = sample_jobs_indexed(templates, n_jobs, arrival_rate, seed)?;
+    let rows: Vec<&[f64]> = indices.iter().map(|&t| &features[t][..]).collect();
     let started = Instant::now();
-    let (jobs, asked) = match lookup {
-        Some((rows, provider)) => {
-            let mut predicted = jobs.to_vec();
-            let asked = predict_rpvs(&mut predicted, rows, provider)?;
-            (Cow::Owned(predicted), asked)
-        }
-        None => (Cow::Borrowed(jobs), ScaleStats::default()),
-    };
+    let asked = predict_rpvs(&mut jobs, &rows, provider)?;
     let asking = started.elapsed();
     let config = SimConfig::default();
     on_each_strategy(paper_strategies(seed ^ 0x5EED), |i, s| {
@@ -271,37 +263,6 @@ fn compare_strategies(
             wall_secs: (asking + started.elapsed()).as_secs_f64(),
         })
     })
-}
-
-/// [`run_strategy_comparison`] with RPVs looked up through `provider`
-/// instead of precomputed per template — the shape that scales to millions
-/// of jobs and to a remote predictor. The provider is asked once per
-/// comparison, one batched call per decision point, and all five
-/// strategies simulate the answers.
-///
-/// `features[t]` is the raw feature row of `templates[t]` (the
-/// [`templates_from_dataset_raw`] pairing). Templates that already carry a
-/// prediction are not asked for. With a [`PredictorRpv`] over the same
-/// trained model, outcomes are bit-identical to [`run_strategy_comparison`]
-/// on [`templates_from_dataset`] templates.
-pub fn run_scale_comparison(
-    templates: &[JobTemplate],
-    features: &[[f64; 21]],
-    provider: &mut dyn RpvProvider,
-    n_jobs: usize,
-    arrival_rate: f64,
-    seed: u64,
-) -> Result<Vec<ScaleOutcome>, MphpcError> {
-    if templates.len() != features.len() {
-        return Err(MphpcError::DimensionMismatch {
-            context: "run_scale_comparison: one feature row per template",
-            expected: templates.len(),
-            found: features.len(),
-        });
-    }
-    let (jobs, indices) = sample_jobs_indexed(templates, n_jobs, arrival_rate, seed)?;
-    let rows: Vec<&[f64]> = indices.iter().map(|&t| &features[t][..]).collect();
-    compare_strategies(&jobs, seed, Some((&rows, provider)))
 }
 
 /// Result of one strategy on a workflow workload.
@@ -332,7 +293,7 @@ pub fn workflows_from_templates(
             "workflows_from_templates: no job templates",
         ));
     }
-    let arrivals = mphpc_sched::poisson_arrivals(n_workflows, arrival_rate, seed ^ 0xDA6);
+    let arrivals = mphpc_sched::poisson_arrivals(n_workflows, arrival_rate, seed ^ 0xDA6)?;
     Ok((0..n_workflows)
         .map(|wi| {
             let pick = |slot: u64| {
@@ -366,17 +327,14 @@ pub fn workflows_from_templates(
 /// Compare the five strategies on a workflow workload.
 pub fn run_workflow_comparison(workflows: &[Workflow]) -> Result<Vec<WorkflowOutcome>, MphpcError> {
     let config = SimConfig::default();
-    on_each_strategy(
-        paper_strategies(0x10F),
-        |_, s| {
-            let r = simulate_workflows(workflows, s, &config)?;
-            Ok(WorkflowOutcome {
-                strategy: r.strategy.to_string(),
-                makespan: r.makespan,
-                mean_workflow_span: r.mean_workflow_span,
-            })
-        },
-    )
+    on_each_strategy(paper_strategies(0x10F), |_, s| {
+        let r = simulate_workflows(workflows, s, &config)?;
+        Ok(WorkflowOutcome {
+            strategy: r.strategy.to_string(),
+            makespan: r.makespan,
+            mean_workflow_span: r.mean_workflow_span,
+        })
+    })
 }
 
 #[cfg(test)]
@@ -390,6 +348,12 @@ mod tests {
         let d = collect(&CollectionConfig::small(5, 2, 1, 31)).unwrap();
         let p = train_predictor(&d, ModelKind::Gbt(Default::default()), 3).unwrap();
         (d, p)
+    }
+
+    /// `n` jobs of `d`'s runs under the five strategies, RPVs from `p`.
+    fn compare(d: &MpHpcDataset, p: &PerfPredictor, n: usize, r: f64, s: u64) -> Vec<ScaleOutcome> {
+        let (templates, features) = templates_from_dataset_raw(d).unwrap();
+        run_scale_comparison(&templates, &features, &mut PredictorRpv::new(p), n, r, s).unwrap()
     }
 
     #[test]
@@ -407,14 +371,13 @@ mod tests {
     #[test]
     fn comparison_runs_all_five_strategies() {
         let (d, p) = setup();
-        let templates = templates_from_dataset(&d, &p).unwrap();
-        let outcomes = run_strategy_comparison(&templates, 400, 0.0, 7).unwrap();
-        let names: Vec<&str> = outcomes.iter().map(|o| o.strategy.as_str()).collect();
+        let outcomes = compare(&d, &p, 400, 0.0, 7);
+        let names: Vec<_> = outcomes.iter().map(|o| &o.outcome.strategy).collect();
         assert_eq!(
             names,
             vec!["Round-Robin", "Random", "User+RR", "Model-based", "Oracle"]
         );
-        for o in &outcomes {
+        for o in outcomes.iter().map(|o| &o.outcome) {
             assert!(o.makespan > 0.0);
             assert!(o.avg_bounded_slowdown >= 1.0);
             assert_eq!(o.jobs_per_machine.iter().sum::<u64>(), 400);
@@ -445,25 +408,27 @@ mod tests {
     #[test]
     fn inline_prediction_matches_precomputed_bitwise() {
         let (d, p) = setup();
-        let reference = {
-            let templates = templates_from_dataset(&d, &p).unwrap();
-            run_strategy_comparison(&templates, 400, 0.05, 7).unwrap()
-        };
+        // Templates that carry an RPV are never asked: a provider that
+        // fails if it is asked at all schedules them.
         let (raw_templates, features) = templates_from_dataset_raw(&d).unwrap();
         assert!(raw_templates.iter().all(|t| t.predicted_rpv.is_none()));
-        assert_eq!(raw_templates.len(), features.len());
-        let mut provider = PredictorRpv::new(&p);
-        let scale =
-            run_scale_comparison(&raw_templates, &features, &mut provider, 400, 0.05, 7).unwrap();
+        let templates = templates_from_dataset(&d, &p).unwrap();
+        let mut never = FnRpvProvider::new("never", |_: &[&[f64]]| {
+            Err(MphpcError::Serve("asked for a carried RPV".into()))
+        });
+        let reference =
+            run_scale_comparison(&templates, &features, &mut never, 400, 0.05, 7).unwrap();
+        let scale = compare(&d, &p, 400, 0.05, 7);
         assert_eq!(scale.len(), reference.len());
         for (s, r) in scale.iter().zip(&reference) {
             // Bit-identical, not approximately equal: the inline provider
             // runs the very predict_features call the precomputation ran.
-            assert_eq!(s.outcome, *r, "{} diverged", r.strategy);
+            assert_eq!(s.outcome, r.outcome, "{} diverged", r.outcome.strategy);
         }
         let asked = |o: &ScaleOutcome| (o.stats.predict_batches > 0, o.stats.predict_rows);
         let want = [(false, 0), (false, 0), (false, 0), (true, 400), (false, 0)];
         assert_eq!(scale.iter().map(asked).collect::<Vec<_>>(), want);
+        assert!(reference.iter().all(|o| asked(o) == (false, 0)));
     }
 
     /// Output bit patterns: the memo must answer exactly, NaN included.
@@ -685,9 +650,9 @@ mod tests {
     #[test]
     fn model_based_beats_random_and_oracle_beats_all() {
         let (d, p) = setup();
-        let templates = templates_from_dataset(&d, &p).unwrap();
-        let outcomes = run_strategy_comparison(&templates, 1500, 0.0, 11).unwrap();
-        let get = |n: &str| outcomes.iter().find(|o| o.strategy == n).unwrap().makespan;
+        let outcomes = compare(&d, &p, 1500, 0.0, 11);
+        let get = |n: &str| outcomes.iter().find(|o| o.outcome.strategy == n);
+        let get = |n: &str| get(n).unwrap().outcome.makespan;
         assert!(
             get("Model-based") < get("Random"),
             "model {} vs random {}",

@@ -54,4 +54,4 @@ pub use federation::{row_bits, FederatedRpv, FederationStats, FnRpvProvider, Rpv
 pub use job::Job;
 pub use metrics::{avg_bounded_slowdown, makespan, SLOWDOWN_BOUND_SECONDS};
 pub use strategy::{MachineAssigner, ModelBased, Oracle, RandomAssign, RoundRobin, UserRoundRobin};
-pub use workload::{poisson_arrivals, sample_jobs, sample_jobs_indexed, JobTemplate};
+pub use workload::{poisson_arrivals, sample_jobs_indexed, JobTemplate};

@@ -303,7 +303,7 @@ mod tests {
     use super::*;
     use crate::engine::{simulate, simulate_full};
     use crate::strategy::{ModelBased, Oracle, RandomAssign, RoundRobin, UserRoundRobin};
-    use crate::workload::{sample_jobs, JobTemplate};
+    use crate::workload::{sample_jobs_indexed, JobTemplate};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -359,7 +359,7 @@ mod tests {
     fn engine_matches_oracle_bitwise_across_strategies() {
         // Poisson arrivals → time actually advances, exercising both the
         // incremental path and full passes.
-        let jobs = sample_jobs(&templates(), 600, 0.15, 42).unwrap();
+        let (jobs, _) = sample_jobs_indexed(&templates(), 600, 0.15, 42).unwrap();
         let cfg = small_config();
         for (mut old_s, mut new_s) in strategies().into_iter().zip(strategies()) {
             let oracle = simulate_with_deps(&jobs, &[], old_s.as_mut(), &cfg).unwrap();
@@ -374,7 +374,7 @@ mod tests {
     fn batch_submission_matches_oracle() {
         // Everything at t=0: the calendar queue's degenerate case, and
         // a single giant decision point.
-        let jobs = sample_jobs(&templates(), 500, 0.0, 7).unwrap();
+        let (jobs, _) = sample_jobs_indexed(&templates(), 500, 0.0, 7).unwrap();
         let cfg = small_config();
         let oracle = simulate_with_deps(&jobs, &[], &mut ModelBased::new(), &cfg).unwrap();
         assert_eq!(
@@ -387,7 +387,7 @@ mod tests {
     fn incremental_path_used_and_identical() {
         // Arrivals far faster than service: heads block for long
         // stretches, so most arrival timestamps hit the snapshot.
-        let jobs = sample_jobs(&templates(), 400, 1.0, 3).unwrap();
+        let (jobs, _) = sample_jobs_indexed(&templates(), 400, 1.0, 3).unwrap();
         let cfg = small_config();
         let oracle = simulate_with_deps(&jobs, &[], &mut Oracle::new(), &cfg).unwrap();
         let (engine, stats) = simulate_full(&jobs, &[], &mut Oracle::new(), &cfg).unwrap();
@@ -414,7 +414,7 @@ mod tests {
                 }
             })
             .collect();
-        let jobs = sample_jobs(&templates, 50_000, 0.0, 7).unwrap();
+        let (jobs, _) = sample_jobs_indexed(&templates, 50_000, 0.0, 7).unwrap();
         let cfg = SimConfig::default();
         for (mut old_s, mut new_s) in strategies().into_iter().zip(strategies()) {
             let oracle = simulate_with_deps(&jobs, &[], old_s.as_mut(), &cfg).unwrap();

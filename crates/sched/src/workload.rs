@@ -23,39 +23,34 @@ pub struct JobTemplate {
 }
 
 /// Poisson-process arrival times: exponential inter-arrival gaps with the
-/// given mean rate (jobs per second). `rate <= 0` puts every arrival at 0.
-pub fn poisson_arrivals(n: usize, rate: f64, seed: u64) -> Vec<f64> {
-    if rate <= 0.0 {
-        return vec![0.0; n];
+/// given mean rate (jobs per second). `rate == 0` puts every arrival at 0;
+/// a negative or NaN rate is an error.
+pub fn poisson_arrivals(n: usize, rate: f64, seed: u64) -> Result<Vec<f64>, MphpcError> {
+    if rate.is_nan() || rate < 0.0 {
+        return Err(MphpcError::InvalidArgument(format!(
+            "arrival rate must be 0 or positive, got {rate}"
+        )));
+    }
+    if rate == 0.0 {
+        return Ok(vec![0.0; n]);
     }
     let mut rng = StdRng::seed_from_u64(seed);
     let mut t = 0.0;
-    (0..n)
+    Ok((0..n)
         .map(|_| {
             let u: f64 = 1.0 - rng.gen::<f64>();
             t += -u.ln() / rate;
             t
         })
-        .collect()
+        .collect())
 }
 
 /// Sample `n` jobs with replacement from `templates`, with Poisson
-/// arrivals at `rate` jobs/second (0 = all at time zero). Errors when
-/// `templates` is empty.
-pub fn sample_jobs(
-    templates: &[JobTemplate],
-    n: usize,
-    rate: f64,
-    seed: u64,
-) -> Result<Vec<Job>, MphpcError> {
-    sample_jobs_indexed(templates, n, rate, seed).map(|(jobs, _)| jobs)
-}
-
-/// [`sample_jobs`], additionally returning which template each job was
-/// drawn from (`indices[i]` is job `i`'s template). Same seed ⇒ the same
-/// jobs as `sample_jobs` — callers that need per-job side data (e.g. the
-/// raw feature rows the engine predicts from inline) use the index
-/// to line it up without re-deriving the RNG stream.
+/// arrivals at `rate` jobs/second (0 = all at time zero), and which
+/// template each job was drawn from (`indices[i]` is job `i`'s template):
+/// callers line per-job side data up with it, such as the raw feature rows
+/// the jobs' RPVs are predicted from. Errors when `templates` is empty or
+/// `rate` is negative or NaN.
 pub fn sample_jobs_indexed(
     templates: &[JobTemplate],
     n: usize,
@@ -64,11 +59,11 @@ pub fn sample_jobs_indexed(
 ) -> Result<(Vec<Job>, Vec<usize>), MphpcError> {
     if templates.is_empty() {
         return Err(MphpcError::EmptyInput(
-            "sample_jobs: no job templates to sample from",
+            "sample_jobs_indexed: no job templates to sample from",
         ));
     }
     let mut rng = StdRng::seed_from_u64(seed ^ 0x10B5);
-    let arrivals = poisson_arrivals(n, rate, seed ^ 0xA441);
+    let arrivals = poisson_arrivals(n, rate, seed ^ 0xA441)?;
     let mut jobs = Vec::with_capacity(n);
     let mut indices = Vec::with_capacity(n);
     for (i, &submit_time) in arrivals.iter().enumerate() {
@@ -102,7 +97,7 @@ mod tests {
 
     #[test]
     fn arrivals_monotone_with_correct_mean() {
-        let times = poisson_arrivals(10_000, 2.0, 1);
+        let times = poisson_arrivals(10_000, 2.0, 1).unwrap();
         for w in times.windows(2) {
             assert!(w[1] >= w[0]);
         }
@@ -112,15 +107,24 @@ mod tests {
 
     #[test]
     fn zero_rate_means_batch_arrival() {
-        assert!(poisson_arrivals(5, 0.0, 1).iter().all(|&t| t == 0.0));
+        let times = poisson_arrivals(5, 0.0, 1).unwrap();
+        assert!(times.iter().all(|&t| t == 0.0));
+    }
+
+    #[test]
+    fn negative_or_nan_rate_is_an_error_that_names_it() {
+        for (rate, shown) in [(-1.0, "-1"), (f64::NAN, "NaN"), (f64::NEG_INFINITY, "-inf")] {
+            let err = sample_jobs_indexed(&[template(1)], 3, rate, 1).unwrap_err();
+            assert!(matches!(err, MphpcError::InvalidArgument(_)), "{err}");
+            assert!(err.to_string().ends_with(&format!("got {shown}")), "{err}");
+        }
     }
 
     #[test]
     fn sampling_covers_templates_and_is_deterministic() {
         let templates = vec![template(1), template(2)];
-        let a = sample_jobs(&templates, 1000, 1.0, 42).unwrap();
-        let b = sample_jobs(&templates, 1000, 1.0, 42).unwrap();
-        assert_eq!(a, b);
+        let (a, _) = sample_jobs_indexed(&templates, 1000, 1.0, 42).unwrap();
+        assert_eq!(sample_jobs_indexed(&templates, 1000, 1.0, 42).unwrap().0, a);
         let ones = a.iter().filter(|j| j.nodes_required == 1).count();
         assert!(ones > 300 && ones < 700, "both templates drawn: {ones}");
         // Ids unique and sequential.
@@ -132,7 +136,7 @@ mod tests {
     #[test]
     fn sampled_jobs_inherit_template_fields() {
         let templates = vec![template(2)];
-        let jobs = sample_jobs(&templates, 10, 0.0, 7).unwrap();
+        let (jobs, _) = sample_jobs_indexed(&templates, 10, 0.0, 7).unwrap();
         for j in jobs {
             assert_eq!(j.nodes_required, 2);
             assert!(j.gpu_capable);
@@ -143,17 +147,32 @@ mod tests {
 
     #[test]
     fn empty_templates_are_an_error() {
-        let err = sample_jobs(&[], 1, 0.0, 1).unwrap_err();
+        let err = sample_jobs_indexed(&[], 1, 0.0, 1).unwrap_err();
         assert!(matches!(err, MphpcError::EmptyInput(_)), "{err}");
     }
 
     #[test]
     fn indexed_sampling_matches_plain_and_reports_true_indices() {
         let templates = vec![template(1), template(2)];
-        let plain = sample_jobs(&templates, 500, 0.5, 13).unwrap();
         let (jobs, indices) = sample_jobs_indexed(&templates, 500, 0.5, 13).unwrap();
-        assert_eq!(plain, jobs, "same seed, same stream, same jobs");
         assert_eq!(indices.len(), jobs.len());
+        // Rebuilt plainly from the indices and the seed's arrival stream,
+        // the jobs come out the same.
+        let arrivals = poisson_arrivals(500, 0.5, 13 ^ 0xA441).unwrap();
+        let plain: Vec<Job> = indices
+            .iter()
+            .zip(&arrivals)
+            .enumerate()
+            .map(|(i, (&ti, &submit_time))| Job {
+                id: i as u64,
+                submit_time,
+                nodes_required: templates[ti].nodes_required,
+                gpu_capable: templates[ti].gpu_capable,
+                runtimes: templates[ti].runtimes,
+                predicted_rpv: templates[ti].predicted_rpv,
+            })
+            .collect();
+        assert_eq!(plain, jobs, "same seed, same stream, same jobs");
         for (j, &ti) in jobs.iter().zip(&indices) {
             assert_eq!(j.nodes_required, templates[ti].nodes_required);
             assert_eq!(j.gpu_capable, templates[ti].gpu_capable);

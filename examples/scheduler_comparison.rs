@@ -14,13 +14,15 @@ fn main() -> Result<(), MphpcError> {
     let dataset = collect(&CollectionConfig::small(8, 2, 2, 7))?;
     let predictor = train_predictor(&dataset, ModelKind::Gbt(Default::default()), 7)?;
 
-    let templates = templates_from_dataset(&dataset, &predictor)?;
+    let (templates, features) = templates_from_dataset_raw(&dataset)?;
     println!(
         "sampling 5,000 jobs with replacement from {} dataset rows",
         templates.len()
     );
 
-    let outcomes = run_strategy_comparison(&templates, 5_000, 0.0, 7)?;
+    let provider = &mut PredictorRpv::new(&predictor);
+    let outcomes = run_scale_comparison(&templates, &features, provider, 5_000, 0.0, 7)?;
+    let outcomes: Vec<StrategyOutcome> = outcomes.into_iter().map(|o| o.outcome).collect();
     println!(
         "\n{:<14} {:>12} {:>22}   jobs per machine [Q, R, L, C]",
         "strategy", "makespan", "avg bounded slowdown"

@@ -18,7 +18,7 @@ use std::path::PathBuf;
 
 use mphpc_core::prelude::*;
 use mphpc_sched::engine::{simulate, SimConfig};
-use mphpc_sched::sample_jobs;
+use mphpc_sched::sample_jobs_indexed;
 use mphpc_sched::strategy::ModelBased;
 
 const SEED: u64 = 2024;
@@ -53,7 +53,7 @@ fn compute_metrics() -> Vec<GoldenMetric> {
 
     let p = train_predictor(&d, ModelKind::Gbt(Default::default()), SEED).expect("training");
     let templates = templates_from_dataset(&d, &p).expect("templates");
-    let jobs = sample_jobs(&templates, 8_000, 0.0, SEED).expect("jobs");
+    let (jobs, _) = sample_jobs_indexed(&templates, 8_000, 0.0, SEED).expect("jobs");
     let mut strategy = ModelBased::new();
     let r = simulate(&jobs, &mut strategy, &SimConfig::default()).expect("simulation");
     let mean_wait =

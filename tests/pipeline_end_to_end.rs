@@ -1,7 +1,8 @@
 //! End-to-end integration: collection → dataset → training → prediction →
-//! scheduling, across all workspace crates.
+//! scheduling, across all workspace crates and through the `mphpc` binary.
 
 use mphpc_core::prelude::*;
+use std::process::Command;
 
 fn dataset() -> MpHpcDataset {
     collect(&CollectionConfig::small(4, 2, 1, 1234)).expect("collection")
@@ -42,10 +43,11 @@ fn full_pipeline_produces_usable_predictor() {
     }
 
     // Feed the predictions into the scheduler.
-    let templates = templates_from_dataset(&d, &predictor).unwrap();
-    let outcomes = run_strategy_comparison(&templates, 500, 0.0, 3).unwrap();
+    let (templates, features) = templates_from_dataset_raw(&d).unwrap();
+    let provider = &mut PredictorRpv::new(&predictor);
+    let outcomes = run_scale_comparison(&templates, &features, provider, 500, 0.0, 3).unwrap();
     assert_eq!(outcomes.len(), 5);
-    for o in &outcomes {
+    for o in outcomes.iter().map(|o| &o.outcome) {
         assert!(o.makespan > 0.0);
         assert_eq!(o.jobs_per_machine.iter().sum::<u64>(), 500);
     }
@@ -87,4 +89,36 @@ fn feature_selection_integrates() {
     let report = feature_selection_study(&d, 8, 2).unwrap();
     assert_eq!(report.selected_features.len(), 8);
     assert_eq!(report.entries.len(), 4);
+}
+
+/// `mphpc sched` prints the outcomes of `run_scale_comparison` on the
+/// dataset and model files it reads back.
+#[test]
+fn sched_command_prints_the_scale_comparison() {
+    let dir = std::env::temp_dir().join(format!("mphpc_sched_cli_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (csv, json) = (dir.join("d.csv"), dir.join("m.json"));
+    let d = collect(&CollectionConfig::small(2, 2, 1, 7)).unwrap();
+    d.write_csv(&csv).unwrap();
+    let p = train_predictor(&d, ModelKind::Gbt(Default::default()), 7).unwrap();
+    std::fs::write(&json, p.to_json().unwrap()).unwrap();
+    let p = PerfPredictor::from_json(&std::fs::read_to_string(&json).unwrap()).unwrap();
+    let (t, f) = templates_from_dataset_raw(&MpHpcDataset::read_csv(&csv).unwrap()).unwrap();
+    let (csv, json) = (csv.to_str().unwrap(), json.to_str().unwrap());
+    for (rate, flag) in [(0.0, "0"), (0.05, "0.05")] {
+        let run = Command::new(env!("CARGO_BIN_EXE_mphpc"))
+            .args(["sched", "--dataset", csv, "--model", json])
+            .args(["--jobs", "300", "--seed", "5", "--rate", flag])
+            .output()
+            .expect("mphpc runs");
+        assert!(run.status.success(), "{run:?}");
+        let outcomes = run_scale_comparison(&t, &f, &mut PredictorRpv::new(&p), 300, rate, 5);
+        let mut want = "strategy       makespan (h)   avg bounded slowdown\n".to_string();
+        for o in outcomes.unwrap().iter().map(|o| &o.outcome) {
+            let (h, slowdown) = (o.makespan / 3600.0, o.avg_bounded_slowdown);
+            want += &format!("{:<14} {h:>12.3} {slowdown:>22.2}\n", o.strategy);
+        }
+        assert_eq!(String::from_utf8_lossy(&run.stdout), want, "rate {flag}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }

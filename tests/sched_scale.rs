@@ -13,7 +13,7 @@ use mphpc_core::prelude::*;
 use mphpc_core::serving::{predictor_loader, ServedPredictor};
 use mphpc_errors::MphpcError;
 use mphpc_sched::engine::{predict_rpvs, simulate, simulate_full, SimConfig};
-use mphpc_sched::{sample_jobs, sample_jobs_indexed, FederatedRpv, JobTemplate, RpvProvider};
+use mphpc_sched::{sample_jobs_indexed, FederatedRpv, JobTemplate, RpvProvider};
 use mphpc_serve::{serve, ModelRegistry, PredictModel, ServeConfig, ServerHandle};
 
 fn setup() -> (MpHpcDataset, PerfPredictor) {
@@ -36,7 +36,7 @@ fn assert_inline_equals_precomputed(
     seed: u64,
 ) {
     let config = SimConfig::default();
-    let pre_jobs = sample_jobs(enriched, n_jobs, rate, seed).unwrap();
+    let (pre_jobs, _) = sample_jobs_indexed(enriched, n_jobs, rate, seed).unwrap();
     let (raw_jobs, indices) = sample_jobs_indexed(raw, n_jobs, rate, seed).unwrap();
     let rows: Vec<&[f64]> = indices.iter().map(|&t| &features[t][..]).collect();
     // Every arrival timestamp is one decision point and one predict batch.

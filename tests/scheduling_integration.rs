@@ -4,8 +4,8 @@
 use mphpc_core::prelude::*;
 use mphpc_sched::cluster::table1_cluster;
 use mphpc_sched::engine::{simulate, SimConfig};
-use mphpc_sched::strategy::{ModelBased, Oracle, RandomAssign, RoundRobin, UserRoundRobin};
-use mphpc_sched::{sample_jobs, MachineAssigner};
+use mphpc_sched::sample_jobs_indexed;
+use mphpc_sched::strategy::{ModelBased, UserRoundRobin};
 
 fn setup() -> (MpHpcDataset, PerfPredictor) {
     let d = collect(&CollectionConfig::small(6, 2, 2, 606)).expect("collection");
@@ -29,16 +29,10 @@ fn figs7_8_shape_strategy_ordering() {
 fn every_strategy_conserves_jobs_and_capacity() {
     let (d, p) = setup();
     let templates = templates_from_dataset(&d, &p).unwrap();
-    let jobs = sample_jobs(&templates, 1_000, 0.5, 77).unwrap();
+    let (jobs, _) = sample_jobs_indexed(&templates, 1_000, 0.5, 77).unwrap();
     let config = SimConfig::default();
     let caps = table1_cluster();
-    let mut strategies: Vec<Box<dyn MachineAssigner>> = vec![
-        Box::new(RoundRobin::new()),
-        Box::new(RandomAssign::new(1)),
-        Box::new(UserRoundRobin::new()),
-        Box::new(ModelBased::new()),
-        Box::new(Oracle::new()),
-    ];
+    let mut strategies = mphpc_core::schedbridge::paper_strategies(1);
     for s in strategies.iter_mut() {
         let r = simulate(&jobs, s.as_mut(), &config).unwrap();
         assert_eq!(r.records.len(), 1_000);
@@ -65,7 +59,7 @@ fn every_strategy_conserves_jobs_and_capacity() {
 fn user_rr_respects_gpu_affinity_end_to_end() {
     let (d, p) = setup();
     let templates = templates_from_dataset(&d, &p).unwrap();
-    let jobs = sample_jobs(&templates, 500, 0.0, 5).unwrap();
+    let (jobs, _) = sample_jobs_indexed(&templates, 500, 0.0, 5).unwrap();
     let mut s = UserRoundRobin::new();
     let r = simulate(&jobs, &mut s, &SimConfig::default()).unwrap();
     let caps = table1_cluster();
@@ -83,7 +77,7 @@ fn arrival_rate_changes_contention_not_correctness() {
     let (d, p) = setup();
     let templates = templates_from_dataset(&d, &p).unwrap();
     for rate in [0.0, 0.1, 10.0] {
-        let jobs = sample_jobs(&templates, 800, rate, 9).unwrap();
+        let (jobs, _) = sample_jobs_indexed(&templates, 800, rate, 9).unwrap();
         let mut s = ModelBased::new();
         let r = simulate(&jobs, &mut s, &SimConfig::default()).unwrap();
         assert_eq!(r.records.len(), 800);

@@ -23,9 +23,10 @@ fn run_pipeline() -> PipelineOutput {
     let d = collect(&CollectionConfig::small(3, 1, 1, 42)).expect("collection");
     let evals = evaluate_models(&d, &[ModelKind::Gbt(Default::default())], 7).expect("evaluation");
     let p = train_predictor(&d, ModelKind::Gbt(Default::default()), 7).expect("training");
-    let templates = templates_from_dataset(&d, &p).expect("templates");
-    let outcomes = run_strategy_comparison(&templates, 400, 0.5, 3).expect("strategies");
-    (d.frame, evals, outcomes)
+    let (t, f) = templates_from_dataset_raw(&d).expect("templates");
+    let outcomes = run_scale_comparison(&t, &f, &mut PredictorRpv::new(&p), 400, 0.5, 3);
+    let outcomes = outcomes.expect("strategies").into_iter().map(|o| o.outcome);
+    (d.frame, evals, outcomes.collect())
 }
 
 #[test]
