@@ -34,7 +34,7 @@
 
 use crate::job::{check_rpv, N_MACHINES};
 use mphpc_errors::MphpcError;
-use mphpc_serve::client::{ClientConn, PredictRequest};
+use mphpc_wire::client::{ClientConn, PredictRequest};
 use std::collections::{HashMap, VecDeque};
 use std::time::{Duration, Instant};
 

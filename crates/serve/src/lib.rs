@@ -32,9 +32,9 @@
 //!    path performs zero heap allocations (proven by a
 //!    counting-allocator test).
 //!
-//! The crate is std-only (like `mphpc-telemetry`): the HTTP/1.1 subset
-//! it needs ([`http`]) and the JSON it speaks ([`json`]) are hand-rolled
-//! rather than pulled from a dependency tree. Models reach the server
+//! The crate is std-only: the HTTP/1.1 subset it needs ([`http`]) and the
+//! JSON it speaks ([`json`]) are hand-rolled in `mphpc-wire`, re-exported
+//! here, rather than pulled from a dependency tree. Models reach the server
 //! through the [`PredictModel`] trait, so the crate does not depend on
 //! the ML stack; `mphpc-core` adapts `PerfPredictor` behind it.
 
@@ -45,17 +45,15 @@ use std::sync::Arc;
 use mphpc_errors::MphpcError;
 
 pub mod batch;
-pub mod client;
 mod conn;
 mod event_loop;
-pub mod http;
-pub mod json;
 mod poller;
 pub mod registry;
 pub mod server;
 pub mod shadow;
 
 pub use batch::{BatchConfig, MicroBatcher};
+pub use mphpc_wire::{client, http, json};
 pub use registry::{LoadedModel, ModelRegistry};
 pub use server::{serve, ServeConfig, ServerHandle, StatsSnapshot};
 pub use shadow::{ShadowReport, ShadowSlot};

@@ -2,7 +2,7 @@
 //! `poll(2)` everywhere else (or on request), plus a cross-thread
 //! [`Wakeup`] (eventfd on Linux, a nonblocking socket pair otherwise).
 //!
-//! The crate is dependency-free by design, so the syscalls come from a
+//! The crate is std-only by design, so the syscalls come from a
 //! thin hand-rolled FFI shim rather than the `libc` crate — only the
 //! five symbols the event loop needs, with the constants written out.
 //! Both backends present the same level-triggered interface: register

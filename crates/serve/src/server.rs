@@ -37,10 +37,6 @@ use crate::json::{self, json_num, json_str};
 use crate::registry::{LoadedModel, ModelRegistry};
 use crate::shadow::ShadowReport;
 
-/// The default [`ServeConfig::max_body`], and the largest response body
-/// [`crate::client`] accepts: what a server will read, a client will too.
-pub(crate) const DEFAULT_MAX_BODY: usize = 64 << 20;
-
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -78,7 +74,7 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             shards: 0,
             batch: BatchConfig::default(),
-            max_body: DEFAULT_MAX_BODY,
+            max_body: http::DEFAULT_MAX_BODY,
             max_conns: 4096,
             read_deadline: Duration::from_secs(10),
             idle_timeout: Duration::from_secs(60),

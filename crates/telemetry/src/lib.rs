@@ -477,17 +477,26 @@ mod tests {
             let _s = span!("sink.span", detail = "x\"y");
         }
         counter_add("sink.counter", 7);
-        record_table("tbl", &["a", "b"], &[vec!["1".into(), "2".into()]]);
+        gauge_set("sink.gauge", f64::NAN);
+        record_table("tbl", &["a", "b"], &[vec!["a\nb".into(), "\u{1}\\".into()]]);
         let rep = capture();
         set_mode(TelemetryMode::Off);
         let summary = rep.render_summary();
         assert!(summary.contains("sink.span"));
         assert!(summary.contains("sink.counter"));
         let jsonl = rep.to_jsonl_with_meta("unit");
-        assert!(jsonl.lines().count() >= 4, "meta + span + counter + table");
+        assert!(
+            jsonl.lines().count() >= 5,
+            "meta + span + counter + gauge + table"
+        );
         assert!(jsonl.contains("\"type\":\"span\""));
         assert!(jsonl.contains("\"type\":\"counter\""));
-        assert!(jsonl.contains("\"type\":\"table\""));
+        // Exact bytes: the escapes and the non-finite number are the JSON
+        // writer's, whichever crate it lives in.
+        assert!(jsonl.contains(r#"{"type":"gauge","name":"sink.gauge","value":null}"#));
+        assert!(jsonl.contains(
+            r#"{"type":"table","title":"tbl","header":["a","b"],"rows":[["a\nb","\u0001\\"]]}"#
+        ));
         let trace = rep.to_chrome_trace();
         assert!(trace.starts_with('[') && trace.trim_end().ends_with(']'));
         assert!(

@@ -2,12 +2,12 @@
 //!
 //! [`capture`] snapshots the per-thread buffers and the metric store
 //! without consuming them, then renders on demand. JSON is emitted by
-//! hand — this crate is deliberately dependency-free, and the subset we
-//! need (objects of strings/numbers/arrays) is small enough to write
-//! safely with one escaping routine.
+//! hand: the subset we need (objects of strings/numbers/arrays) is small
+//! enough to write safely with `mphpc-wire`'s one escaping routine.
 
 use crate::buffer::{self, SpanEvent};
 use crate::metrics::{self, HistSummary, TableRecord};
+use mphpc_wire::json::{json_num, json_str};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -314,35 +314,4 @@ fn fmt_ns(ns: u64) -> String {
     } else {
         format!("{ns}ns")
     }
-}
-
-/// JSON number that stays valid even for non-finite floats (which JSON
-/// cannot represent — emit null, matching serde_json's lossy behaviour).
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Escape a string per RFC 8259 and wrap it in quotes.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }

@@ -5,8 +5,8 @@
 //! requests serially ([`ClientConn::request`], the closed-loop shape
 //! the load generator measures) or pipelined ([`ClientConn::send`] /
 //! [`ClientConn::recv`]). A response is bounded the way the server bounds
-//! a request — [`http::MAX_HEAD_BYTES`] of head, the default
-//! [`ServeConfig::max_body`](crate::ServeConfig) of body — so a garbled or
+//! a request — [`http::MAX_HEAD_BYTES`] of head, [`http::DEFAULT_MAX_BODY`]
+//! of body — so a garbled or
 //! hostile peer is an `InvalidData` error the caller's fallback handles,
 //! never an allocation it dictates.
 //! [`PredictRequest`] writes the `/predict` bodies [`crate::json`] reads:
@@ -17,9 +17,8 @@ use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use crate::http;
+use crate::http::{self, DEFAULT_MAX_BODY};
 use crate::json;
-use crate::server::DEFAULT_MAX_BODY;
 
 /// One parsed response.
 #[derive(Debug, Clone)]

@@ -11,8 +11,8 @@
 //! headers the server acts on (`content-length`, `connection`) are
 //! folded into scalar fields during the scan. Callers re-invoke it as
 //! bytes arrive; requests split at arbitrary byte boundaries across
-//! reads parse identically to a single contiguous read (the
-//! conformance suite in `tests/parser_conformance.rs` proves this at
+//! reads parse identically to a single contiguous read (`mphpc-serve`'s
+//! conformance suite, `tests/parser_conformance.rs`, proves this at
 //! every boundary).
 //!
 //! Responses render with [`render_response`] straight into a caller
@@ -24,6 +24,10 @@ use std::io::Write;
 
 /// Upper bound on the request line plus all header lines.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
+
+/// The server's default request-body cap, and the largest response body
+/// [`crate::client`] accepts: what a server will read, a client will too.
+pub const DEFAULT_MAX_BODY: usize = 64 << 20;
 
 /// One parsed request head. Borrows from the buffer handed to
 /// [`parse_head`]; the body is the `content_length` bytes following

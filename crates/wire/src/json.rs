@@ -1,11 +1,10 @@
 //! The minimal JSON dialect the server speaks.
 //!
 //! A strict recursive-descent parser for request bodies plus the one
-//! escaping routine responses need. Hand-rolled for the same reason as
-//! `mphpc-telemetry`'s JSONL writer: the subset is tiny and the crate
-//! must stay dependency-free. Numbers parse as `f64` (the only numeric
-//! type `/predict` traffics in), and objects keep insertion order so
-//! rendering is stable.
+//! escaping routine responses — and `mphpc-telemetry`'s JSONL — need.
+//! Hand-rolled because the subset is tiny and the crate must stay
+//! std-only. Numbers parse as `f64` (the only numeric type `/predict`
+//! traffics in), and objects keep insertion order so rendering is stable.
 
 use std::borrow::Cow;
 
