@@ -11,7 +11,7 @@
 //!   (rows binned, nodes expanded, backfill attempts).
 //! * **Sinks** — [`TelemetryReport`] renders the captured data as a
 //!   human-readable span tree ([`TelemetryReport::render_summary`]),
-//!   machine-diffable JSONL ([`TelemetryReport::to_jsonl`]), or a
+//!   machine-diffable JSONL ([`TelemetryReport::to_jsonl_with_meta`]), or a
 //!   `chrome://tracing` / Perfetto trace
 //!   ([`TelemetryReport::to_chrome_trace`]). [`flush`] picks the sink
 //!   from the active [`TelemetryMode`].
