@@ -6,9 +6,7 @@ use crate::ExpSize::{Full, Medium, Small};
 use crate::{cells, gbt, num, number, print_columns, print_table, rises, Claim, Ctx, Tables};
 use mphpc_archsim::cache::CacheModel;
 use mphpc_archsim::noise::{lognormal_perturb, rng_for};
-use mphpc_core::pipeline::{
-    evaluate_models, evaluate_split, fit_and_score, score_predictions, train_predictor,
-};
+use mphpc_core::pipeline::{evaluate_models, evaluate_split, fit_and_score, score_predictions};
 use mphpc_core::schedbridge::{
     run_scale_comparison, run_workflow_comparison, templates_from_dataset,
     templates_from_dataset_raw, workflows_from_templates, PredictorRpv,
@@ -82,8 +80,8 @@ fn degrade(
 /// not always full, so the per-job machine choice is real.
 pub(crate) fn sensitivity(ctx: &Ctx) -> Tables {
     let dataset = ctx.dataset()?;
-    let predictor = train_predictor(dataset, gbt(), ctx.seed)?;
-    let templates = templates_from_dataset(dataset, &predictor)?;
+    let predictor = ctx.predictor()?;
+    let templates = templates_from_dataset(dataset, predictor)?;
     let (n_jobs, rate) = match ctx.size {
         Small => (3_000, 0.05),
         Medium => (10_000, 0.15),
@@ -403,8 +401,8 @@ pub(crate) const WORKFLOW: &[Claim] = &[Claim {
 /// more sharply than independent jobs do.
 pub(crate) fn workflow(ctx: &Ctx) -> Tables {
     let dataset = ctx.dataset()?;
-    let predictor = train_predictor(dataset, gbt(), ctx.seed)?;
-    let templates = templates_from_dataset(dataset, &predictor)?;
+    let predictor = ctx.predictor()?;
+    let templates = templates_from_dataset(dataset, predictor)?;
     let n_workflows = match ctx.size {
         Small => 300,
         Medium => 1_000,
@@ -469,7 +467,7 @@ const LOOKUPS_IN_FLIGHT: usize = 32;
 /// gracefully to the local predictor.
 pub(crate) fn sched_scale(ctx: &Ctx) -> Tables {
     let dataset = ctx.dataset()?;
-    let predictor = train_predictor(dataset, gbt(), ctx.seed)?;
+    let predictor = ctx.predictor()?;
     let (templates, features) = templates_from_dataset_raw(dataset)?;
     let (jobs, rate, seed, n) = (ctx.jobs, ctx.rate, ctx.seed, templates.len());
     eprintln!("[scale] {jobs} jobs sampled from {n} templates, rate {rate}/s, seed {seed}");
@@ -489,14 +487,14 @@ pub(crate) fn sched_scale(ctx: &Ctx) -> Tables {
         server = Some(handle);
     }
 
-    let mut local = PredictorRpv::new(&predictor);
+    let mut local = PredictorRpv::new(predictor);
     let mut remote = addr.filter(|_| ctx.federate).map(|addr| {
         FederatedRpv::new(
             &addr,
             "default",
             LOOKUP_TIMEOUT,
             LOOKUPS_IN_FLIGHT,
-            Box::new(PredictorRpv::new(&predictor)),
+            Box::new(PredictorRpv::new(predictor)),
         )
     });
     let provider: &mut dyn RpvProvider = match &mut remote {

@@ -29,7 +29,8 @@
 mod extensions;
 mod paper;
 
-use mphpc_core::pipeline::{collect, CollectionConfig};
+use mphpc_core::pipeline::{collect, train_predictor, CollectionConfig};
+use mphpc_core::PerfPredictor;
 use mphpc_dataset::MpHpcDataset;
 use mphpc_errors::{MphpcError, ResultExt};
 use mphpc_ml::ModelKind;
@@ -79,9 +80,9 @@ impl ExpSize {
     }
 }
 
-/// What an experiment runs on: size, seed, the dataset (loaded on first
-/// use, once per process) and `sched_scale`'s own options, as `USAGE`
-/// describes them.
+/// What an experiment runs on: size, seed, the dataset and the GBT fit on
+/// it (each made on first use, once per process) and `sched_scale`'s own
+/// options, as `USAGE` describes them.
 pub struct Ctx {
     pub(crate) size: ExpSize,
     pub(crate) seed: u64,
@@ -90,6 +91,7 @@ pub struct Ctx {
     pub(crate) federate: bool,
     pub(crate) addr: Option<String>,
     dataset: OnceCell<MpHpcDataset>,
+    predictor: OnceCell<PerfPredictor>,
 }
 
 impl Ctx {
@@ -104,6 +106,7 @@ impl Ctx {
             federate: false,
             addr: None,
             dataset: OnceCell::new(),
+            predictor: OnceCell::new(),
         }
     }
 
@@ -143,6 +146,17 @@ impl Ctx {
             }
         };
         Ok(self.dataset.get_or_init(|| dataset))
+    }
+
+    /// The paper's XGBoost ([`gbt`]) trained on the dataset at the
+    /// context's seed. A fit is deterministic whatever the thread count, so
+    /// one serves every experiment.
+    pub(crate) fn predictor(&self) -> Result<&PerfPredictor, MphpcError> {
+        if let Some(predictor) = self.predictor.get() {
+            return Ok(predictor);
+        }
+        let predictor = train_predictor(self.dataset()?, gbt(), self.seed)?;
+        Ok(self.predictor.get_or_init(|| predictor))
     }
 }
 

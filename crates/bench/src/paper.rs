@@ -10,7 +10,7 @@ use crate::{
 };
 use mphpc_archsim::machine::{table1_machines, GpuSpec, MachineSpec};
 use mphpc_archsim::SystemId;
-use mphpc_core::pipeline::{evaluate_models, evaluate_split, train_predictor};
+use mphpc_core::pipeline::{evaluate_models, evaluate_split};
 use mphpc_core::schedbridge::{run_scale_comparison, templates_from_dataset_raw, PredictorRpv};
 use mphpc_core::selection::feature_selection_study;
 use mphpc_dataset::split::{app_split, arch_split, scale_split};
@@ -338,7 +338,7 @@ pub(crate) const IMPORTANCE: &[Claim] = &[Claim {
 
 /// Fig. 6: gain-based feature importances of the trained XGBoost model.
 pub(crate) fn importance(ctx: &Ctx) -> Tables {
-    let predictor = train_predictor(ctx.dataset()?, gbt(), ctx.seed)?;
+    let predictor = ctx.predictor()?;
     let importance = predictor.model().feature_importance().ok_or_else(|| {
         MphpcError::InvalidArgument("trained model exposes no feature importances".into())
     })?;
@@ -429,7 +429,7 @@ pub(crate) const SCHED: &[Claim] = &[
 /// + EASY under each machine-assignment strategy.
 pub(crate) fn sched(ctx: &Ctx) -> Tables {
     let dataset = ctx.dataset()?;
-    let predictor = train_predictor(dataset, gbt(), ctx.seed)?;
+    let predictor = ctx.predictor()?;
     let (templates, features) = templates_from_dataset_raw(dataset)?;
     let n_jobs = match ctx.size {
         Small => 5_000,
@@ -437,7 +437,7 @@ pub(crate) fn sched(ctx: &Ctx) -> Tables {
         Full => 50_000,
     };
     eprintln!("[sched] simulating {n_jobs} jobs × 5 strategies ...");
-    let provider = &mut PredictorRpv::new(&predictor);
+    let provider = &mut PredictorRpv::new(predictor);
     let outcomes = run_scale_comparison(&templates, &features, provider, n_jobs, 0.0, ctx.seed)?;
     let outcomes: Vec<_> = outcomes.into_iter().map(|o| o.outcome).collect();
 

@@ -2,7 +2,7 @@
 //!
 //! A fleet job splits a collection campaign's run matrix into contiguous,
 //! group-aligned shards described by an immutable
-//! [`Manifest`](mphpc_storage::Manifest). Any number of *independent
+//! [`Manifest`]. Any number of *independent
 //! worker processes* then race over the shards: each worker claims a shard
 //! through the store's lease protocol, profiles its spec range with the
 //! ordinary pipeline, and publishes the shard's partial dataset as an
@@ -24,7 +24,7 @@
 //! * **Group-aligned shards.** Runs are paired across the four Table-I
 //!   systems per (app, input, scale, rep); the spec matrix keeps each
 //!   pairing group inside a `machines × reps` block, and
-//!   [`plan_shards`](mphpc_storage::plan_shards) only cuts on block
+//!   [`plan_shards`] only cuts on block
 //!   boundaries. Every shard therefore builds complete rows, and the
 //!   concatenation of shard CSVs in shard order *is* the single-process
 //!   CSV, byte for byte.

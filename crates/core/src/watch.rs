@@ -23,7 +23,7 @@
 //!    responses triggers `POST /rollback/<name>` and restores the
 //!    previous predictor locally.
 //!
-//! A [`DriftDetector`](crate::drift::DriftDetector) rides on the ingest
+//! A [`DriftDetector`] rides on the ingest
 //! stream (normalised features of every ingested row, plus serving
 //! error deltas) and forces a retrain even when fewer than
 //! [`WatchConfig::min_new_rows`] rows have arrived.

@@ -3,17 +3,17 @@
 //! The tree grower in [`crate::tree`] needs, per node, one histogram of
 //! per-bin statistics for every feature. This module provides the
 //! ingredients that make that fast, and the two split criteria
-//! ([`GradHess`], [`Variance`]) whose kernels fill and scan them:
+//! (`GradHess`, `Variance`) whose kernels fill and scan them:
 //!
-//! * **Arena layout** ([`HistLayout`]) — all features share one contiguous
+//! * **Arena layout** (`HistLayout`) — all features share one contiguous
 //!   `Vec<f64>` arena. Feature `f` owns the bin range
 //!   `offsets[f]..offsets[f+1]`, and every bin holds
-//!   [`Criterion::width`] interleaved statistics (`[grad, hess]` for GBT
+//!   `Criterion::width` interleaved statistics (`[grad, hess]` for GBT
 //!   trees, `[sum_0..sum_{k-1}, count]` for variance trees). One node
 //!   histogram is therefore a single allocation regardless of feature
-//!   count, and [`HistPool`] recycles those allocations across nodes so
+//!   count, and `HistPool` recycles those allocations across nodes so
 //!   steady-state tree growth does not touch the allocator at all.
-//! * **Single-pass accumulation** ([`Criterion::accumulate`]) — one
+//! * **Single-pass accumulation** (`Criterion::accumulate`) — one
 //!   row-major sweep over the binned matrix fills the statistics of *all*
 //!   features at once. Each training row's bin ids are contiguous in
 //!   memory, so the sweep reads every cache line exactly once instead of
@@ -21,30 +21,30 @@
 //!   per-feature passes disappears. For a fixed feature the per-bin sums
 //!   are accumulated in row order, i.e. bit-identical to a per-feature
 //!   pass over the same rows.
-//! * **Sibling subtraction** ([`subtract`]) — a split partitions a node's
+//! * **Sibling subtraction** (`subtract`) — a split partitions a node's
 //!   rows, so `hist(parent) = hist(left) + hist(right)` bin by bin. The
 //!   grower accumulates only the smaller child and derives the larger one
 //!   as `parent − smaller`, roughly halving histogram work per level.
 //!   Subtraction needs full-arena histograms (all features, since the
 //!   children's feature samples are not yet drawn), which costs more than
 //!   it saves for small nodes under column subsampling.
-//!   [`subtract_profitable`] compares the floating-point op counts of the
+//!   `subtract_profitable` compares the floating-point op counts of the
 //!   two strategies, and when subtraction loses, nodes instead accumulate
-//!   only their sampled features ([`Criterion::accumulate_sampled`]) into
-//!   a partially zeroed buffer ([`zero_features`]) — exactly the work a
+//!   only their sampled features (`Criterion::accumulate_sampled`) into
+//!   a partially zeroed buffer (`zero_features`) — exactly the work a
 //!   per-feature builder does, minus its allocations. Tiny nodes
-//!   (≤ [`ROWWISE_MAX_ROWS`] rows) skip arena histograms entirely: split
+//!   (≤ `ROWWISE_MAX_ROWS` rows) skip arena histograms entirely: split
 //!   search accumulates the node's rows into a zeroed dense strip that
-//!   marks the bins it touches ([`RowwiseScratch`]) and prefix-scans only
-//!   those, in bin order ([`Criterion::best_split_rowwise`]), which stays bit-identical
+//!   marks the bins it touches (`RowwiseScratch`) and prefix-scans only
+//!   those, in bin order (`Criterion::best_split_rowwise`), which stays bit-identical
 //!   to the histogram scan because per-bin sums are folded with the same
 //!   two-level summation, untouched bins cannot beat an equal earlier
 //!   gain under the strictly-greater argmax, and bins past the last
 //!   touched one never satisfy the child-weight checks.
 //!
-//! Split search ([`best_split`]) picks the split the scalar builders
-//! picked. Per feature, [`Criterion::best_bin`] runs two passes over
-//! blocks of [`SCAN_BLOCK`] bins: a branch-free prefix pass adds every bin
+//! Split search (`best_split`) picks the split the scalar builders
+//! picked. Per feature, `Criterion::best_bin` runs two passes over
+//! blocks of `SCAN_BLOCK` bins: a branch-free prefix pass adds every bin
 //! and records only the non-empty ones, then a tight loop scores those.
 //! Skipping an all-zero bin is exact: a prefix sum that starts at `+0.0`
 //! is never `-0.0`, and adding `±0.0` to it changes nothing, so every

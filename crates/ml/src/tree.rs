@@ -1,13 +1,13 @@
 //! Regression trees over quantile-binned features.
 //!
-//! One tree structure ([`Tree`]) and one grower ([`grow`]) serve both
-//! ensemble types; what differs is the [`Criterion`] the grower is handed:
+//! One tree structure ([`Tree`]) and one grower (`grow`) serve both
+//! ensemble types; what differs is the `Criterion` the grower is handed:
 //!
-//! * [`hist::GradHess`] — XGBoost's second-order criterion. With gradient
+//! * `hist::GradHess` — XGBoost's second-order criterion. With gradient
 //!   and hessian sums `G`, `H` of a node, the gain of a split into (L, R)
 //!   is `½·(G_L²/(H_L+λ) + G_R²/(H_R+λ) − G²/(H+λ)) − γ` and the leaf
 //!   weight is `−G/(H+λ)`.
-//! * [`hist::Variance`] — CART variance reduction, generalised to vector
+//! * `hist::Variance` — CART variance reduction, generalised to vector
 //!   targets by summing the per-output SSE reduction; leaves hold the
 //!   mean target vector.
 //!

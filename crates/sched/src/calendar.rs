@@ -1,6 +1,6 @@
 //! Calendar-queue event structure for the large-scale scheduling engine.
 //!
-//! A [calendar queue][brown88] holds pending events in an array of time
+//! A calendar queue \[brown88\] holds pending events in an array of time
 //! buckets ("days"), each `width` seconds wide; the array as a whole
 //! spans one "year" of `n_buckets × width` seconds and wraps, so bucket
 //! `i` holds days `i`, `i + n_buckets`, `i + 2·n_buckets`, … of simulated
@@ -11,7 +11,7 @@
 //! near-future completions, exactly the access pattern the calendar
 //! shape rewards.
 //!
-//! [brown88]: R. Brown, "Calendar queues: a fast O(1) priority queue
+//! \[brown88\]: R. Brown, "Calendar queues: a fast O(1) priority queue
 //! implementation for the simulation event set problem", CACM 31(10).
 //!
 //! Determinism: keys are `(time, seq)` where `seq` is the engine's

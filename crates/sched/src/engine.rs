@@ -25,16 +25,22 @@
 //!    O(log R) per start/completion, so a reservation is a short in-order
 //!    prefix walk instead of a sort of every running job.
 //!
-//! 3. **Blocked-pass snapshot.** When a pass ends with the head blocked and
-//!    the next event batch is arrivals only, nothing the previous scan
-//!    observed has changed — the cluster is untouched, strategy state only
-//!    advances on starts ([`crate::strategy::MachineAssigner`] requires
-//!    `choose` to be side-effect free), and every previously rejected
-//!    candidate stays rejected (a candidate that fails `can_start` still
-//!    fails on an unchanged cluster, and the `now + dur > shadow` backfill
-//!    guard is monotone in `now`). Only the newly arrived suffix of the
-//!    window needs scanning. Completions or starts invalidate the snapshot
-//!    and force a full pass; [`ScaleStats`] counts both kinds.
+//! 3. **Blocked-pass snapshot.** When a pass ends with the head blocked,
+//!    the engine keeps its reservation, how far it scanned and, per window
+//!    position, the machine the scan asked for (*unknown* where the
+//!    free-node gate passed it over). Each job's `choose` answer is cached
+//!    with an epoch that bumps only on what the strategy reads
+//!    ([`Reads`]): never, on a start, or on a start or completion. A start
+//!    ends the snapshot, as do a completion on the head's reserved machine
+//!    and any completion under a strategy that reads free capacity.
+//!    Otherwise the next decision point resumes the pass: the head's
+//!    choice and reservation are unchanged, and a failed candidate can
+//!    only have turned if its machine freed nodes (`can_start` reads that
+//!    machine alone; the `now + dur > shadow` guard is monotone in `now`).
+//!    The resume re-examines in FCFS order the positions whose machine
+//!    just freed nodes or is unknown and now passes the gate, then scans
+//!    the newly arrived suffix; with nothing freed, only the suffix.
+//!    [`ScaleStats`] counts resumes and full passes.
 //!
 //! 4. **Free-node gate.** A scan with no free node on any machine ends at
 //!    once, and a candidate wider than the most free nodes anywhere is
@@ -51,9 +57,8 @@
 //!
 //! **Dependencies** do not weaken the snapshot: a job with open
 //! dependencies is not in the event queue at all; the completion that
-//! closes its last one enqueues its arrival at `max(submit, now)`, and that
-//! same completion has already discarded the snapshot. A dependent whose
-//! submit time lies later arrives as an ordinary arrival.
+//! closes its last one enqueues its arrival at `max(submit, now)`, and it
+//! joins the queue's tail like any other arrival.
 //!
 //! The binary-heap, sort-per-pass engine this one replaced survives as the
 //! `cfg(test)` oracle in `reference.rs`; its suite holds every schedule
@@ -65,7 +70,7 @@ use crate::cluster::{Cluster, MachineConfig};
 use crate::federation::RpvProvider;
 use crate::job::{check_rpv, Job, N_MACHINES};
 use crate::metrics::{avg_bounded_slowdown, makespan, JobRecord};
-use crate::strategy::MachineAssigner;
+use crate::strategy::{MachineAssigner, Reads};
 use mphpc_errors::MphpcError;
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::Range;
@@ -124,18 +129,21 @@ pub struct ScaleStats {
     pub events_enqueued: u64,
     /// Events popped from the calendar queue (`sched.events.dequeued`).
     pub events_dequeued: u64,
-    /// Decision points answered by the blocked-pass snapshot: only the
-    /// newly arrived window suffix was scanned
+    /// Decision points answered by resuming the blocked-pass snapshot with
+    /// the head still blocked: the positions a completion may have turned
+    /// and the newly arrived suffix were scanned
     /// (`sched.backfill.incremental_updates`).
     pub incremental_updates: u64,
-    /// Decision points that ran a full scheduling pass
+    /// Full scheduling passes: a decision point the snapshot could not
+    /// answer, or a resume that started a job
     /// (`sched.backfill.full_rescans`).
     pub full_rescans: u64,
     /// EASY reservations computed — full passes only; snapshot hits reuse
     /// the stored reservation (`sched.reservations`).
     pub reservations: u64,
-    /// Backfill candidates whose strategy was consulted; the free-node gate
-    /// passes over the rest (`sched.backfill.attempts`).
+    /// Backfill candidates examined: past the free-node gate and without a
+    /// failure the snapshot still vouches for, their machine asked of the
+    /// strategy or read from its cache (`sched.backfill.attempts`).
     pub backfill_attempts: u64,
     /// Jobs started by backfilling past a blocked head
     /// (`sched.backfill.starts`).
@@ -230,14 +238,12 @@ struct Reservation {
     extra: u32,
 }
 
-/// Snapshot of a pass that ended with the head blocked: while no job
-/// starts or completes, the reservation and every scanned candidate's
-/// verdict remain valid, so later arrivals only need the unscanned
-/// window suffix examined.
+/// Snapshot of a pass that ended with the head blocked (point 3 of the
+/// module doc).
 struct Blocked {
     head_idx: usize,
     held: Reservation,
-    /// Candidates `1..scanned` are known to fail; scanning resumes here.
+    /// Candidates `1..scanned` failed; only a freed machine can turn them.
     scanned: usize,
 }
 
@@ -247,6 +253,9 @@ struct Blocked {
 /// dominate debug runs; sampling still catches any divergence quickly
 /// because profile corruption persists once introduced.
 const PROFILE_AUDIT_STRIDE: u64 = 64;
+
+/// A `seen` mask bit for a position whose machine no scan has asked.
+const UNKNOWN: u8 = 1 << N_MACHINES;
 
 /// Everything one run mutates, so the loop's steps can be methods.
 struct Engine<'a> {
@@ -268,6 +277,14 @@ struct Engine<'a> {
     node_seconds: [f64; N_MACHINES],
     stats: ScaleStats,
     auditor: InvariantAuditor,
+    reads: Reads,
+    /// Bumped on every change to what `reads` names.
+    epoch: u64,
+    /// Each job's last `choose` answer and the epoch it was given in.
+    choice: Vec<(u64, usize)>,
+    /// Per window position, what its last scan saw: `1 << machine` if it
+    /// was examined, [`UNKNOWN`] if the free-node gate passed over it.
+    seen: Vec<u8>,
 }
 
 impl Engine<'_> {
@@ -277,10 +294,22 @@ impl Engine<'_> {
         self.stats.events_enqueued += 1;
     }
 
+    /// Job `idx`'s machine, asked of the strategy once per epoch.
+    fn choose(&mut self, idx: usize) -> usize {
+        if self.choice[idx].0 != self.epoch {
+            let m = self.strategy.choose(&self.jobs[idx], &self.cluster);
+            self.choice[idx] = (self.epoch, m);
+        }
+        self.choice[idx].1
+    }
+
     /// One job start: cluster + profile + bookkeeping + completion event.
     /// A start invalidates any blocked-pass snapshot (cluster and strategy
     /// state both change); every caller holds none.
     fn start(&mut self, idx: usize, m: usize, now: f64) -> Result<(), MphpcError> {
+        if self.reads >= Reads::Starts {
+            self.epoch += 1;
+        }
         let job = &self.jobs[idx];
         let dur = job.runtime_on(m);
         self.auditor.observe_start(job.id, now)?;
@@ -316,28 +345,38 @@ impl Engine<'_> {
     /// finish by the shadow time or fit in the extra nodes. Returns its
     /// queue position and machine. Behind the free-node gate (point 4 of
     /// the module doc): no job wider than every machine's free nodes can
-    /// start, so its strategy is not consulted.
+    /// start, so its strategy is not consulted. Each position's outcome
+    /// goes to `seen`; positions below `failed` failed a scan before, and
+    /// one whose `seen` mask misses `turnable` still fails (point 3).
     fn backfill_candidate(
         &mut self,
         range: Range<usize>,
+        (failed, turnable): (usize, u8),
         held: Reservation,
         now: f64,
     ) -> Option<(usize, usize)> {
         let most_free = (0..N_MACHINES).map(|m| self.cluster.free_nodes(m)).max();
         let most_free = most_free.unwrap_or(0);
         if most_free == 0 {
+            self.seen[range].fill(UNKNOWN);
             return None;
         }
         let mut chosen = None;
         // Counted locally: the scan is the engine's innermost loop.
         let mut attempts = 0u64;
         for qi in range {
-            let cand = &self.jobs[self.queue[qi]];
-            if cand.nodes_required > most_free {
+            if qi < failed && self.seen[qi] & turnable == 0 {
+                continue;
+            }
+            let idx = self.queue[qi];
+            if self.jobs[idx].nodes_required > most_free {
+                self.seen[qi] = UNKNOWN;
                 continue;
             }
             attempts += 1;
-            let cm = self.strategy.choose(cand, &self.cluster);
+            let cm = self.choose(idx);
+            self.seen[qi] = 1 << cm;
+            let cand = &self.jobs[idx];
             if !self.cluster.can_start(cm, cand.nodes_required) {
                 continue;
             }
@@ -368,8 +407,8 @@ impl Engine<'_> {
             let Some(&head_idx) = self.queue.front() else {
                 return Ok(None);
             };
+            let m = self.choose(head_idx);
             let head = &self.jobs[head_idx];
-            let m = self.strategy.choose(head, &self.cluster);
             if self.cluster.can_start(m, head.nodes_required) {
                 self.queue.pop_front();
                 self.start(head_idx, m, now)?;
@@ -386,7 +425,7 @@ impl Engine<'_> {
                 extra,
             };
             let window = self.window();
-            match self.backfill_candidate(1..window, held, now) {
+            match self.backfill_candidate(1..window, (0, 0), held, now) {
                 Some((qi, cm)) => self.start_backfill(qi, cm, now)?,
                 None => {
                     return Ok(Some(Blocked {
@@ -536,6 +575,7 @@ pub fn simulate_full(
     }
 
     let mut e = Engine {
+        reads: strategy.reads(),
         jobs,
         strategy,
         config,
@@ -551,6 +591,9 @@ pub fn simulate_full(
         node_seconds: [0.0; N_MACHINES],
         stats: ScaleStats::default(),
         auditor: InvariantAuditor::new(config.audit || cfg!(debug_assertions)),
+        epoch: 0,
+        choice: vec![(u64::MAX, 0); jobs.len()],
+        seen: vec![UNKNOWN; jobs.len().min(1 + config.backfill_depth)],
     };
     for (idx, job) in jobs.iter().enumerate() {
         if open_deps.get(idx).map_or(true, |&n| n == 0) {
@@ -568,6 +611,7 @@ pub fn simulate_full(
         // batching, so -0.0 and 0.0 coalesce). A dependent released at
         // `now` is pushed while its instant is being drained and leaves in
         // this same batch, after everything already queued for `now`.
+        let mut freed = 0u8;
         while let Some(k) = e.events.peek_key() {
             if k.time() > now {
                 break;
@@ -580,9 +624,10 @@ pub fn simulate_full(
                 Ev::Completion { machine, job } => {
                     e.cluster.complete(machine, e.jobs[job].id)?;
                     e.profile.remove(machine, e.end_time[job], e.jobs[job].id)?;
-                    // Cluster changed: every cached backfill verdict is
-                    // stale.
-                    blocked = None;
+                    freed |= 1 << machine;
+                    if e.reads == Reads::FreeCapacity {
+                        e.epoch += 1;
+                    }
                     for &d in dependents.get(job).map_or(&[][..], Vec::as_slice) {
                         open_deps[d] -= 1;
                         if open_deps[d] == 0 {
@@ -594,23 +639,25 @@ pub fn simulate_full(
         }
         e.auditor.observe_event_time(now)?;
 
-        // Incremental path: the head blocked earlier and nothing it saw
-        // has changed — scan only the arrivals that extended the window.
-        if let Some(b) = blocked.take() {
+        // Resume the blocked pass if nothing the head's choice and
+        // reservation read has changed (point 3 of the module doc); with
+        // nothing freed, only the arrivals since can start.
+        let capacity_read = freed != 0 && e.reads == Reads::FreeCapacity;
+        let stale = |b: &Blocked| capacity_read || freed & (1 << b.held.machine) != 0;
+        if let Some(b) = blocked.take().filter(|b| !stale(b)) {
             debug_assert_eq!(e.queue.front(), Some(&b.head_idx));
             let window = e.window();
-            match e.backfill_candidate(b.scanned..window, b.held, now) {
+            let from = if freed == 0 { b.scanned } else { 1 };
+            match e.backfill_candidate(from..window, (b.scanned, freed | UNKNOWN), b.held, now) {
                 None => {
-                    // Still blocked; remember how far we looked.
                     e.stats.incremental_updates += 1;
                     blocked = Some(Blocked {
                         scanned: window,
                         ..b
                     });
                 }
-                // A new arrival backfills. Starting it invalidates the
-                // snapshot; the full pass below finishes this decision
-                // point.
+                // Starting it invalidates the snapshot; the full pass
+                // below finishes this decision point.
                 Some((qi, cm)) => e.start_backfill(qi, cm, now)?,
             }
         }

@@ -398,10 +398,9 @@ mod tests {
         );
     }
 
-    #[test]
-    fn saturated_backlog_of_50k_jobs_matches_oracle() {
-        // The paper's §VII shape — 50,000 jobs submitted at once to the
-        // Table-I machines — on 40 synthetic templates.
+    /// 50,000 jobs submitted at once to the Table-I machines, on 40
+    /// synthetic templates: the paper's §VII shape.
+    fn saturated_backlog() -> Vec<Job> {
         let mut rng = StdRng::seed_from_u64(0x50_000);
         let templates: Vec<JobTemplate> = (0..40)
             .map(|_| {
@@ -414,7 +413,12 @@ mod tests {
                 }
             })
             .collect();
-        let (jobs, _) = sample_jobs_indexed(&templates, 50_000, 0.0, 7).unwrap();
+        sample_jobs_indexed(&templates, 50_000, 0.0, 7).unwrap().0
+    }
+
+    #[test]
+    fn saturated_backlog_of_50k_jobs_matches_oracle() {
+        let jobs = saturated_backlog();
         let cfg = SimConfig::default();
         for (mut old_s, mut new_s) in strategies().into_iter().zip(strategies()) {
             let oracle = simulate_with_deps(&jobs, &[], old_s.as_mut(), &cfg).unwrap();
@@ -422,6 +426,18 @@ mod tests {
             assert_eq!(oracle, engine, "strategy {}", engine.strategy);
             assert_eq!(stats.events_dequeued, 100_000);
         }
+    }
+
+    #[test]
+    fn completions_elsewhere_resume_round_robins_blocked_pass() {
+        // Before the snapshot outlived completions, this backlog cost
+        // Round-Robin 49 589 full passes. Completions on machines other
+        // than the head's reserved one must now resume the pass instead.
+        let cfg = SimConfig::default();
+        let (_, stats) =
+            simulate_full(&saturated_backlog(), &[], &mut RoundRobin::new(), &cfg).unwrap();
+        assert!(stats.full_rescans < 49_589 / 2, "{stats:?}");
+        assert!(stats.incremental_updates > stats.full_rescans, "{stats:?}");
     }
 
     fn job(id: u64, submit: f64, nodes: u32, runtime: f64) -> Job {
@@ -576,6 +592,114 @@ mod tests {
         assert_eq!(oracle, engine);
         assert_eq!((stats.full_rescans, stats.reservations), (3, 1));
         assert_eq!(stats.backfill_attempts, 0, "{stats:?}");
+    }
+
+    /// A one-node job; `gpu` picks User+RR's machine group.
+    fn unit_job(id: u64, gpu: bool, runtime: f64) -> Job {
+        Job {
+            gpu_capable: gpu,
+            ..job(id, 0.0, 1, runtime)
+        }
+    }
+
+    fn one_node_machines() -> SimConfig {
+        let mut cfg = small_config();
+        for m in &mut cfg.machines {
+            m.total_nodes = 1;
+        }
+        cfg
+    }
+
+    #[test]
+    fn a_scan_of_a_full_pool_leaves_its_positions_unknown() {
+        // User+RR on one node a machine. At t=0 jobs 0-2 fill quartz, ruby
+        // and lassen; head 3 blocks on quartz, 4 cannot start there, and 5
+        // backfills onto corona. The restarted scan then finds every
+        // machine full and asks no one: position 2, now job 6, must read
+        // as unknown, not as job 5's corona. At t=5 lassen frees, away
+        // from the head's quartz, and the resumed pass must start job 6
+        // there.
+        let cfg = one_node_machines();
+        let jobs = vec![
+            unit_job(0, false, 100.0),
+            unit_job(1, false, 100.0),
+            unit_job(2, true, 5.0),
+            unit_job(3, false, 10.0),
+            unit_job(4, false, 10.0),
+            unit_job(5, true, 100.0),
+            unit_job(6, true, 10.0),
+        ];
+        let oracle = simulate_with_deps(&jobs, &[], &mut UserRoundRobin::new(), &cfg).unwrap();
+        let (engine, stats) = simulate_full(&jobs, &[], &mut UserRoundRobin::new(), &cfg).unwrap();
+        assert_eq!(oracle, engine);
+        assert_eq!(
+            (engine.records[6].start, engine.records[6].machine),
+            (5.0, 2)
+        );
+        assert_eq!(engine.records[3].start, 100.0, "{stats:?}");
+    }
+
+    #[test]
+    fn a_completion_on_the_reserved_machine_forces_a_full_pass() {
+        // Round-Robin on one node a machine: jobs 0-3 fill the pool and
+        // head 4 reserves quartz, which frees at t=10. Resuming the stale
+        // pass there would scan candidates and never start the head.
+        let cfg = one_node_machines();
+        let runtimes = [10.0, 100.0, 100.0, 100.0, 10.0, 1.0];
+        let jobs: Vec<Job> = (0..6)
+            .map(|i| job(i, 0.0, 1, runtimes[i as usize]))
+            .collect();
+        let oracle = simulate_with_deps(&jobs, &[], &mut RoundRobin::new(), &cfg).unwrap();
+        let (engine, _) = simulate_full(&jobs, &[], &mut RoundRobin::new(), &cfg).unwrap();
+        assert_eq!(oracle, engine);
+        assert_eq!(
+            (engine.records[4].start, engine.records[4].machine),
+            (10.0, 0)
+        );
+    }
+
+    /// Delegates to a paper strategy but keeps the trait's default `reads`.
+    struct Defaulted(Box<dyn MachineAssigner>);
+
+    impl MachineAssigner for Defaulted {
+        fn choose(&mut self, job: &Job, cluster: &Cluster) -> usize {
+            self.0.choose(job, cluster)
+        }
+        fn notify_started(&mut self, job: &Job, machine: usize) {
+            self.0.notify_started(job, machine)
+        }
+        fn name(&self) -> &'static str {
+            self.0.name()
+        }
+    }
+
+    #[test]
+    fn a_strategy_keeping_the_default_reads_runs_as_before() {
+        // Pinned from the engine before it cached choices: (incremental
+        // updates, full rescans, reservations, backfill attempts, backfill
+        // starts) of each strategy on its own.
+        let pins = [
+            (14, 1180, 78, 45, 19),
+            (65, 1135, 440, 435, 176),
+            (19, 1181, 152, 62, 30),
+        ];
+        let (jobs, _) = sample_jobs_indexed(&templates(), 600, 0.15, 42).unwrap();
+        let cfg = small_config();
+        for (k, pin) in pins.into_iter().enumerate() {
+            let defaulted = || Defaulted(strategies().swap_remove(k));
+            let oracle = simulate_with_deps(&jobs, &[], &mut defaulted(), &cfg).unwrap();
+            let (engine, st) = simulate_full(&jobs, &[], &mut defaulted(), &cfg).unwrap();
+            assert_eq!(oracle, engine);
+            let got = (st.incremental_updates, st.full_rescans, st.reservations);
+            let got = (
+                got.0,
+                got.1,
+                got.2,
+                st.backfill_attempts,
+                st.backfill_starts,
+            );
+            assert_eq!(got, pin, "{}", engine.strategy);
+        }
     }
 
     fn four_node_cluster() -> Cluster {

@@ -5,17 +5,34 @@ use crate::cluster::Cluster;
 use crate::job::{Job, N_MACHINES};
 use mphpc_archsim::noise::derive_seed;
 
+/// What a [`MachineAssigner::choose`] answer depends on besides the job and
+/// the static machine configs. The engine reuses a job's answer until
+/// something it reads changes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Reads {
+    /// Nothing else: a job's answer holds for the whole run.
+    Nothing,
+    /// The strategy's own counters, which only a start advances.
+    Starts,
+    /// Free capacity, which every start and completion changes.
+    FreeCapacity,
+}
+
 /// A machine-assignment policy, `Send` so each can simulate on a thread of
 /// its own. `choose` must be side-effect free with respect to queue
-/// scanning (it may be called for jobs that do not start, or not at all);
-/// stateful policies advance their counters in `notify_started`, matching
-/// Algorithm 1 where `i` increments per `Start`.
+/// scanning (it may be called for jobs that do not start, once for many
+/// scans, or not at all); stateful policies advance their counters in
+/// `notify_started`, matching Algorithm 1 where `i` increments per `Start`.
 pub trait MachineAssigner: Send {
     /// Pick a machine (Table-I index) for `job` given current cluster
     /// state.
     fn choose(&mut self, job: &Job, cluster: &Cluster) -> usize;
     /// Observe that `job` started on `machine`.
     fn notify_started(&mut self, _job: &Job, _machine: usize) {}
+    /// What `choose` reads; the default claims the most.
+    fn reads(&self) -> Reads {
+        Reads::FreeCapacity
+    }
     /// Display name (figure labels).
     fn name(&self) -> &'static str;
 }
@@ -49,6 +66,10 @@ impl MachineAssigner for RoundRobin {
         self.counter = (self.counter + 1) % N_MACHINES;
     }
 
+    fn reads(&self) -> Reads {
+        Reads::Starts
+    }
+
     fn name(&self) -> &'static str {
         "Round-Robin"
     }
@@ -77,6 +98,10 @@ impl MachineAssigner for RandomAssign {
             }
         }
         draw
+    }
+
+    fn reads(&self) -> Reads {
+        Reads::Nothing
     }
 
     fn name(&self) -> &'static str {
@@ -137,6 +162,10 @@ impl MachineAssigner for UserRoundRobin {
         } else {
             self.cpu_counter += 1;
         }
+    }
+
+    fn reads(&self) -> Reads {
+        Reads::Starts
     }
 
     fn name(&self) -> &'static str {

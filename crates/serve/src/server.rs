@@ -1,9 +1,9 @@
 //! The serving front end: configuration, shared server state, request
 //! routing, and the public start/shutdown/join surface over the
-//! event-loop shards in [`crate::event_loop`].
+//! event-loop shards in the private `event_loop` module.
 //!
 //! The transport is a nonblocking event loop (epoll on Linux, `poll(2)`
-//! fallback — see [`crate::poller`]): a fixed set of shard threads each
+//! fallback — see the private `poller`): a fixed set of shard threads each
 //! owns its accepted connections, parses pipelined HTTP/1.1 requests
 //! from reusable per-connection buffers, and writes responses back in
 //! request order. `POST /predict` requests — one row (`features`) or
