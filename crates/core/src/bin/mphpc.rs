@@ -81,7 +81,7 @@ USAGE:
   mphpc pipeline [--apps N] [--inputs N] [--reps N] [--jobs N] [--rate R] [--seed N]
   mphpc serve   --model <json> [--addr H:P] [--shards N] [--max-batch N] [--queue-cap N]
                 [--deadline-ms N] [--max-conns N] [--read-deadline-ms N]
-                [--idle-timeout-ms N] [--poller epoll|poll]
+                [--idle-timeout-ms N]
   mphpc watch   --store <dir> --model <json> [--addr H:P] [--name <model>] [--ticks N]
                 [--poll-ms N] [--holdout N] [--epsilon E] [--extra N] [--min-rows N]
                 [--min-shadow-rows N] [--shadow-wait-ms N] [--rollback-window-ms N]
@@ -353,7 +353,7 @@ fn cmd_pipeline(args: &[String]) -> Result<(), MphpcError> {
 /// the micro-batching server, and block until `POST /shutdown` drains it.
 fn cmd_serve(args: &[String]) -> Result<(), MphpcError> {
     let known = "model addr shards max-batch queue-cap deadline-ms max-conns \
-                 read-deadline-ms idle-timeout-ms poller";
+                 read-deadline-ms idle-timeout-ms";
     let opts = &parse_opts("serve", args, known)?;
     let model_path = req(opts, "model")?;
     let json = std::fs::read_to_string(model_path).map_err(|e| MphpcError::io(model_path, e))?;
@@ -387,15 +387,6 @@ fn cmd_serve(args: &[String]) -> Result<(), MphpcError> {
     }
     if let Some(ms) = opt(opts, "idle-timeout-ms")? {
         cfg.idle_timeout = std::time::Duration::from_millis(ms);
-    }
-    match opts.get("poller").map(String::as_str) {
-        None | Some("epoll") => {}
-        Some("poll") => cfg.force_poll = true,
-        Some(other) => {
-            return Err(MphpcError::InvalidArgument(format!(
-                "unknown poller '{other}' (use epoll|poll)"
-            )))
-        }
     }
     if let Some(n) = opt(opts, "max-batch")? {
         cfg.batch.max_batch = n;

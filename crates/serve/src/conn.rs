@@ -132,7 +132,7 @@ pub(crate) struct Conn {
     /// counts as `serve.conn.reused`).
     pub requests: u64,
     /// Interest currently registered with the poller, to skip
-    /// redundant `epoll_ctl` calls.
+    /// redundant `Poller::modify` scans.
     pub interest: Interest,
 }
 

@@ -114,9 +114,7 @@ impl Shard {
         shared: Arc<ServerShared>,
         listener: Arc<TcpListener>,
         inbox: Arc<ShardInbox>,
-        force_poll: bool,
-    ) -> io::Result<Shard> {
-        let poller = Poller::new(force_poll)?;
+    ) -> Shard {
         let mut capacity_503 = Vec::new();
         http::render_response(
             &mut capacity_503,
@@ -126,12 +124,12 @@ impl Shard {
             false,
         );
         let sink: Arc<dyn CompletionSink> = Arc::clone(&inbox) as Arc<dyn CompletionSink>;
-        Ok(Shard {
+        Shard {
             shared,
             listener,
             inbox,
             sink,
-            poller,
+            poller: Poller::new(),
             conns: Vec::new(),
             gens: Vec::new(),
             free: Vec::new(),
@@ -141,31 +139,16 @@ impl Shard {
             completions_scratch: Vec::new(),
             touched: Vec::new(),
             capacity_503,
-        })
+        }
     }
 
     /// The shard thread body. Returns when shutdown is flagged and
     /// every owned connection has drained and closed.
     pub(crate) fn run(mut self) {
-        if self
-            .poller
-            .register(self.listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)
-            .is_err()
-        {
-            return;
-        }
-        if self
-            .poller
-            .register(self.inbox.wakeup.fd(), TOKEN_WAKEUP, Interest::READ)
-            .is_err()
-        {
-            return;
-        }
-
-        mphpc_telemetry::gauge_set(
-            "serve.poller.epoll",
-            if self.poller.is_epoll() { 1.0 } else { 0.0 },
-        );
+        self.poller
+            .register(self.listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ);
+        self.poller
+            .register(self.inbox.wakeup.fd(), TOKEN_WAKEUP, Interest::READ);
 
         // The poll tick doubles as the deadline-sweep cadence, so it
         // must undercut the configured deadlines (tests use tens of
@@ -181,9 +164,9 @@ impl Shard {
 
         loop {
             if self.poller.wait(&mut events, tick).is_err() {
-                return; // poller fd is gone; nothing sane left to do
+                return; // poll(2) itself failed; nothing sane left to do
             }
-            mphpc_telemetry::counter_add("serve.epoll.wakeups", 1);
+            mphpc_telemetry::counter_add("serve.poll.wakeups", 1);
             let shutdown = self.shared.shutdown.load(Ordering::Acquire);
             let mut requests = 0u64;
             let mut accept_ready = false;
@@ -206,7 +189,7 @@ impl Shard {
             self.drain_completions(shutdown, &mut requests);
             if requests > 0 {
                 mphpc_telemetry::histogram_record(
-                    "serve.epoll.requests_per_wakeup",
+                    "serve.poll.requests_per_wakeup",
                     requests as f64,
                 );
             }
@@ -261,15 +244,8 @@ impl Shard {
             return;
         };
         let token = conn_token(idx as u16, self.gens[idx]);
-        if self
-            .poller
-            .register(stream.as_raw_fd(), token, Interest::READ)
-            .is_err()
-        {
-            self.free.push(idx as u16);
-            self.shared.conns_live.fetch_sub(1, Ordering::AcqRel);
-            return;
-        }
+        self.poller
+            .register(stream.as_raw_fd(), token, Interest::READ);
         self.shared.stats.note_connection();
         mphpc_telemetry::counter_add("serve.conn.accepted", 1);
         self.live += 1;

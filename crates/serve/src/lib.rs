@@ -24,8 +24,8 @@
 //!    graceful shutdown that stops accepting, drains the queue, and
 //!    joins every thread.
 //! 4. **Event-driven transport**: the front end is a nonblocking event
-//!    loop — raw `epoll` on Linux with a portable `poll(2)` fallback
-//!    (hand-rolled FFI, no `libc` crate) — with a fixed set of shard
+//!    loop — `poll(2)` on every unix, woken across threads through a
+//!    pipe (hand-rolled FFI, no `libc` crate) — with a fixed set of shard
 //!    threads, HTTP/1.1 keep-alive *and* pipelining, an incremental
 //!    zero-copy parser over reusable per-connection buffers, and
 //!    partial-write continuation. The steady-state parse + response

@@ -1,20 +1,19 @@
-//! Readiness polling over raw file descriptors: `epoll(7)` on Linux,
-//! `poll(2)` everywhere else (or on request), plus a cross-thread
-//! [`Wakeup`] (eventfd on Linux, a nonblocking socket pair otherwise).
+//! Readiness polling over raw file descriptors with `poll(2)`, plus a
+//! cross-thread [`Wakeup`] (a nonblocking pipe).
 //!
 //! The crate is std-only by design, so the syscalls come from a
 //! thin hand-rolled FFI shim rather than the `libc` crate — only the
-//! five symbols the event loop needs, with the constants written out.
-//! Both backends present the same level-triggered interface: register
-//! an fd with a `u64` token and an interest set, [`Poller::wait`]
-//! returns `(token, readable, writable)` events. The `poll(2)` backend
-//! exists for portability *and* testability — `ServeConfig::force_poll`
-//! runs the whole server through it on Linux too, so CI exercises both.
+//! three symbols the event loop needs, with the constants written out.
+//! The interface is level-triggered: register an fd with a `u64` token
+//! and an interest set, [`Poller::wait`] returns `(token, readable,
+//! writable)` events. `poll(2)` runs on every unix; DESIGN.md §14 has
+//! the measurements behind the one backend and the pipe wakeup.
 
 #![cfg(unix)]
 
-use std::io;
-use std::os::fd::RawFd;
+use std::fs::File;
+use std::io::{self, Read as _, Write as _};
+use std::os::fd::{AsRawFd as _, FromRawFd as _, RawFd};
 use std::time::Duration;
 
 mod ffi {
@@ -32,55 +31,22 @@ mod ffi {
     pub const POLLERR: c_short = 0x008;
     pub const POLLHUP: c_short = 0x010;
 
+    pub const F_SETFD: c_int = 2;
+    pub const F_SETFL: c_int = 4;
+    pub const FD_CLOEXEC: c_int = 1;
+    #[cfg(any(target_os = "linux", target_os = "android"))]
+    pub const O_NONBLOCK: c_int = 0o4000;
+    #[cfg(not(any(target_os = "linux", target_os = "android")))]
+    pub const O_NONBLOCK: c_int = 0x0004;
+
     extern "C" {
         pub fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
-    }
-
-    #[cfg(target_os = "linux")]
-    pub use linux::*;
-
-    #[cfg(target_os = "linux")]
-    mod linux {
-        use std::os::raw::{c_int, c_uint};
-
-        /// Kernel ABI: packed on x86, naturally aligned elsewhere.
-        #[cfg_attr(any(target_arch = "x86", target_arch = "x86_64"), repr(C, packed))]
-        #[cfg_attr(not(any(target_arch = "x86", target_arch = "x86_64")), repr(C))]
-        #[derive(Clone, Copy)]
-        pub struct EpollEvent {
-            pub events: u32,
-            pub data: u64,
-        }
-
-        pub const EPOLLIN: u32 = 0x001;
-        pub const EPOLLOUT: u32 = 0x004;
-        pub const EPOLLERR: u32 = 0x008;
-        pub const EPOLLHUP: u32 = 0x010;
-        pub const EPOLL_CTL_ADD: c_int = 1;
-        pub const EPOLL_CTL_DEL: c_int = 2;
-        pub const EPOLL_CTL_MOD: c_int = 3;
-        pub const EPOLL_CLOEXEC: c_int = 0o2000000;
-        pub const EFD_CLOEXEC: c_int = 0o2000000;
-        pub const EFD_NONBLOCK: c_int = 0o4000;
-
-        extern "C" {
-            pub fn epoll_create1(flags: c_int) -> c_int;
-            pub fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
-            pub fn epoll_wait(
-                epfd: c_int,
-                events: *mut EpollEvent,
-                maxevents: c_int,
-                timeout: c_int,
-            ) -> c_int;
-            pub fn eventfd(initval: c_uint, flags: c_int) -> c_int;
-            pub fn read(fd: c_int, buf: *mut u8, count: usize) -> isize;
-            pub fn write(fd: c_int, buf: *const u8, count: usize) -> isize;
-            pub fn close(fd: c_int) -> c_int;
-        }
+        pub fn pipe(fds: *mut c_int) -> c_int;
+        pub fn fcntl(fd: c_int, cmd: c_int, ...) -> c_int;
     }
 }
 
-/// What to watch an fd for. Level-triggered in both backends.
+/// What to watch an fd for. Level-triggered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Interest {
     /// Wake when the fd is readable (or the peer hung up).
@@ -95,6 +61,17 @@ impl Interest {
         read: true,
         write: false,
     };
+
+    fn bits(self) -> std::os::raw::c_short {
+        let mut bits = 0;
+        if self.read {
+            bits |= ffi::POLLIN;
+        }
+        if self.write {
+            bits |= ffi::POLLOUT;
+        }
+        bits
+    }
 }
 
 /// One readiness event from [`Poller::wait`].
@@ -109,113 +86,51 @@ pub struct Event {
     pub writable: bool,
 }
 
-enum Backend {
-    #[cfg(target_os = "linux")]
-    Epoll {
-        epfd: RawFd,
-        events: Vec<ffi::EpollEvent>,
-    },
-    Poll {
-        /// Registered fds: `(fd, token, interest)`.
-        fds: Vec<(RawFd, u64, Interest)>,
-        /// Reused `pollfd` array, rebuilt per wait.
-        scratch: Vec<ffi::PollFd>,
-    },
-}
-
-/// A level-triggered readiness poller over raw fds.
+/// A level-triggered readiness poller over raw fds: the `pollfd` array
+/// `poll(2)` reads in place, and each entry's token at the same index.
+#[derive(Default)]
 pub struct Poller {
-    backend: Backend,
+    fds: Vec<ffi::PollFd>,
+    tokens: Vec<u64>,
 }
 
 impl Poller {
-    /// Build a poller: epoll on Linux unless `force_poll`, `poll(2)`
-    /// otherwise.
-    pub fn new(force_poll: bool) -> io::Result<Poller> {
-        #[cfg(target_os = "linux")]
-        if !force_poll {
-            let epfd = unsafe { ffi::epoll_create1(ffi::EPOLL_CLOEXEC) };
-            if epfd < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            return Ok(Poller {
-                backend: Backend::Epoll {
-                    epfd,
-                    events: Vec::with_capacity(1024),
-                },
-            });
-        }
-        let _ = force_poll;
-        Ok(Poller {
-            backend: Backend::Poll {
-                fds: Vec::new(),
-                scratch: Vec::new(),
-            },
-        })
+    /// An empty poller.
+    pub fn new() -> Poller {
+        Poller::default()
     }
 
-    /// True when this poller runs on `epoll` (telemetry labelling).
-    pub fn is_epoll(&self) -> bool {
-        #[cfg(target_os = "linux")]
-        {
-            matches!(self.backend, Backend::Epoll { .. })
-        }
-        #[cfg(not(target_os = "linux"))]
-        {
-            false
-        }
+    fn index(&self, fd: RawFd) -> io::Result<usize> {
+        self.fds
+            .iter()
+            .position(|p| p.fd == fd)
+            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "fd not registered"))
     }
 
     /// Start watching `fd` under `token`.
-    pub fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        match &mut self.backend {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll { epfd, .. } => {
-                epoll_ctl(*epfd, ffi::EPOLL_CTL_ADD, fd, token, interest)
-            }
-            Backend::Poll { fds, .. } => {
-                fds.push((fd, token, interest));
-                Ok(())
-            }
-        }
+    pub fn register(&mut self, fd: RawFd, token: u64, interest: Interest) {
+        self.fds.push(ffi::PollFd {
+            fd,
+            events: interest.bits(),
+            revents: 0,
+        });
+        self.tokens.push(token);
     }
 
     /// Change the interest set (and token) of a registered fd.
     pub fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        match &mut self.backend {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll { epfd, .. } => {
-                epoll_ctl(*epfd, ffi::EPOLL_CTL_MOD, fd, token, interest)
-            }
-            Backend::Poll { fds, .. } => {
-                for entry in fds.iter_mut() {
-                    if entry.0 == fd {
-                        *entry = (fd, token, interest);
-                        return Ok(());
-                    }
-                }
-                Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered"))
-            }
-        }
+        let i = self.index(fd)?;
+        self.fds[i].events = interest.bits();
+        self.tokens[i] = token;
+        Ok(())
     }
 
     /// Stop watching `fd` (call before closing it).
     pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-        match &mut self.backend {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll { epfd, .. } => {
-                let mut ev = ffi::EpollEvent { events: 0, data: 0 };
-                let rc = unsafe { ffi::epoll_ctl(*epfd, ffi::EPOLL_CTL_DEL, fd, &mut ev) };
-                if rc < 0 {
-                    return Err(io::Error::last_os_error());
-                }
-                Ok(())
-            }
-            Backend::Poll { fds, .. } => {
-                fds.retain(|(f, _, _)| *f != fd);
-                Ok(())
-            }
-        }
+        let i = self.index(fd)?;
+        self.fds.swap_remove(i);
+        self.tokens.swap_remove(i);
+        Ok(())
     }
 
     /// Block until at least one fd is ready or `timeout` elapses,
@@ -223,224 +138,89 @@ impl Poller {
     /// (`EINTR`) return an empty set rather than an error.
     pub fn wait(&mut self, out: &mut Vec<Event>, timeout: Duration) -> io::Result<()> {
         out.clear();
-        let timeout_ms: i32 = timeout.as_millis().min(i32::MAX as u128) as i32;
-        match &mut self.backend {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll { epfd, events } => {
-                events.clear();
-                let cap = events.capacity().max(64);
-                let n =
-                    unsafe { ffi::epoll_wait(*epfd, events.as_mut_ptr(), cap as i32, timeout_ms) };
-                if n < 0 {
-                    let e = io::Error::last_os_error();
-                    if e.kind() == io::ErrorKind::Interrupted {
-                        return Ok(());
-                    }
-                    return Err(e);
-                }
-                // Safety: the kernel initialised the first n entries.
-                unsafe { events.set_len(n as usize) };
-                for ev in events.iter() {
-                    let bits = ev.events;
-                    out.push(Event {
-                        token: ev.data,
-                        readable: bits & (ffi::EPOLLIN | ffi::EPOLLERR | ffi::EPOLLHUP) != 0,
-                        writable: bits & (ffi::EPOLLOUT | ffi::EPOLLERR | ffi::EPOLLHUP) != 0,
-                    });
-                }
-                Ok(())
+        let timeout_ms = timeout.as_millis().min(i32::MAX as u128) as i32;
+        let n = unsafe { ffi::poll(self.fds.as_mut_ptr(), self.fds.len() as _, timeout_ms) };
+        if n < 0 {
+            let e = io::Error::last_os_error();
+            if e.kind() == io::ErrorKind::Interrupted {
+                return Ok(());
             }
-            Backend::Poll { fds, scratch } => {
-                scratch.clear();
-                for (fd, _, interest) in fds.iter() {
-                    let mut events = 0;
-                    if interest.read {
-                        events |= ffi::POLLIN;
-                    }
-                    if interest.write {
-                        events |= ffi::POLLOUT;
-                    }
-                    scratch.push(ffi::PollFd {
-                        fd: *fd,
-                        events,
-                        revents: 0,
-                    });
-                }
-                let n = unsafe { ffi::poll(scratch.as_mut_ptr(), scratch.len() as _, timeout_ms) };
-                if n < 0 {
-                    let e = io::Error::last_os_error();
-                    if e.kind() == io::ErrorKind::Interrupted {
-                        return Ok(());
-                    }
-                    return Err(e);
-                }
-                for (pfd, (_, token, _)) in scratch.iter().zip(fds.iter()) {
-                    let bits = pfd.revents;
-                    if bits == 0 {
-                        continue;
-                    }
-                    out.push(Event {
-                        token: *token,
-                        readable: bits & (ffi::POLLIN | ffi::POLLERR | ffi::POLLHUP) != 0,
-                        writable: bits & (ffi::POLLOUT | ffi::POLLERR | ffi::POLLHUP) != 0,
-                    });
-                }
-                Ok(())
+            return Err(e);
+        }
+        for (pfd, &token) in self.fds.iter().zip(&self.tokens) {
+            let bits = pfd.revents;
+            if bits == 0 {
+                continue;
             }
+            out.push(Event {
+                token,
+                readable: bits & (ffi::POLLIN | ffi::POLLERR | ffi::POLLHUP) != 0,
+                writable: bits & (ffi::POLLOUT | ffi::POLLERR | ffi::POLLHUP) != 0,
+            });
         }
+        Ok(())
     }
-}
-
-impl Drop for Poller {
-    fn drop(&mut self) {
-        #[cfg(target_os = "linux")]
-        if let Backend::Epoll { epfd, .. } = &self.backend {
-            unsafe { ffi::close(*epfd) };
-        }
-    }
-}
-
-#[cfg(target_os = "linux")]
-fn epoll_ctl(
-    epfd: RawFd,
-    op: std::os::raw::c_int,
-    fd: RawFd,
-    token: u64,
-    interest: Interest,
-) -> io::Result<()> {
-    let mut bits = 0u32;
-    if interest.read {
-        bits |= ffi::EPOLLIN;
-    }
-    if interest.write {
-        bits |= ffi::EPOLLOUT;
-    }
-    let mut ev = ffi::EpollEvent {
-        events: bits,
-        data: token,
-    };
-    let rc = unsafe { ffi::epoll_ctl(epfd, op, fd, &mut ev) };
-    if rc < 0 {
-        return Err(io::Error::last_os_error());
-    }
-    Ok(())
 }
 
 /// Cross-thread wakeup for a parked [`Poller::wait`]: the batcher (and
-/// shutdown) ring it, the event loop drains it. `eventfd(2)` on Linux,
-/// a nonblocking `UnixStream` pair elsewhere — both register like any
-/// other fd.
+/// shutdown) ring it, the event loop drains it. A nonblocking,
+/// close-on-exec pipe whose read end registers like any other fd.
 pub struct Wakeup {
-    inner: WakeupInner,
-}
-
-enum WakeupInner {
-    #[cfg(target_os = "linux")]
-    EventFd(RawFd),
-    #[cfg(not(target_os = "linux"))]
-    Pipe {
-        read: std::os::unix::net::UnixStream,
-        write: std::os::unix::net::UnixStream,
-    },
+    read: File,
+    write: File,
 }
 
 impl Wakeup {
-    /// Build a wakeup pair.
+    /// Build a wakeup pipe.
     pub fn new() -> io::Result<Wakeup> {
-        #[cfg(target_os = "linux")]
-        {
-            let fd = unsafe { ffi::eventfd(0, ffi::EFD_CLOEXEC | ffi::EFD_NONBLOCK) };
-            if fd < 0 {
-                return Err(io::Error::last_os_error());
+        let mut fds = [0; 2];
+        if unsafe { ffi::pipe(fds.as_mut_ptr()) } < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        // Safety: pipe(2) just returned these two fds, owned by no one else.
+        let (read, write) = unsafe { (File::from_raw_fd(fds[0]), File::from_raw_fd(fds[1])) };
+        for fd in fds {
+            for (cmd, flag) in [
+                (ffi::F_SETFD, ffi::FD_CLOEXEC),
+                (ffi::F_SETFL, ffi::O_NONBLOCK),
+            ] {
+                if unsafe { ffi::fcntl(fd, cmd, flag) } < 0 {
+                    return Err(io::Error::last_os_error());
+                }
             }
-            Ok(Wakeup {
-                inner: WakeupInner::EventFd(fd),
-            })
         }
-        #[cfg(not(target_os = "linux"))]
-        {
-            let (read, write) = std::os::unix::net::UnixStream::pair()?;
-            read.set_nonblocking(true)?;
-            write.set_nonblocking(true)?;
-            Ok(Wakeup {
-                inner: WakeupInner::Pipe { read, write },
-            })
-        }
+        Ok(Wakeup { read, write })
     }
 
     /// The fd to register for read interest in a poller.
     pub fn fd(&self) -> RawFd {
-        match &self.inner {
-            #[cfg(target_os = "linux")]
-            WakeupInner::EventFd(fd) => *fd,
-            #[cfg(not(target_os = "linux"))]
-            WakeupInner::Pipe { read, .. } => {
-                use std::os::fd::AsRawFd as _;
-                read.as_raw_fd()
-            }
-        }
+        self.read.as_raw_fd()
     }
 
-    /// Wake the poller. Callable from any thread; coalesces (ringing a
-    /// rung wakeup is a no-op at the syscall's counter).
+    /// Wake the poller. Callable from any thread; a full pipe is
+    /// already rung, so a failed write is dropped.
     pub fn ring(&self) {
-        match &self.inner {
-            #[cfg(target_os = "linux")]
-            WakeupInner::EventFd(fd) => {
-                let one: u64 = 1;
-                let _ = unsafe { ffi::write(*fd, one.to_ne_bytes().as_ptr(), 8) };
-            }
-            #[cfg(not(target_os = "linux"))]
-            WakeupInner::Pipe { write, .. } => {
-                use std::io::Write as _;
-                let _ = (&*write).write(&[1]);
-            }
-        }
+        let _ = (&self.write).write(&[1]);
     }
 
     /// Clear pending wakeups (call when the registered fd reads ready).
+    /// One read of up to 64 bytes: rings beyond that keep the fd ready,
+    /// and the next wait drains them.
     pub fn drain(&self) {
-        match &self.inner {
-            #[cfg(target_os = "linux")]
-            WakeupInner::EventFd(fd) => {
-                let mut buf = [0u8; 8];
-                let _ = unsafe { ffi::read(*fd, buf.as_mut_ptr(), 8) };
-            }
-            #[cfg(not(target_os = "linux"))]
-            WakeupInner::Pipe { read, .. } => {
-                use std::io::Read as _;
-                let mut buf = [0u8; 64];
-                while matches!((&*read).read(&mut buf), Ok(n) if n > 0) {}
-            }
-        }
-    }
-}
-
-impl Drop for Wakeup {
-    fn drop(&mut self) {
-        match &self.inner {
-            #[cfg(target_os = "linux")]
-            WakeupInner::EventFd(fd) => {
-                unsafe { ffi::close(*fd) };
-            }
-            // The UnixStream pair closes itself.
-            #[cfg(not(target_os = "linux"))]
-            WakeupInner::Pipe { .. } => {}
-        }
+        let _ = (&self.read).read(&mut [0u8; 64]);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Write as _;
-    use std::os::fd::AsRawFd as _;
 
-    fn backend_roundtrip(force_poll: bool) {
-        let mut poller = Poller::new(force_poll).expect("poller");
+    #[test]
+    fn poller_roundtrip() {
+        let mut poller = Poller::new();
         let (mut a, b) = std::os::unix::net::UnixStream::pair().expect("pair");
         b.set_nonblocking(true).unwrap();
-        poller.register(b.as_raw_fd(), 7, Interest::READ).unwrap();
+        poller.register(b.as_raw_fd(), 7, Interest::READ);
 
         let mut events = Vec::new();
         // Nothing ready: bounded wait returns empty.
@@ -477,21 +257,26 @@ mod tests {
     }
 
     #[test]
-    fn epoll_backend_roundtrip() {
-        // On non-Linux this exercises the poll backend twice — fine.
-        backend_roundtrip(false);
-    }
-
-    #[test]
-    fn poll_backend_roundtrip() {
-        backend_roundtrip(true);
+    fn an_unregistered_fd_is_not_found() {
+        let mut poller = Poller::new();
+        let (_a, b) = std::os::unix::net::UnixStream::pair().expect("pair");
+        let fd = b.as_raw_fd();
+        let kind = |r: io::Result<()>| r.expect_err("unregistered fd").kind();
+        assert_eq!(
+            kind(poller.modify(fd, 1, Interest::READ)),
+            io::ErrorKind::NotFound
+        );
+        assert_eq!(kind(poller.deregister(fd)), io::ErrorKind::NotFound);
+        poller.register(fd, 1, Interest::READ);
+        poller.deregister(fd).unwrap();
+        assert_eq!(kind(poller.deregister(fd)), io::ErrorKind::NotFound);
     }
 
     #[test]
     fn wakeup_rings_and_drains() {
         let wakeup = Wakeup::new().expect("wakeup");
-        let mut poller = Poller::new(false).expect("poller");
-        poller.register(wakeup.fd(), 1, Interest::READ).unwrap();
+        let mut poller = Poller::new();
+        poller.register(wakeup.fd(), 1, Interest::READ);
 
         let mut events = Vec::new();
         poller.wait(&mut events, Duration::from_millis(10)).unwrap();
@@ -512,5 +297,30 @@ mod tests {
         wakeup.drain();
         poller.wait(&mut events, Duration::from_millis(10)).unwrap();
         assert!(events.is_empty(), "drained wakeup must not re-fire");
+    }
+
+    #[test]
+    fn a_burst_of_rings_goes_quiet_within_four_drains() {
+        let wakeup = Wakeup::new().expect("wakeup");
+        let mut poller = Poller::new();
+        poller.register(wakeup.fd(), 1, Interest::READ);
+        std::thread::scope(|s| {
+            s.spawn(|| (0..200).for_each(|_| wakeup.ring()));
+        });
+
+        // 200 one-byte rings, 64 bytes per drain: the fourth drain
+        // empties the pipe.
+        let mut events = Vec::new();
+        let mut rounds = 0;
+        loop {
+            poller.wait(&mut events, Duration::from_millis(10)).unwrap();
+            if events.is_empty() {
+                break;
+            }
+            rounds += 1;
+            assert!(rounds <= 4, "wakeup still ready after {rounds} drains");
+            wakeup.drain();
+        }
+        assert_eq!(rounds, 4);
     }
 }

@@ -2,15 +2,15 @@
 //! routing, and the public start/shutdown/join surface over the
 //! event-loop shards in the private `event_loop` module.
 //!
-//! The transport is a nonblocking event loop (epoll on Linux, `poll(2)`
-//! fallback — see the private `poller`): a fixed set of shard threads each
-//! owns its accepted connections, parses pipelined HTTP/1.1 requests
-//! from reusable per-connection buffers, and writes responses back in
-//! request order. `POST /predict` requests — one row (`features`) or
-//! several (`rows`) — flow through the one [`crate::batch`]
-//! micro-batching queue — the batcher delivers
-//! completions to the owning shard's inbox instead of a parked thread,
-//! so thousands of keep-alive connections need only `shards` threads.
+//! The transport is a nonblocking `poll(2)` event loop (see the private
+//! `poller`): a fixed set of shard threads each owns its accepted
+//! connections, parses pipelined HTTP/1.1 requests from reusable
+//! per-connection buffers, and writes responses back in request order.
+//! `POST /predict` requests — one row (`features`) or several (`rows`) —
+//! flow through the one [`crate::batch`] micro-batching queue — the
+//! batcher delivers completions to the owning shard's inbox instead of a
+//! parked thread, so thousands of keep-alive connections need only
+//! `shards` threads.
 //!
 //! Admission control comes in tiers: a global connection cap answered
 //! with `503` at accept, per-connection read deadlines and keep-alive
@@ -63,9 +63,6 @@ pub struct ServeConfig {
     /// Maximum pipelined requests in flight per connection; beyond it
     /// the server stops reading and lets TCP push back.
     pub max_pipeline: usize,
-    /// Use the portable `poll(2)` backend even where epoll is available
-    /// (CI exercises both paths).
-    pub force_poll: bool,
 }
 
 impl Default for ServeConfig {
@@ -79,7 +76,6 @@ impl Default for ServeConfig {
             read_deadline: Duration::from_secs(10),
             idle_timeout: Duration::from_secs(60),
             max_pipeline: 32,
-            force_poll: false,
         }
     }
 }
@@ -272,18 +268,7 @@ pub fn serve(cfg: ServeConfig, registry: Arc<ModelRegistry>) -> Result<ServerHan
     let listener = Arc::new(listener);
     let mut shards = Vec::with_capacity(n_shards);
     for (i, inbox) in inboxes.into_iter().enumerate() {
-        let shard = match Shard::new(
-            Arc::clone(&shared),
-            Arc::clone(&listener),
-            inbox,
-            cfg.force_poll,
-        ) {
-            Ok(shard) => shard,
-            Err(e) => {
-                shared.initiate_shutdown();
-                return Err(MphpcError::Serve(format!("creating shard {i} poller: {e}")));
-            }
-        };
+        let shard = Shard::new(Arc::clone(&shared), Arc::clone(&listener), inbox);
         match thread::Builder::new()
             .name(format!("mphpc-serve-{i}"))
             .spawn(move || shard.run())

@@ -1,7 +1,6 @@
 //! High fan-in: many concurrent keep-alive connections, every response
-//! delivered to the right connection with bit-identical outputs. Runs
-//! at 1024 connections on the default (epoll) backend — the acceptance
-//! bar — and at 256 on the portable `poll(2)` fallback.
+//! delivered to the right connection with bit-identical outputs, at
+//! 1024 connections on one shard.
 
 mod common;
 
@@ -17,13 +16,12 @@ use mphpc_serve::{serve, ServeConfig};
 /// recvs), so every connection is simultaneously in flight. Connection
 /// `i` always sends features `[i, i+0.5, -i]` — a response routed to
 /// the wrong connection or torn mid-write fails the bit-exact check.
-fn fan_in(n_conns: usize, rounds: usize, force_poll: bool) {
+fn fan_in(n_conns: usize, rounds: usize) {
     let registry = common::registry_with(ScaleModel { factor: 1.0 }, scale_loader());
     let handle = serve(
         ServeConfig {
             shards: 1,
             max_conns: n_conns + 8,
-            force_poll,
             ..ServeConfig::default()
         },
         registry,
@@ -85,11 +83,6 @@ fn fan_in(n_conns: usize, rounds: usize, force_poll: bool) {
 }
 
 #[test]
-fn epoll_sustains_1024_keep_alive_connections() {
-    fan_in(1024, 4, false);
-}
-
-#[test]
-fn poll_fallback_sustains_256_keep_alive_connections() {
-    fan_in(256, 4, true);
+fn sustains_1024_keep_alive_connections() {
+    fan_in(1024, 4);
 }

@@ -30,6 +30,10 @@ fn a_flag_value_that_does_not_parse_is_an_error_not_the_default() {
             "error: invalid argument: unknown option --worker for 'fleet status'\n",
         ),
         (
+            &["serve", "--model", "m.json", "--poller", "poll"][..],
+            "error: invalid argument: unknown option --poller for 'serve'\n",
+        ),
+        (
             &["collect", "--out", out, "1", "--apps"][..],
             "error: invalid argument: unexpected argument '1' for 'collect'\n",
         ),

@@ -39,4 +39,4 @@ cat "$W/serve.log"
 grep -q 'serve.request_latency_s' mphpc.telemetry.jsonl
 grep -q '"p99"' mphpc.telemetry.jsonl
 grep -q 'serve.conn.accepted' mphpc.telemetry.jsonl
-grep -q 'serve.epoll.wakeups' mphpc.telemetry.jsonl
+grep -q 'serve.poll.wakeups' mphpc.telemetry.jsonl
