@@ -29,12 +29,14 @@
 mod extensions;
 mod paper;
 
-use mphpc_core::pipeline::{collect, train_predictor, CollectionConfig};
+use mphpc_core::pipeline::{
+    collect, evaluate_models, train_predictor, CollectionConfig, ModelEvaluation,
+};
 use mphpc_core::PerfPredictor;
 use mphpc_dataset::MpHpcDataset;
 use mphpc_errors::{MphpcError, ResultExt};
 use mphpc_ml::ModelKind;
-use std::cell::OnceCell;
+use std::cell::{OnceCell, RefCell};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -80,8 +82,9 @@ impl ExpSize {
     }
 }
 
-/// What an experiment runs on: size, seed, the dataset and the GBT fit on
-/// it (each made on first use, once per process) and `sched_scale`'s own
+/// What an experiment runs on: size, seed, the dataset, the GBT fit on it
+/// and each model family's evaluation (each made on first use, once per
+/// process) and `sched_scale`'s own
 /// options, as `USAGE` describes them.
 pub struct Ctx {
     pub(crate) size: ExpSize,
@@ -92,6 +95,7 @@ pub struct Ctx {
     pub(crate) addr: Option<String>,
     dataset: OnceCell<MpHpcDataset>,
     predictor: OnceCell<PerfPredictor>,
+    evaluations: RefCell<Vec<((ModelKind, u64), ModelEvaluation)>>,
 }
 
 impl Ctx {
@@ -107,6 +111,7 @@ impl Ctx {
             addr: None,
             dataset: OnceCell::new(),
             predictor: OnceCell::new(),
+            evaluations: RefCell::new(Vec::new()),
         }
     }
 
@@ -157,6 +162,19 @@ impl Ctx {
         }
         let predictor = train_predictor(self.dataset()?, gbt(), self.seed)?;
         Ok(self.predictor.get_or_init(|| predictor))
+    }
+
+    /// `kind`'s Fig. 2 evaluation ([`evaluate_models`]) on the dataset at
+    /// the context's seed, made once per process: `models` and
+    /// `cache_ablation` read one XGBoost evaluation.
+    pub(crate) fn evaluation(&self, kind: ModelKind) -> Result<ModelEvaluation, MphpcError> {
+        let key = (kind, self.seed);
+        if let Some((_, eval)) = self.evaluations.borrow().iter().find(|e| e.0 == key) {
+            return Ok(eval.clone());
+        }
+        let eval = evaluate_models(self.dataset()?, &[kind], self.seed)?.remove(0);
+        self.evaluations.borrow_mut().push((key, eval.clone()));
+        Ok(eval)
     }
 }
 

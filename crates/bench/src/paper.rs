@@ -10,7 +10,7 @@ use crate::{
 };
 use mphpc_archsim::machine::{table1_machines, GpuSpec, MachineSpec};
 use mphpc_archsim::SystemId;
-use mphpc_core::pipeline::{evaluate_models, evaluate_split};
+use mphpc_core::pipeline::evaluate_split;
 use mphpc_core::schedbridge::{run_scale_comparison, templates_from_dataset_raw, PredictorRpv};
 use mphpc_core::selection::feature_selection_study;
 use mphpc_dataset::split::{app_split, arch_split, scale_split};
@@ -176,7 +176,10 @@ pub(crate) const MODELS: &[Claim] = &[
 /// Fig. 2 + §VIII-A: MAE and Same-Order Score for every model family on a
 /// 90-10 split with 5-fold cross-validation.
 pub(crate) fn models(ctx: &Ctx) -> Tables {
-    let evals = evaluate_models(ctx.dataset()?, &ModelKind::paper_lineup(), ctx.seed)?;
+    let lineup = ModelKind::paper_lineup().into_iter();
+    let evals = lineup
+        .map(|kind| ctx.evaluation(kind))
+        .collect::<Result<Vec<_>, _>>()?;
     let per_output = |r2: &[f64]| {
         r2.iter()
             .map(|v| format!("{v:.3}"))

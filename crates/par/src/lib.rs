@@ -16,6 +16,8 @@
 //!   chunk size adapts to the item count so small inputs still balance.
 //! * Panics in workers are propagated to the caller (the scope join
 //!   re-raises), never swallowed.
+//! * Workers adopt the caller's telemetry span context, so a span opened
+//!   inside a work item nests under the span that called the driver.
 //!
 //! # Example
 //! ```

@@ -151,9 +151,11 @@ where
     }
     let cursor = ChunkCursor::new(items.len(), chunk);
     let out = SlotBuffer::<R>::new(items.len());
+    let ctx = mphpc_telemetry::span_context();
     std::thread::scope(|s| {
         for _ in 0..threads {
             s.spawn(|| {
+                let _ctx = ctx.adopt();
                 while let Some((start, end)) = cursor.next() {
                     for i in start..end {
                         let v = f(i, &items[i]);
@@ -197,9 +199,11 @@ where
     }
     let cursor = ChunkCursor::new(items.len(), chunk);
     let out = SlotBuffer::<R>::new(items.len());
+    let ctx = mphpc_telemetry::span_context();
     std::thread::scope(|s| {
         for _ in 0..threads {
             s.spawn(|| {
+                let _ctx = ctx.adopt();
                 let mut state = init();
                 while let Some((start, end)) = cursor.next() {
                     for i in start..end {
@@ -253,9 +257,11 @@ where
             len: c.len(),
         })
         .collect();
+    let ctx = mphpc_telemetry::span_context();
     std::thread::scope(|s| {
         for _ in 0..threads {
             s.spawn(|| {
+                let _ctx = ctx.adopt();
                 while let Some((start, end)) = cursor.next() {
                     for ci in start..end {
                         let c = &chunks[ci];

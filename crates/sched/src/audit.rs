@@ -9,20 +9,18 @@
 //!
 //! * **event-time monotonicity** — the event clock never moves backwards;
 //! * **node conservation** — on every machine, free nodes plus the nodes
-//!   held by running jobs always equal the machine's total, and free never
-//!   exceeds total;
+//!   held by the running set always equal the machine's total, and free
+//!   never exceeds total;
 //! * **queue/cluster consistency** — every running job's completion lies
 //!   at or after the current clock (no job is "running" past its end);
 //! * **reservation honoured** — once the queue head is given an EASY
 //!   reservation, backfilled jobs must never delay it past the promised
 //!   shadow time; the head must start at or before the latest shadow
 //!   recorded for it;
-//! * **free-slot-profile consistency** — the incremental completion
-//!   profile that [`crate::engine`] maintains per machine must stay a
-//!   faithful mirror of the cluster's running set;
-//! * **calendar-queue time ordering** — events leave the
-//!   calendar queue in nondecreasing `(time, seq)` order, i.e. the O(1)
-//!   bucket structure never reorders the schedule.
+//! * **dequeue ordering** — completions leave the running set, and
+//!   arrivals the calendar queue, each in increasing `(time, seq)` order:
+//!   neither the per-machine completion maps nor the O(1) bucket structure
+//!   ever reorders the schedule.
 //!
 //! The auditor is on in debug builds (`cfg!(debug_assertions)`) and can be
 //! forced on in release builds via [`crate::engine::SimConfig::audit`].
@@ -46,8 +44,8 @@ pub struct InvariantAuditor {
     /// job id → (reserved machine, shadow time) for queue heads that
     /// blocked and received an EASY reservation.
     reservations: HashMap<u64, (usize, f64)>,
-    /// Last `(time, seq)` dequeued from the calendar queue.
-    last_dequeue: Option<(f64, u64)>,
+    /// Last `(time, seq)` of a completion and of an arrival.
+    last_dequeue: [Option<(f64, u64)>; 2],
     /// Checks that ran and passed (for the telemetry layer; a failed
     /// check aborts the simulation, so "ran" and "passed" coincide for
     /// every completed run).
@@ -61,7 +59,7 @@ impl InvariantAuditor {
             enabled,
             last_event_time: f64::NEG_INFINITY,
             reservations: HashMap::new(),
-            last_dequeue: None,
+            last_dequeue: [None; 2],
             checks: 0,
         }
     }
@@ -127,72 +125,42 @@ impl InvariantAuditor {
         Ok(())
     }
 
-    /// An event left the calendar queue with key `(time, seq)`. Keys must
-    /// be nondecreasing in `(total_cmp time, seq)` order — the bucket
-    /// structure rotates and resizes internally, and any ordering slip
-    /// would silently reorder the whole schedule.
-    pub fn observe_calendar_dequeue(&mut self, time: f64, seq: u64) -> Result<(), MphpcError> {
-        if !self.enabled {
-            return Ok(());
-        }
-        if let Some((pt, ps)) = self.last_dequeue {
-            let ord = pt.total_cmp(&time).then(ps.cmp(&seq));
-            if ord != std::cmp::Ordering::Less {
-                return Err(MphpcError::InvariantViolation(format!(
-                    "auditor: calendar queue dequeued ({time}, seq {seq}) \
-                     after ({pt}, seq {ps})"
-                )));
-            }
-        }
-        self.last_dequeue = Some((time, seq));
-        self.checks += 1;
-        Ok(())
+    /// A completion that ended at `end` and started with sequence number
+    /// `seq` was applied. Completions due at one instant are applied in
+    /// `seq` order, so over the run they leave in increasing `(end, seq)`
+    /// order.
+    pub fn observe_completion(&mut self, end: f64, seq: u64) -> Result<(), MphpcError> {
+        self.observe_dequeue(0, "completion", end, seq)
     }
 
-    /// Free-slot-profile consistency: `profile` is machine
-    /// `m`'s incremental completion profile as `(end_time, job_id, nodes)`
-    /// triples in iteration order. It must (a) be sorted ascending by
-    /// `(end_time, job_id)` and (b) hold exactly the cluster's running
-    /// set for `m` — same jobs, same end times, same node counts.
-    pub fn check_free_slot_profile(
+    /// An arrival left the calendar queue with key `(time, seq)`. Keys must
+    /// increase in `(total_cmp time, seq)` order — the bucket structure
+    /// rotates and resizes internally, and any ordering slip would silently
+    /// reorder the whole schedule.
+    pub fn observe_arrival(&mut self, time: f64, seq: u64) -> Result<(), MphpcError> {
+        self.observe_dequeue(1, "calendar arrival", time, seq)
+    }
+
+    fn observe_dequeue(
         &mut self,
-        cluster: &Cluster,
-        m: usize,
-        profile: impl Iterator<Item = (f64, u64, u32)>,
+        stream: usize,
+        what: &str,
+        time: f64,
+        seq: u64,
     ) -> Result<(), MphpcError> {
         if !self.enabled {
             return Ok(());
         }
-        self.checks += 1;
-        let name = cluster.configs()[m].name;
-        let mut entries: Vec<(f64, u64, u32)> = Vec::with_capacity(cluster.running(m).len());
-        let mut prev: Option<(f64, u64)> = None;
-        for (end, job_id, nodes) in profile {
-            if let Some((pe, pj)) = prev {
-                if pe.total_cmp(&end).then(pj.cmp(&job_id)) != std::cmp::Ordering::Less {
-                    return Err(MphpcError::InvariantViolation(format!(
-                        "auditor: {name} free-slot profile out of order: \
-                         ({pe}, job {pj}) before ({end}, job {job_id})"
-                    )));
-                }
+        if let Some((pt, ps)) = self.last_dequeue[stream] {
+            let ord = pt.total_cmp(&time).then(ps.cmp(&seq));
+            if ord != std::cmp::Ordering::Less {
+                return Err(MphpcError::InvariantViolation(format!(
+                    "auditor: {what} ({time}, seq {seq}) left after ({pt}, seq {ps})"
+                )));
             }
-            prev = Some((end, job_id));
-            entries.push((end, job_id, nodes));
         }
-        let mut expected: Vec<(f64, u64, u32)> = cluster
-            .running(m)
-            .iter()
-            .map(|r| (r.end_time, r.job_id, r.nodes))
-            .collect();
-        expected.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        if entries != expected {
-            return Err(MphpcError::InvariantViolation(format!(
-                "auditor: {name} free-slot profile diverged from cluster: \
-                 profile has {} entries, cluster {} running",
-                entries.len(),
-                expected.len()
-            )));
-        }
+        self.last_dequeue[stream] = Some((time, seq));
+        self.checks += 1;
         Ok(())
     }
 
@@ -212,16 +180,16 @@ impl InvariantAuditor {
                     "auditor: machine {name} has {free} free of {total} total nodes"
                 )));
             }
-            let held: u32 = cluster.running(m).iter().map(|r| r.nodes).sum();
+            let held: u32 = cluster.running(m).map(|(_, _, r)| r.nodes).sum();
             if free + held != total {
                 return Err(MphpcError::InvariantViolation(format!(
                     "auditor: machine {name} leaks nodes: {free} free + {held} running != {total}"
                 )));
             }
-            if let Some(r) = cluster.running(m).iter().find(|r| r.end_time < now - EPS) {
+            // The running set is in end order: its first entry ends first.
+            if let Some((end, job_id, _)) = cluster.running(m).next().filter(|r| r.0 < now - EPS) {
                 return Err(MphpcError::InvariantViolation(format!(
-                    "auditor: job {} still running on {name} past its end time {} (now {now})",
-                    r.job_id, r.end_time
+                    "auditor: job {job_id} still running on {name} past its end time {end} (now {now})"
                 )));
             }
         }
@@ -232,6 +200,7 @@ impl InvariantAuditor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::tests::run;
 
     fn cluster() -> Cluster {
         let mut machines = crate::cluster::table1_cluster();
@@ -286,7 +255,7 @@ mod tests {
         let mut a = InvariantAuditor::new(true);
         let mut c = cluster();
         a.check_cluster(&c, 0.0).unwrap();
-        c.start(0, 1, 2, 10.0).unwrap();
+        c.start(0, 1, 10.0, run(2, 0)).unwrap();
         a.check_cluster(&c, 0.0).unwrap();
         // Corrupt the books: free a node that is still held.
         c.corrupt_free_nodes(0, 3);
@@ -297,50 +266,26 @@ mod tests {
     #[test]
     fn detects_calendar_order_violation() {
         let mut a = InvariantAuditor::new(true);
-        a.observe_calendar_dequeue(1.0, 0).unwrap();
-        a.observe_calendar_dequeue(1.0, 3).unwrap();
-        a.observe_calendar_dequeue(2.0, 1).unwrap();
-        let err = a.observe_calendar_dequeue(2.0, 1).unwrap_err();
+        a.observe_arrival(1.0, 0).unwrap();
+        a.observe_arrival(1.0, 3).unwrap();
+        // Completions are ordered among themselves, not against arrivals.
+        a.observe_completion(1.0, 2).unwrap();
+        a.observe_arrival(2.0, 1).unwrap();
+        let err = a.observe_arrival(2.0, 1).unwrap_err();
         assert!(err.to_string().contains("calendar"), "{err}");
         let mut b = InvariantAuditor::new(true);
-        b.observe_calendar_dequeue(5.0, 0).unwrap();
-        assert!(b.observe_calendar_dequeue(4.0, 1).is_err());
-    }
-
-    #[test]
-    fn detects_profile_divergence() {
-        let mut a = InvariantAuditor::new(true);
-        let mut c = cluster();
-        c.start(0, 1, 2, 10.0).unwrap();
-        c.start(0, 2, 1, 5.0).unwrap();
-        // Faithful, sorted profile passes.
-        let good = [(5.0, 2u64, 1u32), (10.0, 1, 2)];
-        a.check_free_slot_profile(&c, 0, good.iter().copied())
-            .unwrap();
-        // Out of order.
-        let unsorted = [(10.0, 1u64, 2u32), (5.0, 2, 1)];
-        let err = a
-            .check_free_slot_profile(&c, 0, unsorted.iter().copied())
-            .unwrap_err();
-        assert!(err.to_string().contains("out of order"), "{err}");
-        // Wrong node count.
-        let wrong = [(5.0, 2u64, 1u32), (10.0, 1, 3)];
-        let err = a
-            .check_free_slot_profile(&c, 0, wrong.iter().copied())
-            .unwrap_err();
-        assert!(err.to_string().contains("diverged"), "{err}");
-        // Missing entry.
-        let short = [(5.0, 2u64, 1u32)];
-        assert!(a
-            .check_free_slot_profile(&c, 0, short.iter().copied())
-            .is_err());
+        b.observe_arrival(5.0, 0).unwrap();
+        assert!(b.observe_arrival(4.0, 1).is_err());
+        b.observe_completion(3.0, 7).unwrap();
+        let err = b.observe_completion(3.0, 6).unwrap_err();
+        assert!(err.to_string().contains("completion"), "{err}");
     }
 
     #[test]
     fn detects_overdue_running_job() {
         let mut a = InvariantAuditor::new(true);
         let mut c = cluster();
-        c.start(0, 1, 2, 10.0).unwrap();
+        c.start(0, 1, 10.0, run(2, 0)).unwrap();
         a.check_cluster(&c, 10.0).unwrap();
         let err = a.check_cluster(&c, 10.1).unwrap_err();
         assert!(err.to_string().contains("past its end time"), "{err}");

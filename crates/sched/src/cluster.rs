@@ -1,9 +1,11 @@
-//! Machine state: node accounting and EASY reservation computation.
+//! Machine state: free nodes and the running set, which EASY reservations
+//! and the event loop's completions both read.
 
+use crate::calendar::EventKey;
 use crate::job::N_MACHINES;
 use mphpc_errors::MphpcError;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Static description of one machine in the pool.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -43,43 +45,41 @@ pub fn table1_cluster() -> [MachineConfig; N_MACHINES] {
     ]
 }
 
-/// A running job's footprint on a machine.
+/// A running job's entry in its machine's completion map.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RunningJob {
-    /// Job id.
-    pub job_id: u64,
-    /// Absolute end time.
-    pub end_time: f64,
+pub struct Running {
     /// Nodes held.
     pub nodes: u32,
+    /// The event sequence number the start took: completions due at one
+    /// instant are applied in this order.
+    pub seq: u64,
+    /// The job's index in the simulated list.
+    pub job: usize,
 }
 
-/// Dynamic state of the machine pool.
+/// Dynamic state of the machine pool: free nodes, and the one record of
+/// what runs — per machine, a map keyed by canonical `(end_time, job_id)`.
+/// [`EventKey`] encodes exactly that order (total_cmp time bits, then a u64
+/// tie-break, here the job id), so it doubles as the map key. Completions
+/// leave from the map's front; EASY reservations walk it in order.
 #[derive(Debug, Clone)]
 pub struct Cluster {
     configs: [MachineConfig; N_MACHINES],
     free: [u32; N_MACHINES],
-    running: [Vec<RunningJob>; N_MACHINES],
-    /// `job_id → index into running[m]`, so completion is O(1) instead of
-    /// a linear scan (at 1M jobs with ~4k concurrently running, the scan
-    /// was the second-hottest loop in the simulator).
-    slot: [HashMap<u64, usize>; N_MACHINES],
+    ends: [BTreeMap<EventKey, Running>; N_MACHINES],
+    /// Per machine, the first end in `ends`, infinite when it is empty:
+    /// the event loop reads it every instant.
+    first_end: [f64; N_MACHINES],
 }
 
 impl Cluster {
     /// Fresh, empty cluster.
     pub fn new(configs: [MachineConfig; N_MACHINES]) -> Self {
-        let free = [
-            configs[0].total_nodes,
-            configs[1].total_nodes,
-            configs[2].total_nodes,
-            configs[3].total_nodes,
-        ];
         Self {
             configs,
-            free,
-            running: Default::default(),
-            slot: Default::default(),
+            free: configs.map(|c| c.total_nodes),
+            ends: Default::default(),
+            first_end: [f64::INFINITY; N_MACHINES],
         }
     }
 
@@ -103,49 +103,114 @@ impl Cluster {
         nodes <= self.configs[m].total_nodes
     }
 
-    /// Start a job on machine `m`. A capacity violation is an internal
-    /// scheduling bug, reported as [`MphpcError::InvariantViolation`]
-    /// (callers gate with [`Cluster::can_start`]).
+    /// Start job `job_id` on machine `m` until `end_time`. A capacity
+    /// violation is an internal scheduling bug, reported as
+    /// [`MphpcError::InvariantViolation`] (callers gate with
+    /// [`Cluster::can_start`]).
     pub fn start(
         &mut self,
         m: usize,
         job_id: u64,
-        nodes: u32,
         end_time: f64,
+        run: Running,
     ) -> Result<(), MphpcError> {
-        if !self.can_start(m, nodes) {
+        if !self.can_start(m, run.nodes) {
             return Err(MphpcError::InvariantViolation(format!(
-                "cluster: starting job {job_id} needing {nodes} nodes on {} with {} free",
-                self.configs[m].name, self.free[m]
+                "cluster: starting job {job_id} needing {} nodes on {} with {} free",
+                run.nodes, self.configs[m].name, self.free[m]
             )));
         }
-        self.free[m] -= nodes;
-        self.slot[m].insert(job_id, self.running[m].len());
-        self.running[m].push(RunningJob {
-            job_id,
-            end_time,
-            nodes,
-        });
+        self.free[m] -= run.nodes;
+        self.ends[m].insert(EventKey::new(end_time, job_id), run);
+        if end_time.total_cmp(&self.first_end[m]).is_lt() {
+            self.first_end[m] = end_time;
+        }
         Ok(())
     }
 
-    /// Complete a job; returns the freed node count. Completing a job that
-    /// is not running on `m` is an internal scheduling bug. O(1): the
-    /// `slot` map locates the job, `swap_remove` fills the hole, and the
-    /// swapped-in job's slot entry is patched.
-    pub fn complete(&mut self, m: usize, job_id: u64) -> Result<u32, MphpcError> {
-        let pos = self.slot[m].remove(&job_id).ok_or_else(|| {
-            MphpcError::InvariantViolation(format!(
-                "cluster: completing job {job_id} that is not running on {}",
-                self.configs[m].name
-            ))
-        })?;
-        let freed = self.running[m].swap_remove(pos).nodes;
-        if let Some(moved) = self.running[m].get(pos) {
-            self.slot[m].insert(moved.job_id, pos);
+    /// Complete job `job_id`, which was started on `m` to end at
+    /// `end_time`; returns its entry. Completing a job that is not running
+    /// there is an internal scheduling bug. The oracle's completion path:
+    /// the engine completes through [`Cluster::complete_due`].
+    #[cfg(test)]
+    pub(crate) fn complete(
+        &mut self,
+        m: usize,
+        job_id: u64,
+        end_time: f64,
+    ) -> Result<Running, MphpcError> {
+        let run = self.ends[m]
+            .remove(&EventKey::new(end_time, job_id))
+            .ok_or_else(|| {
+                MphpcError::InvariantViolation(format!(
+                    "cluster: completing job {job_id} (end {end_time}) that is not running on {}",
+                    self.configs[m].name
+                ))
+            })?;
+        self.free[m] += run.nodes;
+        self.refresh_first_end(m);
+        Ok(run)
+    }
+
+    fn refresh_first_end(&mut self, m: usize) {
+        let first = self.ends[m].first_key_value();
+        self.first_end[m] = first.map_or(f64::INFINITY, |(k, _)| k.time());
+    }
+
+    /// The earliest end of any running job.
+    pub fn next_end(&self) -> Option<f64> {
+        let first = self.first_end.into_iter().min_by(f64::total_cmp);
+        first.filter(|t| t.is_finite())
+    }
+
+    /// Complete every job that ends at or before `now`, appending each as
+    /// `(machine, end_time, entry)` to `due`, machine by machine in map
+    /// order.
+    pub fn complete_due(&mut self, now: f64, due: &mut Vec<(usize, f64, Running)>) {
+        for m in 0..N_MACHINES {
+            if self.first_end[m] > now {
+                continue;
+            }
+            while let Some(entry) = self.ends[m].first_entry() {
+                let end = entry.key().time();
+                if end > now {
+                    break;
+                }
+                let run = entry.remove();
+                self.free[m] += run.nodes;
+                due.push((m, end, run));
+            }
+            self.refresh_first_end(m);
         }
-        self.free[m] += freed;
-        Ok(freed)
+    }
+
+    /// EASY reservation for a head job needing `nodes` on machine `m`:
+    /// `(shadow_time, extra_nodes)`, where `shadow_time` is the earliest
+    /// the head can start and `extra_nodes` is how many nodes remain free
+    /// at that moment after it starts. Backfilled jobs must either finish
+    /// by `shadow_time` or fit in `extra_nodes`.
+    ///
+    /// Completions are walked in `(end_time, job_id)` order. Equal end
+    /// times free their nodes at the same simulated instant, so only
+    /// `extra_nodes` (which depends on where the walk stops) is sensitive
+    /// to the tie order — the canonical key makes it a pure function of
+    /// cluster *state*, independent of the history of starts and
+    /// completions that produced it. The walk usually stops after a
+    /// handful of entries.
+    pub fn reservation(&self, m: usize, nodes: u32, now: f64) -> (f64, u32) {
+        if self.can_start(m, nodes) {
+            return (now, self.free[m] - nodes);
+        }
+        let mut avail = self.free[m];
+        for (k, run) in &self.ends[m] {
+            avail += run.nodes;
+            if avail >= nodes {
+                return (k.time(), avail - nodes);
+            }
+        }
+        // Machine can never fit the job (ruled out by the up-front check
+        // that every job fits somewhere and `can_ever_run` in strategies).
+        (f64::INFINITY, 0)
     }
 
     /// Test-only hook: overwrite the free-node counter to simulate
@@ -155,14 +220,15 @@ impl Cluster {
         self.free[m] = free;
     }
 
-    /// Jobs currently running on machine `m`.
-    pub fn running(&self, m: usize) -> &[RunningJob] {
-        &self.running[m]
+    /// Jobs running on machine `m` as `(end_time, job_id, entry)`, in
+    /// `(end_time, job_id)` order.
+    pub fn running(&self, m: usize) -> impl Iterator<Item = (f64, u64, &Running)> {
+        self.ends[m].iter().map(|(k, run)| (k.time(), k.seq, run))
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn small_cluster() -> Cluster {
@@ -171,42 +237,52 @@ mod tests {
         Cluster::new(configs)
     }
 
+    /// An entry holding `nodes`, started with sequence number `seq`.
+    pub(crate) fn run(nodes: u32, seq: u64) -> Running {
+        Running {
+            nodes,
+            seq,
+            job: seq as usize,
+        }
+    }
+
     #[test]
     fn start_complete_accounting() {
         let mut c = small_cluster();
         assert_eq!(c.free_nodes(0), 4);
-        c.start(0, 1, 3, 10.0).unwrap();
+        c.start(0, 1, 10.0, run(3, 0)).unwrap();
         assert_eq!(c.free_nodes(0), 1);
         assert!(!c.can_start(0, 2));
         assert!(c.can_start(0, 1));
-        assert_eq!(c.complete(0, 1).unwrap(), 3);
+        assert_eq!(c.complete(0, 1, 10.0).unwrap(), run(3, 0));
         assert_eq!(c.free_nodes(0), 4);
     }
 
     #[test]
     fn overcommit_is_an_invariant_violation() {
         let mut c = small_cluster();
-        let err = c.start(0, 1, 5, 1.0).unwrap_err();
+        let err = c.start(0, 1, 1.0, run(5, 0)).unwrap_err();
         assert!(matches!(err, MphpcError::InvariantViolation(_)), "{err}");
         assert_eq!(c.free_nodes(0), 4, "failed start must not leak nodes");
-        let err = c.complete(0, 42).unwrap_err();
+        let err = c.complete(0, 42, 1.0).unwrap_err();
         assert!(matches!(err, MphpcError::InvariantViolation(_)), "{err}");
     }
 
     #[test]
-    fn out_of_order_completions_keep_slot_map_consistent() {
-        // swap_remove moves the last running job into the vacated index;
-        // the slot map must follow it or later completions free the
-        // wrong footprint.
+    fn due_completions_leave_in_end_order_and_free_their_nodes() {
         let mut c = small_cluster();
-        c.start(0, 10, 1, 5.0).unwrap();
-        c.start(0, 11, 2, 6.0).unwrap();
-        c.start(0, 12, 1, 7.0).unwrap();
-        assert_eq!(c.complete(0, 10).unwrap(), 1); // 12 swaps into index 0
-        assert_eq!(c.complete(0, 12).unwrap(), 1);
-        assert_eq!(c.complete(0, 11).unwrap(), 2);
-        assert_eq!(c.free_nodes(0), 4);
-        assert!(c.running(0).is_empty());
+        c.start(0, 10, 6.0, run(1, 0)).unwrap();
+        c.start(0, 11, 5.0, run(2, 1)).unwrap();
+        c.start(1, 12, 5.0, run(1, 2)).unwrap();
+        assert_eq!(c.next_end(), Some(5.0));
+        let mut due = Vec::new();
+        c.complete_due(5.0, &mut due);
+        assert_eq!(due, [(0, 5.0, run(2, 1)), (1, 5.0, run(1, 2))]);
+        assert_eq!((c.free_nodes(0), c.next_end()), (3, Some(6.0)));
+        let running: Vec<_> = c.running(0).map(|(end, id, r)| (end, id, *r)).collect();
+        assert_eq!(running, [(6.0, 10, run(1, 0))]);
+        c.complete_due(7.0, &mut due);
+        assert_eq!((c.free_nodes(0), c.next_end()), (4, None));
     }
 
     #[test]

@@ -15,17 +15,23 @@
 //! reservation that no longer describes the head's machine, delaying the
 //! head indefinitely.
 //!
-//! Four structures carry that loop to millions of jobs:
+//! Three structures carry that loop to millions of jobs:
 //!
-//! 1. **Calendar queue** ([`crate::calendar`]): the global event structure
-//!    is O(1) amortized, with a deterministic `(time, seq)` total order.
+//! 1. **Calendar queue and running set.** Arrivals wait in the calendar
+//!    queue ([`crate::calendar`]): O(1) amortized, with a deterministic
+//!    `(time, seq)` total order. What runs is recorded once, in the
+//!    [`Cluster`]: per machine, a map keyed by canonical
+//!    `(end_time, job_id)`, O(log R) per start and completion. The next
+//!    instant is the earlier of the calendar's head and the earliest end on
+//!    any machine. A start takes the next `seq` for its completion;
+//!    completions due at an instant are applied in `seq` order, then its
+//!    arrivals drain — the order a single queue of both kinds would give,
+//!    since a completion only moves the queue through the dependents it
+//!    releases, and those take fresh `seq`s. A reservation is a short
+//!    in-order prefix walk of the head's machine's map instead of a sort of
+//!    every running job.
 //!
-//! 2. **Free-slot profile.** Each machine keeps a sorted completion profile
-//!    (a `BTreeMap` keyed by canonical `(end_time, job_id)`), maintained in
-//!    O(log R) per start/completion, so a reservation is a short in-order
-//!    prefix walk instead of a sort of every running job.
-//!
-//! 3. **Blocked-pass snapshot.** When a pass ends with the head blocked,
+//! 2. **Blocked-pass snapshot.** When a pass ends with the head blocked,
 //!    the engine keeps its reservation, how far it scanned and, per window
 //!    position, the machine the scan asked for (*unknown* where the
 //!    free-node gate passed it over). Each job's `choose` answer is cached
@@ -42,7 +48,7 @@
 //!    the newly arrived suffix; with nothing freed, only the suffix.
 //!    [`ScaleStats`] counts resumes and full passes.
 //!
-//! 4. **Free-node gate.** A scan with no free node on any machine ends at
+//! 3. **Free-node gate.** A scan with no free node on any machine ends at
 //!    once, and a candidate wider than the most free nodes anywhere is
 //!    passed over unasked: `can_start(cm, n)` needs `n ≤ free[cm]` whatever
 //!    machine `cm` its strategy would choose, and `choose` is side-effect
@@ -56,9 +62,9 @@
 //! comparison asks once, and every strategy simulates the same list.
 //!
 //! **Dependencies** do not weaken the snapshot: a job with open
-//! dependencies is not in the event queue at all; the completion that
-//! closes its last one enqueues its arrival at `max(submit, now)`, and it
-//! joins the queue's tail like any other arrival.
+//! dependencies is not in the calendar at all; the completion that closes
+//! its last one enqueues its arrival at `max(submit, now)`, and it joins
+//! the queue's tail like any other arrival.
 //!
 //! The binary-heap, sort-per-pass engine this one replaced survives as the
 //! `cfg(test)` oracle in `reference.rs`; its suite holds every schedule
@@ -66,13 +72,13 @@
 
 use crate::audit::InvariantAuditor;
 use crate::calendar::{CalendarQueue, EventKey};
-use crate::cluster::{Cluster, MachineConfig};
+use crate::cluster::{Cluster, MachineConfig, Running};
 use crate::federation::RpvProvider;
 use crate::job::{check_rpv, Job, N_MACHINES};
 use crate::metrics::{avg_bounded_slowdown, makespan, JobRecord};
 use crate::strategy::{MachineAssigner, Reads};
 use mphpc_errors::MphpcError;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::ops::Range;
 use std::time::Instant;
 
@@ -125,9 +131,12 @@ pub struct SimResult {
 /// in its doc.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScaleStats {
-    /// Events pushed into the calendar queue (`sched.events.enqueued`).
+    /// Events scheduled: an arrival pushed into the calendar queue, or a
+    /// start's completion entered into the running set
+    /// (`sched.events.enqueued`).
     pub events_enqueued: u64,
-    /// Events popped from the calendar queue (`sched.events.dequeued`).
+    /// Events applied: an arrival popped from the calendar queue, or a
+    /// completion taken off the running set (`sched.events.dequeued`).
     pub events_dequeued: u64,
     /// Decision points answered by resuming the blocked-pass snapshot with
     /// the head still blocked: the positions a completion may have turned
@@ -158,78 +167,6 @@ pub struct ScaleStats {
     pub predict_us_total: u64,
 }
 
-/// Per-machine sorted completion profile: canonical `(end_time, job_id)`
-/// order, maintained incrementally. [`EventKey`] already encodes exactly
-/// that order (total_cmp time bits, then a u64 tie-break — here the job
-/// id), so it doubles as the map key.
-struct FreeSlotProfile {
-    ends: [BTreeMap<EventKey, u32>; N_MACHINES],
-}
-
-impl FreeSlotProfile {
-    fn new() -> Self {
-        Self {
-            ends: Default::default(),
-        }
-    }
-
-    fn insert(&mut self, m: usize, end: f64, job_id: u64, nodes: u32) {
-        self.ends[m].insert(EventKey::new(end, job_id), nodes);
-    }
-
-    fn remove(&mut self, m: usize, end: f64, job_id: u64) -> Result<(), MphpcError> {
-        self.ends[m]
-            .remove(&EventKey::new(end, job_id))
-            .ok_or_else(|| {
-                MphpcError::InvariantViolation(format!(
-                    "free-slot profile: completing job {job_id} (end {end}) missing on machine {m}"
-                ))
-            })?;
-        Ok(())
-    }
-
-    /// EASY reservation for a head job needing `nodes` on machine `m`:
-    /// `(shadow_time, extra_nodes)`, where `shadow_time` is the earliest
-    /// the head can start and `extra_nodes` is how many nodes remain free
-    /// at that moment after it starts. Backfilled jobs must either finish
-    /// by `shadow_time` or fit in `extra_nodes`.
-    ///
-    /// Completions are walked in `(end_time, job_id)` order. Equal end
-    /// times free their nodes at the same simulated instant, so only
-    /// `extra_nodes` (which depends on where the walk stops) is sensitive
-    /// to the tie order — the canonical key makes it a pure function of
-    /// cluster *state*, independent of the history of starts and
-    /// completions that produced it. The walk usually stops after a
-    /// handful of entries.
-    fn reservation(&self, cluster: &Cluster, m: usize, nodes: u32, now: f64) -> (f64, u32) {
-        if cluster.can_start(m, nodes) {
-            return (now, cluster.free_nodes(m) - nodes);
-        }
-        let mut avail = cluster.free_nodes(m);
-        for (k, &freed) in &self.ends[m] {
-            avail += freed;
-            if avail >= nodes {
-                return (k.time(), avail - nodes);
-            }
-        }
-        // Machine can never fit the job (ruled out by the up-front check
-        // that every job fits somewhere and `can_ever_run` in strategies).
-        (f64::INFINITY, 0)
-    }
-
-    /// Entries for machine `m` as `(end_time, job_id, nodes)` in profile
-    /// order, for the auditor's consistency sweep.
-    fn entries(&self, m: usize) -> impl Iterator<Item = (f64, u64, u32)> + '_ {
-        self.ends[m].iter().map(|(k, &n)| (k.time(), k.seq, n))
-    }
-}
-
-#[derive(Clone, Copy)]
-enum Ev {
-    Arrival(usize),
-    Completion { machine: usize, job: usize },
-}
-
 /// What a blocked head holds: backfilled jobs must not delay it.
 #[derive(Clone, Copy)]
 struct Reservation {
@@ -238,7 +175,7 @@ struct Reservation {
     extra: u32,
 }
 
-/// Snapshot of a pass that ended with the head blocked (point 3 of the
+/// Snapshot of a pass that ended with the head blocked (point 2 of the
 /// module doc).
 struct Blocked {
     head_idx: usize,
@@ -246,13 +183,6 @@ struct Blocked {
     /// Candidates `1..scanned` failed; only a freed machine can turn them.
     scanned: usize,
 }
-
-/// How often (in event timestamps) the auditor cross-checks the free-slot
-/// profile against the cluster when auditing is on. The check is
-/// O(R log R) per machine — exhaustive per-timestamp verification would
-/// dominate debug runs; sampling still catches any divergence quickly
-/// because profile corruption persists once introduced.
-const PROFILE_AUDIT_STRIDE: u64 = 64;
 
 /// A `seen` mask bit for a position whose machine no scan has asked.
 const UNKNOWN: u8 = 1 << N_MACHINES;
@@ -263,8 +193,8 @@ struct Engine<'a> {
     strategy: &'a mut dyn MachineAssigner,
     config: &'a SimConfig,
     cluster: Cluster,
-    profile: FreeSlotProfile,
-    events: CalendarQueue<Ev>,
+    /// Arrivals, by job index.
+    arrivals: CalendarQueue<usize>,
     /// Monotonic tie-break for simultaneous events.
     seq: u64,
     /// Job indices in FCFS order (arrival events come in submit order, so
@@ -288,10 +218,17 @@ struct Engine<'a> {
 }
 
 impl Engine<'_> {
-    fn enqueue(&mut self, time: f64, ev: Ev) {
-        self.events.push(EventKey::new(time, self.seq), ev);
-        self.seq += 1;
+    /// The next event sequence number: every arrival and every start's
+    /// completion takes one, and counts as enqueued.
+    fn next_seq(&mut self) -> u64 {
         self.stats.events_enqueued += 1;
+        self.seq += 1;
+        self.seq - 1
+    }
+
+    fn enqueue_arrival(&mut self, time: f64, idx: usize) {
+        let key = EventKey::new(time, self.next_seq());
+        self.arrivals.push(key, idx);
     }
 
     /// Job `idx`'s machine, asked of the strategy once per epoch.
@@ -303,9 +240,9 @@ impl Engine<'_> {
         self.choice[idx].1
     }
 
-    /// One job start: cluster + profile + bookkeeping + completion event.
-    /// A start invalidates any blocked-pass snapshot (cluster and strategy
-    /// state both change); every caller holds none.
+    /// One job start: running set + bookkeeping, with the next `seq` for
+    /// its completion. A start invalidates any blocked-pass snapshot
+    /// (cluster and strategy state both change); every caller holds none.
     fn start(&mut self, idx: usize, m: usize, now: f64) -> Result<(), MphpcError> {
         if self.reads >= Reads::Starts {
             self.epoch += 1;
@@ -313,23 +250,18 @@ impl Engine<'_> {
         let job = &self.jobs[idx];
         let dur = job.runtime_on(m);
         self.auditor.observe_start(job.id, now)?;
-        self.cluster
-            .start(m, job.id, job.nodes_required, now + dur)?;
-        self.profile
-            .insert(m, now + dur, job.id, job.nodes_required);
+        let run = Running {
+            nodes: job.nodes_required,
+            seq: self.next_seq(),
+            job: idx,
+        };
+        self.cluster.start(m, job.id, now + dur, run)?;
         self.start_time[idx] = now;
         self.end_time[idx] = now + dur;
         self.machine_of[idx] = m;
         self.jobs_per_machine[m] += 1;
         self.node_seconds[m] += dur * job.nodes_required as f64;
         self.strategy.notify_started(job, m);
-        self.enqueue(
-            now + dur,
-            Ev::Completion {
-                machine: m,
-                job: idx,
-            },
-        );
         Ok(())
     }
 
@@ -343,11 +275,11 @@ impl Engine<'_> {
     /// start now without delaying the reservation `held` — on another
     /// machine free capacity suffices; on the head's machine it must
     /// finish by the shadow time or fit in the extra nodes. Returns its
-    /// queue position and machine. Behind the free-node gate (point 4 of
+    /// queue position and machine. Behind the free-node gate (point 3 of
     /// the module doc): no job wider than every machine's free nodes can
     /// start, so its strategy is not consulted. Each position's outcome
     /// goes to `seen`; positions below `failed` failed a scan before, and
-    /// one whose `seen` mask misses `turnable` still fails (point 3).
+    /// one whose `seen` mask misses `turnable` still fails (point 2).
     fn backfill_candidate(
         &mut self,
         range: Range<usize>,
@@ -414,9 +346,7 @@ impl Engine<'_> {
                 self.start(head_idx, m, now)?;
                 continue;
             }
-            let (shadow, extra) =
-                self.profile
-                    .reservation(&self.cluster, m, head.nodes_required, now);
+            let (shadow, extra) = self.cluster.reservation(m, head.nodes_required, now);
             self.auditor.record_reservation(head.id, m, shadow);
             self.stats.reservations += 1;
             let held = Reservation {
@@ -436,14 +366,6 @@ impl Engine<'_> {
                 }
             }
         }
-    }
-
-    fn audit_profile(&mut self) -> Result<(), MphpcError> {
-        for m in 0..N_MACHINES {
-            self.auditor
-                .check_free_slot_profile(&self.cluster, m, self.profile.entries(m))?;
-        }
-        Ok(())
     }
 }
 
@@ -580,8 +502,7 @@ pub fn simulate_full(
         strategy,
         config,
         cluster: Cluster::new(config.machines),
-        profile: FreeSlotProfile::new(),
-        events: CalendarQueue::new(),
+        arrivals: CalendarQueue::new(),
         seq: 0,
         queue: VecDeque::new(),
         start_time: vec![f64::NAN; jobs.len()],
@@ -597,50 +518,52 @@ pub fn simulate_full(
     };
     for (idx, job) in jobs.iter().enumerate() {
         if open_deps.get(idx).map_or(true, |&n| n == 0) {
-            e.enqueue(job.submit_time, Ev::Arrival(idx));
+            e.enqueue_arrival(job.submit_time, idx);
         }
     }
 
     let mut blocked: Option<Blocked> = None;
-    let mut timestamps = 0u64;
+    let mut due: Vec<(usize, f64, Running)> = Vec::new();
 
-    while let Some(first) = e.events.peek_key() {
-        let now = first.time();
-        timestamps += 1;
+    loop {
+        let arrival = e.arrivals.peek_key().map(EventKey::time);
+        let end = e.cluster.next_end();
+        let Some(now) = arrival.into_iter().chain(end).min_by(f64::total_cmp) else {
+            break;
+        };
         // Apply every event at this timestamp before scheduling (IEEE `>`
-        // batching, so -0.0 and 0.0 coalesce). A dependent released at
-        // `now` is pushed while its instant is being drained and leaves in
-        // this same batch, after everything already queued for `now`.
+        // batching, so -0.0 and 0.0 coalesce): the completions in `seq`
+        // order, then the arrivals. A dependent released at `now` is pushed
+        // while its completion is applied and leaves with this instant's
+        // arrivals, after everything already queued for `now`.
+        e.cluster.complete_due(now, &mut due);
+        due.sort_unstable_by_key(|d| d.2.seq);
         let mut freed = 0u8;
-        while let Some(k) = e.events.peek_key() {
-            if k.time() > now {
-                break;
-            }
-            let (k, ev) = e.events.pop().expect("peeked");
+        for &(m, end, run) in &due {
             e.stats.events_dequeued += 1;
-            e.auditor.observe_calendar_dequeue(k.time(), k.seq)?;
-            match ev {
-                Ev::Arrival(idx) => e.queue.push_back(idx),
-                Ev::Completion { machine, job } => {
-                    e.cluster.complete(machine, e.jobs[job].id)?;
-                    e.profile.remove(machine, e.end_time[job], e.jobs[job].id)?;
-                    freed |= 1 << machine;
-                    if e.reads == Reads::FreeCapacity {
-                        e.epoch += 1;
-                    }
-                    for &d in dependents.get(job).map_or(&[][..], Vec::as_slice) {
-                        open_deps[d] -= 1;
-                        if open_deps[d] == 0 {
-                            e.enqueue(e.jobs[d].submit_time.max(now), Ev::Arrival(d));
-                        }
-                    }
+            e.auditor.observe_completion(end, run.seq)?;
+            freed |= 1 << m;
+            if e.reads == Reads::FreeCapacity {
+                e.epoch += 1;
+            }
+            for &d in dependents.get(run.job).map_or(&[][..], Vec::as_slice) {
+                open_deps[d] -= 1;
+                if open_deps[d] == 0 {
+                    e.enqueue_arrival(e.jobs[d].submit_time.max(now), d);
                 }
             }
+        }
+        due.clear();
+        while let Some(k) = e.arrivals.peek_key().filter(|k| k.time() <= now) {
+            let (_, idx) = e.arrivals.pop().expect("peeked");
+            e.stats.events_dequeued += 1;
+            e.auditor.observe_arrival(k.time(), k.seq)?;
+            e.queue.push_back(idx);
         }
         e.auditor.observe_event_time(now)?;
 
         // Resume the blocked pass if nothing the head's choice and
-        // reservation read has changed (point 3 of the module doc); with
+        // reservation read has changed (point 2 of the module doc); with
         // nothing freed, only the arrivals since can start.
         let capacity_read = freed != 0 && e.reads == Reads::FreeCapacity;
         let stale = |b: &Blocked| capacity_read || freed & (1 << b.held.machine) != 0;
@@ -666,14 +589,6 @@ pub fn simulate_full(
         }
 
         e.auditor.check_cluster(&e.cluster, now)?;
-        if e.auditor.enabled() && timestamps % PROFILE_AUDIT_STRIDE == 0 {
-            e.audit_profile()?;
-        }
-    }
-
-    // Final exhaustive profile check: both structures must drain empty.
-    if e.auditor.enabled() {
-        e.audit_profile()?;
     }
 
     // Counters accumulate in `stats` and reach the global registry once:
@@ -734,6 +649,7 @@ pub fn simulate_full(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::tests::run;
     use crate::federation::FnRpvProvider;
     use crate::strategy::{ModelBased, Oracle, RoundRobin, UserRoundRobin};
 
@@ -1157,14 +1073,6 @@ mod tests {
         assert_eq!(stats, ScaleStats::default());
     }
 
-    fn profile_of(cluster: &Cluster, m: usize) -> FreeSlotProfile {
-        let mut p = FreeSlotProfile::new();
-        for r in cluster.running(m) {
-            p.insert(m, r.end_time, r.job_id, r.nodes);
-        }
-        p
-    }
-
     fn four_node_cluster() -> Cluster {
         let mut configs = crate::cluster::table1_cluster();
         configs[0].total_nodes = 4;
@@ -1174,26 +1082,25 @@ mod tests {
     #[test]
     fn reservation_immediate_when_free() {
         let c = four_node_cluster();
-        assert_eq!(profile_of(&c, 0).reservation(&c, 0, 2, 5.0), (5.0, 2));
+        assert_eq!(c.reservation(0, 2, 5.0), (5.0, 2));
     }
 
     #[test]
     fn reservation_waits_for_earliest_sufficient_completion() {
         let mut c = four_node_cluster();
-        c.start(0, 1, 2, 10.0).unwrap();
-        c.start(0, 2, 2, 20.0).unwrap();
-        let p = profile_of(&c, 0);
+        c.start(0, 1, 10.0, run(2, 0)).unwrap();
+        c.start(0, 2, 20.0, run(2, 1)).unwrap();
         // Needs 3 nodes: at t=10 two nodes free (0 + 2), not enough; at
         // t=20 four free.
-        assert_eq!(p.reservation(&c, 0, 3, 0.0), (20.0, 1));
+        assert_eq!(c.reservation(0, 3, 0.0), (20.0, 1));
         // Needs 2: at t=10.
-        assert_eq!(p.reservation(&c, 0, 2, 0.0), (10.0, 0));
+        assert_eq!(c.reservation(0, 2, 0.0), (10.0, 0));
     }
 
     #[test]
     fn reservation_impossible_job() {
         let c = four_node_cluster();
-        let (shadow, _) = profile_of(&c, 0).reservation(&c, 0, 100, 0.0);
+        let (shadow, _) = c.reservation(0, 100, 0.0);
         assert!(shadow.is_infinite());
         assert!(!c.can_ever_run(0, 100));
         assert!(c.can_ever_run(0, 4));
@@ -1206,25 +1113,19 @@ mod tests {
         // at tied end times: job 1 frees first, so the walk continues
         // through job 2 → extra = 2.
         let mut a = four_node_cluster();
-        let mut pa = FreeSlotProfile::new();
         for (id, nodes) in [(1, 1), (2, 3)] {
-            a.start(0, id, nodes, 10.0).unwrap();
-            pa.insert(0, 10.0, id, nodes);
+            a.start(0, id, 10.0, run(nodes, id)).unwrap();
         }
         let mut b = four_node_cluster();
-        let mut pb = FreeSlotProfile::new();
-        b.start(0, 9, 4, 1.0).unwrap();
-        pb.insert(0, 1.0, 9, 4);
-        b.complete(0, 9).unwrap();
-        pb.remove(0, 1.0, 9).unwrap();
+        b.start(0, 9, 1.0, run(4, 0)).unwrap();
+        b.complete(0, 9, 1.0).unwrap();
         for (id, nodes) in [(2, 3), (1, 1)] {
-            b.start(0, id, nodes, 10.0).unwrap();
-            pb.insert(0, 10.0, id, nodes);
+            b.start(0, id, 10.0, run(nodes, id)).unwrap();
         }
-        assert_eq!(pa.reservation(&a, 0, 2, 0.0), (10.0, 2));
-        assert_eq!(pb.reservation(&b, 0, 2, 0.0), (10.0, 2));
+        assert_eq!(a.reservation(0, 2, 0.0), (10.0, 2));
+        assert_eq!(b.reservation(0, 2, 0.0), (10.0, 2));
         assert!(
-            pb.remove(0, 10.0, 42).is_err(),
+            b.complete(0, 42, 10.0).is_err(),
             "unknown job is a bookkeeping bug"
         );
     }

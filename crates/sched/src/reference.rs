@@ -10,7 +10,7 @@
 //! of its event handling, reservation or backfill code.
 
 use crate::audit::InvariantAuditor;
-use crate::cluster::Cluster;
+use crate::cluster::{Cluster, Running};
 use crate::engine::{SimConfig, SimResult};
 use crate::job::{Job, N_MACHINES};
 use crate::metrics::{avg_bounded_slowdown, makespan, JobRecord};
@@ -25,16 +25,15 @@ mod common;
 
 /// EASY reservation for a head job needing `nodes` on machine `m`, by
 /// collecting and sorting the running set on every call: the
-/// `(shadow_time, extra_nodes)` the engine's free-slot profile must
-/// reproduce from its maintained order.
+/// `(shadow_time, extra_nodes)` the cluster's running set must reproduce
+/// from its maintained order.
 pub fn reservation(cluster: &Cluster, m: usize, nodes: u32, now: f64) -> (f64, u32) {
     if cluster.can_start(m, nodes) {
         return (now, cluster.free_nodes(m) - nodes);
     }
     let mut ends: Vec<(f64, u64, u32)> = cluster
         .running(m)
-        .iter()
-        .map(|r| (r.end_time, r.job_id, r.nodes))
+        .map(|(end, job_id, r)| (end, job_id, r.nodes))
         .collect();
     ends.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
     let mut avail = cluster.free_nodes(m);
@@ -156,14 +155,20 @@ pub fn simulate_with_deps(
         let job = &jobs[idx];
         let dur = job.runtime_on(m);
         auditor.observe_start(job.id, now)?;
-        cluster.start(m, job.id, job.nodes_required, now + dur)?;
+        let seq = next_seq();
+        let run = Running {
+            nodes: job.nodes_required,
+            seq,
+            job: idx,
+        };
+        cluster.start(m, job.id, now + dur, run)?;
         start_time[idx] = now;
         end_time[idx] = now + dur;
         machine_of[idx] = m;
         jobs_per_machine[m] += 1;
         node_seconds[m] += dur * job.nodes_required as f64;
         events.push(Reverse((
-            EventKey(now + dur, next_seq()),
+            EventKey(now + dur, seq),
             Event::Completion {
                 machine: m,
                 job: idx,
@@ -184,7 +189,7 @@ pub fn simulate_with_deps(
             match ev {
                 Event::Arrival(idx) => queue.push_back(idx),
                 Event::Completion { machine, job } => {
-                    cluster.complete(machine, jobs[job].id)?;
+                    cluster.complete(machine, jobs[job].id, t)?;
                     // Release dependents whose last dependency just ended.
                     for &d in &dependents[job] {
                         remaining_deps[d] -= 1;
@@ -301,7 +306,8 @@ pub fn simulate_with_deps(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{simulate, simulate_full};
+    use crate::cluster::tests::run;
+    use crate::engine::{simulate, simulate_full, ScaleStats};
     use crate::strategy::{ModelBased, Oracle, RandomAssign, RoundRobin, UserRoundRobin};
     use crate::workload::{sample_jobs_indexed, JobTemplate};
     use proptest::prelude::*;
@@ -429,6 +435,37 @@ mod tests {
     }
 
     #[test]
+    fn saturated_backlog_stats_are_pinned() {
+        // Pinned from the engine whose calendar queue also held the
+        // completions: (incremental updates, full rescans, reservations,
+        // backfill attempts, backfill starts) of each strategy, with every
+        // job's arrival and completion enqueued and applied once.
+        let pins = [
+            (37_007, 12_582, 13_997, 1_571_575, 1_733),
+            (36_051, 12_372, 51_572, 6_317_285, 39_276),
+            (35_104, 13_765, 37_658, 4_551_261, 24_093),
+            (0, 44_125, 55_445, 139_005, 14_749),
+            (0, 44_083, 55_741, 135_271, 15_086),
+        ];
+        let jobs = saturated_backlog();
+        let cfg = SimConfig::default();
+        for (mut s, pin) in strategies().into_iter().zip(pins) {
+            let (_, stats) = simulate_full(&jobs, &[], s.as_mut(), &cfg).unwrap();
+            let want = ScaleStats {
+                events_enqueued: 100_000,
+                events_dequeued: 100_000,
+                incremental_updates: pin.0,
+                full_rescans: pin.1,
+                reservations: pin.2,
+                backfill_attempts: pin.3,
+                backfill_starts: pin.4,
+                ..ScaleStats::default()
+            };
+            assert_eq!(stats, want, "{}", s.name());
+        }
+    }
+
+    #[test]
     fn completions_elsewhere_resume_round_robins_blocked_pass() {
         // Before the snapshot outlived completions, this backlog cost
         // Round-Robin 49 589 full passes. Completions on machines other
@@ -482,6 +519,37 @@ mod tests {
             "queued behind the blocked head"
         );
         assert!(stats.incremental_updates > 0, "{stats:?}");
+    }
+
+    #[test]
+    fn tied_completions_release_dependents_in_start_order() {
+        // Two one-node machines under Oracle. Job 2 starts on ruby at t=0,
+        // job 1 on quartz at t=4; both end at t=10. Each has one dependent,
+        // and the two dependents run equally fast anywhere, so the first
+        // to join the queue takes quartz. The completions are applied in
+        // start order (job 2 first), not in job-id or machine order.
+        let mut cfg = small_config();
+        for (m, nodes) in cfg.machines.iter_mut().zip([1, 1, 0, 0]) {
+            m.total_nodes = nodes;
+        }
+        let on = |id: u64, submit: f64, runtimes: [f64; 2]| Job {
+            runtimes: [runtimes[0], runtimes[1], 1.0, 1.0],
+            ..job(id, submit, 1, 0.0)
+        };
+        let jobs = vec![
+            on(1, 4.0, [6.0, 100.0]),
+            on(2, 0.0, [100.0, 10.0]),
+            on(3, 0.0, [5.0, 5.0]),
+            on(4, 0.0, [5.0, 5.0]),
+        ];
+        let deps = vec![vec![], vec![], vec![0], vec![1]];
+        let oracle = simulate_with_deps(&jobs, &deps, &mut Oracle::new(), &cfg).unwrap();
+        let (engine, _) = simulate_full(&jobs, &deps, &mut Oracle::new(), &cfg).unwrap();
+        assert_eq!(oracle, engine);
+        let placed = |i: usize| (engine.records[i].start, engine.records[i].machine);
+        assert_eq!((placed(0), placed(1)), ((4.0, 0), (0.0, 1)));
+        assert_eq!(placed(3), (10.0, 0), "job 2's dependent queues first");
+        assert_eq!(placed(2), (10.0, 1));
     }
 
     #[test]
@@ -713,8 +781,8 @@ mod tests {
         let mut c = four_node_cluster();
         assert_eq!(reservation(&c, 0, 2, 5.0), (5.0, 2), "immediate when free");
         assert!(reservation(&c, 0, 100, 0.0).0.is_infinite(), "never fits");
-        c.start(0, 1, 2, 10.0).unwrap();
-        c.start(0, 2, 2, 20.0).unwrap();
+        c.start(0, 1, 10.0, run(2, 0)).unwrap();
+        c.start(0, 2, 20.0, run(2, 1)).unwrap();
         assert_eq!(reservation(&c, 0, 3, 0.0), (20.0, 1));
         assert_eq!(reservation(&c, 0, 2, 0.0), (10.0, 0));
     }
@@ -725,13 +793,13 @@ mod tests {
         // different insertion/removal histories must agree on the
         // reservation, including extra_nodes at tied end times.
         let mut a = four_node_cluster();
-        a.start(0, 1, 1, 10.0).unwrap();
-        a.start(0, 2, 3, 10.0).unwrap();
+        a.start(0, 1, 10.0, run(1, 0)).unwrap();
+        a.start(0, 2, 10.0, run(3, 1)).unwrap();
         let mut b = four_node_cluster();
-        b.start(0, 9, 4, 1.0).unwrap();
-        b.complete(0, 9).unwrap();
-        b.start(0, 2, 3, 10.0).unwrap();
-        b.start(0, 1, 1, 10.0).unwrap();
+        b.start(0, 9, 1.0, run(4, 0)).unwrap();
+        b.complete(0, 9, 1.0).unwrap();
+        b.start(0, 2, 10.0, run(3, 1)).unwrap();
+        b.start(0, 1, 10.0, run(1, 2)).unwrap();
         // Canonical (end, job_id) walk: job 1 frees first, so the walk
         // must continue through job 2 → extra = 2. A Vec-order walk over
         // cluster `b` would stop at job 2 and report extra = 1.

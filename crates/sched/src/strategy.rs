@@ -255,6 +255,7 @@ impl MachineAssigner for Oracle {
 mod tests {
     use super::*;
     use crate::cluster::table1_cluster;
+    use crate::cluster::tests::run;
 
     fn job(id: u64, gpu: bool) -> Job {
         Job {
@@ -326,7 +327,7 @@ mod tests {
     fn model_based_falls_back_when_fastest_full() {
         let mut cluster = Cluster::new(table1_cluster());
         // Fill Lassen (795 nodes).
-        cluster.start(2, 99, 795, 100.0).unwrap();
+        cluster.start(2, 99, 100.0, run(795, 0)).unwrap();
         let mut m = ModelBased::new();
         assert_eq!(
             m.choose(&job(1, false), &cluster),
@@ -339,9 +340,8 @@ mod tests {
     fn model_based_reserves_on_fastest_when_all_full() {
         let mut cluster = Cluster::new(table1_cluster());
         for (m, cfg) in table1_cluster().iter().enumerate() {
-            cluster
-                .start(m, 90 + m as u64, cfg.total_nodes, 100.0)
-                .unwrap();
+            let full = run(cfg.total_nodes, m as u64);
+            cluster.start(m, 90 + m as u64, 100.0, full).unwrap();
         }
         let mut m = ModelBased::new();
         assert_eq!(m.choose(&job(1, false), &cluster), 2, "reserve on fastest");

@@ -88,6 +88,26 @@ pub(crate) fn pop_stack() -> String {
     })
 }
 
+/// The names of the spans open on the calling thread, root first.
+pub(crate) fn stack() -> Vec<&'static str> {
+    with_state(|s| s.stack.clone())
+}
+
+/// Put `names` on top of the calling thread's stack; returns the depth to
+/// truncate back to.
+pub(crate) fn extend_stack(names: &[&'static str]) -> usize {
+    with_state(|s| {
+        let depth = s.stack.len();
+        s.stack.extend_from_slice(names);
+        depth
+    })
+}
+
+/// Cut the calling thread's stack back to `depth` entries.
+pub(crate) fn truncate_stack(depth: usize) {
+    with_state(|s| s.stack.truncate(depth));
+}
+
 /// Append one closed span event to the calling thread's buffer.
 pub(crate) fn record(event: SpanEvent) {
     with_state(|s| lock(&s.buf.events).push(event));

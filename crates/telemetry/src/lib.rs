@@ -5,7 +5,8 @@
 //! * **Spans** — [`span!`] opens a hierarchical timing scope that closes
 //!   when the guard drops. Each thread keeps its own span stack and its
 //!   own event buffer (registered once, drained at report time), so
-//!   recording never contends across `mphpc_par` workers.
+//!   recording never contends across `mphpc_par` workers; a worker adopts
+//!   its caller's [`span_context`], so its spans nest under the caller's.
 //! * **Metrics** — [`counter_add`], [`gauge_set`], [`histogram_record`]:
 //!   typed, named, process-wide aggregates for things too hot to span
 //!   (rows binned, nodes expanded, backfill attempts).
@@ -188,6 +189,44 @@ impl Drop for SpanGuard {
             start_ns: self.start_ns,
             dur_ns,
         });
+    }
+}
+
+/// The spans open on the calling thread, for work it hands to other
+/// threads: a span opened under [`SpanContext::adopt`] sits below them in
+/// the tree, as if it had been opened here. Empty, and free, when telemetry
+/// is off.
+#[derive(Debug, Clone, Default)]
+pub struct SpanContext(Vec<&'static str>);
+
+/// The calling thread's [`SpanContext`].
+pub fn span_context() -> SpanContext {
+    if !enabled() {
+        return SpanContext::default();
+    }
+    SpanContext(buffer::stack())
+}
+
+impl SpanContext {
+    /// Open this context's spans on the calling thread until the guard
+    /// drops; they record no events of their own.
+    pub fn adopt(&self) -> AdoptGuard {
+        if self.0.is_empty() {
+            return AdoptGuard(None);
+        }
+        AdoptGuard(Some(buffer::extend_stack(&self.0)))
+    }
+}
+
+/// Scope produced by [`SpanContext::adopt`].
+#[must_use = "the context is adopted until the guard is dropped"]
+pub struct AdoptGuard(Option<usize>);
+
+impl Drop for AdoptGuard {
+    fn drop(&mut self) {
+        if let Some(depth) = self.0 {
+            buffer::truncate_stack(depth);
+        }
     }
 }
 
