@@ -265,13 +265,10 @@ fn cache_counters() -> [u64; 2] {
     ["archsim.cache.first_touches", "archsim.cache.refs"].map(|n| report.counter(n).unwrap_or(0))
 }
 
-/// X4 (DESIGN.md §5): trace-driven set-associative cache simulation vs
-/// the closed-form analytic stack-distance model — a fully-associative
-/// approximation, orders of magnitude faster — by the downstream model
-/// quality. The trace-driven campaign is the context's dataset and its
-/// evaluation `models`' own; the analytic one is built here. Build time and
-/// first touches come from the small campaign, built both ways in this
-/// process, so they compare at every size.
+/// X4 (DESIGN.md §5): trace-driven set-associative cache simulation vs the
+/// closed-form analytic stack-distance model — a fully-associative
+/// approximation, orders of magnitude faster. The trace-driven campaign is
+/// the context's; build time and first touches come from the small one.
 pub(crate) fn cache_ablation(ctx: &Ctx) -> Tables {
     let trace = ctx.evaluation(gbt())?;
     eprintln!("[collect] building dataset with the analytic cache model ...");
@@ -299,7 +296,7 @@ pub(crate) fn cache_ablation(ctx: &Ctx) -> Tables {
         let (first_touches, refs) = (after[0] - before[0], after[1] - before[1]);
         rows.push(vec![
             label.to_string(),
-            format!("{:.1}s", build_secs),
+            format!("{build_secs:.2}s"),
             // Compulsory misses the trace model charges without simulating.
             match first_touches {
                 0 => "–".to_string(),
@@ -313,13 +310,9 @@ pub(crate) fn cache_ablation(ctx: &Ctx) -> Tables {
         mphpc_telemetry::reset();
         mphpc_telemetry::set_mode(TelemetryMode::Off);
     }
-    let title = format!(
-        "Ablation — cache-model backend vs model quality; build time and first touches on the \
-         small campaign ({} runs), both built in this process",
-        sub.len()
-    );
     Ok(vec![print_table(
-        &title,
+        "Ablation — cache-model backend vs model quality; build time and first touches on the \
+         small campaign, both built in this process",
         &[
             "cache model",
             "small build time",
